@@ -3,8 +3,20 @@
 Subcommands: spectrum, frames, gen-data, train, eval, wavelet-dump,
 mesh-info. A single JSON experiment config feeds every command; CLI flags
 override config keys and the merged effective config is echoed into the
-output directory. Exit codes: 0 success, 1 usage, 2 validation,
-3 numerical failure, 4 I/O or cache problems.
+output directory; `eval` starts from the experiment saved in its checkpoint.
+Exit codes: 0 success, 1 usage, 2 validation, 3 numerical failure, 4 I/O or
+cache problems.
+
+Cache layout: the cache directory holds one SPEC1 file per mesh and
+direction, `{mesh stem}.{key[:16]}.spec`, and one FBK1 filter bank per mesh
+and kernel, `{mesh stem}.{key[:16]}.fbk`. A key is a digest of everything
+the file was computed from: for a spectrum the mesh content, alpha, theta,
+the clamped k and curvature_radius; for a bank its spectra's keys, the
+resolved lambda_max, scales and tighten. A changed input is therefore a
+different file name, i.e. a miss, and the full key stored in each file is
+checked again on read. Nothing is evicted. Caches written before this
+layout (named `{stem}.{alpha}.{direction}.spec`) are never read, so
+`spectrum` must run once more on every mesh.
 """
 
 import argparse
@@ -67,15 +79,17 @@ class ExperimentConfig:
     cache: str = None
 
     @classmethod
-    def load(cls, path=None, overrides=None):
-        data = {}
+    def load(cls, path=None, overrides=None, base=None):
+        """Merge, each over the one before: `base` (a checkpoint's saved
+        experiment), the JSON file at `path`, and the non-None overrides."""
+        data = dict(base or {})
         if path is not None:
             with open(path) as fh:
-                data = json.load(fh)
-            known = {f.name for f in dataclasses.fields(cls)}
-            unknown = set(data) - known
-            if unknown:
-                raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
+                data.update(json.load(fh))
+        known = {f.name for f in dataclasses.fields(cls)}
+        unknown = set(data) - known
+        if unknown:
+            raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**data)
         for key, value in (overrides or {}).items():
             if value is not None:
@@ -133,11 +147,38 @@ class ExperimentConfig:
 # --- spectra and filter-bank caching -------------------------------------------
 
 
-def _spectrum_key(mesh, cfg, theta, k):
-    h = hashlib.sha256()
-    h.update(mesh.content_hash().encode())
-    h.update(f"|{cfg.alpha!r}|{theta!r}|{k}|{cfg.curvature_radius!r}".encode())
-    return h.hexdigest()
+def _cache_key(*parts):
+    """SHA-256 hex digest of the parts' reprs; every cache key comes from here."""
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def _cache_path(cache_dir, mesh_path, key, suffix):
+    return Path(cache_dir) / f"{Path(mesh_path).stem}.{key[:16]}.{suffix}"
+
+
+def _read_cache(path, kind, key):
+    """(arrays, meta) of the cache file at path when its stored key is `key`,
+    else None. A corrupt file counts as a miss and is reported."""
+    if not Path(path).exists():
+        return None
+    try:
+        arrays, meta = read_container(path, kind)
+    except CorruptCache as exc:
+        print(f"warning: {exc}; regenerating", file=sys.stderr)
+        return None
+    if not meta or meta.get("key") != key:
+        return None
+    return arrays, meta
+
+
+def _load_spectrum(path, key):
+    cached = _read_cache(path, "SPEC1", key)
+    if cached is None:
+        return None
+    arrays, meta = cached
+    vals = arrays["eigenvalues"]
+    return Spectrum(eigenvalues=vals, eigenvectors=arrays["eigenvectors"],
+                    mass=arrays["mass"], k=len(vals), provenance=meta)
 
 
 def _frames_for(mesh, cfg):
@@ -146,83 +187,46 @@ def _frames_for(mesh, cfg):
     return estimate_frames(mesh, radius=radius)
 
 
-def spectrum_cache_path(cache_dir, mesh_path, cfg, direction):
-    stem = Path(mesh_path).stem
-    return Path(cache_dir) / f"{stem}.{cfg.alpha:g}.{direction}.spec"
-
-
-def compute_spectra(mesh, cfg, cache_dir, mesh_path, verbose=False):
-    """Per-direction spectra, cached as SPEC1 files; recomputes on a key
-    mismatch or corrupt file."""
-    cache_dir = Path(cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
+def load_spectra(mesh, cfg, cache_dir, mesh_path, solve=False):
+    """Per-direction spectra from the SPEC1 cache. A miss is solved and
+    written when `solve` is set, and raises MissingCache otherwise."""
     k = clamp_k(cfg.k, mesh.n_vertices)
     aniso = AnisoConfig(alpha=cfg.alpha, theta=0.0, directions=cfg.directions)
-    frames = _frames_for(mesh, cfg)
+    mesh_hash = mesh.content_hash()
+    frames = None
     spectra = []
-    statuses = []
     for m, theta in enumerate(aniso.angles()):
-        path = spectrum_cache_path(cache_dir, mesh_path, cfg, m)
-        key = _spectrum_key(mesh, cfg, theta, k)
+        # float() so that a JSON 50 and a flag's 50.0 give one key
+        key = _cache_key("SPEC1", mesh_hash, float(cfg.alpha), theta, k,
+                         float(cfg.curvature_radius))
+        path = _cache_path(cache_dir, mesh_path, key, "spec")
         spec = _load_spectrum(path, key)
+        status = "cached"
         if spec is None:
+            if not solve:
+                raise MissingCache(
+                    f"spectrum cache {path} missing or stale; run the "
+                    f"spectrum command first")
+            if frames is None:
+                frames = _frames_for(mesh, cfg)
             ops = assemble_albo(mesh, frames, aniso.with_theta(theta))
-            prov = {"alpha": cfg.alpha, "theta": theta, "k": k,
-                    "mesh_hash": mesh.content_hash()}
-            spec = solve_eigs(ops, k, provenance=prov)
+            spec = solve_eigs(ops, k, provenance={
+                "key": key, "alpha": cfg.alpha, "theta": theta, "k": k})
+            Path(cache_dir).mkdir(parents=True, exist_ok=True)
             write_container(path, "SPEC1", {
                 "eigenvalues": spec.eigenvalues,
                 "eigenvectors": spec.eigenvectors,
                 "mass": spec.mass,
-            }, meta={"key": key, **prov})
-            statuses.append("computed")
-        else:
-            statuses.append("cached")
-        spectra.append(spec)
-        if verbose:
-            print(f"direction {m}: {statuses[-1]} ({path})")
-    return spectra, statuses
-
-
-def _load_spectrum(path, key):
-    if not Path(path).exists():
-        return None
-    try:
-        arrays, meta = read_container(path, "SPEC1")
-    except CorruptCache as exc:
-        print(f"warning: {exc}; regenerating", file=sys.stderr)
-        return None
-    if not meta or meta.get("key") != key:
-        return None
-    vals = arrays["eigenvalues"]
-    return Spectrum(eigenvalues=vals, eigenvectors=arrays["eigenvectors"],
-                    mass=arrays["mass"], k=len(vals),
-                    provenance={k2: v for k2, v in meta.items() if k2 != "key"})
-
-
-def require_spectra(mesh, cfg, cache_dir, mesh_path):
-    """Load cached spectra or fail with MissingCache (no recompute)."""
-    k = clamp_k(cfg.k, mesh.n_vertices)
-    aniso = AnisoConfig(alpha=cfg.alpha, theta=0.0, directions=cfg.directions)
-    spectra = []
-    for m, theta in enumerate(aniso.angles()):
-        path = spectrum_cache_path(cache_dir, mesh_path, cfg, m)
-        spec = _load_spectrum(path, _spectrum_key(mesh, cfg, theta, k))
-        if spec is None:
-            raise MissingCache(
-                f"spectrum cache {path} missing or stale; run the spectrum "
-                f"command first")
+            }, meta=spec.provenance)
+            status = "computed"
+        if solve:
+            print(f"direction {m}: {status} ({path})")
         spectra.append(spec)
     return spectra
 
 
-def bank_cache_path(cache_dir, mesh_path, cfg):
-    stem = Path(mesh_path).stem
-    return Path(cache_dir) / f"{stem}.{cfg.alpha:g}.fbk"
-
-
-def build_bank(spectra, cfg, cache_dir=None, mesh_path=None):
-    """Build the filter bank, caching the expensive L1 normalizers.
+def build_bank(spectra, cfg, cache_dir, mesh_path):
+    """The filter bank of `spectra`, from the FBK1 cache or built and cached.
 
     The kernel scales come from cfg.kernel_lambda_max when set (training
     pins them so every mesh is filtered with the same scales); otherwise
@@ -230,27 +234,19 @@ def build_bank(spectra, cfg, cache_dir=None, mesh_path=None):
     lambda_max = cfg.kernel_lambda_max or max(s.lambda_max for s in spectra)
     kernel = wavelets.KernelSpec.mexican_hat(lambda_max, cfg.scales,
                                              tighten=cfg.tighten)
-    if cache_dir is None or mesh_path is None:
-        return wavelets.build_filterbank(spectra, kernel)
-
-    key_src = "|".join(s.provenance.get("mesh_hash", "") for s in spectra)
-    key_src += f"|{cfg.scales}|{cfg.tighten}|{lambda_max!r}|{cfg.alpha!r}|{cfg.k}"
-    key = hashlib.sha256(key_src.encode()).hexdigest()
-    path = bank_cache_path(cache_dir, mesh_path, cfg)
-    if path.exists():
-        try:
-            arrays, meta = read_container(path, "FBK1")
-        except CorruptCache as exc:
-            print(f"warning: {exc}; regenerating", file=sys.stderr)
-            arrays, meta = None, None
-        if meta and meta.get("key") == key:
-            return wavelets.FilterBank(
-                spectra=list(spectra), kernel=kernel,
-                responses=arrays["responses"],
-                scaling_responses=arrays["scaling_responses"],
-                l1_normalizers=arrays["l1_normalizers"],
-                frame_bounds=arrays["frame_bounds"],
-                tighten=bool(cfg.tighten))
+    key = _cache_key("FBK1", *(s.provenance["key"] for s in spectra),
+                     float(lambda_max), cfg.scales, bool(cfg.tighten))
+    path = _cache_path(cache_dir, mesh_path, key, "fbk")
+    cached = _read_cache(path, "FBK1", key)
+    if cached is not None:
+        arrays, _ = cached
+        return wavelets.FilterBank(
+            spectra=list(spectra), kernel=kernel,
+            responses=arrays["responses"],
+            scaling_responses=arrays["scaling_responses"],
+            l1_normalizers=arrays["l1_normalizers"],
+            frame_bounds=arrays["frame_bounds"],
+            tighten=bool(cfg.tighten))
     bank = wavelets.build_filterbank(spectra, kernel)
     Path(cache_dir).mkdir(parents=True, exist_ok=True)
     write_container(path, "FBK1", {
@@ -301,10 +297,7 @@ def load_checkpoint(path):
     perms = {int(k.split(":", 1)[1]): v for k, v in arrays.items()
              if k.startswith("perm:")}
     model = network.Model(config, params, perms)
-    exp = meta.get("experiment", {})
-    if isinstance(exp.get("radii"), list):
-        exp["radii"] = tuple(exp["radii"])
-    return model, exp
+    return model, meta.get("experiment", {})
 
 
 # --- training / evaluation drivers ----------------------------------------------
@@ -330,7 +323,7 @@ def run_training(cfg, manifest_path, verbose=False):
         if labels.min() < 0 or labels.max() >= template.n_vertices:
             raise ValidationError(
                 f"labels in {entry['labels']} outside the template")
-        spectra = require_spectra(mesh, cfg, cache_dir, root / entry["mesh"])
+        spectra = load_spectra(mesh, cfg, cache_dir, root / entry["mesh"])
         loaded.append((entry, mesh, labels, spectra))
 
     if cfg.kernel_lambda_max is None:
@@ -352,7 +345,6 @@ def run_training(cfg, manifest_path, verbose=False):
         encoder_dims=(cfg.encoder_hidden, cfg.feature_dim),
         conv_layers=cfg.conv_layers, directions=cfg.directions,
         scales=cfg.scales, perturb=cfg.perturb, seed=cfg.seed)
-    dtype = np.float32 if cfg.float32 else np.float64
     model = network.Model.initialize(
         model_config, items[0].coords.shape[0], dtype=dtype)
     if verbose:
@@ -397,7 +389,7 @@ def run_evaluation(model, cfg, manifest_path, out_dir, verbose=False):
         gt = synth.read_indices(root / pair["gt"])
         banks = []
         for mesh, rel in ((source, pair["source"]), (target, pair["target"])):
-            spectra = require_spectra(mesh, cfg, cache_dir, root / rel)
+            spectra = load_spectra(mesh, cfg, cache_dir, root / rel)
             banks.append(build_bank(spectra, cfg, cache_dir, root / rel))
         result = evaluate_pair(model, cfg, source, target, gt, banks)
         results.append((pair, result))
@@ -428,10 +420,7 @@ def cmd_spectrum(args):
     cfg = _config_from_args(args, need_mesh=True)
     mesh = load_mesh(cfg.mesh)
     cfg.echo(cfg.out)
-    _, statuses = compute_spectra(mesh, cfg, cfg.cache_dir(), cfg.mesh,
-                                  verbose=True)
-    print(f"{statuses.count('computed')} computed, "
-          f"{statuses.count('cached')} cached")
+    load_spectra(mesh, cfg, cfg.cache_dir(), cfg.mesh, solve=True)
     return EXIT_OK
 
 
@@ -487,14 +476,7 @@ def cmd_eval(args):
     if args.checkpoint is None:
         raise ConfigInvalid("eval requires --checkpoint")
     model, exp = load_checkpoint(args.checkpoint)
-    overrides = _overrides_from_args(args)
-    cfg = ExperimentConfig(**exp)
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    cfg.validate()
-    if cfg.dataset is None:
-        raise ConfigInvalid("eval needs a dataset manifest (config or --dataset)")
+    cfg = _config_from_args(args, need_dataset=True, base=exp)
     cfg.echo(cfg.out)
     run_evaluation(model, cfg, cfg.dataset, cfg.out, verbose=True)
     return EXIT_OK
@@ -505,7 +487,7 @@ def cmd_wavelet_dump(args):
     mesh = load_mesh(cfg.mesh)
     cfg.echo(cfg.out)
     cache_dir = cfg.cache_dir()
-    spectra = require_spectra(mesh, cfg, cache_dir, cfg.mesh)
+    spectra = load_spectra(mesh, cfg, cache_dir, cfg.mesh)
     bank = build_bank(spectra, cfg, cache_dir, cfg.mesh)
     values = wavelets.wavelet_at(bank, args.direction, args.scale, args.vertex)
     out = Path(cfg.out) / (f"wavelet_{Path(cfg.mesh).stem}"
@@ -568,9 +550,9 @@ def _overrides_from_args(args):
     return overrides
 
 
-def _config_from_args(args, need_mesh=False, need_dataset=False):
+def _config_from_args(args, need_mesh=False, need_dataset=False, base=None):
     cfg = ExperimentConfig.load(getattr(args, "config", None),
-                                _overrides_from_args(args))
+                                _overrides_from_args(args), base=base)
     if need_mesh and cfg.mesh is None:
         raise ConfigInvalid("this command requires --mesh (or config key)")
     if need_dataset and cfg.dataset is None:

@@ -1,11 +1,13 @@
 """Dense matching between descriptor sets and the geodesic-error protocol.
 
 Geodesic distances are shortest paths over the edge graph with Euclidean
-edge lengths (an upper bound on the polyhedral geodesic; at the benchmark
-radii the overestimate is negligible for the mesh resolutions used here).
-Errors are normalized by sqrt(total target area), the average is reported
-x100, and the cumulative curve gives the fraction of matches within each
-radius.
+edge lengths, an upper bound on the polyhedral geodesic. The overestimate is
+not negligible: on icospheres of 162 to 2562 vertices, measured against
+great-circle distance, its median is 6.9-7.3% and its maximum 21-23%, and
+it does not shrink as the mesh is refined. Every AGE and CGE reported here
+is inflated accordingly. Errors are normalized by sqrt(total target area),
+the average is reported x100, and the cumulative curve gives the fraction of
+matches within each radius.
 """
 
 from dataclasses import dataclass

@@ -35,7 +35,8 @@ class Spectrum:
     eigenvalues : (k,) ascending, >= 0
     eigenvectors : (n, k), columns mass-orthonormal, sign-canonicalized
     mass : (n,) lumped mass vector of the pencil
-    provenance : identifies the operator (anisotropy config + mesh hash)
+    provenance : identifies the operator; the CLI's spectra carry their
+        cache key under "key"
     """
 
     eigenvalues: np.ndarray
@@ -141,15 +142,6 @@ def _arpack_path(stiffness, mass, k):
     except (ArpackError, RuntimeError) as exc:
         raise FactorizationFailed(str(exc)) from exc
     return vals, vecs
-
-
-def solve_many(op_list, k, provenances=None):
-    """Solve several independent operators (one per direction)."""
-    out = []
-    for i, ops in enumerate(op_list):
-        prov = provenances[i] if provenances else None
-        out.append(solve_eigs(ops, k, provenance=prov))
-    return out
 
 
 def clamp_k(k, n):
