@@ -153,83 +153,153 @@ def gather_rows(x, index):
     return Tensor(x.value[index], parents=((x, vjp),))
 
 
-def wavelet_mix(x, thetas, bank, normalized=True):
-    """sum_{m,j} (normalized wavelet filter applied to x) @ theta[m][j].
+def wavelet_mix(x, thetas, bank):
+    """sum_{m,j} (normalized wavelet filter (m, j) applied to x) @ theta[m][j].
 
-    thetas is an M x J nested list of Tensors. The per-direction
-    eigenbasis projection is shared across scales, forward and backward.
+    thetas is an M x J nested list of Tensors; it may cover a leading
+    sub-block of the bank's directions and scales. The filters are mixed
+    in the K-dim eigenbasis. Per direction the forward projects once,
+    C = Phi^T (A x), mixes each scale in coefficient space,
+    P_j = (r_j * C) theta_j, and synthesizes all J scales with one
+    N x K x (J E) product whose rows of scale j are divided by that scale's
+    L1 normalizers. The backward computes H = Phi^T [g/n_1 | ... | g/n_J]
+    once and shares it: the theta-gradients are (r_j * C)^T H_j and the
+    x-gradient is A * Phi sum_j r_j * (H_j theta_j^T).
+
+    Cost per direction, forward and backward together, for N vertices,
+    K eigenpairs and D x D mixing matrices: 2(J + 1) N K D multiply-adds
+    for projection and synthesis plus 3J K D^2 for the mixing, about
+    11 N K D at J = 4, N = 1226 and K = D = 128. Mixing the filtered N x D
+    maps instead costs 3J N D^2, about 22 N K D in total there, and keeps
+    M J N x D maps on the tape where this keeps M J K x D arrays.
     """
     v = x.value
-    n_dir = len(thetas)
-    n_scale = len(thetas[0])
-    spectra = bank.spectra
     dtype = v.dtype
-
-    coeffs = []
-    filtered = []
+    n = len(v)
+    n_scale = len(thetas[0])
+    dirs = []
+    scaled = []     # r_j * C per direction, (J, K, D)
     out = None
-    for m in range(n_dir):
-        spec = spectra[m]
+    for m, row in enumerate(thetas):
+        spec = bank.spectra[m]
         phi = spec.eigenvectors.astype(dtype, copy=False)
         mass = spec.mass.astype(dtype, copy=False)
-        c = phi.T @ (mass[:, None] * v)
-        coeffs.append((phi, mass, c))
-        row = []
-        for j in range(n_scale):
-            resp = bank.responses[m, j].astype(dtype, copy=False)
-            f = phi @ (resp[:, None] * c)
-            if normalized:
-                f /= bank.l1_normalizers[m, j].astype(dtype, copy=False)[:, None]
-            row.append(f)
-            term = f @ thetas[m][j].value
-            out = term if out is None else out + term
-        filtered.append(row)
+        resp = bank.responses[m, :n_scale].astype(dtype)[:, :, None]
+        inv_norm = (1.0 / bank.l1_normalizers[m, :n_scale].T).astype(dtype)
+        theta = np.stack([t.value for t in row])                # (J, D, E)
+        rc = resp * (phi.T @ (mass[:, None] * v))               # (J, K, D)
+        mixed = (rc @ theta).transpose(1, 0, 2).reshape(phi.shape[1], -1)
+        synth = (phi @ mixed).reshape(n, n_scale, -1)           # (N, J, E)
+        term = np.einsum("nje,nj->ne", synth, inv_norm)
+        out = term if out is None else out + term
+        dirs.append((phi, mass, resp, inv_norm, theta))
+        scaled.append(rc)
+
+    memo = {}
+
+    def coeff_grads(g):
+        # H per direction, computed once per incoming gradient: backward
+        # hands the same g object to the x-vjp and every theta-vjp
+        if memo.get("g") is not g:
+            memo["g"] = g
+            memo["h"] = [
+                (phi.T @ np.einsum("ne,nj->nje", g, inv_norm).reshape(n, -1))
+                .reshape(phi.shape[1], n_scale, -1).transpose(1, 0, 2)
+                for phi, _, _, inv_norm, _ in dirs]
+        return memo["h"]
 
     def vjp_x(g):
         gx = np.zeros_like(v)
-        for m in range(n_dir):
-            phi, mass, _ = coeffs[m]
-            acc = None
-            for j in range(n_scale):
-                gz = g @ thetas[m][j].value.T
-                if normalized:
-                    gz = gz / bank.l1_normalizers[m, j].astype(
-                        dtype, copy=False)[:, None]
-                resp = bank.responses[m, j].astype(dtype, copy=False)
-                contrib = resp[:, None] * (phi.T @ gz)
-                acc = contrib if acc is None else acc + contrib
+        for (phi, mass, resp, _, theta), h in zip(dirs, coeff_grads(g)):
+            acc = (resp * (h @ theta.transpose(0, 2, 1))).sum(axis=0)
             gx += mass[:, None] * (phi @ acc)
         return gx
 
     def make_vjp_theta(m, j):
-        return lambda g: filtered[m][j].T @ g
+        return lambda g: scaled[m][j].T @ coeff_grads(g)[m][j]
 
     parents = [(x, vjp_x)]
-    for m in range(n_dir):
-        for j in range(n_scale):
-            parents.append((thetas[m][j], make_vjp_theta(m, j)))
+    for m, row in enumerate(thetas):
+        for j, theta in enumerate(row):
+            parents.append((theta, make_vjp_theta(m, j)))
     return Tensor(out, parents=tuple(parents))
+
+
+HEAD_BLOCK = 256  # logit rows materialized at a time by the fused head
+
+
+def _check_labels(labels, n_classes):
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ValueError(
+            f"labels must lie in [0, {n_classes}), got range "
+            f"[{labels.min()}, {labels.max()}]")
+
+
+def _ce_rows(z, labels, n):
+    """Cross entropy of a block of logit rows, computed in place.
+
+    Overwrites z with the block's (softmax - onehot) / n, the gradient of
+    the mean over all n rows. Returns the block's summed loss and the count
+    of its rows whose argmax is the label.
+    """
+    rows = np.arange(len(z))
+    top = z.argmax(axis=1)
+    z -= z[rows, top][:, None]
+    picked = z[rows, labels]
+    np.exp(z, out=z)
+    total = z.sum(axis=1)
+    loss = (np.log(total) - picked).sum(dtype=np.float64)
+    z /= total[:, None]
+    z[rows, labels] -= 1.0
+    z /= n
+    return float(loss), int((top == labels).sum())
+
+
+def _scalar_vjp(grad):
+    """vjp of a scalar output whose gradient is ``grad``. The incoming
+    scalar takes grad's dtype, so float32 gradients stay float32."""
+    return lambda g: grad * grad.dtype.type(g)
 
 
 def softmax_cross_entropy(logits, labels):
     """Mean cross entropy; gradient is (softmax - onehot) / n."""
-    z = logits.value
     labels = np.asarray(labels)
-    n, c = z.shape
-    if labels.min() < 0 or labels.max() >= c:
-        raise ValueError(
-            f"labels must lie in [0, {c}), got range "
-            f"[{labels.min()}, {labels.max()}]")
-    shifted = z - z.max(axis=1, keepdims=True)
-    expz = np.exp(shifted)
-    total = expz.sum(axis=1, keepdims=True)
-    log_probs = shifted - np.log(total)
-    loss = -log_probs[np.arange(n), labels].mean()
-    probs = expz / total
+    n, c = logits.value.shape
+    _check_labels(labels, c)
+    grad = logits.value.copy()
+    loss, _ = _ce_rows(grad, labels, n)
+    return Tensor(np.float64(loss / n),
+                  parents=((logits, _scalar_vjp(grad)),))
 
-    def vjp(g):
-        grad = probs.copy()
-        grad[np.arange(n), labels] -= 1.0
-        return g * grad / n
 
-    return Tensor(np.float64(loss), parents=((logits, vjp),))
+def linear_softmax_cross_entropy(x, w, b, labels):
+    """Fused classifier head: softmax_cross_entropy(affine(x, w, b), labels)
+    without the N x C logits.
+
+    The logits are formed HEAD_BLOCK rows at a time, turned in place into
+    that block's share of the loss gradient, and folded into the gradients
+    of x, w and b in the same pass. Returns the loss Tensor and the number
+    of rows whose argmax is their label.
+    """
+    xv, wv = x.value, w.value
+    labels = np.asarray(labels)
+    n = len(xv)
+    _check_labels(labels, wv.shape[1])
+    dx = np.empty_like(xv)
+    dw = np.zeros_like(wv)
+    db = np.zeros_like(b.value)
+    loss = 0.0
+    correct = 0
+    for start in range(0, n, HEAD_BLOCK):
+        rows = slice(start, start + HEAD_BLOCK)
+        z = xv[rows] @ wv
+        z += b.value
+        block_loss, block_correct = _ce_rows(z, labels[rows], n)
+        loss += block_loss
+        correct += block_correct
+        dw += xv[rows].T @ z
+        db += z.sum(axis=0)
+        dx[rows] = z @ wv.T
+    loss = Tensor(np.float64(loss / n), parents=(
+        (x, _scalar_vjp(dx)), (w, _scalar_vjp(dw)), (b, _scalar_vjp(db))))
+    return loss, correct

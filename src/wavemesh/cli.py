@@ -85,11 +85,21 @@ class ExperimentConfig:
         data = dict(base or {})
         if path is not None:
             with open(path) as fh:
-                data.update(json.load(fh))
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+                loaded = json.load(fh)
+            if not isinstance(loaded, dict):
+                raise ConfigInvalid(
+                    f"config {path} must hold a JSON object, got "
+                    f"{type(loaded).__name__}")
+            data.update(loaded)
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        unknown = set(data) - set(fields)
         if unknown:
             raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            if not _has_type(value, fields[key]):
+                raise ConfigInvalid(
+                    f"config key {key!r} must be {fields[key].type.__name__}, "
+                    f"got {value!r}")
         cfg = cls(**data)
         for key, value in (overrides or {}).items():
             if value is not None:
@@ -142,6 +152,25 @@ class ExperimentConfig:
         payload["epochs"] = self.effective_epochs
         with open(out_dir / "config.echo.json", "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _has_type(value, field):
+    """Whether a JSON value fits an ExperimentConfig field: ints and floats
+    both pass as a float, a bool passes only as a bool, and None only where
+    it is the default."""
+    if value is None:
+        return field.default is None
+    if field.type is float:
+        return _is_number(value)
+    if field.type is int:
+        return _is_number(value) and isinstance(value, int)
+    if field.type is tuple:
+        return isinstance(value, (list, tuple)) and all(map(_is_number, value))
+    return isinstance(value, field.type)
 
 
 # --- spectra and filter-bank caching -------------------------------------------

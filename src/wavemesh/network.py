@@ -6,9 +6,12 @@ the L1-normalized filtered feature maps over all (direction, scale) pairs
 with learnable mixing matrices, then applies SELU and a per-shape feature
 standardization with learnable affine. An optional perturbation stage - a
 fixed seeded permutation of vertex rows with a learnable per-feature
-scale - sits between the last conv layer and the classifier head. All
-training math runs in float64 by default; a float32 mode exists for speed
-and is excluded from tolerance-bearing tests.
+scale - sits between the last conv layer and the classifier head.
+Training fuses the head with its softmax cross entropy
+(``autodiff.linear_softmax_cross_entropy``), so the N x C logits are never
+materialized there. All training math runs in float64 by default. The
+float32 mode keeps parameters, activations and gradients in float32; its
+loss curve is tested against float64 to 1e-4 relative.
 """
 
 from dataclasses import dataclass, field, replace
@@ -112,7 +115,8 @@ class Model:
         return int(sum(p.size for p in self.params.values()))
 
 
-def _tape_forward(model, coords, bank, params_t, perturb, stop_at_features=False):
+def _head_input(model, coords, bank, params_t, perturb):
+    """(input of the classifier head, output of the last conv layer)."""
     cfg = model.config
     x = ad.constant(np.asarray(coords))
     n_enc = len(cfg.encoder_dims)
@@ -125,16 +129,19 @@ def _tape_forward(model, coords, bank, params_t, perturb, stop_at_features=False
         x = ad.standardize(ad.selu(z), params_t[f"conv{layer}.gamma"],
                            params_t[f"conv{layer}.beta"])
     features = x
-    if stop_at_features:
-        return None, features
     if perturb:
         if "perturb.scale" not in params_t:
             raise PermutationLengthMismatch("model has no perturbation stage")
         xp = ad.gather_rows(x, model.perm_for(x.value.shape[0]))
         x = ad.standardize(ad.selu(ad.mul(xp, params_t["perturb.scale"])),
                            params_t["perturb.gamma"], params_t["perturb.beta"])
-    logits = ad.affine(x, params_t["head.w"], params_t["head.b"])
-    return logits, features
+    return x, features
+
+
+def _tape_forward(model, coords, bank, params_t, perturb):
+    """(logits, output of the last conv layer)."""
+    x, features = _head_input(model, coords, bank, params_t, perturb)
+    return ad.affine(x, params_t["head.w"], params_t["head.b"]), features
 
 
 def _wrap_params(model, requires_grad):
@@ -160,8 +167,8 @@ def descriptors(model, coords, bank, mode="features"):
     """
     params_t = _wrap_params(model, False)
     if mode == "features":
-        _, features = _tape_forward(model, coords, bank, params_t,
-                                    perturb=False, stop_at_features=True)
+        _, features = _head_input(model, coords, bank, params_t,
+                                  perturb=False)
         return features.value
     if mode == "softmax":
         logits, _ = _tape_forward(model, coords, bank, params_t,
@@ -172,11 +179,11 @@ def descriptors(model, coords, bank, mode="features"):
     raise ValueError(f"unknown descriptor mode {mode!r}")
 
 
-def amlconv_forward(thetas, gamma, beta, x, bank, normalized=True):
+def amlconv_forward(thetas, gamma, beta, x, bank):
     """One multi-scale conv layer on a plain array (no gradients)."""
     thetas_t = [[ad.constant(t) for t in row] for row in thetas]
     z = ad.wavelet_mix(ad.constant(np.asarray(x, dtype=np.float64)), thetas_t,
-                       bank, normalized=normalized)
+                       bank)
     out = ad.standardize(ad.selu(z), ad.constant(gamma), ad.constant(beta))
     return out.value
 
@@ -259,9 +266,10 @@ def train(model, items, epochs, lr=0.001, weight_decay=0.0001,
         accs = []
         for item in items:
             params_t = _wrap_params(model, True)
-            logits, _ = _tape_forward(model, item.coords, item.bank, params_t,
-                                      perturb=model.config.perturb)
-            loss = ad.softmax_cross_entropy(logits, item.labels)
+            x, _ = _head_input(model, item.coords, item.bank, params_t,
+                               perturb=model.config.perturb)
+            loss, correct = ad.linear_softmax_cross_entropy(
+                x, params_t["head.w"], params_t["head.b"], item.labels)
             if not np.isfinite(loss.value):
                 raise NonFiniteLoss(
                     f"loss became {loss.value} at epoch {epoch} on "
@@ -272,8 +280,7 @@ def train(model, items, epochs, lr=0.001, weight_decay=0.0001,
                       weight_decay=weight_decay, beta1=beta1, beta2=beta2,
                       eps=eps)
             losses.append(float(loss.value))
-            accs.append(float(
-                (logits.value.argmax(axis=1) == item.labels).mean()))
+            accs.append(correct / len(item.labels))
         history.append((epoch, float(np.mean(losses)), float(np.mean(accs))))
         if on_epoch is not None:
             on_epoch(model, epoch)

@@ -167,8 +167,11 @@ def build_filterbank(spectra, kernel, tighten=None):
                 cols = phi @ (phi_b * responses[mi, ji]).T   # (n, b)
                 cols *= mass[:, None]
                 normalizers[mi, ji, block] = np.abs(cols).sum(axis=0)
-    if (normalizers < 1e-14).any():
-        mi, ji, vi = np.unravel_index(normalizers.argmin(), normalizers.shape)
+    # NaN compares False, so test for the good values: a kernel that
+    # overflows (inf * 0) must not pass as a bank
+    bad = ~(np.isfinite(normalizers) & (normalizers >= 1e-14))
+    if bad.any():
+        mi, ji, vi = np.argwhere(bad)[0]
         raise ZeroColumnNorm(
             f"wavelet column (direction {mi}, scale {ji}, vertex {vi}) has "
             f"L1 norm {normalizers[mi, ji, vi]:g}")

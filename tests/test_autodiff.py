@@ -149,3 +149,94 @@ class TestWaveletMix:
         want = sum(apply_filter(bank, m, j, x) @ thetas[m][j]
                    for m in range(2) for j in range(2))
         assert np.abs(got - want).max() < 1e-12
+
+
+def _rel(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+class TestWaveletMixExact:
+    """The eigenbasis kernel against the per-filter reference: forward by
+    apply_filter, backward by adjoint_apply_filter, for the loss
+    sum(out * w)."""
+
+    @pytest.fixture(scope="class")
+    def bank(self):
+        mesh = jittered_grid(5, 4, seed=12)  # 30 vertices
+        return build_bank_for(mesh, k=12, directions=4, alpha=50.0, scales=4,
+                              tighten=False)
+
+    @pytest.mark.parametrize("n_dir, n_scale", [(4, 4), (3, 2)])
+    def test_matches_per_filter_reference(self, bank, n_dir, n_scale):
+        from wavemesh.wavelets import adjoint_apply_filter, apply_filter
+        rng = np.random.default_rng(13)
+        n, d, e = bank.n_vertices, 5, 3
+        x = rng.standard_normal((n, d))
+        w = rng.standard_normal((n, e))
+        thetas = [[rng.standard_normal((d, e)) for _ in range(n_scale)]
+                  for _ in range(n_dir)]
+
+        xt = ad.param(x)
+        tt = [[ad.param(t) for t in row] for row in thetas]
+        out = ad.wavelet_mix(xt, tt, bank)
+        ad.backward(ad.Tensor(np.float64((out.value * w).sum()),
+                              parents=((out, lambda g: g * w),)))
+
+        pairs = [(m, j) for m in range(n_dir) for j in range(n_scale)]
+        filtered = {mj: apply_filter(bank, *mj, x) for mj in pairs}
+        want = sum(filtered[m, j] @ thetas[m][j] for m, j in pairs)
+        want_gx = sum(adjoint_apply_filter(bank, m, j, w @ thetas[m][j].T)
+                      for m, j in pairs)
+        assert _rel(out.value, want) <= 1e-12
+        assert _rel(xt.grad, want_gx) <= 1e-12
+        for m, j in pairs:
+            assert _rel(tt[m][j].grad, filtered[m, j].T @ w) <= 1e-12, (m, j)
+
+
+class TestFusedHead:
+    def _problem(self, n, c, d, seed):
+        rng = np.random.default_rng(seed)
+        return (rng.standard_normal((n, d)), rng.standard_normal((d, c)),
+                rng.standard_normal(c), rng.integers(0, c, n))
+
+    def test_matches_unfused_head_over_several_blocks(self):
+        n = 2 * ad.HEAD_BLOCK + 37
+        x, w, b, labels = self._problem(n, 50, 7, seed=14)
+        # a few rows classified right, so the count is not trivially 0
+        labels[:40] = (x[:40] @ w + b).argmax(axis=1)
+
+        ref = [ad.param(a) for a in (x, w, b)]
+        logits = ad.affine(*ref)
+        ref_loss = ad.softmax_cross_entropy(logits, labels)
+        ad.backward(ref_loss)
+
+        got = [ad.param(a) for a in (x, w, b)]
+        loss, correct = ad.linear_softmax_cross_entropy(*got, labels)
+        ad.backward(loss)
+
+        assert abs(loss.value - ref_loss.value) <= 1e-12
+        for g, r in zip(got, ref):
+            assert np.abs(g.grad - r.grad).max() <= 1e-12
+        assert correct == (logits.value.argmax(axis=1) == labels).sum() >= 40
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_label_out_of_range(self, bad):
+        x, w, b, labels = self._problem(4, 6, 3, seed=15)
+        labels[2] = bad
+        with pytest.raises(ValueError):
+            ad.linear_softmax_cross_entropy(
+                ad.constant(x), ad.constant(w), ad.constant(b), labels)
+
+    def test_peak_memory_below_one_logit_array(self):
+        import tracemalloc
+        n = 2000
+        x, w, b, labels = self._problem(n, n, 16, seed=16)
+        tensors = [ad.param(a) for a in (x, w, b)]
+        tracemalloc.start()
+        try:
+            loss, _ = ad.linear_softmax_cross_entropy(*tensors, labels)
+            ad.backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8

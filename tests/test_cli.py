@@ -183,11 +183,37 @@ def test_all_zero_wavelet_columns_exit_3(run, tmp_path):
                      "--out", str(tmp_path), "--vertex", "5"]) == 3
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_overflowing_kernel_exits_3_and_caches_no_bank(run, tmp_path):
+    # scales ~ 1/1e-300 overflow the Mexican hat to inf * 0 = NaN; a NaN
+    # L1 normalizer must fail like a zero one, before the bank is written
+    config = _json(tmp_path / "tiny.json", {"kernel_lambda_max": 1e-300})
+    banks = set(run.cache.glob("*.fbk"))
+    assert cli.main(["wavelet-dump", "--mesh", str(run.data / "template.off"),
+                     "--k", K, "--config", config, "--cache", str(run.cache),
+                     "--out", str(tmp_path), "--vertex", "5"]) == 3
+    assert set(run.cache.glob("*.fbk")) == banks
+    assert not list(tmp_path.glob("wavelet_*.csv"))
+
+
 def test_unknown_subcommand_exits_1():
     assert cli.main(["no-such-command"]) == 1
 
 
 def test_unknown_config_key_exits_2(run, tmp_path):
     config = _json(tmp_path / "bad.json", {"no_such_key": 1})
+    assert _spectrum(run.data / "template.off", tmp_path / "cache",
+                     tmp_path / "s", "--config", config) == 2
+
+
+def test_wrongly_typed_config_value_exits_2(run, tmp_path):
+    config = _json(tmp_path / "typed.json", {"k": "20"})
+    assert _spectrum(run.data / "template.off", tmp_path / "cache",
+                     tmp_path / "s", "--config", config) == 2
+
+
+def test_config_that_is_not_an_object_exits_2(run, tmp_path):
+    config = _json(tmp_path / "list.json", [1])
     assert _spectrum(run.data / "template.off", tmp_path / "cache",
                      tmp_path / "s", "--config", config) == 2

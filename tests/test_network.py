@@ -253,6 +253,38 @@ class TestTraining:
             nw.train(model, [item], epochs=1)
 
 
+class TestFloat32:
+    def test_float32_training_stays_float32_and_tracks_float64(self,
+                                                               monkeypatch):
+        mesh = jittered_grid(6, 5)
+        bank = build_bank_for(mesh, k=14, directions=2, alpha=50.0, scales=2,
+                              tighten=False)
+        n = mesh.n_vertices
+        grad_dtypes = set()
+        adam = nw.adam_step
+
+        def spy(params, grads, state, **kwargs):
+            grad_dtypes.update(g.dtype for g in grads.values())
+            return adam(params, grads, state, **kwargs)
+
+        monkeypatch.setattr(nw, "adam_step", spy)
+        histories = {}
+        for dtype in (np.float32, np.float64):
+            cfg = nw.ModelConfig(n_classes=n, encoder_dims=(8, 8),
+                                 conv_layers=2, directions=2, scales=2,
+                                 perturb=True, seed=3)
+            model = nw.Model.initialize(cfg, n, dtype=dtype)
+            item = nw.TrainItem(coords=mesh.vertices.astype(dtype),
+                                labels=np.arange(n), bank=bank)
+            grad_dtypes.clear()
+            histories[dtype] = nw.train(model, [item], epochs=5)
+            assert grad_dtypes == {np.dtype(dtype)}
+            assert all(p.dtype == dtype for p in model.params.values())
+        loss32 = np.array([h[1] for h in histories[np.float32]])
+        loss64 = np.array([h[1] for h in histories[np.float64]])
+        assert np.abs(loss32 / loss64 - 1).max() < 1e-4
+
+
 def selu_inputs(model, coords, bank):
     """Logits of one forward pass, and every array fed to SELU during it,
     in call order."""
