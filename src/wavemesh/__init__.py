@@ -20,7 +20,6 @@ from .wavelets import (
     KernelSpec,
     WaveletCoefficients,
     analyze,
-    apply_filter,
     build_filterbank,
     kernel_g,
     kernel_h,

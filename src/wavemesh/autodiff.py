@@ -156,9 +156,9 @@ def gather_rows(x, index):
 def wavelet_mix(x, thetas, bank):
     """sum_{m,j} (normalized wavelet filter (m, j) applied to x) @ theta[m][j].
 
-    thetas is an M x J nested list of Tensors; it may cover a leading
-    sub-block of the bank's directions and scales. The filters are mixed
-    in the K-dim eigenbasis. Per direction the forward projects once,
+    thetas is an M x J nested list of Tensors, one per filter of the bank;
+    any other grid raises ValueError. The filters are mixed in the K-dim
+    eigenbasis. Per direction the forward projects once,
     C = Phi^T (A x), mixes each scale in coefficient space,
     P_j = (r_j * C) theta_j, and synthesizes all J scales with one
     N x K x (J E) product whose rows of scale j are divided by that scale's
@@ -173,10 +173,15 @@ def wavelet_mix(x, thetas, bank):
     maps instead costs 3J N D^2, about 22 N K D in total there, and keeps
     M J N x D maps on the tape where this keeps M J K x D arrays.
     """
+    n_dir, n_scale = bank.n_directions, bank.n_scales
+    if [len(row) for row in thetas] != [n_scale] * n_dir:
+        raise ValueError(
+            f"mixing weights form a {len(thetas)} x "
+            f"{len(thetas[0]) if thetas else 0} grid, the filter bank has "
+            f"{n_dir} directions x {n_scale} scales")
     v = x.value
     dtype = v.dtype
     n = len(v)
-    n_scale = len(thetas[0])
     dirs = []
     scaled = []     # r_j * C per direction, (J, K, D)
     out = None
@@ -184,8 +189,8 @@ def wavelet_mix(x, thetas, bank):
         spec = bank.spectra[m]
         phi = spec.eigenvectors.astype(dtype, copy=False)
         mass = spec.mass.astype(dtype, copy=False)
-        resp = bank.responses[m, :n_scale].astype(dtype)[:, :, None]
-        inv_norm = (1.0 / bank.l1_normalizers[m, :n_scale].T).astype(dtype)
+        resp = bank.responses[m].astype(dtype)[:, :, None]
+        inv_norm = (1.0 / bank.l1_normalizers[m].T).astype(dtype)
         theta = np.stack([t.value for t in row])                # (J, D, E)
         rc = resp * (phi.T @ (mass[:, None] * v))               # (J, K, D)
         mixed = (rc @ theta).transpose(1, 0, 2).reshape(phi.shape[1], -1)

@@ -325,6 +325,10 @@ def load_checkpoint(path):
               if k.startswith("param:")}
     perms = {int(k.split(":", 1)[1]): v for k, v in arrays.items()
              if k.startswith("perm:")}
+    for n, perm in perms.items():
+        if not np.array_equal(np.sort(perm), np.arange(n)):
+            raise CorruptCache(
+                f"{path}: perm:{n} is not a permutation of range({n})")
     model = network.Model(config, params, perms)
     return model, meta.get("experiment", {})
 

@@ -172,6 +172,22 @@ class TriMesh:
         return edges, counts
 
 
+def corner_cotangents(mesh):
+    """(m, 3) cotangent of the angle at each face corner: the dot of the two
+    incident edges over twice the face area. Shared by the Voronoi mass and
+    the cotangent stiffness."""
+    v, f = mesh.vertices, mesh.faces
+    p0, p1, p2 = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
+    double = 2.0 * mesh.face_areas
+    if (double <= 0).any():
+        raise DegenerateTriangle("zero-area face")
+    cot = np.empty((len(f), 3))
+    cot[:, 0] = np.einsum("ij,ij->i", p1 - p0, p2 - p0) / double
+    cot[:, 1] = np.einsum("ij,ij->i", p2 - p1, p0 - p1) / double
+    cot[:, 2] = np.einsum("ij,ij->i", p0 - p2, p1 - p2) / double
+    return cot
+
+
 def vertex_mass(mesh):
     """Per-vertex mixed-Voronoi cell areas (lumped mass vector).
 
@@ -180,19 +196,10 @@ def vertex_mass(mesh):
     other two. Entries are positive for every vertex incident to a face
     and the vector sums to the total surface area.
     """
+    cot = corner_cotangents(mesh)
     v, f = mesh.vertices, mesh.faces
     p0, p1, p2 = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
     area = mesh.face_areas
-    if (area <= 0).any():
-        raise DegenerateTriangle("zero-area face in mass computation")
-
-    # cot of the angle at each corner: dot of the two incident edges over
-    # twice the area.
-    double = 2.0 * area
-    cot = np.empty((len(f), 3))
-    cot[:, 0] = np.einsum("ij,ij->i", p1 - p0, p2 - p0) / double
-    cot[:, 1] = np.einsum("ij,ij->i", p2 - p1, p0 - p1) / double
-    cot[:, 2] = np.einsum("ij,ij->i", p0 - p2, p1 - p2) / double
 
     # squared length of the edge opposite each corner
     sq = np.empty((len(f), 3))

@@ -14,32 +14,17 @@ float32 mode keeps parameters, activations and gradients in float32; its
 loss curve is tested against float64 to 1e-4 relative.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import NORM_EPS, SELU_ALPHA, SELU_SCALE
 from .errors import EmptyDataset, NonFiniteLoss, PermutationLengthMismatch
 
 __all__ = [
-    "ModelConfig", "Model", "TrainItem", "AdamState", "selu", "norm_forward",
-    "amlconv_forward", "perturb_forward", "model_forward", "descriptors",
-    "loss_ce", "adam_step", "train",
+    "ModelConfig", "Model", "TrainItem", "AdamState", "model_forward",
+    "descriptors", "adam_step", "train",
 ]
-
-
-def selu(x):
-    """Scaled exponential linear unit (standard constants)."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x > 0, SELU_SCALE * x,
-                    SELU_SCALE * SELU_ALPHA * (np.exp(np.minimum(x, 0.0)) - 1.0))
-
-
-def norm_forward(x, gamma, beta, eps=NORM_EPS):
-    """Standardize each feature over the shape's vertices, then scale/shift."""
-    t = ad.standardize(ad.constant(x), ad.constant(gamma), ad.constant(beta), eps)
-    return t.value
 
 
 @dataclass(frozen=True)
@@ -177,34 +162,6 @@ def descriptors(model, coords, bank, mode="features"):
         e = np.exp(z)
         return e / e.sum(axis=1, keepdims=True)
     raise ValueError(f"unknown descriptor mode {mode!r}")
-
-
-def amlconv_forward(thetas, gamma, beta, x, bank):
-    """One multi-scale conv layer on a plain array (no gradients)."""
-    thetas_t = [[ad.constant(t) for t in row] for row in thetas]
-    z = ad.wavelet_mix(ad.constant(np.asarray(x, dtype=np.float64)), thetas_t,
-                       bank)
-    out = ad.standardize(ad.selu(z), ad.constant(gamma), ad.constant(beta))
-    return out.value
-
-
-def perturb_forward(perm, scale, gamma, beta, x):
-    """Fixed row shuffle + learnable per-feature scale + SELU + Norm."""
-    x = np.asarray(x, dtype=np.float64)
-    perm = np.asarray(perm)
-    if perm.shape[0] != x.shape[0]:
-        raise PermutationLengthMismatch(
-            f"permutation over {perm.shape[0]} rows, feature map has {x.shape[0]}")
-    shuffled = x[perm]
-    return norm_forward(selu(shuffled * scale), gamma, beta)
-
-
-def loss_ce(logits, labels):
-    """Mean cross entropy and its analytic gradient wrt the logits."""
-    t = ad.param(np.asarray(logits, dtype=np.float64))
-    loss = ad.softmax_cross_entropy(t, labels)
-    ad.backward(loss)
-    return float(loss.value), t.grad
 
 
 @dataclass

@@ -16,6 +16,7 @@ from scipy import sparse
 
 from .curvature import _tangent_fallback
 from .errors import DegenerateTriangle, FrameMeshMismatch
+from .mesh import corner_cotangents
 
 
 @dataclass(frozen=True)
@@ -78,16 +79,8 @@ def anisotropy_tensor(alpha, theta):
 
 def assemble_lbo(mesh):
     """Cotangent stiffness matrix with the Voronoi mass vector."""
-    v, f = mesh.vertices, mesh.faces
-    p0, p1, p2 = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
-    double = 2.0 * mesh.face_areas
-    if (double <= 0).any():
-        raise DegenerateTriangle("zero-area face")
-
-    cot = np.empty((len(f), 3))
-    cot[:, 0] = np.einsum("ij,ij->i", p1 - p0, p2 - p0) / double
-    cot[:, 1] = np.einsum("ij,ij->i", p2 - p1, p0 - p1) / double
-    cot[:, 2] = np.einsum("ij,ij->i", p0 - p2, p1 - p2) / double
+    f = mesh.faces
+    cot = corner_cotangents(mesh)
 
     # edge opposite corner k gets weight cot_k / 2, twice (symmetric)
     rows, cols, vals = [], [], []

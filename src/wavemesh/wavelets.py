@@ -1,9 +1,10 @@
 """Mexican-hat spectral wavelet filter banks on mesh spectra.
 
-Filters are kept factored through the truncated eigenbasis: applying one
-wavelet filter to an N x D feature map costs three tall-skinny products
-(O(NKD)); the N x N wavelet matrices are never materialized outside of
-small-mesh tests. The localized wavelet at vertex v is
+Filters are kept factored through the truncated eigenbasis; the network
+applies the whole bank at once with ``autodiff.wavelet_mix`` in O(NKD) per
+direction, and the N x N wavelet matrices are materialized only by
+``dense_filter_matrix``, the small-mesh test oracle. The localized wavelet
+at vertex v is
 
     psi_{t,v}(u) = sum_k a(v) g(t lambda_k) phi_k(v) phi_k(u)
 
@@ -198,47 +199,6 @@ def wavelet_at(bank, direction, scale, vertex):
     phi = spec.eigenvectors
     resp = bank.responses[direction, scale]
     return spec.mass[vertex] * (phi @ (resp * phi[vertex]))
-
-
-def apply_filter(bank, direction, scale, x, normalized=True):
-    """Filtered feature map: diag(n)^-1 Phi diag(resp) Phi^T (A x).
-
-    Constants are annihilated (the band-pass response vanishes at
-    lambda = 0). x may be (N,) or (N, D).
-    """
-    _check_indices(bank, direction, scale)
-    x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[:, None]
-    if x.shape[0] != bank.n_vertices:
-        raise ValueError(
-            f"feature map has {x.shape[0]} rows, mesh has {bank.n_vertices}")
-    spec = bank.spectra[direction]
-    coeff = spec.eigenvectors.T @ (spec.mass[:, None] * x)
-    coeff *= bank.responses[direction, scale][:, None]
-    out = spec.eigenvectors @ coeff
-    if normalized:
-        out /= bank.l1_normalizers[direction, scale][:, None]
-    return out[:, 0] if squeeze else out
-
-
-def adjoint_apply_filter(bank, direction, scale, y, normalized=True):
-    """Adjoint of apply_filter in the Euclidean pairing (backward pass)."""
-    _check_indices(bank, direction, scale)
-    y = np.asarray(y, dtype=np.float64)
-    squeeze = y.ndim == 1
-    if squeeze:
-        y = y[:, None]
-    if y.shape[0] != bank.n_vertices:
-        raise ValueError(
-            f"feature map has {y.shape[0]} rows, mesh has {bank.n_vertices}")
-    spec = bank.spectra[direction]
-    z = y / bank.l1_normalizers[direction, scale][:, None] if normalized else y
-    coeff = spec.eigenvectors.T @ z
-    coeff *= bank.responses[direction, scale][:, None]
-    out = spec.mass[:, None] * (spec.eigenvectors @ coeff)
-    return out[:, 0] if squeeze else out
 
 
 def analyze(bank, signal):

@@ -3,6 +3,7 @@ import pytest
 
 from wavemesh import autodiff as ad
 from wavemesh.errors import SingleVertexShape
+from wavemesh.wavelets import dense_filter_matrix
 
 from .conftest import build_bank_for, jittered_grid
 
@@ -134,31 +135,14 @@ class TestWaveletMix:
         check_op(build, [x] + [th for row in thetas for th in row],
                  rtol=1e-5, atol=1e-8)
 
-    def test_matches_apply_filter_composition(self):
-        from wavemesh.wavelets import apply_filter
-        mesh = jittered_grid(4, 3, seed=9)
-        bank = build_bank_for(mesh, k=10, directions=2, alpha=50.0, scales=2,
-                              tighten=False)
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal((mesh.n_vertices, 3))
-        thetas = [[rng.standard_normal((3, 3)) for _ in range(2)]
-                  for _ in range(2)]
-        got = ad.wavelet_mix(
-            ad.constant(x),
-            [[ad.constant(t) for t in row] for row in thetas], bank).value
-        want = sum(apply_filter(bank, m, j, x) @ thetas[m][j]
-                   for m in range(2) for j in range(2))
-        assert np.abs(got - want).max() < 1e-12
-
 
 def _rel(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
 
 class TestWaveletMixExact:
-    """The eigenbasis kernel against the per-filter reference: forward by
-    apply_filter, backward by adjoint_apply_filter, for the loss
-    sum(out * w)."""
+    """The eigenbasis kernel against the dense N x N filter matrices of
+    dense_filter_matrix, forward and backward, for the loss sum(out * w)."""
 
     @pytest.fixture(scope="class")
     def bank(self):
@@ -166,9 +150,8 @@ class TestWaveletMixExact:
         return build_bank_for(mesh, k=12, directions=4, alpha=50.0, scales=4,
                               tighten=False)
 
-    @pytest.mark.parametrize("n_dir, n_scale", [(4, 4), (3, 2)])
+    @pytest.mark.parametrize("n_dir, n_scale", [(4, 4)])
     def test_matches_per_filter_reference(self, bank, n_dir, n_scale):
-        from wavemesh.wavelets import adjoint_apply_filter, apply_filter
         rng = np.random.default_rng(13)
         n, d, e = bank.n_vertices, 5, 3
         x = rng.standard_normal((n, d))
@@ -182,15 +165,28 @@ class TestWaveletMixExact:
         ad.backward(ad.Tensor(np.float64((out.value * w).sum()),
                               parents=((out, lambda g: g * w),)))
 
+        # column v of P is filter (m, j)'s normalized wavelet at v, so the
+        # filtered map is P^T x and the filter's adjoint is P
         pairs = [(m, j) for m in range(n_dir) for j in range(n_scale)]
-        filtered = {mj: apply_filter(bank, *mj, x) for mj in pairs}
+        dense = {mj: dense_filter_matrix(bank, *mj, normalized=True)
+                 for mj in pairs}
+        filtered = {mj: dense[mj].T @ x for mj in pairs}
         want = sum(filtered[m, j] @ thetas[m][j] for m, j in pairs)
-        want_gx = sum(adjoint_apply_filter(bank, m, j, w @ thetas[m][j].T)
-                      for m, j in pairs)
+        want_gx = sum(dense[m, j] @ (w @ thetas[m][j].T) for m, j in pairs)
         assert _rel(out.value, want) <= 1e-12
         assert _rel(xt.grad, want_gx) <= 1e-12
         for m, j in pairs:
             assert _rel(tt[m][j].grad, filtered[m, j].T @ w) <= 1e-12, (m, j)
+
+    @pytest.mark.parametrize("n_dir, n_scale",
+                             [(3, 4), (5, 4), (4, 3), (4, 5)])
+    def test_grid_other_than_the_bank_rejected(self, bank, n_dir, n_scale):
+        x = ad.constant(np.ones((bank.n_vertices, 2)))
+        thetas = [[ad.constant(np.eye(2)) for _ in range(n_scale)]
+                  for _ in range(n_dir)]
+        with pytest.raises(ValueError, match=(
+                f"{n_dir} x {n_scale} grid.*4 directions x 4 scales")):
+            ad.wavelet_mix(x, thetas, bank)
 
 
 class TestFusedHead:

@@ -47,15 +47,16 @@ def _spectrum(mesh, cache, out, *extra):
                      "--cache", str(cache), "--out", str(out), *extra])
 
 
-def _train(data, cache, out, config):
+def _train(data, cache, out, config, *extra):
     return cli.main(["train", "--dataset", str(data / "manifest.json"),
                      "--config", config, "--k", K, "--epochs", "1",
-                     "--cache", str(cache), "--out", str(out)])
+                     "--cache", str(cache), "--out", str(out), *extra])
 
 
-def _eval(run, out, *extra):
+def _eval(run, out, *extra, checkpoint=None):
+    checkpoint = checkpoint or run.train_out / "checkpoint.ckpt"
     return cli.main(["eval", "--dataset", str(run.data / "manifest.json"),
-                     "--checkpoint", str(run.train_out / "checkpoint.ckpt"),
+                     "--checkpoint", str(checkpoint),
                      "--cache", str(run.cache), "--out", str(out), *extra])
 
 
@@ -91,6 +92,48 @@ def test_eval_applies_its_config_file_over_the_checkpoint(run, tmp_path):
     assert echo["encoder_hidden"] == MODEL["encoder_hidden"]
     cge = (tmp_path / "eval" / "cge_pooled.csv").read_text().splitlines()
     assert len(cge) == 1 + 3
+
+
+def test_eval_with_more_scales_than_the_model_exits_2(run, tmp_path):
+    # the model mixes 2 scales; a 3-scale bank must not be mixed by a
+    # 4 x 2 sub-block of its filters
+    assert _eval(run, tmp_path, "--scales", "3") == 2
+    assert not (tmp_path / "pairs.csv").exists()
+
+
+def test_eval_with_fewer_directions_than_the_model_exits_2(run, tmp_path,
+                                                          capsys):
+    assert _eval(run, tmp_path, "--directions", "2") == 2
+    err = capsys.readouterr().err
+    assert "4 x 2 grid" in err and "2 directions x 2 scales" in err
+
+
+@pytest.fixture(scope="module")
+def perturbed(run):
+    """A --perturb checkpoint, which stores the training shuffle as perm:n,
+    and a config that evaluates it through the perturbation stage."""
+    out = run.root / "train-perturb"
+    assert _train(run.data, run.cache, out, run.model, "--perturb") == 0
+    config = _json(run.root / "softmax.json", {"descriptor": "softmax"})
+    checkpoint = out / "checkpoint.ckpt"
+    assert _eval(run, run.root / "eval-perturb", "--config", config,
+                 checkpoint=checkpoint) == 0
+    return checkpoint, config
+
+
+@pytest.mark.parametrize("damage", ["zeros", "short"])
+def test_checkpoint_perm_that_is_no_permutation_exits_4(run, perturbed,
+                                                        tmp_path, damage):
+    checkpoint, config = perturbed
+    arrays, meta = read_container(checkpoint, "CKPT1")
+    (name,) = [k for k in arrays if k.startswith("perm:")]
+    perm = arrays[name]
+    arrays[name] = np.zeros_like(perm) if damage == "zeros" else perm[:-1]
+    bad = tmp_path / "checkpoint.ckpt"
+    write_container(bad, "CKPT1", arrays, meta=meta)
+    assert _eval(run, tmp_path / "bad", "--config", config,
+                 checkpoint=bad) == 4
+    assert not (tmp_path / "bad" / "pairs.csv").exists()
 
 
 def test_unknown_key_in_checkpoint_experiment_exits_2(run, tmp_path):

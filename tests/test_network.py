@@ -4,12 +4,8 @@ import pytest
 import wavemesh as wm
 from wavemesh import autodiff as ad
 from wavemesh import network as nw
-from wavemesh.errors import (
-    EmptyDataset,
-    NonFiniteLoss,
-    PermutationLengthMismatch,
-)
-from wavemesh.wavelets import apply_filter
+from wavemesh.errors import EmptyDataset, NonFiniteLoss
+from wavemesh.wavelets import dense_filter_matrix
 
 from .conftest import build_bank_for, jittered_grid
 
@@ -33,15 +29,34 @@ def small_model(perturb, n, seed=7):
     return nw.Model.initialize(cfg, n)
 
 
+def selu(x):
+    return ad.selu(ad.constant(np.asarray(x, dtype=np.float64))).value
+
+
+def norm_selu(x, gamma, beta):
+    """SELU then per-feature standardization with affine, as after every
+    conv layer and in the perturbation stage."""
+    return ad.standardize(ad.selu(ad.constant(x)), ad.constant(gamma),
+                          ad.constant(beta)).value
+
+
+def ce_loss(logits, labels):
+    """Mean cross entropy and its gradient wrt the logits."""
+    t = ad.param(np.asarray(logits, dtype=np.float64))
+    loss = ad.softmax_cross_entropy(t, labels)
+    ad.backward(loss)
+    return float(loss.value), t.grad
+
+
 class TestSelu:
     def test_values(self):
-        assert nw.selu(0.0) == 0.0
-        assert abs(nw.selu(1.0) - 1.05070098) < 1e-12
-        assert abs(nw.selu(-20.0) + 1.75809934) < 1e-7
+        assert selu(0.0) == 0.0
+        assert abs(selu(1.0) - 1.05070098) < 1e-12
+        assert abs(selu(-20.0) + 1.75809934) < 1e-7
 
     def test_elementwise(self):
         x = np.array([[-1.0, 0.0], [2.0, -3.0]])
-        out = nw.selu(x)
+        out = selu(x)
         assert out.shape == x.shape
         assert out[0, 1] == 0.0
 
@@ -50,36 +65,51 @@ class TestNorm:
     def test_standardizes(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((50, 6)) * 3 + 1
-        out = nw.norm_forward(x, np.ones(6), np.zeros(6))
+        out = ad.standardize(ad.constant(x), ad.constant(np.ones(6)),
+                             ad.constant(np.zeros(6))).value
         assert np.abs(out.mean(axis=0)).max() < 1e-10
         assert np.abs(out.var(axis=0) - 1.0).max() < 1e-4
 
     def test_constant_column_maps_to_beta(self):
         x = np.full((10, 2), 3.3)
         beta = np.array([0.5, -1.0])
-        out = nw.norm_forward(x, np.ones(2), beta)
+        out = ad.standardize(ad.constant(x), ad.constant(np.ones(2)),
+                             ad.constant(beta)).value
         assert np.abs(out - beta).max() < 1e-8
 
 
 class TestAmlconvForward:
+    """One conv layer as the network runs it: norm(selu(wavelet_mix))."""
+
+    def conv(self, thetas, gamma, beta, x, bank):
+        z = ad.wavelet_mix(ad.constant(x),
+                           [[ad.constant(t) for t in row] for row in thetas],
+                           bank)
+        return norm_selu(z.value, gamma, beta)
+
     def test_zero_weights_give_beta(self, setup):
         mesh, bank = setup
         n = mesh.n_vertices
         thetas = [[np.zeros((3, 4)) for _ in range(2)] for _ in range(2)]
         beta = np.array([1.0, -2.0, 0.0, 3.0])
         x = np.random.default_rng(1).standard_normal((n, 3))
-        out = nw.amlconv_forward(thetas, np.ones(4), beta, x, bank)
+        out = self.conv(thetas, np.ones(4), beta, x, bank)
         assert np.abs(out - beta).max() < 1e-12
 
     def test_single_filter_identity_matches_hand_pipeline(self, setup):
+        # theta_00 = I and every other mixing matrix 0 leaves filter (0, 0)
         mesh, bank = setup
         n = mesh.n_vertices
         rng = np.random.default_rng(2)
         x = rng.standard_normal((n, 5))
-        thetas = [[np.eye(5)]]
+        thetas = [[np.eye(5), np.zeros((5, 5))], [np.zeros((5, 5))] * 2]
         gamma, beta = np.ones(5), np.zeros(5)
-        got = nw.amlconv_forward(thetas, gamma, beta, x, bank)
-        want = nw.norm_forward(nw.selu(apply_filter(bank, 0, 0, x)), gamma, beta)
+        got = self.conv(thetas, gamma, beta, x, bank)
+
+        z = dense_filter_matrix(bank, 0, 0, normalized=True).T @ x
+        s = np.where(z > 0, 1.05070098 * z,
+                     1.05070098 * 1.67326324 * (np.exp(np.minimum(z, 0)) - 1))
+        want = (s - s.mean(axis=0)) / np.sqrt(s.var(axis=0) + 1e-5)
         assert np.abs(got - want).max() < 1e-12
 
 
@@ -87,9 +117,10 @@ class TestPerturbForward:
     def test_identity_permutation_is_plain_norm_selu(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((12, 4))
-        out = nw.perturb_forward(np.arange(12), np.ones(4), np.ones(4),
-                                 np.zeros(4), x)
-        want = nw.norm_forward(nw.selu(x), np.ones(4), np.zeros(4))
+        shuffled = ad.gather_rows(ad.constant(x), np.arange(12))
+        scaled = ad.mul(shuffled, ad.constant(np.ones(4)))
+        out = norm_selu(scaled.value, np.ones(4), np.zeros(4))
+        want = norm_selu(x, np.ones(4), np.zeros(4))
         assert np.abs(out - want).max() < 1e-12
 
     def test_permutation_composes(self):
@@ -97,11 +128,6 @@ class TestPerturbForward:
         x = rng.standard_normal((9, 3))
         perm = rng.permutation(9)
         assert np.array_equal(x[perm][perm], x[perm[perm]])
-
-    def test_length_mismatch(self):
-        with pytest.raises(PermutationLengthMismatch):
-            nw.perturb_forward(np.arange(5), np.ones(3), np.ones(3),
-                               np.zeros(3), np.zeros((6, 3)))
 
 
 class TestModelForward:
@@ -123,8 +149,8 @@ class TestModelForward:
         model = small_model(True, n)
         model.perms[n] = np.arange(n)
         feats = nw.descriptors(model, mesh.vertices, bank)
-        extra = nw.norm_forward(nw.selu(feats), model.params["perturb.gamma"],
-                                model.params["perturb.beta"])
+        extra = norm_selu(feats, model.params["perturb.gamma"],
+                          model.params["perturb.beta"])
         want = extra @ model.params["head.w"] + model.params["head.b"]
         got = nw.model_forward(model, mesh.vertices, bank)
         assert np.abs(got - want).max() < 1e-12
@@ -141,20 +167,20 @@ class TestModelForward:
 
 class TestLoss:
     def test_uniform_logits(self):
-        loss, _ = nw.loss_ce(np.zeros((10, 7)), np.arange(7).repeat(2)[:10])
+        loss, _ = ce_loss(np.zeros((10, 7)), np.arange(7).repeat(2)[:10])
         assert abs(loss - np.log(7)) < 1e-12
 
     def test_margin_drives_loss_to_zero(self):
         labels = np.array([0, 1, 2])
         logits = np.eye(3) * 20.0
-        loss, _ = nw.loss_ce(logits, labels)
+        loss, _ = ce_loss(logits, labels)
         assert loss < 1e-8
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         logits = rng.standard_normal((6, 4))
         labels = rng.integers(0, 4, 6)
-        loss, grad = nw.loss_ce(logits, labels)
+        loss, grad = ce_loss(logits, labels)
         h = 1e-5
         for i in range(6):
             for j in range(4):
@@ -162,7 +188,7 @@ class TestLoss:
                 p[i, j] += h
                 m = logits.copy()
                 m[i, j] -= h
-                fd = (nw.loss_ce(p, labels)[0] - nw.loss_ce(m, labels)[0]) / (2 * h)
+                fd = (ce_loss(p, labels)[0] - ce_loss(m, labels)[0]) / (2 * h)
                 assert abs(fd - grad[i, j]) < 1e-5 * max(1.0, abs(fd))
 
 
@@ -337,7 +363,8 @@ class TestFullGradient:
             lg, inputs = selu_inputs(model, mesh.vertices, bank)
             assert all(np.array_equal(a > 0, s)
                        for a, s in zip(inputs, base_signs)), (name, i)
-            return nw.loss_ce(lg, labels)[0]
+            loss = ad.softmax_cross_entropy(ad.constant(lg), labels)
+            return float(loss.value)
 
         def central(flat, name, i, step):
             orig = flat[i]

@@ -6,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wavemesh as wm
+from wavemesh import autodiff as ad
 from wavemesh.errors import NotTightFrame, SpectrumMismatch
 from wavemesh.mesh import TriMesh
 from wavemesh.operators import assemble_lbo
 from wavemesh.spectrum import Spectrum, solve_eigs
 from wavemesh.wavelets import (
     KernelSpec,
-    adjoint_apply_filter,
     analyze,
-    apply_filter,
     build_filterbank,
     dense_filter_matrix,
     kernel_g,
@@ -262,7 +261,22 @@ class TestAnalysisSynthesis:
             analyze(small_bank, np.ones(7))
 
 
+def apply_one(bank, direction, scale, x):
+    """Filter (direction, scale) applied to x through wavelet_mix: that
+    filter's mixing matrix is the identity and every other one is zero.
+    Returns (output Tensor, input Tensor)."""
+    d = x.shape[1]
+    thetas = [[ad.constant(np.eye(d) if (m, j) == (direction, scale)
+                           else np.zeros((d, d)))
+               for j in range(bank.n_scales)]
+              for m in range(bank.n_directions)]
+    xt = ad.param(x)
+    return ad.wavelet_mix(xt, thetas, bank), xt
+
+
 class TestApplyFilter:
+    """Each filter of the bank, applied by the network's kernel."""
+
     def test_matches_dense_oracle_all_filters(self, aniso_bank_30):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((aniso_bank_30.n_vertices, 6))
@@ -270,7 +284,7 @@ class TestApplyFilter:
             for j in range(4):
                 dense = dense_filter_matrix(aniso_bank_30, m, j, normalized=True)
                 want = dense.T @ x
-                got = apply_filter(aniso_bank_30, m, j, x)
+                got = apply_one(aniso_bank_30, m, j, x)[0].value
                 assert np.abs(want - got).max() < 1e-10
 
     def test_normalized_columns_unit_l1(self, aniso_bank_30):
@@ -279,7 +293,7 @@ class TestApplyFilter:
 
     def test_constants_annihilated(self, aniso_bank_30):
         x = np.ones((aniso_bank_30.n_vertices, 3)) * 4.2
-        out = apply_filter(aniso_bank_30, 1, 2, x)
+        out = apply_one(aniso_bank_30, 1, 2, x)[0].value
         assert np.abs(out).max() < 1e-9
 
     def test_linearity(self, aniso_bank_30):
@@ -287,22 +301,22 @@ class TestApplyFilter:
         n = aniso_bank_30.n_vertices
         x, y = rng.standard_normal((2, n, 4))
         a, b = 1.3, -0.7
-        lhs = apply_filter(aniso_bank_30, 0, 1, a * x + b * y)
-        rhs = a * apply_filter(aniso_bank_30, 0, 1, x) \
-            + b * apply_filter(aniso_bank_30, 0, 1, y)
+
+        def f(z):
+            return apply_one(aniso_bank_30, 0, 1, z)[0].value
+
+        lhs = f(a * x + b * y)
+        rhs = a * f(x) + b * f(y)
         assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_adjoint_identity(self, aniso_bank_30):
+        # the x-gradient of <filter(x), y> is the filter's adjoint applied
+        # to y, so <filter(x), y> = <x, adjoint(y)>
         rng = np.random.default_rng(5)
         n = aniso_bank_30.n_vertices
         x = rng.standard_normal((n, 5))
         y = rng.standard_normal((n, 5))
-        for normalized in (True, False):
-            lhs = (apply_filter(aniso_bank_30, 3, 2, x, normalized) * y).sum()
-            rhs = (x * adjoint_apply_filter(aniso_bank_30, 3, 2, y,
-                                            normalized)).sum()
-            assert abs(lhs - rhs) < 1e-10
-
-    def test_shape_mismatch(self, aniso_bank_30):
-        with pytest.raises(ValueError):
-            apply_filter(aniso_bank_30, 0, 0, np.ones((7, 2)))
+        out, xt = apply_one(aniso_bank_30, 3, 2, x)
+        ad.backward(ad.Tensor(np.float64((out.value * y).sum()),
+                              parents=((out, lambda g: g * y),)))
+        assert abs((out.value * y).sum() - (x * xt.grad).sum()) < 1e-10
