@@ -510,6 +510,14 @@ def cmd_eval(args):
         raise ConfigInvalid("eval requires --checkpoint")
     model, exp = load_checkpoint(args.checkpoint)
     cfg = _config_from_args(args, need_dataset=True, base=exp)
+    # fail before any spectrum is loaded or bank built for a grid the
+    # model's mixing weights cannot use
+    grid = (model.config.directions, model.config.scales)
+    if (cfg.directions, cfg.scales) != grid:
+        raise ConfigInvalid(
+            f"the model's mixing weights form a {grid[0]} x {grid[1]} grid, "
+            f"the filter bank has {cfg.directions} directions x "
+            f"{cfg.scales} scales")
     cfg.echo(cfg.out)
     run_evaluation(model, cfg, cfg.dataset, cfg.out, verbose=True)
     return EXIT_OK

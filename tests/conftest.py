@@ -4,7 +4,7 @@ import pytest
 import wavemesh as wm
 from wavemesh.curvature import estimate_frames
 from wavemesh.mesh import TriMesh
-from wavemesh.operators import directional_operators
+from wavemesh.operators import assemble_albo
 from wavemesh.spectrum import solve_eigs
 from wavemesh.wavelets import KernelSpec, build_filterbank
 
@@ -67,7 +67,7 @@ def test_kernel(spectra, scales, tighten=True):
 def build_bank_for(mesh, k, directions=1, alpha=0.0, scales=4, tighten=True):
     frames = estimate_frames(mesh)
     cfg = wm.AnisoConfig(alpha=alpha, theta=0.0, directions=directions)
-    ops = directional_operators(mesh, frames, cfg)
+    ops = [assemble_albo(mesh, frames, cfg.with_theta(t)) for t in cfg.angles()]
     spectra = [solve_eigs(o, k) for o in ops]
     kernel = test_kernel(spectra, scales, tighten=tighten)
     return build_filterbank(spectra, kernel, tighten=tighten)

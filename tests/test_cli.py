@@ -94,18 +94,29 @@ def test_eval_applies_its_config_file_over_the_checkpoint(run, tmp_path):
     assert len(cge) == 1 + 3
 
 
+def _snapshot(cache):
+    """Name, size and modification time of every file in a cache."""
+    return {p.name: (p.stat().st_size, p.stat().st_mtime_ns)
+            for p in cache.iterdir()}
+
+
 def test_eval_with_more_scales_than_the_model_exits_2(run, tmp_path):
     # the model mixes 2 scales; a 3-scale bank must not be mixed by a
-    # 4 x 2 sub-block of its filters
+    # 4 x 2 sub-block of its filters, nor built and cached before the
+    # mismatch is found
+    before = _snapshot(run.cache)
     assert _eval(run, tmp_path, "--scales", "3") == 2
     assert not (tmp_path / "pairs.csv").exists()
+    assert _snapshot(run.cache) == before
 
 
 def test_eval_with_fewer_directions_than_the_model_exits_2(run, tmp_path,
                                                           capsys):
+    before = _snapshot(run.cache)
     assert _eval(run, tmp_path, "--directions", "2") == 2
     err = capsys.readouterr().err
     assert "4 x 2 grid" in err and "2 directions x 2 scales" in err
+    assert _snapshot(run.cache) == before
 
 
 @pytest.fixture(scope="module")

@@ -14,12 +14,20 @@ from wavemesh.operators import (
     anisotropy_tensor,
     assemble_albo,
     assemble_lbo,
-    dirichlet_energy,
 )
 from wavemesh.spectrum import solve_eigs
 
 from .conftest import grid_mesh
 from .test_mesh import rotation_matrix
+
+
+def symmetry_error(ops):
+    d = ops.stiffness - ops.stiffness.T
+    return float(np.abs(d.data).max()) if d.nnz else 0.0
+
+
+def max_row_sum(ops):
+    return float(np.abs(ops.stiffness.sum(axis=1)).max())
 
 
 class TestAnisotropyTensor:
@@ -71,8 +79,8 @@ class TestCotangentLaplacian:
 
     def test_symmetry_and_psd(self, ico1):
         ops = assemble_lbo(ico1)
-        assert ops.symmetry_error() < 1e-12
-        assert ops.max_row_sum() < 1e-10
+        assert symmetry_error(ops) < 1e-12
+        assert max_row_sum(ops) < 1e-10
         evals = np.linalg.eigvalsh(ops.stiffness.toarray())
         assert evals.min() > -1e-8
 
@@ -105,8 +113,8 @@ class TestAnisotropicAssembly:
         for theta in AnisoConfig(alpha=50.0, directions=4).angles():
             ops = assemble_albo(open_cylinder, frames,
                                 AnisoConfig(alpha=50.0, theta=theta))
-            assert ops.symmetry_error() < 1e-12
-            assert ops.max_row_sum() < 1e-10
+            assert symmetry_error(ops) < 1e-12
+            assert max_row_sum(ops) < 1e-10
             evals = np.linalg.eigvalsh(ops.stiffness.toarray())
             assert evals.min() > -1e-8
 
@@ -139,7 +147,7 @@ class TestAnisotropicAssembly:
         energies = []
         for alpha in (0.0, 1.0, 10.0, 50.0):
             ops = assemble_albo(mesh, frames, AnisoConfig(alpha=alpha, theta=0.0))
-            energies.append(dirichlet_energy(ops, f))
+            energies.append(f @ (ops.stiffness @ f))
         assert all(b < a for a, b in zip(energies, energies[1:]))
 
     def test_rigid_motion_invariance(self, open_cylinder):

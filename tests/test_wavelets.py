@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import wavemesh as wm
 from wavemesh import autodiff as ad
+from wavemesh import wavelets
 from wavemesh.errors import NotTightFrame, SpectrumMismatch
 from wavemesh.mesh import TriMesh
 from wavemesh.operators import assemble_lbo
@@ -124,6 +125,35 @@ class TestBankConstruction:
             psi = dense_filter_matrix(small_bank, 0, j)
             assert np.allclose(np.abs(psi).sum(axis=0),
                                small_bank.l1_normalizers[0, j], atol=1e-12)
+
+    @pytest.mark.parametrize("block", [1, 7, 30])
+    def test_normalizers_match_dense_over_panels(self, aniso_bank_30,
+                                                 monkeypatch, block):
+        # one-row panels, a ragged last panel (30 = 4 * 7 + 2), and a single
+        # panel: each must give the full column sums of the dense matrix
+        monkeypatch.setattr(wavelets, "L1_BLOCK", block)
+        bank = build_filterbank(aniso_bank_30.spectra, aniso_bank_30.kernel,
+                                tighten=aniso_bank_30.tighten)
+        for m in range(bank.n_directions):
+            for j in range(bank.n_scales):
+                want = np.abs(dense_filter_matrix(bank, m, j)).sum(axis=0)
+                got = bank.l1_normalizers[m, j]
+                assert np.abs(got / want - 1.0).max() < 1e-12
+
+    def test_peak_memory_below_one_dense_filter(self, monkeypatch):
+        import tracemalloc
+        monkeypatch.setattr(wavelets, "L1_BLOCK", 16)
+        mesh = jittered_grid(19, 19, seed=13)  # 400 vertices
+        spectra = [solve_eigs(assemble_lbo(mesh), 20)]
+        kernel = KernelSpec.mexican_hat(spectra[0].lambda_max, 4)
+        n = mesh.n_vertices
+        tracemalloc.start()
+        try:
+            build_filterbank(spectra, kernel)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
 
 
 class TestLocalizedWavelets:
