@@ -8,15 +8,19 @@ Exit codes: 0 success, 1 usage, 2 validation, 3 numerical failure, 4 I/O or
 cache problems.
 
 Cache layout: the cache directory holds one SPEC1 file per mesh and
-direction, `{mesh stem}.{key[:16]}.spec`, and one FBK1 filter bank per mesh
-and kernel, `{mesh stem}.{key[:16]}.fbk`. A key is a digest of everything
-the file was computed from: for a spectrum the mesh content, alpha, theta,
-the clamped k and curvature_radius; for a bank its spectra's keys, the
-resolved lambda_max, scales and tighten. A changed input is therefore a
-different file name, i.e. a miss, and the full key stored in each file is
-checked again on read. Nothing is evicted. Caches written before this
-layout (named `{stem}.{alpha}.{direction}.spec`) are never read, so
-`spectrum` must run once more on every mesh.
+direction, `{mesh stem}.{key[:16]}.spec`, one FBK1 filter bank per mesh
+and kernel, `{mesh stem}.{key[:16]}.fbk`, and one GEO1 file of ground-truth
+geodesic rows per evaluated target mesh and ground truth,
+`{target stem}.{key[:16]}.geo`. A key is a digest of everything the file
+was computed from: for a spectrum the mesh content, alpha, theta, the
+clamped k and curvature_radius; for a bank its spectra's keys, the resolved
+lambda_max, scales and tighten; for geodesic rows the target mesh content,
+the SHA-256 of the sorted distinct gt vertices and the geodesic method
+(`corresp.GEODESIC_METHOD`). A changed input is therefore a different file
+name, i.e. a miss, and the full key stored in each file is checked again on
+read. Nothing is evicted; a GEO1 file holds |unique gt| x N_target x 8
+bytes (88 MiB at N = 3402 with every vertex a gt vertex). Caches written before this layout (named `{stem}.{alpha}.{direction}.spec`)
+are never read, so `spectrum` must run once more on every mesh.
 """
 
 import argparse
@@ -389,14 +393,21 @@ def run_training(cfg, manifest_path, verbose=False):
     return model, history
 
 
-def evaluate_pair(model, cfg, source_mesh, target_mesh, gt, banks):
-    source_bank, target_bank = banks
-    desc_s = network.descriptors(model, source_mesh.vertices, source_bank,
-                                 mode=cfg.descriptor)
-    desc_t = network.descriptors(model, target_mesh.vertices, target_bank,
-                                 mode=cfg.descriptor)
-    corr = corresp.match_nn(desc_s, desc_t)
-    return corresp.evaluate(corr, gt, target_mesh, radii=cfg.radii_array())
+def load_geodesics(target, gt, cache_dir, mesh_path):
+    """Geodesic rows of np.unique(gt) on `target`, as `corresp.evaluate`
+    takes them, from the GEO1 cache or computed and cached."""
+    sources = np.unique(gt).astype(np.int64)
+    key = _cache_key("GEO1", target.content_hash(),
+                     hashlib.sha256(sources.tobytes()).hexdigest(),
+                     corresp.GEODESIC_METHOD)
+    path = _cache_path(cache_dir, mesh_path, key, "geo")
+    cached = _read_cache(path, "GEO1", key)
+    if cached is not None:
+        return cached[0]["rows"]
+    rows = corresp.geodesic_rows(target, sources)
+    Path(cache_dir).mkdir(parents=True, exist_ok=True)
+    write_container(path, "GEO1", {"rows": rows}, meta={"key": key})
+    return rows
 
 
 def write_cge_csv(path, cge):
@@ -413,18 +424,30 @@ def run_evaluation(model, cfg, manifest_path, out_dir, verbose=False):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    def describe(rel):
+        mesh = load_mesh(root / rel)
+        spectra = load_spectra(mesh, cfg, cache_dir, root / rel)
+        bank = build_bank(spectra, cfg, cache_dir, root / rel)
+        return mesh, network.descriptors(model, mesh.vertices, bank,
+                                         mode=cfg.descriptor)
+
     results = []
     pooled_errors = []
     radii = cfg.radii_array()
+    source_descriptors = {}  # each distinct source is described once
     for i, pair in enumerate(manifest["pairs"]):
-        source = load_mesh(root / pair["source"])
-        target = load_mesh(root / pair["target"])
         gt = synth.read_indices(root / pair["gt"])
-        banks = []
-        for mesh, rel in ((source, pair["source"]), (target, pair["target"])):
-            spectra = load_spectra(mesh, cfg, cache_dir, root / rel)
-            banks.append(build_bank(spectra, cfg, cache_dir, root / rel))
-        result = evaluate_pair(model, cfg, source, target, gt, banks)
+        if pair["source"] not in source_descriptors:
+            source_descriptors[pair["source"]] = describe(pair["source"])[1]
+        target, desc_t = describe(pair["target"])
+        corr = corresp.match_nn(source_descriptors[pair["source"]], desc_t)
+        # the rows are read only once the target's descriptors are freed,
+        # and freed before the next target is described: holding both at
+        # once raised the process's peak memory
+        del desc_t
+        rows = load_geodesics(target, gt, cache_dir, root / pair["target"])
+        result = corresp.evaluate(corr, gt, target, radii=radii, rows=rows)
+        del rows
         results.append((pair, result))
         pooled_errors.append(result.geodesic_errors)
         write_cge_csv(out_dir / f"cge_pair{i}.csv", result.cge)

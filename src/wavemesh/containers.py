@@ -1,9 +1,9 @@
 """Versioned binary container for caches and checkpoints.
 
-One format serves the spectrum cache (SPEC1), the filter-bank cache (FBK1)
-and model checkpoints (CKPT1): an 8-byte magic, a little-endian u32
-version, a table of (name, dtype, shape, offset) entries, then the raw
-arrays. Metadata travels as a JSON blob stored under the reserved entry
+One format serves the spectrum cache (SPEC1), the filter-bank cache (FBK1),
+the ground-truth geodesic cache (GEO1) and model checkpoints (CKPT1): an
+8-byte magic, a little-endian u32 version, a table of (name, dtype, shape,
+offset) entries, then the raw arrays. Metadata travels as a JSON blob stored under the reserved entry
 name "__meta__". Writes are atomic (temp file + rename).
 """
 
@@ -16,7 +16,7 @@ import numpy as np
 from .errors import CorruptCache
 
 VERSION = 1
-KINDS = ("SPEC1", "FBK1", "CKPT1")
+KINDS = ("SPEC1", "FBK1", "GEO1", "CKPT1")
 _DTYPES = {0: np.float64, 1: np.int64, 2: np.uint8, 3: np.float32}
 _CODES = {np.dtype(np.float64): 0, np.dtype(np.int64): 1,
           np.dtype(np.uint8): 2, np.dtype(np.float32): 3}
@@ -64,49 +64,68 @@ def write_container(path, kind, arrays, meta=None):
         fh.write(bytes(header))
         fh.write(bytes(table))
         for _, arr in entries:
-            fh.write(arr.tobytes())
+            fh.write(_bytes_of(arr))
     os.replace(tmp, str(path))
 
 
+def _bytes_of(arr):
+    """A contiguous array's bytes as a writable view, without a copy."""
+    return arr.reshape(-1).view(np.uint8)
+
+
 def read_container(path, kind=None):
-    """Read back (arrays, meta). Raises CorruptCache on any malformation."""
+    """Read back (arrays, meta). Raises CorruptCache on any malformation.
+
+    Each array is read straight into its own buffer, so reading holds no
+    second copy of the file."""
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise CorruptCache(f"{path}: {exc}") from exc
-    try:
-        magic = blob[:8]
-        found = magic.rstrip(b"\x00").decode("ascii", errors="replace")
-        if kind is not None and magic != _magic(kind):
-            raise CorruptCache(f"{path}: expected {kind} container, found {found!r}")
-        if found not in KINDS:
-            raise CorruptCache(f"{path}: bad magic {found!r}")
-        version, count = struct.unpack_from("<II", blob, 8)
-        if version != VERSION:
-            raise CorruptCache(f"{path}: unsupported version {version}")
-        pos = 16
-        arrays = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", blob, pos)
-            pos += 2
-            name = blob[pos:pos + name_len].decode("utf-8")
-            pos += name_len
-            code, ndim = struct.unpack_from("<BB", blob, pos)
-            pos += 2
-            shape = struct.unpack_from(f"<{ndim}Q", blob, pos)
-            pos += 8 * ndim
-            (offset,) = struct.unpack_from("<Q", blob, pos)
-            pos += 8
-            dtype = np.dtype(_DTYPES[code])
-            size = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-            arr = np.frombuffer(blob, dtype=dtype, count=size, offset=offset)
-            arrays[name] = arr.reshape(shape).copy()
-        meta = None
-        if _META in arrays:
-            meta = json.loads(arrays.pop(_META).tobytes().decode("utf-8"))
-        return arrays, meta
+            return _read_entries(fh, path, kind)
     except CorruptCache:
         raise
+    except OSError as exc:
+        raise CorruptCache(f"{path}: {exc}") from exc
     except Exception as exc:
         raise CorruptCache(f"{path}: malformed container ({exc})") from exc
+
+
+def _read_entries(fh, path, kind):
+    size = os.fstat(fh.fileno()).st_size
+
+    def take(fmt):
+        n = struct.calcsize(fmt)
+        data = fh.read(n)
+        if len(data) != n:
+            raise CorruptCache(f"{path}: truncated header")
+        return struct.unpack(fmt, data)
+
+    magic = fh.read(8)
+    found = magic.rstrip(b"\x00").decode("ascii", errors="replace")
+    if kind is not None and magic != _magic(kind):
+        raise CorruptCache(f"{path}: expected {kind} container, found {found!r}")
+    if found not in KINDS:
+        raise CorruptCache(f"{path}: bad magic {found!r}")
+    version, count = take("<II")
+    if version != VERSION:
+        raise CorruptCache(f"{path}: unsupported version {version}")
+    table = []
+    for _ in range(count):
+        (name_len,) = take("<H")
+        name = fh.read(name_len).decode("utf-8")
+        code, ndim = take("<BB")
+        shape = take(f"<{ndim}Q")
+        (offset,) = take("<Q")
+        table.append((name, np.dtype(_DTYPES[code]), shape, offset))
+    arrays = {}
+    for name, dtype, shape, offset in table:
+        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        if offset + nbytes > size:
+            raise CorruptCache(f"{path}: array {name!r} runs past the end")
+        arr = np.empty(shape, dtype=dtype)
+        fh.seek(offset)
+        fh.readinto(_bytes_of(arr))
+        arrays[name] = arr
+    meta = None
+    if _META in arrays:
+        meta = json.loads(arrays.pop(_META).tobytes().decode("utf-8"))
+    return arrays, meta

@@ -114,6 +114,10 @@ class DisconnectedMesh(ValidationError):
         super().__init__(message)
 
 
+class NonFiniteDescriptor(NumericalError):
+    pass
+
+
 # --- synthetic data ----------------------------------------------------------
 
 class MagnitudeOutOfRange(ValidationError):

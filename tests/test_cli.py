@@ -3,17 +3,22 @@
 Every command runs in-process through `cli.main` on a tiny bar (resolution
 2) with k=20, one epoch and a one-layer network, so the file takes a few
 seconds. One module-scoped dataset is generated, its spectra solved and a
-model trained once; tests that write to a cache use a cache of their own.
+model trained once; tests that write spectra or banks, or count geodesic
+computations, use a cache of their own. An eval on the shared cache adds
+only its pair's GEO1 file there.
 """
 
 import json
+import shutil
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from wavemesh import cli
+from wavemesh import cli, corresp, network, synth
 from wavemesh.containers import read_container, write_container
+from wavemesh.errors import DisconnectedMesh, ValidationError
+from wavemesh.mesh import TriMesh, load_mesh
 
 K = "20"
 MODEL = {"encoder_hidden": 8, "feature_dim": 8, "conv_layers": 1, "scales": 2}
@@ -53,11 +58,13 @@ def _train(data, cache, out, config, *extra):
                      "--cache", str(cache), "--out", str(out), *extra])
 
 
-def _eval(run, out, *extra, checkpoint=None):
+def _eval(run, out, *extra, checkpoint=None, cache=None, data=None):
     checkpoint = checkpoint or run.train_out / "checkpoint.ckpt"
-    return cli.main(["eval", "--dataset", str(run.data / "manifest.json"),
+    data = data or run.data
+    return cli.main(["eval", "--dataset", str(data / "manifest.json"),
                      "--checkpoint", str(checkpoint),
-                     "--cache", str(run.cache), "--out", str(out), *extra])
+                     "--cache", str(cache or run.cache), "--out", str(out),
+                     *extra])
 
 
 @pytest.fixture(scope="module")
@@ -271,3 +278,147 @@ def test_config_that_is_not_an_object_exits_2(run, tmp_path):
     config = _json(tmp_path / "list.json", [1])
     assert _spectrum(run.data / "template.off", tmp_path / "cache",
                      tmp_path / "s", "--config", config) == 2
+
+
+def test_nan_descriptors_exit_3_and_write_no_pairs(run, tmp_path):
+    # NaN weights give NaN descriptors, which used to match every source
+    # to target vertex 0
+    arrays, meta = read_container(run.train_out / "checkpoint.ckpt", "CKPT1")
+    arrays["param:enc0.w"] = np.full_like(arrays["param:enc0.w"], np.nan)
+    bad = tmp_path / "checkpoint.ckpt"
+    write_container(bad, "CKPT1", arrays, meta=meta)
+    assert _eval(run, tmp_path / "eval", checkpoint=bad) == 3
+    assert not (tmp_path / "eval" / "pairs.csv").exists()
+
+
+# --- the GEO1 cache of ground-truth geodesic rows ---------------------------------
+
+
+def _own_cache(run, path):
+    """A copy of the shared cache's spectra and banks, without geodesics."""
+    path.mkdir()
+    for f in [*run.cache.glob("*.spec"), *run.cache.glob("*.fbk")]:
+        shutil.copy2(f, path / f.name)
+    return path
+
+
+@pytest.fixture
+def geodesic_calls(monkeypatch):
+    """Source counts of every corresp.geodesic_rows call."""
+    calls = []
+    original = corresp.geodesic_rows
+
+    def counted(mesh, sources):
+        calls.append(len(sources))
+        return original(mesh, sources)
+
+    monkeypatch.setattr(corresp, "geodesic_rows", counted)
+    return calls
+
+
+def _outputs(out):
+    return {p.name: p.read_bytes()
+            for p in [out / "pairs.csv", *sorted(out.glob("cge_*.csv"))]}
+
+
+def test_second_eval_reads_the_geodesic_cache(run, tmp_path, geodesic_calls):
+    cache = _own_cache(run, tmp_path / "cache")
+    assert _eval(run, tmp_path / "first", cache=cache) == 0
+    assert len(geodesic_calls) == 1
+    assert len(list(cache.glob("*.geo"))) == 1
+    assert _eval(run, tmp_path / "second", cache=cache) == 0
+    assert len(geodesic_calls) == 1
+    assert _outputs(tmp_path / "first") == _outputs(tmp_path / "second")
+
+
+def test_changed_gt_or_target_misses_the_geodesic_cache(run, tmp_path,
+                                                       geodesic_calls):
+    (pair,) = json.loads((run.data / "manifest.json").read_text())["pairs"]
+    path = run.data / pair["target"]
+    target = load_mesh(path)
+    gt = synth.read_indices(run.data / pair["gt"])
+    cache = tmp_path / "cache"
+    rows = cli.load_geodesics(target, gt, cache, path)
+    # gt[0] no longer a ground-truth vertex; the same mesh, scaled
+    fewer = np.where(gt == gt[0], gt[1], gt)
+    scaled = TriMesh(target.vertices * 1.01, target.faces)
+    for changed_target, changed_gt in ((target, fewer), (scaled, gt)):
+        cli.load_geodesics(changed_target, changed_gt, cache, path)
+    assert len(geodesic_calls) == 3
+    assert len(list(cache.glob("*.geo"))) == 3
+    assert np.array_equal(cli.load_geodesics(target, gt, cache, path), rows)
+    assert len(geodesic_calls) == 3
+
+
+def test_corrupt_geodesic_file_is_recomputed_with_a_warning(run, tmp_path,
+                                                            capsys,
+                                                            geodesic_calls):
+    cache = _own_cache(run, tmp_path / "cache")
+    assert _eval(run, tmp_path / "first", cache=cache) == 0
+    (geo,) = cache.glob("*.geo")
+    geo.write_bytes(b"GEO1\x00\x00\x00\x00garbage")
+    capsys.readouterr()
+    assert _eval(run, tmp_path / "second", cache=cache) == 0
+    err = capsys.readouterr().err
+    assert "warning" in err and str(geo) in err
+    assert len(geodesic_calls) == 2
+    assert _outputs(tmp_path / "first") == _outputs(tmp_path / "second")
+    read_container(geo, "GEO1")
+
+
+def test_disconnected_target_caches_no_geodesics(tmp_path):
+    verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0],
+             [10, 10, 10], [11, 10, 10], [10, 11, 10]]
+    mesh = TriMesh(verts, [[0, 1, 2], [3, 4, 5]])
+    cache = tmp_path / "cache"
+    with pytest.raises(DisconnectedMesh):
+        cli.load_geodesics(mesh, np.arange(6), cache, tmp_path / "two.off")
+    assert not cache.exists()
+    assert issubclass(DisconnectedMesh, ValidationError)  # exit 2
+
+
+def test_matching_runs_before_the_geodesic_read(run, tmp_path, monkeypatch):
+    # holding the rows next to the target's descriptors raises the peak
+    # memory of an eval
+    cache = _own_cache(run, tmp_path / "cache")
+    assert _eval(run, tmp_path / "first", cache=cache) == 0
+    events = []
+    match, read = corresp.match_nn, cli.read_container
+
+    def logged_match(*args):
+        events.append("match")
+        return match(*args)
+
+    def logged_read(path, kind=None):
+        events.append(kind)
+        return read(path, kind)
+
+    monkeypatch.setattr(corresp, "match_nn", logged_match)
+    monkeypatch.setattr(cli, "read_container", logged_read)
+    assert _eval(run, tmp_path / "second", cache=cache) == 0
+    assert events.count("GEO1") == 1
+    assert events[-2:] == ["match", "GEO1"]
+
+
+def test_a_source_shared_by_pairs_is_described_once(run, tmp_path,
+                                                    monkeypatch):
+    data = tmp_path / "data"
+    shutil.copytree(run.data, data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["pairs"] *= 2
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    cache = _own_cache(run, tmp_path / "cache")
+    assert _eval(run, tmp_path / "single", cache=cache) == 0
+    described = []
+    original = network.descriptors
+
+    def counted(model, coords, *args, **kwargs):
+        described.append(len(coords))
+        return original(model, coords, *args, **kwargs)
+
+    monkeypatch.setattr(network, "descriptors", counted)
+    assert _eval(run, tmp_path / "double", cache=cache, data=data) == 0
+    assert len(described) == 3  # the source once, the target per pair
+    single = (tmp_path / "single" / "pairs.csv").read_text().splitlines()
+    double = (tmp_path / "double" / "pairs.csv").read_text().splitlines()
+    assert double == single + single[1:]

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import wavemesh as wm
+from wavemesh import corresp
 from wavemesh.corresp import evaluate, geodesic_from, geodesic_rows, match_nn
-from wavemesh.errors import DisconnectedMesh
+from wavemesh.errors import DisconnectedMesh, NonFiniteDescriptor, NumericalError
 from wavemesh.mesh import TriMesh
 
 from .conftest import grid_mesh
@@ -60,6 +62,80 @@ class TestMatchNN:
             match_nn(np.zeros((0, 3)), np.zeros((4, 3)))
         with pytest.raises(ValueError):
             match_nn(np.zeros((4, 3)), np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_descriptor_raises(self, side, bad):
+        rng = np.random.default_rng(5)
+        source = rng.standard_normal((6, 3))
+        target = rng.standard_normal((9, 3))
+        (source if side == "source" else target)[2, 1] = bad
+        with pytest.raises(NonFiniteDescriptor):
+            match_nn(source, target)
+        assert issubclass(NonFiniteDescriptor, NumericalError)
+
+
+def cdist_argmin(source, target):
+    """The reference matcher: exact squared distances, first minimum."""
+    return cdist(source, target, "sqeuclidean").argmin(axis=1)
+
+
+def near_ties(rng, n_source, n_target, dim=8, offset=1e3, spread=1e-4):
+    """Points spread 1e-4 around a common offset of 1e3: gaps between
+    squared distances are near 1e-10, while rounding |b|^2 - 2a.b at
+    |b|^2 ~ 8e6 errs by ~1e-9."""
+    source = offset + spread * rng.standard_normal((n_source, dim))
+    target = offset + spread * rng.standard_normal((n_target, dim))
+    return source, target
+
+
+class TestMatchNNOracle:
+    def test_duplicated_target_rows_tie_to_the_smallest_index(self):
+        rng = np.random.default_rng(6)
+        base = rng.standard_normal((20, 5))
+        # rows 20..39 repeat rows 0..19, rows 40..49 repeat rows 5..14
+        target = np.vstack([base, base, base[5:15]])
+        source = np.vstack([base, base + 1e-3 * rng.standard_normal(base.shape)])
+        got = match_nn(source, target)
+        assert np.array_equal(got, cdist_argmin(source, target))
+        assert (got < 20).all()
+        assert np.array_equal(got[:20], np.arange(20))
+
+    def test_near_ties_under_a_large_offset(self):
+        rng = np.random.default_rng(7)
+        source, target = near_ties(rng, 200, 300)
+        want = cdist_argmin(source, target)
+        expanded = (np.einsum("ij,ij->i", target, target)
+                    - 2 * source @ target.T).argmin(axis=1)
+        assert (expanded != want).any()  # the case needs the window
+        assert np.array_equal(match_nn(source, target), want)
+
+    @pytest.mark.parametrize("shape", [(37, 91), (91, 37), (1, 50), (50, 1)])
+    def test_rectangular(self, shape):
+        rng = np.random.default_rng(8)
+        source = rng.standard_normal((shape[0], 5))
+        target = rng.standard_normal((shape[1], 5))
+        assert np.array_equal(match_nn(source, target),
+                              cdist_argmin(source, target))
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_several_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(corresp, "MATCH_BLOCK", block)
+        rng = np.random.default_rng(9)
+        source, target = near_ties(rng, 45, 60)
+        target[30:40] = target[10:20]
+        source[:5] = target[12:17]
+        assert np.array_equal(match_nn(source, target),
+                              cdist_argmin(source, target))
+
+    def test_overflowing_descriptors_match_the_oracle(self):
+        # finite, but |b|^2 overflows: every row is re-scored by cdist
+        rng = np.random.default_rng(10)
+        source = 1e200 * rng.standard_normal((4, 3))
+        target = 1e200 * rng.standard_normal((6, 3))
+        source[0] = target[3]
+        assert np.array_equal(match_nn(source, target),
+                              cdist_argmin(source, target))
 
 
 class TestGeodesics:
@@ -144,6 +220,18 @@ class TestEvaluate:
         corr = rng.permutation(ico1.n_vertices)
         result = evaluate(corr, gt, ico1)
         assert (np.diff(result.cge[:, 1]) >= 0).all()
+
+    def test_precomputed_rows_give_the_same_result(self, ico1):
+        rng = np.random.default_rng(11)
+        gt = rng.integers(0, ico1.n_vertices, 30)
+        corr = rng.integers(0, ico1.n_vertices, 30)
+        rows = geodesic_rows(ico1, np.unique(gt))
+        got = evaluate(corr, gt, ico1, rows=rows)
+        want = evaluate(corr, gt, ico1)
+        assert np.array_equal(got.geodesic_errors, want.geodesic_errors)
+        assert got.average_geodesic_error == want.average_geodesic_error
+        with pytest.raises(ValueError):
+            evaluate(corr, gt, ico1, rows=rows[:-1])
 
     def test_index_out_of_range(self, ico1):
         gt = np.arange(ico1.n_vertices)
