@@ -14,7 +14,7 @@ from .operators import (
     assemble_lbo,
 )
 from .spectrum import Spectrum, solve_eigs
-from .synth import DatasetConfig, ShapePair, deform, gen_base, make_dataset, remesh
+from .synth import DatasetConfig, deform, gen_base, make_dataset, remesh
 from .wavelets import (
     FilterBank,
     KernelSpec,

@@ -116,7 +116,7 @@ def selu(a):
     return Tensor(value, parents=((a, vjp),))
 
 
-def standardize(x, gamma, beta, eps=NORM_EPS):
+def standardize(x, gamma, beta):
     """Per-feature standardization over the vertex axis with affine."""
     v = x.value
     if v.ndim != 2 or v.shape[0] < 2:
@@ -126,7 +126,7 @@ def standardize(x, gamma, beta, eps=NORM_EPS):
     mean = v.mean(axis=0)
     centered = v - mean
     var = (centered**2).mean(axis=0)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = centered * inv_std
     value = xhat * gamma.value + beta.value
 

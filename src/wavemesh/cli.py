@@ -8,19 +8,20 @@ Exit codes: 0 success, 1 usage, 2 validation, 3 numerical failure, 4 I/O or
 cache problems.
 
 Cache layout: the cache directory holds one SPEC1 file per mesh and
-direction, `{mesh stem}.{key[:16]}.spec`, one FBK1 filter bank per mesh
-and kernel, `{mesh stem}.{key[:16]}.fbk`, and one GEO1 file of ground-truth
-geodesic rows per evaluated target mesh and ground truth,
-`{target stem}.{key[:16]}.geo`. A key is a digest of everything the file
-was computed from: for a spectrum the mesh content, alpha, theta, the
-clamped k and curvature_radius; for a bank its spectra's keys, the resolved
-lambda_max, scales and tighten; for geodesic rows the target mesh content,
-the SHA-256 of the sorted distinct gt vertices and the geodesic method
-(`corresp.GEODESIC_METHOD`). A changed input is therefore a different file
-name, i.e. a miss, and the full key stored in each file is checked again on
-read. Nothing is evicted; a GEO1 file holds |unique gt| x N_target x 8
-bytes (88 MiB at N = 3402 with every vertex a gt vertex). Caches written before this layout (named `{stem}.{alpha}.{direction}.spec`)
-are never read, so `spectrum` must run once more on every mesh.
+direction, one FBK1 filter bank per mesh and kernel, and one GEO1 file of
+ground-truth geodesic rows per evaluated target mesh and ground truth. All
+three go through one get-or-build path, `_cached`: a key is a digest of
+everything the file was computed from, the file is named
+`{mesh stem}.{key[:16]}.{spec,fbk,geo}`, and its only metadata is
+{"key": key}, checked again on read. The keys cover, for a spectrum, the
+mesh content, alpha, theta, the clamped k and curvature_radius; for a bank,
+its spectra's keys, the resolved lambda_max, scales and tighten; for
+geodesic rows, the target mesh content, the SHA-256 of the sorted distinct
+gt vertices and the geodesic method (`corresp.GEODESIC_METHOD`). A changed
+input is therefore a different file name, i.e. a miss; a corrupt file is a
+miss too, reported and rebuilt. Nothing is evicted; a GEO1 file holds
+|unique gt| x N_target x 8 bytes (88 MiB at N = 3402 with every vertex a
+gt vertex).
 """
 
 import argparse
@@ -28,6 +29,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,7 +79,7 @@ class ExperimentConfig:
     weight_decay: float = 0.0001
     seed: int = 0
     descriptor: str = "features"
-    radii: tuple = (0.0, 0.25, 0.0025)
+    radii: tuple[float, float, float] = (0.0, 0.25, 0.0025)
     float32: bool = False
     out: str = "out"
     cache: str = None
@@ -86,24 +88,10 @@ class ExperimentConfig:
     def load(cls, path=None, overrides=None, base=None):
         """Merge, each over the one before: `base` (a checkpoint's saved
         experiment), the JSON file at `path`, and the non-None overrides."""
-        data = dict(base or {})
+        data = dict(_checked(base or {}, cls, "saved experiment"))
         if path is not None:
             with open(path) as fh:
-                loaded = json.load(fh)
-            if not isinstance(loaded, dict):
-                raise ConfigInvalid(
-                    f"config {path} must hold a JSON object, got "
-                    f"{type(loaded).__name__}")
-            data.update(loaded)
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        unknown = set(data) - set(fields)
-        if unknown:
-            raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
-        for key, value in data.items():
-            if not _has_type(value, fields[key]):
-                raise ConfigInvalid(
-                    f"config key {key!r} must be {fields[key].type.__name__}, "
-                    f"got {value!r}")
+                data.update(_checked(json.load(fh), cls, f"config {path}"))
         cfg = cls(**data)
         for key, value in (overrides or {}).items():
             if value is not None:
@@ -162,22 +150,52 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _has_type(value, field):
-    """Whether a JSON value fits an ExperimentConfig field: ints and floats
-    both pass as a float, a bool passes only as a bool, and None only where
-    it is the default."""
-    if value is None:
-        return field.default is None
-    if field.type is float:
+def _has_type(value, hint):
+    """Whether a JSON value fits a type hint: ints and floats both pass as
+    a float, a bool only as a bool, and a tuple hint takes a list whose
+    items fit its item hints (`tuple[X, ...]`: any number of X)."""
+    origin, args = typing.get_origin(hint) or hint, typing.get_args(hint)
+    if origin is float:
         return _is_number(value)
-    if field.type is int:
+    if origin is int:
         return _is_number(value) and isinstance(value, int)
-    if field.type is tuple:
-        return isinstance(value, (list, tuple)) and all(map(_is_number, value))
-    return isinstance(value, field.type)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        if args[1:] == (Ellipsis,):
+            args = args[:1] * len(value)
+        return len(value) == len(args) and all(map(_has_type, value, args))
+    return isinstance(value, origin)
 
 
-# --- spectra and filter-bank caching -------------------------------------------
+def _checked(data, cls, what):
+    """`data`, once it is a JSON object whose keys are fields of the
+    dataclass `cls` and whose values fit their types (None only where it
+    is the default); raises ConfigInvalid otherwise."""
+    if not isinstance(data, dict):
+        raise ConfigInvalid(
+            f"{what} must hold a JSON object, got {type(data).__name__}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(fields)
+    if unknown:
+        raise ConfigInvalid(f"unknown {what} keys: {sorted(unknown)}")
+    for key, value in data.items():
+        field = fields[key]
+        if not (field.default is None if value is None
+                else _has_type(value, field.type)):
+            hint = field.type
+            raise ConfigInvalid(
+                f"{what} key {key!r} must be "
+                f"{hint.__name__ if isinstance(hint, type) else hint}, "
+                f"got {value!r}")
+    return data
+
+
+# --- the cache of spectra, filter banks and geodesic rows ----------------------
+
+_SUFFIXES = {"SPEC1": "spec", "FBK1": "fbk", "GEO1": "geo"}
+_BANK_ARRAYS = ("responses", "scaling_responses", "l1_normalizers",
+                "frame_bounds")
 
 
 def _cache_key(*parts):
@@ -185,33 +203,44 @@ def _cache_key(*parts):
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
 
-def _cache_path(cache_dir, mesh_path, key, suffix):
-    return Path(cache_dir) / f"{Path(mesh_path).stem}.{key[:16]}.{suffix}"
-
-
 def _read_cache(path, kind, key):
-    """(arrays, meta) of the cache file at path when its stored key is `key`,
-    else None. A corrupt file counts as a miss and is reported."""
-    if not Path(path).exists():
+    """The arrays of the `kind` file at `path` when it stores `key`, else
+    None. A corrupt file counts as a miss and is reported."""
+    if not path.exists():
         return None
     try:
         arrays, meta = read_container(path, kind)
     except CorruptCache as exc:
         print(f"warning: {exc}; regenerating", file=sys.stderr)
         return None
-    if not meta or meta.get("key") != key:
-        return None
-    return arrays, meta
+    return arrays if meta and meta.get("key") == key else None
 
 
 def _load_spectrum(path, key):
-    cached = _read_cache(path, "SPEC1", key)
-    if cached is None:
-        return None
-    arrays, meta = cached
-    vals = arrays["eigenvalues"]
-    return Spectrum(eigenvalues=vals, eigenvectors=arrays["eigenvectors"],
-                    mass=arrays["mass"], k=len(vals), provenance=meta)
+    """`_read_cache` of a SPEC1 file, under a name of its own so that every
+    spectrum lookup is one call of it (None on a miss)."""
+    return _read_cache(path, "SPEC1", key)
+
+
+def _cached(kind, parts, cache_dir, mesh_path, build):
+    """(arrays, key, path, hit) of the `kind` cache file keyed by `parts`.
+
+    The arrays are read from the file when it holds this key; otherwise
+    `build()` makes them and they are written there with meta
+    {"key": key}. This is the only writer of SPEC1, FBK1 and GEO1 files."""
+    key = _cache_key(kind, *parts)
+    path = (Path(cache_dir)
+            / f"{Path(mesh_path).stem}.{key[:16]}.{_SUFFIXES[kind]}")
+    if kind == "SPEC1":
+        arrays = _load_spectrum(path, key)
+    else:
+        arrays = _read_cache(path, kind, key)
+    hit = arrays is not None
+    if not hit:
+        arrays = build()
+        Path(cache_dir).mkdir(parents=True, exist_ok=True)
+        write_container(path, kind, arrays, meta={"key": key})
+    return arrays, key, path, hit
 
 
 def _frames_for(mesh, cfg):
@@ -226,35 +255,32 @@ def load_spectra(mesh, cfg, cache_dir, mesh_path, solve=False):
     k = clamp_k(cfg.k, mesh.n_vertices)
     aniso = AnisoConfig(alpha=cfg.alpha, theta=0.0, directions=cfg.directions)
     mesh_hash = mesh.content_hash()
-    frames = None
+    frames = []  # estimated at the first miss, shared by every direction
     spectra = []
     for m, theta in enumerate(aniso.angles()):
-        # float() so that a JSON 50 and a flag's 50.0 give one key
-        key = _cache_key("SPEC1", mesh_hash, float(cfg.alpha), theta, k,
-                         float(cfg.curvature_radius))
-        path = _cache_path(cache_dir, mesh_path, key, "spec")
-        spec = _load_spectrum(path, key)
-        status = "cached"
-        if spec is None:
+        def build():
             if not solve:
                 raise MissingCache(
-                    f"spectrum cache {path} missing or stale; run the "
-                    f"spectrum command first")
-            if frames is None:
-                frames = _frames_for(mesh, cfg)
-            ops = assemble_albo(mesh, frames, aniso.with_theta(theta))
-            spec = solve_eigs(ops, k, provenance={
-                "key": key, "alpha": cfg.alpha, "theta": theta, "k": k})
-            Path(cache_dir).mkdir(parents=True, exist_ok=True)
-            write_container(path, "SPEC1", {
-                "eigenvalues": spec.eigenvalues,
-                "eigenvectors": spec.eigenvectors,
-                "mass": spec.mass,
-            }, meta=spec.provenance)
-            status = "computed"
+                    f"no cached spectrum for direction {m} of {mesh_path}; "
+                    f"run the spectrum command first")
+            if not frames:
+                frames.append(_frames_for(mesh, cfg))
+            spec = solve_eigs(
+                assemble_albo(mesh, frames[0], aniso.with_theta(theta)), k)
+            return {"eigenvalues": spec.eigenvalues,
+                    "eigenvectors": spec.eigenvectors, "mass": spec.mass}
+
+        # float() so that a JSON 50 and a flag's 50.0 give one key
+        arrays, key, path, hit = _cached(
+            "SPEC1", (mesh_hash, float(cfg.alpha), theta, k,
+                      float(cfg.curvature_radius)),
+            cache_dir, mesh_path, build)
         if solve:
-            print(f"direction {m}: {status} ({path})")
-        spectra.append(spec)
+            print(f"direction {m}: {'cached' if hit else 'computed'} ({path})")
+        spectra.append(Spectrum(
+            eigenvalues=arrays["eigenvalues"],
+            eigenvectors=arrays["eigenvectors"], mass=arrays["mass"],
+            k=len(arrays["eigenvalues"]), provenance={"key": key}))
     return spectra
 
 
@@ -267,29 +293,18 @@ def build_bank(spectra, cfg, cache_dir, mesh_path):
     lambda_max = cfg.kernel_lambda_max or max(s.lambda_max for s in spectra)
     kernel = wavelets.KernelSpec.mexican_hat(lambda_max, cfg.scales,
                                              tighten=cfg.tighten)
-    key = _cache_key("FBK1", *(s.provenance["key"] for s in spectra),
-                     float(lambda_max), cfg.scales, bool(cfg.tighten))
-    path = _cache_path(cache_dir, mesh_path, key, "fbk")
-    cached = _read_cache(path, "FBK1", key)
-    if cached is not None:
-        arrays, _ = cached
-        return wavelets.FilterBank(
-            spectra=list(spectra), kernel=kernel,
-            responses=arrays["responses"],
-            scaling_responses=arrays["scaling_responses"],
-            l1_normalizers=arrays["l1_normalizers"],
-            frame_bounds=arrays["frame_bounds"],
-            tighten=bool(cfg.tighten))
-    bank = wavelets.build_filterbank(spectra, kernel)
-    Path(cache_dir).mkdir(parents=True, exist_ok=True)
-    write_container(path, "FBK1", {
-        "responses": bank.responses,
-        "scaling_responses": bank.scaling_responses,
-        "l1_normalizers": bank.l1_normalizers,
-        "frame_bounds": bank.frame_bounds,
-        "scales": np.asarray(kernel.scales),
-    }, meta={"key": key, "tighten": bool(cfg.tighten), "scales": cfg.scales})
-    return bank
+
+    def build():
+        bank = wavelets.build_filterbank(spectra, kernel)
+        return {name: getattr(bank, name) for name in _BANK_ARRAYS}
+
+    arrays = _cached(
+        "FBK1", (*(s.provenance["key"] for s in spectra), float(lambda_max),
+                 cfg.scales, bool(cfg.tighten)),
+        cache_dir, mesh_path, build)[0]
+    return wavelets.FilterBank(
+        spectra=list(spectra), kernel=kernel, tighten=bool(cfg.tighten),
+        **{name: arrays[name] for name in _BANK_ARRAYS})
 
 
 # --- checkpoints ---------------------------------------------------------------
@@ -397,17 +412,13 @@ def load_geodesics(target, gt, cache_dir, mesh_path):
     """Geodesic rows of np.unique(gt) on `target`, as `corresp.evaluate`
     takes them, from the GEO1 cache or computed and cached."""
     sources = np.unique(gt).astype(np.int64)
-    key = _cache_key("GEO1", target.content_hash(),
-                     hashlib.sha256(sources.tobytes()).hexdigest(),
-                     corresp.GEODESIC_METHOD)
-    path = _cache_path(cache_dir, mesh_path, key, "geo")
-    cached = _read_cache(path, "GEO1", key)
-    if cached is not None:
-        return cached[0]["rows"]
-    rows = corresp.geodesic_rows(target, sources)
-    Path(cache_dir).mkdir(parents=True, exist_ok=True)
-    write_container(path, "GEO1", {"rows": rows}, meta={"key": key})
-    return rows
+    arrays = _cached(
+        "GEO1", (target.content_hash(),
+                 hashlib.sha256(sources.tobytes()).hexdigest(),
+                 corresp.GEODESIC_METHOD),
+        cache_dir, mesh_path,
+        lambda: {"rows": corresp.geodesic_rows(target, sources)})[0]
+    return arrays["rows"]
 
 
 def write_cge_csv(path, cge):
@@ -501,13 +512,10 @@ def cmd_gen_data(args):
     if args.config is None:
         raise ConfigInvalid("gen-data requires --config with a dataset spec")
     with open(args.config) as fh:
-        raw = json.load(fh)
-    known = {f.name for f in dataclasses.fields(synth.DatasetConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigInvalid(f"unknown dataset config keys: {sorted(unknown)}")
+        raw = _checked(json.load(fh), synth.DatasetConfig,
+                       f"dataset config {args.config}")
     if "deformations" in raw:
-        raw["deformations"] = tuple(tuple(d) for d in raw["deformations"])
+        raw["deformations"] = tuple(map(tuple, raw["deformations"]))
     dconfig = synth.DatasetConfig(**raw)
     out = args.out or "out"
     manifest = synth.make_dataset(dconfig, out)
@@ -595,22 +603,10 @@ def _parse_radii(text):
 
 
 def _overrides_from_args(args):
-    overrides = {
-        "mesh": getattr(args, "mesh", None),
-        "dataset": getattr(args, "dataset", None),
-        "k": getattr(args, "k", None),
-        "alpha": getattr(args, "alpha", None),
-        "directions": getattr(args, "directions", None),
-        "scales": getattr(args, "scales", None),
-        "epochs": getattr(args, "epochs", None),
-        "seed": getattr(args, "seed", None),
-        "out": getattr(args, "out", None),
-        "cache": getattr(args, "cache", None),
-    }
-    if getattr(args, "perturb", False):
-        overrides["perturb"] = True
-    if getattr(args, "radii", None) is not None:
-        overrides["radii"] = _parse_radii(args.radii)
+    overrides = {f.name: getattr(args, f.name, None)
+                 for f in dataclasses.fields(ExperimentConfig)}
+    if overrides["radii"] is not None:
+        overrides["radii"] = _parse_radii(overrides["radii"])
     return overrides
 
 
@@ -639,7 +635,7 @@ def build_parser():
         p.add_argument("--alpha", type=float)
         p.add_argument("--directions", type=int)
         p.add_argument("--scales", type=int)
-        p.add_argument("--perturb", action="store_true", default=False)
+        p.add_argument("--perturb", action="store_true", default=None)
         p.add_argument("--epochs", type=int)
         p.add_argument("--radii", help="start:stop:step")
         if mesh:

@@ -3,8 +3,9 @@
 One format serves the spectrum cache (SPEC1), the filter-bank cache (FBK1),
 the ground-truth geodesic cache (GEO1) and model checkpoints (CKPT1): an
 8-byte magic, a little-endian u32 version, a table of (name, dtype, shape,
-offset) entries, then the raw arrays. Metadata travels as a JSON blob stored under the reserved entry
-name "__meta__". Writes are atomic (temp file + rename).
+offset) entries, then the raw arrays. Metadata travels as a JSON blob
+stored under the reserved entry name "__meta__". Writes are atomic (temp
+file + rename).
 """
 
 import json

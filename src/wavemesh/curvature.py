@@ -3,13 +3,17 @@
 The estimator fits a 2x2 shape operator per triangle by least squares from
 the differences of vertex normals along the three edges (expressed in the
 triangle's tangent basis), averages the tensors into vertex tangent planes
-with area weights, and eigendecomposes the resulting 2x2 form per vertex.
+with area weights, and eigendecomposes the resulting 2x2 form per vertex
+(Rusinkiewicz 2004). The average is one sparse vertex x face product and
+the 2x2 problems are one batched eigh, so no step loops over vertices.
 With outward normals a convex sphere gets positive curvatures.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.spatial import cKDTree
 
 from .errors import DegenerateTriangle, IsolatedVertex
 
@@ -43,22 +47,27 @@ class PrincipalFrames:
         return self.k_min.shape[0]
 
 
-def _tangent_fallback(normal):
-    """Project +x into the tangent plane; fall back to +y when degenerate."""
-    for axis in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)):
-        d = np.asarray(axis) - np.dot(axis, normal) * normal
-        n = np.linalg.norm(d)
-        if n >= 1e-8:
-            return d / n
-    # normal is numerically aligned with both axes only if it is garbage
-    return np.array([0.0, 0.0, 1.0])
+def _tangent_fallback(normals):
+    """Per row of ``normals``: +x projected into the tangent plane, or +y
+    where that is degenerate (+z if both are, which only a garbage normal
+    allows)."""
+    out = np.tile([0.0, 0.0, 1.0], (len(normals), 1))
+    todo = np.ones(len(normals), dtype=bool)
+    for a in (0, 1):
+        d = np.eye(3)[a] - normals[:, a, None] * normals
+        norm = np.linalg.norm(d, axis=1)
+        ok = todo & (norm >= 1e-8)
+        out[ok] = d[ok] / norm[ok, None]
+        todo &= ~ok
+    return out
 
 
 def _canonical_sign(d):
-    for c in d:
-        if abs(c) > 1e-10:
-            return d if c > 0 else -d
-    return d
+    """Flip each row so that its first component above 1e-10 in magnitude
+    is positive."""
+    big = np.abs(d) > 1e-10
+    first = d[np.arange(len(d)), big.argmax(axis=1)]
+    return np.where((big.any(axis=1) & (first < 0))[:, None], -d, d)
 
 
 def estimate_frames(mesh, radius=None):
@@ -67,24 +76,58 @@ def estimate_frames(mesh, radius=None):
     By default each vertex averages the shape-operator fits of its
     incident triangles. With ``radius`` (absolute length units) the
     average instead runs over every triangle whose centroid lies within
-    that distance, in addition to the incident ones; on shapes with sharp
-    creases this makes the estimate stable under remeshing, since the
-    averaging scale is metric instead of combinatorial.
+    that distance, in addition to the incident ones (so a triangle that is
+    both counts twice); on shapes with sharp creases this makes the
+    estimate stable under remeshing, since the averaging scale is metric
+    instead of combinatorial.
 
     Raises IsolatedVertex if some vertex has no incident face and
     DegenerateTriangle if a face has no usable tangent basis.
     """
     v, f = mesh.vertices, mesh.faces
-    n_vert = mesh.n_vertices
-    vnormals = mesh.vertex_normals
-
-    incident = np.zeros(n_vert)
-    for c in range(3):
-        np.add.at(incident, f[:, c], 1.0)
+    n_vert, m = mesh.n_vertices, mesh.n_faces
+    # vertex x face weights of the average: one per incident corner
+    weights = sparse.csr_matrix(
+        (np.ones(3 * m), (f.ravel(), np.repeat(np.arange(m), 3))),
+        shape=(n_vert, m))
+    incident = np.diff(weights.indptr)
     if (incident == 0).any():
         raise IsolatedVertex(
             f"vertex {int(np.argmin(incident))} has no incident face")
+    s3 = face_tensors(mesh)
+    if radius is not None and radius > 0:
+        centroids = v[f].mean(axis=1)
+        near = cKDTree(v).sparse_distance_matrix(
+            cKDTree(centroids), radius, output_type="ndarray")
+        weights = weights + sparse.csr_matrix(
+            (np.ones(len(near)), (near["i"], near["j"])), shape=(n_vert, m))
+    acc = (weights @ s3.reshape(m, 9)).reshape(n_vert, 3, 3)
+    acc /= (weights @ mesh.face_areas)[:, None, None]
 
+    normals = mesh.vertex_normals
+    t1 = _tangent_fallback(normals)
+    basis = np.stack([t1, np.cross(normals, t1)], axis=1)      # (n, 2, 3)
+    q = basis @ acc @ basis.transpose(0, 2, 1)
+    evals, evecs = np.linalg.eigh(0.5 * (q + q.transpose(0, 2, 1)))
+    k_min, k_max = evals[:, 0], evals[:, 1]
+    scale = np.abs(k_min) + np.abs(k_max) + 1e-12
+    umbilic = np.abs(k_max - k_min) < UMBILIC_RTOL * scale
+    pick = (np.abs(k_max) >= np.abs(k_min)).astype(int)
+    live = ~umbilic
+    d = t1.copy()
+    coef = evecs[live, :, pick[live]]                            # (live, 2)
+    d[live] = np.einsum("va,vaj->vj", coef, basis[live])
+    d[live] /= np.linalg.norm(d[live], axis=1)[:, None]
+    return PrincipalFrames(k_min=k_min.copy(), k_max=k_max.copy(),
+                           dir_max=_canonical_sign(d), normal=normals.copy(),
+                           umbilic=umbilic)
+
+
+def face_tensors(mesh):
+    """(m, 3, 3) area-weighted shape operators of the triangles, each the
+    least-squares 2x2 fit in the triangle's tangent basis embedded in 3D."""
+    v, f = mesh.vertices, mesh.faces
+    vnormals = mesh.vertex_normals
     p0, p1, p2 = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
     fn = mesh.face_normals
     e_u = p1 - p0
@@ -135,47 +178,4 @@ def estimate_frames(mesh, radius=None):
           + b[:, None, None] * (uw + uw.transpose(0, 2, 1))
           + c[:, None, None] * ww)
     s3 *= mesh.face_areas[:, None, None]
-
-    acc = np.zeros((n_vert, 3, 3))
-    wsum = np.zeros(n_vert)
-    for col in range(3):
-        np.add.at(acc, f[:, col], s3)
-        np.add.at(wsum, f[:, col], mesh.face_areas)
-    if radius is not None and radius > 0:
-        from scipy.spatial import cKDTree
-        centroids = (p0 + p1 + p2) / 3.0
-        tree = cKDTree(centroids)
-        for i in range(n_vert):
-            near = tree.query_ball_point(v[i], radius)
-            if near:
-                acc[i] += s3[near].sum(axis=0)
-                wsum[i] += mesh.face_areas[near].sum()
-    acc /= wsum[:, None, None]
-
-    k_min = np.empty(n_vert)
-    k_max = np.empty(n_vert)
-    dir_max = np.empty((n_vert, 3))
-    umbilic = np.empty(n_vert, dtype=bool)
-
-    for i in range(n_vert):
-        nrm = vnormals[i]
-        t1 = _tangent_fallback(nrm)
-        t2 = np.cross(nrm, t1)
-        basis = np.stack([t1, t2])                      # (2, 3)
-        q = basis @ acc[i] @ basis.T
-        q = 0.5 * (q + q.T)
-        evals, evecs = np.linalg.eigh(q)                # ascending
-        k_min[i], k_max[i] = evals[0], evals[1]
-        gap = abs(evals[1] - evals[0])
-        umbilic[i] = gap < UMBILIC_RTOL * (abs(evals[0]) + abs(evals[1]) + 1e-12)
-        if umbilic[i]:
-            d = t1
-        else:
-            pick = 1 if abs(evals[1]) >= abs(evals[0]) else 0
-            coef = evecs[:, pick]
-            d = coef[0] * t1 + coef[1] * t2
-            d /= np.linalg.norm(d)
-        dir_max[i] = _canonical_sign(d)
-
-    return PrincipalFrames(k_min=k_min, k_max=k_max, dir_max=dir_max,
-                           normal=vnormals.copy(), umbilic=umbilic)
+    return s3

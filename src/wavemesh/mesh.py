@@ -48,7 +48,7 @@ class TriMesh:
     boundary_edges : (b, 2) int64, edges with exactly one incident face
     """
 
-    def __init__(self, vertices, faces, validate=True):
+    def __init__(self, vertices, faces):
         vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         faces = np.ascontiguousarray(faces, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 3:
@@ -58,22 +58,20 @@ class TriMesh:
         self.vertices = vertices
         self.faces = faces
 
-        if validate:
-            self._check_indices()
+        self._check_indices()
 
         tri = vertices[faces]
         cross = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
         double_area = np.linalg.norm(cross, axis=1)
         self.face_areas = 0.5 * double_area
-        if validate:
-            self._check_degenerate()
+        self._check_degenerate()
         with np.errstate(invalid="ignore", divide="ignore"):
             self.face_normals = np.where(
                 double_area[:, None] > 0, cross / double_area[:, None], 0.0
             )
 
         self.vertex_normals = self._vertex_normals()
-        self.edges, self._edge_face_count = self._collect_edges(validate)
+        self.edges, self._edge_face_count = self._collect_edges()
         self.boundary_edges = self.edges[self._edge_face_count == 1]
         self.mass = vertex_mass(self)
 
@@ -149,13 +147,12 @@ class TriMesh:
         out[nonzero] /= norms[nonzero, None]
         return out
 
-    def _collect_edges(self, validate):
+    def _collect_edges(self):
         f = self.faces
         directed = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
         und = np.sort(directed, axis=1)
-        edges, inverse, counts = np.unique(
-            und, axis=0, return_inverse=True, return_counts=True)
-        if validate and self.faces.size:
+        edges, counts = np.unique(und, axis=0, return_counts=True)
+        if self.faces.size:
             if counts.max() > 2:
                 e = edges[np.argmax(counts)]
                 raise NonManifoldEdge(
@@ -230,23 +227,15 @@ def vertex_mass(mesh):
 
 # -- file formats -------------------------------------------------------------
 
-def load_mesh(path, fmt=None):
+def load_mesh(path):
     """Load an OFF or OBJ triangle mesh; format inferred from the suffix."""
     path = str(path)
-    if fmt is None:
-        lower = path.lower()
-        if lower.endswith(".off"):
-            fmt = "off"
-        elif lower.endswith(".obj"):
-            fmt = "obj"
-        else:
-            raise ParseError(f"cannot infer format from {path!r}")
-    fmt = fmt.lower()
-    if fmt == "off":
+    lower = path.lower()
+    if lower.endswith(".off"):
         return _read_off(path)
-    if fmt == "obj":
+    if lower.endswith(".obj"):
         return _read_obj(path)
-    raise ParseError(f"unsupported format {fmt!r}")
+    raise ParseError(f"cannot infer format from {path!r}")
 
 
 def _significant_lines(path):

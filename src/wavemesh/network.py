@@ -208,8 +208,7 @@ class TrainItem:
     name: str = ""
 
 
-def train(model, items, epochs, lr=0.001, weight_decay=0.0001,
-          beta1=0.9, beta2=0.999, eps=1e-8, on_epoch=None):
+def train(model, items, epochs, lr=0.001, weight_decay=0.0001):
     """Full-shape batches: one optimizer step per shape per epoch, shapes
     visited in dataset order. Returns [(epoch, mean loss, mean accuracy)].
     """
@@ -234,11 +233,8 @@ def train(model, items, epochs, lr=0.001, weight_decay=0.0001,
             ad.backward(loss)
             grads = {k: t.grad for k, t in params_t.items() if t.grad is not None}
             adam_step(model.params, grads, state, lr=lr,
-                      weight_decay=weight_decay, beta1=beta1, beta2=beta2,
-                      eps=eps)
+                      weight_decay=weight_decay)
             losses.append(float(loss.value))
             accs.append(correct / len(item.labels))
         history.append((epoch, float(np.mean(losses)), float(np.mean(accs))))
-        if on_epoch is not None:
-            on_epoch(model, epoch)
     return history

@@ -105,9 +105,9 @@ def _triangle_directions(mesh, frames):
     fn = mesh.face_normals
     avg -= np.einsum("ij,ij->i", avg, fn)[:, None] * fn
     norms = np.linalg.norm(avg, axis=1)
-    for t in np.nonzero(norms < 1e-8)[0]:
-        avg[t] = _tangent_fallback(fn[t])
-        norms[t] = 1.0
+    flat = norms < 1e-8
+    avg[flat] = _tangent_fallback(fn[flat])
+    norms[flat] = 1.0
     return avg / norms[:, None]
 
 

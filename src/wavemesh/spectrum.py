@@ -76,7 +76,7 @@ def _verify(stiffness, mass, vals, vecs):
     return float(ortho_err), rel
 
 
-def solve_eigs(ops, k, provenance=None):
+def solve_eigs(ops, k):
     """Smallest-k eigenpairs of ops.stiffness x = lambda diag(ops.mass) x."""
     n = ops.n
     if k < 1:
@@ -110,10 +110,8 @@ def solve_eigs(ops, k, provenance=None):
             f"verification failed: orthonormality {ortho_err:g}, "
             f"max residual {rel.max():g}", residuals=rel)
 
-    prov = dict(provenance or {})
-    prov.setdefault("k", k)
     return Spectrum(eigenvalues=vals, eigenvectors=vecs, mass=mass.copy(),
-                    k=k, provenance=prov)
+                    k=k)
 
 
 def _dense_path(stiffness, mass, k):

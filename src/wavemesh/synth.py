@@ -26,14 +26,6 @@ MAX_BEND = math.pi / 2
 MAX_TWIST_RATE = math.pi
 
 
-@dataclass(frozen=True)
-class ShapePair:
-    source: TriMesh
-    target: TriMesh
-    gt_map: np.ndarray
-    isometry_distortion: float = None
-
-
 def gen_base(kind, resolution, **kwargs):
     if kind == "icosphere":
         mesh = icosphere(resolution)
@@ -265,7 +257,7 @@ def remesh(mesh):
 class DatasetConfig:
     base: str = "bar"
     resolution: int = 4
-    deformations: tuple = ()      # sequence of (mode, magnitude)
+    deformations: tuple[tuple[str, float], ...] = ()  # (mode, magnitude)
     holdout: int = 1
     split_seed: int = 0
     remesh_holdout: bool = False

@@ -77,9 +77,8 @@ class KernelSpec:
     tighten: bool = True
 
     @classmethod
-    def mexican_hat(cls, lambda_max, n_scales, tighten=True,
-                    cutoff_fraction=DEFAULT_CUTOFF_FRACTION):
-        cutoff = cutoff_fraction * lambda_max
+    def mexican_hat(cls, lambda_max, n_scales, tighten=True):
+        cutoff = DEFAULT_CUTOFF_FRACTION * lambda_max
         return cls(band_pass=kernel_g,
                    low_pass=lambda x: kernel_h(x, cutoff),
                    scales=select_scales(lambda_max, n_scales),

@@ -8,14 +8,16 @@ computations, use a cache of their own. An eval on the shared cache adds
 only its pair's GEO1 file there.
 """
 
+import importlib.util
 import json
 import shutil
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from wavemesh import cli, corresp, network, synth
+from wavemesh import cli, corresp, network, synth, wavelets
 from wavemesh.containers import read_container, write_container
 from wavemesh.errors import DisconnectedMesh, ValidationError
 from wavemesh.mesh import TriMesh, load_mesh
@@ -280,6 +282,22 @@ def test_config_that_is_not_an_object_exits_2(run, tmp_path):
                      tmp_path / "s", "--config", config) == 2
 
 
+@pytest.mark.parametrize("config", [
+    {"base": "bar", "resolution": "2", "deformations": [["bend", 0.6],
+                                                        ["twist", 0.3]]},
+    {"base": "bar", "resolution": 2, "deformations": 5},
+    {"base": "bar", "resolution": 2, "deformations": [["bend", 0.6],
+                                                      ["twist", 0.3]],
+     "holdout": "1"},
+    [["bend"]],
+], ids=["resolution-str", "deformations-int", "holdout-str", "list"])
+def test_wrongly_typed_dataset_config_exits_2(tmp_path, config):
+    path = _json(tmp_path / "dataset.json", config)
+    assert cli.main(["gen-data", "--config", path,
+                     "--out", str(tmp_path / "data")]) == 2
+    assert not (tmp_path / "data").exists()
+
+
 def test_nan_descriptors_exit_3_and_write_no_pairs(run, tmp_path):
     # NaN weights give NaN descriptors, which used to match every source
     # to target vertex 0
@@ -289,6 +307,113 @@ def test_nan_descriptors_exit_3_and_write_no_pairs(run, tmp_path):
     write_container(bad, "CKPT1", arrays, meta=meta)
     assert _eval(run, tmp_path / "eval", checkpoint=bad) == 3
     assert not (tmp_path / "eval" / "pairs.csv").exists()
+
+
+# --- the one cache path of SPEC1, FBK1 and GEO1 files --------------------------
+
+
+def _rekey(path, kind):
+    """Rewrite the key stored in a cache file, keeping its name and arrays."""
+    arrays, meta = read_container(path, kind)
+    write_container(path, kind, arrays, meta={"key": "0" * 64})
+    return meta
+
+
+def test_spectrum_file_with_another_key_is_recomputed(run, tmp_path, capsys):
+    mesh = run.data / "template.off"
+    cache = tmp_path / "cache"
+    assert _spectrum(mesh, cache, tmp_path / "s") == 0
+    spec = sorted(cache.glob("*.spec"))[0]
+    meta = _rekey(spec, "SPEC1")
+    capsys.readouterr()
+    assert _spectrum(mesh, cache, tmp_path / "s") == 0
+    out = capsys.readouterr().out
+    assert out.count(": computed") == 1 and f"computed ({spec})" in out
+    assert read_container(spec, "SPEC1")[1] == meta == {"key": meta["key"]}
+
+
+def test_bank_file_with_another_key_is_rebuilt(run, tmp_path, monkeypatch):
+    mesh_path = run.data / "template.off"
+    cfg = cli.ExperimentConfig.load(run.model, {"k": int(K)})
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    for spec in run.cache.glob("*.spec"):
+        shutil.copy2(spec, cache / spec.name)
+    spectra = cli.load_spectra(load_mesh(mesh_path), cfg, cache, mesh_path)
+    builds = []
+    original = wavelets.build_filterbank
+
+    def counted(*args):
+        builds.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(wavelets, "build_filterbank", counted)
+    first = cli.build_bank(spectra, cfg, cache, mesh_path)
+    (fbk,) = cache.glob("*.fbk")
+    assert len(builds) == 1
+    cli.build_bank(spectra, cfg, cache, mesh_path)
+    assert len(builds) == 1
+    meta = _rekey(fbk, "FBK1")
+    again = cli.build_bank(spectra, cfg, cache, mesh_path)
+    assert len(builds) == 2
+    arrays, stored = read_container(fbk, "FBK1")
+    assert stored == meta == {"key": meta["key"]}
+    assert sorted(arrays) == sorted(cli._BANK_ARRAYS)
+    for name in cli._BANK_ARRAYS:
+        assert np.array_equal(getattr(again, name), getattr(first, name))
+
+
+def test_geodesic_file_with_another_key_is_recomputed(run, tmp_path,
+                                                     geodesic_calls):
+    (pair,) = json.loads((run.data / "manifest.json").read_text())["pairs"]
+    path = run.data / pair["target"]
+    target = load_mesh(path)
+    gt = synth.read_indices(run.data / pair["gt"])
+    cache = tmp_path / "cache"
+    rows = cli.load_geodesics(target, gt, cache, path)
+    (geo,) = cache.glob("*.geo")
+    meta = _rekey(geo, "GEO1")
+    assert np.array_equal(cli.load_geodesics(target, gt, cache, path), rows)
+    assert len(geodesic_calls) == 2
+    assert read_container(geo, "GEO1")[1] == meta
+
+
+def _perfbench_tracing():
+    """perfbench's probes, loaded from its source file without changing it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_warm_train_and_eval_hit_every_probed_cache_lookup(run, tmp_path):
+    # the benchmark's warm check compares hits with attempts; attempts of 0
+    # would let a lookup that bypasses the probed functions pass unseen
+    cache = _own_cache(run, tmp_path / "cache")
+    assert _train(run.data, cache, tmp_path / "warmup", run.model) == 0
+    assert _eval(run, tmp_path / "warmup-eval", cache=cache,
+                 checkpoint=tmp_path / "warmup" / "checkpoint.ckpt") == 0
+    manifest = json.loads((run.data / "manifest.json").read_text())
+    described = {p["source"] for p in manifest["pairs"]} \
+        | {p["target"] for p in manifest["pairs"]}
+    banks = len(manifest["training"]) + len(described)
+
+    tracing = _perfbench_tracing()
+    tracer = tracing.Tracer()
+    with tracing.Probes(tracer):
+        assert _train(run.data, cache, tmp_path / "train", run.model) == 0
+        assert _eval(run, tmp_path / "eval", cache=cache,
+                     checkpoint=tmp_path / "train" / "checkpoint.ckpt") == 0
+    c = tracer.counters
+    directions = cli.ExperimentConfig().directions
+    assert c["cli.spectrum_cache.attempts"] == directions * banks
+    assert c["cli.bank_cache.attempts"] == banks
+    for cache_name in ("spectrum_cache", "bank_cache"):
+        assert c[f"cli.{cache_name}.hits"] == c[f"cli.{cache_name}.attempts"]
+    assert c["spectrum.solve_eigs.calls"] == 0
+    assert c["wavelets.build_filterbank.calls"] == 0
+    assert c["containers.write_container.calls"] == 1  # the checkpoint
 
 
 # --- the GEO1 cache of ground-truth geodesic rows ---------------------------------

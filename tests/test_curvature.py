@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import wavemesh as wm
-from wavemesh.curvature import estimate_frames
+from wavemesh import synth
+from wavemesh.curvature import UMBILIC_RTOL, estimate_frames, face_tensors
 from wavemesh.errors import IsolatedVertex
 from wavemesh.mesh import TriMesh
 
@@ -98,3 +100,81 @@ class TestErrors:
                        [[0, 1, 2]])
         with pytest.raises(IsolatedVertex):
             estimate_frames(mesh)
+
+
+# --- the vectorized estimator against a per-vertex reference -----------------
+
+
+def _reference_tangent(normal):
+    for axis in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)):
+        d = np.asarray(axis) - np.dot(axis, normal) * normal
+        n = np.linalg.norm(d)
+        if n >= 1e-8:
+            return d / n
+    return np.array([0.0, 0.0, 1.0])
+
+
+def _reference_frames(mesh, radius):
+    """The estimator written one vertex at a time: np.add.at over the
+    incident faces, one KD-tree query per vertex, one 2x2 eigh per vertex."""
+    v, f, areas = mesh.vertices, mesh.faces, mesh.face_areas
+    s3 = face_tensors(mesh)
+    acc = np.zeros((mesh.n_vertices, 3, 3))
+    wsum = np.zeros(mesh.n_vertices)
+    for col in range(3):
+        np.add.at(acc, f[:, col], s3)
+        np.add.at(wsum, f[:, col], areas)
+    if radius is not None:
+        tree = cKDTree(v[f].mean(axis=1))
+        for i in range(mesh.n_vertices):
+            near = tree.query_ball_point(v[i], radius)
+            acc[i] += s3[near].sum(axis=0)
+            wsum[i] += areas[near].sum()
+    acc /= wsum[:, None, None]
+
+    k = np.empty((mesh.n_vertices, 2))
+    dirs = np.empty((mesh.n_vertices, 3))
+    umbilic = np.empty(mesh.n_vertices, dtype=bool)
+    for i, nrm in enumerate(mesh.vertex_normals):
+        t1 = _reference_tangent(nrm)
+        basis = np.stack([t1, np.cross(nrm, t1)])
+        q = basis @ acc[i] @ basis.T
+        evals, evecs = np.linalg.eigh(0.5 * (q + q.T))
+        k[i] = evals
+        gap = abs(evals[1] - evals[0])
+        umbilic[i] = gap < UMBILIC_RTOL * (abs(evals[0]) + abs(evals[1]) + 1e-12)
+        d = t1
+        if not umbilic[i]:
+            d = evecs[:, int(abs(evals[1]) >= abs(evals[0]))] @ basis
+            d = d / np.linalg.norm(d)
+        first = next((c for c in d if abs(c) > 1e-10), 1.0)
+        dirs[i] = d if first > 0 else -d
+    return k, dirs, umbilic
+
+
+@pytest.fixture(scope="module")
+def oracle_meshes():
+    bar = wm.gen_base("bar", 10)
+    return {
+        "bar10": bar,
+        "twisted-bar": synth.deform(bar, "twist", 0.35),
+        "icosphere3": wm.gen_base("icosphere", 3),
+        "capped-cylinder": synth.cylinder(3, caps=True),
+        "remeshed-bar": synth.remesh(wm.gen_base("bar", 5))[0],
+    }
+
+
+@pytest.mark.parametrize("radius_fraction", [None, 0.02, 0.05])
+@pytest.mark.parametrize("name", ["bar10", "twisted-bar", "icosphere3",
+                                  "capped-cylinder", "remeshed-bar"])
+def test_frames_match_the_per_vertex_reference(oracle_meshes, name,
+                                               radius_fraction):
+    mesh = oracle_meshes[name]
+    radius = (None if radius_fraction is None
+              else radius_fraction * mesh.bbox_diagonal)
+    k, dirs, umbilic = _reference_frames(mesh, radius)
+    frames = estimate_frames(mesh, radius=radius)
+    got = np.stack([frames.k_min, frames.k_max], axis=1)
+    assert np.abs(got - k).max() <= 1e-12 * np.abs(k).max()
+    assert np.abs(frames.dir_max - dirs).max() <= 1e-12
+    assert np.array_equal(frames.umbilic, umbilic)
