@@ -1,9 +1,23 @@
 """Minimal reverse-mode tape over float64 numpy arrays.
 
-Just enough machinery for the trainable pipeline: every op records its
-parents together with vector-Jacobian closures, ``backward`` walks the
-graph once in reverse topological order. Gradients accumulate by
-addition, so shared subexpressions are handled correctly.
+Just enough machinery for the trainable pipeline: every op whose inputs
+include one that requires a gradient records, on a small gradient node,
+the nodes of those inputs together with vector-Jacobian closures, and
+``backward`` walks the graph once in reverse topological order.
+Gradients accumulate by addition, so shared subexpressions are handled
+correctly.
+
+The tape keeps only what backward needs:
+- A graph is single-use. ``backward`` consumes it: once a node's gradient
+  has reached its parents, the node drops that gradient and its vjps, so
+  afterwards only the leaves hold gradients. Each differentiation builds
+  a fresh graph.
+- An op none of whose inputs requires a gradient records nothing, so a
+  forward pass over constants builds no graph at all.
+- The graph links gradient nodes, not Tensors, and each vjp holds only
+  the arrays it reads. An activation that no vjp reads (the output of a
+  SELU feeding a standardization, say) is freed as soon as the forward
+  pass stops referencing it.
 """
 
 import numpy as np
@@ -15,15 +29,42 @@ SELU_ALPHA = 1.67326324
 NORM_EPS = 1e-5
 
 
+class _Node:
+    """Gradient slot of a Tensor that requires a gradient: the
+    (parent node, vjp) edges and the gradient accumulated so far."""
+    __slots__ = ("grad", "parents")
+
+    def __init__(self, parents):
+        self.grad = None
+        self.parents = parents
+
+
 class Tensor:
-    __slots__ = ("value", "grad", "parents", "requires_grad")
+    """An array and, if it requires a gradient, its node on the tape.
+
+    ``parents`` pairs each input Tensor with the vjp that maps this
+    Tensor's gradient to that input's; inputs that require no gradient
+    are not recorded.
+    """
+    __slots__ = ("value", "node")
 
     def __init__(self, value, parents=(), requires_grad=False):
         self.value = value
-        self.grad = None
-        self.parents = parents
-        self.requires_grad = requires_grad or any(
-            p.requires_grad for p, _ in parents)
+        edges = tuple((p.node, vjp) for p, vjp in parents
+                      if p.node is not None)
+        self.node = _Node(edges) if requires_grad or edges else None
+
+    @property
+    def requires_grad(self):
+        return self.node is not None
+
+    @property
+    def grad(self):
+        return None if self.node is None else self.node.grad
+
+    @property
+    def parents(self):
+        return () if self.node is None else self.node.parents
 
     @property
     def shape(self):
@@ -39,31 +80,34 @@ def param(value):
 
 
 def backward(root):
-    """Accumulate gradients of ``root`` (a scalar) into the graph."""
+    """Accumulate gradients of ``root`` (a scalar) into the leaves of its
+    graph, consuming the graph as it goes."""
+    if root.node is None:
+        return
     order = []
     seen = set()
-    stack = [(root, False)]
+    stack = [(root.node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen or not node.requires_grad:
+        if id(node) in seen:
             continue
         seen.add(id(node))
         stack.append((node, True))
         for parent, _ in node.parents:
             stack.append((parent, False))
 
-    root.grad = np.ones_like(np.asarray(root.value, dtype=np.float64))
+    root.node.grad = np.ones_like(np.asarray(root.value, dtype=np.float64))
     for node in reversed(order):
-        if node.grad is None:
-            continue
+        if not node.parents:
+            continue  # a leaf keeps its gradient
         for parent, vjp in node.parents:
-            if not parent.requires_grad:
-                continue
             g = vjp(node.grad)
             parent.grad = g if parent.grad is None else parent.grad + g
+        node.grad = None
+        node.parents = ()
 
 
 def _unbroadcast(grad, shape):
@@ -77,26 +121,26 @@ def _unbroadcast(grad, shape):
 
 
 def add(a, b):
-    value = a.value + b.value
-    return Tensor(value, parents=(
-        (a, lambda g: _unbroadcast(g, np.shape(a.value))),
-        (b, lambda g: _unbroadcast(g, np.shape(b.value))),
+    sa, sb = np.shape(a.value), np.shape(b.value)
+    return Tensor(a.value + b.value, parents=(
+        (a, lambda g: _unbroadcast(g, sa)),
+        (b, lambda g: _unbroadcast(g, sb)),
     ))
 
 
 def mul(a, b):
-    value = a.value * b.value
-    return Tensor(value, parents=(
-        (a, lambda g: _unbroadcast(g * b.value, np.shape(a.value))),
-        (b, lambda g: _unbroadcast(g * a.value, np.shape(b.value))),
+    av, bv = a.value, b.value
+    return Tensor(av * bv, parents=(
+        (a, lambda g: _unbroadcast(g * bv, np.shape(av))),
+        (b, lambda g: _unbroadcast(g * av, np.shape(bv))),
     ))
 
 
 def matmul(a, b):
-    value = a.value @ b.value
-    return Tensor(value, parents=(
-        (a, lambda g: g @ b.value.T),
-        (b, lambda g: a.value.T @ g),
+    av, bv = a.value, b.value
+    return Tensor(av @ bv, parents=(
+        (a, lambda g: g @ bv.T),
+        (b, lambda g: av.T @ g),
     ))
 
 
@@ -128,10 +172,11 @@ def standardize(x, gamma, beta):
     var = (centered**2).mean(axis=0)
     inv_std = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = centered * inv_std
-    value = xhat * gamma.value + beta.value
+    gv = gamma.value
+    value = xhat * gv + beta.value
 
     def vjp_x(g):
-        gx = g * gamma.value
+        gx = g * gv
         return inv_std * (gx - gx.mean(axis=0)
                           - xhat * (gx * xhat).mean(axis=0))
 
@@ -144,9 +189,10 @@ def standardize(x, gamma, beta):
 
 def gather_rows(x, index):
     index = np.asarray(index)
+    shape, dtype = x.value.shape, x.value.dtype
 
     def vjp(g):
-        out = np.zeros_like(x.value)
+        out = np.zeros(shape, dtype)
         np.add.at(out, index, g)
         return out
 
@@ -181,6 +227,7 @@ def wavelet_mix(x, thetas, bank):
             f"{n_dir} directions x {n_scale} scales")
     v = x.value
     dtype = v.dtype
+    x_shape = v.shape
     n = len(v)
     dirs = []
     scaled = []     # r_j * C per direction, (J, K, D)
@@ -214,7 +261,7 @@ def wavelet_mix(x, thetas, bank):
         return memo["h"]
 
     def vjp_x(g):
-        gx = np.zeros_like(v)
+        gx = np.zeros(x_shape, dtype)
         for (phi, mass, resp, _, theta), h in zip(dirs, coeff_grads(g)):
             acc = (resp * (h @ theta.transpose(0, 2, 1))).sum(axis=0)
             gx += mass[:, None] * (phi @ acc)

@@ -9,9 +9,12 @@ fixed seeded permutation of vertex rows with a learnable per-feature
 scale - sits between the last conv layer and the classifier head.
 Training fuses the head with its softmax cross entropy
 (``autodiff.linear_softmax_cross_entropy``), so the N x C logits are never
-materialized there. All training math runs in float64 by default. The
-float32 mode keeps parameters, activations and gradients in float32; its
-loss curve is tested against float64 to 1e-4 relative.
+materialized there. Training holds one step's graph at a time: each
+optimizer step runs in its own call, so the next step's forward starts
+only after this step's graph, activations and gradients are gone. All
+training math runs in float64 by default. The float32 mode keeps
+parameters, activations and gradients in float32; its loss curve is
+tested against float64 to 1e-4 relative.
 """
 
 from dataclasses import dataclass, field
@@ -158,9 +161,12 @@ def descriptors(model, coords, bank, mode="features"):
     if mode == "softmax":
         logits, _ = _tape_forward(model, coords, bank, params_t,
                                   perturb=model.config.perturb)
-        z = logits.value - logits.value.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=1, keepdims=True)
+        # in place on the fresh logits: one N x C array, not several
+        z = logits.value
+        z -= z.max(axis=1, keepdims=True)
+        np.exp(z, out=z)
+        z /= z.sum(axis=1, keepdims=True)
+        return z
     raise ValueError(f"unknown descriptor mode {mode!r}")
 
 
@@ -208,6 +214,24 @@ class TrainItem:
     name: str = ""
 
 
+def _train_step(model, item, state, epoch, lr, weight_decay):
+    """One optimizer step on one shape; returns (loss, correct count).
+    The step's graph, activations and gradients die when it returns."""
+    params_t = _wrap_params(model, True)
+    x, _ = _head_input(model, item.coords, item.bank, params_t,
+                       perturb=model.config.perturb)
+    loss, correct = ad.linear_softmax_cross_entropy(
+        x, params_t["head.w"], params_t["head.b"], item.labels)
+    if not np.isfinite(loss.value):
+        raise NonFiniteLoss(
+            f"loss became {loss.value} at epoch {epoch} on "
+            f"{item.name or 'unnamed shape'}")
+    ad.backward(loss)
+    grads = {k: t.grad for k, t in params_t.items() if t.grad is not None}
+    adam_step(model.params, grads, state, lr=lr, weight_decay=weight_decay)
+    return float(loss.value), correct
+
+
 def train(model, items, epochs, lr=0.001, weight_decay=0.0001):
     """Full-shape batches: one optimizer step per shape per epoch, shapes
     visited in dataset order. Returns [(epoch, mean loss, mean accuracy)].
@@ -221,20 +245,9 @@ def train(model, items, epochs, lr=0.001, weight_decay=0.0001):
         losses = []
         accs = []
         for item in items:
-            params_t = _wrap_params(model, True)
-            x, _ = _head_input(model, item.coords, item.bank, params_t,
-                               perturb=model.config.perturb)
-            loss, correct = ad.linear_softmax_cross_entropy(
-                x, params_t["head.w"], params_t["head.b"], item.labels)
-            if not np.isfinite(loss.value):
-                raise NonFiniteLoss(
-                    f"loss became {loss.value} at epoch {epoch} on "
-                    f"{item.name or 'unnamed shape'}")
-            ad.backward(loss)
-            grads = {k: t.grad for k, t in params_t.items() if t.grad is not None}
-            adam_step(model.params, grads, state, lr=lr,
-                      weight_decay=weight_decay)
-            losses.append(float(loss.value))
+            loss, correct = _train_step(model, item, state, epoch, lr,
+                                        weight_decay)
+            losses.append(loss)
             accs.append(correct / len(item.labels))
         history.append((epoch, float(np.mean(losses)), float(np.mean(accs))))
     return history

@@ -276,6 +276,11 @@ class DatasetConfig:
         if not (0 < self.holdout < len(self.deformations)):
             raise ConfigInvalid(
                 f"holdout {self.holdout} must leave at least one training shape")
+        n_train = len(self.deformations) - self.holdout
+        if not (0 <= self.remesh_training <= n_train):
+            raise ConfigInvalid(
+                f"remesh_training {self.remesh_training} must lie in "
+                f"[0, {n_train}], the number of training poses")
 
 
 def make_dataset(config, out_dir):

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,71 @@ class TestPrimitives:
         y = ad.add(ad.mul(t, t), t)  # x^2 + x -> dy/dx = 2x + 1
         ad.backward(y)
         assert np.allclose(t.grad, [[5.0]])
+
+
+@pytest.fixture(scope="module")
+def bank_2x2():
+    return build_bank_for(jittered_grid(4, 3, seed=8), k=10, directions=2,
+                          alpha=50.0, scales=2, tighten=False)
+
+
+class TestTapeLifetime:
+    """backward consumes the graph, constants record nothing, and an
+    activation no vjp reads is not kept alive by the tape."""
+
+    def _problem(self, seed):
+        rng = np.random.default_rng(seed)
+        return (rng.standard_normal((6, 3)), rng.standard_normal((3, 4)),
+                rng.standard_normal(4))
+
+    def test_backward_keeps_only_leaf_gradients(self):
+        x, w, b = self._problem(30)
+        tensors = [ad.param(a) for a in (x, w, b)]
+        z = ad.affine(*tensors)
+        s = ad.selu(z)
+        loss = _total(s)
+        ad.backward(loss)
+        # d/dz sum(selu(z)^2) = 2 selu(z) selu'(z)
+        zv = x @ w + b
+        ez = np.exp(np.minimum(zv, 0.0))
+        sv = np.where(zv > 0, ad.SELU_SCALE * zv,
+                      ad.SELU_SCALE * ad.SELU_ALPHA * (ez - 1.0))
+        dz = 2 * sv * np.where(zv > 0, ad.SELU_SCALE,
+                               ad.SELU_SCALE * ad.SELU_ALPHA * ez)
+        for t, want in zip(tensors, (dz @ w.T, x.T @ dz, dz.sum(axis=0))):
+            assert np.allclose(t.grad, want, rtol=1e-12, atol=1e-12)
+        for interior in (z, s, loss):
+            assert interior.grad is None
+            assert interior.parents == ()
+
+    def test_constant_inputs_record_no_parents(self, bank_2x2):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((bank_2x2.n_vertices, 3))
+        assert ad.selu(ad.constant(x)).parents == ()
+        thetas = [[ad.constant(rng.standard_normal((3, 3))) for _ in range(2)]
+                  for _ in range(2)]
+        out = ad.wavelet_mix(ad.constant(x), thetas, bank_2x2)
+        assert out.parents == () and not out.requires_grad
+        # a mixed op records only the input that needs a gradient
+        s = ad.param(np.ones(3))
+        (parent, _), = ad.mul(ad.constant(x), s).parents
+        assert parent is s.node
+
+    def test_activation_no_vjp_reads_is_freed(self):
+        x, _, gamma = self._problem(32)
+        gamma = gamma[:3] + 1.5
+        beta = np.zeros(3)
+
+        def build(t):
+            s = ad.selu(t[0])
+            alive = weakref.ref(s.value)
+            y = ad.standardize(s, t[1], t[2])
+            del s
+            # the standardization's vjps read its own xhat, not its input
+            assert alive() is None
+            return _total(y)
+
+        check_op(build, [x, gamma, beta], rtol=1e-5, atol=1e-8)
 
 
 class TestWaveletMix:

@@ -298,6 +298,20 @@ def test_wrongly_typed_dataset_config_exits_2(tmp_path, config):
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("count", [-1, 99])
+def test_remesh_training_out_of_range_exits_2(tmp_path, count):
+    # 4 poses, 1 held out: a negative count used to slice from the end
+    # and a count above 3 was clipped, both exiting 0
+    path = _json(tmp_path / "dataset.json", {
+        "base": "bar", "resolution": 2,
+        "deformations": [["bend", 0.6], ["twist", 0.3], ["bend", -0.5],
+                         ["twist", -0.2]],
+        "holdout": 1, "remesh_training": count})
+    assert cli.main(["gen-data", "--config", path,
+                     "--out", str(tmp_path / "data")]) == 2
+    assert not (tmp_path / "data").exists()
+
+
 def test_nan_descriptors_exit_3_and_write_no_pairs(run, tmp_path):
     # NaN weights give NaN descriptors, which used to match every source
     # to target vertex 0
