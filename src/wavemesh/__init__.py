@@ -18,13 +18,10 @@ from .synth import DatasetConfig, deform, gen_base, make_dataset, remesh
 from .wavelets import (
     FilterBank,
     KernelSpec,
-    WaveletCoefficients,
-    analyze,
     build_filterbank,
     kernel_g,
     kernel_h,
     select_scales,
-    synthesize,
     wavelet_at,
 )
 

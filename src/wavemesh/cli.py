@@ -15,11 +15,11 @@ everything the file was computed from, the file is named
 `{mesh stem}.{key[:16]}.{spec,fbk,geo}`, and its only metadata is
 {"key": key}, checked again on read. The keys cover, for a spectrum, the
 mesh content, alpha, theta, the clamped k and curvature_radius; for a bank,
-its spectra's keys, the resolved lambda_max, scales and tighten; for
-geodesic rows, the target mesh content, the SHA-256 of the sorted distinct
-gt vertices and the geodesic method (`corresp.GEODESIC_METHOD`). A changed
-input is therefore a different file name, i.e. a miss; a corrupt file is a
-miss too, reported and rebuilt. Nothing is evicted; a GEO1 file holds
+its spectra's keys, the resolved lambda_max and scales; for geodesic rows,
+the target mesh content, the SHA-256 of the sorted distinct gt vertices and
+the geodesic method (`corresp.GEODESIC_METHOD`). A changed input is
+therefore a different file name, i.e. a miss; a corrupt file is a miss
+too, reported and rebuilt. Nothing is evicted; a GEO1 file holds
 |unique gt| x N_target x 8 bytes (88 MiB at N = 3402 with every vertex a
 gt vertex).
 """
@@ -67,7 +67,6 @@ class ExperimentConfig:
     alpha: float = 50.0
     directions: int = 4
     scales: int = 4
-    tighten: bool = False
     encoder_hidden: int = 64
     feature_dim: int = 128
     conv_layers: int = 4
@@ -194,8 +193,7 @@ def _checked(data, cls, what):
 # --- the cache of spectra, filter banks and geodesic rows ----------------------
 
 _SUFFIXES = {"SPEC1": "spec", "FBK1": "fbk", "GEO1": "geo"}
-_BANK_ARRAYS = ("responses", "scaling_responses", "l1_normalizers",
-                "frame_bounds")
+_BANK_ARRAYS = ("responses", "l1_normalizers", "frame_bounds")
 
 
 def _cache_key(*parts):
@@ -291,8 +289,7 @@ def build_bank(spectra, cfg, cache_dir, mesh_path):
     pins them so every mesh is filtered with the same scales); otherwise
     from this mesh's own spectra."""
     lambda_max = cfg.kernel_lambda_max or max(s.lambda_max for s in spectra)
-    kernel = wavelets.KernelSpec.mexican_hat(lambda_max, cfg.scales,
-                                             tighten=cfg.tighten)
+    kernel = wavelets.KernelSpec.mexican_hat(lambda_max, cfg.scales)
 
     def build():
         bank = wavelets.build_filterbank(spectra, kernel)
@@ -300,10 +297,10 @@ def build_bank(spectra, cfg, cache_dir, mesh_path):
 
     arrays = _cached(
         "FBK1", (*(s.provenance["key"] for s in spectra), float(lambda_max),
-                 cfg.scales, bool(cfg.tighten)),
+                 cfg.scales),
         cache_dir, mesh_path, build)[0]
     return wavelets.FilterBank(
-        spectra=list(spectra), kernel=kernel, tighten=bool(cfg.tighten),
+        spectra=list(spectra), kernel=kernel,
         **{name: arrays[name] for name in _BANK_ARRAYS})
 
 
@@ -314,42 +311,54 @@ def save_checkpoint(path, model, cfg):
     arrays = {f"param:{k}": v for k, v in model.params.items()}
     for n, perm in sorted(model.perms.items()):
         arrays[f"perm:{n}"] = perm.astype(np.int64)
-    meta = {
-        "model": {
-            "n_classes": model.config.n_classes,
-            "point_dim": model.config.point_dim,
-            "encoder_dims": list(model.config.encoder_dims),
-            "conv_layers": model.config.conv_layers,
-            "directions": model.config.directions,
-            "scales": model.config.scales,
-            "perturb": model.config.perturb,
-            "seed": model.config.seed,
-        },
-        "experiment": dataclasses.asdict(cfg),
-    }
+    meta = {"model": dataclasses.asdict(model.config),
+            "experiment": dataclasses.asdict(cfg)}
     write_container(path, "CKPT1", arrays, meta=meta)
 
 
 def load_checkpoint(path):
+    """(model, saved experiment) of a CKPT1 file. Model metadata that is
+    not a complete `network.ModelConfig`, or parameters whose names and
+    shapes are not the ones that config implies, raise CorruptCache."""
     arrays, meta = read_container(path, "CKPT1")
-    if meta is None or "model" not in meta:
+    if not isinstance(meta, dict) or "model" not in meta:
         raise CorruptCache(f"{path}: checkpoint missing model metadata")
-    mc = meta["model"]
+    try:
+        mc = _checked(meta["model"], network.ModelConfig, "checkpoint model")
+    except ConfigInvalid as exc:
+        raise CorruptCache(f"{path}: {exc}") from None
+    missing = [f.name for f in dataclasses.fields(network.ModelConfig)
+               if f.name not in mc]
+    if missing:
+        raise CorruptCache(f"{path}: checkpoint model lacks {missing}")
     config = network.ModelConfig(
-        n_classes=mc["n_classes"], point_dim=mc["point_dim"],
-        encoder_dims=tuple(mc["encoder_dims"]), conv_layers=mc["conv_layers"],
-        directions=mc["directions"], scales=mc["scales"],
-        perturb=mc["perturb"], seed=mc["seed"])
+        **{**mc, "encoder_dims": tuple(mc["encoder_dims"])})
     params = {k[len("param:"):]: v for k, v in arrays.items()
               if k.startswith("param:")}
-    perms = {int(k.split(":", 1)[1]): v for k, v in arrays.items()
+    expected = network.param_shapes(config)
+    wrong = sorted(set(params) ^ set(expected)) or [
+        name for name, shape in expected.items()
+        if params[name].shape != shape]
+    if wrong:
+        raise CorruptCache(
+            f"{path}: parameters {wrong[:3]} do not fit the checkpoint model")
+    perms = {k.split(":", 1)[1]: v for k, v in arrays.items()
              if k.startswith("perm:")}
     for n, perm in perms.items():
-        if not np.array_equal(np.sort(perm), np.arange(n)):
+        if not (n.isdigit()
+                and np.array_equal(np.sort(perm), np.arange(int(n)))):
             raise CorruptCache(
                 f"{path}: perm:{n} is not a permutation of range({n})")
-    model = network.Model(config, params, perms)
-    return model, meta.get("experiment", {})
+    experiment = meta.get("experiment", {})
+    # checkpoints written while banks could be tightened save
+    # "tighten": false, the only bank this version builds
+    if isinstance(experiment, dict) \
+            and experiment.pop("tighten", False) is not False:
+        raise ConfigInvalid(
+            f"{path}: saved experiment key 'tighten' is set; its model was "
+            f"trained on tightened filter banks, which are no longer built")
+    perms = {int(n): perm for n, perm in perms.items()}
+    return network.Model(config, params, perms), experiment
 
 
 # --- training / evaluation drivers ----------------------------------------------
@@ -372,6 +381,10 @@ def run_training(cfg, manifest_path, verbose=False):
     for entry in manifest["training"]:
         mesh = load_mesh(root / entry["mesh"])
         labels = synth.read_indices(root / entry["labels"])
+        if len(labels) != mesh.n_vertices:
+            raise ValidationError(
+                f"{entry['labels']} holds {len(labels)} labels for the "
+                f"{mesh.n_vertices} vertices of {entry['mesh']}")
         if labels.min() < 0 or labels.max() >= template.n_vertices:
             raise ValidationError(
                 f"labels in {entry['labels']} outside the template")

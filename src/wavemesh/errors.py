@@ -84,10 +84,6 @@ class ZeroColumnNorm(NumericalError):
     pass
 
 
-class NotTightFrame(ValidationError):
-    pass
-
-
 # --- network ---------------------------------------------------------------
 
 class SingleVertexShape(ValidationError):

@@ -25,8 +25,8 @@ from . import autodiff as ad
 from .errors import EmptyDataset, NonFiniteLoss, PermutationLengthMismatch
 
 __all__ = [
-    "ModelConfig", "Model", "TrainItem", "AdamState", "model_forward",
-    "descriptors", "adam_step", "train",
+    "ModelConfig", "Model", "TrainItem", "AdamState", "param_shapes",
+    "model_forward", "descriptors", "adam_step", "train",
 ]
 
 
@@ -34,16 +34,35 @@ __all__ = [
 class ModelConfig:
     n_classes: int
     point_dim: int = 3
-    encoder_dims: tuple = (64, 128)
+    encoder_dims: tuple[int, ...] = (64, 128)
     conv_layers: int = 4
     directions: int = 4
     scales: int = 4
     perturb: bool = False
     seed: int = 0
 
-    @property
-    def feature_dim(self):
-        return self.encoder_dims[-1]
+
+def param_shapes(config):
+    """Name -> shape of every parameter of a model with this config, in the
+    order ``Model.initialize`` draws them."""
+    dims = (config.point_dim, *config.encoder_dims)
+    d = dims[-1]
+    shapes = {}
+    for i in range(len(dims) - 1):
+        shapes[f"enc{i}.w"] = (dims[i], dims[i + 1])
+        shapes[f"enc{i}.b"] = (dims[i + 1],)
+    for layer in range(config.conv_layers):
+        for m in range(config.directions):
+            for j in range(config.scales):
+                shapes[f"conv{layer}.theta{m}_{j}"] = (d, d)
+        shapes[f"conv{layer}.gamma"] = (d,)
+        shapes[f"conv{layer}.beta"] = (d,)
+    if config.perturb:
+        for name in ("scale", "gamma", "beta"):
+            shapes[f"perturb.{name}"] = (d,)
+    shapes["head.w"] = (d, config.n_classes)
+    shapes["head.b"] = (config.n_classes,)
+    return shapes
 
 
 class Model:
@@ -71,28 +90,15 @@ class Model:
         """Seeded init: affine and mixing weights uniform / sqrt(fan_in),
         norm gains 1, shifts 0, perturbation scales 1."""
         rng = np.random.default_rng(config.seed)
-
-        def uniform(fan_in, shape):
-            return (rng.uniform(-1.0, 1.0, shape) / np.sqrt(fan_in)).astype(dtype)
-
         params = {}
-        dims = (config.point_dim,) + tuple(config.encoder_dims)
-        for i in range(len(dims) - 1):
-            params[f"enc{i}.w"] = uniform(dims[i], (dims[i], dims[i + 1]))
-            params[f"enc{i}.b"] = np.zeros(dims[i + 1], dtype=dtype)
-        d = config.feature_dim
-        for layer in range(config.conv_layers):
-            for m in range(config.directions):
-                for j in range(config.scales):
-                    params[f"conv{layer}.theta{m}_{j}"] = uniform(d, (d, d))
-            params[f"conv{layer}.gamma"] = np.ones(d, dtype=dtype)
-            params[f"conv{layer}.beta"] = np.zeros(d, dtype=dtype)
-        if config.perturb:
-            params["perturb.scale"] = np.ones(d, dtype=dtype)
-            params["perturb.gamma"] = np.ones(d, dtype=dtype)
-            params["perturb.beta"] = np.zeros(d, dtype=dtype)
-        params["head.w"] = uniform(d, (d, config.n_classes))
-        params["head.b"] = np.zeros(config.n_classes, dtype=dtype)
+        for name, shape in param_shapes(config).items():
+            if len(shape) == 2:  # affine, mixing and head weights
+                params[name] = (rng.uniform(-1.0, 1.0, shape)
+                                / np.sqrt(shape[0])).astype(dtype)
+            elif name.endswith(("gamma", "scale")):
+                params[name] = np.ones(shape, dtype=dtype)
+            else:
+                params[name] = np.zeros(shape, dtype=dtype)
         model = cls(config, params)
         if config.perturb:
             model.perm_for(n_vertices)

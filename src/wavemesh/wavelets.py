@@ -8,11 +8,8 @@ at vertex v is
 
     psi_{t,v}(u) = sum_k a(v) g(t lambda_k) phi_k(v) phi_k(u)
 
-and the low-pass scaling companion replaces g(t lambda) with h(lambda).
-With the tighten flag the responses are divided pointwise by
-sqrt(h(l)^2 + sum_j g(t_j l)^2) at the sampled eigenvalues, which makes
-the bank a Parseval frame on the computed span and analysis/synthesis an
-exact round trip there.
+The low-pass companion h(lambda) enters only the frame bounds, the min and
+max over the sampled eigenvalues of h(l)^2 + sum_j g(t_j l)^2.
 
 Each wavelet column is divided by its L1 norm, sum_u a(u) |S(u, v)| with
 S = Phi diag(r) Phi^T. ``build_filterbank`` computes these normalizers
@@ -22,11 +19,11 @@ directions, J scales, N vertices and K eigenpairs. They agree with the
 full column sums to about 1e-14 relative (round-off only).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotTightFrame, SpectrumMismatch, ZeroColumnNorm
+from .errors import SpectrumMismatch, ZeroColumnNorm
 
 # rows per upper-triangle panel of S for the L1 normalizers: a panel holds
 # L1_BLOCK x N floats at most, the whole pass costs O(M J N^2 K / 2) and
@@ -69,20 +66,16 @@ def select_scales(lambda_max, n_scales):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel pair plus scales; ``tighten`` is the default frame setting."""
+    """Scales t_j of the band-pass kernel_g and cutoff of the low-pass
+    kernel_h."""
 
-    band_pass: callable
-    low_pass: callable
     scales: np.ndarray
-    tighten: bool = True
+    cutoff: float
 
     @classmethod
-    def mexican_hat(cls, lambda_max, n_scales, tighten=True):
-        cutoff = DEFAULT_CUTOFF_FRACTION * lambda_max
-        return cls(band_pass=kernel_g,
-                   low_pass=lambda x: kernel_h(x, cutoff),
-                   scales=select_scales(lambda_max, n_scales),
-                   tighten=tighten)
+    def mexican_hat(cls, lambda_max, n_scales):
+        return cls(scales=select_scales(lambda_max, n_scales),
+                   cutoff=DEFAULT_CUTOFF_FRACTION * lambda_max)
 
     @property
     def n_scales(self):
@@ -91,22 +84,19 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class FilterBank:
-    """Factored wavelet/scaling operators for M directions x J scales.
+    """Factored wavelet operators for M directions x J scales.
 
     responses[m, j] holds g(t_j lambda_{m,k}) over the K sampled
-    eigenvalues (post-tighten when tighten is on), scaling_responses[m]
-    the matching h values. l1_normalizers[m, j] are the column L1 norms
-    of the dense filter matrix diag(a) Phi diag(resp) Phi^T, i.e. the L1
-    norms of the localized, measure-weighted wavelets.
+    eigenvalues. l1_normalizers[m, j] are the column L1 norms of the dense
+    filter matrix diag(a) Phi diag(resp) Phi^T, i.e. the L1 norms of the
+    localized, measure-weighted wavelets.
     """
 
     spectra: list
     kernel: KernelSpec
     responses: np.ndarray            # (M, J, K)
-    scaling_responses: np.ndarray    # (M, K)
     l1_normalizers: np.ndarray       # (M, J, N)
     frame_bounds: np.ndarray         # (M, 2) = (B_low, B_high)
-    tighten: bool
 
     @property
     def n_directions(self):
@@ -124,19 +114,8 @@ class FilterBank:
     def n_vertices(self):
         return self.spectra[0].n
 
-    @property
-    def mass(self):
-        return self.spectra[0].mass
 
-
-@dataclass(frozen=True)
-class WaveletCoefficients:
-    wavelet: np.ndarray       # (M, J, N)
-    scaling: np.ndarray       # (M, N)
-    projections: np.ndarray   # (M, K) mass-weighted eigenbasis coordinates
-
-
-def build_filterbank(spectra, kernel, tighten=None):
+def build_filterbank(spectra, kernel):
     """Compute responses, frame bounds and L1 normalizers for a direction
     set sharing one mesh. Never materializes an N x N operator."""
     if not spectra:
@@ -146,8 +125,6 @@ def build_filterbank(spectra, kernel, tighten=None):
         if s.n != n or s.k != k:
             raise SpectrumMismatch(
                 f"spectra disagree: ({s.n}, {s.k}) vs ({n}, {k})")
-    if tighten is None:
-        tighten = kernel.tighten
 
     m = len(spectra)
     j = kernel.n_scales
@@ -155,13 +132,9 @@ def build_filterbank(spectra, kernel, tighten=None):
     scaling = np.empty((m, k))
     for mi, spec in enumerate(spectra):
         lam = spec.eigenvalues
-        scaling[mi] = kernel.low_pass(lam)
+        scaling[mi] = kernel_h(lam, kernel.cutoff)
         for ji, t in enumerate(kernel.scales):
-            responses[mi, ji] = kernel.band_pass(t * lam)
-        if tighten:
-            frame = np.sqrt(scaling[mi] ** 2 + (responses[mi] ** 2).sum(axis=0))
-            responses[mi] /= frame[None, :]
-            scaling[mi] /= frame
+            responses[mi, ji] = kernel_g(t * lam)
 
     frame_fn = scaling**2 + (responses**2).sum(axis=1)      # (M, K)
     bounds = np.stack([frame_fn.min(axis=1), frame_fn.max(axis=1)], axis=1)
@@ -194,9 +167,8 @@ def build_filterbank(spectra, kernel, tighten=None):
             f"L1 norm {normalizers[mi, ji, vi]:g}")
 
     return FilterBank(spectra=list(spectra), kernel=kernel,
-                      responses=responses, scaling_responses=scaling,
-                      l1_normalizers=normalizers, frame_bounds=bounds,
-                      tighten=bool(tighten))
+                      responses=responses, l1_normalizers=normalizers,
+                      frame_bounds=bounds)
 
 
 def _check_indices(bank, direction, scale):
@@ -215,44 +187,6 @@ def wavelet_at(bank, direction, scale, vertex):
     phi = spec.eigenvectors
     resp = bank.responses[direction, scale]
     return spec.mass[vertex] * (phi @ (resp * phi[vertex]))
-
-
-def analyze(bank, signal):
-    """Wavelet/scaling coefficients of a per-vertex signal (area-weighted
-    inner products with the localized wavelets)."""
-    signal = np.asarray(signal, dtype=np.float64)
-    if signal.shape != (bank.n_vertices,):
-        raise ValueError(
-            f"signal length {signal.shape} does not match {bank.n_vertices} vertices")
-    m, j, _ = bank.responses.shape
-    wavelet = np.empty((m, j, bank.n_vertices))
-    scaling = np.empty((m, bank.n_vertices))
-    projections = np.empty((m, bank.spectra[0].k))
-    for mi, spec in enumerate(bank.spectra):
-        sigma = spec.eigenvectors.T @ (spec.mass * signal)
-        projections[mi] = sigma
-        scaling[mi] = spec.mass * (spec.eigenvectors @ (bank.scaling_responses[mi] * sigma))
-        for ji in range(j):
-            wavelet[mi, ji] = spec.mass * (
-                spec.eigenvectors @ (bank.responses[mi, ji] * sigma))
-    return WaveletCoefficients(wavelet=wavelet, scaling=scaling,
-                               projections=projections)
-
-
-def synthesize(bank, coeffs, direction):
-    """Reconstruct a signal from one direction's coefficients.
-
-    Requires a tight bank; exact on the span of the computed eigenvectors.
-    """
-    if not bank.tighten:
-        raise NotTightFrame("synthesis requires a tightened filter bank")
-    _check_indices(bank, direction, 0)
-    spec = bank.spectra[direction]
-    phi = spec.eigenvectors
-    acc = bank.scaling_responses[direction] * (phi.T @ coeffs.scaling[direction])
-    for ji in range(bank.n_scales):
-        acc += bank.responses[direction, ji] * (phi.T @ coeffs.wavelet[direction, ji])
-    return phi @ acc
 
 
 def dense_filter_matrix(bank, direction, scale, normalized=False):

@@ -46,11 +46,10 @@ def perturbed_sphere(seed, subdivisions=1):
     return TriMesh(base.vertices * radii[:, None], base.faces.copy())
 
 
-def test_kernel(spectra, scales, tighten=True):
+def test_kernel(spectra, scales):
     """Mexican-hat kernel whose band-pass peaks span the actually sampled
     eigenvalue range (small test spectra are much narrower than the
     production default spread)."""
-    from wavemesh.wavelets import kernel_g, kernel_h
     lam = spectra[0].eigenvalues
     lam_max = max(s.lambda_max for s in spectra)
     lam_lo = max(float(lam[1]), lam_max / 40.0)
@@ -58,19 +57,15 @@ def test_kernel(spectra, scales, tighten=True):
         ts = np.array([2.0 / lam_max])
     else:
         ts = 1.0 / np.geomspace(lam_max, lam_lo, scales)
-    cutoff = 0.4 * lam_max
-    return KernelSpec(band_pass=kernel_g,
-                      low_pass=lambda x: kernel_h(x, cutoff),
-                      scales=ts, tighten=tighten)
+    return KernelSpec(scales=ts, cutoff=0.4 * lam_max)
 
 
-def build_bank_for(mesh, k, directions=1, alpha=0.0, scales=4, tighten=True):
+def build_bank_for(mesh, k, directions=1, alpha=0.0, scales=4):
     frames = estimate_frames(mesh)
     cfg = wm.AnisoConfig(alpha=alpha, theta=0.0, directions=directions)
     ops = [assemble_albo(mesh, frames, cfg.with_theta(t)) for t in cfg.angles()]
     spectra = [solve_eigs(o, k) for o in ops]
-    kernel = test_kernel(spectra, scales, tighten=tighten)
-    return build_filterbank(spectra, kernel, tighten=tighten)
+    return build_filterbank(spectra, test_kernel(spectra, scales))
 
 
 @pytest.fixture(scope="session")
@@ -96,9 +91,3 @@ def open_cylinder():
 @pytest.fixture(scope="session")
 def flat_grid():
     return grid_mesh(10, 10)
-
-
-@pytest.fixture(scope="session")
-def tiny_bank(ico1):
-    """Tight 2-direction bank on the 42-vertex icosphere."""
-    return build_bank_for(ico1, k=20, directions=2, alpha=50.0, scales=3)

@@ -122,7 +122,7 @@ class TestPrimitives:
 @pytest.fixture(scope="module")
 def bank_2x2():
     return build_bank_for(jittered_grid(4, 3, seed=8), k=10, directions=2,
-                          alpha=50.0, scales=2, tighten=False)
+                          alpha=50.0, scales=2)
 
 
 class TestTapeLifetime:
@@ -187,8 +187,7 @@ class TestTapeLifetime:
 class TestWaveletMix:
     def test_gradients_wrt_inputs_and_weights(self):
         mesh = jittered_grid(4, 3, seed=8)  # 20 vertices
-        bank = build_bank_for(mesh, k=10, directions=2, alpha=50.0, scales=2,
-                              tighten=False)
+        bank = build_bank_for(mesh, k=10, directions=2, alpha=50.0, scales=2)
         rng = np.random.default_rng(6)
         x = rng.standard_normal((mesh.n_vertices, 3))
         thetas = [[rng.standard_normal((3, 3)) for _ in range(2)]
@@ -214,8 +213,7 @@ class TestWaveletMixExact:
     @pytest.fixture(scope="class")
     def bank(self):
         mesh = jittered_grid(5, 4, seed=12)  # 30 vertices
-        return build_bank_for(mesh, k=12, directions=4, alpha=50.0, scales=4,
-                              tighten=False)
+        return build_bank_for(mesh, k=12, directions=4, alpha=50.0, scales=4)
 
     @pytest.mark.parametrize("n_dir, n_scale", [(4, 4)])
     def test_matches_per_filter_reference(self, bank, n_dir, n_scale):

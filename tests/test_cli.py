@@ -19,6 +19,7 @@ import pytest
 
 from wavemesh import cli, corresp, network, synth, wavelets
 from wavemesh.containers import read_container, write_container
+from wavemesh.curvature import estimate_frames
 from wavemesh.errors import DisconnectedMesh, ValidationError
 from wavemesh.mesh import TriMesh, load_mesh
 
@@ -141,14 +142,16 @@ def perturbed(run):
     return checkpoint, config
 
 
-@pytest.mark.parametrize("damage", ["zeros", "short"])
+@pytest.mark.parametrize("damage", ["zeros", "short", "name"])
 def test_checkpoint_perm_that_is_no_permutation_exits_4(run, perturbed,
                                                         tmp_path, damage):
     checkpoint, config = perturbed
     arrays, meta = read_container(checkpoint, "CKPT1")
     (name,) = [k for k in arrays if k.startswith("perm:")]
-    perm = arrays[name]
-    arrays[name] = np.zeros_like(perm) if damage == "zeros" else perm[:-1]
+    perm = arrays.pop(name)
+    damaged = {"zeros": (name, np.zeros_like(perm)),
+               "short": (name, perm[:-1]), "name": ("perm:x", perm)}
+    arrays.update([damaged[damage]])
     bad = tmp_path / "checkpoint.ckpt"
     write_container(bad, "CKPT1", arrays, meta=meta)
     assert _eval(run, tmp_path / "bad", "--config", config,
@@ -163,6 +166,63 @@ def test_unknown_key_in_checkpoint_experiment_exits_2(run, tmp_path):
     write_container(ckpt, "CKPT1", arrays, meta=meta)
     assert cli.main(["eval", "--checkpoint", str(ckpt), "--cache",
                      str(run.cache), "--out", str(tmp_path)]) == 2
+
+
+def _damaged_checkpoint(run, path, damage):
+    """The shared checkpoint with `damage(arrays, meta)` applied, at `path`."""
+    arrays, meta = read_container(run.train_out / "checkpoint.ckpt", "CKPT1")
+    damage(arrays, meta)
+    write_container(path, "CKPT1", arrays, meta=meta)
+    return path
+
+
+@pytest.mark.parametrize("damage", [
+    lambda a, m: m["model"].pop("n_classes"),
+    lambda a, m: m["model"].update(conv_layers="1"),
+    lambda a, m: a.pop("param:conv0.gamma"),
+    lambda a, m: m["model"].update(conv_layers=2),
+    lambda a, m: a.update({"param:head.b": a["param:head.b"][:-1]}),
+    lambda a, m: m.update(model=[1]),
+    lambda a, m: m["model"].update(no_such_key=1),
+], ids=["no-n_classes", "conv_layers-str", "no-gamma", "one-of-two-layers",
+        "short-head-bias", "model-list", "unknown-key"])
+def test_malformed_checkpoint_model_exits_4(run, tmp_path, damage):
+    ckpt = _damaged_checkpoint(run, tmp_path / "checkpoint.ckpt", damage)
+    assert _eval(run, tmp_path / "eval", checkpoint=ckpt) == 4
+    assert not (tmp_path / "eval" / "pairs.csv").exists()
+
+
+def test_checkpoint_saving_tighten_false_evaluates_unchanged(run, tmp_path):
+    # checkpoints written while filter banks could be tightened save
+    # "tighten": false for the bank that is still built
+    ckpt = _damaged_checkpoint(
+        run, tmp_path / "checkpoint.ckpt",
+        lambda a, m: m["experiment"].update(tighten=False))
+    assert _eval(run, tmp_path / "old", checkpoint=ckpt) == 0
+    assert _eval(run, tmp_path / "new") == 0
+    assert _outputs(tmp_path / "old") == _outputs(tmp_path / "new")
+
+
+def test_checkpoint_saving_tighten_true_exits_2(run, tmp_path, capsys):
+    ckpt = _damaged_checkpoint(
+        run, tmp_path / "checkpoint.ckpt",
+        lambda a, m: m["experiment"].update(tighten=True))
+    capsys.readouterr()
+    assert _eval(run, tmp_path / "eval", checkpoint=ckpt) == 2
+    assert "'tighten'" in capsys.readouterr().err
+    assert not (tmp_path / "eval" / "pairs.csv").exists()
+
+
+def test_float32_training_saves_float32_params_and_evaluates(run, tmp_path):
+    config = _json(tmp_path / "f32.json", {**MODEL, "float32": True})
+    assert _train(run.data, run.cache, tmp_path / "train", config) == 0
+    ckpt = tmp_path / "train" / "checkpoint.ckpt"
+    arrays, _ = read_container(ckpt, "CKPT1")
+    dtypes = {v.dtype for k, v in arrays.items() if k.startswith("param:")}
+    assert dtypes == {np.dtype(np.float32)}
+    assert _eval(run, tmp_path / "eval", checkpoint=ckpt) == 0
+    rows = (tmp_path / "eval" / "pairs.csv").read_text().splitlines()[1:]
+    assert rows and all(np.isfinite(float(r.rsplit(",", 1)[1])) for r in rows)
 
 
 def _dump(mesh, cache, out, config):
@@ -276,10 +336,37 @@ def test_wrongly_typed_config_value_exits_2(run, tmp_path):
                      tmp_path / "s", "--config", config) == 2
 
 
+def test_config_holding_the_removed_tighten_key_exits_2(run, tmp_path,
+                                                        capsys):
+    config = _json(tmp_path / "tighten.json", {"tighten": False})
+    assert _spectrum(run.data / "template.off", tmp_path / "cache",
+                     tmp_path / "s", "--config", config) == 2
+    assert "'tighten'" in capsys.readouterr().err
+
+
 def test_config_that_is_not_an_object_exits_2(run, tmp_path):
     config = _json(tmp_path / "list.json", [1])
     assert _spectrum(run.data / "template.off", tmp_path / "cache",
                      tmp_path / "s", "--config", config) == 2
+
+
+def test_training_labels_of_another_length_exit_2_before_any_bank(
+        run, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(run.data, data)
+    entry = json.loads((data / "manifest.json").read_text())["training"][0]
+    n = load_mesh(data / entry["mesh"]).n_vertices
+    (data / entry["labels"]).write_text("".join(f"{i}\n" for i in range(100)))
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    for spec in run.cache.glob("*.spec"):
+        shutil.copy2(spec, cache / spec.name)
+    capsys.readouterr()
+    assert _train(data, cache, tmp_path / "train", run.model) == 2
+    err = capsys.readouterr().err
+    assert entry["labels"] in err
+    assert "100 labels" in err and f"{n} vertices" in err
+    assert not list(cache.glob("*.fbk"))
 
 
 @pytest.mark.parametrize("config", [
@@ -561,3 +648,34 @@ def test_a_source_shared_by_pairs_is_described_once(run, tmp_path,
     single = (tmp_path / "single" / "pairs.csv").read_text().splitlines()
     double = (tmp_path / "double" / "pairs.csv").read_text().splitlines()
     assert double == single + single[1:]
+
+
+# --- the frames and mesh-info subcommands ------------------------------------
+
+
+def test_mesh_info_reports_the_closed_bar(run, capsys):
+    # bar resolution 2 is an 8 x 1 x 1 box: closed, a sphere's Euler
+    # characteristic and area 2 (8 + 8 + 1)
+    capsys.readouterr()
+    mesh = run.data / "template.off"
+    assert cli.main(["mesh-info", "--mesh", str(mesh)]) == 0
+    info = json.loads(capsys.readouterr().out)
+    assert info["vertices"] == 138
+    assert info["closed"] is True
+    assert info["euler_characteristic"] == 2
+    assert info["total_area"] == pytest.approx(34.0, rel=1e-14)
+
+
+def test_frames_csv_reads_back_as_the_estimated_frames(run, tmp_path):
+    mesh_path = run.data / "template.off"
+    assert cli.main(["frames", "--mesh", str(mesh_path),
+                     "--out", str(tmp_path)]) == 0
+    csv = tmp_path / "template.frames.csv"
+    frames = estimate_frames(load_mesh(mesh_path))
+    assert len(csv.read_text().splitlines()) == frames.n_vertices + 1
+    table = np.loadtxt(csv, delimiter=",", skiprows=1)
+    assert np.array_equal(table[:, 0], np.arange(frames.n_vertices))
+    assert np.array_equal(table[:, 1], frames.k_min)
+    assert np.array_equal(table[:, 2], frames.k_max)
+    assert np.array_equal(table[:, 3:6], frames.dir_max)
+    assert np.array_equal(table[:, 6], frames.umbilic)

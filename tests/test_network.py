@@ -20,8 +20,7 @@ def setup():
     from wavemesh.mesh import TriMesh
     mesh = TriMesh(base.vertices + np.array([0.3, 0.2, 0.1]),
                    base.faces.copy())
-    bank = build_bank_for(mesh, k=14, directions=2, alpha=50.0, scales=2,
-                          tighten=False)
+    bank = build_bank_for(mesh, k=14, directions=2, alpha=50.0, scales=2)
     return mesh, bank
 
 
@@ -171,8 +170,7 @@ class TestModelForward:
 def grid441():
     """A shape large enough that N-sized arrays dominate traced memory."""
     mesh = jittered_grid(20, 20, seed=3)  # 441 vertices
-    bank = build_bank_for(mesh, k=30, directions=2, alpha=50.0, scales=2,
-                          tighten=False)
+    bank = build_bank_for(mesh, k=30, directions=2, alpha=50.0, scales=2)
     return mesh, bank
 
 
@@ -294,8 +292,7 @@ class TestAdam:
 
 class TestTraining:
     def test_overfit_small_sphere(self, ico1):
-        bank = build_bank_for(ico1, k=20, directions=2, alpha=50.0, scales=3,
-                              tighten=False)
+        bank = build_bank_for(ico1, k=20, directions=2, alpha=50.0, scales=3)
         n = ico1.n_vertices
         cfg = nw.ModelConfig(n_classes=n, encoder_dims=(16, 32), conv_layers=2,
                              directions=2, scales=3, perturb=True, seed=0)
@@ -343,8 +340,7 @@ class TestFloat32:
     def test_float32_training_stays_float32_and_tracks_float64(self,
                                                                monkeypatch):
         mesh = jittered_grid(6, 5)
-        bank = build_bank_for(mesh, k=14, directions=2, alpha=50.0, scales=2,
-                              tighten=False)
+        bank = build_bank_for(mesh, k=14, directions=2, alpha=50.0, scales=2)
         n = mesh.n_vertices
         grad_dtypes = set()
         adam = nw.adam_step

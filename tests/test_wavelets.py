@@ -8,19 +8,17 @@ from hypothesis import strategies as st
 import wavemesh as wm
 from wavemesh import autodiff as ad
 from wavemesh import wavelets
-from wavemesh.errors import NotTightFrame, SpectrumMismatch
+from wavemesh.errors import SpectrumMismatch
 from wavemesh.mesh import TriMesh
 from wavemesh.operators import assemble_lbo
 from wavemesh.spectrum import Spectrum, solve_eigs
 from wavemesh.wavelets import (
     KernelSpec,
-    analyze,
     build_filterbank,
     dense_filter_matrix,
     kernel_g,
     kernel_h,
     select_scales,
-    synthesize,
     wavelet_at,
 )
 
@@ -34,14 +32,13 @@ def small_mesh():
 
 @pytest.fixture(scope="module")
 def small_bank(small_mesh):
-    return build_bank_for(small_mesh, k=15, directions=1, scales=4, tighten=True)
+    return build_bank_for(small_mesh, k=15, directions=1, scales=4)
 
 
 @pytest.fixture(scope="module")
 def aniso_bank_30():
     mesh = jittered_grid(5, 4, seed=12)  # 30 vertices
-    return build_bank_for(mesh, k=18, directions=4, alpha=50.0, scales=4,
-                          tighten=False)
+    return build_bank_for(mesh, k=18, directions=4, alpha=50.0, scales=4)
 
 
 class TestKernels:
@@ -93,12 +90,6 @@ class TestKernels:
 
 
 class TestBankConstruction:
-    def test_tight_frame_on_sampled_eigenvalues(self, small_bank):
-        resp = small_bank.responses
-        frame = small_bank.scaling_responses**2 + (resp**2).sum(axis=1)
-        assert np.abs(frame - 1.0).max() < 1e-10
-        assert np.abs(small_bank.frame_bounds - 1.0).max() < 1e-10
-
     def test_sixteen_filters(self, aniso_bank_30):
         assert aniso_bank_30.n_filters == 16
         assert aniso_bank_30.n_directions == 4
@@ -106,7 +97,10 @@ class TestBankConstruction:
 
     def test_untight_frame_bounds_reported(self, aniso_bank_30):
         resp = aniso_bank_30.responses
-        frame = aniso_bank_30.scaling_responses**2 + (resp**2).sum(axis=1)
+        cutoff = aniso_bank_30.kernel.cutoff
+        low = np.stack([kernel_h(s.eigenvalues, cutoff)
+                        for s in aniso_bank_30.spectra])
+        frame = low**2 + (resp**2).sum(axis=1)
         assert np.allclose(aniso_bank_30.frame_bounds[:, 0], frame.min(axis=1))
         assert np.allclose(aniso_bank_30.frame_bounds[:, 1], frame.max(axis=1))
 
@@ -132,8 +126,7 @@ class TestBankConstruction:
         # one-row panels, a ragged last panel (30 = 4 * 7 + 2), and a single
         # panel: each must give the full column sums of the dense matrix
         monkeypatch.setattr(wavelets, "L1_BLOCK", block)
-        bank = build_filterbank(aniso_bank_30.spectra, aniso_bank_30.kernel,
-                                tighten=aniso_bank_30.tighten)
+        bank = build_filterbank(aniso_bank_30.spectra, aniso_bank_30.kernel)
         for m in range(bank.n_directions):
             for j in range(bank.n_scales):
                 want = np.abs(dense_filter_matrix(bank, m, j)).sum(axis=0)
@@ -213,7 +206,7 @@ class TestLocalizedWavelets:
         remixed = Spectrum(eigenvalues=lam.copy(), eigenvectors=phi2,
                            mass=spec.mass.copy(), k=spec.k)
         from .conftest import test_kernel
-        kernel = test_kernel([spec], 3, tighten=True)
+        kernel = test_kernel([spec], 3)
         bank_a = build_filterbank([spec], kernel)
         bank_b = build_filterbank([remixed], kernel)
         for v in (2, 30):
@@ -228,67 +221,6 @@ class TestLocalizedWavelets:
             wavelet_at(small_bank, 0, 9, 0)
         with pytest.raises(IndexError):
             wavelet_at(small_bank, 0, 0, 10**6)
-
-
-class TestAnalysisSynthesis:
-    def test_eigenvector_input_gives_scaled_response(self, small_bank):
-        spec = small_bank.spectra[0]
-        k = 4
-        coeffs = analyze(small_bank, spec.eigenvectors[:, k])
-        for j in range(small_bank.n_scales):
-            want = spec.mass * small_bank.responses[0, j][k] \
-                * spec.eigenvectors[:, k]
-            assert np.abs(coeffs.wavelet[0, j] - want).max() < 1e-10
-
-    def test_constant_input(self, small_bank):
-        coeffs = analyze(small_bank, np.ones(small_bank.n_vertices))
-        assert np.abs(coeffs.wavelet).max() < 1e-10
-        assert np.abs(coeffs.scaling).max() > 1e-3
-
-    def test_matches_dense_oracle(self, aniso_bank_30):
-        rng = np.random.default_rng(0)
-        f = rng.standard_normal(aniso_bank_30.n_vertices)
-        coeffs = analyze(aniso_bank_30, f)
-        for m in range(aniso_bank_30.n_directions):
-            spec = aniso_bank_30.spectra[m]
-            for j in range(aniso_bank_30.n_scales):
-                dense = np.empty(spec.n)
-                for v in range(spec.n):
-                    psi_v = wavelet_at(aniso_bank_30, m, j, v)
-                    dense[v] = psi_v @ (spec.mass * f)
-                assert np.abs(coeffs.wavelet[m, j] - dense).max() < 1e-10
-
-    def test_parseval_reconstruction_in_span(self, small_bank):
-        rng = np.random.default_rng(1)
-        spec = small_bank.spectra[0]
-        f = spec.eigenvectors @ rng.standard_normal(spec.k)
-        rec = synthesize(small_bank, analyze(small_bank, f), 0)
-        assert np.linalg.norm(rec - f) / np.linalg.norm(f) < 1e-6
-
-    def test_constant_reconstructed_by_scaling_term(self, small_bank):
-        spec = small_bank.spectra[0]
-        phi0 = spec.eigenvectors[:, 0]
-        coeffs = analyze(small_bank, phi0)
-        rec = synthesize(small_bank, coeffs, 0)
-        assert np.abs(rec - phi0).max() < 1e-8
-        assert np.abs(coeffs.wavelet).max() < 1e-8  # wavelet terms vanish
-
-    def test_out_of_span_projects(self, small_bank):
-        rng = np.random.default_rng(2)
-        spec = small_bank.spectra[0]
-        f = rng.standard_normal(spec.n)
-        rec = synthesize(small_bank, analyze(small_bank, f), 0)
-        proj = spec.eigenvectors @ (spec.eigenvectors.T @ (spec.mass * f))
-        assert np.linalg.norm(rec - proj) / np.linalg.norm(proj) < 1e-6
-
-    def test_requires_tight_frame(self, aniso_bank_30):
-        coeffs = analyze(aniso_bank_30, np.ones(aniso_bank_30.n_vertices))
-        with pytest.raises(NotTightFrame):
-            synthesize(aniso_bank_30, coeffs, 0)
-
-    def test_length_mismatch(self, small_bank):
-        with pytest.raises(ValueError):
-            analyze(small_bank, np.ones(7))
 
 
 def apply_one(bank, direction, scale, x):
