@@ -256,6 +256,8 @@ def load_spectra(mesh, cfg, cache_dir, mesh_path, solve=False):
     frames = []  # estimated at the first miss, shared by every direction
     spectra = []
     for m, theta in enumerate(aniso.angles()):
+        solved = {}  # the provenance of a solve made on a miss
+
         def build():
             if not solve:
                 raise MissingCache(
@@ -265,6 +267,7 @@ def load_spectra(mesh, cfg, cache_dir, mesh_path, solve=False):
                 frames.append(_frames_for(mesh, cfg))
             spec = solve_eigs(
                 assemble_albo(mesh, frames[0], aniso.with_theta(theta)), k)
+            solved.update(spec.provenance)
             return {"eigenvalues": spec.eigenvalues,
                     "eigenvectors": spec.eigenvectors, "mass": spec.mass}
 
@@ -274,7 +277,10 @@ def load_spectra(mesh, cfg, cache_dir, mesh_path, solve=False):
                       float(cfg.curvature_radius)),
             cache_dir, mesh_path, build)
         if solve:
-            print(f"direction {m}: {'cached' if hit else 'computed'} ({path})")
+            print(f"direction {m}: {'cached' if hit else 'computed'} ({path})"
+                  + "".join(f", {name} {value:.3g}" if isinstance(value, float)
+                            else f", {name} {value}"
+                            for name, value in solved.items()))
         spectra.append(Spectrum(
             eigenvalues=arrays["eigenvalues"],
             eigenvectors=arrays["eigenvectors"], mass=arrays["mass"],
@@ -447,13 +453,15 @@ def run_evaluation(model, cfg, manifest_path, out_dir, verbose=False):
     cache_dir = cfg.cache_dir()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # the coordinates take the model's precision, as in training
+    dtype = next(iter(model.params.values())).dtype
 
     def describe(rel):
         mesh = load_mesh(root / rel)
         spectra = load_spectra(mesh, cfg, cache_dir, root / rel)
         bank = build_bank(spectra, cfg, cache_dir, root / rel)
-        return mesh, network.descriptors(model, mesh.vertices, bank,
-                                         mode=cfg.descriptor)
+        return mesh, network.descriptors(model, mesh.vertices.astype(dtype),
+                                         bank, mode=cfg.descriptor)
 
     results = []
     pooled_errors = []

@@ -1,12 +1,26 @@
 """Smallest-K eigenpairs of the generalized problem W phi = lambda A phi.
 
-The sparse path is shift-invert Lanczos (ARPACK) at a tiny negative shift,
-run in the mass inner product with a fixed start vector so repeated solves
-are bit-identical. Small or near-full requests fall back to a dense
-generalized solve. Every returned Spectrum is verified: eigenvalues
-ascending and non-negative, eigenvectors mass-orthonormal, relative
-residuals below RESIDUAL_TOL, signs canonicalized (largest-magnitude
-component positive).
+The mass A is lumped (diagonal), so the pencil is solved in the symmetric
+standard form of Manifold Harmonics (Vallet & Levy 2008): with
+d = 1/sqrt(A), C = diag(d) W diag(d) has the same eigenvalues, and its
+Euclidean-orthonormal eigenvectors y map to phi = d * y, whose mass Gram
+matrix phi^T A phi = y^T y is the identity at round-off. ARPACK therefore
+runs without a mass inner product: each Lanczos step is one sparse LU
+solve and no B-product.
+
+The sparse path is shift-invert Lanczos (ARPACK) at a tiny negative shift
+with a fixed start vector, so repeated solves are bit-identical.
+C - sigma I is factored once by SuperLU under the MMD_AT_PLUS_A ordering,
+a minimum-degree ordering of the symmetric pattern; on the res-10 bar its
+LU holds about a third fewer nonzeros than under the default COLAMD
+ordering. The Lanczos basis holds ncv = max(1.5 k + 1, 20) vectors (at
+most n) instead of ARPACK's 2k + 1, which cuts ARPACK's dense work per
+restart. Small or near-full requests fall back to a dense generalized
+solve. Every returned Spectrum is verified: eigenvalues ascending and
+non-negative, eigenvectors mass-orthonormal, relative residuals below
+RESIDUAL_TOL, signs canonicalized (largest-magnitude component positive).
+Its provenance records the solver, ncv (sparse path), the largest relative
+residual and the orthonormality error.
 """
 
 import logging
@@ -15,7 +29,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import (
+    ArpackError,
+    ArpackNoConvergence,
+    LinearOperator,
+    eigsh,
+    splu,
+)
 
 from .errors import FactorizationFailed, KTooLarge, NotConverged
 
@@ -35,8 +55,9 @@ class Spectrum:
     eigenvalues : (k,) ascending, >= 0
     eigenvectors : (n, k), columns mass-orthonormal, sign-canonicalized
     mass : (n,) lumped mass vector of the pencil
-    provenance : identifies the operator; the CLI's spectra carry their
-        cache key under "key"
+    provenance : how it was solved ("solver", "ncv" on the sparse path,
+        "max_residual", "ortho_error"); the CLI's cached spectra carry
+        their cache key under "key" instead
     """
 
     eigenvalues: np.ndarray
@@ -88,9 +109,9 @@ def solve_eigs(ops, k):
     mass = np.asarray(ops.mass, dtype=np.float64)
 
     if n <= DENSE_CUTOFF or k > n - 2:
-        vals, vecs = _dense_path(stiffness, mass, k)
+        vals, vecs, provenance = _dense_path(stiffness, mass, k)
     else:
-        vals, vecs = _arpack_path(stiffness, mass, k)
+        vals, vecs, provenance = _arpack_path(stiffness, mass, k)
 
     order = np.argsort(vals, kind="stable")
     vals = vals[order]
@@ -110,8 +131,9 @@ def solve_eigs(ops, k):
             f"verification failed: orthonormality {ortho_err:g}, "
             f"max residual {rel.max():g}", residuals=rel)
 
+    provenance.update(max_residual=float(rel.max()), ortho_error=ortho_err)
     return Spectrum(eigenvalues=vals, eigenvectors=vecs, mass=mass.copy(),
-                    k=k)
+                    k=k, provenance=provenance)
 
 
 def _dense_path(stiffness, mass, k):
@@ -121,25 +143,32 @@ def _dense_path(stiffness, mass, k):
         vals, vecs = eigh(w, np.diag(mass))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD mass
         raise FactorizationFailed(str(exc)) from exc
-    return vals[:k], vecs[:, :k]
+    return vals[:k], vecs[:, :k], {"solver": "dense"}
 
 
 def _arpack_path(stiffness, mass, k):
     n = stiffness.shape[0]
     sigma = -1e-6 * (stiffness.diagonal().mean() / mass.mean())
-    mass_mat = sparse.diags(mass).tocsc()
+    d = 1.0 / np.sqrt(mass)
+    scaling = sparse.diags(d)
+    standard = (scaling @ stiffness @ scaling).tocsc()
+    ncv = min(n, max(k + k // 2 + 1, 20))
     # fixed start vector makes repeated solves bit-identical
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        vals, vecs = eigsh(stiffness, k=k, M=mass_mat, sigma=sigma,
-                           which="LM", v0=v0, maxiter=20 * k)
+        lu = splu((standard - sigma * sparse.identity(n)).tocsc(),
+                  permc_spec="MMD_AT_PLUS_A")
+        vals, y = eigsh(standard, k=k, sigma=sigma, which="LM", v0=v0,
+                        ncv=ncv, maxiter=20 * k,
+                        OPinv=LinearOperator((n, n), matvec=lu.solve,
+                                             dtype=np.float64))
     except ArpackNoConvergence as exc:
         raise NotConverged(
             f"ARPACK stopped after {20 * k} iterations with "
             f"{len(exc.eigenvalues)} of {k} pairs converged") from exc
     except (ArpackError, RuntimeError) as exc:
         raise FactorizationFailed(str(exc)) from exc
-    return vals, vecs
+    return vals, d[:, None] * y, {"solver": "arpack", "ncv": ncv}
 
 
 def clamp_k(k, n):

@@ -16,8 +16,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
-from wavemesh import cli, corresp, network, synth, wavelets
+from wavemesh import cli, corresp, network, spectrum, synth, wavelets
 from wavemesh.containers import read_container, write_container
 from wavemesh.curvature import estimate_frames
 from wavemesh.errors import DisconnectedMesh, ValidationError
@@ -213,44 +214,70 @@ def test_checkpoint_saving_tighten_true_exits_2(run, tmp_path, capsys):
     assert not (tmp_path / "eval" / "pairs.csv").exists()
 
 
-def test_float32_training_saves_float32_params_and_evaluates(run, tmp_path):
+def test_float32_training_saves_float32_params_and_evaluates(run, tmp_path,
+                                                            monkeypatch):
     config = _json(tmp_path / "f32.json", {**MODEL, "float32": True})
     assert _train(run.data, run.cache, tmp_path / "train", config) == 0
     ckpt = tmp_path / "train" / "checkpoint.ckpt"
     arrays, _ = read_container(ckpt, "CKPT1")
     dtypes = {v.dtype for k, v in arrays.items() if k.startswith("param:")}
     assert dtypes == {np.dtype(np.float32)}
+    described = []
+    original = network.descriptors
+
+    def recorded(*args, **kwargs):
+        out = original(*args, **kwargs)
+        described.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(network, "descriptors", recorded)
     assert _eval(run, tmp_path / "eval", checkpoint=ckpt) == 0
+    assert described and set(described) == {np.dtype(np.float32)}
     rows = (tmp_path / "eval" / "pairs.csv").read_text().splitlines()[1:]
     assert rows and all(np.isfinite(float(r.rsplit(",", 1)[1])) for r in rows)
 
 
-def _dump(mesh, cache, out, config):
+def _dump(mesh, cache, out, config, *extra):
     assert cli.main(["wavelet-dump", "--mesh", str(mesh), "--k", K,
                      "--config", config, "--cache", str(cache),
                      "--out", str(out), "--vertex", "5", "--direction", "1",
-                     "--scale", "1"]) == 0
+                     "--scale", "1", *extra]) == 0
     (csv,) = out.glob("wavelet_*.csv")
     return np.loadtxt(csv, delimiter=",", skiprows=1)[:, 1]
 
 
-def test_changed_curvature_radius_rebuilds_the_bank(run, tmp_path):
-    # kernel_lambda_max is pinned as in training, so only the spectra's
-    # content can tell the two banks apart
+# two values of each field that keys a SPEC1 or FBK1 file; kernel_lambda_max
+# is given as a multiple of the lambda_max pinned by training
+KEYED_FIELDS = {"curvature_radius": (0.0, 0.2), "alpha": (50.0, 20.0),
+                "k": (20, 10), "scales": (2, 3), "kernel_lambda_max": (1.0, 2.0)}
+
+
+@pytest.mark.parametrize("field", KEYED_FIELDS)
+def test_changed_keyed_field_rebuilds_the_bank(run, tmp_path, field):
+    # kernel_lambda_max is pinned as in training, so only the changed field
+    # can tell the two banks apart
     mesh = run.data / "template.off"
-    cache = tmp_path / "cache"
-    values = {}
-    for radius in (0.0, 0.2):
-        config = _json(tmp_path / f"r{radius}.json", {
-            **MODEL, "curvature_radius": radius,
-            "kernel_lambda_max": run.lambda_max})
-        assert _spectrum(mesh, cache, tmp_path / "s", "--config", config) == 0
-        values[radius] = _dump(mesh, cache, tmp_path / f"dump{radius}", config)
-    assert _spectrum(mesh, tmp_path / "fresh", tmp_path / "s",
-                     "--config", config) == 0
-    fresh = _dump(mesh, tmp_path / "fresh", tmp_path / "dump-fresh", config)
-    assert not np.allclose(values[0.0], fresh)
-    assert np.array_equal(values[0.2], fresh)
+
+    def dump(cache, value, name):
+        settings = {**MODEL, "kernel_lambda_max": run.lambda_max,
+                    field: value}
+        if field == "kernel_lambda_max":
+            settings[field] *= run.lambda_max
+        config = _json(tmp_path / f"{name}.json", settings)
+        k = ("--k", str(settings.get("k", K)))  # the flag overrides the config
+        assert _spectrum(mesh, cache, tmp_path / "s", "--config", config,
+                         *k) == 0
+        # scale 1 sees only the first few eigenpairs of this bar, so a
+        # change of k shows at scale 0
+        return _dump(mesh, cache, tmp_path / f"dump-{name}", config, *k,
+                     "--scale", "0" if field == "k" else "1")
+
+    first, second = KEYED_FIELDS[field]
+    before = dump(tmp_path / "cache", first, "first")
+    after = dump(tmp_path / "cache", second, "second")
+    fresh = dump(tmp_path / "fresh", second, "fresh")
+    assert not np.allclose(before, fresh)
+    assert np.array_equal(after, fresh)
 
 
 def test_datasets_sharing_a_cache_keep_their_own_spectra(run, tmp_path):
@@ -318,6 +345,19 @@ def test_overflowing_kernel_exits_3_and_caches_no_bank(run, tmp_path):
                      "--out", str(tmp_path), "--vertex", "5"]) == 3
     assert set(run.cache.glob("*.fbk")) == banks
     assert not list(tmp_path.glob("wavelet_*.csv"))
+
+
+def test_unconverged_eigensolve_exits_3_and_caches_no_spectrum(
+        run, tmp_path, monkeypatch, capsys):
+    def stalled(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.zeros(0),
+                                  np.zeros((0, 0)))
+
+    monkeypatch.setattr(spectrum, "eigsh", stalled)
+    cache = tmp_path / "cache"
+    assert _spectrum(run.data / "template.off", cache, tmp_path / "s") == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not list(cache.glob("*.spec"))
 
 
 def test_unknown_subcommand_exits_1():

@@ -1,14 +1,23 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg import ArpackNoConvergence
 
 import wavemesh as wm
-from wavemesh.errors import KTooLarge
+from wavemesh import spectrum
+from wavemesh.curvature import estimate_frames
+from wavemesh.errors import FactorizationFailed, KTooLarge, NotConverged
 from wavemesh.mesh import TriMesh
-from wavemesh.operators import assemble_lbo
-from wavemesh.spectrum import solve_eigs
+from wavemesh.operators import AnisoConfig, assemble_albo, assemble_lbo
+from wavemesh.spectrum import RESIDUAL_TOL, solve_eigs
 
 from .conftest import grid_mesh, perturbed_sphere
+
+
+def relative_residuals(ops, spec):
+    resid = ops.stiffness @ spec.eigenvectors \
+        - spec.mass[:, None] * spec.eigenvectors * spec.eigenvalues
+    return np.linalg.norm(resid, axis=0) / np.maximum(spec.eigenvalues, 1.0)
 
 
 def dense_oracle(ops, k):
@@ -40,10 +49,7 @@ class TestBasics:
         assert (spec.eigenvalues >= 0).all()
         gram = spec.eigenvectors.T @ (spec.mass[:, None] * spec.eigenvectors)
         assert np.abs(gram - np.eye(25)).max() < 1e-8
-        resid = ops.stiffness @ spec.eigenvectors \
-            - spec.mass[:, None] * spec.eigenvectors * spec.eigenvalues
-        rel = np.linalg.norm(resid, axis=0) / np.maximum(spec.eigenvalues, 1.0)
-        assert rel.max() < 1e-8
+        assert relative_residuals(ops, spec).max() < 1e-8
 
     def test_sign_canonicalization(self, ico1):
         spec = solve_eigs(assemble_lbo(ico1), 10)
@@ -75,10 +81,62 @@ class TestAgainstDenseOracle:
         vals, _ = dense_oracle(ops, k)
         scale = max(abs(vals[-1]), 1.0)
         assert np.abs(spec.eigenvalues - np.maximum(vals, 0)).max() < 1e-8 * scale
-        resid = ops.stiffness @ spec.eigenvectors \
-            - spec.mass[:, None] * spec.eigenvectors * spec.eigenvalues
-        rel = np.linalg.norm(resid, axis=0) / np.maximum(spec.eigenvalues, 1.0)
-        assert rel.max() < 1e-8
+        assert relative_residuals(ops, spec).max() < 1e-8
+
+    @pytest.mark.parametrize("theta", [0.0, np.pi / 2])
+    def test_anisotropic_operator_beyond_the_lanczos_basis(self, theta):
+        # the operator the pipeline solves: an ALBO at alpha=50, on a mesh
+        # with more vertices than the Lanczos basis holds
+        mesh = wm.gen_base("bar", 3)
+        ops = assemble_albo(mesh, estimate_frames(mesh),
+                            AnisoConfig(alpha=50.0, theta=theta))
+        k = 100
+        spec = solve_eigs(ops, k)
+        assert spec.provenance["solver"] == "arpack"
+        assert spec.provenance["ncv"] < mesh.n_vertices
+        vals, _ = dense_oracle(ops, k)
+        assert np.abs(spec.eigenvalues - np.maximum(vals, 0)).max() \
+            < 1e-8 * vals[-1]
+        assert relative_residuals(ops, spec).max() < 1e-8
+        gram = spec.eigenvectors.T @ (spec.mass[:, None] * spec.eigenvectors)
+        assert np.abs(gram - np.eye(k)).max() < 1e-8
+        assert spec.provenance["max_residual"] < 1e-8
+        assert spec.provenance["ortho_error"] < 1e-8
+
+
+class TestFailurePaths:
+    """Each way the sparse path can fail raises its NumericalError."""
+
+    def test_arpack_no_convergence_raises_not_converged(self, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.zeros(3),
+                                      np.zeros((42, 3)))
+
+        monkeypatch.setattr(spectrum, "eigsh", stalled)
+        with pytest.raises(NotConverged, match="3 of 30 pairs"):
+            solve_eigs(assemble_lbo(perturbed_sphere(0)), 30)
+
+    def test_singular_factor_raises_factorization_failed(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(spectrum, "splu", singular)
+        with pytest.raises(FactorizationFailed, match="singular"):
+            solve_eigs(assemble_lbo(perturbed_sphere(0)), 30)
+
+    def test_residual_above_tolerance_raises_with_residuals(self,
+                                                            monkeypatch):
+        original = spectrum.eigsh
+
+        def inexact(*args, **kwargs):
+            vals, vecs = original(*args, **kwargs)
+            return vals * (1.0 + 1e-5), vecs
+
+        monkeypatch.setattr(spectrum, "eigsh", inexact)
+        with pytest.raises(NotConverged, match="max residual") as info:
+            solve_eigs(assemble_lbo(perturbed_sphere(0)), 30)
+        assert info.value.residuals.shape == (30,)
+        assert info.value.residuals.max() > RESIDUAL_TOL
 
 
 class TestDeterminismAndScaling:
