@@ -23,6 +23,7 @@ The tape keeps only what backward needs:
 import numpy as np
 
 from .errors import SingleVertexShape
+from .wavelets import passbands
 
 SELU_SCALE = 1.05070098
 SELU_ALPHA = 1.67326324
@@ -204,19 +205,24 @@ def wavelet_mix(x, thetas, bank):
 
     thetas is an M x J nested list of Tensors, one per filter of the bank;
     any other grid raises ValueError. The filters are mixed in the K-dim
-    eigenbasis. Per direction the forward projects once,
-    C = Phi^T (A x), mixes each scale in coefficient space,
-    P_j = (r_j * C) theta_j, and synthesizes all J scales with one
-    N x K x (J E) product whose rows of scale j are divided by that scale's
-    L1 normalizers. The backward computes H = Phi^T [g/n_1 | ... | g/n_J]
-    once and shares it: the theta-gradients are (r_j * C)^T H_j and the
-    x-gradient is A * Phi sum_j r_j * (H_j theta_j^T).
+    eigenbasis, each over its passband of K_mj eigenpairs
+    (``wavelets.passbands``), past which its responses are below round-off.
+    Per direction the forward projects once, C = Phi^T (A x); per scale it
+    mixes in coefficient space, P_j = (r_j * C)[:K_mj] theta_j, synthesizes
+    Phi[:, :K_mj] P_j into one reused N x E buffer, divides its rows by the
+    scale's L1 normalizers in place and adds it to the output. The backward
+    computes H_j = Phi[:, :K_mj]^T (g / n_j) once per incoming gradient
+    through one reused N x E buffer: the theta-gradients are
+    (r_j * C)[:K_mj]^T H_j and the x-gradient is
+    A * Phi sum_j r_j * (H_j theta_j^T), with H_j's rows past K_mj zero.
 
     Cost per direction, forward and backward together, for N vertices,
-    K eigenpairs and D x D mixing matrices: 2(J + 1) N K D multiply-adds
-    for projection and synthesis plus 3J K D^2 for the mixing, about
-    11 N K D at J = 4, N = 1226 and K = D = 128. Mixing the filtered N x D
-    maps instead costs 3J N D^2, about 22 N K D in total there, and keeps
+    K eigenpairs, passbands K_j <= K and D x E mixing matrices:
+    2 N K D multiply-adds for the projection and the x-synthesis,
+    2 N (sum_j K_j) E for the per-scale synthesis and H, and
+    3 (sum_j K_j) D E for the mixing; about 11 N K D when every K_j = K,
+    at J = 4, N = 1226 and K = D = E = 128. Mixing the filtered N x D maps
+    instead costs 3J N D^2, about 22 N K D in total there, and keeps
     M J N x D maps on the tape where this keeps M J K x D arrays.
     """
     n_dir, n_scale = bank.n_directions, bank.n_scales
@@ -228,23 +234,30 @@ def wavelet_mix(x, thetas, bank):
     v = x.value
     dtype = v.dtype
     x_shape = v.shape
-    n = len(v)
+    bands = passbands(bank.responses)
+    k = bank.responses.shape[2]
+    e = thetas[0][0].value.shape[1]
     dirs = []
-    scaled = []     # r_j * C per direction, (J, K, D)
-    out = None
+    # r_j * C and H are kept whole, (J, K, D) and (J, K, E) per direction,
+    # and sliced to each passband: arrays of one size per direction keep
+    # the heap from fragmenting, where K_j-sized ones raised peak RSS
+    scaled = []
+    out = np.zeros((len(v), e), dtype)
+    buf = np.empty_like(out)
+    mixed = np.empty((k, e), dtype)
     for m, row in enumerate(thetas):
         spec = bank.spectra[m]
         phi = spec.eigenvectors.astype(dtype, copy=False)
         mass = spec.mass.astype(dtype, copy=False)
-        resp = bank.responses[m].astype(dtype)[:, :, None]
-        inv_norm = (1.0 / bank.l1_normalizers[m].T).astype(dtype)
-        theta = np.stack([t.value for t in row])                # (J, D, E)
-        rc = resp * (phi.T @ (mass[:, None] * v))               # (J, K, D)
-        mixed = (rc @ theta).transpose(1, 0, 2).reshape(phi.shape[1], -1)
-        synth = (phi @ mixed).reshape(n, n_scale, -1)           # (N, J, E)
-        term = np.einsum("nje,nj->ne", synth, inv_norm)
-        out = term if out is None else out + term
-        dirs.append((phi, mass, resp, inv_norm, theta))
+        resp = bank.responses[m].astype(dtype)
+        inv_norm = (1.0 / bank.l1_normalizers[m]).astype(dtype)[:, :, None]
+        rc = resp[:, :, None] * (phi.T @ (mass[:, None] * v))   # (J, K, D)
+        for j, (t, kb) in enumerate(zip(row, bands[m])):
+            np.matmul(rc[j, :kb], t.value, out=mixed[:kb])
+            np.matmul(phi[:, :kb], mixed[:kb], out=buf)
+            buf *= inv_norm[j]
+            out += buf
+        dirs.append((phi, mass, resp, inv_norm, [t.value for t in row]))
         scaled.append(rc)
 
     memo = {}
@@ -253,22 +266,30 @@ def wavelet_mix(x, thetas, bank):
         # H per direction, computed once per incoming gradient: backward
         # hands the same g object to the x-vjp and every theta-vjp
         if memo.get("g") is not g:
-            memo["g"] = g
-            memo["h"] = [
-                (phi.T @ np.einsum("ne,nj->nje", g, inv_norm).reshape(n, -1))
-                .reshape(phi.shape[1], n_scale, -1).transpose(1, 0, 2)
-                for phi, _, _, inv_norm, _ in dirs]
+            work = np.empty_like(g)
+            hs = []
+            for (phi, _, _, inv_norm, _), kbs in zip(dirs, bands):
+                h = np.zeros((n_scale, k, g.shape[1]), g.dtype)
+                for j, kb in enumerate(kbs):
+                    np.multiply(g, inv_norm[j], out=work)
+                    np.matmul(phi[:, :kb].T, work, out=h[j, :kb])
+                hs.append(h)
+            memo["g"], memo["h"] = g, hs
         return memo["h"]
 
     def vjp_x(g):
         gx = np.zeros(x_shape, dtype)
-        for (phi, mass, resp, _, theta), h in zip(dirs, coeff_grads(g)):
-            acc = (resp * (h @ theta.transpose(0, 2, 1))).sum(axis=0)
+        for (phi, mass, resp, _, theta), h, kbs in zip(dirs, coeff_grads(g),
+                                                       bands):
+            acc = np.zeros((k, x_shape[1]), dtype)              # (K, D)
+            for j, kb in enumerate(kbs):
+                acc[:kb] += resp[j, :kb, None] * (h[j, :kb] @ theta[j].T)
             gx += mass[:, None] * (phi @ acc)
         return gx
 
     def make_vjp_theta(m, j):
-        return lambda g: scaled[m][j].T @ coeff_grads(g)[m][j]
+        kb = bands[m, j]
+        return lambda g: scaled[m][j, :kb].T @ coeff_grads(g)[m][j, :kb]
 
     parents = [(x, vjp_x)]
     for m, row in enumerate(thetas):

@@ -56,12 +56,6 @@ class CorrespondenceResult:
     average_geodesic_error: float
     cge: np.ndarray
 
-    def fraction_at(self, radius):
-        idx = np.searchsorted(self.cge[:, 0], radius + 1e-15) - 1
-        if idx < 0:
-            raise IndexError(f"radius {radius} below the evaluated range")
-        return float(self.cge[idx, 1])
-
 
 def match_nn(desc_source, desc_target):
     """Per-source index of the L2-nearest target row; ties break to the

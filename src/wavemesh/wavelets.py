@@ -11,12 +11,21 @@ at vertex v is
 The low-pass companion h(lambda) enters only the frame bounds, the min and
 max over the sampled eigenvalues of h(l)^2 + sum_j g(t_j l)^2.
 
+Each scale is applied only over its passband. ``passbands`` gives, per
+direction m and scale j, the length K_mj of the prefix of eigenpairs that
+ends at the last one whose response g(t_j lambda_mk) is above
+eps * max_k g(t_j lambda_mk) (float64 eps): every term dropped past it is
+below round-off next to the filter's largest term. Coarse scales pass only
+the low end of the basis, so K_mj is often well below K. The passbands are
+derived from the stored responses and are not stored themselves.
+
 Each wavelet column is divided by its L1 norm, sum_u a(u) |S(u, v)| with
 S = Phi diag(r) Phi^T. ``build_filterbank`` computes these normalizers
-exactly from the upper triangle of the symmetric S, one row panel of
-L1_BLOCK rows at a time, in O(M J N^2 K / 2) multiply-adds for M
-directions, J scales, N vertices and K eigenpairs. They agree with the
-full column sums to about 1e-14 relative (round-off only).
+from the upper triangle of the symmetric S, one row panel of L1_BLOCK rows
+at a time, over each filter's passband, in O(M N^2 sum_j K_mj / 2)
+multiply-adds for M directions, J scales, N vertices and K_mj <= K
+eigenpairs. They agree with the full-K column sums to about 1e-14
+relative (round-off only).
 """
 
 from dataclasses import dataclass
@@ -26,8 +35,9 @@ import numpy as np
 from .errors import SpectrumMismatch, ZeroColumnNorm
 
 # rows per upper-triangle panel of S for the L1 normalizers: a panel holds
-# L1_BLOCK x N floats at most, the whole pass costs O(M J N^2 K / 2) and
-# matches the full column sums to about 1e-14 relative
+# L1_BLOCK x N floats at most, the whole pass over the passbands costs
+# O(M N^2 sum_j K_mj / 2) and matches the full-K column sums to about
+# 1e-14 relative
 L1_BLOCK = 256
 DEFAULT_SCALE_SPREAD = 40.0  # band-pass peaks cover [lambda_max/40, lambda_max]
 DEFAULT_CUTOFF_FRACTION = 0.4
@@ -107,12 +117,24 @@ class FilterBank:
         return self.responses.shape[1]
 
     @property
-    def n_filters(self):
-        return self.n_directions * self.n_scales
-
-    @property
     def n_vertices(self):
         return self.spectra[0].n
+
+
+def passbands(responses):
+    """(M, J) int array of passband lengths for (M, J, K) responses.
+
+    K_mj is 1 plus the index of the last eigenpair whose response is above
+    eps * max_k responses[m, j, k] (float64 eps), so the kept set is the
+    prefix [0, K_mj); zeros before that index, such as g(0) at a null
+    eigenvalue, stay inside it. A filter with no response above the
+    threshold, including one whose responses are NaN or inf, gets 0.
+    """
+    responses = np.asarray(responses, dtype=np.float64)
+    tol = np.finfo(np.float64).eps * responses.max(axis=-1, keepdims=True)
+    above = responses > tol
+    last = responses.shape[-1] - np.argmax(above[..., ::-1], axis=-1)
+    return np.where(above.any(axis=-1), last, 0)
 
 
 def build_filterbank(spectra, kernel):
@@ -143,13 +165,16 @@ def build_filterbank(spectra, kernel):
     # sum_u a(u) |S(u, v)| is gathered from the panels on and above the
     # diagonal: panel P = S[s:e, s:] adds its a-weighted row sums to the
     # columns s: and, right of its diagonal block, its a-weighted column
-    # sums to the rows s:e
+    # sums to the rows s:e. Each filter sums only over its passband; one
+    # with an empty passband keeps zero norms and fails the check below
+    bands = passbands(responses)
     normalizers = np.zeros((m, j, n))
     for mi, spec in enumerate(spectra):
-        phi = spec.eigenvectors
         mass = spec.mass
         for ji in range(j):
-            scaled = phi * responses[mi, ji]                 # (N, K)
+            kb = bands[mi, ji]
+            phi = spec.eigenvectors[:, :kb]
+            scaled = phi * responses[mi, ji, :kb]            # (N, K_mj)
             norm = normalizers[mi, ji]
             for s in range(0, n, L1_BLOCK):
                 e = min(s + L1_BLOCK, n)

