@@ -2,7 +2,7 @@
 meshes, a trainable multi-scale convolution pipeline, and a dense
 shape-correspondence benchmark harness."""
 
-from .corresp import CorrespondenceResult, evaluate, geodesic_from, match_nn
+from .corresp import CorrespondenceResult, evaluate, match_nn
 from .curvature import PrincipalFrames, estimate_frames
 from .mesh import TriMesh, load_mesh, vertex_mass, write_off
 from .network import Model, ModelConfig, TrainItem, train

@@ -113,11 +113,6 @@ def _edge_graph(mesh):
     return sparse.csr_matrix((lengths, (e[:, 0], e[:, 1])), shape=(n, n))
 
 
-def geodesic_from(mesh, source):
-    """Graph geodesic distances from one source vertex."""
-    return geodesic_rows(mesh, np.asarray([source]))[0]
-
-
 def geodesic_rows(mesh, sources):
     """Distances from several sources at once, shape (len(sources), n)."""
     sources = np.asarray(sources, dtype=np.int64)

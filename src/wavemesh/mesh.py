@@ -4,9 +4,22 @@ A TriMesh is immutable after construction: vertex positions, triangle
 connectivity and all derived fields (face areas and normals, area-weighted
 vertex normals, per-vertex Voronoi mass) are computed once and the arrays
 are marked read-only, so instances are safe to share between threads.
+
+Edges are found without per-face Python: each undirected edge gets one
+int64 key lo * n + hi (n vertices, lo < hi), and one `np.unique` of the
+keys gives the edges and their face counts. Sorting the keys sorts the
+edges by (lo, hi), so `edges` holds the rows of a row-wise unique in the
+same order, and `synth.remesh` finds an edge's row by a binary search of
+its key.
+
+OFF files are read and written without per-value Python steps: the
+reader splits each line once and converts the tokens of each chunk of
+lines in one pass, and the writer formats values from `.tolist()` and
+streams the lines to the file.
 """
 
 import hashlib
+from itertools import chain
 
 import numpy as np
 
@@ -21,6 +34,9 @@ from .errors import (
 # Faces whose area falls below this fraction of the squared bounding-box
 # diagonal are rejected as degenerate, so the threshold is unit-free.
 DEGENERACY_FACTOR = 1e-12
+
+# OFF lines converted per pass: bounds the token lists alive at once
+OFF_CHUNK = 1024
 
 
 class TriMesh:
@@ -148,10 +164,15 @@ class TriMesh:
         return out
 
     def _collect_edges(self):
+        # One int64 key lo * n + hi per undirected edge: sorting the keys
+        # sorts the edges by (lo, hi), the row order of a row-wise unique.
+        n = self.n_vertices
         f = self.faces
-        directed = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-        und = np.sort(directed, axis=1)
-        edges, counts = np.unique(und, axis=0, return_counts=True)
+        tail = f.T.ravel()
+        head = f[:, [1, 2, 0]].T.ravel()
+        keys, counts = np.unique(np.minimum(tail, head) * n
+                                 + np.maximum(tail, head), return_counts=True)
+        edges = np.stack([keys // n, keys % n], axis=1)
         if self.faces.size:
             if counts.max() > 2:
                 e = edges[np.argmax(counts)]
@@ -159,13 +180,13 @@ class TriMesh:
                     f"edge ({e[0]}, {e[1]}) has {counts.max()} incident faces")
             # On a manifold mesh, consistent orientation means the two faces
             # sharing an edge traverse it in opposite directions.
-            key = directed[:, 0] * self.n_vertices + directed[:, 1]
-            order = np.argsort(key, kind="stable")
-            dup = np.nonzero(np.diff(key[order]) == 0)[0]
+            directed = np.sort(tail * n + head)
+            dup = np.flatnonzero(directed[1:] == directed[:-1])
             if dup.size:
-                e = directed[order[dup[0]]]
+                key = directed[dup[0]]
                 raise InconsistentOrientation(
-                    f"edge ({e[0]}, {e[1]}) traversed twice in the same direction")
+                    f"edge ({key // n}, {key % n}) traversed twice in the "
+                    "same direction")
         return edges, counts
 
 
@@ -232,7 +253,7 @@ def load_mesh(path):
     path = str(path)
     lower = path.lower()
     if lower.endswith(".off"):
-        return _read_off(path)
+        return TriMesh(*_read_off(path))
     if lower.endswith(".obj"):
         return _read_obj(path)
     raise ParseError(f"cannot infer format from {path!r}")
@@ -246,68 +267,119 @@ def _significant_lines(path):
                 yield lineno, line
 
 
-def _read_off(path):
-    lines = _significant_lines(path)
+def _tokens_to_array(rows, width, convert, dtype):
+    """The first `width` tokens of every row of tokens, each converted once,
+    as one (len(rows), width) array; None if a row is short or a token does
+    not convert."""
+    count = len(rows) * width
+    widths = set(map(len, rows))
+    if widths and min(widths) < width:
+        return None
+    if widths != {width}:
+        rows = (row[:width] for row in rows)
     try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise ParseError("empty file", path, 1) from None
-    counts_tok = None
+        flat = np.fromiter(map(convert, chain.from_iterable(rows)), dtype,
+                           count=count)
+    except ValueError:
+        return None
+    return flat.reshape(-1, width)
+
+
+def _check_vertex_line(tok, path, lineno):
+    if len(tok) < 3:
+        raise ParseError("vertex line needs 3 coordinates", path, lineno)
+    try:
+        list(map(float, tok[:3]))
+    except ValueError:
+        raise ParseError("malformed vertex line", path, lineno) from None
+
+
+def _check_face_line(tok, path, lineno):
+    try:
+        count = int(tok[0])
+    except ValueError:
+        raise ParseError("malformed face line", path, lineno) from None
+    if count != 3:
+        raise NonTriangleFace(f"{path}:{lineno}: face with {count} vertices")
+    if len(tok) < 4:
+        raise ParseError("face line needs 3 indices", path, lineno)
+    try:
+        list(map(int, tok[1:4]))
+    except ValueError:
+        raise ParseError("malformed face index", path, lineno) from None
+
+
+def _off_block(path, lines, sig, start, n, what, check_line, width, convert,
+               dtype, valid=None):
+    """The (n, width) array of the `n` significant lines from `sig[start]`
+    on, converted OFF_CHUNK lines at a time so that few token lists are
+    alive at once. A chunk that does not convert whole, or fails `valid`,
+    is checked line by line to raise the first bad line's error."""
+    idx = sig[start:start + n]
+    out = np.empty((len(idx), width), dtype)
+    for s in range(0, len(idx), OFF_CHUNK):
+        chunk = idx[s:s + OFF_CHUNK]
+        rows = [lines[i].split() for i in chunk]
+        part = _tokens_to_array(rows, width, convert, dtype)
+        if part is None or (valid is not None and not valid(part)):
+            for i, tok in zip(chunk, rows):
+                check_line(tok, path, i + 1)
+        out[s:s + len(chunk)] = part
+    if len(idx) < n:
+        raise ParseError(f"expected {n} {what}, got {len(idx)}", path,
+                         sig[start + len(idx) - 1] + 1)
+    return out
+
+
+def _read_off(path):
+    """Vertex and face arrays of an OFF file, parsed in whole blocks; the
+    parser's lines and tokens are freed before the TriMesh is built.
+
+    The file is read and split into lines once, comments are cut and the
+    significant (non-blank) lines are found in one pass. Each vertex and
+    face line is then split once and its tokens converted once, by
+    `np.fromiter` over a chunk of lines; only a chunk that fails is checked
+    line by line, to raise the first bad line's error with its number.
+    """
+    with open(path, "r") as fh:
+        text = fh.read()
+    # the lines, numbered from 0, that iterating the file would give
+    lines = text.split("\n")
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    del text
+    sig = [i for i, line in enumerate(lines) if line and not line.isspace()]
+    if not sig:
+        raise ParseError("empty file", path, 1)
+
+    header = lines[sig[0]].strip()
     if header == "OFF":
-        pass
+        if len(sig) < 2:
+            raise ParseError("missing counts line", path, sig[0] + 1)
+        start = 2
+        tok = lines[sig[1]].split()
     elif header.startswith("OFF"):
-        counts_tok = (lineno, header[3:].split())
+        start = 1
+        tok = header[3:].split()
     else:
-        raise ParseError("missing OFF header", path, lineno)
-    if counts_tok is None:
-        try:
-            lineno, counts_line = next(lines)
-        except StopIteration:
-            raise ParseError("missing counts line", path, lineno) from None
-        counts_tok = (lineno, counts_line.split())
-    lineno, tok = counts_tok
+        raise ParseError("missing OFF header", path, sig[0] + 1)
+    counts_line = sig[start - 1] + 1
     if len(tok) < 2:
-        raise ParseError("counts line needs vertex and face counts", path, lineno)
+        raise ParseError("counts line needs vertex and face counts", path,
+                         counts_line)
     try:
         nv, nf = int(tok[0]), int(tok[1])
     except ValueError:
-        raise ParseError("malformed counts line", path, lineno) from None
+        raise ParseError("malformed counts line", path, counts_line) from None
+    if nv < 0 or nf < 0:
+        raise ParseError("negative counts", path, counts_line)
 
-    vertices = np.empty((nv, 3))
-    for i in range(nv):
-        try:
-            lineno, line = next(lines)
-        except StopIteration:
-            raise ParseError(f"expected {nv} vertices, got {i}", path, lineno) from None
-        tok = line.split()
-        if len(tok) < 3:
-            raise ParseError("vertex line needs 3 coordinates", path, lineno)
-        try:
-            vertices[i] = [float(t) for t in tok[:3]]
-        except ValueError:
-            raise ParseError("malformed vertex line", path, lineno) from None
-
-    faces = np.empty((nf, 3), dtype=np.int64)
-    for i in range(nf):
-        try:
-            lineno, line = next(lines)
-        except StopIteration:
-            raise ParseError(f"expected {nf} faces, got {i}", path, lineno) from None
-        tok = line.split()
-        try:
-            count = int(tok[0])
-        except (ValueError, IndexError):
-            raise ParseError("malformed face line", path, lineno) from None
-        if count != 3:
-            raise NonTriangleFace(f"{path}:{lineno}: face with {count} vertices")
-        if len(tok) < 4:
-            raise ParseError("face line needs 3 indices", path, lineno)
-        try:
-            faces[i] = [int(t) for t in tok[1:4]]
-        except ValueError:
-            raise ParseError("malformed face index", path, lineno) from None
-
-    return TriMesh(vertices, faces)
+    vertices = _off_block(path, lines, sig, start, nv, "vertices",
+                          _check_vertex_line, 3, float, np.float64)
+    table = _off_block(path, lines, sig, start + nv, nf, "faces",
+                       _check_face_line, 4, int, np.int64,
+                       valid=lambda t: (t[:, 0] == 3).all())
+    return vertices, table[:, 1:]
 
 
 def _read_obj(path):
@@ -344,11 +416,20 @@ def _read_obj(path):
     return TriMesh(np.asarray(vertices), np.asarray(faces, dtype=np.int64))
 
 
+def chunked_rows(array):
+    """The rows of an array as Python scalars (lists of them for a 2-D
+    array), converted by `.tolist()` OFF_CHUNK rows at a time."""
+    for s in range(0, len(array), OFF_CHUNK):
+        yield from array[s:s + OFF_CHUNK].tolist()
+
+
 def write_off(mesh, path):
+    """Write an OFF file: coordinates as `repr` of Python floats, so that
+    they read back bit for bit, and one `3 a b c` line per face. The lines
+    are streamed to the file, not joined into one string."""
     with open(path, "w") as fh:
         fh.write("OFF\n")
         fh.write(f"{mesh.n_vertices} {mesh.n_faces} 0\n")
-        for p in mesh.vertices:
-            fh.write(f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}\n")
-        for f in mesh.faces:
-            fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
+        fh.writelines(f"{x!r} {y!r} {z!r}\n"
+                      for x, y, z in chunked_rows(mesh.vertices))
+        fh.writelines(f"3 {a} {b} {c}\n" for a, b, c in chunked_rows(mesh.faces))

@@ -5,6 +5,12 @@ vertex orderings. Deformations (bend, twist) keep the connectivity, so
 the ground-truth map is the identity; midpoint subdivision produces a
 remeshed variant whose new vertices map to the nearer (smaller-index)
 endpoint of their edge.
+
+The generators are NumPy passes, not per-element loops. The bar keys every
+lattice point of its six sides by one integer, merges the points the sides
+share, and numbers its vertices in the order their keys first occur.
+Subdivision numbers the midpoint of edge i (a row of `TriMesh.edges`) as
+n + i and finds it by a binary search of the edge key lo * n + hi.
 """
 
 import json
@@ -20,7 +26,7 @@ from .errors import (
     ManifestInvalid,
     ResolutionTooSmall,
 )
-from .mesh import TriMesh, load_mesh, write_off
+from .mesh import TriMesh, chunked_rows, load_mesh, write_off
 
 MAX_BEND = math.pi / 2
 MAX_TWIST_RATE = math.pi
@@ -79,26 +85,18 @@ def icosphere(subdivisions):
     return TriMesh(np.asarray(verts), faces)
 
 
-def _grid_face(register, origin, du, dv, nu, nv):
-    """Triangulate one rectangular box face; du x dv must point outward."""
-    faces = []
-    idx = {}
-    for iu in range(nu + 1):
-        for iv in range(nv + 1):
-            idx[iu, iv] = register(origin + iu * du + iv * dv)
-    for iu in range(nu):
-        for iv in range(nv):
-            a = idx[iu, iv]
-            b = idx[iu + 1, iv]
-            c = idx[iu + 1, iv + 1]
-            d = idx[iu, iv + 1]
-            faces += [(a, b, c), (a, c, d)]
-    return faces
-
-
 def bar(resolution, length=8.0, width=1.0):
     """Closed box of aspect length/width, long axis x, centered at the
-    origin; resolution r gives 8r segments along the length and r across."""
+    origin; resolution r gives 8r segments along the length and r across.
+
+    Each side is an (nu + 1) x (nv + 1) grid of integer lattice points,
+    split into two triangles per cell. A lattice point (i, j, k) has the
+    key (i * (ny + 1) + j) * (nz + 1) + k; points shared by several sides
+    become one vertex, and vertices are numbered in the order their keys
+    first occur over the sides, side by side in the order below and
+    row-major (u, then v) within a side. A vertex lies at
+    low + (i, j, k) * step.
+    """
     if resolution < 1:
         raise ResolutionTooSmall("bar resolution must be >= 1")
     nx, ny, nz = 8 * resolution, resolution, resolution
@@ -106,28 +104,40 @@ def bar(resolution, length=8.0, width=1.0):
     step = np.array([length / nx, width / ny, width / nz])
     low = np.array([-hx, -hy, -hz])
 
-    verts = []
-    lattice = {}
+    o = np.zeros(3, dtype=np.int64)
+    ex, ey, ez = np.eye(3, dtype=np.int64)
+    # (lattice origin, u axis, v axis) of each side; u x v points outward
+    sides = [(nx * ex, ey, ez), (o, ez, ey), (ny * ey, ez, ex),
+             (o, ex, ez), (nz * ez, ex, ey), (o, ey, ex)]
+    points, shapes = [], []
+    for origin, du, dv in sides:
+        nu, nv = int(du @ (nx, ny, nz)), int(dv @ (nx, ny, nz))
+        iu, iv = np.meshgrid(np.arange(nu + 1), np.arange(nv + 1),
+                             indexing="ij")
+        points.append((origin + iu[..., None] * du
+                       + iv[..., None] * dv).reshape(-1, 3))
+        shapes.append((nu + 1, nv + 1))
+    points = np.concatenate(points)
+    keys = (points[:, 0] * (ny + 1) + points[:, 1]) * (nz + 1) + points[:, 2]
 
-    def register(p):
-        key = tuple(int(round(c)) for c in (p - low) / step)
-        if key not in lattice:
-            lattice[key] = len(verts)
-            verts.append(low + np.asarray(key) * step)
-        return lattice[key]
+    # number each distinct key by its first occurrence
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    ids = rank[inverse]
+    verts = low + points[first[order]] * step
 
-    ex = np.array([step[0], 0, 0])
-    ey = np.array([0, step[1], 0])
-    ez = np.array([0, 0, step[2]])
-    c000 = low
     faces = []
-    faces += _grid_face(register, low + np.array([length, 0, 0]), ey, ez, ny, nz)
-    faces += _grid_face(register, c000, ez, ey, nz, ny)
-    faces += _grid_face(register, low + np.array([0, width, 0]), ez, ex, nz, nx)
-    faces += _grid_face(register, c000, ex, ez, nx, nz)
-    faces += _grid_face(register, low + np.array([0, 0, width]), ex, ey, nx, ny)
-    faces += _grid_face(register, c000, ey, ex, ny, nx)
-    return TriMesh(np.asarray(verts), np.asarray(faces, dtype=np.int64))
+    offset = 0
+    for nu1, nv1 in shapes:
+        idx = ids[offset:offset + nu1 * nv1].reshape(nu1, nv1)
+        offset += nu1 * nv1
+        a, b = idx[:-1, :-1], idx[1:, :-1]
+        c, d = idx[1:, 1:], idx[:-1, 1:]
+        faces.append(np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3))
+    return TriMesh(verts, np.concatenate(faces))
 
 
 def cylinder(resolution, caps=False, radius=1.0, height=4.0):
@@ -230,24 +240,25 @@ def remesh(mesh):
 
     Returns the refined mesh plus a map from its vertices to the original:
     kept vertices map to themselves, each edge midpoint to the smaller
-    endpoint index (midpoints are equidistant from both ends).
+    endpoint index (midpoints are equidistant from both ends). Midpoint i
+    is vertex n + i, for the i-th row of `mesh.edges`; its place is found
+    by a binary search of the edge key lo * n + hi, in which those rows are
+    sorted.
     """
     v, f = mesh.vertices, mesh.faces
     n = mesh.n_vertices
     edges = mesh.edges
-    edge_index = {(int(a), int(b)): n + i for i, (a, b) in enumerate(edges)}
     mids = 0.5 * (v[edges[:, 0]] + v[edges[:, 1]])
     new_verts = np.concatenate([v, mids], axis=0)
 
-    def mid(i, j):
-        return edge_index[(i, j) if i < j else (j, i)]
-
-    new_faces = []
-    for a, b, c in f:
-        a, b, c = int(a), int(b), int(c)
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-    refined = TriMesh(new_verts, np.asarray(new_faces, dtype=np.int64))
+    head = f[:, [1, 2, 0]]
+    mid = n + np.searchsorted(edges[:, 0] * n + edges[:, 1],
+                              np.minimum(f, head) * n + np.maximum(f, head))
+    a, b, c = f.T
+    ab, bc, ca = mid.T
+    new_faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca],
+                         axis=1).reshape(-1, 3)
+    refined = TriMesh(new_verts, new_faces)
     gt_map = np.concatenate([np.arange(n, dtype=np.int64),
                              edges.min(axis=1).astype(np.int64)])
     return refined, gt_map
@@ -372,5 +383,5 @@ def read_indices(path):
 
 def _write_indices(indices, path):
     with open(path, "w") as fh:
-        for i in indices:
-            fh.write(f"{int(i)}\n")
+        fh.writelines(f"{i}\n" for i in
+                      chunked_rows(np.asarray(indices, dtype=np.int64)))

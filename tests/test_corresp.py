@@ -4,7 +4,7 @@ from scipy.spatial.distance import cdist
 
 import wavemesh as wm
 from wavemesh import corresp
-from wavemesh.corresp import evaluate, geodesic_from, geodesic_rows, match_nn
+from wavemesh.corresp import evaluate, geodesic_rows, match_nn
 from wavemesh.errors import DisconnectedMesh, NonFiniteDescriptor, NumericalError
 from wavemesh.mesh import TriMesh
 
@@ -145,12 +145,12 @@ class TestGeodesics:
         verts = [[0, 0, 0], [1, 0, 0], [3, 0, 0], [1.5, 10, 0]]
         faces = [[0, 1, 3], [1, 2, 3]]
         mesh = TriMesh(verts, faces)
-        dist = geodesic_from(mesh, 0)
+        dist = geodesic_rows(mesh, [0])[0]
         assert np.allclose(dist[:3], [0.0, 1.0, 3.0])
 
     def test_grid_matches_bellman_ford(self):
         mesh = grid_mesh(9, 9)
-        got = geodesic_from(mesh, 0)
+        got = geodesic_rows(mesh, [0])[0]
         want = bellman_ford(mesh, 0)
         assert np.array_equal(got, want)
         corner = mesh.n_vertices - 1
@@ -173,7 +173,7 @@ class TestGeodesics:
         faces = [[0, 1, 2], [3, 4, 5]]
         mesh = TriMesh(verts, faces)
         with pytest.raises(DisconnectedMesh):
-            geodesic_from(mesh, 0)
+            geodesic_rows(mesh, [0])[0]
 
 
 class TestEvaluate:

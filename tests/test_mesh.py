@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -11,7 +12,10 @@ from wavemesh.errors import (
     NonTriangleFace,
     ParseError,
 )
+from wavemesh import mesh as mesh_module
 from wavemesh.mesh import TriMesh, load_mesh, vertex_mass, write_off
+
+from . import reference_meshes as ref
 
 TETRA_OFF = """OFF
 4 4 6
@@ -186,3 +190,134 @@ class TestHash:
         assert ico1.content_hash() == ico1.content_hash()
         moved = TriMesh(ico1.vertices + 1e-12, ico1.faces.copy())
         assert moved.content_hash() != ico1.content_hash()
+
+
+TRIANGLE = "0 0 0\n1 0 0\n0 1 0\n"
+
+
+class TestOffParsing:
+    """Every error path of the OFF reader names its line."""
+
+    @pytest.mark.parametrize("text, line, match", [
+        ("", 1, "empty file"),
+        ("# only a comment\n\n", 1, "empty file"),
+        ("OFF\n", 1, "missing counts line"),
+        ("OFF\n# no counts follow\n\n", 1, "missing counts line"),
+        ("OFF\nthree 1 0\n", 2, "malformed counts line"),
+        ("OFF\n3\n", 2, "needs vertex and face counts"),
+        ("OFF\n-1 1 0\n0 0 0\n", 2, "negative counts"),
+        ("OFF 3\n", 1, "needs vertex and face counts"),
+        ("OFF\n3 1 0\n0 0 0\n1 0 0\n", 4, "expected 3 vertices, got 2"),
+        ("OFF\n3 1 0\n", 2, "expected 3 vertices, got 0"),
+        ("OFF\n3 1 0\n0 0 0\n1 0\n0 1 0\n3 0 1 2\n", 4,
+         "vertex line needs 3 coordinates"),
+        ("OFF\n3 2 0\n" + TRIANGLE + "3 0 1 2\n", 6, "expected 2 faces, got 1"),
+        ("OFF\n3 1 0\n" + TRIANGLE, 5, "expected 1 faces, got 0"),
+        ("OFF\n3 1 0\n" + TRIANGLE + "3 0 x 2\n", 6, "malformed face index"),
+        ("OFF\n3 1 0\n" + TRIANGLE + "3 0 1\n", 6, "needs 3 indices"),
+        ("OFF\n3 1 0\n" + TRIANGLE + "x 0 1 2\n", 6, "malformed face line"),
+        ("OFF\n3 1 0\n# c\n\n0 0 0\n1 0 0\n0 1 0\n\n# c\n3 0 1 x\n", 10,
+         "malformed face index"),
+        ("OFF\n3 1 0\n0 0 0\n# c\n1 e 0\n0 1 0\n3 0 1 2\n", 5,
+         "malformed vertex line"),
+    ])
+    def test_error_names_its_line(self, tmp_path, text, line, match):
+        with pytest.raises(ParseError, match=match) as err:
+            load_mesh(write(tmp_path, "bad.off", text))
+        assert err.value.line == line
+
+    def test_blocks_longer_than_one_chunk(self, tmp_path, ico3):
+        # 1280 faces span two conversion chunks of the reader
+        assert ico3.n_faces > mesh_module.OFF_CHUNK
+        path = tmp_path / "ico3.off"
+        write_off(ico3, path)
+        back = load_mesh(path)
+        assert np.array_equal(back.vertices, ico3.vertices)
+        assert np.array_equal(back.faces, ico3.faces)
+        lines = path.read_text().splitlines()
+        bad = 2 + ico3.n_vertices + 1100   # index of a face in chunk 2
+        lines[bad] = "3 0 1 oops"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="malformed face index") as err:
+            load_mesh(path)
+        assert err.value.line == bad + 1
+
+    def test_face_of_four_names_its_line(self, tmp_path):
+        text = "OFF\n3 1 0\n# c\n" + TRIANGLE + "\n4 0 1 2 0\n"
+        with pytest.raises(NonTriangleFace, match=r"bad\.off:8: face with 4"):
+            load_mesh(write(tmp_path, "bad.off", text))
+
+    def test_counts_on_the_header_line(self, tmp_path):
+        text = TETRA_OFF.replace("OFF\n4 4 6\n", "OFF 4 4 0\n")
+        mesh = load_mesh(write(tmp_path, "tet.off", text))
+        want = load_mesh(write(tmp_path, "want.off", TETRA_OFF))
+        assert np.array_equal(mesh.vertices, want.vertices)
+        assert np.array_equal(mesh.faces, want.faces)
+
+    def test_comments_and_blank_lines_between_records(self, tmp_path):
+        text = ("# header comment\nOFF # trailing\n\n4 4 6 # counts\n"
+                "0 0 0\n  \n1 0 0 # vertex 1\n0 1 0\n\n# gap\n0 0 1\n"
+                "3 0 2 1\n3 0 1 3\n# gap\n3 0 3 2\n\t\n3 1 2 3 # last\n")
+        mesh = load_mesh(write(tmp_path, "tet.off", text))
+        want = load_mesh(write(tmp_path, "want.off", TETRA_OFF))
+        assert np.array_equal(mesh.vertices, want.vertices)
+        assert np.array_equal(mesh.faces, want.faces)
+
+    def test_vertex_colors_and_trailing_face_columns_ignored(self, tmp_path):
+        text = ("OFF\n4 4 0\n0 0 0 255 0 0\n1 0 0 0.5 0.5 0.5 1\n0 1 0\n"
+                "0 0 1 9\n3 0 2 1 7 7 7\n3 0 1 3\n3 0 3 2\n3 1 2 3\n")
+        mesh = load_mesh(write(tmp_path, "tet.off", text))
+        want = load_mesh(write(tmp_path, "want.off", TETRA_OFF))
+        assert np.array_equal(mesh.vertices, want.vertices)
+        assert np.array_equal(mesh.faces, want.faces)
+
+    def test_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "tet.off"
+        path.write_bytes(TETRA_OFF.replace("\n", "\r\n").encode())
+        mesh = load_mesh(path)
+        want = load_mesh(write(tmp_path, "want.off", TETRA_OFF))
+        assert np.array_equal(mesh.vertices, want.vertices)
+        assert np.array_equal(mesh.faces, want.faces)
+
+
+class TestVectorizedEdgesAndWriter:
+    @pytest.mark.parametrize("name", ["ico3", "open_cylinder", "flat_grid"])
+    def test_edges_match_rowwise_unique(self, request, name):
+        mesh = request.getfixturevalue(name)
+        edges, counts = ref.unique_edges(mesh.faces)
+        assert np.array_equal(mesh.edges, edges)
+        assert mesh.edges.dtype == np.int64
+        assert np.array_equal(mesh.boundary_edges, edges[counts == 1])
+
+    @pytest.mark.parametrize("res", [1, 3, 6])
+    def test_bar_edges_match_rowwise_unique(self, res):
+        mesh = wm.gen_base("bar", res)
+        edges, _ = ref.unique_edges(mesh.faces)
+        assert np.array_equal(mesh.edges, edges)
+
+    def test_non_manifold_and_orientation_messages(self):
+        verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, -1, 0]]
+        with pytest.raises(NonManifoldEdge,
+                           match=r"edge \(0, 1\) has 3 incident faces"):
+            TriMesh(verts, [[0, 1, 2], [0, 3, 1], [0, 1, 4]])
+        verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]
+        with pytest.raises(InconsistentOrientation,
+                           match=r"edge \(1, 2\) traversed twice"):
+            TriMesh(verts, [[0, 1, 2], [1, 2, 3]])
+
+    def test_write_off_matches_per_line_writer(self, tmp_path):
+        # write_off reads only the arrays and counts, so extreme values need
+        # no valid geometry
+        verts = np.array([[-0.0, 1e-300, 1.0 / 3.0],
+                          [1e308, -1e308, 5e-324],
+                          [0.1, -2.5, 123456789.125]])
+        faces = np.array([[0, 1, 2], [2, 1, 0]], dtype=np.int64)
+        extreme = types.SimpleNamespace(vertices=verts, faces=faces,
+                                        n_vertices=3, n_faces=2)
+        for mesh in (wm.gen_base("icosphere", 2), extreme):
+            write_off(mesh, tmp_path / "got.off")
+            ref.write_off(mesh, tmp_path / "want.off")
+            got = (tmp_path / "got.off").read_bytes()
+            assert got == (tmp_path / "want.off").read_bytes()
+        assert got.splitlines()[2:4] == [b"-0.0 1e-300 0.3333333333333333",
+                                         b"1e+308 -1e+308 5e-324"]

@@ -22,6 +22,8 @@ from wavemesh.synth import (
     remesh,
 )
 
+from . import reference_meshes as ref
+
 
 class TestBases:
     def test_icosphere_counts(self):
@@ -232,3 +234,55 @@ class TestDataset:
         bad.write_text(json.dumps({"template": {}}))
         with pytest.raises(ManifestInvalid):
             load_manifest(bad)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestVectorizedGenerators:
+    """The NumPy generators reproduce the per-element references bit for bit."""
+
+    @pytest.mark.parametrize("res", [1, 2, 3, 6, 10])
+    def test_bar_matches_lattice_dict(self, res):
+        got, want = gen_base("bar", res), ref.bar(res)
+        assert same_bits(got.vertices, want.vertices)
+        assert same_bits(got.faces, want.faces)
+
+    @pytest.mark.parametrize("res", [1, 2, 3, 6, 10])
+    def test_remesh_matches_per_face_loop(self, res):
+        base = deform(gen_base("bar", res), "twist", 0.4)
+        got, got_map = remesh(base)
+        want, want_map = ref.remesh(base)
+        assert same_bits(got.vertices, want.vertices)
+        assert same_bits(got.faces, want.faces)
+        assert same_bits(got_map, want_map)
+
+    def test_remesh_matches_on_open_and_spherical_meshes(self, ico1,
+                                                         open_cylinder):
+        for mesh in (ico1, open_cylinder):
+            got, got_map = remesh(mesh)
+            want, want_map = ref.remesh(mesh)
+            assert same_bits(got.faces, want.faces)
+            assert same_bits(got.vertices, want.vertices)
+            assert same_bits(got_map, want_map)
+
+    def test_dataset_files_match_reference_writers(self, tmp_path):
+        config = DatasetConfig(
+            base="bar", resolution=2,
+            deformations=(("bend", 0.3), ("twist", 0.5), ("bend", -0.2)),
+            holdout=1, split_seed=0, remesh_holdout=True, remesh_training=1)
+        manifest = make_dataset(config, tmp_path / "new")
+        files = {manifest["template"]["mesh"]}
+        files.update(e["mesh"] for e in manifest["training"])
+        files.update(p["target"] for p in manifest["pairs"])
+        for f in sorted(files):
+            mesh = wm.load_mesh(tmp_path / "new" / f)
+            ref.write_off(mesh, tmp_path / "want.off")
+            assert ((tmp_path / "new" / f).read_bytes()
+                    == (tmp_path / "want.off").read_bytes())
+        for entry in manifest["training"]:
+            labels = read_indices(tmp_path / "new" / entry["labels"])
+            ref.write_indices(labels, tmp_path / "want.txt")
+            assert ((tmp_path / "new" / entry["labels"]).read_bytes()
+                    == (tmp_path / "want.txt").read_bytes())
