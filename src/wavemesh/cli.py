@@ -22,6 +22,13 @@ therefore a different file name, i.e. a miss; a corrupt file is a miss
 too, reported and rebuilt. Nothing is evicted; a GEO1 file holds
 |unique gt| x N_target x 8 bytes (88 MiB at N = 3402 with every vertex a
 gt vertex).
+
+A GEO1 file is never loaded whole. On a miss its rows are computed
+`corresp.GEO_BLOCK` sources at a time and each block is written as it is
+made; on a hit, and after that write, they are read back
+`corresp.GEO_BLOCK` rows at a time as `corresp.evaluate` consumes them.
+So `eval` holds O(GEO_BLOCK x N_target) geodesic distances, and matching
+O(MATCH_BLOCK x N_target) scores, whatever the number of gt vertices.
 """
 
 import argparse
@@ -36,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corresp, network, synth, wavelets
-from .containers import read_container, write_container
+from .containers import RowBlocks, read_container, write_container
 from .curvature import estimate_frames
 from .errors import (
     CacheError,
@@ -201,13 +208,15 @@ def _cache_key(*parts):
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
 
-def _read_cache(path, kind, key):
+def _read_cache(path, kind, key, block_rows=None):
     """The arrays of the `kind` file at `path` when it stores `key`, else
-    None. A corrupt file counts as a miss and is reported."""
+    None. A corrupt file counts as a miss and is reported. With
+    `block_rows`, arrays of two or more dimensions come back as RowBlocks
+    (see `read_container`)."""
     if not path.exists():
         return None
     try:
-        arrays, meta = read_container(path, kind)
+        arrays, meta = read_container(path, kind, block_rows)
     except CorruptCache as exc:
         print(f"warning: {exc}; regenerating", file=sys.stderr)
         return None
@@ -220,24 +229,29 @@ def _load_spectrum(path, key):
     return _read_cache(path, "SPEC1", key)
 
 
-def _cached(kind, parts, cache_dir, mesh_path, build):
+def _cached(kind, parts, cache_dir, mesh_path, build, block_rows=None):
     """(arrays, key, path, hit) of the `kind` cache file keyed by `parts`.
 
     The arrays are read from the file when it holds this key; otherwise
     `build()` makes them and they are written there with meta
-    {"key": key}. This is the only writer of SPEC1, FBK1 and GEO1 files."""
+    {"key": key}. This is the only writer of SPEC1, FBK1 and GEO1 files.
+    With `block_rows`, arrays of two or more dimensions are streamed: a
+    RowBlocks from `build()` is written block by block, and these arrays
+    come back as RowBlocks read from the file, after a write as on a hit."""
     key = _cache_key(kind, *parts)
     path = (Path(cache_dir)
             / f"{Path(mesh_path).stem}.{key[:16]}.{_SUFFIXES[kind]}")
     if kind == "SPEC1":
         arrays = _load_spectrum(path, key)
     else:
-        arrays = _read_cache(path, kind, key)
+        arrays = _read_cache(path, kind, key, block_rows)
     hit = arrays is not None
     if not hit:
         arrays = build()
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
         write_container(path, kind, arrays, meta={"key": key})
+        if block_rows is not None:
+            arrays = read_container(path, kind, block_rows)[0]
     return arrays, key, path, hit
 
 
@@ -429,14 +443,22 @@ def run_training(cfg, manifest_path, verbose=False):
 
 def load_geodesics(target, gt, cache_dir, mesh_path):
     """Geodesic rows of np.unique(gt) on `target`, as `corresp.evaluate`
-    takes them, from the GEO1 cache or computed and cached."""
+    takes them: RowBlocks of `corresp.GEO_BLOCK` rows, read from the GEO1
+    cache. A miss is computed block by block into the cache first; a
+    target whose sources do not reach every vertex raises
+    DisconnectedMesh before any cache directory or file is made."""
     sources = np.unique(gt).astype(np.int64)
+
+    def build():
+        return {"rows": RowBlocks((sources.size, target.n_vertices),
+                                  np.float64,
+                                  corresp.geodesic_blocks(target, sources))}
+
     arrays = _cached(
         "GEO1", (target.content_hash(),
                  hashlib.sha256(sources.tobytes()).hexdigest(),
                  corresp.GEODESIC_METHOD),
-        cache_dir, mesh_path,
-        lambda: {"rows": corresp.geodesic_rows(target, sources)})[0]
+        cache_dir, mesh_path, build, block_rows=corresp.GEO_BLOCK)[0]
     return arrays["rows"]
 
 
@@ -475,7 +497,9 @@ def run_evaluation(model, cfg, manifest_path, out_dir, verbose=False):
         corr = corresp.match_nn(source_descriptors[pair["source"]], desc_t)
         # the rows are read only once the target's descriptors are freed,
         # and freed before the next target is described: holding both at
-        # once raised the process's peak memory
+        # once raised the process's peak memory. The GEO1 file is never
+        # loaded whole: its rows stream GEO_BLOCK at a time, so eval holds
+        # O(GEO_BLOCK x N_target) distances
         del desc_t
         rows = load_geodesics(target, gt, cache_dir, root / pair["target"])
         result = corresp.evaluate(corr, gt, target, radii=radii, rows=rows)

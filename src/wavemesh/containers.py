@@ -5,12 +5,19 @@ the ground-truth geodesic cache (GEO1) and model checkpoints (CKPT1): an
 8-byte magic, a little-endian u32 version, a table of (name, dtype, shape,
 offset) entries, then the raw arrays. Metadata travels as a JSON blob
 stored under the reserved entry name "__meta__". Writes are atomic (temp
-file + rename).
+file + rename; the temp file is removed when a write fails).
+
+An array too large to hold whole moves as `RowBlocks`: `write_container`
+writes one block of rows at a time, and `read_container(..., block_rows=b)`
+hands every array of two or more dimensions back as blocks of b rows, read
+from the file as they are iterated. Its bytes in the file are the same
+either way.
 """
 
 import json
 import os
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +37,33 @@ def _magic(kind):
     return kind.encode("ascii").ljust(8, b"\x00")
 
 
+@dataclass
+class RowBlocks:
+    """An array of `shape` and `dtype` as consecutive blocks of its rows.
+
+    `blocks` is iterated once; its arrays stack along axis 0 to the whole.
+    Iterating a RowBlocks iterates its blocks."""
+
+    shape: tuple
+    dtype: np.dtype
+    blocks: object
+
+    def __post_init__(self):
+        self.shape = tuple(self.shape)
+        self.dtype = np.dtype(self.dtype)
+
+    def __iter__(self):
+        return iter(self.blocks)
+
+    @property
+    def nbytes(self):
+        return int(np.prod(self.shape, dtype=np.int64)) * self.dtype.itemsize
+
+
 def write_container(path, kind, arrays, meta=None):
-    """Write named arrays (and optional JSON-able metadata) atomically."""
+    """Write named arrays (and optional JSON-able metadata) atomically.
+
+    An array given as RowBlocks is written block by block as it is made."""
     items = dict(arrays)
     if meta is not None:
         items[_META] = np.frombuffer(
@@ -39,9 +71,10 @@ def write_container(path, kind, arrays, meta=None):
 
     entries = []
     for name, arr in items.items():
-        arr = np.ascontiguousarray(arr)
-        if arr.dtype not in _CODES:
-            arr = arr.astype(np.float64)
+        if not isinstance(arr, RowBlocks):
+            arr = np.ascontiguousarray(arr)
+            if arr.dtype not in _CODES:
+                arr = arr.astype(np.float64)
         entries.append((name, arr))
 
     header = bytearray()
@@ -50,23 +83,47 @@ def write_container(path, kind, arrays, meta=None):
     table = bytearray()
     table_size = 0
     for name, arr in entries:
-        table_size += 2 + len(name.encode()) + 1 + 1 + 8 * arr.ndim + 8
+        table_size += 2 + len(name.encode()) + 1 + 1 + 8 * len(arr.shape) + 8
     offset = len(header) + table_size
     for name, arr in entries:
         nb = name.encode("utf-8")
         table += struct.pack("<H", len(nb)) + nb
-        table += struct.pack("<BB", _CODES[arr.dtype], arr.ndim)
-        table += struct.pack(f"<{arr.ndim}Q", *arr.shape)
+        table += struct.pack("<BB", _CODES[arr.dtype], len(arr.shape))
+        table += struct.pack(f"<{len(arr.shape)}Q", *arr.shape)
         table += struct.pack("<Q", offset)
         offset += arr.nbytes
 
     tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(bytes(header))
-        fh.write(bytes(table))
-        for _, arr in entries:
-            fh.write(_bytes_of(arr))
-    os.replace(tmp, str(path))
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(bytes(header))
+            fh.write(bytes(table))
+            for name, arr in entries:
+                if isinstance(arr, RowBlocks):
+                    _write_blocks(fh, name, arr)
+                else:
+                    fh.write(_bytes_of(arr))
+        os.replace(tmp, str(path))
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _write_blocks(fh, name, arr):
+    rows = 0
+    for block in arr:
+        block = np.ascontiguousarray(block, dtype=arr.dtype)
+        if block.shape[1:] != arr.shape[1:] \
+                or rows + block.shape[0] > arr.shape[0]:
+            raise ValueError(
+                f"block of shape {block.shape} does not fit {name!r} of "
+                f"shape {arr.shape} after {rows} rows")
+        fh.write(_bytes_of(block))
+        rows += block.shape[0]
+    if rows != arr.shape[0]:
+        raise ValueError(
+            f"blocks of {name!r} hold {rows} of its {arr.shape[0]} rows")
 
 
 def _bytes_of(arr):
@@ -74,14 +131,18 @@ def _bytes_of(arr):
     return arr.reshape(-1).view(np.uint8)
 
 
-def read_container(path, kind=None):
+def read_container(path, kind=None, block_rows=None):
     """Read back (arrays, meta). Raises CorruptCache on any malformation.
 
     Each array is read straight into its own buffer, so reading holds no
-    second copy of the file."""
+    second copy of the file. With `block_rows`, each array of two or more
+    dimensions comes back as RowBlocks of `block_rows` rows, read as they
+    are iterated through a file descriptor of their own; reading the last
+    block, or closing the blocks' generator, closes it. Every check of the
+    header and of the file's size is made before this returns."""
     try:
         with open(path, "rb") as fh:
-            return _read_entries(fh, path, kind)
+            return _read_entries(fh, path, kind, block_rows)
     except CorruptCache:
         raise
     except OSError as exc:
@@ -90,7 +151,7 @@ def read_container(path, kind=None):
         raise CorruptCache(f"{path}: malformed container ({exc})") from exc
 
 
-def _read_entries(fh, path, kind):
+def _read_entries(fh, path, kind, block_rows):
     size = os.fstat(fh.fileno()).st_size
 
     def take(fmt):
@@ -122,6 +183,12 @@ def _read_entries(fh, path, kind):
         nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
         if offset + nbytes > size:
             raise CorruptCache(f"{path}: array {name!r} runs past the end")
+        if block_rows is not None and len(shape) >= 2:
+            blocks = _stream(os.dup(fh.fileno()), path, dtype, shape,
+                             offset, block_rows)
+            next(blocks)  # started: closing it from now on closes its fd
+            arrays[name] = RowBlocks(shape, dtype, blocks)
+            continue
         arr = np.empty(shape, dtype=dtype)
         fh.seek(offset)
         fh.readinto(_bytes_of(arr))
@@ -130,3 +197,20 @@ def _read_entries(fh, path, kind):
     if _META in arrays:
         meta = json.loads(arrays.pop(_META).tobytes().decode("utf-8"))
     return arrays, meta
+
+
+def _stream(fd, path, dtype, shape, offset, block_rows):
+    """Blocks of `block_rows` rows of one array, read from `fd`, which is
+    closed after the last block or when the generator is closed. Its first
+    `next` yields None and reads nothing."""
+    try:
+        yield
+        row_bytes = int(np.prod(shape[1:], dtype=np.int64)) * dtype.itemsize
+        for start in range(0, shape[0], block_rows):
+            rows = min(block_rows, shape[0] - start)
+            data = os.pread(fd, rows * row_bytes, offset + start * row_bytes)
+            if len(data) != rows * row_bytes:
+                raise CorruptCache(f"{path}: file shrank while read")
+            yield np.frombuffer(data, dtype=dtype).reshape(rows, *shape[1:])
+    finally:
+        os.close(fd)

@@ -13,7 +13,10 @@ smallest computed q_j; every target inside the window is re-scored with
 cdist, and the argmin among them is cdist's argmin over all targets, bit for
 bit. Each delta is taken as (D + 2) eps (|a| + max_j |b_j|)^2, twice the
 bound, to absorb the rounding of the norms and of the window itself. A row
-whose window holds one target costs only its share of the GEMM.
+whose window holds one target costs only its share of the GEMM. Matching
+holds one block's scores and window mask at a time, MATCH_BLOCK x n_target
+x 9 bytes (11 MB against the 4898 vertices of a remeshed res-6 bar),
+whatever the number of source rows.
 
 Geodesic distances are shortest paths over the edge graph with Euclidean
 edge lengths, an upper bound on the polyhedral geodesic. The overestimate is
@@ -21,8 +24,14 @@ not negligible: on icospheres of 162 to 2562 vertices, measured against
 great-circle distance, its median is 6.9-7.3% and its maximum 21-23%, and
 it does not shrink as the mesh is refined. Every AGE and CGE reported here
 is inflated accordingly. `evaluate` needs one row per distinct ground-truth
-vertex; a caller that already holds them (the CLI caches them per target
-mesh and ground truth) passes them as `rows`. Errors are normalized by
+vertex, and takes them as consecutive blocks of rows: `geodesic_blocks`
+checks once that every source reaches every vertex, then computes
+GEO_BLOCK sources per `geodesic_rows` call as the blocks are iterated; a
+caller that already holds the rows (the CLI caches them per target mesh
+and ground truth, and streams them back GEO_BLOCK rows at a time) passes
+them as `rows`. `evaluate` keeps the one entry per source vertex it needs
+from each block and drops the block, so it holds GEO_BLOCK x n_target
+distances, not |unique gt| x n_target. Errors are normalized by
 sqrt(total target area), the average is reported x100, and the cumulative
 curve gives the fraction of matches within each radius.
 """
@@ -31,13 +40,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 from scipy.spatial.distance import cdist
 
 from .errors import DisconnectedMesh, NonFiniteDescriptor
 
 DEFAULT_RADII = np.linspace(0.0, 0.25, 101)
-MATCH_BLOCK = 2048
+MATCH_BLOCK = 256
+GEO_BLOCK = 128
 GEODESIC_METHOD = "dijkstra"  # names how geodesic_rows measures, in cache keys
 
 
@@ -107,33 +117,59 @@ def _match_block(a, b, b_sq, window):
 
 
 def _edge_graph(mesh):
-    lengths = mesh.edge_lengths()
+    """Both directions of every edge, weighted by its length."""
+    lengths = np.concatenate([mesh.edge_lengths()] * 2)
     e = mesh.edges
     n = mesh.n_vertices
-    return sparse.csr_matrix((lengths, (e[:, 0], e[:, 1])), shape=(n, n))
+    return sparse.csr_matrix(
+        (lengths, (np.concatenate([e[:, 0], e[:, 1]]),
+                   np.concatenate([e[:, 1], e[:, 0]]))), shape=(n, n))
 
 
-def geodesic_rows(mesh, sources):
-    """Distances from several sources at once, shape (len(sources), n)."""
+def _checked_sources(mesh, sources):
     sources = np.asarray(sources, dtype=np.int64)
     if sources.size and (sources.min() < 0 or sources.max() >= mesh.n_vertices):
         raise IndexError("source vertex out of range")
-    dist = dijkstra(_edge_graph(mesh), directed=False, indices=sources)
-    dist = np.atleast_2d(dist)
-    if np.isinf(dist).any():
-        unreachable = np.unique(np.nonzero(np.isinf(dist))[1])
+    return sources
+
+
+def geodesic_rows(mesh, sources):
+    """Distances from several sources at once, shape (len(sources), n).
+    A vertex that a source cannot reach reads inf; `geodesic_blocks`
+    rules that out before it calls this."""
+    sources = _checked_sources(mesh, sources)
+    return np.atleast_2d(dijkstra(_edge_graph(mesh), directed=True,
+                                  indices=sources))
+
+
+def geodesic_blocks(mesh, sources):
+    """The `geodesic_rows` of `sources`, GEO_BLOCK sources per call, as an
+    iterator of row blocks that computes each block when it is reached.
+
+    Raises DisconnectedMesh at once, before any block is computed, when a
+    source cannot reach some vertex; its `unreachable` holds every such
+    vertex, which is every vertex when the sources span two components."""
+    sources = _checked_sources(mesh, sources)
+    _, labels = connected_components(_edge_graph(mesh), directed=False)
+    reached = np.unique(labels[sources])
+    unreachable = np.flatnonzero(
+        np.isin(labels, reached, invert=True) | (reached.size > 1))
+    if sources.size and unreachable.size:
         raise DisconnectedMesh(
             f"{unreachable.size} vertices unreachable from the sources",
             unreachable=unreachable)
-    return dist
+    # geodesic_rows is looked up at each block, so a probe on it sees them
+    return (geodesic_rows(mesh, sources[start:start + GEO_BLOCK])
+            for start in range(0, sources.size, GEO_BLOCK))
 
 
 def evaluate(corr, gt, target_mesh, radii=None, rows=None):
     """Score a predicted map against ground truth on the target mesh.
 
-    rows: the geodesic rows of np.unique(gt) on the target mesh, shape
-    (unique gt vertices, target vertices), as `geodesic_rows` returns them.
-    Computed here when None."""
+    rows: the geodesic rows of np.unique(gt) on the target mesh, as an
+    iterable of consecutive row blocks, each of shape (rows in the block,
+    target vertices); a whole (unique gt vertices, target vertices) array
+    is the one block `[rows]`. Taken from `geodesic_blocks` when None."""
     corr = np.asarray(corr, dtype=np.int64)
     gt = np.asarray(gt, dtype=np.int64)
     if corr.shape != gt.shape or corr.ndim != 1:
@@ -149,12 +185,22 @@ def evaluate(corr, gt, target_mesh, radii=None, rows=None):
 
     uniq, inverse = np.unique(gt, return_inverse=True)
     if rows is None:
-        rows = geodesic_rows(target_mesh, uniq)
-    elif rows.shape != (uniq.size, n_target):
+        rows = geodesic_blocks(target_mesh, uniq)
+    dist = np.empty(gt.shape)
+    start = 0
+    for block in rows:
+        stop = start + block.shape[0]
+        if block.ndim != 2 or block.shape[1] != n_target or stop > uniq.size:
+            raise ValueError(
+                f"a geodesic row block of shape {block.shape} after {start} "
+                f"rows does not fit rows of shape {(uniq.size, n_target)}")
+        i = np.flatnonzero((inverse >= start) & (inverse < stop))
+        dist[i] = block[inverse[i] - start, corr[i]]
+        start = stop
+    if start != uniq.size:
         raise ValueError(
-            f"geodesic rows have shape {rows.shape}, expected "
-            f"{(uniq.size, n_target)}")
-    errors = rows[inverse, corr] / np.sqrt(target_mesh.total_area)
+            f"geodesic row blocks hold {start} rows, expected {uniq.size}")
+    errors = dist / np.sqrt(target_mesh.total_area)
     fractions = (errors[None, :] <= radii[:, None]).mean(axis=1)
     return CorrespondenceResult(
         map=corr.copy(),

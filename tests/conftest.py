@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,17 @@ from wavemesh.mesh import TriMesh
 from wavemesh.operators import assemble_albo
 from wavemesh.spectrum import solve_eigs
 from wavemesh.wavelets import KernelSpec, build_filterbank
+
+
+def traced_peak(fn):
+    """(peak bytes traced by tracemalloc while fn() runs, its result)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
 
 
 def grid_mesh(nx, ny, lx=1.0, ly=1.0):

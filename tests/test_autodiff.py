@@ -7,7 +7,7 @@ from wavemesh import autodiff as ad
 from wavemesh.errors import SingleVertexShape
 from wavemesh.wavelets import dense_filter_matrix, passbands
 
-from .conftest import build_bank_for, jittered_grid
+from .conftest import build_bank_for, jittered_grid, traced_peak
 
 
 def finite_difference(fn, arrays, h=1e-4):
@@ -205,7 +205,6 @@ class TestWaveletMix:
         # the output, one reused N x E synthesis buffer and the A x
         # temporary take 3 N x E; an N x J x E synthesis per direction
         # (J = 4) would take 4 more
-        import tracemalloc
         mesh = jittered_grid(19, 19, seed=13)  # 400 vertices
         bank = build_bank_for(mesh, k=20, directions=2, alpha=50.0, scales=4)
         n, d = mesh.n_vertices, 32
@@ -213,12 +212,7 @@ class TestWaveletMix:
         x = ad.constant(rng.standard_normal((n, d)))
         thetas = [[ad.constant(rng.standard_normal((d, d))) for _ in range(4)]
                   for _ in range(2)]
-        tracemalloc.start()
-        try:
-            ad.wavelet_mix(x, thetas, bank)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(lambda: ad.wavelet_mix(x, thetas, bank))
         assert peak < 6 * n * d * 8
 
 
@@ -313,15 +307,13 @@ class TestFusedHead:
                 ad.constant(x), ad.constant(w), ad.constant(b), labels)
 
     def test_peak_memory_below_one_logit_array(self):
-        import tracemalloc
         n = 2000
         x, w, b, labels = self._problem(n, n, 16, seed=16)
         tensors = [ad.param(a) for a in (x, w, b)]
-        tracemalloc.start()
-        try:
+
+        def step():
             loss, _ = ad.linear_softmax_cross_entropy(*tensors, labels)
             ad.backward(loss)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+
+        peak, _ = traced_peak(step)
         assert peak < n * n * 8

@@ -24,6 +24,8 @@ from wavemesh.curvature import estimate_frames
 from wavemesh.errors import DisconnectedMesh, ValidationError
 from wavemesh.mesh import TriMesh, load_mesh
 
+from .conftest import jittered_grid, traced_peak
+
 K = "20"
 MODEL = {"encoder_hidden": 8, "feature_dim": 8, "conv_layers": 1, "scales": 2}
 
@@ -511,11 +513,12 @@ def test_geodesic_file_with_another_key_is_recomputed(run, tmp_path,
     target = load_mesh(path)
     gt = synth.read_indices(run.data / pair["gt"])
     cache = tmp_path / "cache"
-    rows = cli.load_geodesics(target, gt, cache, path)
+    rows = _stacked(cli.load_geodesics(target, gt, cache, path))
     (geo,) = cache.glob("*.geo")
     meta = _rekey(geo, "GEO1")
-    assert np.array_equal(cli.load_geodesics(target, gt, cache, path), rows)
-    assert len(geodesic_calls) == 2
+    assert np.array_equal(
+        _stacked(cli.load_geodesics(target, gt, cache, path)), rows)
+    assert sum(geodesic_calls) == 2 * np.unique(gt).size
     assert read_container(geo, "GEO1")[1] == meta
 
 
@@ -568,6 +571,16 @@ def _own_cache(run, path):
     return path
 
 
+def _stacked(rows):
+    """The whole array of the row blocks `load_geodesics` returns."""
+    return np.vstack(list(rows))
+
+
+def _gt_sources(run):
+    (pair,) = json.loads((run.data / "manifest.json").read_text())["pairs"]
+    return np.unique(synth.read_indices(run.data / pair["gt"])).size
+
+
 @pytest.fixture
 def geodesic_calls(monkeypatch):
     """Source counts of every corresp.geodesic_rows call."""
@@ -590,10 +603,10 @@ def _outputs(out):
 def test_second_eval_reads_the_geodesic_cache(run, tmp_path, geodesic_calls):
     cache = _own_cache(run, tmp_path / "cache")
     assert _eval(run, tmp_path / "first", cache=cache) == 0
-    assert len(geodesic_calls) == 1
+    assert sum(geodesic_calls) == _gt_sources(run)
     assert len(list(cache.glob("*.geo"))) == 1
     assert _eval(run, tmp_path / "second", cache=cache) == 0
-    assert len(geodesic_calls) == 1
+    assert sum(geodesic_calls) == _gt_sources(run)
     assert _outputs(tmp_path / "first") == _outputs(tmp_path / "second")
 
 
@@ -604,16 +617,18 @@ def test_changed_gt_or_target_misses_the_geodesic_cache(run, tmp_path,
     target = load_mesh(path)
     gt = synth.read_indices(run.data / pair["gt"])
     cache = tmp_path / "cache"
-    rows = cli.load_geodesics(target, gt, cache, path)
+    rows = _stacked(cli.load_geodesics(target, gt, cache, path))
     # gt[0] no longer a ground-truth vertex; the same mesh, scaled
     fewer = np.where(gt == gt[0], gt[1], gt)
     scaled = TriMesh(target.vertices * 1.01, target.faces)
     for changed_target, changed_gt in ((target, fewer), (scaled, gt)):
-        cli.load_geodesics(changed_target, changed_gt, cache, path)
-    assert len(geodesic_calls) == 3
+        _stacked(cli.load_geodesics(changed_target, changed_gt, cache, path))
+    n = np.unique(gt).size
+    assert sum(geodesic_calls) == n + (n - 1) + n
     assert len(list(cache.glob("*.geo"))) == 3
-    assert np.array_equal(cli.load_geodesics(target, gt, cache, path), rows)
-    assert len(geodesic_calls) == 3
+    assert np.array_equal(
+        _stacked(cli.load_geodesics(target, gt, cache, path)), rows)
+    assert sum(geodesic_calls) == 3 * n - 1
 
 
 def test_corrupt_geodesic_file_is_recomputed_with_a_warning(run, tmp_path,
@@ -622,14 +637,19 @@ def test_corrupt_geodesic_file_is_recomputed_with_a_warning(run, tmp_path,
     cache = _own_cache(run, tmp_path / "cache")
     assert _eval(run, tmp_path / "first", cache=cache) == 0
     (geo,) = cache.glob("*.geo")
-    geo.write_bytes(b"GEO1\x00\x00\x00\x00garbage")
-    capsys.readouterr()
-    assert _eval(run, tmp_path / "second", cache=cache) == 0
-    err = capsys.readouterr().err
-    assert "warning" in err and str(geo) in err
-    assert len(geodesic_calls) == 2
-    assert _outputs(tmp_path / "first") == _outputs(tmp_path / "second")
-    read_container(geo, "GEO1")
+    whole = geo.read_bytes()
+    # a garbled header, then a file cut off inside its rows region
+    for i, corrupt in enumerate([b"GEO1\x00\x00\x00\x00garbage",
+                                 whole[:len(whole) // 2]]):
+        geo.write_bytes(corrupt)
+        capsys.readouterr()
+        assert _eval(run, tmp_path / f"again{i}", cache=cache) == 0
+        err = capsys.readouterr().err
+        assert "warning" in err and str(geo) in err
+        assert sum(geodesic_calls) == (i + 2) * _gt_sources(run)
+        assert _outputs(tmp_path / "first") == _outputs(tmp_path / f"again{i}")
+        assert geo.read_bytes() == whole
+    assert "'rows' runs past the end" in err
 
 
 def test_disconnected_target_caches_no_geodesics(tmp_path):
@@ -637,9 +657,13 @@ def test_disconnected_target_caches_no_geodesics(tmp_path):
              [10, 10, 10], [11, 10, 10], [10, 11, 10]]
     mesh = TriMesh(verts, [[0, 1, 2], [3, 4, 5]])
     cache = tmp_path / "cache"
-    with pytest.raises(DisconnectedMesh):
-        cli.load_geodesics(mesh, np.arange(6), cache, tmp_path / "two.off")
-    assert not cache.exists()
+    # gt in one component, then in both: every vertex some source misses
+    for gt, unreachable in (([2, 0, 2], [3, 4, 5]), (range(6), range(6))):
+        with pytest.raises(DisconnectedMesh) as info:
+            cli.load_geodesics(mesh, np.array(gt), cache, tmp_path / "two.off")
+        assert info.value.unreachable.tolist() == list(unreachable)
+        assert not cache.exists()
+    assert list(tmp_path.iterdir()) == []
     assert issubclass(DisconnectedMesh, ValidationError)  # exit 2
 
 
@@ -655,15 +679,39 @@ def test_matching_runs_before_the_geodesic_read(run, tmp_path, monkeypatch):
         events.append("match")
         return match(*args)
 
-    def logged_read(path, kind=None):
+    def logged_read(path, kind=None, block_rows=None):
         events.append(kind)
-        return read(path, kind)
+        return read(path, kind, block_rows)
 
     monkeypatch.setattr(corresp, "match_nn", logged_match)
     monkeypatch.setattr(cli, "read_container", logged_read)
     assert _eval(run, tmp_path / "second", cache=cache) == 0
     assert events.count("GEO1") == 1
     assert events[-2:] == ["match", "GEO1"]
+
+
+def test_geodesics_stream_below_one_whole_rows_array(tmp_path, monkeypatch):
+    # compute, write, read back and score; then read and score a hit
+    monkeypatch.setattr(corresp, "GEO_BLOCK", 16)
+    mesh = jittered_grid(19, 19, seed=13)  # 400 vertices
+    gt = np.arange(mesh.n_vertices)
+    corr = np.roll(gt, 7)
+    cache = tmp_path / "cache"
+
+    def score():
+        rows = cli.load_geodesics(mesh, gt, cache, tmp_path / "grid.off")
+        return corresp.evaluate(corr, gt, mesh, rows=rows)
+
+    whole = corresp.geodesic_rows(mesh, gt)
+    want = whole[gt, corr] / np.sqrt(mesh.total_area)
+    for _ in ("miss", "hit"):
+        peak, got = traced_peak(score)
+        assert peak < whole.nbytes
+        assert np.array_equal(got.geodesic_errors, want)
+    (geo,) = cache.glob("*.geo")
+    write_container(tmp_path / "whole.geo", "GEO1", {"rows": whole},
+                    read_container(geo, "GEO1")[1])
+    assert geo.read_bytes() == (tmp_path / "whole.geo").read_bytes()
 
 
 def test_a_source_shared_by_pairs_is_described_once(run, tmp_path,

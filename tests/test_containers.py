@@ -1,7 +1,10 @@
+import gc
+import os
+
 import numpy as np
 import pytest
 
-from wavemesh.containers import read_container, write_container
+from wavemesh.containers import RowBlocks, read_container, write_container
 from wavemesh.errors import CorruptCache
 
 
@@ -32,6 +35,84 @@ class TestRoundTrip:
         path = tmp_path / "x.ckpt"
         write_container(path, "CKPT1", {"a": np.ones(3)})
         assert not (tmp_path / "x.ckpt.tmp").exists()
+
+
+def _blocks(arr, rows):
+    return RowBlocks(arr.shape, arr.dtype,
+                     (arr[i:i + rows] for i in range(0, arr.shape[0], rows)))
+
+
+class TestRowBlocks:
+    ROWS = np.random.default_rng(0).standard_normal((30, 11))
+
+    @pytest.mark.parametrize("rows", [1, 7, 30, 64])
+    def test_block_write_is_byte_identical(self, tmp_path, rows):
+        whole, blocked = tmp_path / "whole.geo", tmp_path / "blocked.geo"
+        meta = {"key": "k" * 64}
+        write_container(whole, "GEO1", {"rows": self.ROWS}, meta)
+        write_container(blocked, "GEO1", {"rows": _blocks(self.ROWS, rows)},
+                        meta)
+        assert blocked.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize("rows", [1, 7, 30, 64])
+    def test_block_read_stacks_to_the_array(self, tmp_path, rows):
+        path = tmp_path / "x.geo"
+        write_container(path, "GEO1", {"rows": self.ROWS, "ids": np.arange(3)},
+                        {"key": "k"})
+        arrays, meta = read_container(path, "GEO1", block_rows=rows)
+        assert meta == {"key": "k"}
+        assert np.array_equal(arrays["ids"], np.arange(3))  # 1-D: whole
+        got = arrays["rows"]
+        assert (got.shape, got.dtype) == (self.ROWS.shape, self.ROWS.dtype)
+        blocks = list(got)
+        assert [len(b) for b in blocks][:-1] == [rows] * (len(blocks) - 1)
+        assert np.array_equal(np.vstack(blocks), self.ROWS)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/self/fd to count open files")
+    def test_blocks_close_their_file_descriptor(self, tmp_path):
+        path = tmp_path / "x.geo"
+        write_container(path, "GEO1", {"rows": self.ROWS})
+        before = len(os.listdir("/proc/self/fd"))
+        # read to the end; closed after one block; dropped before any block
+        for use in (list, lambda b: (next(iter(b)), b.blocks.close()),
+                    lambda b: None):
+            rows = read_container(path, "GEO1", block_rows=4)[0]["rows"]
+            assert len(os.listdir("/proc/self/fd")) == before + 1
+            use(rows)
+            del rows
+            gc.collect()
+            assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_truncated_rows_region_raises_before_any_block(self, tmp_path):
+        path = tmp_path / "x.geo"
+        write_container(path, "GEO1", {"rows": self.ROWS})
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(CorruptCache, match="runs past the end"):
+            read_container(path, "GEO1", block_rows=4)
+
+    @pytest.mark.parametrize("blocks", [
+        [ROWS[:10], ROWS[10:20]],           # too few rows
+        [ROWS[:20], ROWS[10:]],             # too many rows
+        [ROWS[:10], ROWS[10:, :5]],         # a block of the wrong width
+    ])
+    def test_blocks_that_do_not_fit_leave_no_file(self, tmp_path, blocks):
+        path = tmp_path / "x.geo"
+        with pytest.raises(ValueError):
+            write_container(path, "GEO1", {"rows": RowBlocks(
+                self.ROWS.shape, np.float64, iter(blocks))})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failing_block_source_leaves_no_file(self, tmp_path):
+        def blocks():
+            yield self.ROWS[:10]
+            raise KeyboardInterrupt
+
+        path = tmp_path / "x.geo"
+        with pytest.raises(KeyboardInterrupt):
+            write_container(path, "GEO1", {"rows": RowBlocks(
+                self.ROWS.shape, np.float64, blocks())})
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCorruption:

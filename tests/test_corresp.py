@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.csgraph import dijkstra
 from scipy.spatial.distance import cdist
 
 import wavemesh as wm
 from wavemesh import corresp
-from wavemesh.corresp import evaluate, geodesic_rows, match_nn
+from wavemesh.corresp import evaluate, geodesic_blocks, geodesic_rows, match_nn
 from wavemesh.errors import DisconnectedMesh, NonFiniteDescriptor, NumericalError
 from wavemesh.mesh import TriMesh
 
-from .conftest import grid_mesh
+from .conftest import grid_mesh, perturbed_sphere, traced_peak
 
 
 def bellman_ford(mesh, source):
@@ -128,6 +130,17 @@ class TestMatchNNOracle:
         assert np.array_equal(match_nn(source, target),
                               cdist_argmin(source, target))
 
+    def test_peak_memory_below_one_score_array(self):
+        # the scores are made MATCH_BLOCK source rows at a time
+        n_source, n_target = 1024, 1000
+        assert corresp.MATCH_BLOCK < n_source
+        rng = np.random.default_rng(12)
+        source = rng.standard_normal((n_source, 8))
+        target = rng.standard_normal((n_target, 8))
+        peak, got = traced_peak(lambda: match_nn(source, target))
+        assert peak < n_source * n_target * 8
+        assert np.array_equal(got, cdist_argmin(source, target))
+
     def test_overflowing_descriptors_match_the_oracle(self):
         # finite, but |b|^2 overflows: every row is re-scored by cdist
         rng = np.random.default_rng(10)
@@ -167,13 +180,41 @@ class TestGeodesics:
             dac = rows[lookup[a], c]
             assert dac <= dab + dbc + 1e-12
 
+    def test_both_edge_directions_give_the_undirected_rows(self):
+        # the graph stores each edge both ways and is searched as directed;
+        # the reference stores each edge once and is searched undirected
+        for mesh in (perturbed_sphere(seed=4, subdivisions=2),
+                     grid_mesh(12, 9)):
+            e = mesh.edges
+            once = sparse.csr_matrix(
+                (mesh.edge_lengths(), (e[:, 0], e[:, 1])),
+                shape=(mesh.n_vertices,) * 2)
+            sources = np.arange(0, mesh.n_vertices, 3)
+            want = dijkstra(once, directed=False, indices=sources)
+            assert np.array_equal(geodesic_rows(mesh, sources), want)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_blocks_stack_to_the_rows(self, monkeypatch, ico1, block):
+        monkeypatch.setattr(corresp, "GEO_BLOCK", block)
+        sources = np.arange(0, ico1.n_vertices, 2)
+        blocks = list(geodesic_blocks(ico1, sources))
+        assert len(blocks) == -(-sources.size // block)
+        assert np.array_equal(np.vstack(blocks), geodesic_rows(ico1, sources))
+
     def test_disconnected_mesh(self):
         verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0],
                  [10, 10, 10], [11, 10, 10], [10, 11, 10]]
         faces = [[0, 1, 2], [3, 4, 5]]
         mesh = TriMesh(verts, faces)
-        with pytest.raises(DisconnectedMesh):
-            geodesic_rows(mesh, [0])[0]
+        # sources in one component, then in two
+        for sources in ([0], [1, 2], [0, 4]):
+            # the oracle: every vertex some full row cannot reach
+            rows = geodesic_rows(mesh, sources)
+            want = np.unique(np.nonzero(np.isinf(rows))[1])
+            with pytest.raises(DisconnectedMesh) as info:
+                geodesic_blocks(mesh, sources)
+            assert np.array_equal(info.value.unreachable, want)
+        assert want.tolist() == list(range(6))
 
 
 class TestEvaluate:
@@ -226,12 +267,29 @@ class TestEvaluate:
         gt = rng.integers(0, ico1.n_vertices, 30)
         corr = rng.integers(0, ico1.n_vertices, 30)
         rows = geodesic_rows(ico1, np.unique(gt))
-        got = evaluate(corr, gt, ico1, rows=rows)
+        got = evaluate(corr, gt, ico1, rows=[rows])
         want = evaluate(corr, gt, ico1)
         assert np.array_equal(got.geodesic_errors, want.geodesic_errors)
         assert got.average_geodesic_error == want.average_geodesic_error
-        with pytest.raises(ValueError):
-            evaluate(corr, gt, ico1, rows=rows[:-1])
+        for bad in ([rows[:-1]], [rows, rows[:1]], [rows[:, :-1]]):
+            with pytest.raises(ValueError):
+                evaluate(corr, gt, ico1, rows=bad)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_scores_from_row_blocks_equal_the_whole_rows(self, monkeypatch,
+                                                         ico1, block):
+        rng = np.random.default_rng(13)
+        gt = rng.integers(0, ico1.n_vertices, 50)
+        corr = rng.integers(0, ico1.n_vertices, 50)
+        uniq, inverse = np.unique(gt, return_inverse=True)
+        rows = geodesic_rows(ico1, uniq)
+        want = rows[inverse, corr] / np.sqrt(ico1.total_area)
+        blocks = [rows[i:i + block] for i in range(0, uniq.size, block)]
+        got = evaluate(corr, gt, ico1, rows=blocks)
+        assert np.array_equal(got.geodesic_errors, want)
+        monkeypatch.setattr(corresp, "GEO_BLOCK", block)
+        computed = evaluate(corr, gt, ico1)
+        assert np.array_equal(computed.geodesic_errors, want)
 
     def test_index_out_of_range(self, ico1):
         gt = np.arange(ico1.n_vertices)

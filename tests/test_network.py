@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,7 @@ from wavemesh import network as nw
 from wavemesh.errors import EmptyDataset, NonFiniteLoss
 from wavemesh.wavelets import dense_filter_matrix
 
-from .conftest import build_bank_for, jittered_grid
+from .conftest import build_bank_for, jittered_grid, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -172,16 +170,6 @@ def grid441():
     mesh = jittered_grid(20, 20, seed=3)  # 441 vertices
     bank = build_bank_for(mesh, k=30, directions=2, alpha=50.0, scales=2)
     return mesh, bank
-
-
-def traced_peak(fn):
-    tracemalloc.start()
-    try:
-        result = fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak, result
 
 
 class TestPeakMemory:

@@ -23,7 +23,7 @@ from wavemesh.wavelets import (
     wavelet_at,
 )
 
-from .conftest import build_bank_for, grid_mesh, jittered_grid
+from .conftest import build_bank_for, grid_mesh, jittered_grid, traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -137,18 +137,12 @@ class TestBankConstruction:
                 assert np.abs(got / want - 1.0).max() < 1e-12
 
     def test_peak_memory_below_one_dense_filter(self, monkeypatch):
-        import tracemalloc
         monkeypatch.setattr(wavelets, "L1_BLOCK", 16)
         mesh = jittered_grid(19, 19, seed=13)  # 400 vertices
         spectra = [solve_eigs(assemble_lbo(mesh), 20)]
         kernel = KernelSpec.mexican_hat(spectra[0].lambda_max, 4)
         n = mesh.n_vertices
-        tracemalloc.start()
-        try:
-            build_filterbank(spectra, kernel)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(lambda: build_filterbank(spectra, kernel))
         assert peak < n * n * 8
 
 
