@@ -53,7 +53,7 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .mesh import load_mesh
+from .mesh import chunked_rows, load_mesh
 from .operators import AnisoConfig, assemble_albo
 from .spectrum import Spectrum, clamp_k, solve_eigs
 
@@ -298,7 +298,7 @@ def load_spectra(mesh, cfg, cache_dir, mesh_path, solve=False):
         spectra.append(Spectrum(
             eigenvalues=arrays["eigenvalues"],
             eigenvectors=arrays["eigenvectors"], mass=arrays["mass"],
-            k=len(arrays["eigenvalues"]), provenance={"key": key}))
+            provenance={"key": key}))
     return spectra
 
 
@@ -384,11 +384,16 @@ def load_checkpoint(path):
 # --- training / evaluation drivers ----------------------------------------------
 
 
-def write_history_csv(path, history):
+def write_csv(path, header, *columns):
+    """Write `header` and then one comma-separated line per row of the
+    columns. A NumPy column gives its cells as Python scalars through
+    `chunked_rows`, so a float is written as its `repr` and reads back bit
+    for bit; any other column is a list of strings, written unquoted."""
+    cells = (chunked_rows(c) if isinstance(c, np.ndarray) else c
+             for c in columns)
     with open(path, "w") as fh:
-        fh.write("epoch,loss,accuracy\n")
-        for epoch, loss, acc in history:
-            fh.write(f"{epoch},{loss!r},{acc!r}\n")
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*cells))
 
 
 def run_training(cfg, manifest_path, verbose=False):
@@ -430,8 +435,7 @@ def run_training(cfg, manifest_path, verbose=False):
         encoder_dims=(cfg.encoder_hidden, cfg.feature_dim),
         conv_layers=cfg.conv_layers, directions=cfg.directions,
         scales=cfg.scales, perturb=cfg.perturb, seed=cfg.seed)
-    model = network.Model.initialize(
-        model_config, items[0].coords.shape[0], dtype=dtype)
+    model = network.Model.initialize(model_config, dtype=dtype)
     if verbose:
         print(f"training on {len(items)} shapes, "
               f"{model.parameter_count} parameters, "
@@ -460,13 +464,6 @@ def load_geodesics(target, gt, cache_dir, mesh_path):
                  corresp.GEODESIC_METHOD),
         cache_dir, mesh_path, build, block_rows=corresp.GEO_BLOCK)[0]
     return arrays["rows"]
-
-
-def write_cge_csv(path, cge):
-    with open(path, "w") as fh:
-        fh.write("r,fraction\n")
-        for r, frac in cge:
-            fh.write(f"{float(r)!r},{float(frac)!r}\n")
 
 
 def run_evaluation(model, cfg, manifest_path, out_dir, verbose=False):
@@ -506,21 +503,20 @@ def run_evaluation(model, cfg, manifest_path, out_dir, verbose=False):
         del rows
         results.append((pair, result))
         pooled_errors.append(result.geodesic_errors)
-        write_cge_csv(out_dir / f"cge_pair{i}.csv", result.cge)
+        write_csv(out_dir / f"cge_pair{i}.csv", "r,fraction", *result.cge.T)
         if verbose:
             print(f"pair {pair['source']} -> {pair['target']}: "
                   f"AGEx100 = {result.average_geodesic_error:.4f}")
 
-    with open(out_dir / "pairs.csv", "w") as fh:
-        fh.write("source_mesh,target_mesh,age_x100\n")
-        for pair, result in results:
-            fh.write(f"{pair['source']},{pair['target']},"
-                     f"{result.average_geodesic_error!r}\n")
+    ages = np.array([r.average_geodesic_error for _, r in results])
+    write_csv(out_dir / "pairs.csv", "source_mesh,target_mesh,age_x100",
+              [pair["source"] for pair, _ in results],
+              [pair["target"] for pair, _ in results], ages)
 
     pooled = np.concatenate(pooled_errors)
     fractions = (pooled[None, :] <= radii[:, None]).mean(axis=1)
-    write_cge_csv(out_dir / "cge_pooled.csv", np.stack([radii, fractions], axis=1))
-    mean_age = float(np.mean([r.average_geodesic_error for _, r in results]))
+    write_csv(out_dir / "cge_pooled.csv", "r,fraction", radii, fractions)
+    mean_age = float(np.mean(ages))
     print(f"mean AGEx100 over {len(results)} pairs: {mean_age:.6f}")
     return results
 
@@ -542,13 +538,9 @@ def cmd_frames(args):
     cfg.echo(cfg.out)
     frames = _frames_for(mesh, cfg)
     out = Path(cfg.out) / f"{Path(cfg.mesh).stem}.frames.csv"
-    with open(out, "w") as fh:
-        fh.write("vertex,k_min,k_max,dir_x,dir_y,dir_z,umbilic\n")
-        for i in range(frames.n_vertices):
-            d = frames.dir_max[i]
-            fh.write(f"{i},{float(frames.k_min[i])!r},{float(frames.k_max[i])!r},"
-                     f"{float(d[0])!r},{float(d[1])!r},{float(d[2])!r},"
-                     f"{int(frames.umbilic[i])}\n")
+    write_csv(out, "vertex,k_min,k_max,dir_x,dir_y,dir_z,umbilic",
+              np.arange(frames.n_vertices), frames.k_min, frames.k_max,
+              *frames.dir_max.T, frames.umbilic.astype(np.int64))
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -576,7 +568,8 @@ def cmd_train(args):
     model, history = run_training(cfg, cfg.dataset, verbose=True)
     cfg.echo(out)  # after training so the resolved kernel scales are echoed
     save_checkpoint(out / "checkpoint.ckpt", model, cfg)
-    write_history_csv(out / "history.csv", history)
+    write_csv(out / "history.csv", "epoch,loss,accuracy",
+              *map(np.asarray, zip(*history)))
     print(f"final loss {history[-1][1]:.6f}, accuracy {history[-1][2]:.4f}")
     return EXIT_OK
 
@@ -609,10 +602,7 @@ def cmd_wavelet_dump(args):
     values = wavelets.wavelet_at(bank, args.direction, args.scale, args.vertex)
     out = Path(cfg.out) / (f"wavelet_{Path(cfg.mesh).stem}"
                            f"_v{args.vertex}_m{args.direction}_j{args.scale}.csv")
-    with open(out, "w") as fh:
-        fh.write("vertex,value\n")
-        for i, val in enumerate(values):
-            fh.write(f"{i},{float(val)!r}\n")
+    write_csv(out, "vertex,value", np.arange(len(values)), values)
     print(f"wrote {out}")
     return EXIT_OK
 

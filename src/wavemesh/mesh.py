@@ -259,12 +259,18 @@ def load_mesh(path):
     raise ParseError(f"cannot infer format from {path!r}")
 
 
-def _significant_lines(path):
+def _read_lines(path):
+    """(lines, sig) of a text file: its lines, numbered from 0 as iterating
+    the file would give them and cut at any `#` comment, and the numbers of
+    the significant (non-blank) ones. The file is read and split once."""
     with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, line
+        text = fh.read()
+    lines = text.split("\n")
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    del text
+    return lines, [i for i, line in enumerate(lines)
+                   if line and not line.isspace()]
 
 
 def _tokens_to_array(rows, width, convert, dtype):
@@ -336,19 +342,13 @@ def _read_off(path):
     parser's lines and tokens are freed before the TriMesh is built.
 
     The file is read and split into lines once, comments are cut and the
-    significant (non-blank) lines are found in one pass. Each vertex and
-    face line is then split once and its tokens converted once, by
-    `np.fromiter` over a chunk of lines; only a chunk that fails is checked
-    line by line, to raise the first bad line's error with its number.
+    significant (non-blank) lines are found in one pass, `_read_lines`,
+    which the OBJ reader shares. Each vertex and face line is then split
+    once and its tokens converted once, by `np.fromiter` over a chunk of
+    lines; only a chunk that fails is checked line by line, to raise the
+    first bad line's error with its number.
     """
-    with open(path, "r") as fh:
-        text = fh.read()
-    # the lines, numbered from 0, that iterating the file would give
-    lines = text.split("\n")
-    if "#" in text:
-        lines = [line.split("#", 1)[0] for line in lines]
-    del text
-    sig = [i for i, line in enumerate(lines) if line and not line.isspace()]
+    lines, sig = _read_lines(path)
     if not sig:
         raise ParseError("empty file", path, 1)
 
@@ -383,10 +383,12 @@ def _read_off(path):
 
 
 def _read_obj(path):
+    lines, sig = _read_lines(path)
     vertices = []
     faces = []
-    for lineno, line in _significant_lines(path):
-        tok = line.split()
+    for i in sig:
+        lineno = i + 1
+        tok = lines[i].split()
         if tok[0] == "v":
             if len(tok) < 4:
                 raise ParseError("vertex line needs 3 coordinates", path, lineno)

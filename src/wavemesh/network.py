@@ -86,7 +86,7 @@ class Model:
         return self.perms[n_vertices]
 
     @classmethod
-    def initialize(cls, config, n_vertices, dtype=np.float64):
+    def initialize(cls, config, dtype=np.float64):
         """Seeded init: affine and mixing weights uniform / sqrt(fan_in),
         norm gains 1, shifts 0, perturbation scales 1."""
         rng = np.random.default_rng(config.seed)
@@ -99,10 +99,7 @@ class Model:
                 params[name] = np.ones(shape, dtype=dtype)
             else:
                 params[name] = np.zeros(shape, dtype=dtype)
-        model = cls(config, params)
-        if config.perturb:
-            model.perm_for(n_vertices)
-        return model
+        return cls(config, params)
 
     @property
     def parameter_count(self):

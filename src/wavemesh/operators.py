@@ -9,7 +9,7 @@ Laplacian exactly.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -54,7 +54,6 @@ class OperatorPair:
 
     stiffness: sparse.csr_matrix
     mass: np.ndarray
-    config: AnisoConfig = field(default_factory=lambda: AnisoConfig(0.0, 0.0, 1))
 
     @property
     def n(self):
@@ -88,8 +87,7 @@ def assemble_lbo(mesh):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n)).tocsr()
     stiff.sum_duplicates()
-    return OperatorPair(stiffness=stiff, mass=mesh.mass.copy(),
-                        config=AnisoConfig(alpha=0.0, theta=0.0, directions=1))
+    return OperatorPair(stiffness=stiff, mass=mesh.mass.copy())
 
 
 def _triangle_directions(mesh, frames):
@@ -154,4 +152,4 @@ def assemble_albo(mesh, frames, config):
     n = mesh.n_vertices
     stiff = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     stiff.sum_duplicates()
-    return OperatorPair(stiffness=stiff, mass=mesh.mass.copy(), config=config)
+    return OperatorPair(stiffness=stiff, mass=mesh.mass.copy())

@@ -63,7 +63,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     mass: np.ndarray
-    k: int
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -73,6 +72,10 @@ class Spectrum:
     @property
     def n(self):
         return self.eigenvectors.shape[0]
+
+    @property
+    def k(self):
+        return len(self.eigenvalues)
 
     @property
     def lambda_max(self):
@@ -133,7 +136,7 @@ def solve_eigs(ops, k):
 
     provenance.update(max_residual=float(rel.max()), ortho_error=ortho_err)
     return Spectrum(eigenvalues=vals, eigenvectors=vecs, mass=mass.copy(),
-                    k=k, provenance=provenance)
+                    provenance=provenance)
 
 
 def _dense_path(stiffness, mass, k):

@@ -1,16 +1,18 @@
 """Synthetic shapes with ground-truth correspondence.
 
-Base generators (icosphere, bar, open cylinder) produce deterministic
-vertex orderings. Deformations (bend, twist) keep the connectivity, so
-the ground-truth map is the identity; midpoint subdivision produces a
-remeshed variant whose new vertices map to the nearer (smaller-index)
-endpoint of their edge.
+Base generators (icosphere, bar, open or capped cylinder) produce
+deterministic vertex orderings. Deformations (bend, twist) keep the
+connectivity, so the ground-truth map is the identity; midpoint
+subdivision produces a remeshed variant whose new vertices map to the
+nearer (smaller-index) endpoint of their edge.
 
-The generators are NumPy passes, not per-element loops. The bar keys every
-lattice point of its six sides by one integer, merges the points the sides
-share, and numbers its vertices in the order their keys first occur.
-Subdivision numbers the midpoint of edge i (a row of `TriMesh.edges`) as
-n + i and finds it by a binary search of the edge key lo * n + hi.
+Every base mesh is built from two NumPy primitives, not per-element loops.
+The lattice quad split `_quad_split` triangulates the six sides of the bar
+and the ring lattice of the cylinder, whose caps are two fans. The 1-to-4
+split `remesh` numbers the midpoint of edge i (a row of `TriMesh.edges`)
+as n + i and finds it by a binary search of the edge key lo * n + hi; the
+icosphere is the icosahedron refined by `remesh` and projected onto the
+sphere, so its midpoints are numbered the same way.
 """
 
 import json
@@ -48,8 +50,11 @@ def gen_base(kind, resolution, **kwargs):
 
 
 def icosphere(subdivisions):
-    """Unit sphere by midpoint subdivision of the icosahedron;
-    10 * 4**s + 2 vertices."""
+    """Unit sphere of 10 * 4**s + 2 vertices: the icosahedron refined `s`
+    times by `remesh`, with each level's midpoints projected onto the
+    sphere. As in `remesh`, the midpoint of edge i of a level is vertex
+    n + i of the next, so the vertices of every coarser level keep their
+    numbers and their bits."""
     if subdivisions < 0:
         raise ResolutionTooSmall("subdivisions must be >= 0")
     t = (1.0 + math.sqrt(5.0)) / 2.0
@@ -59,30 +64,19 @@ def icosphere(subdivisions):
         (t, 0, -1), (t, 0, 1), (-t, 0, -1), (-t, 0, 1),
     ], dtype=np.float64)
     verts /= np.linalg.norm(verts, axis=1)[:, None]
-    faces = np.array([
+    mesh = TriMesh(verts, np.array([
         (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
         (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
         (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
         (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
-    ], dtype=np.int64)
-    verts = [v for v in verts]
+    ], dtype=np.int64))
     for _ in range(subdivisions):
-        cache = {}
-
-        def midpoint(i, j):
-            key = (i, j) if i < j else (j, i)
-            if key not in cache:
-                p = verts[i] + verts[j]
-                verts.append(p / np.linalg.norm(p))
-                cache[key] = len(verts) - 1
-            return cache[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = np.asarray(new_faces, dtype=np.int64)
-    return TriMesh(np.asarray(verts), faces)
+        n = mesh.n_vertices
+        refined, _ = remesh(mesh)
+        verts = refined.vertices.copy()
+        verts[n:] /= np.linalg.norm(verts[n:], axis=1)[:, None]
+        mesh = TriMesh(verts, refined.faces)
+    return mesh
 
 
 def bar(resolution, length=8.0, width=1.0):
@@ -134,43 +128,49 @@ def bar(resolution, length=8.0, width=1.0):
     for nu1, nv1 in shapes:
         idx = ids[offset:offset + nu1 * nv1].reshape(nu1, nv1)
         offset += nu1 * nv1
-        a, b = idx[:-1, :-1], idx[1:, :-1]
-        c, d = idx[1:, 1:], idx[:-1, 1:]
-        faces.append(np.stack([a, b, c, a, c, d], axis=-1).reshape(-1, 3))
+        faces.append(_quad_split(idx).reshape(-1, 3))
     return TriMesh(verts, np.concatenate(faces))
 
 
+def _quad_split(idx):
+    """The two triangles (a, b, c) and (a, c, d) of every cell of a lattice
+    of vertex ids, with a = idx[u, v], b = idx[u + 1, v],
+    c = idx[u + 1, v + 1] and d = idx[u, v + 1]; they turn counter-clockwise
+    seen from the side that u x v points to. Returns a (nu, nv, 6) array,
+    one row per cell, so that the caller chooses the order of the cells."""
+    a, b = idx[:-1, :-1], idx[1:, :-1]
+    c, d = idx[1:, 1:], idx[:-1, 1:]
+    return np.stack([a, b, c, a, c, d], axis=-1)
+
+
 def cylinder(resolution, caps=False, radius=1.0, height=4.0):
-    """Cylinder along z; open (boundary rings) unless caps is set."""
+    """Cylinder along z; open (boundary rings) unless caps is set. Ring j
+    holds vertices j * n_theta + i at angle 2 pi i / n_theta; the side is
+    the quad split of the ring lattice, whose last column wraps to angle 0,
+    and each cap is a fan from a centre vertex appended after the rings."""
     if resolution < 1:
         raise ResolutionTooSmall("cylinder resolution must be >= 1")
     n_theta = 8 * resolution
     n_z = 4 * resolution
-    verts = []
-    for j in range(n_z + 1):
-        z = -height / 2.0 + height * j / n_z
-        for i in range(n_theta):
-            a = 2.0 * math.pi * i / n_theta
-            verts.append((radius * math.cos(a), radius * math.sin(a), z))
-    faces = []
-    for j in range(n_z):
-        for i in range(n_theta):
-            a = j * n_theta + i
-            b = j * n_theta + (i + 1) % n_theta
-            c = (j + 1) * n_theta + (i + 1) % n_theta
-            d = (j + 1) * n_theta + i
-            faces += [(a, b, c), (a, c, d)]
+    angle = 2.0 * math.pi * np.arange(n_theta) / n_theta
+    z = -height / 2.0 + height * np.arange(n_z + 1) / n_z
+    verts = np.column_stack([np.tile(radius * np.cos(angle), n_z + 1),
+                             np.tile(radius * np.sin(angle), n_z + 1),
+                             np.repeat(z, n_theta)])
+    # idx[i, j]: the vertex at angle i of ring j, angle n_theta wrapping to
+    # 0; angle x height points outward, and the cells go ring by ring
+    idx = ((np.arange(n_theta + 1) % n_theta)[:, None]
+           + n_theta * np.arange(n_z + 1))
+    faces = _quad_split(idx).swapaxes(0, 1).reshape(-1, 3)
     if caps:
-        bottom = len(verts)
-        verts.append((0.0, 0.0, -height / 2.0))
-        top = len(verts)
-        verts.append((0.0, 0.0, height / 2.0))
-        for i in range(n_theta):
-            nxt = (i + 1) % n_theta
-            faces.append((bottom, nxt, i))
-            faces.append((top, n_z * n_theta + i, n_z * n_theta + nxt))
-    return TriMesh(np.asarray(verts, dtype=np.float64),
-                   np.asarray(faces, dtype=np.int64))
+        bottom, top = len(verts), len(verts) + 1
+        verts = np.concatenate([verts, [(0.0, 0.0, -height / 2.0),
+                                        (0.0, 0.0, height / 2.0)]])
+        low, high = idx[:, 0], idx[:, -1]
+        fans = np.stack([np.full(n_theta, bottom), low[1:], low[:-1],
+                         np.full(n_theta, top), high[:-1], high[1:]], axis=1)
+        faces = np.concatenate([faces, fans.reshape(-1, 3)])
+    return TriMesh(verts, faces)
 
 
 def _deformation_axes(mesh):

@@ -1,12 +1,18 @@
 """Per-element reference implementations: oracles for the vectorized code.
 
 Each function is the straightforward Python loop that `wavemesh.synth` and
-`wavemesh.mesh` replaced with NumPy passes; the tests assert that the
-vectorized versions produce bit-identical arrays and byte-identical files.
+`wavemesh.mesh` replaced with NumPy passes or shared primitives; the tests
+assert that the replacements produce bit-identical arrays, byte-identical
+files and the same errors. The icosphere's midpoints are numbered in the
+order the faces reach them, so it matches `wavemesh.synth.icosphere` only
+up to a relabelling of its vertices and round-off in their coordinates.
 """
+
+import math
 
 import numpy as np
 
+from wavemesh.errors import NonTriangleFace, ParseError
 from wavemesh.mesh import TriMesh
 
 
@@ -58,6 +64,73 @@ def bar(resolution, length=8.0, width=1.0):
     return TriMesh(np.asarray(verts), np.asarray(faces, dtype=np.int64))
 
 
+def icosphere(subdivisions):
+    """Icosphere whose midpoints are numbered in the order the faces first
+    reach them, through an edge dict and a per-face loop."""
+    t = (1.0 + math.sqrt(5.0)) / 2.0
+    verts = np.array([
+        (-1, t, 0), (1, t, 0), (-1, -t, 0), (1, -t, 0),
+        (0, -1, t), (0, 1, t), (0, -1, -t), (0, 1, -t),
+        (t, 0, -1), (t, 0, 1), (-t, 0, -1), (-t, 0, 1),
+    ], dtype=np.float64)
+    verts /= np.linalg.norm(verts, axis=1)[:, None]
+    faces = np.array([
+        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
+        (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
+        (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
+        (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
+    ], dtype=np.int64)
+    verts = [v for v in verts]
+    for _ in range(subdivisions):
+        cache = {}
+
+        def midpoint(i, j):
+            key = (i, j) if i < j else (j, i)
+            if key not in cache:
+                p = verts[i] + verts[j]
+                verts.append(p / np.linalg.norm(p))
+                cache[key] = len(verts) - 1
+            return cache[key]
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+        faces = np.asarray(new_faces, dtype=np.int64)
+    return TriMesh(np.asarray(verts), faces)
+
+
+def cylinder(resolution, caps=False, radius=1.0, height=4.0):
+    """Cylinder built vertex by vertex and face by face in nested loops."""
+    n_theta = 8 * resolution
+    n_z = 4 * resolution
+    verts = []
+    for j in range(n_z + 1):
+        z = -height / 2.0 + height * j / n_z
+        for i in range(n_theta):
+            a = 2.0 * math.pi * i / n_theta
+            verts.append((radius * math.cos(a), radius * math.sin(a), z))
+    faces = []
+    for j in range(n_z):
+        for i in range(n_theta):
+            a = j * n_theta + i
+            b = j * n_theta + (i + 1) % n_theta
+            c = (j + 1) * n_theta + (i + 1) % n_theta
+            d = (j + 1) * n_theta + i
+            faces += [(a, b, c), (a, c, d)]
+    if caps:
+        bottom = len(verts)
+        verts.append((0.0, 0.0, -height / 2.0))
+        top = len(verts)
+        verts.append((0.0, 0.0, height / 2.0))
+        for i in range(n_theta):
+            nxt = (i + 1) % n_theta
+            faces.append((bottom, nxt, i))
+            faces.append((top, n_z * n_theta + i, n_z * n_theta + nxt))
+    return TriMesh(np.asarray(verts, dtype=np.float64),
+                   np.asarray(faces, dtype=np.int64))
+
+
 def remesh(mesh):
     """Midpoint 1-to-4 subdivision through an edge dict, face by face."""
     v, f = mesh.vertices, mesh.faces
@@ -90,6 +163,47 @@ def write_off(mesh, path):
             fh.write(f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}\n")
         for f in mesh.faces:
             fh.write(f"3 {f[0]} {f[1]} {f[2]}\n")
+
+
+def read_obj(path):
+    """OBJ reader that walks the file line by line through a generator."""
+
+    def significant_lines():
+        with open(path, "r") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if line:
+                    yield lineno, line
+
+    vertices = []
+    faces = []
+    for lineno, line in significant_lines():
+        tok = line.split()
+        if tok[0] == "v":
+            if len(tok) < 4:
+                raise ParseError("vertex line needs 3 coordinates", path, lineno)
+            try:
+                vertices.append([float(t) for t in tok[1:4]])
+            except ValueError:
+                raise ParseError("malformed vertex line", path, lineno) from None
+        elif tok[0] == "f":
+            refs = tok[1:]
+            if len(refs) != 3:
+                raise NonTriangleFace(
+                    f"{path}:{lineno}: face with {len(refs)} vertices")
+            idx = []
+            for r in refs:
+                try:
+                    k = int(r.split("/", 1)[0])
+                except ValueError:
+                    raise ParseError("malformed face index", path, lineno) from None
+                if k < 1:
+                    raise ParseError("face indices must be positive", path, lineno)
+                idx.append(k - 1)
+            faces.append(idx)
+    if not vertices:
+        raise ParseError("no vertices found", path, 1)
+    return TriMesh(np.asarray(vertices), np.asarray(faces, dtype=np.int64))
 
 
 def write_indices(indices, path):

@@ -767,3 +767,67 @@ def test_frames_csv_reads_back_as_the_estimated_frames(run, tmp_path):
     assert np.array_equal(table[:, 2], frames.k_max)
     assert np.array_equal(table[:, 3:6], frames.dir_max)
     assert np.array_equal(table[:, 6], frames.umbilic)
+
+
+# --- CSV files ------------------------------------------------------------------
+
+
+def _frames_csv_per_row(frames, path):
+    """The per-row f-string writer of `frames`, kept as an oracle."""
+    with open(path, "w") as fh:
+        fh.write("vertex,k_min,k_max,dir_x,dir_y,dir_z,umbilic\n")
+        for i in range(frames.n_vertices):
+            d = frames.dir_max[i]
+            fh.write(f"{i},{float(frames.k_min[i])!r},{float(frames.k_max[i])!r},"
+                     f"{float(d[0])!r},{float(d[1])!r},{float(d[2])!r},"
+                     f"{int(frames.umbilic[i])}\n")
+
+
+def _wavelet_csv_per_row(values, path):
+    """The per-row f-string writer of `wavelet-dump`, kept as an oracle."""
+    with open(path, "w") as fh:
+        fh.write("vertex,value\n")
+        for i, val in enumerate(values):
+            fh.write(f"{i},{float(val)!r}\n")
+
+
+def test_frames_and_wavelet_csvs_match_per_row_writers(run, tmp_path):
+    mesh_path = run.data / "template.off"
+    mesh = load_mesh(mesh_path)
+    frames = estimate_frames(mesh)
+    # both umbilic values occur, so the flag column is exercised
+    assert frames.umbilic.any() and not frames.umbilic.all()
+    assert cli.main(["frames", "--mesh", str(mesh_path),
+                     "--out", str(tmp_path / "frames")]) == 0
+    _frames_csv_per_row(frames, tmp_path / "want.frames.csv")
+    assert ((tmp_path / "frames" / "template.frames.csv").read_bytes()
+            == (tmp_path / "want.frames.csv").read_bytes())
+
+    cache = _own_cache(run, tmp_path / "cache")
+    _dump(mesh_path, cache, tmp_path / "dump", run.model)
+    cfg = cli.ExperimentConfig.load(run.model, {"k": int(K)})
+    bank = cli.build_bank(cli.load_spectra(mesh, cfg, cache, mesh_path), cfg,
+                          cache, mesh_path)
+    _wavelet_csv_per_row(wavelets.wavelet_at(bank, 1, 1, 5),
+                         tmp_path / "want.csv")
+    (got,) = (tmp_path / "dump").glob("wavelet_*.csv")
+    assert got.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_write_csv_cells(tmp_path):
+    # history.csv and pairs.csv as their per-row writers formatted them:
+    # ints and floats as Python scalars, strings unquoted
+    history = [(1, 5.25, 0.1), (2, 1e-05, 1.0 / 3.0)]
+    cli.write_csv(tmp_path / "history.csv", "epoch,loss,accuracy",
+                  *map(np.asarray, zip(*history)))
+    assert (tmp_path / "history.csv").read_text() == "".join(
+        ["epoch,loss,accuracy\n"]
+        + [f"{epoch},{loss!r},{acc!r}\n" for epoch, loss, acc in history])
+    cli.write_csv(tmp_path / "pairs.csv", "source_mesh,target_mesh,age_x100",
+                  ["template.off"], ["deform 1.off"], np.array([2.5e-17]))
+    assert (tmp_path / "pairs.csv").read_text() == (
+        "source_mesh,target_mesh,age_x100\n"
+        "template.off,deform 1.off,2.5e-17\n")
+    cli.write_csv(tmp_path / "empty.csv", "r,fraction",
+                  np.empty(0), np.empty(0))
+    assert (tmp_path / "empty.csv").read_text() == "r,fraction\n"

@@ -280,6 +280,55 @@ class TestOffParsing:
         assert np.array_equal(mesh.faces, want.faces)
 
 
+OBJ_TRIANGLE = "v 0 0 0\nv 1 0 0\nv 0 1 0\n"
+OBJ_TETRA = ("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\n"
+             "f 1 3 2\nf 1 2 4\nf 1 4 3\nf 2 3 4\n")
+
+
+def _read_outcome(read, path):
+    """A reader's arrays, or the class, message and line of its error."""
+    try:
+        mesh = read(path)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return mesh.vertices.tobytes(), mesh.faces.tobytes()
+
+
+class TestObjParsing:
+    """The OBJ reader, on the shared line pass, gives the arrays or the error
+    of the reference reader that walks the file line by line."""
+
+    @pytest.mark.parametrize("text, error, line", [
+        (OBJ_TETRA, None, None),
+        ("# head\nv 0 0 0 # a\nv 1 0 0\n#v 9 9 9\nv 0 1 0\n"
+         "v 0 0 1\nf 1 3 2 # b\nf 1 2 4\nf 1 4 3\nf 2 3 4\n", None, None),
+        (OBJ_TRIANGLE + "f 1 2 3 # one face\n", None, None),
+        (OBJ_TETRA.replace("\n", "\r\n"), None, None),
+        (OBJ_TETRA.replace("\n", "\r"), None, None),
+        ("\n\n" + OBJ_TETRA.replace("\n", "\n  \n\t\n") + "\n", None, None),
+        ("vn 0 0 1\nvt 0 0\nusemtl skin\no tri\ns off\n" + OBJ_TRIANGLE
+         + "g side\nf 1 2 3\n", None, None),
+        (OBJ_TRIANGLE + "f 1/1/1 2//1 3/3\n", None, None),
+        (OBJ_TRIANGLE + "v 1 1 0\nf 1 2 3 4\n", NonTriangleFace, None),
+        ("v 0 0 0\n\nv 1 oops 0\nv 0 1 0\nf 1 2 3\n", ParseError, 3),
+        ("v 0 0\n", ParseError, 1),
+        (OBJ_TRIANGLE + "# c\nf 0 1 2\n", ParseError, 5),
+        (OBJ_TRIANGLE + "f 1 x/1 3\n", ParseError, 4),
+        (OBJ_TRIANGLE, NonTriangleFace, None),
+        ("", ParseError, 1),
+        ("# only a comment\n\n", ParseError, 1),
+    ])
+    def test_matches_the_line_by_line_reader(self, tmp_path, text, error, line):
+        path = tmp_path / "mesh.obj"
+        path.write_bytes(text.encode())
+        got = _read_outcome(load_mesh, path)
+        assert got == _read_outcome(ref.read_obj, path)
+        if error is None:
+            assert len(got) == 2
+        else:
+            assert got[0] is error and got[2] == line
+
+
 class TestVectorizedEdgesAndWriter:
     @pytest.mark.parametrize("name", ["ico3", "open_cylinder", "flat_grid"])
     def test_edges_match_rowwise_unique(self, request, name):

@@ -25,7 +25,7 @@ def setup():
 def small_model(perturb, n, seed=7):
     cfg = nw.ModelConfig(n_classes=n, encoder_dims=(8, 8), conv_layers=2,
                          directions=2, scales=2, perturb=perturb, seed=seed)
-    return nw.Model.initialize(cfg, n)
+    return nw.Model.initialize(cfg)
 
 
 def selu(x):
@@ -177,7 +177,7 @@ class TestPeakMemory:
         cfg = nw.ModelConfig(n_classes=n_classes, encoder_dims=(8, 16),
                              conv_layers=2, directions=2, scales=2,
                              perturb=perturb, seed=0)
-        return nw.Model.initialize(cfg, n)
+        return nw.Model.initialize(cfg)
 
     @pytest.mark.parametrize("perturb", [False, True])
     def test_softmax_descriptors_in_place(self, grid441, perturb):
@@ -284,7 +284,7 @@ class TestTraining:
         n = ico1.n_vertices
         cfg = nw.ModelConfig(n_classes=n, encoder_dims=(16, 32), conv_layers=2,
                              directions=2, scales=3, perturb=True, seed=0)
-        model = nw.Model.initialize(cfg, n)
+        model = nw.Model.initialize(cfg)
         item = nw.TrainItem(coords=ico1.vertices, labels=np.arange(n),
                             bank=bank, name="ico1")
         perm_before = model.perm_for(n).copy()
@@ -343,7 +343,7 @@ class TestFloat32:
             cfg = nw.ModelConfig(n_classes=n, encoder_dims=(8, 8),
                                  conv_layers=2, directions=2, scales=2,
                                  perturb=True, seed=3)
-            model = nw.Model.initialize(cfg, n, dtype=dtype)
+            model = nw.Model.initialize(cfg, dtype=dtype)
             item = nw.TrainItem(coords=mesh.vertices.astype(dtype),
                                 labels=np.arange(n), bank=bank)
             grad_dtypes.clear()

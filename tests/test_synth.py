@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import wavemesh as wm
 from wavemesh.errors import (
@@ -67,6 +68,27 @@ class TestBases:
             volume = np.einsum("ij,ij->i", tri[:, 0],
                                np.cross(tri[:, 1], tri[:, 2])).sum() / 6.0
             assert volume > 0
+
+    @pytest.mark.parametrize("caps, euler", [(False, 0), (True, 2)])
+    def test_cylinder_orientation_and_topology(self, caps, euler):
+        # resolution 2: 16 vertices around each of 9 rings
+        mesh = gen_base("cylinder", 2, caps=caps)
+        rings = 16 * 9
+        side = mesh.faces.max(axis=1) < rings   # caps touch a centre vertex
+        assert side.sum() == 2 * 16 * 8
+        centroid = mesh.vertices[mesh.faces[side]].mean(axis=1)
+        outward = np.einsum("ij,ij->i", mesh.face_normals[side, :2],
+                            centroid[:, :2])
+        assert (outward > 0).all()
+        assert mesh.n_vertices - mesh.n_edges + mesh.n_faces == euler
+        assert mesh.is_closed == caps
+        if caps:
+            # a prism of height 4 over the regular 16-gon of circumradius 1
+            tri = mesh.vertices[mesh.faces]
+            volume = np.einsum("ij,ij->i", tri[:, 0],
+                               np.cross(tri[:, 1], tri[:, 2])).sum() / 6.0
+            assert volume == pytest.approx(4 * 8 * math.sin(math.pi / 8),
+                                           rel=1e-12)
 
 
 class TestDeform:
@@ -248,6 +270,35 @@ class TestVectorizedGenerators:
         got, want = gen_base("bar", res), ref.bar(res)
         assert same_bits(got.vertices, want.vertices)
         assert same_bits(got.faces, want.faces)
+
+    @pytest.mark.parametrize("caps", [False, True])
+    @pytest.mark.parametrize("res", [1, 2, 3, 5])
+    def test_cylinder_matches_nested_loops(self, res, caps):
+        got = gen_base("cylinder", res, caps=caps)
+        want = ref.cylinder(res, caps=caps)
+        assert same_bits(got.vertices, want.vertices)
+        assert same_bits(got.faces, want.faces)
+
+    @pytest.mark.parametrize("s", [0, 1, 2, 3, 4])
+    def test_icosphere_is_the_midpoint_dict_relabelled(self, s):
+        # the remesh-based icosphere numbers midpoints by edge, the
+        # reference by first visit: nearest vertices must pair them one to
+        # one, and the faces must agree under that pairing in order
+        got, want = gen_base("icosphere", s), ref.icosphere(s)
+        gap, match = cKDTree(want.vertices).query(got.vertices)
+        assert np.array_equal(np.sort(match), np.arange(want.n_vertices))
+        assert gap.max() <= 4e-16
+        assert np.array_equal(match[got.faces], want.faces)
+        assert same_bits(got.vertices[:12], want.vertices[:12])
+        assert np.array_equal(match[:12], np.arange(12))
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_icosphere_keeps_every_coarser_level(self, s):
+        # remesh keeps vertices 0..n-1, and only the midpoints are projected
+        fine, coarse = gen_base("icosphere", s), gen_base("icosphere", s - 1)
+        assert same_bits(fine.vertices[:coarse.n_vertices], coarse.vertices)
+        mids = fine.vertices[coarse.n_vertices:]
+        assert np.abs(np.linalg.norm(mids, axis=1) - 1.0).max() < 1e-15
 
     @pytest.mark.parametrize("res", [1, 2, 3, 6, 10])
     def test_remesh_matches_per_face_loop(self, res):

@@ -237,7 +237,7 @@ class TestLocalizedWavelets:
         phi2 = spec.eigenvectors.copy()
         phi2[:, 1:4] = phi2[:, 1:4] @ q
         remixed = Spectrum(eigenvalues=lam.copy(), eigenvectors=phi2,
-                           mass=spec.mass.copy(), k=spec.k)
+                           mass=spec.mass.copy())
         from .conftest import test_kernel
         kernel = test_kernel([spec], 3)
         bank_a = build_filterbank([spec], kernel)
