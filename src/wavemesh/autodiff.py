@@ -1,4 +1,7 @@
-"""Minimal reverse-mode tape over float64 numpy arrays.
+"""Minimal reverse-mode tape over float64 or float32 numpy arrays.
+
+Each op computes in the dtype of its inputs; a scalar loss is float64, and
+its vjps hand on gradients in the dtype of what they differentiate.
 
 Just enough machinery for the trainable pipeline: every op whose inputs
 include one that requires a gradient records, on a small gradient node,

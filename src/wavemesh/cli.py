@@ -84,7 +84,6 @@ class ExperimentConfig:
     lr: float = 0.001
     weight_decay: float = 0.0001
     seed: int = 0
-    descriptor: str = "features"
     radii: tuple[float, float, float] = (0.0, 0.25, 0.0025)
     float32: bool = False
     out: str = "out"
@@ -120,7 +119,6 @@ class ExperimentConfig:
             (self.curvature_radius >= 0, "curvature_radius must be >= 0"),
             (self.kernel_lambda_max is None or self.kernel_lambda_max > 0,
              "kernel_lambda_max must be positive"),
-            (self.descriptor in ("features", "softmax"), "bad descriptor mode"),
         ]
         for ok, msg in checks:
             if not ok:
@@ -327,10 +325,13 @@ def build_bank(spectra, cfg, cache_dir, mesh_path):
 # --- checkpoints ---------------------------------------------------------------
 
 
+# Saved-experiment keys of earlier versions, each with the one value this
+# version reproduces: untightened banks, last-conv-layer descriptors.
+RETIRED_KEYS = {"tighten": False, "descriptor": "features"}
+
+
 def save_checkpoint(path, model, cfg):
     arrays = {f"param:{k}": v for k, v in model.params.items()}
-    for n, perm in sorted(model.perms.items()):
-        arrays[f"perm:{n}"] = perm.astype(np.int64)
     meta = {"model": dataclasses.asdict(model.config),
             "experiment": dataclasses.asdict(cfg)}
     write_container(path, "CKPT1", arrays, meta=meta)
@@ -339,7 +340,8 @@ def save_checkpoint(path, model, cfg):
 def load_checkpoint(path):
     """(model, saved experiment) of a CKPT1 file. Model metadata that is
     not a complete `network.ModelConfig`, or parameters whose names and
-    shapes are not the ones that config implies, raise CorruptCache."""
+    shapes are not the ones that config implies, raise CorruptCache. A
+    `RETIRED_KEYS` key is dropped, or raises ConfigInvalid if it differs."""
     arrays, meta = read_container(path, "CKPT1")
     if not isinstance(meta, dict) or "model" not in meta:
         raise CorruptCache(f"{path}: checkpoint missing model metadata")
@@ -362,23 +364,15 @@ def load_checkpoint(path):
     if wrong:
         raise CorruptCache(
             f"{path}: parameters {wrong[:3]} do not fit the checkpoint model")
-    perms = {k.split(":", 1)[1]: v for k, v in arrays.items()
-             if k.startswith("perm:")}
-    for n, perm in perms.items():
-        if not (n.isdigit()
-                and np.array_equal(np.sort(perm), np.arange(int(n)))):
-            raise CorruptCache(
-                f"{path}: perm:{n} is not a permutation of range({n})")
     experiment = meta.get("experiment", {})
-    # checkpoints written while banks could be tightened save
-    # "tighten": false, the only bank this version builds
-    if isinstance(experiment, dict) \
-            and experiment.pop("tighten", False) is not False:
-        raise ConfigInvalid(
-            f"{path}: saved experiment key 'tighten' is set; its model was "
-            f"trained on tightened filter banks, which are no longer built")
-    perms = {int(n): perm for n, perm in perms.items()}
-    return network.Model(config, params, perms), experiment
+    if isinstance(experiment, dict):
+        for key, kept in RETIRED_KEYS.items():
+            value = experiment.pop(key, kept)
+            if (type(value), value) != (type(kept), kept):
+                raise ConfigInvalid(
+                    f"{path}: saved experiment key {key!r} is {value!r}; "
+                    f"this version reproduces only {kept!r}")
+    return network.Model(config, params), experiment
 
 
 # --- training / evaluation drivers ----------------------------------------------
@@ -480,7 +474,7 @@ def run_evaluation(model, cfg, manifest_path, out_dir, verbose=False):
         spectra = load_spectra(mesh, cfg, cache_dir, root / rel)
         bank = build_bank(spectra, cfg, cache_dir, root / rel)
         return mesh, network.descriptors(model, mesh.vertices.astype(dtype),
-                                         bank, mode=cfg.descriptor)
+                                         bank)
 
     results = []
     pooled_errors = []

@@ -1,10 +1,11 @@
 """Exception hierarchy shared across the toolkit.
 
-Three families matter for the CLI exit codes: ValidationError (bad input
-data or configuration, exit 2), NumericalError (a solver or the training
-loop failed, exit 3) and CacheError (missing or corrupt cache files,
-exit 4). Plain ValueError is used for simple scalar-argument violations
-and is treated like ValidationError by the CLI.
+Every class derives from one of three families, which set the CLI exit
+codes: ValidationError (bad input data, meshes included, or configuration,
+exit 2), NumericalError (a solver or the training loop failed, exit 3) and
+CacheError (missing or corrupt cache files, exit 4). Plain ValueError is
+used for simple scalar-argument violations and is treated like
+ValidationError by the CLI.
 """
 
 
@@ -22,35 +23,32 @@ class CacheError(Exception):
 
 # --- mesh ---------------------------------------------------------------
 
-class MeshError(ValidationError):
-    pass
-
-
-class ParseError(MeshError):
+class ParseError(ValidationError):
     def __init__(self, message, path=None, line=None):
         self.path = path
         self.line = line
-        where = f"{path}:{line}: " if path is not None and line is not None else ""
+        where = ("" if path is None else
+                 f"{path}: " if line is None else f"{path}:{line}: ")
         super().__init__(f"{where}{message}")
 
 
-class NonTriangleFace(MeshError):
+class NonTriangleFace(ValidationError):
     pass
 
 
-class NonManifoldEdge(MeshError):
+class NonManifoldEdge(ValidationError):
     pass
 
 
-class InconsistentOrientation(MeshError):
+class InconsistentOrientation(ValidationError):
     pass
 
 
-class DegenerateTriangle(MeshError):
+class DegenerateTriangle(ValidationError):
     pass
 
 
-class IsolatedVertex(MeshError):
+class IsolatedVertex(ValidationError):
     pass
 
 
@@ -87,10 +85,6 @@ class ZeroColumnNorm(NumericalError):
 # --- network ---------------------------------------------------------------
 
 class SingleVertexShape(ValidationError):
-    pass
-
-
-class PermutationLengthMismatch(ValidationError):
     pass
 
 

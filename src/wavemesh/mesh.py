@@ -249,14 +249,19 @@ def vertex_mass(mesh):
 # -- file formats -------------------------------------------------------------
 
 def load_mesh(path):
-    """Load an OFF or OBJ triangle mesh; format inferred from the suffix."""
+    """Load an OFF or OBJ triangle mesh; format inferred from the suffix.
+    A file that holds no faces raises ParseError, whatever its format."""
     path = str(path)
     lower = path.lower()
     if lower.endswith(".off"):
-        return TriMesh(*_read_off(path))
-    if lower.endswith(".obj"):
-        return _read_obj(path)
-    raise ParseError(f"cannot infer format from {path!r}")
+        vertices, faces = _read_off(path)
+    elif lower.endswith(".obj"):
+        vertices, faces = _read_obj(path)
+    else:
+        raise ParseError(f"cannot infer format from {path!r}")
+    if len(faces) == 0:
+        raise ParseError("no faces found", path)
+    return TriMesh(vertices, faces)
 
 
 def _read_lines(path):
@@ -415,7 +420,7 @@ def _read_obj(path):
         # all other directives (vn, vt, usemtl, ...) are ignored
     if not vertices:
         raise ParseError("no vertices found", path, 1)
-    return TriMesh(np.asarray(vertices), np.asarray(faces, dtype=np.int64))
+    return np.asarray(vertices), np.asarray(faces, dtype=np.int64)
 
 
 def chunked_rows(array):

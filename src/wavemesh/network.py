@@ -4,17 +4,19 @@ A per-vertex encoder (two affine+SELU stages on raw xyz) feeds a stack of
 multi-scale anisotropic wavelet convolution layers; each layer combines
 the L1-normalized filtered feature maps over all (direction, scale) pairs
 with learnable mixing matrices, then applies SELU and a per-shape feature
-standardization with learnable affine. An optional perturbation stage - a
-fixed seeded permutation of vertex rows with a learnable per-feature
-scale - sits between the last conv layer and the classifier head.
-Training fuses the head with its softmax cross entropy
-(``autodiff.linear_softmax_cross_entropy``), so the N x C logits are never
-materialized there. Training holds one step's graph at a time: each
-optimizer step runs in its own call, so the next step's forward starts
-only after this step's graph, activations and gradients are gone. All
-training math runs in float64 by default. The float32 mode keeps
-parameters, activations and gradients in float32; its loss curve is
-tested against float64 to 1e-4 relative.
+standardization with learnable affine. The last conv layer's output is
+the per-vertex matching descriptor. A classifier head over the template
+vertices trains it; an optional perturbation stage - a fixed seeded
+permutation of vertex rows with a learnable per-feature scale - sits
+between the last conv layer and the head, so it shapes training only and
+never runs on a described mesh. Training fuses the head with its softmax
+cross entropy (``autodiff.linear_softmax_cross_entropy``), so the N x C
+logits are never materialized. Training holds one step's graph at a
+time: each optimizer step runs in its own call, so the next step's
+forward starts only after this step's graph, activations and gradients
+are gone. All training math runs in float64 by default. The float32 mode
+keeps parameters, activations and gradients in float32; its loss curve
+is tested against float64 to 1e-4 relative.
 """
 
 from dataclasses import dataclass, field
@@ -22,11 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import EmptyDataset, NonFiniteLoss, PermutationLengthMismatch
+from .errors import EmptyDataset, NonFiniteLoss
 
 __all__ = [
     "ModelConfig", "Model", "TrainItem", "AdamState", "param_shapes",
-    "model_forward", "descriptors", "adam_step", "train",
+    "descriptors", "adam_step", "train",
 ]
 
 
@@ -66,24 +68,19 @@ def param_shapes(config):
 
 
 class Model:
-    """Parameter container; the forward pass lives in module functions.
+    """Parameter container; the forward pass lives in module functions."""
 
-    ``perms`` maps a vertex count to that resolution's fixed feature-row
-    permutation. Each permutation is a pure function of (seed, count), so
-    it is identical across batches, epochs and runs; training sets that
-    mix resolutions get one fixed shuffle per resolution.
-    """
-
-    def __init__(self, config, params, perms=None):
+    def __init__(self, config, params):
         self.config = config
         self.params = params
-        self.perms = dict(perms or {})
 
     def perm_for(self, n_vertices):
-        if n_vertices not in self.perms:
-            rng = np.random.default_rng([self.config.seed, n_vertices])
-            self.perms[n_vertices] = rng.permutation(n_vertices)
-        return self.perms[n_vertices]
+        """The perturbation stage's fixed row permutation for shapes of
+        `n_vertices` vertices: a pure function of (seed, count), so it is
+        identical across batches, epochs and runs, and training sets that
+        mix resolutions get one fixed shuffle per resolution."""
+        rng = np.random.default_rng([self.config.seed, n_vertices])
+        return rng.permutation(n_vertices)
 
     @classmethod
     def initialize(cls, config, dtype=np.float64):
@@ -107,7 +104,8 @@ class Model:
 
 
 def _head_input(model, coords, bank, params_t, perturb):
-    """(input of the classifier head, output of the last conv layer)."""
+    """Input of the classifier head: the last conv layer's output, passed
+    through the perturbation stage when `perturb` is set."""
     cfg = model.config
     x = ad.constant(np.asarray(coords))
     n_enc = len(cfg.encoder_dims)
@@ -119,20 +117,11 @@ def _head_input(model, coords, bank, params_t, perturb):
         z = ad.wavelet_mix(x, thetas, bank)
         x = ad.standardize(ad.selu(z), params_t[f"conv{layer}.gamma"],
                            params_t[f"conv{layer}.beta"])
-    features = x
     if perturb:
-        if "perturb.scale" not in params_t:
-            raise PermutationLengthMismatch("model has no perturbation stage")
         xp = ad.gather_rows(x, model.perm_for(x.value.shape[0]))
         x = ad.standardize(ad.selu(ad.mul(xp, params_t["perturb.scale"])),
                            params_t["perturb.gamma"], params_t["perturb.beta"])
-    return x, features
-
-
-def _tape_forward(model, coords, bank, params_t, perturb):
-    """(logits, output of the last conv layer)."""
-    x, features = _head_input(model, coords, bank, params_t, perturb)
-    return ad.affine(x, params_t["head.w"], params_t["head.b"]), features
+    return x
 
 
 def _wrap_params(model, requires_grad):
@@ -140,37 +129,11 @@ def _wrap_params(model, requires_grad):
             for k, v in model.params.items()}
 
 
-def model_forward(model, coords, bank, perturb=None):
-    """Logits (n_vertices x n_classes); softmax is applied inside the loss."""
-    if perturb is None:
-        perturb = model.config.perturb
-    logits, _ = _tape_forward(model, coords, bank, _wrap_params(model, False),
-                              perturb)
-    return logits.value
-
-
-def descriptors(model, coords, bank, mode="features"):
-    """Per-vertex matching descriptors.
-
-    "features": output of the last conv layer (works on any mesh).
-    "softmax": class probabilities (requires the training vertex count
-    when the model has a perturbation stage).
-    """
-    params_t = _wrap_params(model, False)
-    if mode == "features":
-        _, features = _head_input(model, coords, bank, params_t,
-                                  perturb=False)
-        return features.value
-    if mode == "softmax":
-        logits, _ = _tape_forward(model, coords, bank, params_t,
-                                  perturb=model.config.perturb)
-        # in place on the fresh logits: one N x C array, not several
-        z = logits.value
-        z -= z.max(axis=1, keepdims=True)
-        np.exp(z, out=z)
-        z /= z.sum(axis=1, keepdims=True)
-        return z
-    raise ValueError(f"unknown descriptor mode {mode!r}")
+def descriptors(model, coords, bank):
+    """Per-vertex matching descriptors: the last conv layer's output, on a
+    mesh of any vertex count."""
+    return _head_input(model, coords, bank, _wrap_params(model, False),
+                       perturb=False).value
 
 
 @dataclass
@@ -221,8 +184,8 @@ def _train_step(model, item, state, epoch, lr, weight_decay):
     """One optimizer step on one shape; returns (loss, correct count).
     The step's graph, activations and gradients die when it returns."""
     params_t = _wrap_params(model, True)
-    x, _ = _head_input(model, item.coords, item.bank, params_t,
-                       perturb=model.config.perturb)
+    x = _head_input(model, item.coords, item.bank, params_t,
+                    perturb=model.config.perturb)
     loss, correct = ad.linear_softmax_cross_entropy(
         x, params_t["head.w"], params_t["head.b"], item.labels)
     if not np.isfinite(loss.value):

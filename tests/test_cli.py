@@ -132,36 +132,6 @@ def test_eval_with_fewer_directions_than_the_model_exits_2(run, tmp_path,
     assert _snapshot(run.cache) == before
 
 
-@pytest.fixture(scope="module")
-def perturbed(run):
-    """A --perturb checkpoint, which stores the training shuffle as perm:n,
-    and a config that evaluates it through the perturbation stage."""
-    out = run.root / "train-perturb"
-    assert _train(run.data, run.cache, out, run.model, "--perturb") == 0
-    config = _json(run.root / "softmax.json", {"descriptor": "softmax"})
-    checkpoint = out / "checkpoint.ckpt"
-    assert _eval(run, run.root / "eval-perturb", "--config", config,
-                 checkpoint=checkpoint) == 0
-    return checkpoint, config
-
-
-@pytest.mark.parametrize("damage", ["zeros", "short", "name"])
-def test_checkpoint_perm_that_is_no_permutation_exits_4(run, perturbed,
-                                                        tmp_path, damage):
-    checkpoint, config = perturbed
-    arrays, meta = read_container(checkpoint, "CKPT1")
-    (name,) = [k for k in arrays if k.startswith("perm:")]
-    perm = arrays.pop(name)
-    damaged = {"zeros": (name, np.zeros_like(perm)),
-               "short": (name, perm[:-1]), "name": ("perm:x", perm)}
-    arrays.update([damaged[damage]])
-    bad = tmp_path / "checkpoint.ckpt"
-    write_container(bad, "CKPT1", arrays, meta=meta)
-    assert _eval(run, tmp_path / "bad", "--config", config,
-                 checkpoint=bad) == 4
-    assert not (tmp_path / "bad" / "pairs.csv").exists()
-
-
 def test_unknown_key_in_checkpoint_experiment_exits_2(run, tmp_path):
     arrays, meta = read_container(run.train_out / "checkpoint.ckpt", "CKPT1")
     meta["experiment"]["no_such_key"] = 1
@@ -213,6 +183,35 @@ def test_checkpoint_saving_tighten_true_exits_2(run, tmp_path, capsys):
     capsys.readouterr()
     assert _eval(run, tmp_path / "eval", checkpoint=ckpt) == 2
     assert "'tighten'" in capsys.readouterr().err
+    assert not (tmp_path / "eval" / "pairs.csv").exists()
+
+
+def test_checkpoint_of_an_earlier_version_evaluates_unchanged(run, tmp_path):
+    # earlier versions saved "descriptor": "features", "tighten": false and
+    # a --perturb model's training shuffle as perm:n, which evaluation
+    # never read
+    out = tmp_path / "train"
+    assert _train(run.data, run.cache, out, run.model, "--perturb") == 0
+    checkpoint = out / "checkpoint.ckpt"
+    assert _eval(run, tmp_path / "new", checkpoint=checkpoint) == 0
+    arrays, meta = read_container(checkpoint, "CKPT1")
+    model, _ = cli.load_checkpoint(checkpoint)
+    n = load_mesh(run.data / "template.off").n_vertices
+    arrays[f"perm:{n}"] = model.perm_for(n)
+    meta["experiment"].update(descriptor="features", tighten=False)
+    old = tmp_path / "old.ckpt"
+    write_container(old, "CKPT1", arrays, meta=meta)
+    assert _eval(run, tmp_path / "old", checkpoint=old) == 0
+    assert _outputs(tmp_path / "old") == _outputs(tmp_path / "new")
+
+
+def test_checkpoint_saving_descriptor_softmax_exits_2(run, tmp_path, capsys):
+    ckpt = _damaged_checkpoint(
+        run, tmp_path / "checkpoint.ckpt",
+        lambda a, m: m["experiment"].update(descriptor="softmax"))
+    capsys.readouterr()
+    assert _eval(run, tmp_path / "eval", checkpoint=ckpt) == 2
+    assert "'descriptor'" in capsys.readouterr().err
     assert not (tmp_path / "eval" / "pairs.csv").exists()
 
 
@@ -384,6 +383,15 @@ def test_config_holding_the_removed_tighten_key_exits_2(run, tmp_path,
     assert _spectrum(run.data / "template.off", tmp_path / "cache",
                      tmp_path / "s", "--config", config) == 2
     assert "'tighten'" in capsys.readouterr().err
+
+
+def test_config_holding_the_removed_descriptor_key_exits_2(run, tmp_path,
+                                                           capsys):
+    config = _json(tmp_path / "descriptor.json", {"descriptor": "features"})
+    assert _spectrum(run.data / "template.off", tmp_path / "cache",
+                     tmp_path / "s", "--config", config) == 2
+    err = capsys.readouterr().err
+    assert "unknown config" in err and "'descriptor'" in err
 
 
 def test_config_that_is_not_an_object_exits_2(run, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 import types
 
 import numpy as np
@@ -12,6 +13,7 @@ from wavemesh.errors import (
     NonTriangleFace,
     ParseError,
 )
+from wavemesh import cli
 from wavemesh import mesh as mesh_module
 from wavemesh.mesh import TriMesh, load_mesh, vertex_mass, write_off
 
@@ -85,6 +87,17 @@ class TestLoading:
     def test_missing_header(self, tmp_path):
         with pytest.raises(ParseError):
             load_mesh(write(tmp_path, "bad.off", "3 1 0\n"))
+
+    @pytest.mark.parametrize("name, text", [
+        ("faceless.off", "OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n"),
+        ("faceless.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\n"),
+    ], ids=["off", "obj"])
+    def test_file_without_faces_rejected(self, tmp_path, capsys, name, text):
+        path = write(tmp_path, name, text)
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "):
+            load_mesh(path)
+        assert cli.main(["mesh-info", "--mesh", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_unit_icosahedron_area(self, tmp_path, ico0):
         # closed form: 20 equilateral faces of edge s = 4/sqrt(10+2*sqrt(5))
@@ -314,7 +327,6 @@ class TestObjParsing:
         ("v 0 0\n", ParseError, 1),
         (OBJ_TRIANGLE + "# c\nf 0 1 2\n", ParseError, 5),
         (OBJ_TRIANGLE + "f 1 x/1 3\n", ParseError, 4),
-        (OBJ_TRIANGLE, NonTriangleFace, None),
         ("", ParseError, 1),
         ("# only a comment\n\n", ParseError, 1),
     ])

@@ -129,29 +129,36 @@ class TestPerturbForward:
         assert np.array_equal(x[perm][perm], x[perm[perm]])
 
 
+def head_logits(model, coords, bank):
+    """Logits of the classifier head on the perturbed head input."""
+    params_t = nw._wrap_params(model, False)
+    x = nw._head_input(model, coords, bank, params_t, perturb=True)
+    return ad.affine(x, params_t["head.w"], params_t["head.b"]).value
+
+
 class TestModelForward:
     def test_deterministic_and_shaped(self, setup):
         mesh, bank = setup
         n = mesh.n_vertices
         a = small_model(True, n)
         b = small_model(True, n)
-        la = nw.model_forward(a, mesh.vertices, bank)
-        lb = nw.model_forward(b, mesh.vertices, bank)
+        la = head_logits(a, mesh.vertices, bank)
+        lb = head_logits(b, mesh.vertices, bank)
         assert la.shape == (n, n)
         assert np.array_equal(la, lb)
 
     def test_perturbation_stage_composition(self, setup):
-        # identity permutation + unit scales: the perturbed forward is the
-        # vanilla feature path followed by one extra norm(selu(.)) stage
+        # identity permutation + unit scales: the perturbed head input is
+        # the descriptors followed by one extra norm(selu(.)) stage
         mesh, bank = setup
         n = mesh.n_vertices
         model = small_model(True, n)
-        model.perms[n] = np.arange(n)
+        model.perm_for = np.arange
         feats = nw.descriptors(model, mesh.vertices, bank)
         extra = norm_selu(feats, model.params["perturb.gamma"],
                           model.params["perturb.beta"])
         want = extra @ model.params["head.w"] + model.params["head.b"]
-        got = nw.model_forward(model, mesh.vertices, bank)
+        got = head_logits(model, mesh.vertices, bank)
         assert np.abs(got - want).max() < 1e-12
 
     def test_per_resolution_permutations_deterministic(self, setup):
@@ -173,28 +180,6 @@ def grid441():
 
 
 class TestPeakMemory:
-    def _model(self, n, n_classes, perturb=True):
-        cfg = nw.ModelConfig(n_classes=n_classes, encoder_dims=(8, 16),
-                             conv_layers=2, directions=2, scales=2,
-                             perturb=perturb, seed=0)
-        return nw.Model.initialize(cfg)
-
-    @pytest.mark.parametrize("perturb", [False, True])
-    def test_softmax_descriptors_in_place(self, grid441, perturb):
-        # N = C, so the N x C arrays dominate; the forward and head add
-        # 2.08 (2.12 with the perturbation) of them, computing the softmax
-        # out of place 5.70 (5.92)
-        mesh, bank = grid441
-        n = mesh.n_vertices
-        model = self._model(n, n, perturb)
-        logits = nw.model_forward(model, mesh.vertices, bank)
-        peak, got = traced_peak(lambda: nw.descriptors(
-            model, mesh.vertices, bank, mode="softmax"))
-        z = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        assert np.array_equal(got, e / e.sum(axis=1, keepdims=True))
-        assert peak < 3 * n * n * 8
-
     def test_training_holds_one_step_graph_at_a_time(self, grid441):
         # measured: one step peaks at 1.04 MB, two at 1.08 MB (ratio 1.04).
         # With step 1's graph still referenced during step 2's forward they
@@ -203,9 +188,11 @@ class TestPeakMemory:
         n = mesh.n_vertices
         item = nw.TrainItem(coords=mesh.vertices, labels=np.arange(n) % 8,
                             bank=bank)
+        cfg = nw.ModelConfig(n_classes=8, encoder_dims=(8, 16), conv_layers=2,
+                             directions=2, scales=2, perturb=True, seed=0)
         peaks = []
         for steps in (1, 2):
-            model = self._model(n, 8)
+            model = nw.Model.initialize(cfg)
             peaks.append(traced_peak(
                 lambda: nw.train(model, [item], epochs=steps))[0])
         assert peaks[1] < 1.25 * peaks[0], peaks
@@ -355,9 +342,19 @@ class TestFloat32:
         assert np.abs(loss32 / loss64 - 1).max() < 1e-4
 
 
-def selu_inputs(model, coords, bank):
-    """Logits of one forward pass, and every array fed to SELU during it,
-    in call order."""
+def training_loss(model, coords, labels, bank, requires_grad=False):
+    """The loss `_train_step` differentiates, through the perturbation
+    stage and the fused head, and the parameter Tensors it was taken of."""
+    params_t = nw._wrap_params(model, requires_grad)
+    x = nw._head_input(model, coords, bank, params_t, perturb=True)
+    loss, _ = ad.linear_softmax_cross_entropy(
+        x, params_t["head.w"], params_t["head.b"], labels)
+    return loss, params_t
+
+
+def selu_inputs(forward):
+    """forward()'s result, and every array fed to SELU while it ran, in
+    call order."""
     inputs = []
     orig = ad.selu
 
@@ -367,17 +364,10 @@ def selu_inputs(model, coords, bank):
 
     ad.selu = spy
     try:
-        logits = nw.model_forward(model, coords, bank)
+        out = forward()
     finally:
         ad.selu = orig
-    return logits, inputs
-
-
-def selu_kink_margin(model, coords, bank):
-    """Smallest |input| ever fed to SELU during a forward pass; finite
-    differencing is only valid when the step cannot cross the kink."""
-    _, inputs = selu_inputs(model, coords, bank)
-    return min(float(np.abs(a).min()) for a in inputs)
+    return out, inputs
 
 
 class TestFullGradient:
@@ -387,28 +377,32 @@ class TestFullGradient:
         model = small_model(True, n, seed=11)
         labels = np.arange(n)
         h = 5e-5
-        assert selu_kink_margin(model, mesh.vertices, bank) > 2 * h
 
-        params_t = {k: ad.Tensor(v, requires_grad=True)
-                    for k, v in model.params.items()}
-        logits, _ = nw._tape_forward(model, mesh.vertices, bank, params_t,
-                                     perturb=True)
-        loss = ad.softmax_cross_entropy(logits, labels)
+        def loss_and_selu_inputs():
+            (loss, _), inputs = selu_inputs(lambda: training_loss(
+                model, mesh.vertices, labels, bank))
+            return float(loss.value), inputs
+
+        # finite differencing is only valid when the step cannot cross the
+        # SELU kink: every SELU input must be farther from 0 than the step
+        _, base_inputs = loss_and_selu_inputs()
+        assert min(float(np.abs(a).min()) for a in base_inputs) > 2 * h
+
+        loss, params_t = training_loss(model, mesh.vertices, labels, bank,
+                                       requires_grad=True)
         ad.backward(loss)
         f0 = float(loss.value)
 
         # The margin above bounds the SELU inputs against a parameter step,
         # but a standardize can move them by more than that step. So every
         # evaluation also checks that no SELU input changed side of the kink.
-        _, base_inputs = selu_inputs(model, mesh.vertices, bank)
         base_signs = [a > 0 for a in base_inputs]
 
         def loss_value(name, i):
-            lg, inputs = selu_inputs(model, mesh.vertices, bank)
+            value, inputs = loss_and_selu_inputs()
             assert all(np.array_equal(a > 0, s)
                        for a, s in zip(inputs, base_signs)), (name, i)
-            loss = ad.softmax_cross_entropy(ad.constant(lg), labels)
-            return float(loss.value)
+            return value
 
         def central(flat, name, i, step):
             orig = flat[i]
