@@ -210,10 +210,12 @@ def wavelet_mix(x, thetas, bank):
     any other grid raises ValueError. The filters are mixed in the K-dim
     eigenbasis, each over its passband of K_mj eigenpairs
     (``wavelets.passbands``), past which its responses are below round-off.
-    Per direction the forward projects once, C = Phi^T (A x); per scale it
-    mixes in coefficient space, P_j = (r_j * C)[:K_mj] theta_j, synthesizes
-    Phi[:, :K_mj] P_j into one reused N x E buffer, divides its rows by the
-    scale's L1 normalizers in place and adds it to the output. The backward
+    The bank's directions share one lumped mass A (``build_filterbank``
+    checks it), so A x is formed once per call. Per direction the forward
+    projects once, C = Phi^T (A x); per scale it mixes in coefficient
+    space, P_j = (r_j * C)[:K_mj] theta_j, synthesizes Phi[:, :K_mj] P_j
+    into one reused N x E buffer, divides its rows by the scale's L1
+    normalizers in place and adds it to the output. The backward
     computes H_j = Phi[:, :K_mj]^T (g / n_j) once per incoming gradient
     through one reused N x E buffer: the theta-gradients are
     (r_j * C)[:K_mj]^T H_j and the x-gradient is
@@ -248,19 +250,19 @@ def wavelet_mix(x, thetas, bank):
     out = np.zeros((len(v), e), dtype)
     buf = np.empty_like(out)
     mixed = np.empty((k, e), dtype)
+    mass = bank.spectra[0].mass.astype(dtype, copy=False)
+    mass_v = mass[:, None] * v                                  # A x, (N, D)
     for m, row in enumerate(thetas):
-        spec = bank.spectra[m]
-        phi = spec.eigenvectors.astype(dtype, copy=False)
-        mass = spec.mass.astype(dtype, copy=False)
+        phi = bank.spectra[m].eigenvectors.astype(dtype, copy=False)
         resp = bank.responses[m].astype(dtype)
         inv_norm = (1.0 / bank.l1_normalizers[m]).astype(dtype)[:, :, None]
-        rc = resp[:, :, None] * (phi.T @ (mass[:, None] * v))   # (J, K, D)
+        rc = resp[:, :, None] * (phi.T @ mass_v)                # (J, K, D)
         for j, (t, kb) in enumerate(zip(row, bands[m])):
             np.matmul(rc[j, :kb], t.value, out=mixed[:kb])
             np.matmul(phi[:, :kb], mixed[:kb], out=buf)
             buf *= inv_norm[j]
             out += buf
-        dirs.append((phi, mass, resp, inv_norm, [t.value for t in row]))
+        dirs.append((phi, resp, inv_norm, [t.value for t in row]))
         scaled.append(rc)
 
     memo = {}
@@ -271,7 +273,7 @@ def wavelet_mix(x, thetas, bank):
         if memo.get("g") is not g:
             work = np.empty_like(g)
             hs = []
-            for (phi, _, _, inv_norm, _), kbs in zip(dirs, bands):
+            for (phi, _, inv_norm, _), kbs in zip(dirs, bands):
                 h = np.zeros((n_scale, k, g.shape[1]), g.dtype)
                 for j, kb in enumerate(kbs):
                     np.multiply(g, inv_norm[j], out=work)
@@ -282,8 +284,8 @@ def wavelet_mix(x, thetas, bank):
 
     def vjp_x(g):
         gx = np.zeros(x_shape, dtype)
-        for (phi, mass, resp, _, theta), h, kbs in zip(dirs, coeff_grads(g),
-                                                       bands):
+        for (phi, resp, _, theta), h, kbs in zip(dirs, coeff_grads(g),
+                                                 bands):
             acc = np.zeros((k, x_shape[1]), dtype)              # (K, D)
             for j, kb in enumerate(kbs):
                 acc[:kb] += resp[j, :kb, None] * (h[j, :kb] @ theta[j].T)

@@ -391,14 +391,31 @@ def write_csv(path, header, *columns):
 
 
 def run_training(cfg, manifest_path, verbose=False):
+    """Train a model on the manifest's training shapes; returns (model,
+    history).
+
+    At most one training shape's spectra and filter bank are in memory at
+    a time. A first pass checks every shape's labels and reads its spectra
+    to pin cfg.kernel_lambda_max (when unset); a second makes sure every
+    shape's FBK1 bank is cached through `build_bank`. Each step then reads
+    its shape's bank back through the same `load_spectra` and `build_bank`
+    calls, which hit, and drops it when the step ends."""
     manifest = synth.load_manifest(manifest_path)
     root = Path(manifest_path).parent
     cache_dir = cfg.cache_dir()
     template = load_mesh(root / manifest["template"]["mesh"])
+    dtype = np.float32 if cfg.float32 else np.float64
 
-    loaded = []
+    def bank_loader(mesh, path):
+        # reads cfg when called, so only once the kernel scales are pinned
+        return lambda: build_bank(load_spectra(mesh, cfg, cache_dir, path),
+                                  cfg, cache_dir, path)
+
+    items = []
+    lambda_maxes = []
     for entry in manifest["training"]:
-        mesh = load_mesh(root / entry["mesh"])
+        path = root / entry["mesh"]
+        mesh = load_mesh(path)
         labels = synth.read_indices(root / entry["labels"])
         if len(labels) != mesh.n_vertices:
             raise ValidationError(
@@ -407,22 +424,18 @@ def run_training(cfg, manifest_path, verbose=False):
         if labels.min() < 0 or labels.max() >= template.n_vertices:
             raise ValidationError(
                 f"labels in {entry['labels']} outside the template")
-        spectra = load_spectra(mesh, cfg, cache_dir, root / entry["mesh"])
-        loaded.append((entry, mesh, labels, spectra))
+        lambda_maxes.append(max(
+            s.lambda_max for s in load_spectra(mesh, cfg, cache_dir, path)))
+        items.append(network.TrainItem(
+            coords=mesh.vertices.astype(dtype), labels=labels,
+            load_bank=bank_loader(mesh, path), name=entry["mesh"]))
 
     if cfg.kernel_lambda_max is None:
         # pin the wavelet scales to the training spectra so evaluation
         # meshes (other poses, other discretizations) get identical filters
-        cfg.kernel_lambda_max = max(
-            s.lambda_max for _, _, _, spectra in loaded for s in spectra)
-
-    items = []
-    dtype = np.float32 if cfg.float32 else np.float64
-    for entry, mesh, labels, spectra in loaded:
-        bank = build_bank(spectra, cfg, cache_dir, root / entry["mesh"])
-        items.append(network.TrainItem(
-            coords=mesh.vertices.astype(dtype), labels=labels, bank=bank,
-            name=entry["mesh"]))
+        cfg.kernel_lambda_max = max(lambda_maxes)
+    for item in items:
+        item.load_bank()  # builds and caches the bank on a miss
 
     model_config = network.ModelConfig(
         n_classes=template.n_vertices,

@@ -12,11 +12,13 @@ between the last conv layer and the head, so it shapes training only and
 never runs on a described mesh. Training fuses the head with its softmax
 cross entropy (``autodiff.linear_softmax_cross_entropy``), so the N x C
 logits are never materialized. Training holds one step's graph at a
-time: each optimizer step runs in its own call, so the next step's
-forward starts only after this step's graph, activations and gradients
-are gone. All training math runs in float64 by default. The float32 mode
-keeps parameters, activations and gradients in float32; its loss curve
-is tested against float64 to 1e-4 relative.
+time: each optimizer step runs in its own call, loads its shape's filter
+bank there through the item's ``load_bank`` and drops it on return, so
+the next step's forward starts only after this step's bank, graph,
+activations and gradients are gone, and memory does not grow with the
+number of training shapes. All training math runs in float64 by
+default. The float32 mode keeps parameters, activations and gradients in
+float32; its loss curve is tested against float64 to 1e-4 relative.
 """
 
 from dataclasses import dataclass, field
@@ -174,17 +176,22 @@ def adam_step(params, grads, state, lr=0.001, weight_decay=0.0001,
 
 @dataclass(frozen=True)
 class TrainItem:
+    """One training shape. `load_bank` is a zero-argument callable that
+    returns the shape's `wavelets.FilterBank`; each step calls it once, so
+    no bank outlives the step that uses it. A bank already in memory is
+    passed as ``load_bank=lambda: bank``."""
+
     coords: np.ndarray
     labels: np.ndarray
-    bank: object
+    load_bank: object
     name: str = ""
 
 
 def _train_step(model, item, state, epoch, lr, weight_decay):
     """One optimizer step on one shape; returns (loss, correct count).
-    The step's graph, activations and gradients die when it returns."""
+    The step's bank, graph, activations and gradients die when it returns."""
     params_t = _wrap_params(model, True)
-    x = _head_input(model, item.coords, item.bank, params_t,
+    x = _head_input(model, item.coords, item.load_bank(), params_t,
                     perturb=model.config.perturb)
     loss, correct = ad.linear_softmax_cross_entropy(
         x, params_t["head.w"], params_t["head.b"], item.labels)

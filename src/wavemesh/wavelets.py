@@ -139,7 +139,9 @@ def passbands(responses):
 
 def build_filterbank(spectra, kernel):
     """Compute responses, frame bounds and L1 normalizers for a direction
-    set sharing one mesh. Never materializes an N x N operator."""
+    set sharing one mesh: the spectra must agree in N and K and carry
+    equal lumped masses, which ``autodiff.wavelet_mix`` applies once for
+    all directions. Never materializes an N x N operator."""
     if not spectra:
         raise SpectrumMismatch("need at least one spectrum")
     n, k = spectra[0].n, spectra[0].k
@@ -147,6 +149,8 @@ def build_filterbank(spectra, kernel):
         if s.n != n or s.k != k:
             raise SpectrumMismatch(
                 f"spectra disagree: ({s.n}, {s.k}) vs ({n}, {k})")
+        if not np.array_equal(s.mass, spectra[0].mass):
+            raise SpectrumMismatch("spectra carry different lumped masses")
 
     m = len(spectra)
     j = kernel.n_scales

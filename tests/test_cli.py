@@ -8,9 +8,11 @@ computations, use a cache of their own. An eval on the shared cache adds
 only its pair's GEO1 file there.
 """
 
+import gc
 import importlib.util
 import json
 import shutil
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -549,7 +551,12 @@ def test_warm_train_and_eval_hit_every_probed_cache_lookup(run, tmp_path):
     manifest = json.loads((run.data / "manifest.json").read_text())
     described = {p["source"] for p in manifest["pairs"]} \
         | {p["target"] for p in manifest["pairs"]}
-    banks = len(manifest["training"]) + len(described)
+    # train reads each shape's spectra in two passes (pinning the kernel
+    # scales, making sure its bank is cached) and its bank again at every
+    # step of its one epoch; eval reads each described mesh's bank once
+    shapes = len(manifest["training"])
+    banks = shapes + shapes + len(described)
+    spectra = shapes + banks
 
     tracing = _perfbench_tracing()
     tracer = tracing.Tracer()
@@ -559,13 +566,72 @@ def test_warm_train_and_eval_hit_every_probed_cache_lookup(run, tmp_path):
                      checkpoint=tmp_path / "train" / "checkpoint.ckpt") == 0
     c = tracer.counters
     directions = cli.ExperimentConfig().directions
-    assert c["cli.spectrum_cache.attempts"] == directions * banks
+    assert c["cli.spectrum_cache.attempts"] == directions * spectra
     assert c["cli.bank_cache.attempts"] == banks
     for cache_name in ("spectrum_cache", "bank_cache"):
         assert c[f"cli.{cache_name}.hits"] == c[f"cli.{cache_name}.attempts"]
     assert c["spectrum.solve_eigs.calls"] == 0
     assert c["wavelets.build_filterbank.calls"] == 0
     assert c["containers.write_container.calls"] == 1  # the checkpoint
+
+
+def test_training_holds_one_shape_and_matches_prebuilt_banks(tmp_path,
+                                                            monkeypatch):
+    data = _gen_data(tmp_path, [["bend", 0.6], ["twist", 0.3],
+                                ["bend", -0.4], ["twist", -0.2]])
+    manifest_path = data / "manifest.json"
+    training = json.loads(manifest_path.read_text())["training"]
+    assert len(training) == 3
+    cache = tmp_path / "cache"
+    for entry in training:
+        assert _spectrum(data / entry["mesh"], cache, tmp_path / "s") == 0
+    cfg = cli.ExperimentConfig.load(
+        _json(tmp_path / "model.json", MODEL),
+        {"k": int(K), "epochs": 2, "perturb": True, "cache": str(cache)})
+
+    # with gc off, a spectrum or bank still alive when the next shape's
+    # spectra are read is referenced from somewhere; both classes are
+    # unhashable, so they are weak dict values
+    alive = weakref.WeakValueDictionary()
+    alive_at_read = []
+    load_spectra, build_bank = cli.load_spectra, cli.build_bank
+
+    def read_spectra(*args):
+        alive_at_read.append(len(alive))
+        spectra = load_spectra(*args)
+        alive.update((id(s), s) for s in spectra)
+        return spectra
+
+    def read_bank(*args):
+        bank = build_bank(*args)
+        alive[id(bank)] = bank
+        return bank
+
+    monkeypatch.setattr(cli, "load_spectra", read_spectra)
+    monkeypatch.setattr(cli, "build_bank", read_bank)
+    gc.disable()
+    try:
+        model, history = cli.run_training(cfg, manifest_path)
+    finally:
+        gc.enable()
+    # two passes over 3 shapes, then 2 epochs of 3 steps
+    assert alive_at_read == [0] * (2 * 3 + 2 * 3)
+    monkeypatch.undo()
+
+    # cfg now holds the kernel scales run_training pinned
+    items = []
+    for entry in training:
+        path = data / entry["mesh"]
+        mesh = load_mesh(path)
+        labels = synth.read_indices(data / entry["labels"])
+        bank = cli.build_bank(cli.load_spectra(mesh, cfg, cache, path), cfg,
+                              cache, path)
+        items.append(network.TrainItem(coords=mesh.vertices, labels=labels,
+                                       load_bank=lambda bank=bank: bank))
+    prebuilt = network.Model.initialize(model.config)
+    assert network.train(prebuilt, items, epochs=2) == history
+    for name, value in model.params.items():
+        assert np.array_equal(prebuilt.params[name], value), name
 
 
 # --- the GEO1 cache of ground-truth geodesic rows ---------------------------------

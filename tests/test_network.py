@@ -1,3 +1,7 @@
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -187,7 +191,7 @@ class TestPeakMemory:
         mesh, bank = grid441
         n = mesh.n_vertices
         item = nw.TrainItem(coords=mesh.vertices, labels=np.arange(n) % 8,
-                            bank=bank)
+                            load_bank=lambda: bank)
         cfg = nw.ModelConfig(n_classes=8, encoder_dims=(8, 16), conv_layers=2,
                              directions=2, scales=2, perturb=True, seed=0)
         peaks = []
@@ -196,6 +200,33 @@ class TestPeakMemory:
             peaks.append(traced_peak(
                 lambda: nw.train(model, [item], epochs=steps))[0])
         assert peaks[1] < 1.25 * peaks[0], peaks
+
+    def test_training_holds_one_bank_at_a_time(self, setup):
+        # each load_bank call returns a new bank object, as a cache read
+        # does; with gc off, an earlier bank still alive at the next call
+        # is referenced from somewhere, not merely awaiting collection.
+        # A FilterBank is unhashable, so the banks are weak dict values
+        mesh, bank = setup
+        n = mesh.n_vertices
+        alive = weakref.WeakValueDictionary()
+        alive_at_load = []
+
+        def load_bank():
+            alive_at_load.append(len(alive))
+            fresh = dataclasses.replace(bank)
+            alive[len(alive_at_load)] = fresh
+            return fresh
+
+        items = [nw.TrainItem(coords=mesh.vertices + shift,
+                              labels=np.arange(n), load_bank=load_bank)
+                 for shift in (0.0, 0.01, 0.02)]
+        gc.disable()
+        try:
+            nw.train(small_model(True, n), items, epochs=2)
+        finally:
+            gc.enable()
+        assert alive_at_load == [0] * 6
+        assert len(alive) == 0
 
 
 class TestLoss:
@@ -273,7 +304,7 @@ class TestTraining:
                              directions=2, scales=3, perturb=True, seed=0)
         model = nw.Model.initialize(cfg)
         item = nw.TrainItem(coords=ico1.vertices, labels=np.arange(n),
-                            bank=bank, name="ico1")
+                            load_bank=lambda: bank, name="ico1")
         perm_before = model.perm_for(n).copy()
         history = nw.train(model, [item], epochs=60)
         assert len(history) == 60
@@ -287,7 +318,7 @@ class TestTraining:
         mesh, bank = setup
         n = mesh.n_vertices
         item = nw.TrainItem(coords=mesh.vertices, labels=np.arange(n),
-                            bank=bank, name="grid")
+                            load_bank=lambda: bank, name="grid")
 
         def run():
             model = small_model(True, n)
@@ -306,7 +337,7 @@ class TestTraining:
         model = small_model(False, n)
         model.params["head.w"][0, 0] = np.nan
         item = nw.TrainItem(coords=mesh.vertices, labels=np.arange(n),
-                            bank=bank, name="grid")
+                            load_bank=lambda: bank, name="grid")
         with pytest.raises(NonFiniteLoss):
             nw.train(model, [item], epochs=1)
 
@@ -332,7 +363,7 @@ class TestFloat32:
                                  perturb=True, seed=3)
             model = nw.Model.initialize(cfg, dtype=dtype)
             item = nw.TrainItem(coords=mesh.vertices.astype(dtype),
-                                labels=np.arange(n), bank=bank)
+                                labels=np.arange(n), load_bank=lambda: bank)
             grad_dtypes.clear()
             histories[dtype] = nw.train(model, [item], epochs=5)
             assert grad_dtypes == {np.dtype(dtype)}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -112,6 +113,15 @@ class TestBankConstruction:
         b = solve_eigs(assemble_lbo(ico1), 10)
         kernel = KernelSpec.mexican_hat(4.0, 2)
         with pytest.raises(SpectrumMismatch):
+            build_filterbank([a, b], kernel)
+
+    def test_spectra_with_different_masses_mismatch(self, small_mesh):
+        # same N and K, so only the mass check can tell them apart
+        a = solve_eigs(assemble_lbo(small_mesh), 10)
+        b = dataclasses.replace(a, mass=a.mass * (1 + 1e-12))
+        kernel = KernelSpec.mexican_hat(a.lambda_max, 1)
+        build_filterbank([a, dataclasses.replace(a)], kernel)
+        with pytest.raises(SpectrumMismatch, match="mass"):
             build_filterbank([a, b], kernel)
 
     def test_normalizers_match_blockwise_and_dense(self, small_bank):
