@@ -210,7 +210,7 @@ def wavelet_mix(x, thetas, bank):
     any other grid raises ValueError. The filters are mixed in the K-dim
     eigenbasis, each over its passband of K_mj eigenpairs
     (``wavelets.passbands``), past which its responses are below round-off.
-    The bank's directions share one lumped mass A (``build_filterbank``
+    The bank's directions share one lumped mass A (``FilterBank``
     checks it), so A x is formed once per call. Per direction the forward
     projects once, C = Phi^T (A x); per scale it mixes in coefficient
     space, P_j = (r_j * C)[:K_mj] theta_j, synthesizes Phi[:, :K_mj] P_j

@@ -395,11 +395,12 @@ def run_training(cfg, manifest_path, verbose=False):
     history).
 
     At most one training shape's spectra and filter bank are in memory at
-    a time. A first pass checks every shape's labels and reads its spectra
-    to pin cfg.kernel_lambda_max (when unset); a second makes sure every
-    shape's FBK1 bank is cached through `build_bank`. Each step then reads
-    its shape's bank back through the same `load_spectra` and `build_bank`
-    calls, which hit, and drops it when the step ends."""
+    a time. One pass checks every shape's labels and reads its spectra to
+    pin cfg.kernel_lambda_max (when unset). Each step then reads its
+    shape's bank through `load_spectra` and `build_bank`, which builds and
+    caches it on an FBK1 miss at the shape's first step, and drops it when
+    the step ends. So the SPEC1 files must stay in the cache for the whole
+    run: one removed mid-run raises MissingCache at its shape's next step."""
     manifest = synth.load_manifest(manifest_path)
     root = Path(manifest_path).parent
     cache_dir = cfg.cache_dir()
@@ -434,8 +435,6 @@ def run_training(cfg, manifest_path, verbose=False):
         # pin the wavelet scales to the training spectra so evaluation
         # meshes (other poses, other discretizations) get identical filters
         cfg.kernel_lambda_max = max(lambda_maxes)
-    for item in items:
-        item.load_bank()  # builds and caches the bank on a miss
 
     model_config = network.ModelConfig(
         n_classes=template.n_vertices,

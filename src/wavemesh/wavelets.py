@@ -108,6 +108,13 @@ class FilterBank:
     l1_normalizers: np.ndarray       # (M, J, N)
     frame_bounds: np.ndarray         # (M, 2) = (B_low, B_high)
 
+    def __post_init__(self):
+        # autodiff.wavelet_mix applies spectra[0].mass to every direction;
+        # checked here so a bank read back from a cache is checked too
+        if any(not np.array_equal(s.mass, self.spectra[0].mass)
+               for s in self.spectra[1:]):
+            raise SpectrumMismatch("spectra carry different lumped masses")
+
     @property
     def n_directions(self):
         return self.responses.shape[0]
@@ -140,8 +147,9 @@ def passbands(responses):
 def build_filterbank(spectra, kernel):
     """Compute responses, frame bounds and L1 normalizers for a direction
     set sharing one mesh: the spectra must agree in N and K and carry
-    equal lumped masses, which ``autodiff.wavelet_mix`` applies once for
-    all directions. Never materializes an N x N operator."""
+    equal lumped masses (``FilterBank`` checks them), which
+    ``autodiff.wavelet_mix`` applies once for all directions. Never
+    materializes an N x N operator."""
     if not spectra:
         raise SpectrumMismatch("need at least one spectrum")
     n, k = spectra[0].n, spectra[0].k
@@ -149,8 +157,6 @@ def build_filterbank(spectra, kernel):
         if s.n != n or s.k != k:
             raise SpectrumMismatch(
                 f"spectra disagree: ({s.n}, {s.k}) vs ({n}, {k})")
-        if not np.array_equal(s.mass, spectra[0].mass):
-            raise SpectrumMismatch("spectra carry different lumped masses")
 
     m = len(spectra)
     j = kernel.n_scales

@@ -551,11 +551,11 @@ def test_warm_train_and_eval_hit_every_probed_cache_lookup(run, tmp_path):
     manifest = json.loads((run.data / "manifest.json").read_text())
     described = {p["source"] for p in manifest["pairs"]} \
         | {p["target"] for p in manifest["pairs"]}
-    # train reads each shape's spectra in two passes (pinning the kernel
-    # scales, making sure its bank is cached) and its bank again at every
-    # step of its one epoch; eval reads each described mesh's bank once
+    # train reads each shape's spectra once to pin the kernel scales and
+    # its bank at every step of its one epoch; eval reads each described
+    # mesh's bank once
     shapes = len(manifest["training"])
-    banks = shapes + shapes + len(described)
+    banks = shapes + len(described)
     spectra = shapes + banks
 
     tracing = _perfbench_tracing()
@@ -614,8 +614,9 @@ def test_training_holds_one_shape_and_matches_prebuilt_banks(tmp_path,
         model, history = cli.run_training(cfg, manifest_path)
     finally:
         gc.enable()
-    # two passes over 3 shapes, then 2 epochs of 3 steps
-    assert alive_at_read == [0] * (2 * 3 + 2 * 3)
+    # one pass over 3 shapes, then 2 epochs of 3 steps, the first of which
+    # build and cache the banks
+    assert alive_at_read == [0] * (3 + 2 * 3)
     monkeypatch.undo()
 
     # cfg now holds the kernel scales run_training pinned

@@ -120,9 +120,12 @@ class TestBankConstruction:
         a = solve_eigs(assemble_lbo(small_mesh), 10)
         b = dataclasses.replace(a, mass=a.mass * (1 + 1e-12))
         kernel = KernelSpec.mexican_hat(a.lambda_max, 1)
-        build_filterbank([a, dataclasses.replace(a)], kernel)
+        bank = build_filterbank([a, dataclasses.replace(a)], kernel)
         with pytest.raises(SpectrumMismatch, match="mass"):
             build_filterbank([a, b], kernel)
+        # a bank read back from the FBK1 cache is checked on construction
+        with pytest.raises(SpectrumMismatch, match="mass"):
+            dataclasses.replace(bank, spectra=[a, b])
 
     def test_normalizers_match_blockwise_and_dense(self, small_bank):
         for j in range(small_bank.n_scales):
