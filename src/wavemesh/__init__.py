@@ -7,11 +7,11 @@ from .curvature import PrincipalFrames, estimate_frames
 from .mesh import TriMesh, load_mesh, vertex_mass, write_off
 from .network import Model, ModelConfig, TrainItem, train
 from .operators import (
-    AnisoConfig,
     OperatorPair,
     anisotropy_tensor,
     assemble_albo,
     assemble_lbo,
+    direction_angles,
 )
 from .spectrum import Spectrum, solve_eigs
 from .synth import DatasetConfig, deform, gen_base, make_dataset, remesh

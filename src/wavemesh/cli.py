@@ -14,10 +14,12 @@ three go through one get-or-build path, `_cached`: a key is a digest of
 everything the file was computed from, the file is named
 `{mesh stem}.{key[:16]}.{spec,fbk,geo}`, and its only metadata is
 {"key": key}, checked again on read. The keys cover, for a spectrum, the
-mesh content, alpha, theta, the clamped k and curvature_radius; for a bank,
-its spectra's keys, the resolved lambda_max and scales; for geodesic rows,
-the target mesh content, the SHA-256 of the sorted distinct gt vertices and
-the geodesic method (`corresp.GEODESIC_METHOD`). A changed input is
+mesh content, alpha, theta (m*pi/M as a Python float), the clamped k and a
+constant 0.0, where earlier versions put their curvature radius, so that
+their SPEC1 files still hit; for a bank, its spectra's keys, the resolved
+lambda_max and scales; for geodesic rows, the target mesh content, the
+SHA-256 of the sorted distinct gt vertices and the geodesic method
+(`corresp.GEODESIC_METHOD`). A changed input is
 therefore a different file name, i.e. a miss; a corrupt file is a miss
 too, reported and rebuilt. Nothing is evicted; a GEO1 file holds
 |unique gt| x N_target x 8 bytes (88 MiB at N = 3402 with every vertex a
@@ -49,12 +51,13 @@ from .errors import (
     CacheError,
     ConfigInvalid,
     CorruptCache,
+    ManifestInvalid,
     MissingCache,
     NumericalError,
     ValidationError,
 )
 from .mesh import chunked_rows, load_mesh
-from .operators import AnisoConfig, assemble_albo
+from .operators import assemble_albo, direction_angles
 from .spectrum import Spectrum, clamp_k, solve_eigs
 
 EXIT_OK = 0
@@ -78,7 +81,6 @@ class ExperimentConfig:
     feature_dim: int = 128
     conv_layers: int = 4
     perturb: bool = False
-    curvature_radius: float = 0.0
     kernel_lambda_max: float = None
     epochs: int = None
     lr: float = 0.001
@@ -95,8 +97,8 @@ class ExperimentConfig:
         experiment), the JSON file at `path`, and the non-None overrides."""
         data = dict(_checked(base or {}, cls, "saved experiment"))
         if path is not None:
-            with open(path) as fh:
-                data.update(_checked(json.load(fh), cls, f"config {path}"))
+            data.update(_checked(_load_json(path, "config"), cls,
+                                 f"config {path}"))
         cfg = cls(**data)
         for key, value in (overrides or {}).items():
             if value is not None:
@@ -116,7 +118,6 @@ class ExperimentConfig:
             (self.epochs is None or self.epochs >= 1, "epochs must be >= 1"),
             (self.lr > 0, "lr must be positive"),
             (self.weight_decay >= 0, "weight_decay must be >= 0"),
-            (self.curvature_radius >= 0, "curvature_radius must be >= 0"),
             (self.kernel_lambda_max is None or self.kernel_lambda_max > 0,
              "kernel_lambda_max must be positive"),
         ]
@@ -148,6 +149,16 @@ class ExperimentConfig:
         payload["epochs"] = self.effective_epochs
         with open(out_dir / "config.echo.json", "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
+
+
+def _load_json(path, what):
+    """The JSON value in the file at `path`; a file that is not JSON raises
+    ConfigInvalid naming `what` and the path."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigInvalid(f"{what} {path} is not JSON: {exc}") from None
 
 
 def _is_number(value):
@@ -253,21 +264,14 @@ def _cached(kind, parts, cache_dir, mesh_path, build, block_rows=None):
     return arrays, key, path, hit
 
 
-def _frames_for(mesh, cfg):
-    radius = cfg.curvature_radius * mesh.bbox_diagonal \
-        if cfg.curvature_radius else None
-    return estimate_frames(mesh, radius=radius)
-
-
 def load_spectra(mesh, cfg, cache_dir, mesh_path, solve=False):
     """Per-direction spectra from the SPEC1 cache. A miss is solved and
     written when `solve` is set, and raises MissingCache otherwise."""
     k = clamp_k(cfg.k, mesh.n_vertices)
-    aniso = AnisoConfig(alpha=cfg.alpha, theta=0.0, directions=cfg.directions)
     mesh_hash = mesh.content_hash()
     frames = []  # estimated at the first miss, shared by every direction
     spectra = []
-    for m, theta in enumerate(aniso.angles()):
+    for m, theta in enumerate(direction_angles(cfg.directions)):
         solved = {}  # the provenance of a solve made on a miss
 
         def build():
@@ -276,17 +280,17 @@ def load_spectra(mesh, cfg, cache_dir, mesh_path, solve=False):
                     f"no cached spectrum for direction {m} of {mesh_path}; "
                     f"run the spectrum command first")
             if not frames:
-                frames.append(_frames_for(mesh, cfg))
-            spec = solve_eigs(
-                assemble_albo(mesh, frames[0], aniso.with_theta(theta)), k)
+                frames.append(estimate_frames(mesh))
+            spec = solve_eigs(assemble_albo(mesh, frames[0], cfg.alpha, theta),
+                              k)
             solved.update(spec.provenance)
             return {"eigenvalues": spec.eigenvalues,
                     "eigenvectors": spec.eigenvectors, "mass": spec.mass}
 
-        # float() so that a JSON 50 and a flag's 50.0 give one key
+        # float() so that a JSON 50 and a flag's 50.0 give one key; the
+        # last part is the 0.0 of the retired curvature radius
         arrays, key, path, hit = _cached(
-            "SPEC1", (mesh_hash, float(cfg.alpha), theta, k,
-                      float(cfg.curvature_radius)),
+            "SPEC1", (mesh_hash, float(cfg.alpha), theta, k, 0.0),
             cache_dir, mesh_path, build)
         if solve:
             print(f"direction {m}: {'cached' if hit else 'computed'} ({path})"
@@ -326,8 +330,10 @@ def build_bank(spectra, cfg, cache_dir, mesh_path):
 
 
 # Saved-experiment keys of earlier versions, each with the one value this
-# version reproduces: untightened banks, last-conv-layer descriptors.
-RETIRED_KEYS = {"tighten": False, "descriptor": "features"}
+# version reproduces: untightened banks, last-conv-layer descriptors, 1-ring
+# curvature frames (a radius of 0, saved as 0 or 0.0).
+RETIRED_KEYS = {"tighten": False, "descriptor": "features",
+                "curvature_radius": 0.0}
 
 
 def save_checkpoint(path, model, cfg):
@@ -341,7 +347,8 @@ def load_checkpoint(path):
     """(model, saved experiment) of a CKPT1 file. Model metadata that is
     not a complete `network.ModelConfig`, or parameters whose names and
     shapes are not the ones that config implies, raise CorruptCache. A
-    `RETIRED_KEYS` key is dropped, or raises ConfigInvalid if it differs."""
+    `RETIRED_KEYS` key is dropped, or raises ConfigInvalid if its value
+    differs (compared as `_checked` types it: a JSON 0 passes as 0.0)."""
     arrays, meta = read_container(path, "CKPT1")
     if not isinstance(meta, dict) or "model" not in meta:
         raise CorruptCache(f"{path}: checkpoint missing model metadata")
@@ -368,7 +375,7 @@ def load_checkpoint(path):
     if isinstance(experiment, dict):
         for key, kept in RETIRED_KEYS.items():
             value = experiment.pop(key, kept)
-            if (type(value), value) != (type(kept), kept):
+            if not (_has_type(value, type(kept)) and value == kept):
                 raise ConfigInvalid(
                     f"{path}: saved experiment key {key!r} is {value!r}; "
                     f"this version reproduces only {kept!r}")
@@ -390,7 +397,7 @@ def write_csv(path, header, *columns):
         fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*cells))
 
 
-def run_training(cfg, manifest_path, verbose=False):
+def run_training(cfg, manifest_path):
     """Train a model on the manifest's training shapes; returns (model,
     history).
 
@@ -442,10 +449,9 @@ def run_training(cfg, manifest_path, verbose=False):
         conv_layers=cfg.conv_layers, directions=cfg.directions,
         scales=cfg.scales, perturb=cfg.perturb, seed=cfg.seed)
     model = network.Model.initialize(model_config, dtype=dtype)
-    if verbose:
-        print(f"training on {len(items)} shapes, "
-              f"{model.parameter_count} parameters, "
-              f"{cfg.effective_epochs} epochs")
+    print(f"training on {len(items)} shapes, "
+          f"{model.parameter_count} parameters, "
+          f"{cfg.effective_epochs} epochs")
     history = network.train(model, items, epochs=cfg.effective_epochs,
                             lr=cfg.lr, weight_decay=cfg.weight_decay)
     return model, history
@@ -472,8 +478,13 @@ def load_geodesics(target, gt, cache_dir, mesh_path):
     return arrays["rows"]
 
 
-def run_evaluation(model, cfg, manifest_path, out_dir, verbose=False):
+def run_evaluation(model, cfg, manifest_path, out_dir):
+    """Match and score every pair of the manifest; writes one CGE curve
+    per pair, `pairs.csv` and the pooled curve to `out_dir`. A manifest
+    without pairs raises ManifestInvalid before anything is read or written."""
     manifest = synth.load_manifest(manifest_path)
+    if not manifest["pairs"]:
+        raise ManifestInvalid(f"{manifest_path}: no pairs to evaluate")
     root = Path(manifest_path).parent
     cache_dir = cfg.cache_dir()
     out_dir = Path(out_dir)
@@ -510,9 +521,8 @@ def run_evaluation(model, cfg, manifest_path, out_dir, verbose=False):
         results.append((pair, result))
         pooled_errors.append(result.geodesic_errors)
         write_csv(out_dir / f"cge_pair{i}.csv", "r,fraction", *result.cge.T)
-        if verbose:
-            print(f"pair {pair['source']} -> {pair['target']}: "
-                  f"AGEx100 = {result.average_geodesic_error:.4f}")
+        print(f"pair {pair['source']} -> {pair['target']}: "
+              f"AGEx100 = {result.average_geodesic_error:.4f}")
 
     ages = np.array([r.average_geodesic_error for _, r in results])
     write_csv(out_dir / "pairs.csv", "source_mesh,target_mesh,age_x100",
@@ -542,7 +552,7 @@ def cmd_frames(args):
     cfg = _config_from_args(args, need_mesh=True)
     mesh = load_mesh(cfg.mesh)
     cfg.echo(cfg.out)
-    frames = _frames_for(mesh, cfg)
+    frames = estimate_frames(mesh)
     out = Path(cfg.out) / f"{Path(cfg.mesh).stem}.frames.csv"
     write_csv(out, "vertex,k_min,k_max,dir_x,dir_y,dir_z,umbilic",
               np.arange(frames.n_vertices), frames.k_min, frames.k_max,
@@ -554,9 +564,8 @@ def cmd_frames(args):
 def cmd_gen_data(args):
     if args.config is None:
         raise ConfigInvalid("gen-data requires --config with a dataset spec")
-    with open(args.config) as fh:
-        raw = _checked(json.load(fh), synth.DatasetConfig,
-                       f"dataset config {args.config}")
+    raw = _checked(_load_json(args.config, "dataset config"),
+                   synth.DatasetConfig, f"dataset config {args.config}")
     if "deformations" in raw:
         raw["deformations"] = tuple(map(tuple, raw["deformations"]))
     dconfig = synth.DatasetConfig(**raw)
@@ -571,7 +580,7 @@ def cmd_train(args):
     cfg = _config_from_args(args, need_dataset=True)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    model, history = run_training(cfg, cfg.dataset, verbose=True)
+    model, history = run_training(cfg, cfg.dataset)
     cfg.echo(out)  # after training so the resolved kernel scales are echoed
     save_checkpoint(out / "checkpoint.ckpt", model, cfg)
     write_csv(out / "history.csv", "epoch,loss,accuracy",
@@ -594,7 +603,7 @@ def cmd_eval(args):
             f"the filter bank has {cfg.directions} directions x "
             f"{cfg.scales} scales")
     cfg.echo(cfg.out)
-    run_evaluation(model, cfg, cfg.dataset, cfg.out, verbose=True)
+    run_evaluation(model, cfg, cfg.dataset, cfg.out)
     return EXIT_OK
 
 
@@ -734,7 +743,7 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (CacheError, OSError, json.JSONDecodeError) as exc:
+    except (CacheError, OSError) as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -2,8 +2,9 @@
 
 The estimator fits a 2x2 shape operator per triangle by least squares from
 the differences of vertex normals along the three edges (expressed in the
-triangle's tangent basis), averages the tensors into vertex tangent planes
-with area weights, and eigendecomposes the resulting 2x2 form per vertex
+triangle's tangent basis), averages the tensors of each vertex's incident
+triangles (its 1-ring) into its tangent plane with area weights, and
+eigendecomposes the resulting 2x2 form per vertex
 (Rusinkiewicz 2004). The average is one sparse vertex x face product and
 the 2x2 problems are one batched eigh, so no step loops over vertices.
 With outward normals a convex sphere gets positive curvatures.
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateTriangle, IsolatedVertex
 
@@ -70,21 +70,15 @@ def _canonical_sign(d):
     return np.where((big.any(axis=1) & (first < 0))[:, None], -d, d)
 
 
-def estimate_frames(mesh, radius=None):
-    """Estimate PrincipalFrames for every vertex of ``mesh``.
-
-    By default each vertex averages the shape-operator fits of its
-    incident triangles. With ``radius`` (absolute length units) the
-    average instead runs over every triangle whose centroid lies within
-    that distance, in addition to the incident ones (so a triangle that is
-    both counts twice); on shapes with sharp creases this makes the
-    estimate stable under remeshing, since the averaging scale is metric
-    instead of combinatorial.
+def estimate_frames(mesh):
+    """Estimate PrincipalFrames for every vertex of ``mesh``: each vertex
+    averages the shape-operator fits of its incident triangles (its
+    1-ring).
 
     Raises IsolatedVertex if some vertex has no incident face and
     DegenerateTriangle if a face has no usable tangent basis.
     """
-    v, f = mesh.vertices, mesh.faces
+    f = mesh.faces
     n_vert, m = mesh.n_vertices, mesh.n_faces
     # vertex x face weights of the average: one per incident corner
     weights = sparse.csr_matrix(
@@ -95,12 +89,6 @@ def estimate_frames(mesh, radius=None):
         raise IsolatedVertex(
             f"vertex {int(np.argmin(incident))} has no incident face")
     s3 = face_tensors(mesh)
-    if radius is not None and radius > 0:
-        centroids = v[f].mean(axis=1)
-        near = cKDTree(v).sparse_distance_matrix(
-            cKDTree(centroids), radius, output_type="ndarray")
-        weights = weights + sparse.csr_matrix(
-            (np.ones(len(near)), (near["i"], near["j"])), shape=(n_vert, m))
     acc = (weights @ s3.reshape(m, 9)).reshape(n_vert, 3, 3)
     acc /= (weights @ mesh.face_areas)[:, None, None]
 

@@ -138,6 +138,10 @@ def descriptors(model, coords, bank):
                        perturb=False).value
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     m: dict = field(default_factory=dict)
@@ -145,9 +149,9 @@ class AdamState:
     t: int = 0
 
 
-def adam_step(params, grads, state, lr=0.001, weight_decay=0.0001,
-              beta1=0.9, beta2=0.999, eps=1e-8):
-    """One Adam step, in place; weight decay is added to the gradient."""
+def adam_step(params, grads, state, lr=0.001, weight_decay=0.0001):
+    """One Adam step with ADAM_BETA1, ADAM_BETA2 and ADAM_EPS, in place;
+    weight decay is added to the gradient."""
     state.t += 1
     t = state.t
     for name, p in params.items():
@@ -165,13 +169,13 @@ def adam_step(params, grads, state, lr=0.001, weight_decay=0.0001,
             state.m[name] = m
             state.v[name] = np.zeros_like(p)
         v = state.v[name]
-        m *= beta1
-        m += (1 - beta1) * g
-        v *= beta2
-        v += (1 - beta2) * g * g
-        mhat = m / (1 - beta1**t)
-        vhat = v / (1 - beta2**t)
-        p -= lr * mhat / (np.sqrt(vhat) + eps)
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * g * g
+        mhat = m / (1 - ADAM_BETA1**t)
+        vhat = v / (1 - ADAM_BETA2**t)
+        p -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 @dataclass(frozen=True)

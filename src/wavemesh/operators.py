@@ -5,7 +5,8 @@ Both assemblies produce the positive semi-definite stiffness convention
 (eigenvalues >= 0) paired with the lumped Voronoi mass vector. The
 anisotropic operator scales diffusion by 1/(1+alpha) along the rotated
 per-triangle curvature direction; alpha = 0 reduces it to the cotangent
-Laplacian exactly.
+Laplacian exactly. A filter bank takes one anisotropic operator per angle
+of `direction_angles`.
 """
 
 import math
@@ -19,33 +20,11 @@ from .errors import DegenerateTriangle, FrameMeshMismatch
 from .mesh import corner_cotangents
 
 
-@dataclass(frozen=True)
-class AnisoConfig:
-    """Anisotropy level and direction set for operator assembly.
-
-    alpha >= 0 (0 means isotropic); theta in [0, pi) is the rotation from
-    the per-point curvature direction; directions is the number of evenly
-    spaced angles m*pi/M used when building a filter bank per direction.
-    """
-
-    alpha: float = 50.0
-    theta: float = 0.0
-    directions: int = 4
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.directions not in (1, 2, 4):
-            raise ValueError(f"directions must be 1, 2 or 4, got {self.directions}")
-
-    def angles(self):
-        """Angles theta_m = m*pi/M; the tensor is pi-periodic so [0, pi)
-        covers every distinct operator."""
-        m = self.directions
-        return [i * math.pi / m for i in range(m)]
-
-    def with_theta(self, theta):
-        return AnisoConfig(alpha=self.alpha, theta=theta, directions=self.directions)
+def direction_angles(directions):
+    """The angles theta_m = m*pi/M of M evenly spaced directions, as Python
+    floats (they enter the SPEC1 keys by repr); the tensor is pi-periodic,
+    so [0, pi) covers every distinct operator."""
+    return [m * math.pi / directions for m in range(directions)]
 
 
 @dataclass(frozen=True)
@@ -109,10 +88,11 @@ def _triangle_directions(mesh, frames):
     return avg / norms[:, None]
 
 
-def assemble_albo(mesh, frames, config):
-    """Anisotropic stiffness: per-triangle FEM with the conductivity tensor
-    expressed in a basis whose first axis is the triangle curvature
-    direction."""
+def assemble_albo(mesh, frames, alpha, theta):
+    """Anisotropic stiffness at anisotropy level ``alpha`` >= 0 (0 is
+    isotropic) and angle ``theta`` from the curvature direction: per-triangle
+    FEM with the conductivity tensor expressed in a basis whose first axis is
+    the triangle curvature direction."""
     if frames.n_vertices != mesh.n_vertices:
         raise FrameMeshMismatch(
             f"frames for {frames.n_vertices} vertices, mesh has {mesh.n_vertices}")
@@ -141,7 +121,7 @@ def assemble_albo(mesh, frames, config):
         grads[:, 0, i] = -e[:, 1] / two_a
         grads[:, 1, i] = e[:, 0] / two_a
 
-    d = anisotropy_tensor(config.alpha, config.theta)
+    d = anisotropy_tensor(alpha, theta)
     local = np.einsum("fai,ab,fbj->fij", grads, d, grads)
     local *= area[:, None, None]
     local = 0.5 * (local + local.transpose(0, 2, 1))

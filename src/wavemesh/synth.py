@@ -32,6 +32,10 @@ from .mesh import TriMesh, chunked_rows, load_mesh, write_off
 
 MAX_BEND = math.pi / 2
 MAX_TWIST_RATE = math.pi
+# the bar's extent along x and across; the cylinder's radius and its height
+# along z
+BAR_LENGTH, BAR_WIDTH = 8.0, 1.0
+CYLINDER_RADIUS, CYLINDER_HEIGHT = 1.0, 4.0
 
 
 def gen_base(kind, resolution, **kwargs):
@@ -79,9 +83,10 @@ def icosphere(subdivisions):
     return mesh
 
 
-def bar(resolution, length=8.0, width=1.0):
-    """Closed box of aspect length/width, long axis x, centered at the
-    origin; resolution r gives 8r segments along the length and r across.
+def bar(resolution):
+    """Closed box of BAR_LENGTH x BAR_WIDTH x BAR_WIDTH, long axis x,
+    centered at the origin; resolution r gives 8r segments along the length
+    and r across.
 
     Each side is an (nu + 1) x (nv + 1) grid of integer lattice points,
     split into two triangles per cell. A lattice point (i, j, k) has the
@@ -94,9 +99,8 @@ def bar(resolution, length=8.0, width=1.0):
     if resolution < 1:
         raise ResolutionTooSmall("bar resolution must be >= 1")
     nx, ny, nz = 8 * resolution, resolution, resolution
-    hx, hy, hz = length / 2.0, width / 2.0, width / 2.0
-    step = np.array([length / nx, width / ny, width / nz])
-    low = np.array([-hx, -hy, -hz])
+    step = np.array([BAR_LENGTH / nx, BAR_WIDTH / ny, BAR_WIDTH / nz])
+    low = np.array([-BAR_LENGTH / 2.0, -BAR_WIDTH / 2.0, -BAR_WIDTH / 2.0])
 
     o = np.zeros(3, dtype=np.int64)
     ex, ey, ez = np.eye(3, dtype=np.int64)
@@ -143,8 +147,9 @@ def _quad_split(idx):
     return np.stack([a, b, c, a, c, d], axis=-1)
 
 
-def cylinder(resolution, caps=False, radius=1.0, height=4.0):
-    """Cylinder along z; open (boundary rings) unless caps is set. Ring j
+def cylinder(resolution, caps=False):
+    """Cylinder of CYLINDER_RADIUS and CYLINDER_HEIGHT along z, centered at
+    the origin; open (boundary rings) unless caps is set. Ring j
     holds vertices j * n_theta + i at angle 2 pi i / n_theta; the side is
     the quad split of the ring lattice, whose last column wraps to angle 0,
     and each cap is a fan from a centre vertex appended after the rings."""
@@ -153,9 +158,9 @@ def cylinder(resolution, caps=False, radius=1.0, height=4.0):
     n_theta = 8 * resolution
     n_z = 4 * resolution
     angle = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    z = -height / 2.0 + height * np.arange(n_z + 1) / n_z
-    verts = np.column_stack([np.tile(radius * np.cos(angle), n_z + 1),
-                             np.tile(radius * np.sin(angle), n_z + 1),
+    z = -CYLINDER_HEIGHT / 2.0 + CYLINDER_HEIGHT * np.arange(n_z + 1) / n_z
+    verts = np.column_stack([np.tile(CYLINDER_RADIUS * np.cos(angle), n_z + 1),
+                             np.tile(CYLINDER_RADIUS * np.sin(angle), n_z + 1),
                              np.repeat(z, n_theta)])
     # idx[i, j]: the vertex at angle i of ring j, angle n_theta wrapping to
     # 0; angle x height points outward, and the cells go ring by ring
@@ -164,8 +169,8 @@ def cylinder(resolution, caps=False, radius=1.0, height=4.0):
     faces = _quad_split(idx).swapaxes(0, 1).reshape(-1, 3)
     if caps:
         bottom, top = len(verts), len(verts) + 1
-        verts = np.concatenate([verts, [(0.0, 0.0, -height / 2.0),
-                                        (0.0, 0.0, height / 2.0)]])
+        verts = np.concatenate([verts, [(0.0, 0.0, -CYLINDER_HEIGHT / 2.0),
+                                        (0.0, 0.0, CYLINDER_HEIGHT / 2.0)]])
         low, high = idx[:, 0], idx[:, -1]
         fans = np.stack([np.full(n_theta, bottom), low[1:], low[:-1],
                          np.full(n_theta, top), high[:-1], high[1:]], axis=1)
@@ -272,9 +277,6 @@ class DatasetConfig:
     holdout: int = 1
     split_seed: int = 0
     remesh_holdout: bool = False
-    # also train on subdivided copies of the training poses (labels come
-    # from the subdivision map), teaching discretization robustness
-    remesh_training: int = 0      # how many training poses to augment
 
     def validate(self):
         if self.base not in ("icosphere", "bar", "cylinder"):
@@ -287,11 +289,6 @@ class DatasetConfig:
         if not (0 < self.holdout < len(self.deformations)):
             raise ConfigInvalid(
                 f"holdout {self.holdout} must leave at least one training shape")
-        n_train = len(self.deformations) - self.holdout
-        if not (0 <= self.remesh_training <= n_train):
-            raise ConfigInvalid(
-                f"remesh_training {self.remesh_training} must lie in "
-                f"[0, {n_train}], the number of training poses")
 
 
 def make_dataset(config, out_dir):
@@ -320,12 +317,6 @@ def make_dataset(config, out_dir):
 
     training = [{"mesh": f"deform_{i}.off", "labels": f"labels_{i}.txt"}
                 for i in train_idx]
-    for i in train_idx[:config.remesh_training]:
-        refined, gt_map = remesh(deformed[i])
-        write_off(refined, out / f"deform_{i}_remesh.off")
-        _write_indices(gt_map, out / f"labels_{i}_remesh.txt")
-        training.append({"mesh": f"deform_{i}_remesh.off",
-                         "labels": f"labels_{i}_remesh.txt"})
 
     pairs = []
     for i in test_idx:

@@ -75,8 +75,8 @@ def test_kernel(spectra, scales):
 
 def build_bank_for(mesh, k, directions=1, alpha=0.0, scales=4):
     frames = estimate_frames(mesh)
-    cfg = wm.AnisoConfig(alpha=alpha, theta=0.0, directions=directions)
-    ops = [assemble_albo(mesh, frames, cfg.with_theta(t)) for t in cfg.angles()]
+    ops = [assemble_albo(mesh, frames, alpha, t)
+           for t in wm.direction_angles(directions)]
     spectra = [solve_eigs(o, k) for o in ops]
     return build_filterbank(spectra, test_kernel(spectra, scales))
 

@@ -217,6 +217,46 @@ def test_checkpoint_saving_descriptor_softmax_exits_2(run, tmp_path, capsys):
     assert not (tmp_path / "eval" / "pairs.csv").exists()
 
 
+@pytest.mark.parametrize("radius", [0.0, 0], ids=["float", "int"])
+def test_checkpoint_saving_curvature_radius_0_evaluates_unchanged(
+        run, tmp_path, radius):
+    # earlier versions saved the radius of their curvature frames; 0 meant
+    # the 1-ring frames every version builds, and a JSON 0 reads as an int
+    ckpt = _damaged_checkpoint(
+        run, tmp_path / "checkpoint.ckpt",
+        lambda a, m: m["experiment"].update(curvature_radius=radius))
+    assert _eval(run, tmp_path / "old", checkpoint=ckpt) == 0
+    assert _eval(run, tmp_path / "new") == 0
+    assert _outputs(tmp_path / "old") == _outputs(tmp_path / "new")
+
+
+@pytest.mark.parametrize("radius", [0.2, False, "0"],
+                         ids=["0.2", "false", "string"])
+def test_checkpoint_saving_another_curvature_radius_exits_2(
+        run, tmp_path, capsys, radius):
+    ckpt = _damaged_checkpoint(
+        run, tmp_path / "checkpoint.ckpt",
+        lambda a, m: m["experiment"].update(curvature_radius=radius))
+    capsys.readouterr()
+    assert _eval(run, tmp_path / "eval", checkpoint=ckpt) == 2
+    assert "'curvature_radius'" in capsys.readouterr().err
+    assert not (tmp_path / "eval" / "pairs.csv").exists()
+
+
+def test_eval_of_a_manifest_without_pairs_exits_2_and_writes_no_csv(
+        run, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(run.data, data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["pairs"] = []
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert _eval(run, tmp_path / "eval", data=data) == 2
+    err = capsys.readouterr().err
+    assert "no pairs" in err and str(data / "manifest.json") in err
+    assert not list((tmp_path / "eval").glob("*.csv"))
+
+
 def test_float32_training_saves_float32_params_and_evaluates(run, tmp_path,
                                                             monkeypatch):
     config = _json(tmp_path / "f32.json", {**MODEL, "float32": True})
@@ -251,8 +291,8 @@ def _dump(mesh, cache, out, config, *extra):
 
 # two values of each field that keys a SPEC1 or FBK1 file; kernel_lambda_max
 # is given as a multiple of the lambda_max pinned by training
-KEYED_FIELDS = {"curvature_radius": (0.0, 0.2), "alpha": (50.0, 20.0),
-                "k": (20, 10), "scales": (2, 3), "kernel_lambda_max": (1.0, 2.0)}
+KEYED_FIELDS = {"alpha": (50.0, 20.0), "k": (20, 10), "scales": (2, 3),
+                "kernel_lambda_max": (1.0, 2.0)}
 
 
 @pytest.mark.parametrize("field", KEYED_FIELDS)
@@ -396,6 +436,29 @@ def test_config_holding_the_removed_descriptor_key_exits_2(run, tmp_path,
     assert "unknown config" in err and "'descriptor'" in err
 
 
+@pytest.mark.parametrize("flag", [("--directions", "3"), ("--alpha", "-1")],
+                         ids=["directions-3", "alpha-negative"])
+def test_invalid_direction_count_or_alpha_exits_2(run, tmp_path, capsys,
+                                                  flag):
+    assert _spectrum(run.data / "template.off", tmp_path / "cache",
+                     tmp_path / "s", *flag) == 2
+    assert f"{flag[0][2:]} must be" in capsys.readouterr().err
+    assert not (tmp_path / "cache").exists()
+
+
+def test_config_file_that_is_not_json_exits_2_naming_it(run, tmp_path,
+                                                       capsys):
+    config = tmp_path / "bad.json"
+    config.write_text("{not json")
+    assert _spectrum(run.data / "template.off", tmp_path / "cache",
+                     tmp_path / "s", "--config", str(config)) == 2
+    assert str(config) in capsys.readouterr().err
+    assert cli.main(["gen-data", "--config", str(config),
+                     "--out", str(tmp_path / "data")]) == 2
+    assert str(config) in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
 def test_config_that_is_not_an_object_exits_2(run, tmp_path):
     config = _json(tmp_path / "list.json", [1])
     assert _spectrum(run.data / "template.off", tmp_path / "cache",
@@ -438,9 +501,9 @@ def test_wrongly_typed_dataset_config_exits_2(tmp_path, config):
 
 
 @pytest.mark.parametrize("count", [-1, 99])
-def test_remesh_training_out_of_range_exits_2(tmp_path, count):
-    # 4 poses, 1 held out: a negative count used to slice from the end
-    # and a count above 3 was clipped, both exiting 0
+def test_remesh_training_out_of_range_exits_2(tmp_path, capsys, count):
+    # remeshed training copies were retired: a dataset config that still
+    # asks for them names an unknown key, whatever the count
     path = _json(tmp_path / "dataset.json", {
         "base": "bar", "resolution": 2,
         "deformations": [["bend", 0.6], ["twist", 0.3], ["bend", -0.5],
@@ -448,6 +511,8 @@ def test_remesh_training_out_of_range_exits_2(tmp_path, count):
         "holdout": 1, "remesh_training": count})
     assert cli.main(["gen-data", "--config", path,
                      "--out", str(tmp_path / "data")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown dataset config" in err and "'remesh_training'" in err
     assert not (tmp_path / "data").exists()
 
 
@@ -470,6 +535,21 @@ def _rekey(path, kind):
     arrays, meta = read_container(path, kind)
     write_container(path, kind, arrays, meta={"key": "0" * 64})
     return meta
+
+
+def test_cache_file_names_of_a_fixed_mesh_are_pinned(tmp_path):
+    # a change to what a SPEC1 or FBK1 key hashes, or to the repr of a
+    # part (theta m*pi/M and alpha as Python floats, the constant 0.0 left
+    # by the retired curvature radius), renames every cached file; the
+    # kernel is pinned so that no eigenvalue enters the bank's key
+    cfg = cli.ExperimentConfig(k=10, scales=2, kernel_lambda_max=1.0)
+    spectra = cli.load_spectra(synth.gen_base("bar", 1), cfg, tmp_path,
+                               "bar1.off", solve=True)
+    cli.build_bank(spectra, cfg, tmp_path, "bar1.off")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "bar1.2e0a6400d6dc868f.spec", "bar1.568b15e6d16748a6.spec",
+        "bar1.aa9097a5b153efd3.spec", "bar1.d2cd0f561f3c5c5d.fbk",
+        "bar1.f464d8ed3ce61ad9.spec"]
 
 
 def test_spectrum_file_with_another_key_is_recomputed(run, tmp_path, capsys):

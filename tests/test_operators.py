@@ -10,10 +10,10 @@ from wavemesh.curvature import estimate_frames
 from wavemesh.errors import FrameMeshMismatch
 from wavemesh.mesh import TriMesh
 from wavemesh.operators import (
-    AnisoConfig,
     anisotropy_tensor,
     assemble_albo,
     assemble_lbo,
+    direction_angles,
 )
 from wavemesh.spectrum import solve_eigs
 
@@ -41,8 +41,9 @@ class TestAnisotropyTensor:
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
             anisotropy_tensor(-0.5, 0.0)
+        mesh = grid_mesh(3, 3)
         with pytest.raises(ValueError):
-            AnisoConfig(alpha=-1.0)
+            assemble_albo(mesh, estimate_frames(mesh), -1.0, 0.0)
 
     @settings(max_examples=50, deadline=None)
     @given(alpha=st.floats(0.0, 1e3), theta=st.floats(0.0, math.pi))
@@ -54,11 +55,10 @@ class TestAnisotropyTensor:
         assert abs(evals[1] - 1.0) < 1e-12
 
     def test_direction_set(self):
-        cfg = AnisoConfig(alpha=1.0, directions=4)
-        assert np.allclose(cfg.angles(), [0, math.pi / 4, math.pi / 2,
-                                          3 * math.pi / 4])
-        with pytest.raises(ValueError):
-            AnisoConfig(directions=3)
+        assert np.allclose(direction_angles(4), [0, math.pi / 4, math.pi / 2,
+                                                 3 * math.pi / 4])
+        assert direction_angles(1) == [0.0]
+        assert all(type(t) is float for t in direction_angles(2))
 
 
 class TestCotangentLaplacian:
@@ -96,23 +96,20 @@ class TestAnisotropicAssembly:
         for mesh in (ico1, open_cylinder, flat_grid):
             frames = estimate_frames(mesh)
             lbo = assemble_lbo(mesh)
-            albo = assemble_albo(mesh, frames,
-                                 AnisoConfig(alpha=0.0, theta=0.9, directions=1))
+            albo = assemble_albo(mesh, frames, 0.0, 0.9)
             diff = (lbo.stiffness - albo.stiffness).toarray()
             assert np.abs(diff).max() < 1e-10
 
     def test_pi_periodicity(self, open_cylinder):
         frames = estimate_frames(open_cylinder)
-        a = assemble_albo(open_cylinder, frames, AnisoConfig(alpha=1.0, theta=0.4))
-        b = assemble_albo(open_cylinder, frames,
-                          AnisoConfig(alpha=1.0, theta=0.4 + math.pi))
+        a = assemble_albo(open_cylinder, frames, 1.0, 0.4)
+        b = assemble_albo(open_cylinder, frames, 1.0, 0.4 + math.pi)
         assert np.abs((a.stiffness - b.stiffness).toarray()).max() < 1e-12
 
     def test_operator_pair_invariants(self, open_cylinder):
         frames = estimate_frames(open_cylinder)
-        for theta in AnisoConfig(alpha=50.0, directions=4).angles():
-            ops = assemble_albo(open_cylinder, frames,
-                                AnisoConfig(alpha=50.0, theta=theta))
+        for theta in direction_angles(4):
+            ops = assemble_albo(open_cylinder, frames, 50.0, theta)
             assert symmetry_error(ops) < 1e-12
             assert max_row_sum(ops) < 1e-10
             evals = np.linalg.eigvalsh(ops.stiffness.toarray())
@@ -121,7 +118,7 @@ class TestAnisotropicAssembly:
     def test_frames_mesh_mismatch(self, ico1, open_cylinder):
         frames = estimate_frames(ico1)
         with pytest.raises(FrameMeshMismatch):
-            assemble_albo(open_cylinder, frames, AnisoConfig())
+            assemble_albo(open_cylinder, frames, 50.0, 0.0)
 
     def test_flat_grid_anisotropic_eigenfunctions(self):
         # Separable oracle on the unit square with conductivity
@@ -131,7 +128,7 @@ class TestAnisotropicAssembly:
         # eigenvalue is pi^2/51.
         mesh = grid_mesh(24, 24)
         frames = estimate_frames(mesh)  # umbilic fallback aligns with +x
-        ops = assemble_albo(mesh, frames, AnisoConfig(alpha=50.0, theta=0.0))
+        ops = assemble_albo(mesh, frames, 50.0, 0.0)
         spec = solve_eigs(ops, 3)
         oracle_lambda1 = math.pi**2 / 51.0
         assert abs(spec.eigenvalues[1] / oracle_lambda1 - 1.0) < 0.02
@@ -146,18 +143,19 @@ class TestAnisotropicAssembly:
         f = mesh.vertices[:, 0].copy()  # linear along dir_max (= +x)
         energies = []
         for alpha in (0.0, 1.0, 10.0, 50.0):
-            ops = assemble_albo(mesh, frames, AnisoConfig(alpha=alpha, theta=0.0))
+            ops = assemble_albo(mesh, frames, alpha, 0.0)
             energies.append(f @ (ops.stiffness @ f))
         assert all(b < a for a, b in zip(energies, energies[1:]))
 
     def test_rigid_motion_invariance(self, open_cylinder):
         frames = estimate_frames(open_cylinder)
-        cfg = AnisoConfig(alpha=50.0, theta=math.pi / 4)
-        base = assemble_albo(open_cylinder, frames, cfg).stiffness.toarray()
+        base = assemble_albo(open_cylinder, frames, 50.0,
+                             math.pi / 4).stiffness.toarray()
         r = rotation_matrix([0.3, 1.0, 0.2], 0.8)
         moved = TriMesh(open_cylinder.vertices @ r.T + 5.0,
                         open_cylinder.faces.copy())
-        moved_ops = assemble_albo(moved, estimate_frames(moved), cfg)
+        moved_ops = assemble_albo(moved, estimate_frames(moved), 50.0,
+                                  math.pi / 4)
         diff = np.abs(moved_ops.stiffness.toarray() - base)
         scale = np.abs(base).max()
         assert diff.max() < 1e-8 * scale

@@ -8,7 +8,7 @@ from wavemesh import spectrum
 from wavemesh.curvature import estimate_frames
 from wavemesh.errors import FactorizationFailed, KTooLarge, NotConverged
 from wavemesh.mesh import TriMesh
-from wavemesh.operators import AnisoConfig, assemble_albo, assemble_lbo
+from wavemesh.operators import assemble_albo, assemble_lbo
 from wavemesh.spectrum import RESIDUAL_TOL, solve_eigs
 
 from .conftest import grid_mesh, perturbed_sphere
@@ -88,8 +88,7 @@ class TestAgainstDenseOracle:
         # the operator the pipeline solves: an ALBO at alpha=50, on a mesh
         # with more vertices than the Lanczos basis holds
         mesh = wm.gen_base("bar", 3)
-        ops = assemble_albo(mesh, estimate_frames(mesh),
-                            AnisoConfig(alpha=50.0, theta=theta))
+        ops = assemble_albo(mesh, estimate_frames(mesh), 50.0, theta)
         k = 100
         spec = solve_eigs(ops, k)
         assert spec.provenance["solver"] == "arpack"

@@ -230,24 +230,6 @@ class TestDataset:
             DatasetConfig(base="bar", deformations=(("bend", 0.1),),
                           holdout=1).validate()
 
-    @pytest.mark.parametrize("count", [-1, 4, 99])
-    def test_remesh_training_out_of_range(self, count, tmp_path):
-        # 5 poses, 2 held out: at most 3 training poses can be remeshed
-        config = DatasetConfig(
-            base="bar", resolution=1,
-            deformations=tuple(("bend", 0.15 * i) for i in range(1, 6)),
-            holdout=2, remesh_training=count)
-        with pytest.raises(ConfigInvalid, match="remesh_training"):
-            make_dataset(config, tmp_path / "data")
-        assert not (tmp_path / "data").exists()
-
-    @pytest.mark.parametrize("count", [0, 3])
-    def test_remesh_training_bounds_accepted(self, count):
-        DatasetConfig(
-            base="bar", resolution=1,
-            deformations=tuple(("bend", 0.15 * i) for i in range(1, 6)),
-            holdout=2, remesh_training=count).validate()
-
     def test_manifest_invalid(self, tmp_path):
         bad = tmp_path / "manifest.json"
         bad.write_text("{not json")
@@ -322,7 +304,7 @@ class TestVectorizedGenerators:
         config = DatasetConfig(
             base="bar", resolution=2,
             deformations=(("bend", 0.3), ("twist", 0.5), ("bend", -0.2)),
-            holdout=1, split_seed=0, remesh_holdout=True, remesh_training=1)
+            holdout=1, split_seed=0, remesh_holdout=True)
         manifest = make_dataset(config, tmp_path / "new")
         files = {manifest["template"]["mesh"]}
         files.update(e["mesh"] for e in manifest["training"])
