@@ -1,26 +1,29 @@
-"""Minimal reverse-mode tape over float64 or float32 numpy arrays.
+"""Reverse mode for one chain of ops over float64 or float32 numpy arrays.
 
-Each op computes in the dtype of its inputs; a scalar loss is float64, and
-its vjps hand on gradients in the dtype of what they differentiate.
+Every op of the network has one chained input, the output of the op before
+it, plus parameters of its own. So each op here returns ``(value, back)``,
+and ``back(g)`` maps g, the loss gradient of ``value``, to ``(dx, grads)``:
+the gradient for the chained input and a tuple of gradients for the op's
+parameters, in the order the op takes them. Each op computes in the dtype
+of its inputs, and its back returns gradients in the dtype of what they
+differentiate.
 
-Just enough machinery for the trainable pipeline: every op whose inputs
-include one that requires a gradient records, on a small gradient node,
-the nodes of those inputs together with vector-Jacobian closures, and
-``backward`` walks the graph once in reverse topological order.
-Gradients accumulate by addition, so shared subexpressions are handled
-correctly.
+A tape is a list of ``(back, parameter names)`` entries in forward order;
+``network._head_input`` appends one per op. ``backward(tape, g)`` runs the
+backs last to first from g, the loss gradient of the last op's output, and
+returns ``{name: gradient}``. The classifier head is not on the tape:
+``linear_softmax_cross_entropy`` forms its gradients in its own pass, and
+its input gradient is the g that starts ``backward``.
 
-The tape keeps only what backward needs:
-- A graph is single-use. ``backward`` consumes it: once a node's gradient
-  has reached its parents, the node drops that gradient and its vjps, so
-  afterwards only the leaves hold gradients. Each differentiation builds
-  a fresh graph.
-- An op none of whose inputs requires a gradient records nothing, so a
-  forward pass over constants builds no graph at all.
-- The graph links gradient nodes, not Tensors, and each vjp holds only
-  the arrays it reads. An activation that no vjp reads (the output of a
-  SELU feeding a standardization, say) is freed as soon as the forward
-  pass stops referencing it.
+When the arrays are freed:
+- Each back holds only the arrays it reads. An activation that no back
+  reads (the output of a SELU feeding a standardization, say) is freed as
+  soon as the forward pass stops referencing it.
+- ``backward`` pops each entry before running it, so the entry's arrays
+  are freed before the next back runs, and the tape is empty afterwards. A tape is single-use; each differentiation records a new one.
+- An op whose back is not kept on a tape (``network.descriptors`` records
+  none) keeps nothing: its back and the arrays only that back reads are
+  freed when its result is unpacked.
 """
 
 import numpy as np
@@ -33,192 +36,93 @@ SELU_ALPHA = 1.67326324
 NORM_EPS = 1e-5
 
 
-class _Node:
-    """Gradient slot of a Tensor that requires a gradient: the
-    (parent node, vjp) edges and the gradient accumulated so far."""
-    __slots__ = ("grad", "parents")
-
-    def __init__(self, parents):
-        self.grad = None
-        self.parents = parents
-
-
-class Tensor:
-    """An array and, if it requires a gradient, its node on the tape.
-
-    ``parents`` pairs each input Tensor with the vjp that maps this
-    Tensor's gradient to that input's; inputs that require no gradient
-    are not recorded.
-    """
-    __slots__ = ("value", "node")
-
-    def __init__(self, value, parents=(), requires_grad=False):
-        self.value = value
-        edges = tuple((p.node, vjp) for p, vjp in parents
-                      if p.node is not None)
-        self.node = _Node(edges) if requires_grad or edges else None
-
-    @property
-    def requires_grad(self):
-        return self.node is not None
-
-    @property
-    def grad(self):
-        return None if self.node is None else self.node.grad
-
-    @property
-    def parents(self):
-        return () if self.node is None else self.node.parents
-
-    @property
-    def shape(self):
-        return np.shape(self.value)
-
-
-def constant(value):
-    return Tensor(np.asarray(value))
-
-
-def param(value):
-    return Tensor(value, requires_grad=True)
-
-
-def backward(root):
-    """Accumulate gradients of ``root`` (a scalar) into the leaves of its
-    graph, consuming the graph as it goes."""
-    if root.node is None:
-        return
-    order = []
-    seen = set()
-    stack = [(root.node, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent, _ in node.parents:
-            stack.append((parent, False))
-
-    root.node.grad = np.ones_like(np.asarray(root.value, dtype=np.float64))
-    for node in reversed(order):
-        if not node.parents:
-            continue  # a leaf keeps its gradient
-        for parent, vjp in node.parents:
-            g = vjp(node.grad)
-            parent.grad = g if parent.grad is None else parent.grad + g
-        node.grad = None
-        node.parents = ()
-
-
-def _unbroadcast(grad, shape):
-    """Reduce ``grad`` back to ``shape`` after numpy broadcasting."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
-def add(a, b):
-    sa, sb = np.shape(a.value), np.shape(b.value)
-    return Tensor(a.value + b.value, parents=(
-        (a, lambda g: _unbroadcast(g, sa)),
-        (b, lambda g: _unbroadcast(g, sb)),
-    ))
-
-
-def mul(a, b):
-    av, bv = a.value, b.value
-    return Tensor(av * bv, parents=(
-        (a, lambda g: _unbroadcast(g * bv, np.shape(av))),
-        (b, lambda g: _unbroadcast(g * av, np.shape(bv))),
-    ))
-
-
-def matmul(a, b):
-    av, bv = a.value, b.value
-    return Tensor(av @ bv, parents=(
-        (a, lambda g: g @ bv.T),
-        (b, lambda g: av.T @ g),
-    ))
+def backward(tape, g):
+    """Run the tape's backs last to first, starting from g, the loss
+    gradient of the last op's output, and empty the tape; returns
+    {parameter name: gradient}."""
+    grads = {}
+    while tape:
+        back, names = tape.pop()
+        g, param_grads = back(g)
+        grads.update(zip(names, param_grads))
+    return grads
 
 
 def affine(x, w, b):
-    return add(matmul(x, w), b)
+    """x @ w + b."""
+    def back(g):
+        return g @ w.T, (x.T @ g, g.sum(axis=0))
+
+    return x @ w + b, back
 
 
-def selu(a):
-    x = a.value
+def scale(x, s):
+    """x times the per-feature scale s."""
+    def back(g):
+        return g * s, ((g * x).sum(axis=0),)
+
+    return x * s, back
+
+
+def selu(x):
     pos = x > 0
     expx = np.exp(np.minimum(x, 0.0))
     value = np.where(pos, SELU_SCALE * x, SELU_SCALE * SELU_ALPHA * (expx - 1.0))
 
-    def vjp(g):
-        return g * np.where(pos, SELU_SCALE, SELU_SCALE * SELU_ALPHA * expx)
+    def back(g):
+        return g * np.where(pos, SELU_SCALE, SELU_SCALE * SELU_ALPHA * expx), ()
 
-    return Tensor(value, parents=((a, vjp),))
+    return value, back
 
 
 def standardize(x, gamma, beta):
     """Per-feature standardization over the vertex axis with affine."""
-    v = x.value
-    if v.ndim != 2 or v.shape[0] < 2:
+    if x.ndim != 2 or x.shape[0] < 2:
         raise SingleVertexShape(
-            f"standardization needs at least 2 vertices, got shape {v.shape}")
-    n = v.shape[0]
-    mean = v.mean(axis=0)
-    centered = v - mean
+            f"standardization needs at least 2 vertices, got shape {x.shape}")
+    mean = x.mean(axis=0)
+    centered = x - mean
     var = (centered**2).mean(axis=0)
     inv_std = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = centered * inv_std
-    gv = gamma.value
-    value = xhat * gv + beta.value
 
-    def vjp_x(g):
-        gx = g * gv
-        return inv_std * (gx - gx.mean(axis=0)
-                          - xhat * (gx * xhat).mean(axis=0))
+    def back(g):
+        gx = g * gamma
+        dx = inv_std * (gx - gx.mean(axis=0) - xhat * (gx * xhat).mean(axis=0))
+        return dx, ((g * xhat).sum(axis=0), g.sum(axis=0))
 
-    return Tensor(value, parents=(
-        (x, vjp_x),
-        (gamma, lambda g: (g * xhat).sum(axis=0)),
-        (beta, lambda g: g.sum(axis=0)),
-    ))
+    return xhat * gamma + beta, back
 
 
 def gather_rows(x, index):
     index = np.asarray(index)
-    shape, dtype = x.value.shape, x.value.dtype
+    shape, dtype = x.shape, x.dtype
 
-    def vjp(g):
+    def back(g):
         out = np.zeros(shape, dtype)
         np.add.at(out, index, g)
-        return out
+        return out, ()
 
-    return Tensor(x.value[index], parents=((x, vjp),))
+    return x[index], back
 
 
 def wavelet_mix(x, thetas, bank):
     """sum_{m,j} (normalized wavelet filter (m, j) applied to x) @ theta[m][j].
 
-    thetas is an M x J nested list of Tensors, one per filter of the bank;
-    any other grid raises ValueError. The filters are mixed in the K-dim
-    eigenbasis, each over its passband of K_mj eigenpairs
-    (``wavelets.passbands``), past which its responses are below round-off.
-    The bank's directions share one lumped mass A (``FilterBank``
-    checks it), so A x is formed once per call. Per direction the forward
-    projects once, C = Phi^T (A x); per scale it mixes in coefficient
-    space, P_j = (r_j * C)[:K_mj] theta_j, synthesizes Phi[:, :K_mj] P_j
-    into one reused N x E buffer, divides its rows by the scale's L1
-    normalizers in place and adds it to the output. The backward
-    computes H_j = Phi[:, :K_mj]^T (g / n_j) once per incoming gradient
+    thetas is an M x J nested list of arrays, one per filter of the bank;
+    any other grid raises ValueError. The back's parameter gradients follow
+    the filters in that order, direction by direction. The filters are
+    mixed in the K-dim eigenbasis, each over its passband of K_mj
+    eigenpairs (``wavelets.passbands``), past which its responses are below
+    round-off. The bank's directions share one lumped mass A
+    (``FilterBank`` checks it), so A x is formed once per call. Per
+    direction the forward projects once, C = Phi^T (A x); per scale it
+    mixes in coefficient space, P_j = (r_j * C)[:K_mj] theta_j, synthesizes
+    Phi[:, :K_mj] P_j into one reused N x E buffer, divides its rows by the
+    scale's L1 normalizers in place and adds it to the output. The back
+    forms, one direction at a time, H_j = Phi[:, :K_mj]^T (g / n_j) once
     through one reused N x E buffer: the theta-gradients are
-    (r_j * C)[:K_mj]^T H_j and the x-gradient is
+    (r_j * C)[:K_mj]^T H_j and the direction's share of the x-gradient is
     A * Phi sum_j r_j * (H_j theta_j^T), with H_j's rows past K_mj zero.
 
     Cost per direction, forward and backward together, for N vertices,
@@ -236,71 +140,48 @@ def wavelet_mix(x, thetas, bank):
             f"mixing weights form a {len(thetas)} x "
             f"{len(thetas[0]) if thetas else 0} grid, the filter bank has "
             f"{n_dir} directions x {n_scale} scales")
-    v = x.value
-    dtype = v.dtype
-    x_shape = v.shape
+    dtype = x.dtype
+    x_shape = x.shape
     bands = passbands(bank.responses)
     k = bank.responses.shape[2]
-    e = thetas[0][0].value.shape[1]
+    e = thetas[0][0].shape[1]
     dirs = []
     # r_j * C and H are kept whole, (J, K, D) and (J, K, E) per direction,
     # and sliced to each passband: arrays of one size per direction keep
     # the heap from fragmenting, where K_j-sized ones raised peak RSS
-    scaled = []
-    out = np.zeros((len(v), e), dtype)
+    out = np.zeros((len(x), e), dtype)
     buf = np.empty_like(out)
     mixed = np.empty((k, e), dtype)
     mass = bank.spectra[0].mass.astype(dtype, copy=False)
-    mass_v = mass[:, None] * v                                  # A x, (N, D)
+    mass_x = mass[:, None] * x                                  # A x, (N, D)
     for m, row in enumerate(thetas):
         phi = bank.spectra[m].eigenvectors.astype(dtype, copy=False)
         resp = bank.responses[m].astype(dtype)
         inv_norm = (1.0 / bank.l1_normalizers[m]).astype(dtype)[:, :, None]
-        rc = resp[:, :, None] * (phi.T @ mass_v)                # (J, K, D)
-        for j, (t, kb) in enumerate(zip(row, bands[m])):
-            np.matmul(rc[j, :kb], t.value, out=mixed[:kb])
+        rc = resp[:, :, None] * (phi.T @ mass_x)                # (J, K, D)
+        for j, (theta, kb) in enumerate(zip(row, bands[m])):
+            np.matmul(rc[j, :kb], theta, out=mixed[:kb])
             np.matmul(phi[:, :kb], mixed[:kb], out=buf)
             buf *= inv_norm[j]
             out += buf
-        dirs.append((phi, resp, inv_norm, [t.value for t in row]))
-        scaled.append(rc)
+        dirs.append((phi, resp, inv_norm, rc, row, bands[m]))
 
-    memo = {}
-
-    def coeff_grads(g):
-        # H per direction, computed once per incoming gradient: backward
-        # hands the same g object to the x-vjp and every theta-vjp
-        if memo.get("g") is not g:
-            work = np.empty_like(g)
-            hs = []
-            for (phi, _, inv_norm, _), kbs in zip(dirs, bands):
-                h = np.zeros((n_scale, k, g.shape[1]), g.dtype)
-                for j, kb in enumerate(kbs):
-                    np.multiply(g, inv_norm[j], out=work)
-                    np.matmul(phi[:, :kb].T, work, out=h[j, :kb])
-                hs.append(h)
-            memo["g"], memo["h"] = g, hs
-        return memo["h"]
-
-    def vjp_x(g):
+    def back(g):
         gx = np.zeros(x_shape, dtype)
-        for (phi, resp, _, theta), h, kbs in zip(dirs, coeff_grads(g),
-                                                 bands):
+        work = np.empty_like(g)
+        theta_grads = []
+        for phi, resp, inv_norm, rc, row, kbs in dirs:
+            h = np.zeros((n_scale, k, g.shape[1]), g.dtype)
             acc = np.zeros((k, x_shape[1]), dtype)              # (K, D)
-            for j, kb in enumerate(kbs):
-                acc[:kb] += resp[j, :kb, None] * (h[j, :kb] @ theta[j].T)
+            for j, (theta, kb) in enumerate(zip(row, kbs)):
+                np.multiply(g, inv_norm[j], out=work)
+                np.matmul(phi[:, :kb].T, work, out=h[j, :kb])
+                acc[:kb] += resp[j, :kb, None] * (h[j, :kb] @ theta.T)
+                theta_grads.append(rc[j, :kb].T @ h[j, :kb])
             gx += mass[:, None] * (phi @ acc)
-        return gx
+        return gx, tuple(theta_grads)
 
-    def make_vjp_theta(m, j):
-        kb = bands[m, j]
-        return lambda g: scaled[m][j, :kb].T @ coeff_grads(g)[m][j, :kb]
-
-    parents = [(x, vjp_x)]
-    for m, row in enumerate(thetas):
-        for j, theta in enumerate(row):
-            parents.append((theta, make_vjp_theta(m, j)))
-    return Tensor(out, parents=tuple(parents))
+    return out, back
 
 
 HEAD_BLOCK = 256  # logit rows materialized at a time by the fused head
@@ -333,51 +214,43 @@ def _ce_rows(z, labels, n):
     return float(loss), int((top == labels).sum())
 
 
-def _scalar_vjp(grad):
-    """vjp of a scalar output whose gradient is ``grad``. The incoming
-    scalar takes grad's dtype, so float32 gradients stay float32."""
-    return lambda g: grad * grad.dtype.type(g)
-
-
 def softmax_cross_entropy(logits, labels):
-    """Mean cross entropy; gradient is (softmax - onehot) / n."""
+    """Mean cross entropy of the rows of `logits` and its gradient,
+    (softmax - onehot) / n: the unfused reference of the training head."""
     labels = np.asarray(labels)
-    n, c = logits.value.shape
+    n, c = logits.shape
     _check_labels(labels, c)
-    grad = logits.value.copy()
+    grad = logits.copy()
     loss, _ = _ce_rows(grad, labels, n)
-    return Tensor(np.float64(loss / n),
-                  parents=((logits, _scalar_vjp(grad)),))
+    return loss / n, grad
 
 
 def linear_softmax_cross_entropy(x, w, b, labels):
-    """Fused classifier head: softmax_cross_entropy(affine(x, w, b), labels)
+    """Fused classifier head: softmax_cross_entropy(x @ w + b, labels)
     without the N x C logits.
 
     The logits are formed HEAD_BLOCK rows at a time, turned in place into
     that block's share of the loss gradient, and folded into the gradients
-    of x, w and b in the same pass. Returns the loss Tensor and the number
-    of rows whose argmax is their label.
+    of x, w and b in the same pass. Returns the mean loss, the number of
+    rows whose argmax is their label, the gradient for x, and the
+    gradients for (w, b).
     """
-    xv, wv = x.value, w.value
     labels = np.asarray(labels)
-    n = len(xv)
-    _check_labels(labels, wv.shape[1])
-    dx = np.empty_like(xv)
-    dw = np.zeros_like(wv)
-    db = np.zeros_like(b.value)
+    n = len(x)
+    _check_labels(labels, w.shape[1])
+    dx = np.empty_like(x)
+    dw = np.zeros_like(w)
+    db = np.zeros_like(b)
     loss = 0.0
     correct = 0
     for start in range(0, n, HEAD_BLOCK):
         rows = slice(start, start + HEAD_BLOCK)
-        z = xv[rows] @ wv
-        z += b.value
+        z = x[rows] @ w
+        z += b
         block_loss, block_correct = _ce_rows(z, labels[rows], n)
         loss += block_loss
         correct += block_correct
-        dw += xv[rows].T @ z
+        dw += x[rows].T @ z
         db += z.sum(axis=0)
-        dx[rows] = z @ wv.T
-    loss = Tensor(np.float64(loss / n), parents=(
-        (x, _scalar_vjp(dx)), (w, _scalar_vjp(dw)), (b, _scalar_vjp(db))))
-    return loss, correct
+        dx[rows] = z @ w.T
+    return loss / n, correct, dx, (dw, db)

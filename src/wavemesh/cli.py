@@ -407,8 +407,12 @@ def run_training(cfg, manifest_path):
     shape's bank through `load_spectra` and `build_bank`, which builds and
     caches it on an FBK1 miss at the shape's first step, and drops it when
     the step ends. So the SPEC1 files must stay in the cache for the whole
-    run: one removed mid-run raises MissingCache at its shape's next step."""
+    run: one removed mid-run raises MissingCache at its shape's next step.
+    A manifest without training shapes raises ManifestInvalid before any
+    mesh or spectrum is read."""
     manifest = synth.load_manifest(manifest_path)
+    if not manifest["training"]:
+        raise ManifestInvalid(f"{manifest_path}: no training shapes")
     root = Path(manifest_path).parent
     cache_dir = cfg.cache_dir()
     template = load_mesh(root / manifest["template"]["mesh"])
@@ -579,7 +583,6 @@ def cmd_gen_data(args):
 def cmd_train(args):
     cfg = _config_from_args(args, need_dataset=True)
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     model, history = run_training(cfg, cfg.dataset)
     cfg.echo(out)  # after training so the resolved kernel scales are echoed
     save_checkpoint(out / "checkpoint.ckpt", model, cfg)

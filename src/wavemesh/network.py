@@ -11,14 +11,16 @@ permutation of vertex rows with a learnable per-feature scale - sits
 between the last conv layer and the head, so it shapes training only and
 never runs on a described mesh. Training fuses the head with its softmax
 cross entropy (``autodiff.linear_softmax_cross_entropy``), so the N x C
-logits are never materialized. Training holds one step's graph at a
-time: each optimizer step runs in its own call, loads its shape's filter
-bank there through the item's ``load_bank`` and drops it on return, so
-the next step's forward starts only after this step's bank, graph,
-activations and gradients are gone, and memory does not grow with the
-number of training shapes. All training math runs in float64 by
-default. The float32 mode keeps parameters, activations and gradients in
-float32; its loss curve is tested against float64 to 1e-4 relative.
+logits are never materialized, and differentiates the chain of ops before
+the head by running their backs in reverse (``autodiff.backward``).
+Training holds one step's tape at a time: each optimizer step runs in its
+own call, loads its shape's filter bank there through the item's
+``load_bank`` and drops it on return, so the next step's forward starts
+only after this step's bank, tape, activations and gradients are gone,
+and memory does not grow with the number of training shapes. All
+training math runs in float64 by default. The float32 mode keeps
+parameters, activations and gradients in float32; its loss curve is
+tested against float64 to 1e-4 relative.
 """
 
 from dataclasses import dataclass, field
@@ -105,37 +107,44 @@ class Model:
         return int(sum(p.size for p in self.params.values()))
 
 
-def _head_input(model, coords, bank, params_t, perturb):
+def _head_input(model, coords, bank, perturb, tape=None):
     """Input of the classifier head: the last conv layer's output, passed
-    through the perturbation stage when `perturb` is set."""
-    cfg = model.config
-    x = ad.constant(np.asarray(coords))
-    n_enc = len(cfg.encoder_dims)
-    for i in range(n_enc):
-        x = ad.selu(ad.affine(x, params_t[f"enc{i}.w"], params_t[f"enc{i}.b"]))
+    through the perturbation stage when `perturb` is set. With a `tape`
+    list, appends (back, parameter names) for each op, in forward order."""
+    cfg, p = model.config, model.params
+
+    def run(names, op, x, *args):
+        x, back = op(x, *args)
+        if tape is not None:
+            tape.append((back, names))
+        return x
+
+    x = np.asarray(coords)
+    for i in range(len(cfg.encoder_dims)):
+        names = (f"enc{i}.w", f"enc{i}.b")
+        x = run(names, ad.affine, x, *[p[n] for n in names])
+        x = run((), ad.selu, x)
     for layer in range(cfg.conv_layers):
-        thetas = [[params_t[f"conv{layer}.theta{m}_{j}"]
-                   for j in range(cfg.scales)] for m in range(cfg.directions)]
-        z = ad.wavelet_mix(x, thetas, bank)
-        x = ad.standardize(ad.selu(z), params_t[f"conv{layer}.gamma"],
-                           params_t[f"conv{layer}.beta"])
+        thetas = [[f"conv{layer}.theta{m}_{j}" for j in range(cfg.scales)]
+                  for m in range(cfg.directions)]
+        x = run(sum(thetas, []), ad.wavelet_mix, x,
+                [[p[n] for n in row] for row in thetas], bank)
+        x = run((), ad.selu, x)
+        names = (f"conv{layer}.gamma", f"conv{layer}.beta")
+        x = run(names, ad.standardize, x, *[p[n] for n in names])
     if perturb:
-        xp = ad.gather_rows(x, model.perm_for(x.value.shape[0]))
-        x = ad.standardize(ad.selu(ad.mul(xp, params_t["perturb.scale"])),
-                           params_t["perturb.gamma"], params_t["perturb.beta"])
+        x = run((), ad.gather_rows, x, model.perm_for(len(x)))
+        x = run(("perturb.scale",), ad.scale, x, p["perturb.scale"])
+        x = run((), ad.selu, x)
+        names = ("perturb.gamma", "perturb.beta")
+        x = run(names, ad.standardize, x, *[p[n] for n in names])
     return x
-
-
-def _wrap_params(model, requires_grad):
-    return {k: ad.Tensor(v, requires_grad=requires_grad)
-            for k, v in model.params.items()}
 
 
 def descriptors(model, coords, bank):
     """Per-vertex matching descriptors: the last conv layer's output, on a
     mesh of any vertex count."""
-    return _head_input(model, coords, bank, _wrap_params(model, False),
-                       perturb=False).value
+    return _head_input(model, coords, bank, perturb=False)
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
@@ -193,20 +202,23 @@ class TrainItem:
 
 def _train_step(model, item, state, epoch, lr, weight_decay):
     """One optimizer step on one shape; returns (loss, correct count).
-    The step's bank, graph, activations and gradients die when it returns."""
-    params_t = _wrap_params(model, True)
-    x = _head_input(model, item.coords, item.load_bank(), params_t,
-                    perturb=model.config.perturb)
-    loss, correct = ad.linear_softmax_cross_entropy(
-        x, params_t["head.w"], params_t["head.b"], item.labels)
-    if not np.isfinite(loss.value):
+    The step's bank, tape, activations and gradients die when it returns."""
+    p = model.params
+    tape = []
+    # the head input is never bound here, so it is freed when the head
+    # returns and only its gradient dx is held through the backward
+    loss, correct, dx, head_grads = ad.linear_softmax_cross_entropy(
+        _head_input(model, item.coords, item.load_bank(),
+                    model.config.perturb, tape),
+        p["head.w"], p["head.b"], item.labels)
+    if not np.isfinite(loss):
         raise NonFiniteLoss(
-            f"loss became {loss.value} at epoch {epoch} on "
+            f"loss became {loss} at epoch {epoch} on "
             f"{item.name or 'unnamed shape'}")
-    ad.backward(loss)
-    grads = {k: t.grad for k, t in params_t.items() if t.grad is not None}
+    grads = dict(zip(("head.w", "head.b"), head_grads))
+    grads.update(ad.backward(tape, dx))
     adam_step(model.params, grads, state, lr=lr, weight_decay=weight_decay)
-    return float(loss.value), correct
+    return loss, correct
 
 
 def train(model, items, epochs, lr=0.001, weight_decay=0.0001):

@@ -38,13 +38,13 @@ BAR_LENGTH, BAR_WIDTH = 8.0, 1.0
 CYLINDER_RADIUS, CYLINDER_HEIGHT = 1.0, 4.0
 
 
-def gen_base(kind, resolution, **kwargs):
+def gen_base(kind, resolution):
     if kind == "icosphere":
         mesh = icosphere(resolution)
     elif kind == "bar":
         mesh = bar(resolution)
     elif kind == "cylinder":
-        mesh = cylinder(resolution, **kwargs)
+        mesh = cylinder(resolution)
     else:
         raise ConfigInvalid(f"unknown base kind {kind!r}")
     if mesh.n_vertices < 12:

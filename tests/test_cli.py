@@ -257,6 +257,23 @@ def test_eval_of_a_manifest_without_pairs_exits_2_and_writes_no_csv(
     assert not list((tmp_path / "eval").glob("*.csv"))
 
 
+def test_train_on_a_manifest_without_training_shapes_exits_2_and_writes_nothing(
+        run, tmp_path, capsys, monkeypatch):
+    data = tmp_path / "data"
+    shutil.copytree(run.data, data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["training"] = []
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    read = []
+    monkeypatch.setattr(cli, "load_mesh", lambda path: read.append(path))
+    capsys.readouterr()
+    assert _train(data, run.cache, tmp_path / "train", run.model) == 2
+    err = capsys.readouterr().err
+    assert "no training shapes" in err and str(data / "manifest.json") in err
+    assert read == []
+    assert not (tmp_path / "train").exists()
+
+
 def test_float32_training_saves_float32_params_and_evaluates(run, tmp_path,
                                                             monkeypatch):
     config = _json(tmp_path / "f32.json", {**MODEL, "float32": True})

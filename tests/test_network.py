@@ -33,22 +33,19 @@ def small_model(perturb, n, seed=7):
 
 
 def selu(x):
-    return ad.selu(ad.constant(np.asarray(x, dtype=np.float64))).value
+    return ad.selu(np.asarray(x, dtype=np.float64))[0]
 
 
 def norm_selu(x, gamma, beta):
     """SELU then per-feature standardization with affine, as after every
     conv layer and in the perturbation stage."""
-    return ad.standardize(ad.selu(ad.constant(x)), ad.constant(gamma),
-                          ad.constant(beta)).value
+    return ad.standardize(ad.selu(x)[0], gamma, beta)[0]
 
 
 def ce_loss(logits, labels):
     """Mean cross entropy and its gradient wrt the logits."""
-    t = ad.param(np.asarray(logits, dtype=np.float64))
-    loss = ad.softmax_cross_entropy(t, labels)
-    ad.backward(loss)
-    return float(loss.value), t.grad
+    return ad.softmax_cross_entropy(np.asarray(logits, dtype=np.float64),
+                                    labels)
 
 
 class TestSelu:
@@ -68,16 +65,14 @@ class TestNorm:
     def test_standardizes(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((50, 6)) * 3 + 1
-        out = ad.standardize(ad.constant(x), ad.constant(np.ones(6)),
-                             ad.constant(np.zeros(6))).value
+        out = ad.standardize(x, np.ones(6), np.zeros(6))[0]
         assert np.abs(out.mean(axis=0)).max() < 1e-10
         assert np.abs(out.var(axis=0) - 1.0).max() < 1e-4
 
     def test_constant_column_maps_to_beta(self):
         x = np.full((10, 2), 3.3)
         beta = np.array([0.5, -1.0])
-        out = ad.standardize(ad.constant(x), ad.constant(np.ones(2)),
-                             ad.constant(beta)).value
+        out = ad.standardize(x, np.ones(2), beta)[0]
         assert np.abs(out - beta).max() < 1e-8
 
 
@@ -85,10 +80,8 @@ class TestAmlconvForward:
     """One conv layer as the network runs it: norm(selu(wavelet_mix))."""
 
     def conv(self, thetas, gamma, beta, x, bank):
-        z = ad.wavelet_mix(ad.constant(x),
-                           [[ad.constant(t) for t in row] for row in thetas],
-                           bank)
-        return norm_selu(z.value, gamma, beta)
+        z, _ = ad.wavelet_mix(x, thetas, bank)
+        return norm_selu(z, gamma, beta)
 
     def test_zero_weights_give_beta(self, setup):
         mesh, bank = setup
@@ -120,9 +113,9 @@ class TestPerturbForward:
     def test_identity_permutation_is_plain_norm_selu(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((12, 4))
-        shuffled = ad.gather_rows(ad.constant(x), np.arange(12))
-        scaled = ad.mul(shuffled, ad.constant(np.ones(4)))
-        out = norm_selu(scaled.value, np.ones(4), np.zeros(4))
+        shuffled, _ = ad.gather_rows(x, np.arange(12))
+        scaled, _ = ad.scale(shuffled, np.ones(4))
+        out = norm_selu(scaled, np.ones(4), np.zeros(4))
         want = norm_selu(x, np.ones(4), np.zeros(4))
         assert np.abs(out - want).max() < 1e-12
 
@@ -135,9 +128,8 @@ class TestPerturbForward:
 
 def head_logits(model, coords, bank):
     """Logits of the classifier head on the perturbed head input."""
-    params_t = nw._wrap_params(model, False)
-    x = nw._head_input(model, coords, bank, params_t, perturb=True)
-    return ad.affine(x, params_t["head.w"], params_t["head.b"]).value
+    x = nw._head_input(model, coords, bank, perturb=True)
+    return ad.affine(x, model.params["head.w"], model.params["head.b"])[0]
 
 
 class TestModelForward:
@@ -373,14 +365,15 @@ class TestFloat32:
         assert np.abs(loss32 / loss64 - 1).max() < 1e-4
 
 
-def training_loss(model, coords, labels, bank, requires_grad=False):
+def training_loss(model, coords, labels, bank, tape=None):
     """The loss `_train_step` differentiates, through the perturbation
-    stage and the fused head, and the parameter Tensors it was taken of."""
-    params_t = nw._wrap_params(model, requires_grad)
-    x = nw._head_input(model, coords, bank, params_t, perturb=True)
-    loss, _ = ad.linear_softmax_cross_entropy(
-        x, params_t["head.w"], params_t["head.b"], labels)
-    return loss, params_t
+    stage and the fused head, with the head's gradient for its input and
+    its parameter gradients by name. With a `tape`, records the ops before
+    the head on it."""
+    x = nw._head_input(model, coords, bank, True, tape)
+    loss, _, dx, (dw, db) = ad.linear_softmax_cross_entropy(
+        x, model.params["head.w"], model.params["head.b"], labels)
+    return loss, dx, {"head.w": dw, "head.b": db}
 
 
 def selu_inputs(forward):
@@ -390,7 +383,7 @@ def selu_inputs(forward):
     orig = ad.selu
 
     def spy(a):
-        inputs.append(a.value.copy())
+        inputs.append(a.copy())
         return orig(a)
 
     ad.selu = spy
@@ -410,19 +403,20 @@ class TestFullGradient:
         h = 5e-5
 
         def loss_and_selu_inputs():
-            (loss, _), inputs = selu_inputs(lambda: training_loss(
+            (loss, _, _), inputs = selu_inputs(lambda: training_loss(
                 model, mesh.vertices, labels, bank))
-            return float(loss.value), inputs
+            return loss, inputs
 
         # finite differencing is only valid when the step cannot cross the
         # SELU kink: every SELU input must be farther from 0 than the step
         _, base_inputs = loss_and_selu_inputs()
         assert min(float(np.abs(a).min()) for a in base_inputs) > 2 * h
 
-        loss, params_t = training_loss(model, mesh.vertices, labels, bank,
-                                       requires_grad=True)
-        ad.backward(loss)
-        f0 = float(loss.value)
+        tape = []
+        f0, dx, grads = training_loss(model, mesh.vertices, labels, bank,
+                                      tape)
+        grads.update(ad.backward(tape, dx))
+        assert set(grads) == set(model.params)
 
         # The margin above bounds the SELU inputs against a parameter step,
         # but a standardize can move them by more than that step. So every
@@ -460,9 +454,7 @@ class TestFullGradient:
         atol = 16 * np.finfo(np.float64).eps * abs(f0) / h
 
         rng = np.random.default_rng(0)
-        for name, t in params_t.items():
-            grad = t.grad
-            assert grad is not None, name
+        for name, grad in grads.items():
             flat = model.params[name].reshape(-1)
             gflat = grad.reshape(-1)
             idx = rng.choice(flat.size, size=min(4, flat.size), replace=False)

@@ -15,6 +15,7 @@ from wavemesh.errors import (
 from wavemesh.synth import (
     DatasetConfig,
     deform,
+    cylinder,
     gen_base,
     isometry_distortion,
     load_manifest,
@@ -47,8 +48,7 @@ class TestBases:
     def test_cylinder_open_by_default(self):
         mesh = gen_base("cylinder", 2)
         assert not mesh.is_closed
-        capped = gen_base("cylinder", 2, caps=True)
-        assert capped.is_closed
+        assert cylinder(2, caps=True).is_closed
 
     def test_resolution_too_small(self):
         with pytest.raises(ResolutionTooSmall):
@@ -59,6 +59,11 @@ class TestBases:
     def test_unknown_kind(self):
         with pytest.raises(ConfigInvalid):
             gen_base("torus", 2)
+
+    def test_keyword_arguments_rejected(self):
+        # a bar has no caps; the keyword must not be dropped silently
+        with pytest.raises(TypeError):
+            gen_base("bar", 2, caps=True)
 
     def test_outward_orientation(self):
         # positive enclosed volume means consistently outward normals
@@ -72,7 +77,7 @@ class TestBases:
     @pytest.mark.parametrize("caps, euler", [(False, 0), (True, 2)])
     def test_cylinder_orientation_and_topology(self, caps, euler):
         # resolution 2: 16 vertices around each of 9 rings
-        mesh = gen_base("cylinder", 2, caps=caps)
+        mesh = cylinder(2, caps=caps)
         rings = 16 * 9
         side = mesh.faces.max(axis=1) < rings   # caps touch a centre vertex
         assert side.sum() == 2 * 16 * 8
@@ -256,7 +261,7 @@ class TestVectorizedGenerators:
     @pytest.mark.parametrize("caps", [False, True])
     @pytest.mark.parametrize("res", [1, 2, 3, 5])
     def test_cylinder_matches_nested_loops(self, res, caps):
-        got = gen_base("cylinder", res, caps=caps)
+        got = cylinder(res, caps=caps)
         want = ref.cylinder(res, caps=caps)
         assert same_bits(got.vertices, want.vertices)
         assert same_bits(got.faces, want.faces)
