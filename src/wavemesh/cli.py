@@ -1,9 +1,23 @@
 """Batch orchestration: precompute, train, match, evaluate, plot data.
 
-Subcommands: spectrum, frames, gen-data, train, eval, wavelet-dump,
-mesh-info. A single JSON experiment config feeds every command; CLI flags
-override config keys and the merged effective config is echoed into the
-output directory; `eval` starts from the experiment saved in its checkpoint.
+Each subcommand takes only the flags it reads (`_COMMANDS`):
+
+    spectrum      --config --mesh --k --alpha --directions --cache --out
+    frames        --config --mesh --out
+    gen-data      --config --out
+    train         --config --dataset --k --alpha --directions --scales
+                  --perturb --epochs --seed --cache --out
+    eval          --dataset --checkpoint --cache --out --radii
+    wavelet-dump  spectrum's, and --scales --vertex --direction --scale
+    mesh-info     --config --mesh
+
+A gen-data config is a `synth.DatasetConfig`; any other may hold every
+`ExperimentConfig` key, so one JSON feeds each command. Flags override its
+keys, and the merged config is echoed into the output directory. A
+checkpoint holds one experiment, the one `train` ran with the kernel
+scales it pinned, and the network's shape is derived from it. `eval` reads
+all else from there, so a model is scored under the operator, filter bank
+and network it was trained with.
 Exit codes: 0 success, 1 usage, 2 validation, 3 numerical failure, 4 I/O or
 cache problems.
 
@@ -139,6 +153,14 @@ class ExperimentConfig:
         start, stop, step = self.radii
         return np.arange(start, stop + 0.5 * step, step)
 
+    def model_config(self, n_classes):
+        """The network this experiment trains, with `n_classes` classes."""
+        return network.ModelConfig(
+            n_classes=n_classes,
+            encoder_dims=(self.encoder_hidden, self.feature_dim),
+            conv_layers=self.conv_layers, directions=self.directions,
+            scales=self.scales, perturb=self.perturb, seed=self.seed)
+
     def cache_dir(self):
         return Path(self.cache) if self.cache else Path(self.out) / "cache"
 
@@ -219,17 +241,19 @@ def _cache_key(*parts):
 
 def _read_cache(path, kind, key, block_rows=None):
     """The arrays of the `kind` file at `path` when it stores `key`, else
-    None. A corrupt file counts as a miss and is reported. With
-    `block_rows`, arrays of two or more dimensions come back as RowBlocks
-    (see `read_container`)."""
+    None. A corrupt file, or one whose metadata is not a JSON object,
+    counts as a miss and is reported. With `block_rows`, arrays of two or
+    more dimensions come back as RowBlocks (see `read_container`)."""
     if not path.exists():
         return None
     try:
         arrays, meta = read_container(path, kind, block_rows)
+        if not isinstance(meta, dict):
+            raise CorruptCache(f"{path}: metadata is not a JSON object")
     except CorruptCache as exc:
         print(f"warning: {exc}; regenerating", file=sys.stderr)
         return None
-    return arrays if meta and meta.get("key") == key else None
+    return arrays if meta.get("key") == key else None
 
 
 def _load_spectrum(path, key):
@@ -337,41 +361,23 @@ RETIRED_KEYS = {"tighten": False, "descriptor": "features",
 
 
 def save_checkpoint(path, model, cfg):
-    arrays = {f"param:{k}": v for k, v in model.params.items()}
-    meta = {"model": dataclasses.asdict(model.config),
-            "experiment": dataclasses.asdict(cfg)}
-    write_container(path, "CKPT1", arrays, meta=meta)
+    write_container(path, "CKPT1",
+                    {f"param:{k}": v for k, v in model.params.items()},
+                    meta={"experiment": dataclasses.asdict(cfg)})
 
 
 def load_checkpoint(path):
-    """(model, saved experiment) of a CKPT1 file. Model metadata that is
-    not a complete `network.ModelConfig`, or parameters whose names and
-    shapes are not the ones that config implies, raise CorruptCache. A
+    """(model, saved experiment) of a CKPT1 file. The model's config is
+    the saved experiment's, with as many classes as the head bias has
+    entries; a missing experiment or head bias, or parameters whose names
+    and shapes that config does not imply, raise CorruptCache. A
     `RETIRED_KEYS` key is dropped, or raises ConfigInvalid if its value
-    differs (compared as `_checked` types it: a JSON 0 passes as 0.0)."""
+    differs (compared as `_checked` types it: a JSON 0 passes as 0.0).
+    The `model` entry earlier versions saved is not read."""
     arrays, meta = read_container(path, "CKPT1")
-    if not isinstance(meta, dict) or "model" not in meta:
-        raise CorruptCache(f"{path}: checkpoint missing model metadata")
-    try:
-        mc = _checked(meta["model"], network.ModelConfig, "checkpoint model")
-    except ConfigInvalid as exc:
-        raise CorruptCache(f"{path}: {exc}") from None
-    missing = [f.name for f in dataclasses.fields(network.ModelConfig)
-               if f.name not in mc]
-    if missing:
-        raise CorruptCache(f"{path}: checkpoint model lacks {missing}")
-    config = network.ModelConfig(
-        **{**mc, "encoder_dims": tuple(mc["encoder_dims"])})
-    params = {k[len("param:"):]: v for k, v in arrays.items()
-              if k.startswith("param:")}
-    expected = network.param_shapes(config)
-    wrong = sorted(set(params) ^ set(expected)) or [
-        name for name, shape in expected.items()
-        if params[name].shape != shape]
-    if wrong:
-        raise CorruptCache(
-            f"{path}: parameters {wrong[:3]} do not fit the checkpoint model")
-    experiment = meta.get("experiment", {})
+    if not isinstance(meta, dict) or "experiment" not in meta:
+        raise CorruptCache(f"{path}: checkpoint missing its experiment")
+    experiment = meta["experiment"]
     if isinstance(experiment, dict):
         for key, kept in RETIRED_KEYS.items():
             value = experiment.pop(key, kept)
@@ -379,6 +385,19 @@ def load_checkpoint(path):
                 raise ConfigInvalid(
                     f"{path}: saved experiment key {key!r} is {value!r}; "
                     f"this version reproduces only {kept!r}")
+    cfg = ExperimentConfig.load(base=experiment)
+    params = {k[len("param:"):]: v for k, v in arrays.items()
+              if k.startswith("param:")}
+    if "head.b" not in params:
+        raise CorruptCache(f"{path}: checkpoint has no head bias")
+    config = cfg.model_config(params["head.b"].size)
+    expected = network.param_shapes(config)
+    wrong = sorted(set(params) ^ set(expected)) or [
+        name for name, shape in expected.items()
+        if params[name].shape != shape]
+    if wrong:
+        raise CorruptCache(
+            f"{path}: parameters {wrong[:3]} do not fit the saved experiment")
     return network.Model(config, params), experiment
 
 
@@ -447,12 +466,8 @@ def run_training(cfg, manifest_path):
         # meshes (other poses, other discretizations) get identical filters
         cfg.kernel_lambda_max = max(lambda_maxes)
 
-    model_config = network.ModelConfig(
-        n_classes=template.n_vertices,
-        encoder_dims=(cfg.encoder_hidden, cfg.feature_dim),
-        conv_layers=cfg.conv_layers, directions=cfg.directions,
-        scales=cfg.scales, perturb=cfg.perturb, seed=cfg.seed)
-    model = network.Model.initialize(model_config, dtype=dtype)
+    model = network.Model.initialize(cfg.model_config(template.n_vertices),
+                                     dtype=dtype)
     print(f"training on {len(items)} shapes, "
           f"{model.parameter_count} parameters, "
           f"{cfg.effective_epochs} epochs")
@@ -595,16 +610,8 @@ def cmd_train(args):
 def cmd_eval(args):
     if args.checkpoint is None:
         raise ConfigInvalid("eval requires --checkpoint")
-    model, exp = load_checkpoint(args.checkpoint)
-    cfg = _config_from_args(args, need_dataset=True, base=exp)
-    # fail before any spectrum is loaded or bank built for a grid the
-    # model's mixing weights cannot use
-    grid = (model.config.directions, model.config.scales)
-    if (cfg.directions, cfg.scales) != grid:
-        raise ConfigInvalid(
-            f"the model's mixing weights form a {grid[0]} x {grid[1]} grid, "
-            f"the filter bank has {cfg.directions} directions x "
-            f"{cfg.scales} scales")
+    model, saved = load_checkpoint(args.checkpoint)
+    cfg = _config_from_args(args, need_dataset=True, base=saved)
     cfg.echo(cfg.out)
     run_evaluation(model, cfg, cfg.dataset, cfg.out)
     return EXIT_OK
@@ -646,26 +653,21 @@ def cmd_mesh_info(args):
 
 
 def _parse_radii(text):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigInvalid(f"radii must be start:stop:step, got {text!r}")
     try:
-        return tuple(float(p) for p in parts)
+        start, stop, step = map(float, text.split(":"))
     except ValueError:
-        raise ConfigInvalid(f"malformed radii spec {text!r}") from None
+        raise ConfigInvalid(
+            f"radii must be start:stop:step, got {text!r}") from None
+    return start, stop, step
 
 
-def _overrides_from_args(args):
+def _config_from_args(args, need_mesh=False, need_dataset=False, base=None):
     overrides = {f.name: getattr(args, f.name, None)
                  for f in dataclasses.fields(ExperimentConfig)}
     if overrides["radii"] is not None:
         overrides["radii"] = _parse_radii(overrides["radii"])
-    return overrides
-
-
-def _config_from_args(args, need_mesh=False, need_dataset=False, base=None):
-    cfg = ExperimentConfig.load(getattr(args, "config", None),
-                                _overrides_from_args(args), base=base)
+    cfg = ExperimentConfig.load(getattr(args, "config", None), overrides,
+                                base=base)
     if need_mesh and cfg.mesh is None:
         raise ConfigInvalid("this command requires --mesh (or config key)")
     if need_dataset and cfg.dataset is None:
@@ -673,62 +675,49 @@ def _config_from_args(args, need_mesh=False, need_dataset=False, base=None):
     return cfg
 
 
+# Every flag once, by name, with its argparse keywords; each subcommand in
+# _COMMANDS lists the names it reads
+_FLAGS = {
+    "config": {"help": "config JSON"}, "mesh": {}, "dataset": {},
+    "checkpoint": {}, "cache": {}, "out": {},
+    "radii": {"help": "start:stop:step"}, "k": {"type": int},
+    "alpha": {"type": float}, "directions": {"type": int},
+    "scales": {"type": int}, "epochs": {"type": int}, "seed": {"type": int},
+    "perturb": {"action": "store_true", "default": None},
+    "vertex": {"type": int, "required": True},
+    "direction": {"type": int, "default": 0},
+    "scale": {"type": int, "default": 0},
+}
+
+_COMMANDS = {
+    "spectrum": (cmd_spectrum, "precompute per-direction eigenpairs",
+                 "config mesh k alpha directions cache out"),
+    "frames": (cmd_frames, "principal curvature frames CSV",
+               "config mesh out"),
+    "gen-data": (cmd_gen_data, "generate a synthetic dataset", "config out"),
+    "train": (cmd_train, "train the correspondence model",
+              "config dataset k alpha directions scales perturb epochs seed "
+              "cache out"),
+    "eval": (cmd_eval, "evaluate a checkpoint on held-out pairs",
+             "dataset checkpoint cache out radii"),
+    "wavelet-dump": (cmd_wavelet_dump, "dump one localized wavelet as CSV",
+                     "config mesh k alpha directions scales cache out "
+                     "vertex direction scale"),
+    "mesh-info": (cmd_mesh_info, "validate a mesh and print stats",
+                  "config mesh"),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="wavemesh",
         description="anisotropic spectral wavelet toolkit for triangle meshes")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, mesh=False, dataset=False):
-        p.add_argument("--config", help="experiment config JSON")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out")
-        p.add_argument("--cache")
-        p.add_argument("--k", type=int)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--directions", type=int)
-        p.add_argument("--scales", type=int)
-        p.add_argument("--perturb", action="store_true", default=None)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--radii", help="start:stop:step")
-        if mesh:
-            p.add_argument("--mesh")
-        if dataset:
-            p.add_argument("--dataset")
-
-    p = sub.add_parser("spectrum", help="precompute per-direction eigenpairs")
-    common(p, mesh=True)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("frames", help="principal curvature frames CSV")
-    common(p, mesh=True)
-    p.set_defaults(func=cmd_frames)
-
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset")
-    p.add_argument("--config", required=False)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("train", help="train the correspondence model")
-    common(p, dataset=True)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on held-out pairs")
-    common(p, dataset=True)
-    p.add_argument("--checkpoint")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("wavelet-dump", help="dump one localized wavelet as CSV")
-    common(p, mesh=True)
-    p.add_argument("--vertex", type=int, required=True)
-    p.add_argument("--direction", type=int, default=0)
-    p.add_argument("--scale", type=int, default=0)
-    p.set_defaults(func=cmd_wavelet_dump)
-
-    p = sub.add_parser("mesh-info", help="validate a mesh and print stats")
-    common(p, mesh=True)
-    p.set_defaults(func=cmd_mesh_info)
-
+    for command, (func, summary, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for name in flags.split():
+            p.add_argument(f"--{name}", **_FLAGS[name])
+        p.set_defaults(func=func)
     return parser
 
 

@@ -21,6 +21,10 @@ and memory does not grow with the number of training shapes. All
 training math runs in float64 by default. The float32 mode keeps
 parameters, activations and gradients in float32; its loss curve is
 tested against float64 to 1e-4 relative.
+
+`ModelConfig` is the network's shape over POINT_DIM = 3 input coordinates.
+A checkpoint does not store it: `cli` derives it from the saved experiment
+and the length of the head bias.
 """
 
 from dataclasses import dataclass, field
@@ -36,10 +40,12 @@ __all__ = [
 ]
 
 
+POINT_DIM = 3  # the encoder's input: one vertex's xyz
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     n_classes: int
-    point_dim: int = 3
     encoder_dims: tuple[int, ...] = (64, 128)
     conv_layers: int = 4
     directions: int = 4
@@ -51,7 +57,7 @@ class ModelConfig:
 def param_shapes(config):
     """Name -> shape of every parameter of a model with this config, in the
     order ``Model.initialize`` draws them."""
-    dims = (config.point_dim, *config.encoder_dims)
+    dims = (POINT_DIM, *config.encoder_dims)
     d = dims[-1]
     shapes = {}
     for i in range(len(dims) - 1):
@@ -160,13 +166,17 @@ class AdamState:
 
 def adam_step(params, grads, state, lr=0.001, weight_decay=0.0001):
     """One Adam step with ADAM_BETA1, ADAM_BETA2 and ADAM_EPS, in place;
-    weight decay is added to the gradient."""
+    weight decay is added to the gradient. `grads` holds one gradient per
+    parameter: a missing or an extra name raises ValueError before any
+    parameter moves."""
+    if grads.keys() != params.keys():
+        raise ValueError(
+            f"gradients missing for {sorted(params.keys() - grads.keys())}, "
+            f"extra for {sorted(grads.keys() - params.keys())}")
     state.t += 1
     t = state.t
     for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p)
+        g = grads[name]
         if g.shape != p.shape:
             raise ValueError(
                 f"gradient shape {g.shape} != parameter shape {p.shape} for {name}")

@@ -8,6 +8,8 @@ computations, use a cache of their own. An eval on the shared cache adds
 only its pair's GEO1 file there.
 """
 
+import argparse
+import dataclasses
 import gc
 import importlib.util
 import json
@@ -100,8 +102,9 @@ def test_round_trip_evaluates_every_pair(run, tmp_path):
 
 
 def test_eval_applies_its_config_file_over_the_checkpoint(run, tmp_path):
-    config = _json(tmp_path / "radii.json", {"radii": [0.0, 0.1, 0.05]})
-    assert _eval(run, tmp_path / "eval", "--config", config) == 0
+    # eval takes no config file: its radii come from --radii, and every
+    # other setting from the checkpoint
+    assert _eval(run, tmp_path / "eval", "--radii", "0:0.1:0.05") == 0
     echo = json.loads((tmp_path / "eval" / "config.echo.json").read_text())
     assert echo["radii"] == [0.0, 0.1, 0.05]
     assert echo["encoder_hidden"] == MODEL["encoder_hidden"]
@@ -115,23 +118,41 @@ def _snapshot(cache):
             for p in cache.iterdir()}
 
 
-def test_eval_with_more_scales_than_the_model_exits_2(run, tmp_path):
-    # the model mixes 2 scales; a 3-scale bank must not be mixed by a
-    # 4 x 2 sub-block of its filters, nor built and cached before the
-    # mismatch is found
+@pytest.mark.parametrize("flag", [
+    ("--k", "10"), ("--alpha", "5"), ("--scales", "3"), ("--directions", "2"),
+    ("--config", "x.json")], ids=lambda flag: flag[0][2:])
+def test_eval_with_a_setting_its_checkpoint_fixes_exits_1(run, tmp_path,
+                                                          flag):
+    # the checkpoint fixes the operator, bank and network a model is
+    # scored under, so eval takes no flag or config file that changes them
     before = _snapshot(run.cache)
-    assert _eval(run, tmp_path, "--scales", "3") == 2
+    assert _eval(run, tmp_path, *flag) == 1
     assert not (tmp_path / "pairs.csv").exists()
     assert _snapshot(run.cache) == before
 
 
-def test_eval_with_fewer_directions_than_the_model_exits_2(run, tmp_path,
-                                                          capsys):
-    before = _snapshot(run.cache)
-    assert _eval(run, tmp_path, "--directions", "2") == 2
-    err = capsys.readouterr().err
-    assert "4 x 2 grid" in err and "2 directions x 2 scales" in err
-    assert _snapshot(run.cache) == before
+# the option strings each subcommand takes
+FLAGS = {
+    "spectrum": "config mesh k alpha directions cache out",
+    "frames": "config mesh out",
+    "gen-data": "config out",
+    "train": "config dataset k alpha directions scales perturb epochs seed "
+             "cache out",
+    "eval": "dataset checkpoint cache out radii",
+    "wavelet-dump": "config mesh k alpha directions scales cache out vertex "
+                    "direction scale",
+    "mesh-info": "config mesh",
+}
+
+
+@pytest.mark.parametrize("command", FLAGS)
+def test_subcommand_takes_only_the_flags_it_reads(command):
+    (subparsers,) = [a for a in cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(subparsers.choices) == sorted(FLAGS)
+    options = {s for a in subparsers.choices[command]._actions
+               for s in a.option_strings} - {"-h", "--help"}
+    assert options == {f"--{name}" for name in FLAGS[command].split()}
 
 
 def test_unknown_key_in_checkpoint_experiment_exits_2(run, tmp_path):
@@ -151,20 +172,42 @@ def _damaged_checkpoint(run, path, damage):
     return path
 
 
-@pytest.mark.parametrize("damage", [
-    lambda a, m: m["model"].pop("n_classes"),
-    lambda a, m: m["model"].update(conv_layers="1"),
-    lambda a, m: a.pop("param:conv0.gamma"),
-    lambda a, m: m["model"].update(conv_layers=2),
-    lambda a, m: a.update({"param:head.b": a["param:head.b"][:-1]}),
-    lambda a, m: m.update(model=[1]),
-    lambda a, m: m["model"].update(no_such_key=1),
-], ids=["no-n_classes", "conv_layers-str", "no-gamma", "one-of-two-layers",
-        "short-head-bias", "model-list", "unknown-key"])
-def test_malformed_checkpoint_model_exits_4(run, tmp_path, damage):
+@pytest.mark.parametrize("damage, code", [
+    (lambda a, m: a.pop("param:head.b"), 4),
+    (lambda a, m: m["experiment"].update(conv_layers="1"), 2),
+    (lambda a, m: a.pop("param:conv0.gamma"), 4),
+    (lambda a, m: m["experiment"].update(conv_layers=2), 4),
+    (lambda a, m: a.update({"param:head.b": a["param:head.b"][:-1]}), 4),
+    (lambda a, m: m.update(experiment=[1]), 2),
+    (lambda a, m: m["experiment"].update(no_such_key=1), 2),
+    (lambda a, m: m.pop("experiment"), 4),
+], ids=["no-head-bias", "conv_layers-str", "no-gamma", "one-of-two-layers",
+        "short-head-bias", "experiment-list", "unknown-key", "no-experiment"])
+def test_malformed_checkpoint_model_exits_4(run, tmp_path, damage, code):
+    # the model is derived from the saved experiment: parameters that do
+    # not fit it exit 4, an experiment that is not a valid config exits 2
     ckpt = _damaged_checkpoint(run, tmp_path / "checkpoint.ckpt", damage)
-    assert _eval(run, tmp_path / "eval", checkpoint=ckpt) == 4
+    assert _eval(run, tmp_path / "eval", checkpoint=ckpt) == code
     assert not (tmp_path / "eval" / "pairs.csv").exists()
+
+
+def test_checkpoint_saves_only_its_experiment(run):
+    meta = read_container(run.train_out / "checkpoint.ckpt", "CKPT1")[1]
+    assert list(meta) == ["experiment"]
+
+
+def test_checkpoint_holding_a_model_entry_evaluates_unchanged(run, tmp_path):
+    # earlier versions saved the network's shape a second time, as "model";
+    # it is not read, whatever it says
+    model, _ = cli.load_checkpoint(run.train_out / "checkpoint.ckpt")
+    saved = {**dataclasses.asdict(model.config), "point_dim": 3}
+    for name, entry in (("old", saved), ("wrong", [1])):
+        ckpt = _damaged_checkpoint(run, tmp_path / f"{name}.ckpt",
+                                   lambda a, m: m.update(model=entry))
+        assert _eval(run, tmp_path / name, checkpoint=ckpt) == 0
+    assert _eval(run, tmp_path / "new") == 0
+    assert (_outputs(tmp_path / "old") == _outputs(tmp_path / "wrong")
+            == _outputs(tmp_path / "new"))
 
 
 def test_checkpoint_saving_tighten_false_evaluates_unchanged(run, tmp_path):
@@ -377,6 +420,25 @@ def test_corrupt_spectrum_file_is_regenerated_with_a_warning(run, tmp_path,
     assert captured.out.count(": cached") == 3
     assert sorted(cache.glob("*.spec")) == files
     read_container(files[0], "SPEC1")
+
+
+def test_spectrum_file_whose_metadata_is_not_an_object_is_regenerated(
+        run, tmp_path, capsys):
+    mesh = run.data / "template.off"
+    cache = tmp_path / "cache"
+    assert _spectrum(mesh, cache, tmp_path / "s") == 0
+    files = sorted(cache.glob("*.spec"))
+    metas = []
+    for spec in files:
+        arrays, meta = read_container(spec, "SPEC1")
+        metas.append(meta)
+        write_container(spec, "SPEC1", arrays, meta=[1])
+    capsys.readouterr()
+    assert _spectrum(mesh, cache, tmp_path / "s") == 0
+    captured = capsys.readouterr()
+    assert captured.err.count("metadata is not a JSON object") == len(files)
+    assert captured.out.count(": computed") == len(files)
+    assert [read_container(f, "SPEC1")[1] for f in files] == metas
 
 
 def test_train_before_spectrum_exits_4(run, tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import re
 import weakref
 
 import numpy as np
@@ -286,6 +287,20 @@ class TestAdam:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             nw.adam_step({"w": np.ones(3)}, {"w": np.ones(4)}, nw.AdamState())
+
+    @pytest.mark.parametrize("grads, named", [
+        ({"w": np.ones(3)}, "missing for ['b']"),
+        ({"w": np.ones(3), "b": np.ones(2), "c": np.ones(1)},
+         "extra for ['c']"),
+    ], ids=["missing", "extra"])
+    def test_gradient_per_parameter_required(self, grads, named):
+        # weight decay would move a parameter whose gradient the tape lost
+        params = {"w": np.ones(3), "b": np.ones(2)}
+        state = nw.AdamState()
+        with pytest.raises(ValueError, match=re.escape(named)):
+            nw.adam_step(params, grads, state)
+        assert np.array_equal(params["w"], np.ones(3))
+        assert np.array_equal(params["b"], np.ones(2)) and state.t == 0
 
 
 class TestTraining:
