@@ -94,18 +94,6 @@ def standardize(x, gamma, beta):
     return xhat * gamma + beta, back
 
 
-def gather_rows(x, index):
-    index = np.asarray(index)
-    shape, dtype = x.shape, x.dtype
-
-    def back(g):
-        out = np.zeros(shape, dtype)
-        np.add.at(out, index, g)
-        return out, ()
-
-    return x[index], back
-
-
 def wavelet_mix(x, thetas, bank):
     """sum_{m,j} (normalized wavelet filter (m, j) applied to x) @ theta[m][j].
 

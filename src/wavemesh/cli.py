@@ -17,7 +17,10 @@ keys, and the merged config is echoed into the output directory. A
 checkpoint holds one experiment, the one `train` ran with the kernel
 scales it pinned, and the network's shape is derived from it. `eval` reads
 all else from there, so a model is scored under the operator, filter bank
-and network it was trained with.
+and network it was trained with. Without `--dataset` or `--cache` it reads
+the training run's (its cache is `<saved out>/cache` unless the experiment
+names one); without `--out` it writes under `<checkpoint directory>/eval`,
+never into the training run's own files.
 Exit codes: 0 success, 1 usage, 2 validation, 3 numerical failure, 4 I/O or
 cache problems.
 
@@ -612,6 +615,11 @@ def cmd_eval(args):
         raise ConfigInvalid("eval requires --checkpoint")
     model, saved = load_checkpoint(args.checkpoint)
     cfg = _config_from_args(args, need_dataset=True, base=saved)
+    # the cache resolves before --out's default replaces the training run's
+    # out, so a run without a cache of its own still reads the training one's
+    cfg.cache = str(cfg.cache_dir())
+    if args.out is None:
+        cfg.out = str(Path(args.checkpoint).parent / "eval")
     cfg.echo(cfg.out)
     run_evaluation(model, cfg, cfg.dataset, cfg.out)
     return EXIT_OK
@@ -698,7 +706,9 @@ _COMMANDS = {
     "train": (cmd_train, "train the correspondence model",
               "config dataset k alpha directions scales perturb epochs seed "
               "cache out"),
-    "eval": (cmd_eval, "evaluate a checkpoint on held-out pairs",
+    "eval": (cmd_eval, "evaluate a checkpoint on held-out pairs; --dataset "
+             "and --cache default to the checkpoint's experiment, --out to "
+             "<checkpoint directory>/eval",
              "dataset checkpoint cache out radii"),
     "wavelet-dump": (cmd_wavelet_dump, "dump one localized wavelet as CSV",
                      "config mesh k alpha directions scales cache out "
@@ -714,7 +724,7 @@ def build_parser():
         description="anisotropic spectral wavelet toolkit for triangle meshes")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (func, summary, flags) in _COMMANDS.items():
-        p = sub.add_parser(command, help=summary)
+        p = sub.add_parser(command, help=summary, description=summary)
         for name in flags.split():
             p.add_argument(f"--{name}", **_FLAGS[name])
         p.set_defaults(func=func)

@@ -6,13 +6,16 @@ the L1-normalized filtered feature maps over all (direction, scale) pairs
 with learnable mixing matrices, then applies SELU and a per-shape feature
 standardization with learnable affine. The last conv layer's output is
 the per-vertex matching descriptor. A classifier head over the template
-vertices trains it; an optional perturbation stage - a fixed seeded
-permutation of vertex rows with a learnable per-feature scale - sits
-between the last conv layer and the head, so it shapes training only and
-never runs on a described mesh. Training fuses the head with its softmax
-cross entropy (``autodiff.linear_softmax_cross_entropy``), so the N x C
-logits are never materialized, and differentiates the chain of ops before
-the head by running their backs in reverse (``autodiff.backward``).
+vertices trains it; an optional perturbation stage - a learnable
+per-feature scale, SELU and a per-shape standardization with learnable
+affine - sits between the last conv layer and the head, so it shapes
+training only and never runs on a described mesh. Every op before the
+head commutes with a renumbering of the vertices, so renumbering a
+training shape together with its labels leaves training unchanged.
+Training fuses the head with its softmax cross entropy
+(``autodiff.linear_softmax_cross_entropy``), so the N x C logits are
+never materialized, and differentiates the chain of ops before the head
+by running their backs in reverse (``autodiff.backward``).
 Training holds one step's tape at a time: each optimizer step runs in its
 own call, loads its shape's filter bank there through the item's
 ``load_bank`` and drops it on return, so the next step's forward starts
@@ -84,14 +87,6 @@ class Model:
         self.config = config
         self.params = params
 
-    def perm_for(self, n_vertices):
-        """The perturbation stage's fixed row permutation for shapes of
-        `n_vertices` vertices: a pure function of (seed, count), so it is
-        identical across batches, epochs and runs, and training sets that
-        mix resolutions get one fixed shuffle per resolution."""
-        rng = np.random.default_rng([self.config.seed, n_vertices])
-        return rng.permutation(n_vertices)
-
     @classmethod
     def initialize(cls, config, dtype=np.float64):
         """Seeded init: affine and mixing weights uniform / sqrt(fan_in),
@@ -139,7 +134,6 @@ def _head_input(model, coords, bank, perturb, tape=None):
         names = (f"conv{layer}.gamma", f"conv{layer}.beta")
         x = run(names, ad.standardize, x, *[p[n] for n in names])
     if perturb:
-        x = run((), ad.gather_rows, x, model.perm_for(len(x)))
         x = run(("perturb.scale",), ad.scale, x, p["perturb.scale"])
         x = run((), ad.selu, x)
         names = ("perturb.gamma", "perturb.beta")

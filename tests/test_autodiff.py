@@ -79,12 +79,6 @@ class TestPrimitives:
         with pytest.raises(SingleVertexShape):
             ad.standardize(np.ones((1, 3)), np.ones(3), np.zeros(3))
 
-    def test_gather_rows(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((6, 3))
-        perm = np.array([3, 1, 0, 5, 4, 2])
-        check_op(ad.gather_rows, x, [], perm)
-
     def test_softmax_cross_entropy_gradient_formula(self):
         rng = np.random.default_rng(5)
         logits = rng.standard_normal((8, 5))
@@ -151,8 +145,7 @@ class TestTapeLifetime:
 
     def test_descriptors_records_nothing(self, bank_2x2, monkeypatch):
         backs = []
-        for name in ("affine", "scale", "selu", "standardize", "gather_rows",
-                     "wavelet_mix"):
+        for name in ("affine", "scale", "selu", "standardize", "wavelet_mix"):
             def spy(*args, op=getattr(ad, name)):
                 value, back = op(*args)
                 backs.append(weakref.ref(back))

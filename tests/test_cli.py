@@ -26,7 +26,7 @@ from wavemesh import cli, corresp, network, spectrum, synth, wavelets
 from wavemesh.containers import read_container, write_container
 from wavemesh.curvature import estimate_frames
 from wavemesh.errors import DisconnectedMesh, ValidationError
-from wavemesh.mesh import TriMesh, load_mesh
+from wavemesh.mesh import TriMesh, load_mesh, write_off
 
 from .conftest import jittered_grid, traced_peak
 
@@ -110,6 +110,32 @@ def test_eval_applies_its_config_file_over_the_checkpoint(run, tmp_path):
     assert echo["encoder_hidden"] == MODEL["encoder_hidden"]
     cge = (tmp_path / "eval" / "cge_pooled.csv").read_text().splitlines()
     assert len(cge) == 1 + 3
+
+
+def test_eval_without_out_writes_beside_the_checkpoint(run, tmp_path):
+    # a training run without --cache keeps its spectra under <out>/cache;
+    # eval given only the checkpoint reads that cache and the saved
+    # dataset, and writes under <checkpoint directory>/eval
+    train = tmp_path / "train"
+    train.mkdir()
+    _own_cache(run, train / "cache")
+    assert cli.main(["train", "--dataset", str(run.data / "manifest.json"),
+                     "--config", run.model, "--k", K, "--epochs", "1",
+                     "--out", str(train)]) == 0
+
+    def files():
+        return {p.name: (p.stat().st_size, p.stat().st_mtime_ns)
+                for p in train.iterdir() if p.is_file()}
+
+    before = files()
+    echo = (train / "config.echo.json").read_bytes()
+    assert cli.main(["eval", "--checkpoint",
+                     str(train / "checkpoint.ckpt")]) == 0
+    assert files() == before
+    assert (train / "config.echo.json").read_bytes() == echo
+    assert sorted(p.name for p in (train / "eval").iterdir()) == [
+        "cge_pair0.csv", "cge_pooled.csv", "config.echo.json", "pairs.csv"]
+    assert len(list((train / "cache").glob("*.geo"))) == 1
 
 
 def _snapshot(cache):
@@ -240,9 +266,8 @@ def test_checkpoint_of_an_earlier_version_evaluates_unchanged(run, tmp_path):
     checkpoint = out / "checkpoint.ckpt"
     assert _eval(run, tmp_path / "new", checkpoint=checkpoint) == 0
     arrays, meta = read_container(checkpoint, "CKPT1")
-    model, _ = cli.load_checkpoint(checkpoint)
     n = load_mesh(run.data / "template.off").n_vertices
-    arrays[f"perm:{n}"] = model.perm_for(n)
+    arrays[f"perm:{n}"] = np.random.default_rng(0).permutation(n)
     meta["experiment"].update(descriptor="features", tighten=False)
     old = tmp_path / "old.ckpt"
     write_container(old, "CKPT1", arrays, meta=meta)
@@ -970,6 +995,60 @@ def test_a_source_shared_by_pairs_is_described_once(run, tmp_path,
     single = (tmp_path / "single" / "pairs.csv").read_text().splitlines()
     double = (tmp_path / "double" / "pairs.csv").read_text().splitlines()
     assert double == single + single[1:]
+
+
+# --- renumbered vertices: metamorphic oracles ----------------------------------
+
+
+def _renumbered(run, root, name):
+    """A copy at `root` of the shared dataset and cache in which the mesh
+    `name` numbers its vertices by a fixed permutation perm (new vertex i
+    is old vertex perm[i]), its faces renumbered along, and its spectra are
+    solved. Returns (data, cache, perm); index files are the caller's."""
+    data = root / "data"
+    shutil.copytree(run.data, data)
+    mesh = load_mesh(data / name)
+    perm = np.random.default_rng(0).permutation(mesh.n_vertices)
+    write_off(TriMesh(mesh.vertices[perm], np.argsort(perm)[mesh.faces]),
+              data / name)
+    cache = _own_cache(run, root / "cache")
+    assert _spectrum(data / name, cache, root / "spectrum") == 0
+    return data, cache, perm
+
+
+def test_renumbering_a_training_shape_leaves_training_unchanged(run,
+                                                                tmp_path):
+    # a training shape renumbered with its labels states the same
+    # correspondence, so every op before the head, the perturbation stage
+    # included, must treat its vertices alike
+    manifest = json.loads((run.data / "manifest.json").read_text())
+    (entry,) = manifest["training"]
+    data, cache, perm = _renumbered(run, tmp_path, entry["mesh"])
+    labels = synth.read_indices(data / entry["labels"])
+    np.savetxt(data / entry["labels"], labels[perm], fmt="%d")
+    losses = []
+    for name, dataset in (("base", run.data), ("renumbered", data)):
+        out = tmp_path / name
+        assert _train(dataset, cache, out, run.model, "--perturb",
+                      "--epochs", "5") == 0
+        losses.append(np.loadtxt(out / "history.csv", delimiter=",",
+                                 skiprows=1)[:, 1])
+        assert _eval(run, out / "eval", cache=cache,
+                     checkpoint=out / "checkpoint.ckpt") == 0
+    np.testing.assert_allclose(losses[1], losses[0], rtol=1e-9, atol=0)
+    assert (_outputs(tmp_path / "renumbered" / "eval")
+            == _outputs(tmp_path / "base" / "eval"))
+
+
+def test_renumbering_an_eval_target_leaves_the_scores_unchanged(run,
+                                                                tmp_path):
+    (pair,) = json.loads((run.data / "manifest.json").read_text())["pairs"]
+    data, cache, perm = _renumbered(run, tmp_path, pair["target"])
+    gt = synth.read_indices(data / pair["gt"])
+    np.savetxt(data / pair["gt"], np.argsort(perm)[gt], fmt="%d")
+    assert _eval(run, tmp_path / "base", cache=cache) == 0
+    assert _eval(run, tmp_path / "renumbered", cache=cache, data=data) == 0
+    assert _outputs(tmp_path / "renumbered") == _outputs(tmp_path / "base")
 
 
 # --- the frames and mesh-info subcommands ------------------------------------

@@ -110,23 +110,6 @@ class TestAmlconvForward:
         assert np.abs(got - want).max() < 1e-12
 
 
-class TestPerturbForward:
-    def test_identity_permutation_is_plain_norm_selu(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((12, 4))
-        shuffled, _ = ad.gather_rows(x, np.arange(12))
-        scaled, _ = ad.scale(shuffled, np.ones(4))
-        out = norm_selu(scaled, np.ones(4), np.zeros(4))
-        want = norm_selu(x, np.ones(4), np.zeros(4))
-        assert np.abs(out - want).max() < 1e-12
-
-    def test_permutation_composes(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((9, 3))
-        perm = rng.permutation(9)
-        assert np.array_equal(x[perm][perm], x[perm[perm]])
-
-
 def head_logits(model, coords, bank):
     """Logits of the classifier head on the perturbed head input."""
     x = nw._head_input(model, coords, bank, perturb=True)
@@ -145,27 +128,17 @@ class TestModelForward:
         assert np.array_equal(la, lb)
 
     def test_perturbation_stage_composition(self, setup):
-        # identity permutation + unit scales: the perturbed head input is
-        # the descriptors followed by one extra norm(selu(.)) stage
+        # unit scales: the perturbed head input is the descriptors
+        # followed by one extra norm(selu(.)) stage
         mesh, bank = setup
         n = mesh.n_vertices
         model = small_model(True, n)
-        model.perm_for = np.arange
         feats = nw.descriptors(model, mesh.vertices, bank)
         extra = norm_selu(feats, model.params["perturb.gamma"],
                           model.params["perturb.beta"])
         want = extra @ model.params["head.w"] + model.params["head.b"]
         got = head_logits(model, mesh.vertices, bank)
         assert np.abs(got - want).max() < 1e-12
-
-    def test_per_resolution_permutations_deterministic(self, setup):
-        mesh, bank = setup
-        a = small_model(True, mesh.n_vertices)
-        b = small_model(True, mesh.n_vertices)
-        for n in (10, 25, mesh.n_vertices):
-            pa = a.perm_for(n)
-            assert np.array_equal(np.sort(pa), np.arange(n))  # bijection
-            assert np.array_equal(pa, b.perm_for(n))
 
 
 @pytest.fixture(scope="module")
@@ -312,14 +285,11 @@ class TestTraining:
         model = nw.Model.initialize(cfg)
         item = nw.TrainItem(coords=ico1.vertices, labels=np.arange(n),
                             load_bank=lambda: bank, name="ico1")
-        perm_before = model.perm_for(n).copy()
         history = nw.train(model, [item], epochs=60)
         assert len(history) == 60
         assert all(np.isfinite(h[1]) for h in history)
         assert history[-1][2] > 0.9  # memorizes a 42-vertex sphere
         assert history[-1][1] < history[0][1]
-        # the shuffle stays fixed for all epochs
-        assert np.array_equal(model.perm_for(n), perm_before)
 
     def test_seeded_training_reproducible(self, setup):
         mesh, bank = setup
