@@ -18,9 +18,17 @@ its input gradient is the g that starts ``backward``.
 When the arrays are freed:
 - Each back holds only the arrays it reads. An activation that no back
   reads (the output of a SELU feeding a standardization, say) is freed as
-  soon as the forward pass stops referencing it.
+  soon as the forward pass stops referencing it. A conv layer's tape
+  holds, per direction, the K x D projection ``wavelet_mix`` mixes from
+  (M K x D arrays in all, besides the J x N normalizers and J x K
+  responses per direction), then one N x D array each for its SELU (with
+  a boolean mask) and its standardization.
+- SELU and standardize form their values and gradients in place in the
+  arrays they return or hold, so a back may overwrite what it holds: each
+  back runs once.
 - ``backward`` pops each entry before running it, so the entry's arrays
-  are freed before the next back runs, and the tape is empty afterwards. A tape is single-use; each differentiation records a new one.
+  are freed before the next back runs, and the tape is empty afterwards.
+  A tape is single-use; each differentiation records a new one.
 - An op whose back is not kept on a tape (``network.descriptors`` records
   none) keeps nothing: its back and the arrays only that back reads are
   freed when its result is unpacked.
@@ -65,12 +73,21 @@ def scale(x, s):
 
 
 def selu(x):
+    """SELU, computed in place in the arrays it keeps: the exponential of
+    the negative part becomes the back's derivative, and each back runs
+    once (see ``backward``). A 0-d input gives a 0-d array."""
     pos = x > 0
-    expx = np.exp(np.minimum(x, 0.0))
-    value = np.where(pos, SELU_SCALE * x, SELU_SCALE * SELU_ALPHA * (expx - 1.0))
+    expx = np.minimum(x, 0.0, out=np.empty_like(x))
+    np.exp(expx, out=expx)
+    value = np.subtract(expx, 1.0, out=np.empty_like(x))
+    value *= SELU_SCALE * SELU_ALPHA
+    np.multiply(x, SELU_SCALE, out=value, where=pos)
 
     def back(g):
-        return g * np.where(pos, SELU_SCALE, SELU_SCALE * SELU_ALPHA * expx), ()
+        deriv = np.multiply(expx, SELU_SCALE * SELU_ALPHA, out=expx)
+        np.copyto(deriv, SELU_SCALE, where=pos)
+        deriv *= g
+        return deriv, ()
 
     return value, back
 
@@ -81,17 +98,27 @@ def standardize(x, gamma, beta):
         raise SingleVertexShape(
             f"standardization needs at least 2 vertices, got shape {x.shape}")
     mean = x.mean(axis=0)
-    centered = x - mean
-    var = (centered**2).mean(axis=0)
+    xhat = np.subtract(x, mean)                             # centered
+    value = np.square(xhat)
+    var = value.mean(axis=0)
     inv_std = 1.0 / np.sqrt(var + NORM_EPS)
-    xhat = centered * inv_std
+    xhat *= inv_std
+    np.multiply(xhat, gamma, out=value)
+    value += beta
 
     def back(g):
-        gx = g * gamma
-        dx = inv_std * (gx - gx.mean(axis=0) - xhat * (gx * xhat).mean(axis=0))
-        return dx, ((g * xhat).sum(axis=0), g.sum(axis=0))
+        dx = np.multiply(g, gamma)                          # g * gamma
+        work = np.multiply(dx, xhat)
+        dx_xhat = work.mean(axis=0)
+        np.multiply(g, xhat, out=work)
+        grads = (work.sum(axis=0), g.sum(axis=0))
+        dx -= dx.mean(axis=0)
+        np.multiply(xhat, dx_xhat, out=work)
+        dx -= work
+        dx *= inv_std
+        return dx, grads
 
-    return xhat * gamma + beta, back
+    return value, back
 
 
 def wavelet_mix(x, thetas, bank):
@@ -104,14 +131,17 @@ def wavelet_mix(x, thetas, bank):
     eigenpairs (``wavelets.passbands``), past which its responses are below
     round-off. The bank's directions share one lumped mass A
     (``FilterBank`` checks it), so A x is formed once per call. Per
-    direction the forward projects once, C = Phi^T (A x); per scale it
-    mixes in coefficient space, P_j = (r_j * C)[:K_mj] theta_j, synthesizes
-    Phi[:, :K_mj] P_j into one reused N x E buffer, divides its rows by the
-    scale's L1 normalizers in place and adds it to the output. The back
-    forms, one direction at a time, H_j = Phi[:, :K_mj]^T (g / n_j) once
-    through one reused N x E buffer: the theta-gradients are
-    (r_j * C)[:K_mj]^T H_j and the direction's share of the x-gradient is
-    A * Phi sum_j r_j * (H_j theta_j^T), with H_j's rows past K_mj zero.
+    direction the forward projects once, C = Phi^T (A x), and keeps C, a
+    K x D array, for the back; per scale it forms r_j * C[:K_mj] in one
+    reused K x D buffer, mixes in coefficient space, P_j = (r_j * C)[:K_mj]
+    theta_j, synthesizes Phi[:, :K_mj] P_j into one reused N x E buffer,
+    divides its rows by the scale's L1 normalizers in place and adds it to
+    the output. The back forms, one direction at a time,
+    H_j = Phi[:, :K_mj]^T (g / n_j) once, through reused N x E and K x E
+    buffers: the theta-gradients are (r_j * C)[:K_mj]^T H_j, with
+    r_j * C[:K_mj] formed again as in the forward, and the direction's
+    share of the x-gradient is A * Phi sum_j r_j * (H_j theta_j^T) over
+    each passband, synthesized into one reused N x D buffer.
 
     Cost per direction, forward and backward together, for N vertices,
     K eigenpairs, passbands K_j <= K and D x E mixing matrices:
@@ -120,7 +150,7 @@ def wavelet_mix(x, thetas, bank):
     3 (sum_j K_j) D E for the mixing; about 11 N K D when every K_j = K,
     at J = 4, N = 1226 and K = D = E = 128. Mixing the filtered N x D maps
     instead costs 3J N D^2, about 22 N K D in total there, and keeps
-    M J N x D maps on the tape where this keeps M J K x D arrays.
+    M J N x D maps on the tape where this keeps M K x D arrays.
     """
     n_dir, n_scale = bank.n_directions, bank.n_scales
     if [len(row) for row in thetas] != [n_scale] * n_dir:
@@ -134,39 +164,44 @@ def wavelet_mix(x, thetas, bank):
     k = bank.responses.shape[2]
     e = thetas[0][0].shape[1]
     dirs = []
-    # r_j * C and H are kept whole, (J, K, D) and (J, K, E) per direction,
-    # and sliced to each passband: arrays of one size per direction keep
-    # the heap from fragmenting, where K_j-sized ones raised peak RSS
     out = np.zeros((len(x), e), dtype)
     buf = np.empty_like(out)
     mixed = np.empty((k, e), dtype)
+    rc = np.empty((k, x_shape[1]), dtype)                       # r_j * C
     mass = bank.spectra[0].mass.astype(dtype, copy=False)
     mass_x = mass[:, None] * x                                  # A x, (N, D)
     for m, row in enumerate(thetas):
         phi = bank.spectra[m].eigenvectors.astype(dtype, copy=False)
-        resp = bank.responses[m].astype(dtype)
+        resp = bank.responses[m].astype(dtype)[:, :, None]
         inv_norm = (1.0 / bank.l1_normalizers[m]).astype(dtype)[:, :, None]
-        rc = resp[:, :, None] * (phi.T @ mass_x)                # (J, K, D)
+        c = phi.T @ mass_x                                      # (K, D)
         for j, (theta, kb) in enumerate(zip(row, bands[m])):
-            np.matmul(rc[j, :kb], theta, out=mixed[:kb])
+            np.multiply(resp[j, :kb], c[:kb], out=rc[:kb])
+            np.matmul(rc[:kb], theta, out=mixed[:kb])
             np.matmul(phi[:, :kb], mixed[:kb], out=buf)
             buf *= inv_norm[j]
             out += buf
-        dirs.append((phi, resp, inv_norm, rc, row, bands[m]))
+        dirs.append((phi, resp, inv_norm, c, row, bands[m]))
 
     def back(g):
         gx = np.zeros(x_shape, dtype)
         work = np.empty_like(g)
+        back_x = np.empty(x_shape, dtype)                       # A Phi acc
+        h = np.empty((k, g.shape[1]), g.dtype)
+        acc = np.empty((k, x_shape[1]), dtype)                  # (K, D)
+        rc = np.empty_like(acc)
         theta_grads = []
-        for phi, resp, inv_norm, rc, row, kbs in dirs:
-            h = np.zeros((n_scale, k, g.shape[1]), g.dtype)
-            acc = np.zeros((k, x_shape[1]), dtype)              # (K, D)
+        for phi, resp, inv_norm, c, row, kbs in dirs:
+            acc.fill(0)
             for j, (theta, kb) in enumerate(zip(row, kbs)):
                 np.multiply(g, inv_norm[j], out=work)
-                np.matmul(phi[:, :kb].T, work, out=h[j, :kb])
-                acc[:kb] += resp[j, :kb, None] * (h[j, :kb] @ theta.T)
-                theta_grads.append(rc[j, :kb].T @ h[j, :kb])
-            gx += mass[:, None] * (phi @ acc)
+                np.matmul(phi[:, :kb].T, work, out=h[:kb])
+                acc[:kb] += resp[j, :kb] * (h[:kb] @ theta.T)
+                np.multiply(resp[j, :kb], c[:kb], out=rc[:kb])
+                theta_grads.append(rc[:kb].T @ h[:kb])
+            np.matmul(phi, acc, out=back_x)
+            back_x *= mass[:, None]
+            gx += back_x
         return gx, tuple(theta_grads)
 
     return out, back

@@ -3,24 +3,26 @@
 Each subcommand takes only the flags it reads (`_COMMANDS`):
 
     spectrum      --config --mesh --k --alpha --directions --cache --out
-    frames        --config --mesh --out
+    frames        --mesh --out
     gen-data      --config --out
     train         --config --dataset --k --alpha --directions --scales
                   --perturb --epochs --seed --cache --out
     eval          --dataset --checkpoint --cache --out --radii
     wavelet-dump  spectrum's, and --scales --vertex --direction --scale
-    mesh-info     --config --mesh
+    mesh-info     --mesh
 
 A gen-data config is a `synth.DatasetConfig`; any other may hold every
 `ExperimentConfig` key, so one JSON feeds each command. Flags override its
 keys, and the merged config is echoed into the output directory. A
 checkpoint holds one experiment, the one `train` ran with the kernel
-scales it pinned, and the network's shape is derived from it. `eval` reads
-all else from there, so a model is scored under the operator, filter bank
-and network it was trained with. Without `--dataset` or `--cache` it reads
-the training run's (its cache is `<saved out>/cache` unless the experiment
-names one); without `--out` it writes under `<checkpoint directory>/eval`,
-never into the training run's own files.
+scales it pinned and its dataset, cache and output paths made absolute,
+so that it evaluates from any working directory; the network's shape is
+derived from it. `eval` reads all else from there, so a model is scored
+under the operator, filter bank and network it was trained with. Without
+`--dataset` or `--cache` it reads the training run's (its cache is
+`<saved out>/cache` unless the experiment names one); without `--out` it
+writes under `<checkpoint directory>/eval`, never into the training run's
+own files.
 Exit codes: 0 success, 1 usage, 2 validation, 3 numerical failure, 4 I/O or
 cache problems.
 
@@ -29,8 +31,11 @@ direction, one FBK1 filter bank per mesh and kernel, and one GEO1 file of
 ground-truth geodesic rows per evaluated target mesh and ground truth. All
 three go through one get-or-build path, `_cached`: a key is a digest of
 everything the file was computed from, the file is named
-`{mesh stem}.{key[:16]}.{spec,fbk,geo}`, and its only metadata is
-{"key": key}, checked again on read. The keys cover, for a spectrum, the
+`{mesh stem}.{key[:16]}.{spec,fbk,geo}`, and its metadata is {"key": key},
+checked again on read. A SPEC1 file also stores, under "provenance", how
+its spectrum was solved (`Spectrum.provenance`: solver, ncv, largest
+residual, orthonormality error), so a hit reports it as a miss does; a file
+written without it still hits. The keys cover, for a spectrum, the
 mesh content, alpha, theta (m*pi/M as a Python float), the clamped k and a
 constant 0.0, where earlier versions put their curvature radius, so that
 their SPEC1 files still hit; for a bank, its spectra's keys, the resolved
@@ -243,10 +248,10 @@ def _cache_key(*parts):
 
 
 def _read_cache(path, kind, key, block_rows=None):
-    """The arrays of the `kind` file at `path` when it stores `key`, else
-    None. A corrupt file, or one whose metadata is not a JSON object,
-    counts as a miss and is reported. With `block_rows`, arrays of two or
-    more dimensions come back as RowBlocks (see `read_container`)."""
+    """(arrays, metadata) of the `kind` file at `path` when it stores
+    `key`, else None. A corrupt file, or one whose metadata is not a JSON
+    object, counts as a miss and is reported. With `block_rows`, arrays of
+    two or more dimensions come back as RowBlocks (see `read_container`)."""
     if not path.exists():
         return None
     try:
@@ -256,7 +261,7 @@ def _read_cache(path, kind, key, block_rows=None):
     except CorruptCache as exc:
         print(f"warning: {exc}; regenerating", file=sys.stderr)
         return None
-    return arrays if meta.get("key") == key else None
+    return (arrays, meta) if meta.get("key") == key else None
 
 
 def _load_spectrum(path, key):
@@ -266,11 +271,12 @@ def _load_spectrum(path, key):
 
 
 def _cached(kind, parts, cache_dir, mesh_path, build, block_rows=None):
-    """(arrays, key, path, hit) of the `kind` cache file keyed by `parts`.
+    """(arrays, meta, path, hit) of the `kind` cache file keyed by `parts`.
 
-    The arrays are read from the file when it holds this key; otherwise
-    `build()` makes them and they are written there with meta
-    {"key": key}. This is the only writer of SPEC1, FBK1 and GEO1 files.
+    The arrays and metadata are read from the file when it holds this key;
+    otherwise `build()` returns (arrays, extra metadata), and they are
+    written there with meta {"key": key, **extra}. This is the only writer
+    of SPEC1, FBK1 and GEO1 files.
     With `block_rows`, arrays of two or more dimensions are streamed: a
     RowBlocks from `build()` is written block by block, and these arrays
     come back as RowBlocks read from the file, after a write as on a hit."""
@@ -278,17 +284,20 @@ def _cached(kind, parts, cache_dir, mesh_path, build, block_rows=None):
     path = (Path(cache_dir)
             / f"{Path(mesh_path).stem}.{key[:16]}.{_SUFFIXES[kind]}")
     if kind == "SPEC1":
-        arrays = _load_spectrum(path, key)
+        found = _load_spectrum(path, key)
     else:
-        arrays = _read_cache(path, kind, key, block_rows)
-    hit = arrays is not None
-    if not hit:
-        arrays = build()
+        found = _read_cache(path, kind, key, block_rows)
+    hit = found is not None
+    if hit:
+        arrays, meta = found
+    else:
+        arrays, extra = build()
+        meta = {"key": key, **extra}
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
-        write_container(path, kind, arrays, meta={"key": key})
+        write_container(path, kind, arrays, meta=meta)
         if block_rows is not None:
             arrays = read_container(path, kind, block_rows)[0]
-    return arrays, key, path, hit
+    return arrays, meta, path, hit
 
 
 def load_spectra(mesh, cfg, cache_dir, mesh_path, solve=False):
@@ -299,8 +308,6 @@ def load_spectra(mesh, cfg, cache_dir, mesh_path, solve=False):
     frames = []  # estimated at the first miss, shared by every direction
     spectra = []
     for m, theta in enumerate(direction_angles(cfg.directions)):
-        solved = {}  # the provenance of a solve made on a miss
-
         def build():
             if not solve:
                 raise MissingCache(
@@ -310,24 +317,25 @@ def load_spectra(mesh, cfg, cache_dir, mesh_path, solve=False):
                 frames.append(estimate_frames(mesh))
             spec = solve_eigs(assemble_albo(mesh, frames[0], cfg.alpha, theta),
                               k)
-            solved.update(spec.provenance)
-            return {"eigenvalues": spec.eigenvalues,
-                    "eigenvectors": spec.eigenvectors, "mass": spec.mass}
+            return ({"eigenvalues": spec.eigenvalues,
+                     "eigenvectors": spec.eigenvectors, "mass": spec.mass},
+                    {"provenance": spec.provenance})
 
         # float() so that a JSON 50 and a flag's 50.0 give one key; the
         # last part is the 0.0 of the retired curvature radius
-        arrays, key, path, hit = _cached(
+        arrays, meta, path, hit = _cached(
             "SPEC1", (mesh_hash, float(cfg.alpha), theta, k, 0.0),
             cache_dir, mesh_path, build)
+        solved = meta.get("provenance", {})  # absent from older files
         if solve:
             print(f"direction {m}: {'cached' if hit else 'computed'} ({path})"
                   + "".join(f", {name} {value:.3g}" if isinstance(value, float)
                             else f", {name} {value}"
-                            for name, value in solved.items()))
+                            for name, value in sorted(solved.items())))
         spectra.append(Spectrum(
             eigenvalues=arrays["eigenvalues"],
             eigenvectors=arrays["eigenvectors"], mass=arrays["mass"],
-            provenance={"key": key}))
+            provenance={**solved, "key": meta["key"]}))
     return spectra
 
 
@@ -342,7 +350,7 @@ def build_bank(spectra, cfg, cache_dir, mesh_path):
 
     def build():
         bank = wavelets.build_filterbank(spectra, kernel)
-        return {name: getattr(bank, name) for name in _BANK_ARRAYS}
+        return {name: getattr(bank, name) for name in _BANK_ARRAYS}, {}
 
     arrays = _cached(
         "FBK1", (*(s.provenance["key"] for s in spectra), float(lambda_max),
@@ -488,9 +496,9 @@ def load_geodesics(target, gt, cache_dir, mesh_path):
     sources = np.unique(gt).astype(np.int64)
 
     def build():
-        return {"rows": RowBlocks((sources.size, target.n_vertices),
-                                  np.float64,
-                                  corresp.geodesic_blocks(target, sources))}
+        rows = RowBlocks((sources.size, target.n_vertices), np.float64,
+                         corresp.geodesic_blocks(target, sources))
+        return {"rows": rows}, {}
 
     arrays = _cached(
         "GEO1", (target.content_hash(),
@@ -600,6 +608,10 @@ def cmd_gen_data(args):
 
 def cmd_train(args):
     cfg = _config_from_args(args, need_dataset=True)
+    # saved absolute, so that eval reads them from any working directory
+    for key in ("dataset", "cache", "out"):
+        if getattr(cfg, key) is not None:
+            setattr(cfg, key, str(Path(getattr(cfg, key)).resolve()))
     out = Path(cfg.out)
     model, history = run_training(cfg, cfg.dataset)
     cfg.echo(out)  # after training so the resolved kernel scales are echoed
@@ -700,8 +712,7 @@ _FLAGS = {
 _COMMANDS = {
     "spectrum": (cmd_spectrum, "precompute per-direction eigenpairs",
                  "config mesh k alpha directions cache out"),
-    "frames": (cmd_frames, "principal curvature frames CSV",
-               "config mesh out"),
+    "frames": (cmd_frames, "principal curvature frames CSV", "mesh out"),
     "gen-data": (cmd_gen_data, "generate a synthetic dataset", "config out"),
     "train": (cmd_train, "train the correspondence model",
               "config dataset k alpha directions scales perturb epochs seed "
@@ -713,8 +724,7 @@ _COMMANDS = {
     "wavelet-dump": (cmd_wavelet_dump, "dump one localized wavelet as CSV",
                      "config mesh k alpha directions scales cache out "
                      "vertex direction scale"),
-    "mesh-info": (cmd_mesh_info, "validate a mesh and print stats",
-                  "config mesh"),
+    "mesh-info": (cmd_mesh_info, "validate a mesh and print stats", "mesh"),
 }
 
 

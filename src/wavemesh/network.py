@@ -162,7 +162,9 @@ def adam_step(params, grads, state, lr=0.001, weight_decay=0.0001):
     """One Adam step with ADAM_BETA1, ADAM_BETA2 and ADAM_EPS, in place;
     weight decay is added to the gradient. `grads` holds one gradient per
     parameter: a missing or an extra name raises ValueError before any
-    parameter moves."""
+    parameter moves. Each parameter's step is formed in place in one scratch
+    array of its size, besides its decayed gradient and its update; `grads`
+    is only read."""
     if grads.keys() != params.keys():
         raise ValueError(
             f"gradients missing for {sorted(params.keys() - grads.keys())}, "
@@ -174,8 +176,9 @@ def adam_step(params, grads, state, lr=0.001, weight_decay=0.0001):
         if g.shape != p.shape:
             raise ValueError(
                 f"gradient shape {g.shape} != parameter shape {p.shape} for {name}")
+        work = np.empty_like(p)
         if weight_decay:
-            g = g + weight_decay * p
+            g = g + np.multiply(p, weight_decay, out=work)
         m = state.m.get(name)
         if m is None:
             m = np.zeros_like(p)
@@ -183,12 +186,21 @@ def adam_step(params, grads, state, lr=0.001, weight_decay=0.0001):
             state.v[name] = np.zeros_like(p)
         v = state.v[name]
         m *= ADAM_BETA1
-        m += (1 - ADAM_BETA1) * g
+        m += np.multiply(g, 1 - ADAM_BETA1, out=work)
         v *= ADAM_BETA2
-        v += (1 - ADAM_BETA2) * g * g
-        mhat = m / (1 - ADAM_BETA1**t)
-        vhat = v / (1 - ADAM_BETA2**t)
-        p -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        np.multiply(g, 1 - ADAM_BETA2, out=work)
+        work *= g
+        v += work
+        del g
+        # p -= lr * mhat / (sqrt(vhat) + eps), with the corrected moments
+        # mhat = m / (1 - beta1^t) and vhat = v / (1 - beta2^t)
+        denom = np.divide(v, 1 - ADAM_BETA2**t, out=work)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        update = np.divide(m, 1 - ADAM_BETA1**t)
+        update *= lr
+        update /= denom
+        p -= update
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,18 @@ def traced_peak(fn):
     return peak, result
 
 
+def traced_held(fn):
+    """(bytes that fn() allocated and still holds once it returns, by
+    tracemalloc, its result)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return held, result
+
+
 def grid_mesh(nx, ny, lx=1.0, ly=1.0):
     """Flat triangulated rectangle in the z=0 plane, (nx+1)*(ny+1) vertices."""
     xs = np.linspace(0.0, lx, nx + 1)

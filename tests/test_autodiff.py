@@ -8,7 +8,7 @@ from wavemesh import network as nw
 from wavemesh.errors import SingleVertexShape
 from wavemesh.wavelets import dense_filter_matrix, passbands
 
-from .conftest import build_bank_for, jittered_grid, traced_peak
+from .conftest import build_bank_for, jittered_grid, traced_held, traced_peak
 
 
 def finite_difference(fn, arrays, h=1e-4):
@@ -214,6 +214,24 @@ class TestWaveletMix:
                   for _ in range(2)]
         peak, _ = traced_peak(lambda: ad.wavelet_mix(x, thetas, bank))
         assert peak < 6 * n * d * 8
+
+    def test_back_holds_one_projection_per_direction(self):
+        # per direction the back keeps the K x D projection C = Phi^T A x,
+        # the J x N normalizers and the J x K responses, and forms each
+        # r_j * C again when it runs; keeping the J scaled copies of C
+        # would hold J x K x D per direction (275 kB here against 91 kB)
+        mesh = jittered_grid(19, 19, seed=13)  # 400 vertices
+        n_dir, n_scale, k, d = 2, 4, 60, 64
+        bank = build_bank_for(mesh, k=k, directions=n_dir, alpha=50.0,
+                              scales=n_scale)
+        n = mesh.n_vertices
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((n, d))
+        thetas = [[rng.standard_normal((d, d)) for _ in range(n_scale)]
+                  for _ in range(n_dir)]
+        held, (out, _) = traced_held(lambda: ad.wavelet_mix(x, thetas, bank))
+        kept = n_dir * (k * d + n_scale * n + n_scale * k) * 8
+        assert held - out.nbytes < kept + 8192  # + the closure's objects
 
 
 def _rel(got, want):

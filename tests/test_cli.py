@@ -138,6 +138,30 @@ def test_eval_without_out_writes_beside_the_checkpoint(run, tmp_path):
     assert len(list((train / "cache").glob("*.geo"))) == 1
 
 
+def test_checkpoint_trained_on_relative_paths_evaluates_from_elsewhere(
+        run, tmp_path, monkeypatch):
+    # train saves its dataset, cache and out absolute, so eval given only
+    # the checkpoint reads them from any working directory
+    work = tmp_path / "relA"
+    shutil.copytree(run.data, work / "data")
+    _own_cache(run, work / "cache")
+    monkeypatch.chdir(work)
+    assert cli.main(["train", "--dataset", "data/manifest.json",
+                     "--config", run.model, "--k", K, "--epochs", "1",
+                     "--cache", "cache", "--out", "train"]) == 0
+    assert cli.main(["eval", "--checkpoint", "train/checkpoint.ckpt",
+                     "--out", "here"]) == 0
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["eval", "--checkpoint",
+                     "relA/train/checkpoint.ckpt"]) == 0
+    assert _outputs(work / "train" / "eval") == _outputs(work / "here")
+    saved = read_container(work / "train" / "checkpoint.ckpt",
+                           "CKPT1")[1]["experiment"]
+    assert [saved[key] for key in ("dataset", "cache", "out")] == [
+        str((work / name).resolve())
+        for name in ("data/manifest.json", "cache", "train")]
+
+
 def _snapshot(cache):
     """Name, size and modification time of every file in a cache."""
     return {p.name: (p.stat().st_size, p.stat().st_mtime_ns)
@@ -160,14 +184,14 @@ def test_eval_with_a_setting_its_checkpoint_fixes_exits_1(run, tmp_path,
 # the option strings each subcommand takes
 FLAGS = {
     "spectrum": "config mesh k alpha directions cache out",
-    "frames": "config mesh out",
+    "frames": "mesh out",
     "gen-data": "config out",
     "train": "config dataset k alpha directions scales perturb epochs seed "
              "cache out",
     "eval": "dataset checkpoint cache out radii",
     "wavelet-dump": "config mesh k alpha directions scales cache out vertex "
                     "direction scale",
-    "mesh-info": "config mesh",
+    "mesh-info": "mesh",
 }
 
 
@@ -656,6 +680,30 @@ def test_cache_file_names_of_a_fixed_mesh_are_pinned(tmp_path):
         "bar1.f464d8ed3ce61ad9.spec"]
 
 
+def test_cached_spectrum_reports_how_it_was_solved(run, tmp_path, capsys):
+    # the SPEC1 metadata stores the solve's provenance next to the key, so
+    # a hit reports what the miss did; a file without it (written by an
+    # earlier version) still hits, with the key alone
+    mesh_path = run.data / "template.off"
+    mesh = load_mesh(mesh_path)
+    cfg = cli.ExperimentConfig(k=int(K))
+    cache = tmp_path / "cache"
+    solved = cli.load_spectra(mesh, cfg, cache, mesh_path, solve=True)
+    missed = capsys.readouterr().out
+    cached = cli.load_spectra(mesh, cfg, cache, mesh_path, solve=True)
+    hit = capsys.readouterr().out
+    assert [s.provenance for s in cached] == [s.provenance for s in solved]
+    assert all({"solver", "max_residual", "ortho_error", "key"}
+               <= set(s.provenance) for s in solved)
+    assert hit.replace(": cached", ": computed") == missed
+    for spec in cache.glob("*.spec"):
+        arrays, meta = read_container(spec, "SPEC1")
+        write_container(spec, "SPEC1", arrays, meta={"key": meta["key"]})
+    older = cli.load_spectra(mesh, cfg, cache, mesh_path)  # a miss raises
+    assert [s.provenance for s in older] == [
+        {"key": s.provenance["key"]} for s in solved]
+
+
 def test_spectrum_file_with_another_key_is_recomputed(run, tmp_path, capsys):
     mesh = run.data / "template.off"
     cache = tmp_path / "cache"
@@ -666,7 +714,9 @@ def test_spectrum_file_with_another_key_is_recomputed(run, tmp_path, capsys):
     assert _spectrum(mesh, cache, tmp_path / "s") == 0
     out = capsys.readouterr().out
     assert out.count(": computed") == 1 and f"computed ({spec})" in out
-    assert read_container(spec, "SPEC1")[1] == meta == {"key": meta["key"]}
+    # the recomputed file stores the key and provenance the first solve did
+    assert read_container(spec, "SPEC1")[1] == meta
+    assert sorted(meta) == ["key", "provenance"]
 
 
 def test_bank_file_with_another_key_is_rebuilt(run, tmp_path, monkeypatch):
@@ -1049,6 +1099,47 @@ def test_renumbering_an_eval_target_leaves_the_scores_unchanged(run,
     assert _eval(run, tmp_path / "base", cache=cache) == 0
     assert _eval(run, tmp_path / "renumbered", cache=cache, data=data) == 0
     assert _outputs(tmp_path / "renumbered") == _outputs(tmp_path / "base")
+
+
+def _write_obj(mesh, path):
+    """An OBJ file of `mesh`, coordinates as `repr` of Python floats."""
+    with open(path, "w") as fh:
+        fh.writelines(f"v {x!r} {y!r} {z!r}\n"
+                      for x, y, z in mesh.vertices.tolist())
+        fh.writelines(f"f {a + 1} {b + 1} {c + 1}\n"
+                      for a, b, c in mesh.faces.tolist())
+
+
+def test_dataset_written_as_obj_gives_the_same_outputs(run, tmp_path):
+    # both readers share one line pass, so the same meshes read from OBJ
+    # files give the same arrays, spectra, training and scores; pairs.csv
+    # names the meshes, so it differs only in their suffix
+    data = tmp_path / "data"
+    shutil.copytree(run.data, data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    entries = [manifest["template"], *manifest["training"]]
+    for entry in entries:
+        entry["mesh"] = entry["mesh"].replace(".off", ".obj")
+    for pair in manifest["pairs"]:
+        for end in ("source", "target"):
+            pair[end] = pair[end].replace(".off", ".obj")
+    _json(data / "manifest.json", manifest)
+    for off in _meshes(run.data):
+        _write_obj(load_mesh(off), data / f"{off.stem}.obj")
+        (data / off.name).unlink()
+    cache = tmp_path / "cache"
+    for mesh in _meshes(data):
+        assert mesh.suffix == ".obj"
+        assert _spectrum(mesh, cache, tmp_path / "spectrum") == 0
+    assert _train(data, cache, tmp_path / "train", run.model) == 0
+    assert _eval(run, tmp_path / "eval", data=data, cache=cache,
+                 checkpoint=tmp_path / "train" / "checkpoint.ckpt") == 0
+    assert _eval(run, tmp_path / "off") == 0
+    assert ((tmp_path / "train" / "history.csv").read_bytes()
+            == (run.train_out / "history.csv").read_bytes())
+    got, want = _outputs(tmp_path / "eval"), _outputs(tmp_path / "off")
+    got["pairs.csv"] = got["pairs.csv"].replace(b".obj", b".off")
+    assert got == want
 
 
 # --- the frames and mesh-info subcommands ------------------------------------

@@ -61,6 +61,26 @@ class TestSelu:
         assert out.shape == x.shape
         assert out[0, 1] == 0.0
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_in_place_form_matches_the_where_form_bit_for_bit(self, dtype):
+        # selu writes into the arrays it keeps; the values and the back
+        # stay those of the np.where form, 0-d inputs included
+        rng = np.random.default_rng(4)
+        a, b = ad.SELU_SCALE, ad.SELU_SCALE * ad.SELU_ALPHA
+        for x in (np.asarray(0.0, dtype), np.asarray(-20.0, dtype),
+                  np.asarray(1.0, dtype),
+                  (rng.standard_normal((7, 5)) * 3).astype(dtype)):
+            g = np.full_like(x, 0.7) if x.ndim == 0 else rng.standard_normal(
+                x.shape).astype(dtype)
+            expx = np.exp(np.minimum(x, 0.0))
+            want = np.where(x > 0, a * x, b * (expx - 1.0))
+            want_dx = g * np.where(x > 0, a, b * expx)
+            value, back = ad.selu(x)
+            dx, _ = back(g)
+            for got, ref in ((value, want), (dx, want_dx)):
+                assert got.shape == x.shape and got.dtype == dtype
+                assert np.array_equal(got, ref)
+
 
 class TestNorm:
     def test_standardizes(self):
@@ -166,6 +186,27 @@ class TestPeakMemory:
             peaks.append(traced_peak(
                 lambda: nw.train(model, [item], epochs=steps))[0])
         assert peaks[1] < 1.25 * peaks[0], peaks
+
+    def test_step_with_four_scales_peaks_below_fourteen_feature_maps(self):
+        # one step of a 2-layer network with 4 directions x 4 scales and
+        # the perturbation stage, after a first step made Adam's moments.
+        # Measured in N x D float64 maps: 12.7 when each back keeps only
+        # what it reads and SELU, standardize and Adam write in place; 15.2
+        # with a J x K x D array per direction on the tape and the
+        # np.where SELU, out-of-place standardize and Adam
+        mesh = jittered_grid(20, 20, seed=3)  # 441 vertices
+        bank = build_bank_for(mesh, k=30, directions=2, alpha=50.0, scales=4)
+        n, d = mesh.n_vertices, 64
+        model = nw.Model.initialize(nw.ModelConfig(
+            n_classes=8, encoder_dims=(8, d), conv_layers=2, directions=2,
+            scales=4, perturb=True, seed=0))
+        item = nw.TrainItem(coords=mesh.vertices, labels=np.arange(n) % 8,
+                            load_bank=lambda: bank)
+        state = nw.AdamState()
+        nw._train_step(model, item, state, 1, 0.001, 0.0001)
+        peak, _ = traced_peak(
+            lambda: nw._train_step(model, item, state, 2, 0.001, 0.0001))
+        assert peak < 14 * n * d * 8, peak / (n * d * 8)
 
     def test_training_holds_one_bank_at_a_time(self, setup):
         # each load_bank call returns a new bank object, as a cache read
