@@ -22,7 +22,10 @@ When the arrays are freed:
   holds, per direction, the K x D projection ``wavelet_mix`` mixes from
   (M K x D arrays in all, besides the J x N normalizers and J x K
   responses per direction), then one N x D array each for its SELU (with
-  a boolean mask) and its standardization.
+  a boolean mask) and its standardization. The backs read the bank's
+  eigenvectors and mass as given, so in float32 every layer of one
+  forward shares the one copy per direction that ``network._head_input``
+  casts, and in float64 they share the bank's own arrays.
 - SELU and standardize form their values and gradients in place in the
   arrays they return or hold, so a back may overwrite what it holds: each
   back runs once.
@@ -124,9 +127,12 @@ def standardize(x, gamma, beta):
 def wavelet_mix(x, thetas, bank):
     """sum_{m,j} (normalized wavelet filter (m, j) applied to x) @ theta[m][j].
 
-    thetas is an M x J nested list of arrays, one per filter of the bank;
-    any other grid raises ValueError. The back's parameter gradients follow
-    the filters in that order, direction by direction. The filters are
+    It computes in x's dtype and takes the bank's eigenvectors and mass
+    in that dtype, as ``network._head_input`` casts them once per forward;
+    only the J x K responses and J x N normalizer reciprocals are cast
+    here. thetas is an M x J nested list of arrays, one per filter of the
+    bank; any other grid raises ValueError. The back's parameter gradients
+    follow the filters in that order, direction by direction. The filters are
     mixed in the K-dim eigenbasis, each over its passband of K_mj
     eigenpairs (``wavelets.passbands``), past which its responses are below
     round-off. The bank's directions share one lumped mass A
@@ -168,10 +174,10 @@ def wavelet_mix(x, thetas, bank):
     buf = np.empty_like(out)
     mixed = np.empty((k, e), dtype)
     rc = np.empty((k, x_shape[1]), dtype)                       # r_j * C
-    mass = bank.spectra[0].mass.astype(dtype, copy=False)
+    mass = bank.spectra[0].mass
     mass_x = mass[:, None] * x                                  # A x, (N, D)
     for m, row in enumerate(thetas):
-        phi = bank.spectra[m].eigenvectors.astype(dtype, copy=False)
+        phi = bank.spectra[m].eigenvectors
         resp = bank.responses[m].astype(dtype)[:, :, None]
         inv_norm = (1.0 / bank.l1_normalizers[m]).astype(dtype)[:, :, None]
         c = phi.T @ mass_x                                      # (K, D)

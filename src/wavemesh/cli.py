@@ -446,7 +446,6 @@ def run_training(cfg, manifest_path):
     root = Path(manifest_path).parent
     cache_dir = cfg.cache_dir()
     template = load_mesh(root / manifest["template"]["mesh"])
-    dtype = np.float32 if cfg.float32 else np.float64
 
     def bank_loader(mesh, path):
         # reads cfg when called, so only once the kernel scales are pinned
@@ -469,7 +468,7 @@ def run_training(cfg, manifest_path):
         lambda_maxes.append(max(
             s.lambda_max for s in load_spectra(mesh, cfg, cache_dir, path)))
         items.append(network.TrainItem(
-            coords=mesh.vertices.astype(dtype), labels=labels,
+            coords=mesh.vertices, labels=labels,
             load_bank=bank_loader(mesh, path), name=entry["mesh"]))
 
     if cfg.kernel_lambda_max is None:
@@ -478,7 +477,7 @@ def run_training(cfg, manifest_path):
         cfg.kernel_lambda_max = max(lambda_maxes)
 
     model = network.Model.initialize(cfg.model_config(template.n_vertices),
-                                     dtype=dtype)
+                                     np.float32 if cfg.float32 else np.float64)
     print(f"training on {len(items)} shapes, "
           f"{model.parameter_count} parameters, "
           f"{cfg.effective_epochs} epochs")
@@ -519,15 +518,12 @@ def run_evaluation(model, cfg, manifest_path, out_dir):
     cache_dir = cfg.cache_dir()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # the coordinates take the model's precision, as in training
-    dtype = next(iter(model.params.values())).dtype
 
     def describe(rel):
         mesh = load_mesh(root / rel)
         spectra = load_spectra(mesh, cfg, cache_dir, root / rel)
         bank = build_bank(spectra, cfg, cache_dir, root / rel)
-        return mesh, network.descriptors(model, mesh.vertices.astype(dtype),
-                                         bank)
+        return mesh, network.descriptors(model, mesh.vertices, bank)
 
     results = []
     pooled_errors = []
@@ -632,8 +628,8 @@ def cmd_eval(args):
     cfg.cache = str(cfg.cache_dir())
     if args.out is None:
         cfg.out = str(Path(args.checkpoint).parent / "eval")
-    cfg.echo(cfg.out)
     run_evaluation(model, cfg, cfg.dataset, cfg.out)
+    cfg.echo(cfg.out)  # after evaluation, so a rejected manifest writes nothing
     return EXIT_OK
 
 

@@ -28,18 +28,16 @@ class PrincipalFrames:
     k_min, k_max : (n,) curvatures (1/length units), k_max >= k_min
     dir_max : (n, 3) unit vectors, tangent to the surface; at umbilic
         vertices this is the deterministic fallback direction
-    normal : (n, 3) unit vertex normals
     umbilic : (n,) bool
     """
 
     k_min: np.ndarray
     k_max: np.ndarray
     dir_max: np.ndarray
-    normal: np.ndarray
     umbilic: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.k_min, self.k_max, self.dir_max, self.normal, self.umbilic):
+        for arr in (self.k_min, self.k_max, self.dir_max, self.umbilic):
             arr.setflags(write=False)
 
     @property
@@ -107,8 +105,7 @@ def estimate_frames(mesh):
     d[live] = np.einsum("va,vaj->vj", coef, basis[live])
     d[live] /= np.linalg.norm(d[live], axis=1)[:, None]
     return PrincipalFrames(k_min=k_min.copy(), k_max=k_max.copy(),
-                           dir_max=_canonical_sign(d), normal=normals.copy(),
-                           umbilic=umbilic)
+                           dir_max=_canonical_sign(d), umbilic=umbilic)
 
 
 def face_tensors(mesh):

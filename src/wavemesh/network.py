@@ -20,17 +20,22 @@ Training holds one step's tape at a time: each optimizer step runs in its
 own call, loads its shape's filter bank there through the item's
 ``load_bank`` and drops it on return, so the next step's forward starts
 only after this step's bank, tape, activations and gradients are gone,
-and memory does not grow with the number of training shapes. All
-training math runs in float64 by default. The float32 mode keeps
-parameters, activations and gradients in float32; its loss curve is
-tested against float64 to 1e-4 relative.
+and memory does not grow with the number of training shapes.
+
+Precision has one owner: the parameters. ``Model.initialize`` makes them
+float64 by default or float32 on request, and ``_head_input``, the one
+entry point of training steps and ``descriptors``, casts the coordinates
+and one copy of the bank's eigenvectors and masses to their dtype, which
+every conv layer then shares (in float64 nothing is copied). So float32
+keeps parameters, activations and gradients in float32; its loss curve
+is tested against float64 to 1e-4 relative.
 
 `ModelConfig` is the network's shape over POINT_DIM = 3 input coordinates.
 A checkpoint does not store it: `cli` derives it from the saved experiment
 and the length of the head bias.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -113,6 +118,10 @@ def _head_input(model, coords, bank, perturb, tape=None):
     through the perturbation stage when `perturb` is set. With a `tape`
     list, appends (back, parameter names) for each op, in forward order."""
     cfg, p = model.config, model.params
+    dtype = p["head.w"].dtype
+    bank = replace(bank, spectra=[replace(
+        s, eigenvectors=s.eigenvectors.astype(dtype, copy=False),
+        mass=s.mass.astype(dtype, copy=False)) for s in bank.spectra])
 
     def run(names, op, x, *args):
         x, back = op(x, *args)
@@ -120,7 +129,7 @@ def _head_input(model, coords, bank, perturb, tape=None):
             tape.append((back, names))
         return x
 
-    x = np.asarray(coords)
+    x = np.asarray(coords, dtype=dtype)
     for i in range(len(cfg.encoder_dims)):
         names = (f"enc{i}.w", f"enc{i}.b")
         x = run(names, ad.affine, x, *[p[n] for n in names])

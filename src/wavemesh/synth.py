@@ -345,26 +345,37 @@ def make_dataset(config, out_dir):
 
 
 def load_manifest(path):
+    """The dataset manifest at `path`: a JSON object whose template and
+    training entries name `mesh` and `labels` files, and whose pairs name
+    `source`, `target` and `gt` files, each relative to the manifest and
+    present. Anything else raises ManifestInvalid."""
     path = Path(path)
     try:
         with open(path) as fh:
             manifest = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ManifestInvalid(f"{path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ManifestInvalid(f"{path}: not a JSON object")
     for key in ("template", "training", "pairs"):
         if key not in manifest:
             raise ManifestInvalid(f"{path}: missing key {key!r}")
+    for key in ("training", "pairs"):
+        if not isinstance(manifest[key], list):
+            raise ManifestInvalid(f"{path}: {key!r} is not a list")
     root = path.parent
-    for entry in [manifest["template"], *manifest["training"]]:
-        for k in ("mesh", "labels"):
-            if k not in entry:
-                raise ManifestInvalid(f"{path}: entry missing {k!r}")
+    fields = [(entry, ("mesh", "labels"))
+              for entry in [manifest["template"], *manifest["training"]]]
+    fields += [(pair, ("source", "target", "gt"))
+               for pair in manifest["pairs"]]
+    for entry, keys in fields:
+        if not (isinstance(entry, dict)
+                and all(isinstance(entry.get(k), str) for k in keys)):
+            raise ManifestInvalid(
+                f"{path}: entry {entry!r} needs file names under {keys}")
+        for k in keys:
             if not (root / entry[k]).exists():
                 raise ManifestInvalid(f"{path}: missing file {entry[k]}")
-    for pair in manifest["pairs"]:
-        for k in ("source", "target", "gt"):
-            if k not in pair or not (root / pair[k]).exists():
-                raise ManifestInvalid(f"{path}: bad pair entry {pair!r}")
     return manifest
 
 

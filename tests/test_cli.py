@@ -101,7 +101,8 @@ def test_round_trip_evaluates_every_pair(run, tmp_path):
     assert np.isfinite(float(rows[0].rsplit(",", 1)[1]))
 
 
-def test_eval_applies_its_config_file_over_the_checkpoint(run, tmp_path):
+def test_eval_takes_radii_from_its_flag_and_the_rest_from_the_checkpoint(
+        run, tmp_path):
     # eval takes no config file: its radii come from --radii, and every
     # other setting from the checkpoint
     assert _eval(run, tmp_path / "eval", "--radii", "0:0.1:0.05") == 0
@@ -246,92 +247,69 @@ def test_checkpoint_saves_only_its_experiment(run):
     assert list(meta) == ["experiment"]
 
 
-def test_checkpoint_holding_a_model_entry_evaluates_unchanged(run, tmp_path):
+def _saved_model_entry(arrays, meta):
     # earlier versions saved the network's shape a second time, as "model";
     # it is not read, whatever it says
-    model, _ = cli.load_checkpoint(run.train_out / "checkpoint.ckpt")
-    saved = {**dataclasses.asdict(model.config), "point_dim": 3}
-    for name, entry in (("old", saved), ("wrong", [1])):
-        ckpt = _damaged_checkpoint(run, tmp_path / f"{name}.ckpt",
-                                   lambda a, m: m.update(model=entry))
-        assert _eval(run, tmp_path / name, checkpoint=ckpt) == 0
-    assert _eval(run, tmp_path / "new") == 0
-    assert (_outputs(tmp_path / "old") == _outputs(tmp_path / "wrong")
-            == _outputs(tmp_path / "new"))
+    cfg = cli.ExperimentConfig.load(base=meta["experiment"])
+    shape = cfg.model_config(arrays["param:head.b"].size)
+    meta["model"] = {**dataclasses.asdict(shape), "point_dim": 3}
 
 
-def test_checkpoint_saving_tighten_false_evaluates_unchanged(run, tmp_path):
-    # checkpoints written while filter banks could be tightened save
-    # "tighten": false for the bank that is still built
-    ckpt = _damaged_checkpoint(
-        run, tmp_path / "checkpoint.ckpt",
-        lambda a, m: m["experiment"].update(tighten=False))
-    assert _eval(run, tmp_path / "old", checkpoint=ckpt) == 0
-    assert _eval(run, tmp_path / "new") == 0
-    assert _outputs(tmp_path / "old") == _outputs(tmp_path / "new")
-
-
-def test_checkpoint_saving_tighten_true_exits_2(run, tmp_path, capsys):
-    ckpt = _damaged_checkpoint(
-        run, tmp_path / "checkpoint.ckpt",
-        lambda a, m: m["experiment"].update(tighten=True))
-    capsys.readouterr()
-    assert _eval(run, tmp_path / "eval", checkpoint=ckpt) == 2
-    assert "'tighten'" in capsys.readouterr().err
-    assert not (tmp_path / "eval" / "pairs.csv").exists()
-
-
-def test_checkpoint_of_an_earlier_version_evaluates_unchanged(run, tmp_path):
+def _earlier_version(arrays, meta):
     # earlier versions saved "descriptor": "features", "tighten": false and
     # a --perturb model's training shuffle as perm:n, which evaluation
     # never read
-    out = tmp_path / "train"
-    assert _train(run.data, run.cache, out, run.model, "--perturb") == 0
-    checkpoint = out / "checkpoint.ckpt"
-    assert _eval(run, tmp_path / "new", checkpoint=checkpoint) == 0
-    arrays, meta = read_container(checkpoint, "CKPT1")
-    n = load_mesh(run.data / "template.off").n_vertices
+    n = arrays["param:head.b"].size
     arrays[f"perm:{n}"] = np.random.default_rng(0).permutation(n)
     meta["experiment"].update(descriptor="features", tighten=False)
+
+
+def _saving(**retired):
+    return lambda arrays, meta: meta["experiment"].update(retired)
+
+
+@pytest.mark.parametrize("perturb, damage", [
+    (False, _saved_model_entry),
+    (False, lambda arrays, meta: meta.update(model=[1])),
+    # checkpoints written while filter banks could be tightened save
+    # "tighten": false for the bank that is still built
+    (False, _saving(tighten=False)),
+    (True, _earlier_version),
+    # earlier versions saved the radius of their curvature frames; 0 meant
+    # the 1-ring frames every version builds, and a JSON 0 reads as an int
+    (False, _saving(curvature_radius=0.0)),
+    (False, _saving(curvature_radius=0)),
+], ids=["model-entry", "wrong-model-entry", "tighten-false",
+        "perturb-perm-descriptor", "curvature_radius-float",
+        "curvature_radius-int"])
+def test_checkpoint_of_an_earlier_version_evaluates_unchanged(
+        run, tmp_path, perturb, damage):
+    checkpoint = run.train_out / "checkpoint.ckpt"
+    if perturb:
+        out = tmp_path / "train"
+        assert _train(run.data, run.cache, out, run.model, "--perturb") == 0
+        checkpoint = out / "checkpoint.ckpt"
+    arrays, meta = read_container(checkpoint, "CKPT1")
+    damage(arrays, meta)
     old = tmp_path / "old.ckpt"
     write_container(old, "CKPT1", arrays, meta=meta)
     assert _eval(run, tmp_path / "old", checkpoint=old) == 0
+    assert _eval(run, tmp_path / "new", checkpoint=checkpoint) == 0
     assert _outputs(tmp_path / "old") == _outputs(tmp_path / "new")
 
 
-def test_checkpoint_saving_descriptor_softmax_exits_2(run, tmp_path, capsys):
-    ckpt = _damaged_checkpoint(
-        run, tmp_path / "checkpoint.ckpt",
-        lambda a, m: m["experiment"].update(descriptor="softmax"))
+@pytest.mark.parametrize("key, value", [
+    ("tighten", True), ("descriptor", "softmax"), ("curvature_radius", 0.2),
+    ("curvature_radius", False), ("curvature_radius", "0"),
+], ids=["tighten-true", "descriptor-softmax", "curvature_radius-0.2",
+        "curvature_radius-false", "curvature_radius-string"])
+def test_checkpoint_saving_another_value_of_a_retired_key_exits_2(
+        run, tmp_path, capsys, key, value):
+    ckpt = _damaged_checkpoint(run, tmp_path / "checkpoint.ckpt",
+                               _saving(**{key: value}))
     capsys.readouterr()
     assert _eval(run, tmp_path / "eval", checkpoint=ckpt) == 2
-    assert "'descriptor'" in capsys.readouterr().err
-    assert not (tmp_path / "eval" / "pairs.csv").exists()
-
-
-@pytest.mark.parametrize("radius", [0.0, 0], ids=["float", "int"])
-def test_checkpoint_saving_curvature_radius_0_evaluates_unchanged(
-        run, tmp_path, radius):
-    # earlier versions saved the radius of their curvature frames; 0 meant
-    # the 1-ring frames every version builds, and a JSON 0 reads as an int
-    ckpt = _damaged_checkpoint(
-        run, tmp_path / "checkpoint.ckpt",
-        lambda a, m: m["experiment"].update(curvature_radius=radius))
-    assert _eval(run, tmp_path / "old", checkpoint=ckpt) == 0
-    assert _eval(run, tmp_path / "new") == 0
-    assert _outputs(tmp_path / "old") == _outputs(tmp_path / "new")
-
-
-@pytest.mark.parametrize("radius", [0.2, False, "0"],
-                         ids=["0.2", "false", "string"])
-def test_checkpoint_saving_another_curvature_radius_exits_2(
-        run, tmp_path, capsys, radius):
-    ckpt = _damaged_checkpoint(
-        run, tmp_path / "checkpoint.ckpt",
-        lambda a, m: m["experiment"].update(curvature_radius=radius))
-    capsys.readouterr()
-    assert _eval(run, tmp_path / "eval", checkpoint=ckpt) == 2
-    assert "'curvature_radius'" in capsys.readouterr().err
+    assert f"'{key}'" in capsys.readouterr().err
     assert not (tmp_path / "eval" / "pairs.csv").exists()
 
 
@@ -364,6 +342,32 @@ def test_train_on_a_manifest_without_training_shapes_exits_2_and_writes_nothing(
     assert "no training shapes" in err and str(data / "manifest.json") in err
     assert read == []
     assert not (tmp_path / "train").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("damage", [
+    lambda m: m.update(training=[1]),
+    lambda m: m.update(pairs=[1]),
+    lambda m: m.update(training=5),
+    lambda m: m["training"][0].update(mesh=5),
+    lambda m: m["pairs"][0].update(gt=None),
+], ids=["training-entry-int", "pair-int", "training-int", "mesh-int",
+        "gt-null"])
+def test_malformed_manifest_exits_2_and_writes_nothing(run, tmp_path, capsys,
+                                                       damage, command):
+    data = tmp_path / "data"
+    shutil.copytree(run.data, data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    damage(manifest)
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    if command == "train":
+        assert _train(data, run.cache, out, run.model) == 2
+    else:
+        assert _eval(run, out, data=data) == 2
+    assert str(data / "manifest.json") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_float32_training_saves_float32_params_and_evaluates(run, tmp_path,

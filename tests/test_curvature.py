@@ -31,9 +31,9 @@ class TestInvariants:
     def test_ordering_and_units(self, sphere_frames):
         assert (sphere_frames.k_max >= sphere_frames.k_min).all()
 
-    def test_direction_tangency(self, cylinder_frames):
+    def test_direction_tangency(self, open_cylinder, cylinder_frames):
         dots = np.einsum("ij,ij->i", cylinder_frames.dir_max,
-                         cylinder_frames.normal)
+                         open_cylinder.vertex_normals)
         assert np.abs(dots).max() < 1e-8
 
     def test_unit_directions(self, cylinder_frames, sphere_frames):
@@ -80,8 +80,8 @@ class TestEquivariance:
         mismatch = np.minimum(np.linalg.norm(rotated - got, axis=1),
                               np.linalg.norm(rotated + got, axis=1))
         assert mismatch.max() < 1e-6
-        rotated_n = cylinder_frames.normal[inner] @ r.T
-        assert np.abs(rotated_n - frames2.normal[inner]).max() < 1e-6
+        rotated_n = open_cylinder.vertex_normals[inner] @ r.T
+        assert np.abs(rotated_n - moved.vertex_normals[inner]).max() < 1e-6
 
     def test_uniform_scale_divides_curvature(self, open_cylinder,
                                              cylinder_frames):
