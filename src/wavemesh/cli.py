@@ -427,6 +427,17 @@ def write_csv(path, header, *columns):
         fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*cells))
 
 
+def _read_labels(root, name, mesh_name, n_vertices, n_labels):
+    """root/name's labels, checked to be one in [0, n_labels) per vertex."""
+    labels = synth.read_indices(root / name)
+    if (len(labels) != n_vertices or labels.min() < 0
+            or labels.max() >= n_labels):
+        raise ValidationError(
+            f"{name} holds {len(labels)} labels, not one in [0, {n_labels}) "
+            f"for each of the {n_vertices} vertices of {mesh_name}")
+    return labels
+
+
 def run_training(cfg, manifest_path):
     """Train a model on the manifest's training shapes; returns (model,
     history).
@@ -457,14 +468,8 @@ def run_training(cfg, manifest_path):
     for entry in manifest["training"]:
         path = root / entry["mesh"]
         mesh = load_mesh(path)
-        labels = synth.read_indices(root / entry["labels"])
-        if len(labels) != mesh.n_vertices:
-            raise ValidationError(
-                f"{entry['labels']} holds {len(labels)} labels for the "
-                f"{mesh.n_vertices} vertices of {entry['mesh']}")
-        if labels.min() < 0 or labels.max() >= template.n_vertices:
-            raise ValidationError(
-                f"labels in {entry['labels']} outside the template")
+        labels = _read_labels(root, entry["labels"], entry["mesh"],
+                              mesh.n_vertices, template.n_vertices)
         lambda_maxes.append(max(
             s.lambda_max for s in load_spectra(mesh, cfg, cache_dir, path)))
         items.append(network.TrainItem(
@@ -510,17 +515,23 @@ def load_geodesics(target, gt, cache_dir, mesh_path):
 def run_evaluation(model, cfg, manifest_path, out_dir):
     """Match and score every pair of the manifest; writes one CGE curve
     per pair, `pairs.csv` and the pooled curve to `out_dir`. A manifest
-    without pairs raises ManifestInvalid before anything is read or written."""
+    without pairs or with a bad gt file raises before anything is written."""
     manifest = synth.load_manifest(manifest_path)
     if not manifest["pairs"]:
         raise ManifestInvalid(f"{manifest_path}: no pairs to evaluate")
     root = Path(manifest_path).parent
     cache_dir = cfg.cache_dir()
     out_dir = Path(out_dir)
+    meshes = {rel: load_mesh(root / rel) for rel in dict.fromkeys(
+        p[end] for p in manifest["pairs"] for end in ("source", "target"))}
+    gts = [_read_labels(root, p["gt"], p["source"],
+                        meshes[p["source"]].n_vertices,
+                        meshes[p["target"]].n_vertices)
+           for p in manifest["pairs"]]
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def describe(rel):
-        mesh = load_mesh(root / rel)
+        mesh = meshes[rel]
         spectra = load_spectra(mesh, cfg, cache_dir, root / rel)
         bank = build_bank(spectra, cfg, cache_dir, root / rel)
         return mesh, network.descriptors(model, mesh.vertices, bank)
@@ -529,8 +540,7 @@ def run_evaluation(model, cfg, manifest_path, out_dir):
     pooled_errors = []
     radii = cfg.radii_array()
     source_descriptors = {}  # each distinct source is described once
-    for i, pair in enumerate(manifest["pairs"]):
-        gt = synth.read_indices(root / pair["gt"])
+    for i, (pair, gt) in enumerate(zip(manifest["pairs"], gts)):
         if pair["source"] not in source_descriptors:
             source_descriptors[pair["source"]] = describe(pair["source"])[1]
         target, desc_t = describe(pair["target"])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .errors import DegenerateTriangle, IsolatedVertex
+from .errors import IsolatedVertex
 
 # relative eigenvalue gap below which a vertex counts as umbilic
 UMBILIC_RTOL = 1e-6
@@ -73,8 +73,7 @@ def estimate_frames(mesh):
     averages the shape-operator fits of its incident triangles (its
     1-ring).
 
-    Raises IsolatedVertex if some vertex has no incident face and
-    DegenerateTriangle if a face has no usable tangent basis.
+    Raises IsolatedVertex if some vertex has no incident face.
     """
     f = mesh.faces
     n_vert, m = mesh.n_vertices, mesh.n_faces
@@ -116,10 +115,7 @@ def face_tensors(mesh):
     p0, p1, p2 = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
     fn = mesh.face_normals
     e_u = p1 - p0
-    norm_u = np.linalg.norm(e_u, axis=1)
-    if (norm_u == 0).any():
-        raise DegenerateTriangle("zero-length edge")
-    u = e_u / norm_u[:, None]
+    u = e_u / np.linalg.norm(e_u, axis=1)[:, None]
     w = np.cross(fn, u)
 
     # edges and the normal differences along them (edge k is opposite

@@ -3,9 +3,9 @@
 Every class derives from one of three families, which set the CLI exit
 codes: ValidationError (bad input data, meshes included, or configuration,
 exit 2), NumericalError (a solver or the training loop failed, exit 3) and
-CacheError (missing or corrupt cache files, exit 4). Plain ValueError is
-used for simple scalar-argument violations and is treated like
-ValidationError by the CLI.
+CacheError (missing or corrupt cache files, exit 4). The CLI also exits 2
+on ValueError (used for simple scalar-argument violations) and IndexError,
+and 4 on OSError.
 """
 
 

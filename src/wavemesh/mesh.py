@@ -12,14 +12,17 @@ edges by (lo, hi), so `edges` holds the rows of a row-wise unique in the
 same order, and `synth.remesh` finds an edge's row by a binary search of
 its key.
 
-OFF files are read and written without per-value Python steps: the
-reader splits each line once and converts the tokens of each chunk of
-lines in one pass, and the writer formats values from `.tolist()` and
-streams the lines to the file.
+Text tables (OFF and OBJ meshes, label and gt index files) are read
+without per-value Python steps: `_read_block` parses each block of
+lines with one `np.loadtxt` call, and only if that fails do per-line
+checks, which parse tokens the same way, raise the first bad line's error
+with its file and line number. So `1_0` or an integer beyond int64 is a
+ParseError. The OFF writer formats values from `.tolist()` and streams
+the lines to the file.
 """
 
 import hashlib
-from itertools import chain
+import re
 
 import numpy as np
 
@@ -35,7 +38,8 @@ from .errors import (
 # diagonal are rejected as degenerate, so the threshold is unit-free.
 DEGENERACY_FACTOR = 1e-12
 
-# OFF lines converted per pass: bounds the token lists alive at once
+# Rows the writers convert per `.tolist()` call (`chunked_rows`): bounds
+# the Python scalars alive at once
 OFF_CHUNK = 1024
 
 
@@ -197,8 +201,6 @@ def corner_cotangents(mesh):
     v, f = mesh.vertices, mesh.faces
     p0, p1, p2 = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
     double = 2.0 * mesh.face_areas
-    if (double <= 0).any():
-        raise DegenerateTriangle("zero-area face")
     cot = np.empty((len(f), 3))
     cot[:, 0] = np.einsum("ij,ij->i", p1 - p0, p2 - p0) / double
     cot[:, 1] = np.einsum("ij,ij->i", p2 - p1, p0 - p1) / double
@@ -278,81 +280,80 @@ def _read_lines(path):
                    if line and not line.isspace()]
 
 
-def _tokens_to_array(rows, width, convert, dtype):
-    """The first `width` tokens of every row of tokens, each converted once,
-    as one (len(rows), width) array; None if a row is short or a token does
-    not convert."""
-    count = len(rows) * width
-    widths = set(map(len, rows))
-    if widths and min(widths) < width:
+def _parse_rows(rows, dtype, usecols=None):
+    """The rows (strings) parsed by one `np.loadtxt` call as a 2-D `dtype`
+    array of the columns `usecols`, or of all columns (then the same number
+    in each row); None if a row, or an empty one loadtxt would skip, does
+    not parse. The line checks parse their tokens here too, one per row."""
+    if not rows:
+        return np.empty((0, len(usecols or ())), dtype)
+    if not all(rows):
         return None
-    if widths != {width}:
-        rows = (row[:width] for row in rows)
     try:
-        flat = np.fromiter(map(convert, chain.from_iterable(rows)), dtype,
-                           count=count)
+        return np.loadtxt(rows, dtype, comments=None, usecols=usecols,
+                          ndmin=2)
     except ValueError:
         return None
-    return flat.reshape(-1, width)
+
+
+def _read_block(path, lines, idx, check_line, dtype, usecols=None,
+                valid=None, rows=None):
+    """`_parse_rows` of `rows`, by default the lines numbered `idx`. If a
+    row does not parse, or the array fails `valid`, `check_line(tokens,
+    path, lineno)` runs on the lines numbered `idx` in turn, to raise the
+    first bad line's error."""
+    table = _parse_rows([lines[i] for i in idx] if rows is None else rows,
+                        dtype, usecols)
+    if table is None or (valid is not None and not valid(table)):
+        for i in idx:
+            check_line(lines[i].split(), path, i + 1)
+        raise ParseError("a line does not parse", path)
+    return table
 
 
 def _check_vertex_line(tok, path, lineno):
     if len(tok) < 3:
         raise ParseError("vertex line needs 3 coordinates", path, lineno)
-    try:
-        list(map(float, tok[:3]))
-    except ValueError:
-        raise ParseError("malformed vertex line", path, lineno) from None
+    if _parse_rows(tok[:3], np.float64) is None:
+        raise ParseError("malformed vertex line", path, lineno)
 
 
 def _check_face_line(tok, path, lineno):
-    try:
-        count = int(tok[0])
-    except ValueError:
-        raise ParseError("malformed face line", path, lineno) from None
-    if count != 3:
-        raise NonTriangleFace(f"{path}:{lineno}: face with {count} vertices")
+    count = _parse_rows(tok[:1], np.int64)
+    if count is None:
+        raise ParseError("malformed face line", path, lineno)
+    if count[0, 0] != 3:
+        raise NonTriangleFace(
+            f"{path}:{lineno}: face with {count[0, 0]} vertices")
     if len(tok) < 4:
         raise ParseError("face line needs 3 indices", path, lineno)
-    try:
-        list(map(int, tok[1:4]))
-    except ValueError:
-        raise ParseError("malformed face index", path, lineno) from None
+    if _parse_rows(tok[1:4], np.int64) is None:
+        raise ParseError("malformed face index", path, lineno)
 
 
-def _off_block(path, lines, sig, start, n, what, check_line, width, convert,
-               dtype, valid=None):
-    """The (n, width) array of the `n` significant lines from `sig[start]`
-    on, converted OFF_CHUNK lines at a time so that few token lists are
-    alive at once. A chunk that does not convert whole, or fails `valid`,
-    is checked line by line to raise the first bad line's error."""
-    idx = sig[start:start + n]
-    out = np.empty((len(idx), width), dtype)
-    for s in range(0, len(idx), OFF_CHUNK):
-        chunk = idx[s:s + OFF_CHUNK]
-        rows = [lines[i].split() for i in chunk]
-        part = _tokens_to_array(rows, width, convert, dtype)
-        if part is None or (valid is not None and not valid(part)):
-            for i, tok in zip(chunk, rows):
-                check_line(tok, path, i + 1)
-        out[s:s + len(chunk)] = part
-    if len(idx) < n:
-        raise ParseError(f"expected {n} {what}, got {len(idx)}", path,
-                         sig[start + len(idx) - 1] + 1)
-    return out
+def _check_obj_line(tok, path, lineno):
+    if tok[0] == "v":
+        _check_vertex_line(tok[1:], path, lineno)
+    elif tok[0] == "f":
+        if len(tok) != 4:
+            raise NonTriangleFace(
+                f"{path}:{lineno}: face with {len(tok) - 1} vertices")
+        for ref in tok[1:]:
+            k = _parse_rows([ref.split("/", 1)[0]], np.int64)
+            if k is None:
+                raise ParseError("malformed face index", path, lineno)
+            if k[0, 0] < 1:
+                raise ParseError("face indices must be positive", path, lineno)
+
+
+def _check_index_line(tok, path, lineno):
+    if len(tok) != 1 or _parse_rows(tok, np.int64) is None:
+        raise ParseError("index line must hold one integer", path, lineno)
 
 
 def _read_off(path):
-    """Vertex and face arrays of an OFF file, parsed in whole blocks; the
-    parser's lines and tokens are freed before the TriMesh is built.
-
-    The file is read and split into lines once, comments are cut and the
-    significant (non-blank) lines are found in one pass, `_read_lines`,
-    which the OBJ reader shares. Each vertex and face line is then split
-    once and its tokens converted once, by `np.fromiter` over a chunk of
-    lines; only a chunk that fails is checked line by line, to raise the
-    first bad line's error with its number.
-    """
+    """Vertex and face arrays of an OFF file, each block read by one
+    `_read_block`; trailing columns (colors) are ignored."""
     lines, sig = _read_lines(path)
     if not sig:
         raise ParseError("empty file", path, 1)
@@ -372,55 +373,52 @@ def _read_off(path):
     if len(tok) < 2:
         raise ParseError("counts line needs vertex and face counts", path,
                          counts_line)
-    try:
-        nv, nf = int(tok[0]), int(tok[1])
-    except ValueError:
-        raise ParseError("malformed counts line", path, counts_line) from None
+    counts = _parse_rows(tok[:2], np.int64)
+    if counts is None:
+        raise ParseError("malformed counts line", path, counts_line)
+    nv, nf = counts[:, 0]
     if nv < 0 or nf < 0:
         raise ParseError("negative counts", path, counts_line)
 
-    vertices = _off_block(path, lines, sig, start, nv, "vertices",
-                          _check_vertex_line, 3, float, np.float64)
-    table = _off_block(path, lines, sig, start + nv, nf, "faces",
-                       _check_face_line, 4, int, np.int64,
-                       valid=lambda t: (t[:, 0] == 3).all())
+    vertices = _read_block(path, lines, sig[start:start + nv],
+                           _check_vertex_line, np.float64, (0, 1, 2))
+    table = _read_block(path, lines, sig[start + nv:start + nv + nf],
+                        _check_face_line, np.int64, (0, 1, 2, 3),
+                        valid=lambda t: (t[:, 0] == 3).all())
+    # a block falls short only where the file ends
+    for n, got, what in ((nv, len(vertices), "vertices"),
+                         (nf, len(table), "faces")):
+        if got < n:
+            raise ParseError(f"expected {n} {what}, got {got}", path,
+                             sig[-1] + 1)
     return vertices, table[:, 1:]
 
 
 def _read_obj(path):
+    """Vertex and face arrays of an OBJ file: its `v` and `f` lines, each
+    kind read by one `_read_block` after the keyword, with the /vt/vn tails
+    of face references cut. Either's checks walk every line, so the file's
+    first bad line raises; other directives (vn, usemtl, ...) are ignored."""
     lines, sig = _read_lines(path)
-    vertices = []
-    faces = []
-    for i in sig:
-        lineno = i + 1
-        tok = lines[i].split()
-        if tok[0] == "v":
-            if len(tok) < 4:
-                raise ParseError("vertex line needs 3 coordinates", path, lineno)
-            try:
-                vertices.append([float(t) for t in tok[1:4]])
-            except ValueError:
-                raise ParseError("malformed vertex line", path, lineno) from None
-        elif tok[0] == "f":
-            refs = tok[1:]
-            if len(refs) != 3:
-                raise NonTriangleFace(
-                    f"{path}:{lineno}: face with {len(refs)} vertices")
-            idx = []
-            for r in refs:
-                head = r.split("/", 1)[0]
-                try:
-                    k = int(head)
-                except ValueError:
-                    raise ParseError("malformed face index", path, lineno) from None
-                if k < 1:
-                    raise ParseError("face indices must be positive", path, lineno)
-                idx.append(k - 1)
-            faces.append(idx)
-        # all other directives (vn, vt, usemtl, ...) are ignored
-    if not vertices:
+    split = [lines[i].split(None, 1) for i in sig]
+    v = [s[-1] for s in split if s[0] == "v"]
+    f = [re.sub(r"(?<=\S)/\S*", "", s[-1]) for s in split if s[0] == "f"]
+    vertices = _read_block(path, lines, sig, _check_obj_line, np.float64,
+                           (0, 1, 2), rows=v)
+    faces = _read_block(
+        path, lines, sig, _check_obj_line, np.int64, rows=f,
+        valid=lambda t: t.shape[1] in (0, 3) and (t >= 1).all())
+    if not len(vertices):
         raise ParseError("no vertices found", path, 1)
-    return np.asarray(vertices), np.asarray(faces, dtype=np.int64)
+    return vertices, faces - 1
+
+
+def read_indices(path):
+    """The int64 vector of a label or gt file, one integer per significant
+    line; any other line raises ParseError naming the file and line."""
+    lines, sig = _read_lines(path)
+    return _read_block(path, lines, sig, _check_index_line, np.int64,
+                       valid=lambda t: t.shape[1] <= 1).ravel()
 
 
 def chunked_rows(array):

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 
 from .curvature import _tangent_fallback
-from .errors import DegenerateTriangle, FrameMeshMismatch
+from .errors import FrameMeshMismatch
 from .mesh import corner_cotangents
 
 
@@ -98,8 +98,6 @@ def assemble_albo(mesh, frames, alpha, theta):
             f"frames for {frames.n_vertices} vertices, mesh has {mesh.n_vertices}")
     v, f = mesh.vertices, mesh.faces
     area = mesh.face_areas
-    if (area <= 0).any():
-        raise DegenerateTriangle("zero-area face")
 
     b1 = _triangle_directions(mesh, frames)
     b2 = np.cross(mesh.face_normals, b1)

@@ -28,7 +28,7 @@ from .errors import (
     ManifestInvalid,
     ResolutionTooSmall,
 )
-from .mesh import TriMesh, chunked_rows, load_mesh, write_off
+from .mesh import TriMesh, chunked_rows, load_mesh, read_indices, write_off
 
 MAX_BEND = math.pi / 2
 MAX_TWIST_RATE = math.pi
@@ -377,10 +377,6 @@ def load_manifest(path):
             if not (root / entry[k]).exists():
                 raise ManifestInvalid(f"{path}: missing file {entry[k]}")
     return manifest
-
-
-def read_indices(path):
-    return np.loadtxt(path, dtype=np.int64, ndmin=1)
 
 
 def _write_indices(indices, path):

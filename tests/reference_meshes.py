@@ -197,6 +197,8 @@ def read_obj(path):
                     k = int(r.split("/", 1)[0])
                 except ValueError:
                     raise ParseError("malformed face index", path, lineno) from None
+                if k >= 2**63:   # an index int64 cannot hold
+                    raise ParseError("malformed face index", path, lineno)
                 if k < 1:
                     raise ParseError("face indices must be positive", path, lineno)
                 idx.append(k - 1)

@@ -327,6 +327,27 @@ def test_eval_of_a_manifest_without_pairs_exits_2_and_writes_no_csv(
     assert not list((tmp_path / "eval").glob("*.csv"))
 
 
+def test_eval_checks_every_pairs_gt_before_any_work(run, tmp_path, capsys):
+    # the first pair is sound; the second's gt is one entry short
+    data = tmp_path / "data"
+    shutil.copytree(run.data, data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    (pair,) = manifest["pairs"]
+    gt = (data / pair["gt"]).read_text().splitlines()
+    (data / "gt_short.txt").write_text("".join(f"{i}\n" for i in gt[:-1]))
+    manifest["pairs"].append({**pair, "target": manifest["training"][0]["mesh"],
+                              "gt": "gt_short.txt"})
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    cache = _own_cache(run, tmp_path / "cache")
+    before = _snapshot(cache)
+    capsys.readouterr()
+    assert _eval(run, tmp_path / "eval", cache=cache, data=data) == 2
+    err = capsys.readouterr().err
+    assert "gt_short.txt" in err and f"{len(gt) - 1} labels" in err
+    assert not list((tmp_path / "eval").glob("cge_*.csv"))
+    assert _snapshot(cache) == before
+
+
 def test_train_on_a_manifest_without_training_shapes_exits_2_and_writes_nothing(
         run, tmp_path, capsys, monkeypatch):
     data = tmp_path / "data"

@@ -218,6 +218,7 @@ class TestOffParsing:
         ("OFF\n# no counts follow\n\n", 1, "missing counts line"),
         ("OFF\nthree 1 0\n", 2, "malformed counts line"),
         ("OFF\n3\n", 2, "needs vertex and face counts"),
+        ("OFF\n3 1_0 0\n" + TRIANGLE + "3 0 1 2\n", 2, "malformed counts line"),
         ("OFF\n-1 1 0\n0 0 0\n", 2, "negative counts"),
         ("OFF 3\n", 1, "needs vertex and face counts"),
         ("OFF\n3 1 0\n0 0 0\n1 0 0\n", 4, "expected 3 vertices, got 2"),
@@ -227,6 +228,10 @@ class TestOffParsing:
         ("OFF\n3 2 0\n" + TRIANGLE + "3 0 1 2\n", 6, "expected 2 faces, got 1"),
         ("OFF\n3 1 0\n" + TRIANGLE, 5, "expected 1 faces, got 0"),
         ("OFF\n3 1 0\n" + TRIANGLE + "3 0 x 2\n", 6, "malformed face index"),
+        ("OFF\n3 1 0\n" + TRIANGLE + "3 0 1 99999999999999999999\n", 6,
+         "malformed face index"),
+        ("OFF\n3 1 0\n0 0 0\n1_0 0 0\n0 1 0\n3 0 1 2\n", 4,
+         "malformed vertex line"),
         ("OFF\n3 1 0\n" + TRIANGLE + "3 0 1\n", 6, "needs 3 indices"),
         ("OFF\n3 1 0\n" + TRIANGLE + "x 0 1 2\n", 6, "malformed face line"),
         ("OFF\n3 1 0\n# c\n\n0 0 0\n1 0 0\n0 1 0\n\n# c\n3 0 1 x\n", 10,
@@ -240,7 +245,8 @@ class TestOffParsing:
         assert err.value.line == line
 
     def test_blocks_longer_than_one_chunk(self, tmp_path, ico3):
-        # 1280 faces span two conversion chunks of the reader
+        # 1280 faces, more than the writer's OFF_CHUNK rows per pass: the
+        # reader parses the whole block at once and still names a late line
         assert ico3.n_faces > mesh_module.OFF_CHUNK
         path = tmp_path / "ico3.off"
         write_off(ico3, path)
@@ -248,7 +254,7 @@ class TestOffParsing:
         assert np.array_equal(back.vertices, ico3.vertices)
         assert np.array_equal(back.faces, ico3.faces)
         lines = path.read_text().splitlines()
-        bad = 2 + ico3.n_vertices + 1100   # index of a face in chunk 2
+        bad = 2 + ico3.n_vertices + 1100   # index of a face past OFF_CHUNK
         lines[bad] = "3 0 1 oops"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="malformed face index") as err:
@@ -327,6 +333,7 @@ class TestObjParsing:
         ("v 0 0\n", ParseError, 1),
         (OBJ_TRIANGLE + "# c\nf 0 1 2\n", ParseError, 5),
         (OBJ_TRIANGLE + "f 1 x/1 3\n", ParseError, 4),
+        (OBJ_TRIANGLE + "f 1 2 99999999999999999999\n", ParseError, 4),
         ("", ParseError, 1),
         ("# only a comment\n\n", ParseError, 1),
     ])

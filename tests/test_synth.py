@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from wavemesh.errors import (
     ConfigInvalid,
     MagnitudeOutOfRange,
     ManifestInvalid,
+    ParseError,
     ResolutionTooSmall,
 )
 from wavemesh.synth import (
@@ -243,6 +246,27 @@ class TestDataset:
         bad.write_text(json.dumps({"template": {}}))
         with pytest.raises(ManifestInvalid):
             load_manifest(bad)
+
+    @pytest.mark.parametrize("text, line", [
+        ("0\nx\n2\n", 2),
+        ("0\n# c\n\n1 7\n", 4),
+        ("0\n1\n99999999999999999999\n", 3),
+    ], ids=["not-an-integer", "two-columns", "beyond-int64"])
+    def test_bad_index_line_names_file_and_line(self, tmp_path, text, line):
+        path = tmp_path / "gt_0.txt"
+        path.write_text(text)
+        where = f"^{re.escape(str(path))}:{line}: "
+        with pytest.raises(ParseError, match=where) as err:
+            read_indices(path)
+        assert err.value.line == line
+
+    def test_empty_index_file_reads_as_empty_vector(self, tmp_path):
+        path = tmp_path / "labels_0.txt"
+        path.write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = read_indices(path)
+        assert got.dtype == np.int64 and got.shape == (0,)
 
 
 def same_bits(a, b):
