@@ -17,18 +17,20 @@ its input gradient is the g that starts ``backward``.
 
 When the arrays are freed:
 - Each back holds only the arrays it reads. An activation that no back
-  reads (the output of a SELU feeding a standardization, say) is freed as
-  soon as the forward pass stops referencing it. A conv layer's tape
-  holds, per direction, the K x D projection ``wavelet_mix`` mixes from
-  (M K x D arrays in all, besides the J x N normalizers and J x K
-  responses per direction), then one N x D array each for its SELU (with
-  a boolean mask) and its standardization. The backs read the bank's
-  eigenvectors and mass as given, so in float32 every layer of one
-  forward shares the one copy per direction that ``network._head_input``
-  casts, and in float64 they share the bank's own arrays.
-- SELU and standardize form their values and gradients in place in the
-  arrays they return or hold, so a back may overwrite what it holds: each
-  back runs once.
+  reads (the output of a conv layer feeding the next ``wavelet_mix``,
+  say) is freed as soon as the forward pass stops referencing it. A conv
+  layer's tape holds, per direction, the K x D projection
+  ``wavelet_mix`` mixes from (M K x D arrays in all, besides the J x N
+  normalizers and J x K responses per direction), then one N x D array:
+  the input of its ``selu_standardize``, whose back forms SELU's output
+  and the standardized features again from it (gradient checkpointing,
+  Chen et al. 2016) and otherwise keeps two D-vectors. The backs read
+  the bank's eigenvectors and mass as given, so in float32 every layer
+  of one forward shares the one copy per direction that
+  ``network._head_input`` casts, and in float64 they share the bank's
+  own arrays.
+- SELU and ``selu_standardize`` form their values and gradients in
+  place in the arrays they make, without masked ufuncs.
 - ``backward`` pops each entry before running it, so the entry's arrays
   are freed before the next back runs, and the tape is empty afterwards.
   A tape is single-use; each differentiation records a new one.
@@ -75,43 +77,87 @@ def scale(x, s):
     return x * s, back
 
 
+def _selu_exp(x):
+    """exp(min(x, 0)) in a new array of x's shape and dtype."""
+    e = np.minimum(x, 0.0, out=np.empty_like(x))
+    return np.exp(e, out=e)
+
+
+def _selu_value(x, e, work, out):
+    """SELU of x, c (e - 1) + S max(x, 0) with c = S alpha, written into
+    `out` (which may be e) from e = exp(min(x, 0)); overwrites work."""
+    np.subtract(e, 1.0, out=out)
+    out *= SELU_SCALE * SELU_ALPHA
+    np.maximum(x, 0.0, out=work)
+    work *= SELU_SCALE
+    out += work
+    return out
+
+
+def _selu_derivative(x, e, work):
+    """SELU's derivative at x, c (e - pos) + S pos with pos = (x > 0) as
+    0 or 1, formed in place in e = exp(min(x, 0)); overwrites work."""
+    np.greater(x, 0.0, out=work)
+    e -= work
+    e *= SELU_SCALE * SELU_ALPHA
+    work *= SELU_SCALE
+    e += work
+    return e
+
+
 def selu(x):
-    """SELU, computed in place in the arrays it keeps: the exponential of
-    the negative part becomes the back's derivative, and each back runs
-    once (see ``backward``). A 0-d input gives a 0-d array."""
-    pos = x > 0
-    expx = np.minimum(x, 0.0, out=np.empty_like(x))
-    np.exp(expx, out=expx)
-    value = np.subtract(expx, 1.0, out=np.empty_like(x))
-    value *= SELU_SCALE * SELU_ALPHA
-    np.multiply(x, SELU_SCALE, out=value, where=pos)
+    """SELU without masked ufuncs: the value c (exp(min(x, 0)) - 1) +
+    S max(x, 0) and the derivative c (exp(min(x, 0)) - pos) + S pos, with
+    c = S alpha and pos = (x > 0), are bit for bit the np.where forms. The
+    back keeps only x and forms the exponential again when it runs. A 0-d
+    input gives a 0-d array."""
+    e = _selu_exp(x)
+    value = _selu_value(x, e, np.empty_like(x), out=e)
 
     def back(g):
-        deriv = np.multiply(expx, SELU_SCALE * SELU_ALPHA, out=expx)
-        np.copyto(deriv, SELU_SCALE, where=pos)
+        deriv = _selu_derivative(x, _selu_exp(x), np.empty_like(x))
         deriv *= g
         return deriv, ()
 
     return value, back
 
 
-def standardize(x, gamma, beta):
-    """Per-feature standardization over the vertex axis with affine."""
-    if x.ndim != 2 or x.shape[0] < 2:
+def selu_standardize(z, gamma, beta):
+    """Per-feature standardization over the vertex axis, with affine, of
+    selu(z), equal bit for bit to standardizing ``selu``'s output.
+
+    The back keeps only z and the per-feature mean and inverse std. When it
+    runs, it forms SELU's exponential, output and derivative and the
+    standardized xhat again, by the forward's operations in the forward's
+    order, then runs the standardization's back and SELU's. So its tape
+    entry holds one N x D array, where SELU and standardization kept apart
+    hold two. Its peak is four N x D arrays besides z and g.
+    """
+    if z.ndim != 2 or z.shape[0] < 2:
         raise SingleVertexShape(
-            f"standardization needs at least 2 vertices, got shape {x.shape}")
-    mean = x.mean(axis=0)
-    xhat = np.subtract(x, mean)                             # centered
-    value = np.square(xhat)
-    var = value.mean(axis=0)
+            f"standardization needs at least 2 vertices, got shape {z.shape}")
+    work = np.empty_like(z)
+    e = _selu_exp(z)
+    xhat = _selu_value(z, e, work, out=e)                   # selu(z)
+    mean = xhat.mean(axis=0)
+    xhat -= mean                                            # centered
+    np.square(xhat, out=work)
+    var = work.mean(axis=0)
     inv_std = 1.0 / np.sqrt(var + NORM_EPS)
     xhat *= inv_std
-    np.multiply(xhat, gamma, out=value)
+    value = np.multiply(xhat, gamma, out=work)
     value += beta
+    del e, xhat, work
 
     def back(g):
+        work = np.empty_like(z)
+        e = _selu_exp(z)
+        xhat = _selu_value(z, e, work, out=np.empty_like(z))
+        xhat -= mean
+        xhat *= inv_std
+        deriv = _selu_derivative(z, e, work)
         dx = np.multiply(g, gamma)                          # g * gamma
-        work = np.multiply(dx, xhat)
+        np.multiply(dx, xhat, out=work)
         dx_xhat = work.mean(axis=0)
         np.multiply(g, xhat, out=work)
         grads = (work.sum(axis=0), g.sum(axis=0))
@@ -119,7 +165,8 @@ def standardize(x, gamma, beta):
         np.multiply(xhat, dx_xhat, out=work)
         dx -= work
         dx *= inv_std
-        return dx, grads
+        deriv *= dx
+        return deriv, grads
 
     return value, back
 

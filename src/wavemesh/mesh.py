@@ -17,8 +17,10 @@ without per-value Python steps: `_read_block` parses each block of
 lines with one `np.loadtxt` call, and only if that fails do per-line
 checks, which parse tokens the same way, raise the first bad line's error
 with its file and line number. So `1_0` or an integer beyond int64 is a
-ParseError. The OFF writer formats values from `.tolist()` and streams
-the lines to the file.
+ParseError. A face index that names no vertex raises there too, with the
+first such face line; OBJ's relative indices (-k, the k-th most recent
+vertex) are resolved for all faces at once. The OFF writer formats values
+from `.tolist()` and streams the lines to the file.
 """
 
 import hashlib
@@ -342,8 +344,8 @@ def _check_obj_line(tok, path, lineno):
             k = _parse_rows([ref.split("/", 1)[0]], np.int64)
             if k is None:
                 raise ParseError("malformed face index", path, lineno)
-            if k[0, 0] < 1:
-                raise ParseError("face indices must be positive", path, lineno)
+            if k[0, 0] == 0:
+                raise ParseError("face index 0 names no vertex", path, lineno)
 
 
 def _check_index_line(tok, path, lineno):
@@ -391,26 +393,52 @@ def _read_off(path):
         if got < n:
             raise ParseError(f"expected {n} {what}, got {got}", path,
                              sig[-1] + 1)
-    return vertices, table[:, 1:]
+    faces = table[:, 1:]
+    _check_range(path, faces, nv, sig[start + nv:])
+    return vertices, faces
+
+
+def _check_range(path, faces, n, face_at, given=None):
+    """Raise ParseError naming the first face line, numbered face_at[row]
+    from 0, whose row of 0-based `faces` holds an index outside [0, n).
+    `given` holds OBJ's indices as written, 1-based or, if negative,
+    relative to the latest vertex; the error quotes those."""
+    bad = (faces < 0) | (faces >= n)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        k = (faces if given is None else given)[row, col]
+        what = ("reaches before the first vertex"
+                if given is not None and k < 0
+                else f"out of range for {n} vertices")
+        raise ParseError(f"face index {k} {what}", path, face_at[row] + 1)
 
 
 def _read_obj(path):
     """Vertex and face arrays of an OBJ file: its `v` and `f` lines, each
     kind read by one `_read_block` after the keyword, with the /vt/vn tails
     of face references cut. Either's checks walk every line, so the file's
-    first bad line raises; other directives (vn, usemtl, ...) are ignored."""
+    first bad line raises; other directives (vn, usemtl, ...) are ignored.
+    A face index k >= 1 names the k-th vertex of the file, and -k the k-th
+    most recent vertex before its face line; then the first face line
+    whose index names no vertex raises."""
     lines, sig = _read_lines(path)
     split = [lines[i].split(None, 1) for i in sig]
+    v_at = [i for i, s in zip(sig, split) if s[0] == "v"]
+    f_at = [i for i, s in zip(sig, split) if s[0] == "f"]
     v = [s[-1] for s in split if s[0] == "v"]
     f = [re.sub(r"(?<=\S)/\S*", "", s[-1]) for s in split if s[0] == "f"]
     vertices = _read_block(path, lines, sig, _check_obj_line, np.float64,
                            (0, 1, 2), rows=v)
-    faces = _read_block(
+    given = _read_block(
         path, lines, sig, _check_obj_line, np.int64, rows=f,
-        valid=lambda t: t.shape[1] in (0, 3) and (t >= 1).all())
+        valid=lambda t: t.shape[1] in (0, 3) and (t != 0).all())
     if not len(vertices):
         raise ParseError("no vertices found", path, 1)
-    return vertices, faces - 1
+    # the number of v lines before each face line resolves its -k
+    before = np.searchsorted(v_at, f_at)[:, None]
+    faces = np.where(given < 0, given + before, given - 1)
+    _check_range(path, faces, len(vertices), f_at, given)
+    return vertices, faces
 
 
 def read_indices(path):

@@ -9,9 +9,13 @@ the per-vertex matching descriptor. A classifier head over the template
 vertices trains it; an optional perturbation stage - a learnable
 per-feature scale, SELU and a per-shape standardization with learnable
 affine - sits between the last conv layer and the head, so it shapes
-training only and never runs on a described mesh. Every op before the
-head commutes with a renumbering of the vertices, so renumbering a
-training shape together with its labels leaves training unchanged.
+training only and never runs on a described mesh. Each SELU followed by
+a standardization, in a conv layer or in the perturbation stage, is one
+op (``autodiff.selu_standardize``) whose back keeps only its input, so
+a conv layer's tape holds its M K x D projections and one N x D array.
+Every op before the head commutes with a renumbering of the vertices, so
+renumbering a training shape together with its labels leaves training
+unchanged.
 Training fuses the head with its softmax cross entropy
 (``autodiff.linear_softmax_cross_entropy``), so the N x C logits are
 never materialized, and differentiates the chain of ops before the head
@@ -139,14 +143,12 @@ def _head_input(model, coords, bank, perturb, tape=None):
                   for m in range(cfg.directions)]
         x = run(sum(thetas, []), ad.wavelet_mix, x,
                 [[p[n] for n in row] for row in thetas], bank)
-        x = run((), ad.selu, x)
         names = (f"conv{layer}.gamma", f"conv{layer}.beta")
-        x = run(names, ad.standardize, x, *[p[n] for n in names])
+        x = run(names, ad.selu_standardize, x, *[p[n] for n in names])
     if perturb:
         x = run(("perturb.scale",), ad.scale, x, p["perturb.scale"])
-        x = run((), ad.selu, x)
         names = ("perturb.gamma", "perturb.beta")
-        x = run(names, ad.standardize, x, *[p[n] for n in names])
+        x = run(names, ad.selu_standardize, x, *[p[n] for n in names])
     return x
 
 

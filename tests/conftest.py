@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import wavemesh as wm
+from wavemesh.autodiff import NORM_EPS
 from wavemesh.curvature import estimate_frames
+from wavemesh.errors import SingleVertexShape
 from wavemesh.mesh import TriMesh
 from wavemesh.operators import assemble_albo
 from wavemesh.spectrum import solve_eigs
@@ -32,6 +34,37 @@ def traced_held(fn):
     finally:
         tracemalloc.stop()
     return held, result
+
+
+def standardize(x, gamma, beta):
+    """Per-feature standardization over the vertex axis with affine, as
+    its own op: the unfused oracle of ``autodiff.selu_standardize``, which
+    applied to ``autodiff.selu``'s output it equals bit for bit."""
+    if x.ndim != 2 or x.shape[0] < 2:
+        raise SingleVertexShape(
+            f"standardization needs at least 2 vertices, got shape {x.shape}")
+    mean = x.mean(axis=0)
+    xhat = np.subtract(x, mean)                             # centered
+    value = np.square(xhat)
+    var = value.mean(axis=0)
+    inv_std = 1.0 / np.sqrt(var + NORM_EPS)
+    xhat *= inv_std
+    np.multiply(xhat, gamma, out=value)
+    value += beta
+
+    def back(g):
+        dx = np.multiply(g, gamma)                          # g * gamma
+        work = np.multiply(dx, xhat)
+        dx_xhat = work.mean(axis=0)
+        np.multiply(g, xhat, out=work)
+        grads = (work.sum(axis=0), g.sum(axis=0))
+        dx -= dx.mean(axis=0)
+        np.multiply(xhat, dx_xhat, out=work)
+        dx -= work
+        dx *= inv_std
+        return dx, grads
+
+    return value, back
 
 
 def grid_mesh(nx, ny, lx=1.0, ly=1.0):

@@ -176,7 +176,7 @@ def read_obj(path):
                     yield lineno, line
 
     vertices = []
-    faces = []
+    faces = []   # (line, vertices before it, given indices)
     for lineno, line in significant_lines():
         tok = line.split()
         if tok[0] == "v":
@@ -197,15 +197,31 @@ def read_obj(path):
                     k = int(r.split("/", 1)[0])
                 except ValueError:
                     raise ParseError("malformed face index", path, lineno) from None
-                if k >= 2**63:   # an index int64 cannot hold
+                if not -2**63 <= k < 2**63:   # an index int64 cannot hold
                     raise ParseError("malformed face index", path, lineno)
-                if k < 1:
-                    raise ParseError("face indices must be positive", path, lineno)
-                idx.append(k - 1)
-            faces.append(idx)
+                if k == 0:
+                    raise ParseError("face index 0 names no vertex", path, lineno)
+                idx.append(k)
+            faces.append((lineno, len(vertices), idx))
     if not vertices:
         raise ParseError("no vertices found", path, 1)
-    return TriMesh(np.asarray(vertices), np.asarray(faces, dtype=np.int64))
+    resolved = []
+    for lineno, before, idx in faces:
+        row = []
+        for k in idx:
+            # -k names the k-th most recent vertex before the face line
+            i = before + k if k < 0 else k - 1
+            if i < 0:
+                raise ParseError(
+                    f"face index {k} reaches before the first vertex",
+                    path, lineno)
+            if i >= len(vertices):
+                raise ParseError(
+                    f"face index {k} out of range for {len(vertices)} "
+                    "vertices", path, lineno)
+            row.append(i)
+        resolved.append(row)
+    return TriMesh(np.asarray(vertices), np.asarray(resolved, dtype=np.int64))
 
 
 def write_indices(indices, path):

@@ -8,7 +8,8 @@ from wavemesh import network as nw
 from wavemesh.errors import SingleVertexShape
 from wavemesh.wavelets import dense_filter_matrix, passbands
 
-from .conftest import build_bank_for, jittered_grid, traced_held, traced_peak
+from .conftest import (build_bank_for, jittered_grid, standardize,
+                       traced_held, traced_peak)
 
 
 def finite_difference(fn, arrays, h=1e-4):
@@ -69,15 +70,26 @@ class TestPrimitives:
         check_op(ad.selu, x, [])
 
     def test_standardize(self):
+        # the unfused oracle of selu_standardize
         rng = np.random.default_rng(3)
         x = rng.standard_normal((7, 4))
         gamma = rng.standard_normal(4) + 1.5
         beta = rng.standard_normal(4)
-        check_op(ad.standardize, x, [gamma, beta], rtol=1e-5, atol=1e-8)
+        check_op(standardize, x, [gamma, beta], rtol=1e-5, atol=1e-8)
+
+    def test_selu_standardize(self):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((7, 4)) * 2
+        # finite differences must not step across the SELU kink
+        assert np.abs(x).min() > 1e-3  # ten finite-difference steps
+        gamma = rng.standard_normal(4) + 1.5
+        beta = rng.standard_normal(4)
+        check_op(ad.selu_standardize, x, [gamma, beta], rtol=1e-5, atol=1e-8)
 
     def test_standardize_single_vertex_rejected(self):
-        with pytest.raises(SingleVertexShape):
-            ad.standardize(np.ones((1, 3)), np.ones(3), np.zeros(3))
+        for op in (standardize, ad.selu_standardize):
+            with pytest.raises(SingleVertexShape):
+                op(np.ones((1, 3)), np.ones(3), np.zeros(3))
 
     def test_softmax_cross_entropy_gradient_formula(self):
         rng = np.random.default_rng(5)
@@ -145,7 +157,8 @@ class TestTapeLifetime:
 
     def test_descriptors_records_nothing(self, bank_2x2, monkeypatch):
         backs = []
-        for name in ("affine", "scale", "selu", "standardize", "wavelet_mix"):
+        for name in ("affine", "scale", "selu", "selu_standardize",
+                     "wavelet_mix"):
             def spy(*args, op=getattr(ad, name)):
                 value, back = op(*args)
                 backs.append(weakref.ref(back))
@@ -166,26 +179,100 @@ class TestTapeLifetime:
         assert [names for _, names in tape if names][-1] == (
             "perturb.gamma", "perturb.beta")
 
-    def test_activation_no_vjp_reads_is_freed(self):
-        x, _, gamma = self._problem(32)
-        gamma = gamma[:3] + 1.5
-        beta = np.zeros(3)
-        s, back_s = ad.selu(x)
-        alive = weakref.ref(s)
-        y, back_y = ad.standardize(s, gamma, beta)
-        del s
-        # the standardization's back reads its own xhat, not its input
+    def test_activation_no_vjp_reads_is_freed(self, bank_2x2):
+        # a conv layer's output, selu_standardize(z), feeds the next
+        # wavelet_mix, whose back reads its projections, not its input;
+        # the fused op's own back reads z, not its output
+        n = bank_2x2.n_vertices
+        rng = np.random.default_rng(32)
+        z = rng.standard_normal((n, 3))
+        gamma = rng.standard_normal(3) + 1.5
+        beta = rng.standard_normal(3)
+        thetas = [[rng.standard_normal((3, 2)) for _ in range(2)]
+                  for _ in range(2)]
+        y, back_y = ad.selu_standardize(z, gamma, beta)
+        alive = weakref.ref(y)
+        out, back_w = ad.wavelet_mix(y, thetas, bank_2x2)
+        del y
         assert alive() is None
-        gy, (ggamma, gbeta) = back_y(2 * y)
-        gx, _ = back_s(gy)
+        gy, _ = back_w(2 * out)
+        gz, (ggamma, gbeta) = back_y(gy)
 
         def loss():
-            out = ad.standardize(ad.selu(x)[0], gamma, beta)[0]
-            return float((out**2).sum())
+            y = ad.selu_standardize(z, gamma, beta)[0]
+            return float((ad.wavelet_mix(y, thetas, bank_2x2)[0] ** 2).sum())
 
-        for got, want in zip((gx, ggamma, gbeta),
-                             finite_difference(loss, [x, gamma, beta])):
+        for got, want in zip((gz, ggamma, gbeta),
+                             finite_difference(loss, [z, gamma, beta])):
             assert np.allclose(got, want, rtol=1e-5, atol=1e-8)
+
+
+def where_selu(x, g):
+    """SELU's value and g times its derivative by np.where: the masked
+    form that ``selu`` replaced."""
+    a, b = ad.SELU_SCALE, ad.SELU_SCALE * ad.SELU_ALPHA
+    e = np.exp(np.minimum(x, 0.0))
+    return (np.where(x > 0, a * x, b * (e - 1.0)),
+            g * np.where(x > 0, a, b * e))
+
+
+def same_bits(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+class TestSeluStandardize:
+    """The fused op against the unfused oracle, standardize(selu(z))."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_the_unfused_ops_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(40)
+        n, d = 40, 7
+        z = (rng.standard_normal((n, d)) * 3).astype(dtype)
+        info = np.finfo(dtype)
+        small = -info.eps / 8                         # exp rounds to 1
+        subnormal = np.log(info.tiny) - 2             # exp is subnormal
+        under = np.log(info.smallest_subnormal) - 2   # exp underflows to 0
+        special = np.array([0.0, -0.0, small, small / 1e3, subnormal,
+                            under, 2 * under], dtype)
+        assert np.exp(special[2:4]).tolist() == [1.0, 1.0]
+        assert 0 < np.exp(special[4]) < info.tiny
+        assert np.exp(special[5:]).tolist() == [0.0, 0.0]
+        # the special values mixed into a column, filling a column, and
+        # a column that SELU maps to a constant
+        z[::5, 0] = np.resize(special, len(z[::5]))
+        z[:, 1] = np.resize(special, n)
+        z[:, 2] = under
+        gamma = (rng.standard_normal(d) + 1.5).astype(dtype)
+        beta = rng.standard_normal(d).astype(dtype)
+        g = rng.standard_normal((n, d)).astype(dtype)
+
+        value, back = ad.selu_standardize(z, gamma, beta)
+        dz, (dgamma, dbeta) = back(g)
+        s, back_s = ad.selu(z)
+        want, back_std = standardize(s, gamma, beta)
+        gs, (want_dgamma, want_dbeta) = back_std(g)
+        want_dz, _ = back_s(gs)
+        where_s, where_dz = where_selu(z, gs)
+        assert same_bits(s, where_s) and same_bits(want_dz, where_dz)
+        for got, ref in ((value, want), (dz, want_dz), (dgamma, want_dgamma),
+                         (dbeta, want_dbeta)):
+            assert same_bits(got, ref)
+
+    def test_back_holds_its_input_and_two_feature_vectors(self):
+        # the back keeps z, which the caller made, and the D-vectors mean
+        # and inverse std; keeping xhat as the unfused standardization
+        # does would hold N x D more (204.8 kB here against 1 kB)
+        n, d = 400, 64
+        rng = np.random.default_rng(41)
+        z = rng.standard_normal((n, d))
+        gamma = rng.standard_normal(d) + 1.5
+        beta = rng.standard_normal(d)
+        held, (out, back) = traced_held(
+            lambda: ad.selu_standardize(z, gamma, beta))
+        assert held - out.nbytes < 2 * d * 8 + 8192  # + the closure's objects
+        kept = [c.cell_contents for c in back.__closure__]
+        assert [a for a in kept if np.ndim(a) == 2] == [z]
 
 
 class TestWaveletMix:

@@ -238,6 +238,12 @@ class TestOffParsing:
          "malformed face index"),
         ("OFF\n3 1 0\n0 0 0\n# c\n1 e 0\n0 1 0\n3 0 1 2\n", 5,
          "malformed vertex line"),
+        ("OFF\n3 1 0\n" + TRIANGLE + "3 0 1 5\n", 6,
+         "face index 5 out of range for 3 vertices"),
+        ("OFF\n3 1 0\n" + TRIANGLE + "3 0 1 3\n", 6,
+         "face index 3 out of range for 3 vertices"),
+        ("OFF\n4 2 0\n" + TRIANGLE + "0 0 1\n3 0 1 2\n# c\n\n3 -1 2 1\n",
+         10, "face index -1 out of range for 4 vertices"),
     ])
     def test_error_names_its_line(self, tmp_path, text, line, match):
         with pytest.raises(ParseError, match=match) as err:
@@ -336,6 +342,13 @@ class TestObjParsing:
         (OBJ_TRIANGLE + "f 1 2 99999999999999999999\n", ParseError, 4),
         ("", ParseError, 1),
         ("# only a comment\n\n", ParseError, 1),
+        (OBJ_TRIANGLE + "f -3 -2 -1\n", None, None),
+        (OBJ_TRIANGLE + "f 1 2 -1\nv 1 1 0\nf -1 -2 -3\n", None, None),
+        (OBJ_TRIANGLE + "f 1 2 -4\n", ParseError, 4),
+        ("v 0 0 0\nv 1 0 0\nf -3 -2 -1\nv 0 1 0\n", ParseError, 3),
+        (OBJ_TRIANGLE + "f 1 2 3\n# c\nf 1 2 4\n", ParseError, 6),
+        (OBJ_TRIANGLE + "f 1 2 -4\nf 1 2 x\n", ParseError, 5),
+        (OBJ_TRIANGLE + "f 1 2 -99999999999999999999\n", ParseError, 4),
     ])
     def test_matches_the_line_by_line_reader(self, tmp_path, text, error, line):
         path = tmp_path / "mesh.obj"
@@ -346,6 +359,15 @@ class TestObjParsing:
             assert len(got) == 2
         else:
             assert got[0] is error and got[2] == line
+
+    def test_relative_indices_name_the_same_faces(self, tmp_path):
+        # -k names the k-th most recent vertex before the face line
+        text = ("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\n"
+                "f -4 -2 -3\nf -4 -3 -1\nf -4 -1 -2\nf -3 -2 -1\n")
+        got = load_mesh(write(tmp_path, "rel.obj", text))
+        want = load_mesh(write(tmp_path, "tet.obj", OBJ_TETRA))
+        assert np.array_equal(got.vertices, want.vertices)
+        assert np.array_equal(got.faces, want.faces)
 
 
 class TestVectorizedEdgesAndWriter:
