@@ -28,13 +28,15 @@ cache problems.
 
 Cache layout: the cache directory holds one SPEC1 file per mesh and
 direction, one FBK1 filter bank per mesh and kernel, and one GEO1 file of
-ground-truth geodesic rows per evaluated target mesh and ground truth. All
-three go through one get-or-build path, `_cached`: a key is a digest of
+ground-truth geodesic rows per evaluated target mesh and ground truth.
+Every command gets or builds each file it needs, so `spectrum` is an
+optional precompute. All three go through one get-or-build path,
+`_cached`: a key is a digest of
 everything the file was computed from, the file is named
 `{mesh stem}.{key[:16]}.{spec,fbk,geo}`, and its metadata is {"key": key},
 checked again on read. A SPEC1 file also stores, under "provenance", how
 its spectrum was solved (`Spectrum.provenance`: solver, ncv, largest
-residual, orthonormality error), so a hit reports it as a miss does; a file
+residual, orthonormality error), so `spectrum` reports it for a hit; a file
 written without it still hits. The keys cover, for a spectrum, the
 mesh content, alpha, theta (m*pi/M as a Python float), the clamped k and a
 constant 0.0, where earlier versions put their curvature radius, so that
@@ -74,7 +76,6 @@ from .errors import (
     ConfigInvalid,
     CorruptCache,
     ManifestInvalid,
-    MissingCache,
     NumericalError,
     ValidationError,
 )
@@ -300,19 +301,22 @@ def _cached(kind, parts, cache_dir, mesh_path, build, block_rows=None):
     return arrays, meta, path, hit
 
 
-def load_spectra(mesh, cfg, cache_dir, mesh_path, solve=False):
-    """Per-direction spectra from the SPEC1 cache. A miss is solved and
-    written when `solve` is set, and raises MissingCache otherwise."""
+def _listed(provenance):
+    """The ", name value" of each provenance entry, sorted by name."""
+    return "".join(f", {name} {value:.3g}" if isinstance(value, float)
+                   else f", {name} {value}"
+                   for name, value in sorted(provenance.items()))
+
+
+def load_spectra(mesh, cfg, cache_dir, mesh_path):
+    """Per-direction spectra from the SPEC1 cache. A miss is solved, written
+    and reported in one line; a hit is silent."""
     k = clamp_k(cfg.k, mesh.n_vertices)
     mesh_hash = mesh.content_hash()
     frames = []  # estimated at the first miss, shared by every direction
     spectra = []
     for m, theta in enumerate(direction_angles(cfg.directions)):
         def build():
-            if not solve:
-                raise MissingCache(
-                    f"no cached spectrum for direction {m} of {mesh_path}; "
-                    f"run the spectrum command first")
             if not frames:
                 frames.append(estimate_frames(mesh))
             spec = solve_eigs(assemble_albo(mesh, frames[0], cfg.alpha, theta),
@@ -327,11 +331,8 @@ def load_spectra(mesh, cfg, cache_dir, mesh_path, solve=False):
             "SPEC1", (mesh_hash, float(cfg.alpha), theta, k, 0.0),
             cache_dir, mesh_path, build)
         solved = meta.get("provenance", {})  # absent from older files
-        if solve:
-            print(f"direction {m}: {'cached' if hit else 'computed'} ({path})"
-                  + "".join(f", {name} {value:.3g}" if isinstance(value, float)
-                            else f", {name} {value}"
-                            for name, value in sorted(solved.items())))
+        if not hit:
+            print(f"direction {m}: computed ({path}){_listed(solved)}")
         spectra.append(Spectrum(
             eigenvalues=arrays["eigenvalues"],
             eigenvectors=arrays["eigenvectors"], mass=arrays["mass"],
@@ -443,12 +444,11 @@ def run_training(cfg, manifest_path):
     history).
 
     At most one training shape's spectra and filter bank are in memory at
-    a time. One pass checks every shape's labels and reads its spectra to
+    a time. One pass checks every shape's labels and gets its spectra to
     pin cfg.kernel_lambda_max (when unset). Each step then reads its
     shape's bank through `load_spectra` and `build_bank`, which builds and
     caches it on an FBK1 miss at the shape's first step, and drops it when
-    the step ends. So the SPEC1 files must stay in the cache for the whole
-    run: one removed mid-run raises MissingCache at its shape's next step.
+    the step ends; a SPEC1 file removed mid-run is solved again there.
     A manifest without training shapes raises ManifestInvalid before any
     mesh or spectrum is read."""
     manifest = synth.load_manifest(manifest_path)
@@ -580,7 +580,8 @@ def cmd_spectrum(args):
     cfg = _config_from_args(args, need_mesh=True)
     mesh = load_mesh(cfg.mesh)
     cfg.echo(cfg.out)
-    load_spectra(mesh, cfg, cfg.cache_dir(), cfg.mesh, solve=True)
+    for m, s in enumerate(load_spectra(mesh, cfg, cfg.cache_dir(), cfg.mesh)):
+        print(f"direction {m}: cached{_listed(s.provenance)}")
     return EXIT_OK
 
 
@@ -716,7 +717,7 @@ _FLAGS = {
 }
 
 _COMMANDS = {
-    "spectrum": (cmd_spectrum, "precompute per-direction eigenpairs",
+    "spectrum": (cmd_spectrum, "precompute per-direction eigenpairs (optional)",
                  "config mesh k alpha directions cache out"),
     "frames": (cmd_frames, "principal curvature frames CSV", "mesh out"),
     "gen-data": (cmd_gen_data, "generate a synthetic dataset", "config out"),

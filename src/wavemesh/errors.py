@@ -3,9 +3,9 @@
 Every class derives from one of three families, which set the CLI exit
 codes: ValidationError (bad input data, meshes included, or configuration,
 exit 2), NumericalError (a solver or the training loop failed, exit 3) and
-CacheError (missing or corrupt cache files, exit 4). The CLI also exits 2
+CacheError (a corrupt cache file or checkpoint, exit 4). The CLI also exits 2
 on ValueError (used for simple scalar-argument violations) and IndexError,
-and 4 on OSError.
+and 4 on OSError, as on an unwritable cache. A missing cache file is built.
 """
 
 
@@ -18,7 +18,7 @@ class NumericalError(Exception):
 
 
 class CacheError(Exception):
-    """A cache or container file is missing or unreadable."""
+    """A cache or container file is unreadable."""
 
 
 # --- mesh ---------------------------------------------------------------
@@ -127,10 +127,6 @@ class ManifestInvalid(ValidationError):
 
 
 # --- cli / caching -------------------------------------------------------------
-
-class MissingCache(CacheError):
-    pass
-
 
 class CorruptCache(CacheError):
     pass

@@ -293,21 +293,21 @@ class DatasetConfig:
 
 def make_dataset(config, out_dir):
     """Generate meshes, identity labels and held-out pairs; write a
-    manifest describing them all. Returns the manifest dict."""
+    manifest describing them all. Returns the manifest dict. Every mesh is
+    built before the output directory is made, so a config that fails
+    while building (a magnitude out of range, a resolution too small)
+    writes nothing."""
     config.validate()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     template = gen_base(config.base, config.resolution)
-    write_off(template, out / "template.off")
     labels = np.arange(template.n_vertices)
-    _write_indices(labels, out / "labels_template.txt")
+    meshes = {"template.off": template}
+    label_files = ["labels_template.txt"]  # each holds `labels`
 
     deformed = []
     for i, (mode, mag) in enumerate(config.deformations):
         m = deform(template, mode, float(mag))
-        write_off(m, out / f"deform_{i}.off")
-        _write_indices(labels, out / f"labels_{i}.txt")
+        meshes[f"deform_{i}.off"] = m
+        label_files.append(f"labels_{i}.txt")
         deformed.append(m)
 
     rng = np.random.default_rng(config.split_seed)
@@ -321,13 +321,12 @@ def make_dataset(config, out_dir):
     pairs = []
     for i in test_idx:
         gt_file = f"gt_{i}.txt"
-        _write_indices(labels, out / gt_file)
+        label_files.append(gt_file)
         pairs.append({"source": "template.off", "target": f"deform_{i}.off",
                       "gt": gt_file, "kind": "deformed",
                       "distortion": isometry_distortion(template, deformed[i])})
         if config.remesh_holdout:
-            refined, _ = remesh(deformed[i])
-            write_off(refined, out / f"deform_{i}_remesh.off")
+            meshes[f"deform_{i}_remesh.off"] = remesh(deformed[i])[0]
             pairs.append({"source": "template.off",
                           "target": f"deform_{i}_remesh.off",
                           "gt": gt_file, "kind": "remeshed"})
@@ -339,6 +338,12 @@ def make_dataset(config, out_dir):
         "config": asdict(config) | {
             "deformations": [list(d) for d in config.deformations]},
     }
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, mesh in meshes.items():
+        write_off(mesh, out / name)
+    for name in label_files:
+        _write_indices(labels, out / name)
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     return manifest

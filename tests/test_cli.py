@@ -491,7 +491,7 @@ def test_corrupt_spectrum_file_is_regenerated_with_a_warning(run, tmp_path,
     captured = capsys.readouterr()
     assert "warning" in captured.err and str(files[0]) in captured.err
     assert captured.out.count(": computed") == 1
-    assert captured.out.count(": cached") == 3
+    assert captured.out.count(": cached") == 4
     assert sorted(cache.glob("*.spec")) == files
     read_container(files[0], "SPEC1")
 
@@ -515,9 +515,36 @@ def test_spectrum_file_whose_metadata_is_not_an_object_is_regenerated(
     assert [read_container(f, "SPEC1")[1] for f in files] == metas
 
 
-def test_train_before_spectrum_exits_4(run, tmp_path):
-    assert _train(run.data, tmp_path / "empty", tmp_path / "train",
-                  run.model) == 4
+def test_train_and_eval_on_an_empty_cache_match_the_precomputed_run(
+        run, tmp_path):
+    # spectrum is an optional precompute: train and eval solve and cache
+    # each spectrum they miss, and write what the run fixture's train, fed
+    # by spectrum, and an eval on its cache write
+    cache = tmp_path / "cache"
+    directions = cli.ExperimentConfig().directions
+    training = json.loads((run.data / "manifest.json").read_text())["training"]
+    train_out = tmp_path / "train"
+    assert _train(run.data, cache, train_out, run.model) == 0
+    assert len(list(cache.glob("*.spec"))) == directions * len(training)
+    assert _eval(run, tmp_path / "eval", cache=cache,
+                 checkpoint=train_out / "checkpoint.ckpt") == 0
+    assert len(list(cache.glob("*.spec"))) == directions * len(
+        _meshes(run.data))
+    assert _eval(run, tmp_path / "precomputed") == 0
+    assert ((train_out / "history.csv").read_bytes()
+            == (run.train_out / "history.csv").read_bytes())
+    assert ((tmp_path / "eval" / "pairs.csv").read_bytes()
+            == (tmp_path / "precomputed" / "pairs.csv").read_bytes())
+
+
+def test_train_on_a_cache_path_that_is_a_file_exits_4_and_writes_nothing(
+        run, tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.write_text("not a directory")
+    assert _train(run.data, cache, tmp_path / "train", run.model) == 4
+    assert "i/o failure" in capsys.readouterr().err
+    assert not (tmp_path / "train").exists()
+    assert cache.read_text() == "not a directory"
 
 
 def test_all_zero_wavelet_columns_exit_3(run, tmp_path):
@@ -653,6 +680,22 @@ def test_wrongly_typed_dataset_config_exits_2(tmp_path, config):
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("config", [
+    {"base": "bar", "resolution": 2, "deformations": [["bend", 3.0],
+                                                      ["twist", 0.3]]},
+    {"base": "bar", "resolution": 0, "deformations": [["bend", 0.6],
+                                                      ["twist", 0.3]]},
+], ids=["bend-out-of-range", "resolution-0"])
+def test_dataset_config_rejected_while_building_exits_2_and_writes_nothing(
+        tmp_path, config):
+    # the template passes validation and fails only when it or a pose is
+    # built, which happens before the output directory is made
+    path = _json(tmp_path / "dataset.json", config)
+    assert cli.main(["gen-data", "--config", path,
+                     "--out", str(tmp_path / "data")]) == 2
+    assert not (tmp_path / "data").exists()
+
+
 @pytest.mark.parametrize("count", [-1, 99])
 def test_remesh_training_out_of_range_exits_2(tmp_path, capsys, count):
     # remeshed training copies were retired: a dataset config that still
@@ -697,7 +740,7 @@ def test_cache_file_names_of_a_fixed_mesh_are_pinned(tmp_path):
     # kernel is pinned so that no eigenvalue enters the bank's key
     cfg = cli.ExperimentConfig(k=10, scales=2, kernel_lambda_max=1.0)
     spectra = cli.load_spectra(synth.gen_base("bar", 1), cfg, tmp_path,
-                               "bar1.off", solve=True)
+                               "bar1.off")
     cli.build_bank(spectra, cfg, tmp_path, "bar1.off")
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "bar1.2e0a6400d6dc868f.spec", "bar1.568b15e6d16748a6.spec",
@@ -705,26 +748,45 @@ def test_cache_file_names_of_a_fixed_mesh_are_pinned(tmp_path):
         "bar1.f464d8ed3ce61ad9.spec"]
 
 
-def test_cached_spectrum_reports_how_it_was_solved(run, tmp_path, capsys):
+def test_cached_spectrum_reports_how_it_was_solved(run, tmp_path, capsys,
+                                                   monkeypatch):
     # the SPEC1 metadata stores the solve's provenance next to the key, so
-    # a hit reports what the miss did; a file without it (written by an
-    # earlier version) still hits, with the key alone
+    # the spectrum command reports for a hit what the miss did; a file
+    # without it (written by an earlier version) still hits, with the key
+    # alone
     mesh_path = run.data / "template.off"
     mesh = load_mesh(mesh_path)
     cfg = cli.ExperimentConfig(k=int(K))
     cache = tmp_path / "cache"
-    solved = cli.load_spectra(mesh, cfg, cache, mesh_path, solve=True)
-    missed = capsys.readouterr().out
-    cached = cli.load_spectra(mesh, cfg, cache, mesh_path, solve=True)
-    hit = capsys.readouterr().out
+    solved = cli.load_spectra(mesh, cfg, cache, mesh_path)
+    missed = capsys.readouterr().out.splitlines()
+    cached = cli.load_spectra(mesh, cfg, cache, mesh_path)
+    assert capsys.readouterr().out == ""  # a hit is silent
     assert [s.provenance for s in cached] == [s.provenance for s in solved]
     assert all({"solver", "max_residual", "ortho_error", "key"}
                <= set(s.provenance) for s in solved)
-    assert hit.replace(": cached", ": computed") == missed
+    assert _spectrum(mesh_path, cache, tmp_path / "s") == 0
+    reported = capsys.readouterr().out.splitlines()
+    assert len(missed) == len(reported) == len(solved)
+    for m, (miss, report, s) in enumerate(zip(missed, reported, solved)):
+        key = s.provenance["key"]
+        (path,) = cache.glob(f"*.{key[:16]}.spec")
+        head = f"direction {m}: computed ({path})"
+        assert miss.startswith(head)
+        assert report == f"direction {m}: cached, key {key}{miss[len(head):]}"
     for spec in cache.glob("*.spec"):
         arrays, meta = read_container(spec, "SPEC1")
         write_container(spec, "SPEC1", arrays, meta={"key": meta["key"]})
-    older = cli.load_spectra(mesh, cfg, cache, mesh_path)  # a miss raises
+    solves = []
+    solve_eigs = cli.solve_eigs
+
+    def counted(*args):
+        solves.append(args)
+        return solve_eigs(*args)
+
+    monkeypatch.setattr(cli, "solve_eigs", counted)
+    older = cli.load_spectra(mesh, cfg, cache, mesh_path)
+    assert solves == [] and capsys.readouterr().out == ""
     assert [s.provenance for s in older] == [
         {"key": s.provenance["key"]} for s in solved]
 

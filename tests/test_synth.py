@@ -348,3 +348,39 @@ class TestVectorizedGenerators:
             ref.write_indices(labels, tmp_path / "want.txt")
             assert ((tmp_path / "new" / entry["labels"]).read_bytes()
                     == (tmp_path / "want.txt").read_bytes())
+
+
+def _rotated_faces(faces):
+    """The faces with each rotated to begin at its smallest index, in
+    lexicographic order: equal for two face lists that hold the same
+    triangles with the same orientation, in any order."""
+    turn = (faces.argmin(axis=1)[:, None] + np.arange(3)) % 3
+    rotated = np.take_along_axis(faces, turn, axis=1)
+    return rotated[np.lexsort(rotated.T[::-1])]
+
+
+class TestNesting:
+    """The lattices nest under doubling, so a per-vertex quantity of a shape
+    at r and at 2r compares at their shared vertices without interpolation.
+    (The cylinder's remesh does not give cylinder(2r): its midpoints lie on
+    chords, not on the circle.)"""
+
+    @pytest.mark.parametrize("res", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["bar", "cylinder"])
+    def test_every_vertex_is_a_vertex_at_twice_the_resolution(self, kind,
+                                                               res):
+        fine = {tuple(v) for v in gen_base(kind, 2 * res).vertices.tolist()}
+        assert all(tuple(v) in fine
+                   for v in gen_base(kind, res).vertices.tolist())
+
+    @pytest.mark.parametrize("res", [1, 2, 3])
+    def test_remeshed_bar_is_the_bar_at_twice_the_resolution(self, res):
+        refined, _ = remesh(gen_base("bar", res))
+        fine = gen_base("bar", 2 * res)
+        assert refined.n_vertices == fine.n_vertices
+        # a midpoint may differ from its lattice point in the last bit
+        gap, match = cKDTree(fine.vertices).query(refined.vertices)
+        assert gap.max() <= 1e-15
+        assert np.array_equal(np.sort(match), np.arange(fine.n_vertices))
+        assert np.array_equal(_rotated_faces(match[refined.faces]),
+                              _rotated_faces(fine.faces))
