@@ -28,16 +28,15 @@ cache problems.
 
 Cache layout: the cache directory holds one SPEC1 file per mesh and
 direction, one FBK1 filter bank per mesh and kernel, and one GEO1 file of
-ground-truth geodesic rows per evaluated target mesh and ground truth.
-Every command gets or builds each file it needs, so `spectrum` is an
-optional precompute. All three go through one get-or-build path,
-`_cached`: a key is a digest of
-everything the file was computed from, the file is named
+ground-truth geodesic rows per evaluated target mesh and ground truth. Every
+command gets or builds each file it needs (so `spectrum` is an optional
+precompute) through one path, `_cached`: a key is a digest of everything
+the file was computed from, the file is named (`_cache_path`)
 `{mesh stem}.{key[:16]}.{spec,fbk,geo}`, and its metadata is {"key": key},
 checked again on read. A SPEC1 file also stores, under "provenance", how
 its spectrum was solved (`Spectrum.provenance`: solver, ncv, largest
-residual, orthonormality error), so `spectrum` reports it for a hit; a file
-written without it still hits. The keys cover, for a spectrum, the
+residual, orthonormality error), which `spectrum` reports with the file's
+path; one written without it still hits. The keys cover, for a spectrum, the
 mesh content, alpha, theta (m*pi/M as a Python float), the clamped k and a
 constant 0.0, where earlier versions put their curvature radius, so that
 their SPEC1 files still hit; for a bank, its spectra's keys, the resolved
@@ -271,6 +270,12 @@ def _load_spectrum(path, key):
     return _read_cache(path, "SPEC1", key)
 
 
+def _cache_path(kind, key, cache_dir, mesh_path):
+    """Where the `kind` cache file of `mesh_path` under `key` lives."""
+    return (Path(cache_dir)
+            / f"{Path(mesh_path).stem}.{key[:16]}.{_SUFFIXES[kind]}")
+
+
 def _cached(kind, parts, cache_dir, mesh_path, build, block_rows=None):
     """(arrays, meta, path, hit) of the `kind` cache file keyed by `parts`.
 
@@ -282,8 +287,7 @@ def _cached(kind, parts, cache_dir, mesh_path, build, block_rows=None):
     RowBlocks from `build()` is written block by block, and these arrays
     come back as RowBlocks read from the file, after a write as on a hit."""
     key = _cache_key(kind, *parts)
-    path = (Path(cache_dir)
-            / f"{Path(mesh_path).stem}.{key[:16]}.{_SUFFIXES[kind]}")
+    path = _cache_path(kind, key, cache_dir, mesh_path)
     if kind == "SPEC1":
         found = _load_spectrum(path, key)
     else:
@@ -580,8 +584,10 @@ def cmd_spectrum(args):
     cfg = _config_from_args(args, need_mesh=True)
     mesh = load_mesh(cfg.mesh)
     cfg.echo(cfg.out)
-    for m, s in enumerate(load_spectra(mesh, cfg, cfg.cache_dir(), cfg.mesh)):
-        print(f"direction {m}: cached{_listed(s.provenance)}")
+    cache = cfg.cache_dir()
+    for m, s in enumerate(load_spectra(mesh, cfg, cache, cfg.mesh)):
+        path = _cache_path("SPEC1", s.provenance["key"], cache, cfg.mesh)
+        print(f"direction {m}: stored ({path}){_listed(s.provenance)}")
     return EXIT_OK
 
 

@@ -457,25 +457,48 @@ def test_changed_keyed_field_rebuilds_the_bank(run, tmp_path, field):
     assert np.array_equal(after, fresh)
 
 
-def test_datasets_sharing_a_cache_keep_their_own_spectra(run, tmp_path):
+def _count_solves(monkeypatch):
+    """The list that each later `cli.solve_eigs` call appends its args to."""
+    solves = []
+    solve_eigs = cli.solve_eigs
+
+    def counted(*args):
+        solves.append(args)
+        return solve_eigs(*args)
+
+    monkeypatch.setattr(cli, "solve_eigs", counted)
+    return solves
+
+
+def test_datasets_sharing_a_cache_keep_their_own_spectra(run, tmp_path,
+                                                         monkeypatch):
     other = _gen_data(tmp_path / "other", [["bend", -0.5], ["twist", -0.2]])
     cache = tmp_path / "cache"
-    # both datasets name their training mesh deform_0.off
+    # both datasets name their training mesh deform_0.off; train solves
+    # only what it misses, so a spectrum the other dataset overwrote
+    # would show as a solve
     for data in (run.data, other):
         assert _spectrum(data / "deform_0.off", cache, tmp_path / "s") == 0
+    solves = _count_solves(monkeypatch)
     assert _train(run.data, cache, tmp_path / "train", run.model) == 0
     assert _train(other, cache, tmp_path / "train-other", run.model) == 0
+    assert solves == []
 
 
-def test_integer_alpha_in_a_config_matches_the_alpha_flag(run, tmp_path):
+def test_integer_alpha_in_a_config_matches_the_alpha_flag(run, tmp_path,
+                                                          monkeypatch):
+    # the config's 50 and the flag's 50.0 must key one spectrum: train
+    # solves nothing that spectrum cached
     config = _json(tmp_path / "alpha.json", {"alpha": 50})
     cache = tmp_path / "cache"
     assert _spectrum(run.data / "deform_0.off", cache, tmp_path / "s",
                      "--config", config) == 0
+    solves = _count_solves(monkeypatch)
     assert cli.main(["train", "--dataset", str(run.data / "manifest.json"),
                      "--config", run.model, "--k", K, "--alpha", "50",
                      "--epochs", "1", "--cache", str(cache),
                      "--out", str(tmp_path / "train")]) == 0
+    assert solves == []
 
 
 def test_corrupt_spectrum_file_is_regenerated_with_a_warning(run, tmp_path,
@@ -491,7 +514,7 @@ def test_corrupt_spectrum_file_is_regenerated_with_a_warning(run, tmp_path,
     captured = capsys.readouterr()
     assert "warning" in captured.err and str(files[0]) in captured.err
     assert captured.out.count(": computed") == 1
-    assert captured.out.count(": cached") == 4
+    assert captured.out.count(": stored") == 4
     assert sorted(cache.glob("*.spec")) == files
     read_container(files[0], "SPEC1")
 
@@ -773,18 +796,12 @@ def test_cached_spectrum_reports_how_it_was_solved(run, tmp_path, capsys,
         (path,) = cache.glob(f"*.{key[:16]}.spec")
         head = f"direction {m}: computed ({path})"
         assert miss.startswith(head)
-        assert report == f"direction {m}: cached, key {key}{miss[len(head):]}"
+        assert report == (f"direction {m}: stored ({path}), key {key}"
+                          f"{miss[len(head):]}")
     for spec in cache.glob("*.spec"):
         arrays, meta = read_container(spec, "SPEC1")
         write_container(spec, "SPEC1", arrays, meta={"key": meta["key"]})
-    solves = []
-    solve_eigs = cli.solve_eigs
-
-    def counted(*args):
-        solves.append(args)
-        return solve_eigs(*args)
-
-    monkeypatch.setattr(cli, "solve_eigs", counted)
+    solves = _count_solves(monkeypatch)
     older = cli.load_spectra(mesh, cfg, cache, mesh_path)
     assert solves == [] and capsys.readouterr().out == ""
     assert [s.provenance for s in older] == [
