@@ -13,7 +13,8 @@ A tape is a list of ``(back, parameter names)`` entries in forward order;
 backs last to first from g, the loss gradient of the last op's output, and
 returns ``{name: gradient}``. The classifier head is not on the tape:
 ``linear_softmax_cross_entropy`` forms its gradients in its own pass, and
-its input gradient is the g that starts ``backward``.
+its input gradient, written over its input, is the g that starts
+``backward``.
 
 When the arrays are freed:
 - Each back holds only the arrays it reads. An activation that no back
@@ -31,6 +32,13 @@ When the arrays are freed:
   own arrays.
 - SELU and ``selu_standardize`` form their values and gradients in
   place in the arrays they make, without masked ufuncs.
+  ``selu_standardize``'s back also consumes its g: it takes the sums it
+  needs from g first, then forms the standardization's input gradient in
+  g itself, so it peaks at three N x D arrays besides z and g.
+- The fused head overwrites its input, HEAD_BLOCK rows at a time, with
+  the gradient for it once those rows are folded into the weight
+  gradient, and holds one logit block at a time, so it adds to its input
+  only the weight gradient, one logit block and one D x C product.
 - ``backward`` pops each entry before running it, so the entry's arrays
   are freed before the next back runs, and the tape is empty afterwards.
   A tape is single-use; each differentiation records a new one.
@@ -52,7 +60,9 @@ NORM_EPS = 1e-5
 def backward(tape, g):
     """Run the tape's backs last to first, starting from g, the loss
     gradient of the last op's output, and empty the tape; returns
-    {parameter name: gradient}."""
+    {parameter name: gradient}. A back may overwrite the g it is given
+    (``selu_standardize``'s does), and each g is dropped once its back
+    returns."""
     grads = {}
     while tape:
         back, names = tape.pop()
@@ -131,7 +141,9 @@ def selu_standardize(z, gamma, beta):
     standardized xhat again, by the forward's operations in the forward's
     order, then runs the standardization's back and SELU's. So its tape
     entry holds one N x D array, where SELU and standardization kept apart
-    hold two. Its peak is four N x D arrays besides z and g.
+    hold two. The back takes the sums it needs from g, then overwrites g
+    with the standardization's input gradient, so g is consumed and the
+    back peaks at three N x D arrays besides z and g.
     """
     if z.ndim != 2 or z.shape[0] < 2:
         raise SingleVertexShape(
@@ -156,11 +168,11 @@ def selu_standardize(z, gamma, beta):
         xhat -= mean
         xhat *= inv_std
         deriv = _selu_derivative(z, e, work)
-        dx = np.multiply(g, gamma)                          # g * gamma
-        np.multiply(dx, xhat, out=work)
-        dx_xhat = work.mean(axis=0)
         np.multiply(g, xhat, out=work)
         grads = (work.sum(axis=0), g.sum(axis=0))
+        dx = np.multiply(g, gamma, out=g)                   # g * gamma
+        np.multiply(dx, xhat, out=work)
+        dx_xhat = work.mean(axis=0)
         dx -= dx.mean(axis=0)
         np.multiply(xhat, dx_xhat, out=work)
         dx -= work
@@ -307,14 +319,15 @@ def linear_softmax_cross_entropy(x, w, b, labels):
 
     The logits are formed HEAD_BLOCK rows at a time, turned in place into
     that block's share of the loss gradient, and folded into the gradients
-    of x, w and b in the same pass. Returns the mean loss, the number of
-    rows whose argmax is their label, the gradient for x, and the
-    gradients for (w, b).
+    of x, w and b in the same pass; each block is freed before the next is
+    formed. The gradient for x is written over x's rows once they are
+    folded into w's gradient, so x is consumed. Returns the mean loss, the
+    number of rows whose argmax is their label, the gradient for x (x
+    itself), and the gradients for (w, b).
     """
     labels = np.asarray(labels)
     n = len(x)
     _check_labels(labels, w.shape[1])
-    dx = np.empty_like(x)
     dw = np.zeros_like(w)
     db = np.zeros_like(b)
     loss = 0.0
@@ -328,5 +341,6 @@ def linear_softmax_cross_entropy(x, w, b, labels):
         correct += block_correct
         dw += x[rows].T @ z
         db += z.sum(axis=0)
-        dx[rows] = z @ w.T
-    return loss / n, correct, dx, (dw, db)
+        x[rows] = z @ w.T
+        del z
+    return loss / n, correct, x, (dw, db)

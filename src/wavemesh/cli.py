@@ -276,6 +276,18 @@ def _cache_path(kind, key, cache_dir, mesh_path):
             / f"{Path(mesh_path).stem}.{key[:16]}.{_SUFFIXES[kind]}")
 
 
+def _check_cache_dir(cache_dir):
+    """Raise NotADirectoryError unless `cache_dir` is a directory or can
+    be made one: the nearest of it and its ancestors that exists must be a
+    directory. Creates nothing, so a miss fails before its build runs."""
+    path = Path(cache_dir)
+    while not path.exists() and path != path.parent:
+        path = path.parent
+    if not path.is_dir():
+        raise NotADirectoryError(
+            f"cache {cache_dir} cannot be a directory: {path} is not one")
+
+
 def _cached(kind, parts, cache_dir, mesh_path, build, block_rows=None):
     """(arrays, meta, path, hit) of the `kind` cache file keyed by `parts`.
 
@@ -296,6 +308,7 @@ def _cached(kind, parts, cache_dir, mesh_path, build, block_rows=None):
     if hit:
         arrays, meta = found
     else:
+        _check_cache_dir(cache_dir)
         arrays, extra = build()
         meta = {"key": key, **extra}
         Path(cache_dir).mkdir(parents=True, exist_ok=True)

@@ -6,17 +6,23 @@ would, ties to the smallest index included, but scores with one GEMM per
 block of MATCH_BLOCK source rows. The GEMM forms q_j = |b_j|^2 - 2 a.b_j,
 which is |a - b_j|^2 less the row constant |a|^2. By the standard dot-product
 bound, gamma_n = n u / (1 - n u) with u = eps / 2 and D the descriptor
-dimension, rounding moves q_j by at most delta_gemm and cdist's own sum by at
-most delta_cdist, each <= gamma_(D+2) (|a| + max_j |b_j|)^2. So cdist's
-minimizer lies within the window 2 (delta_gemm + delta_cdist) of the
-smallest computed q_j; every target inside the window is re-scored with
-cdist, and the argmin among them is cdist's argmin over all targets, bit for
-bit. Each delta is taken as (D + 2) eps (|a| + max_j |b_j|)^2, twice the
-bound, to absorb the rounding of the norms and of the window itself. A row
-whose window holds one target costs only its share of the GEMM. Matching
-holds one block's scores and window mask at a time, MATCH_BLOCK x n_target
-x 9 bytes (11 MB against the 4898 vertices of a remeshed res-6 bar),
-whatever the number of source rows.
+dimension, rounding moves q_j by at most delta_gemm and the exact squared
+distance's ordered sum by at most delta_sum, each <= gamma_(D+2)
+(|a| + max_j |b_j|)^2. So the ordered sum's minimizer lies within the window
+2 (delta_gemm + delta_sum) of the smallest computed q_j. Every target inside
+the window is re-scored by the ordered sum: (a_i - b_ji)^2 added over the
+coordinates i = 1..D in order, from 0, which is the sum cdist forms, so the
+argmin among them is cdist's argmin over all targets, bit for bit (numpy's
+pairwise `.sum()` and `einsum` round differently). The re-score is
+vectorized over the (row, target) pairs of a block's re-scored rows, one
+coordinate at a time; `cdist` is only the tests' oracle. Each delta is
+taken as (D + 2) eps (|a| + max_j |b_j|)^2, twice the bound, to absorb the
+rounding of the norms and of the window itself. A row whose window holds
+one target costs only its share of the GEMM. Matching holds one block's
+scores and window mask at a time, MATCH_BLOCK x n_target x 9 bytes (11 MB
+against the 4898 vertices of a remeshed res-6 bar), whatever the number of
+source rows, and about 48 bytes per re-scored (row, target) pair; a row
+whose scores overflow re-scores every target.
 
 Geodesic distances are shortest paths over the edge graph with Euclidean
 edge lengths, an upper bound on the polyhedral geodesic. The overestimate is
@@ -41,7 +47,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components, dijkstra
-from scipy.spatial.distance import cdist
 
 from .errors import DisconnectedMesh, NonFiniteDescriptor
 
@@ -88,7 +93,7 @@ def match_nn(desc_source, desc_target):
     # descriptors near 1e154 overflow q; their rows are re-scored in full
     with np.errstate(over="ignore", invalid="ignore"):
         b_sq = np.einsum("ij,ij->i", b, b)
-        # delta_gemm = delta_cdist = delta; the window is 2 (their sum)
+        # delta_gemm = delta_sum = delta; the window is 2 (their sum)
         delta = (a.shape[1] + 2) * np.finfo(np.float64).eps * (
             np.sqrt(np.einsum("ij,ij->i", a, a)) + np.sqrt(b_sq.max())) ** 2
         window = 4 * delta
@@ -101,7 +106,8 @@ def match_nn(desc_source, desc_target):
 
 def _match_block(a, b, b_sq, window):
     """cdist's argmin for one block of source rows: the GEMM scores q, then
-    cdist re-scores each row's targets within `window` of its minimum q."""
+    the ordered sum re-scores each row's targets within `window` of its
+    minimum q."""
     q = a @ b.T
     q *= -2.0
     q += b_sq
@@ -109,11 +115,28 @@ def _match_block(a, b, b_sq, window):
     limit = q[np.arange(a.shape[0]), best] + window
     near = q <= limit[:, None]
     redo = ~np.isfinite(limit) | (np.count_nonzero(near, axis=1) > 1)
-    for r in np.flatnonzero(redo):
-        cols = (np.flatnonzero(near[r]) if np.isfinite(limit[r])
-                else np.arange(b.shape[0]))
-        best[r] = cols[cdist(a[r][None], b[cols], "sqeuclidean")[0].argmin()]
+    if redo.any():
+        near = near[redo]
+        near[~np.isfinite(limit[redo])] = True
+        best[redo] = _rescore(a[redo], b, near)
     return best
+
+
+def _rescore(a, b, near):
+    """Per row of `a`, the first target among those `near` marks that
+    minimizes the squared distance summed over the coordinates in order,
+    as cdist sums it."""
+    rows, cols = np.nonzero(near)
+    sq = np.zeros(rows.size)
+    for i in range(a.shape[1]):
+        d = a[rows, i] - b[cols, i]
+        d *= d
+        sq += d
+    counts = np.count_nonzero(near, axis=1)
+    lowest = np.minimum.reduceat(sq, np.cumsum(counts) - counts)
+    hit = np.flatnonzero(sq == np.repeat(lowest, counts))
+    _, first = np.unique(rows[hit], return_index=True)
+    return cols[hit[first]]
 
 
 def _edge_graph(mesh):

@@ -19,7 +19,9 @@ unchanged.
 Training fuses the head with its softmax cross entropy
 (``autodiff.linear_softmax_cross_entropy``), so the N x C logits are
 never materialized, and differentiates the chain of ops before the head
-by running their backs in reverse (``autodiff.backward``).
+by running their backs in reverse (``autodiff.backward``). The head writes
+its input gradient over its input, and ``backward`` drops each gradient
+once the back it feeds has returned.
 Training holds one step's tape at a time: each optimizer step runs in its
 own call, loads its shape's filter bank there through the item's
 ``load_bank`` and drops it on return, so the next step's forward starts
@@ -232,9 +234,10 @@ def _train_step(model, item, state, epoch, lr, weight_decay):
     The step's bank, tape, activations and gradients die when it returns."""
     p = model.params
     tape = []
-    # the head input is never bound here, so it is freed when the head
-    # returns and only its gradient dx is held through the backward
-    loss, correct, dx, head_grads = ad.linear_softmax_cross_entropy(
+    # the head overwrites its input with its gradient dx; dx is unpacked
+    # into a list and popped into backward, so that no name here holds it
+    # and it is freed once the tape's last back has consumed it
+    loss, correct, *dx, head_grads = ad.linear_softmax_cross_entropy(
         _head_input(model, item.coords, item.load_bank(),
                     model.config.perturb, tape),
         p["head.w"], p["head.b"], item.labels)
@@ -243,7 +246,7 @@ def _train_step(model, item, state, epoch, lr, weight_decay):
             f"loss became {loss} at epoch {epoch} on "
             f"{item.name or 'unnamed shape'}")
     grads = dict(zip(("head.w", "head.b"), head_grads))
-    grads.update(ad.backward(tape, dx))
+    grads.update(ad.backward(tape, dx.pop()))
     adam_step(model.params, grads, state, lr=lr, weight_decay=weight_decay)
     return loss, correct
 

@@ -248,7 +248,7 @@ class TestSeluStandardize:
         g = rng.standard_normal((n, d)).astype(dtype)
 
         value, back = ad.selu_standardize(z, gamma, beta)
-        dz, (dgamma, dbeta) = back(g)
+        dz, (dgamma, dbeta) = back(g.copy())  # the back consumes its g
         s, back_s = ad.selu(z)
         want, back_std = standardize(s, gamma, beta)
         gs, (want_dgamma, want_dbeta) = back_std(g)
@@ -273,6 +273,19 @@ class TestSeluStandardize:
         assert held - out.nbytes < 2 * d * 8 + 8192  # + the closure's objects
         kept = [c.cell_contents for c in back.__closure__]
         assert [a for a in kept if np.ndim(a) == 2] == [z]
+
+    def test_back_peaks_at_three_arrays_beside_its_input_and_g(self):
+        # the back forms SELU's exponential (then its derivative), xhat and
+        # one work array, and forms g * gamma in g; a separate g * gamma
+        # would make four N x D arrays
+        n, d = 400, 64
+        rng = np.random.default_rng(42)
+        z = rng.standard_normal((n, d))
+        g = rng.standard_normal((n, d))
+        gamma = rng.standard_normal(d) + 1.5
+        _, back = ad.selu_standardize(z, gamma, rng.standard_normal(d))
+        peak, _ = traced_peak(lambda: back(g))
+        assert peak < 3.5 * z.nbytes
 
 
 class TestWaveletMix:
@@ -406,8 +419,13 @@ class TestFusedHead:
             ad.linear_softmax_cross_entropy(x, w, b, labels)
 
     def test_peak_memory_below_one_logit_array(self):
-        n = 2000
-        x, w, b, labels = self._problem(n, n, 16, seed=16)
-        peak, _ = traced_peak(
+        # beside its inputs the head holds dw, one HEAD_BLOCK x C logit
+        # block and the D x C product added into dw, and writes dx over
+        # x; a second logit block (2 MiB here) or a dx apart from x
+        # (1 MiB) would exceed the slack
+        n, c, d = 2048, 1024, 64
+        x, w, b, labels = self._problem(n, c, d, seed=16)
+        peak, (_, _, dx, _) = traced_peak(
             lambda: ad.linear_softmax_cross_entropy(x, w, b, labels))
-        assert peak < n * n * 8
+        assert dx is x
+        assert peak < 2 * w.nbytes + ad.HEAD_BLOCK * c * 8 + 128 * 1024

@@ -14,6 +14,8 @@ import gc
 import importlib.util
 import json
 import shutil
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
@@ -561,13 +563,38 @@ def test_train_and_eval_on_an_empty_cache_match_the_precomputed_run(
 
 
 def test_train_on_a_cache_path_that_is_a_file_exits_4_and_writes_nothing(
-        run, tmp_path, capsys):
+        run, tmp_path, capsys, monkeypatch):
     cache = tmp_path / "cache"
     cache.write_text("not a directory")
+    solves = _count_solves(monkeypatch)
     assert _train(run.data, cache, tmp_path / "train", run.model) == 4
     assert "i/o failure" in capsys.readouterr().err
+    assert solves == []  # it fails before the first miss's work
     assert not (tmp_path / "train").exists()
     assert cache.read_text() == "not a directory"
+
+
+def test_cache_directory_check_creates_nothing(tmp_path):
+    (tmp_path / "file").write_text("")
+    for usable in (tmp_path, tmp_path / "new" / "cache"):
+        cli._check_cache_dir(usable)
+    for unusable in (tmp_path / "file", tmp_path / "file" / "cache"):
+        with pytest.raises(NotADirectoryError):
+            cli._check_cache_dir(unusable)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+def test_importing_the_cli_loads_no_scipy_spatial():
+    # scipy.spatial adds about 7.6 MiB to the resident memory of every
+    # command (scipy 1.17, x86-64 Linux)
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import wavemesh.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.spatial')))")
+    out = subprocess.run([sys.executable, "-c", code, str(src)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_all_zero_wavelet_columns_exit_3(run, tmp_path):

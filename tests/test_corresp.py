@@ -85,10 +85,16 @@ def cdist_argmin(source, target):
 def near_ties(rng, n_source, n_target, dim=8, offset=1e3, spread=1e-4):
     """Points spread 1e-4 around a common offset of 1e3: gaps between
     squared distances are near 1e-10, while rounding |b|^2 - 2a.b at
-    |b|^2 ~ 8e6 errs by ~1e-9."""
+    |b|^2 ~ 8e6 errs by ~1e-9. Every other source row repeats one value,
+    and the targets come in groups of four coordinate permutations of one
+    row. Such a source is exactly as far from each row of a group, and
+    only the order in which the squares are summed decides between them:
+    numpy's pairwise `.sum()` and `einsum` pick other rows than cdist."""
     source = offset + spread * rng.standard_normal((n_source, dim))
-    target = offset + spread * rng.standard_normal((n_target, dim))
-    return source, target
+    source[::2] = source[::2, :1]
+    base = offset + spread * rng.standard_normal((-(-n_target // 4), dim))
+    target = np.concatenate([rng.permuted(base, axis=1) for _ in range(4)])
+    return source, target[rng.permutation(n_target)]
 
 
 class TestMatchNNOracle:
@@ -103,14 +109,17 @@ class TestMatchNNOracle:
         assert (got < 20).all()
         assert np.array_equal(got[:20], np.arange(20))
 
-    def test_near_ties_under_a_large_offset(self):
+    def test_near_ties_under_a_large_offset(self, dim=8):
         rng = np.random.default_rng(7)
-        source, target = near_ties(rng, 200, 300)
+        source, target = near_ties(rng, 200, 300, dim)
         want = cdist_argmin(source, target)
         expanded = (np.einsum("ij,ij->i", target, target)
                     - 2 * source @ target.T).argmin(axis=1)
         assert (expanded != want).any()  # the case needs the window
         assert np.array_equal(match_nn(source, target), want)
+
+    def test_near_ties_at_the_network_width(self):
+        self.test_near_ties_under_a_large_offset(dim=128)
 
     @pytest.mark.parametrize("shape", [(37, 91), (91, 37), (1, 50), (50, 1)])
     def test_rectangular(self, shape):
@@ -141,14 +150,20 @@ class TestMatchNNOracle:
         assert peak < n_source * n_target * 8
         assert np.array_equal(got, cdist_argmin(source, target))
 
-    def test_overflowing_descriptors_match_the_oracle(self):
-        # finite, but |b|^2 overflows: every row is re-scored by cdist
+    def test_overflowing_descriptors_match_the_oracle(self, dim=3):
+        # finite, but |b|^2 overflows: every row is re-scored over every
+        # target, among exact ties at 1e154 and, from rows scaled to 1e200,
+        # among distances that overflow too
         rng = np.random.default_rng(10)
-        source = 1e200 * rng.standard_normal((4, 3))
-        target = 1e200 * rng.standard_normal((6, 3))
-        source[0] = target[3]
+        source, target = near_ties(rng, 40, 60, dim, offset=1e154,
+                                   spread=1e150)
+        source[:4] *= 1e46
+        source[4] = target[3]
         assert np.array_equal(match_nn(source, target),
                               cdist_argmin(source, target))
+
+    def test_overflowing_descriptors_at_the_network_width(self):
+        self.test_overflowing_descriptors_match_the_oracle(dim=128)
 
 
 class TestGeodesics:
