@@ -34,15 +34,18 @@ precompute) through one path, `_cached`: a key is a digest of everything
 the file was computed from, the file is named (`_cache_path`)
 `{mesh stem}.{key[:16]}.{spec,fbk,geo}`, and its metadata is {"key": key},
 checked again on read. A SPEC1 file also stores, under "provenance", how
-its spectrum was solved (`Spectrum.provenance`: solver, ncv, largest
-residual, orthonormality error), which `spectrum` reports with the file's
-path; one written without it still hits. The keys cover, for a spectrum, the
-mesh content, alpha, theta (m*pi/M as a Python float), the clamped k and a
-constant 0.0, where earlier versions put their curvature radius, so that
-their SPEC1 files still hit; for a bank, its spectra's keys, the resolved
-lambda_max and scales; for geodesic rows, the target mesh content, the
-SHA-256 of the sorted distinct gt vertices and the geodesic method
-(`corresp.GEODESIC_METHOD`). A changed input is
+its spectrum was solved (`Spectrum.provenance`: the solver, "dense" or
+"lanczos", the largest residual and the orthonormality error, and for a
+Lanczos solve ncv, restarts, operator_applications and the inertia counts
+n_below_mu_minus and n_below_mu_plus), which `spectrum` reports with the
+file's path; one written without it, or by the ARPACK solver of earlier
+versions, still hits and reports what it holds. The keys cover, for a
+spectrum, the mesh content, alpha, theta (m*pi/M as a Python float), the
+clamped k and a constant 0.0, where earlier versions put their curvature
+radius, so that their SPEC1 files still hit; for a bank, its spectra's
+keys, the resolved lambda_max and scales; for geodesic rows, the target
+mesh content, the SHA-256 of the sorted distinct gt vertices and the
+geodesic method (`corresp.GEODESIC_METHOD`). A changed input is
 therefore a different file name, i.e. a miss; a corrupt file is a miss
 too, reported and rebuilt. Nothing is evicted; a GEO1 file holds
 |unique gt| x N_target x 8 bytes (88 MiB at N = 3402 with every vertex a

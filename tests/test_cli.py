@@ -22,7 +22,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from wavemesh import cli, corresp, network, spectrum, synth, wavelets
 from wavemesh.containers import read_container, write_container
@@ -622,11 +621,10 @@ def test_overflowing_kernel_exits_3_and_caches_no_bank(run, tmp_path):
 
 def test_unconverged_eigensolve_exits_3_and_caches_no_spectrum(
         run, tmp_path, monkeypatch, capsys):
-    def stalled(*args, **kwargs):
-        raise ArpackNoConvergence("no convergence", np.zeros(0),
-                                  np.zeros((0, 0)))
+    def stalled(residuals, theta):
+        return np.zeros(len(theta), dtype=bool)
 
-    monkeypatch.setattr(spectrum, "eigsh", stalled)
+    monkeypatch.setattr(spectrum, "_converged", stalled)
     cache = tmp_path / "cache"
     assert _spectrum(run.data / "template.off", cache, tmp_path / "s") == 3
     assert "numerical failure" in capsys.readouterr().err
@@ -833,6 +831,38 @@ def test_cached_spectrum_reports_how_it_was_solved(run, tmp_path, capsys,
     assert solves == [] and capsys.readouterr().out == ""
     assert [s.provenance for s in older] == [
         {"key": s.provenance["key"]} for s in solved]
+
+
+def test_spectrum_reports_the_lanczos_run_and_an_older_solver(
+        run, tmp_path, capsys, monkeypatch):
+    # a solve records its solver, basis, restarts, operator applications
+    # and both inertia counts; a SPEC1 file written by the ARPACK solver
+    # before them still hits, and `spectrum` prints what it holds
+    mesh_path = run.data / "template.off"
+    cache = tmp_path / "cache"
+    assert _spectrum(mesh_path, cache, tmp_path / "s") == 0
+    out = capsys.readouterr().out
+    spectra = sorted(cache.glob("*.spec"))
+    for spec in spectra:
+        meta = read_container(spec, "SPEC1")[1]
+        assert sorted(meta["provenance"]) == [
+            "max_residual", "n_below_mu_minus", "n_below_mu_plus", "ncv",
+            "operator_applications", "ortho_error", "restarts", "solver"]
+        assert meta["provenance"]["solver"] == "lanczos"
+        assert meta["provenance"]["n_below_mu_plus"] >= int(K)
+    assert out.count(", solver lanczos") == 2 * len(spectra)
+    older = {"solver": "arpack", "ncv": 31, "max_residual": 1.5e-15,
+             "ortho_error": 4.5e-15}
+    for spec in spectra:
+        arrays, meta = read_container(spec, "SPEC1")
+        write_container(spec, "SPEC1", arrays,
+                        meta={"key": meta["key"], "provenance": older})
+    solves = _count_solves(monkeypatch)
+    assert _spectrum(mesh_path, cache, tmp_path / "s") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert solves == [] and len(lines) == len(spectra)
+    assert all(line.endswith(", max_residual 1.5e-15, ncv 31, ortho_error "
+                             "4.5e-15, solver arpack") for line in lines)
 
 
 def test_spectrum_file_with_another_key_is_recomputed(run, tmp_path, capsys):

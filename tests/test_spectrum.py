@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.sparse.linalg import ArpackNoConvergence
 
 import wavemesh as wm
 from wavemesh import spectrum
@@ -77,7 +76,11 @@ class TestAgainstDenseOracle:
         assert mesh.n_vertices <= 60
         ops = assemble_lbo(mesh)
         k = 30
-        spec = solve_eigs(ops, k)  # ARPACK shift-invert path (42 verts > cutoff)
+        spec = solve_eigs(ops, k)  # Lanczos path (42 verts > cutoff)
+        # ncv = min(n, 1.5 k + 1) = n: the basis fills the space, and the
+        # run ends at n with no division by its vanishing residual (any
+        # warning is an error in tier-1)
+        assert spec.provenance["ncv"] == mesh.n_vertices
         vals, _ = dense_oracle(ops, k)
         scale = max(abs(vals[-1]), 1.0)
         assert np.abs(spec.eigenvalues - np.maximum(vals, 0)).max() < 1e-8 * scale
@@ -91,7 +94,7 @@ class TestAgainstDenseOracle:
         ops = assemble_albo(mesh, estimate_frames(mesh), 50.0, theta)
         k = 100
         spec = solve_eigs(ops, k)
-        assert spec.provenance["solver"] == "arpack"
+        assert spec.provenance["solver"] == "lanczos"
         assert spec.provenance["ncv"] < mesh.n_vertices
         vals, _ = dense_oracle(ops, k)
         assert np.abs(spec.eigenvalues - np.maximum(vals, 0)).max() \
@@ -106,13 +109,12 @@ class TestAgainstDenseOracle:
 class TestFailurePaths:
     """Each way the sparse path can fail raises its NumericalError."""
 
-    def test_arpack_no_convergence_raises_not_converged(self, monkeypatch):
-        def stalled(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", np.zeros(3),
-                                      np.zeros((42, 3)))
+    def test_lanczos_no_convergence_raises_not_converged(self, monkeypatch):
+        def three_settle(residuals, theta):
+            return np.arange(len(theta)) < 3
 
-        monkeypatch.setattr(spectrum, "eigsh", stalled)
-        with pytest.raises(NotConverged, match="3 of 30 pairs"):
+        monkeypatch.setattr(spectrum, "_converged", three_settle)
+        with pytest.raises(NotConverged, match="3 of 30 pairs converged"):
             solve_eigs(assemble_lbo(perturbed_sphere(0)), 30)
 
     def test_singular_factor_raises_factorization_failed(self, monkeypatch):
@@ -125,17 +127,83 @@ class TestFailurePaths:
 
     def test_residual_above_tolerance_raises_with_residuals(self,
                                                             monkeypatch):
-        original = spectrum.eigsh
+        original = spectrum._lanczos
 
         def inexact(*args, **kwargs):
-            vals, vecs = original(*args, **kwargs)
-            return vals * (1.0 + 1e-5), vecs
+            theta, vecs, restarts, applications = original(*args, **kwargs)
+            return theta * (1.0 + 1e-5), vecs, restarts, applications
 
-        monkeypatch.setattr(spectrum, "eigsh", inexact)
+        monkeypatch.setattr(spectrum, "_lanczos", inexact)
         with pytest.raises(NotConverged, match="max residual") as info:
             solve_eigs(assemble_lbo(perturbed_sphere(0)), 30)
         assert info.value.residuals.shape == (30,)
         assert info.value.residuals.max() > RESIDUAL_TOL
+
+
+class TestCompleteness:
+    """The inertia counts at mu- and mu+ around lambda_K catch a spectrum
+    that skips an eigenvalue, which no residual can see."""
+
+    def test_skipped_multiplet_copy_raises_not_converged(self, ico3,
+                                                         monkeypatch):
+        # the icosphere's 0, 2, 2, 2 returned as 0, 2, 2, 5.97: each pair
+        # is exact, so only the count below mu- (4, not 3) can fail it
+        original = spectrum._lanczos
+
+        def skipping(apply, n, k, ncv, maxiter):
+            theta, vecs, restarts, applications = original(
+                apply, n, k + 1, ncv, maxiter)
+            keep = [0, 1, 2, 4]
+            return theta[keep], vecs[:, keep], restarts, applications
+
+        monkeypatch.setattr(spectrum, "_lanczos", skipping)
+        with pytest.raises(NotConverged, match="4 eigenvalues lie below .* "
+                           "where 3 were returned"):
+            solve_eigs(assemble_lbo(ico3), 4)
+
+    def test_zero_lambda_k_gets_nonzero_shifts(self, ico1, monkeypatch):
+        # k = 1 on a closed mesh: lambda_K is the constant mode's 0, so a
+        # relative shift would factor C itself, whose zero pivot has no
+        # sign; the counts are taken |sigma| away on either side instead
+        shifts = []
+        count_below = spectrum._count_below
+
+        def recorded(standard, mu):
+            shifts.append(mu)
+            return count_below(standard, mu)
+
+        monkeypatch.setattr(spectrum, "_count_below", recorded)
+        spec = solve_eigs(assemble_lbo(ico1), 1)
+        assert spec.provenance["solver"] == "lanczos"
+        assert shifts[0] < 0.0 < shifts[1]
+        assert spec.provenance["n_below_mu_minus"] == 0
+        assert spec.provenance["n_below_mu_plus"] == 1
+
+    @pytest.mark.parametrize("k", [4, 9, 16])
+    def test_sphere_multiplets_match_dense_oracle(self, ico3, k):
+        # k = 4, 9 and 16 end on the last copy of the l = 1, 2 and 3
+        # harmonic groups, where a missed copy of a repeated eigenvalue
+        # would shift every later value
+        ops = assemble_lbo(ico3)
+        spec = solve_eigs(ops, k)
+        assert spec.provenance["solver"] == "lanczos"
+        vals, _ = dense_oracle(ops, k)
+        assert np.abs(spec.eigenvalues - np.maximum(vals, 0)).max() \
+            < 1e-10 * vals[-1]
+        assert spec.provenance["n_below_mu_plus"] >= k
+        assert spec.provenance["n_below_mu_minus"] == np.count_nonzero(
+            vals < spec.eigenvalues[-1] * (1 - 1e-6))
+
+    def test_breakdown_continues_from_a_fresh_direction(self):
+        # three distinct eigenvalues: the Krylov space of any start vector
+        # is invariant after 3 steps, so beta vanishes long before n and
+        # the basis goes on from a random vector orthogonal to it
+        diag = np.repeat([3.0, 2.0, 1.0], [4, 4, 52])
+        theta, vecs, restarts, applications = spectrum._lanczos(
+            lambda x: diag * x, len(diag), 6, 20, maxiter=20)
+        assert np.allclose(theta, [3, 3, 3, 3, 2, 2], rtol=1e-14)
+        assert np.abs(vecs.T @ vecs - np.eye(6)).max() < 1e-14
+        assert np.abs(diag[:, None] * vecs - vecs * theta).max() < 1e-13
 
 
 class TestDeterminismAndScaling:
