@@ -39,7 +39,10 @@ its spectrum was solved (`Spectrum.provenance`: the solver, "dense" or
 Lanczos solve ncv, restarts, operator_applications and the inertia counts
 n_below_mu_minus and n_below_mu_plus), which `spectrum` reports with the
 file's path; one written without it, or by the ARPACK solver of earlier
-versions, still hits and reports what it holds. The keys cover, for a
+versions, still hits and reports what it holds. When n_below_mu_plus
+exceeds K, K splits a repeated eigenvalue, and the line that reports a
+solve, as the one that reports a stored spectrum, is followed by a
+warning on stderr. The keys cover, for a
 spectrum, the mesh content, alpha, theta (m*pi/M as a Python float), the
 clamped k and a constant 0.0, where earlier versions put their curvature
 radius, so that their SPEC1 files still hit; for a bank, its spectra's
@@ -328,9 +331,25 @@ def _listed(provenance):
                    for name, value in sorted(provenance.items()))
 
 
+def _warn_if_split(m, spectrum):
+    """Warn on stderr when the spectrum's K cuts through a repeated
+    eigenvalue, i.e. more than K eigenvalues lie below mu+ (Lanczos solves
+    only count them). The filter bank is basis-invariant only for whole
+    eigenspaces, so it then depends on which basis of the cut eigenspace
+    the solver returned."""
+    counts = spectrum.provenance
+    if counts.get("n_below_mu_plus", 0) > spectrum.k:
+        print(f"warning: direction {m}: K {spectrum.k} splits a repeated "
+              f"eigenvalue (n_below_mu_minus {counts['n_below_mu_minus']}, "
+              f"n_below_mu_plus {counts['n_below_mu_plus']}); the filter "
+              f"bank depends on which basis of that eigenspace the "
+              f"solver returned", file=sys.stderr)
+
+
 def load_spectra(mesh, cfg, cache_dir, mesh_path):
     """Per-direction spectra from the SPEC1 cache. A miss is solved, written
-    and reported in one line; a hit is silent."""
+    and reported in one line, followed by `_warn_if_split`'s warning when
+    K splits an eigenspace; a hit is silent."""
     k = clamp_k(cfg.k, mesh.n_vertices)
     mesh_hash = mesh.content_hash()
     frames = []  # estimated at the first miss, shared by every direction
@@ -351,12 +370,13 @@ def load_spectra(mesh, cfg, cache_dir, mesh_path):
             "SPEC1", (mesh_hash, float(cfg.alpha), theta, k, 0.0),
             cache_dir, mesh_path, build)
         solved = meta.get("provenance", {})  # absent from older files
-        if not hit:
-            print(f"direction {m}: computed ({path}){_listed(solved)}")
         spectra.append(Spectrum(
             eigenvalues=arrays["eigenvalues"],
             eigenvectors=arrays["eigenvectors"], mass=arrays["mass"],
             provenance={**solved, "key": meta["key"]}))
+        if not hit:
+            print(f"direction {m}: computed ({path}){_listed(solved)}")
+            _warn_if_split(m, spectra[-1])
     return spectra
 
 
@@ -604,6 +624,7 @@ def cmd_spectrum(args):
     for m, s in enumerate(load_spectra(mesh, cfg, cache, cfg.mesh)):
         path = _cache_path("SPEC1", s.provenance["key"], cache, cfg.mesh)
         print(f"direction {m}: stored ({path}){_listed(s.provenance)}")
+        _warn_if_split(m, s)
     return EXIT_OK
 
 

@@ -31,15 +31,16 @@ great-circle distance, its median is 6.9-7.3% and its maximum 21-23%, and
 it does not shrink as the mesh is refined. Every AGE and CGE reported here
 is inflated accordingly. `evaluate` needs one row per distinct ground-truth
 vertex, and takes them as consecutive blocks of rows: `geodesic_blocks`
-checks once that every source reaches every vertex, then computes
-GEO_BLOCK sources per `geodesic_rows` call as the blocks are iterated; a
-caller that already holds the rows (the CLI caches them per target mesh
-and ground truth, and streams them back GEO_BLOCK rows at a time) passes
-them as `rows`. `evaluate` keeps the one entry per source vertex it needs
-from each block and drops the block, so it holds GEO_BLOCK x n_target
-distances, not |unique gt| x n_target. Errors are normalized by
-sqrt(total target area), the average is reported x100, and the cumulative
-curve gives the fraction of matches within each radius.
+builds the edge graph once, checks on it that every source reaches every
+vertex, then computes GEO_BLOCK sources per `geodesic_rows` call on that
+graph as the blocks are iterated; a caller that already holds the rows
+(the CLI caches them per target mesh and ground truth, and streams them
+back GEO_BLOCK rows at a time) passes them as `rows`. `evaluate` keeps
+the one entry per source vertex it needs from each block and drops the
+block, so it holds GEO_BLOCK x n_target distances, not |unique gt| x
+n_target. Errors are normalized by sqrt(total target area), the average
+is reported x100, and the cumulative curve gives the fraction of matches
+within each radius.
 """
 
 from dataclasses import dataclass
@@ -156,13 +157,15 @@ def _checked_sources(mesh, sources):
     return sources
 
 
-def geodesic_rows(mesh, sources):
+def geodesic_rows(mesh, sources, graph=None):
     """Distances from several sources at once, shape (len(sources), n).
     A vertex that a source cannot reach reads inf; `geodesic_blocks`
-    rules that out before it calls this."""
+    rules that out before it calls this. `graph` is the mesh's
+    `_edge_graph`, built here when not given."""
     sources = _checked_sources(mesh, sources)
-    return np.atleast_2d(dijkstra(_edge_graph(mesh), directed=True,
-                                  indices=sources))
+    if graph is None:
+        graph = _edge_graph(mesh)
+    return np.atleast_2d(dijkstra(graph, directed=True, indices=sources))
 
 
 def geodesic_blocks(mesh, sources):
@@ -173,7 +176,8 @@ def geodesic_blocks(mesh, sources):
     source cannot reach some vertex; its `unreachable` holds every such
     vertex, which is every vertex when the sources span two components."""
     sources = _checked_sources(mesh, sources)
-    _, labels = connected_components(_edge_graph(mesh), directed=False)
+    graph = _edge_graph(mesh)   # built once, for the check and every block
+    _, labels = connected_components(graph, directed=False)
     reached = np.unique(labels[sources])
     unreachable = np.flatnonzero(
         np.isin(labels, reached, invert=True) | (reached.size > 1))
@@ -182,7 +186,7 @@ def geodesic_blocks(mesh, sources):
             f"{unreachable.size} vertices unreachable from the sources",
             unreachable=unreachable)
     # geodesic_rows is looked up at each block, so a probe on it sees them
-    return (geodesic_rows(mesh, sources[start:start + GEO_BLOCK])
+    return (geodesic_rows(mesh, sources[start:start + GEO_BLOCK], graph)
             for start in range(0, sources.size, GEO_BLOCK))
 
 

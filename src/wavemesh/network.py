@@ -9,10 +9,18 @@ the per-vertex matching descriptor. A classifier head over the template
 vertices trains it; an optional perturbation stage - a learnable
 per-feature scale, SELU and a per-shape standardization with learnable
 affine - sits between the last conv layer and the head, so it shapes
-training only and never runs on a described mesh. Each SELU followed by
-a standardization, in a conv layer or in the perturbation stage, is one
-op (``autodiff.selu_standardize``) whose back keeps only its input, so
-a conv layer's tape holds its M K x D projections and one N x D array.
+training only and never runs on a described mesh.
+The tape keeps nothing that an op can form again bit for bit. Each
+encoder SELU but the last is one op with the next stage's affine
+(``autodiff.selu_affine``), whose back keeps SELU's input. Each SELU
+followed by a standardization, in a conv layer or in the perturbation
+stage, is one op (``autodiff.selu_standardize``) whose back keeps only
+its input; the perturbation's scale folds into it, and its back forms
+x * s again. So a conv layer's tape holds its M K x D projections and one
+N x D array, and the perturbation stage one N x D array. One
+``autodiff.MixBank`` per forward gives every conv layer the bank's
+arrays in the parameters' dtype, with the reciprocal L1 normalizers and
+passbands formed once.
 Every op before the head commutes with a renumbering of the vertices, so
 renumbering a training shape together with its labels leaves training
 unchanged.
@@ -21,7 +29,10 @@ Training fuses the head with its softmax cross entropy
 never materialized, and differentiates the chain of ops before the head
 by running their backs in reverse (``autodiff.backward``). The head writes
 its input gradient over its input, and ``backward`` drops each gradient
-once the back it feeds has returned.
+once the back it feeds has returned. No back reads the head's
+parameters, so they take their Adam step right after the head, and its
+weight gradient is freed before the backward runs; the other parameters
+take theirs after it, at the same step count.
 Training holds one step's tape at a time: each optimizer step runs in its
 own call, loads its shape's filter bank there through the item's
 ``load_bank`` and drops it on return, so the next step's forward starts
@@ -31,8 +42,9 @@ and memory does not grow with the number of training shapes.
 Precision has one owner: the parameters. ``Model.initialize`` makes them
 float64 by default or float32 on request, and ``_head_input``, the one
 entry point of training steps and ``descriptors``, casts the coordinates
-and one copy of the bank's eigenvectors and masses to their dtype, which
-every conv layer then shares (in float64 nothing is copied). So float32
+and, in its ``MixBank``, one copy of the bank's eigenvectors and masses to
+their dtype, which every conv layer then shares (in float64 they are not
+copied). So float32
 keeps parameters, activations and gradients in float32; its loss curve
 is tested against float64 to 1e-4 relative.
 
@@ -41,7 +53,7 @@ A checkpoint does not store it: `cli` derives it from the saved experiment
 and the length of the head bias.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -125,9 +137,7 @@ def _head_input(model, coords, bank, perturb, tape=None):
     list, appends (back, parameter names) for each op, in forward order."""
     cfg, p = model.config, model.params
     dtype = p["head.w"].dtype
-    bank = replace(bank, spectra=[replace(
-        s, eigenvectors=s.eigenvectors.astype(dtype, copy=False),
-        mass=s.mass.astype(dtype, copy=False)) for s in bank.spectra])
+    bank = ad.MixBank.of(bank, dtype)
 
     def run(names, op, x, *args):
         x, back = op(x, *args)
@@ -136,10 +146,13 @@ def _head_input(model, coords, bank, perturb, tape=None):
         return x
 
     x = np.asarray(coords, dtype=dtype)
+    # each encoder stage's SELU runs fused with the next stage's affine,
+    # whose back forms SELU's output again from its input
     for i in range(len(cfg.encoder_dims)):
         names = (f"enc{i}.w", f"enc{i}.b")
-        x = run(names, ad.affine, x, *[p[n] for n in names])
-        x = run((), ad.selu, x)
+        x = run(names, ad.selu_affine if i else ad.affine, x,
+                *[p[n] for n in names])
+    x = run((), ad.selu, x)
     for layer in range(cfg.conv_layers):
         thetas = [[f"conv{layer}.theta{m}_{j}" for j in range(cfg.scales)]
                   for m in range(cfg.directions)]
@@ -148,8 +161,7 @@ def _head_input(model, coords, bank, perturb, tape=None):
         names = (f"conv{layer}.gamma", f"conv{layer}.beta")
         x = run(names, ad.selu_standardize, x, *[p[n] for n in names])
     if perturb:
-        x = run(("perturb.scale",), ad.scale, x, p["perturb.scale"])
-        names = ("perturb.gamma", "perturb.beta")
+        names = ("perturb.gamma", "perturb.beta", "perturb.scale")
         x = run(names, ad.selu_standardize, x, *[p[n] for n in names])
     return x
 
@@ -171,6 +183,13 @@ class AdamState:
     t: int = 0
 
 
+def _check_gradients(params, grads):
+    if grads.keys() != params.keys():
+        raise ValueError(
+            f"gradients missing for {sorted(params.keys() - grads.keys())}, "
+            f"extra for {sorted(grads.keys() - params.keys())}")
+
+
 def adam_step(params, grads, state, lr=0.001, weight_decay=0.0001):
     """One Adam step with ADAM_BETA1, ADAM_BETA2 and ADAM_EPS, in place;
     weight decay is added to the gradient. `grads` holds one gradient per
@@ -178,11 +197,15 @@ def adam_step(params, grads, state, lr=0.001, weight_decay=0.0001):
     parameter moves. Each parameter's step is formed in place in one scratch
     array of its size, besides its decayed gradient and its update; `grads`
     is only read."""
-    if grads.keys() != params.keys():
-        raise ValueError(
-            f"gradients missing for {sorted(params.keys() - grads.keys())}, "
-            f"extra for {sorted(grads.keys() - params.keys())}")
+    _check_gradients(params, grads)
     state.t += 1
+    _adam_update(params, grads, state, lr, weight_decay)
+
+
+def _adam_update(params, grads, state, lr, weight_decay):
+    """Adam's update of every parameter in `params` at step state.t, in
+    place. Each parameter's update is its own, so one step may update its
+    parameters in parts, one call each."""
     t = state.t
     for name, p in params.items():
         g = grads[name]
@@ -233,6 +256,8 @@ def _train_step(model, item, state, epoch, lr, weight_decay):
     """One optimizer step on one shape; returns (loss, correct count).
     The step's bank, tape, activations and gradients die when it returns."""
     p = model.params
+    head = {name: p[name] for name in ("head.w", "head.b")}
+    rest = {name: a for name, a in p.items() if name not in head}
     tape = []
     # the head overwrites its input with its gradient dx; dx is unpacked
     # into a list and popped into backward, so that no name here holds it
@@ -240,14 +265,20 @@ def _train_step(model, item, state, epoch, lr, weight_decay):
     loss, correct, *dx, head_grads = ad.linear_softmax_cross_entropy(
         _head_input(model, item.coords, item.load_bank(),
                     model.config.perturb, tape),
-        p["head.w"], p["head.b"], item.labels)
+        head["head.w"], head["head.b"], item.labels)
     if not np.isfinite(loss):
         raise NonFiniteLoss(
             f"loss became {loss} at epoch {epoch} on "
             f"{item.name or 'unnamed shape'}")
-    grads = dict(zip(("head.w", "head.b"), head_grads))
-    grads.update(ad.backward(tape, dx.pop()))
-    adam_step(model.params, grads, state, lr=lr, weight_decay=weight_decay)
+    # One Adam step in two parts. No back reads the head's parameters, so
+    # they step now and their gradients die before the backward runs; the
+    # rest step after it, at the same step count.
+    adam_step(head, dict(zip(head, head_grads)), state, lr=lr,
+              weight_decay=weight_decay)
+    del head_grads
+    grads = ad.backward(tape, dx.pop())
+    _check_gradients(rest, grads)
+    _adam_update(rest, grads, state, lr, weight_decay)
     return loss, correct
 
 

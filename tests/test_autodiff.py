@@ -33,8 +33,9 @@ def finite_difference(fn, arrays, h=1e-4):
 
 def check_op(op, x, params, *extra, rtol=1e-6, atol=1e-9):
     """op(x, *params, *extra)'s back against central finite differences of
-    the loss sum(value**2), for x and every parameter."""
-    value, back = op(x, *params, *extra)
+    the loss sum(value**2), for x and every parameter. The op whose back
+    runs gets a copy of x, since a back may consume its kept input."""
+    value, back = op(x.copy(), *params, *extra)
     dx, grads = back(2 * value)
     assert len(grads) == len(params)
 
@@ -57,12 +58,14 @@ class TestPrimitives:
         b = rng.standard_normal(5)
         check_op(ad.affine, x, [w, b])
 
-    def test_mul_broadcast(self):
-        # the per-feature scale, broadcast over the rows
+    def test_selu_affine(self):
+        # the encoder's SELU fused with the next stage's affine
         rng = np.random.default_rng(1)
-        x = rng.standard_normal((6, 4))
-        s = rng.standard_normal(4)
-        check_op(ad.scale, x, [s])
+        x = rng.standard_normal((6, 4)) * 2
+        assert np.abs(x).min() > 1e-3  # ten finite-difference steps
+        w = rng.standard_normal((4, 5))
+        b = rng.standard_normal(5)
+        check_op(ad.selu_affine, x, [w, b])
 
     def test_selu(self):
         rng = np.random.default_rng(2)
@@ -85,6 +88,20 @@ class TestPrimitives:
         gamma = rng.standard_normal(4) + 1.5
         beta = rng.standard_normal(4)
         check_op(ad.selu_standardize, x, [gamma, beta], rtol=1e-5, atol=1e-8)
+
+    def test_selu_standardize_with_scale(self):
+        # the perturbation stage: the per-feature scale, broadcast over
+        # the rows and negative in some features, folded into the op
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((7, 4)) * 2
+        s = rng.standard_normal(4) + np.array([1.0, -1.0, 1.0, -1.0])
+        # a step of x or of s moves x * s by at most 1e-4 * max(|x|, |s|)
+        assert np.abs(x * s).min() > 1e-3 * max(np.abs(x).max(),
+                                                np.abs(s).max())
+        gamma = rng.standard_normal(4) + 1.5
+        beta = rng.standard_normal(4)
+        check_op(ad.selu_standardize, x, [gamma, beta, s], rtol=1e-5,
+                 atol=1e-8)
 
     def test_standardize_single_vertex_rejected(self):
         for op in (standardize, ad.selu_standardize):
@@ -157,7 +174,7 @@ class TestTapeLifetime:
 
     def test_descriptors_records_nothing(self, bank_2x2, monkeypatch):
         backs = []
-        for name in ("affine", "scale", "selu", "selu_standardize",
+        for name in ("affine", "selu_affine", "selu", "selu_standardize",
                      "wavelet_mix"):
             def spy(*args, op=getattr(ad, name)):
                 value, back = op(*args)
@@ -177,22 +194,24 @@ class TestTapeLifetime:
         nw._head_input(model, coords, bank_2x2, True, tape)
         assert [back for back, _ in tape] == [ref() for ref in backs]
         assert [names for _, names in tape if names][-1] == (
-            "perturb.gamma", "perturb.beta")
+            "perturb.gamma", "perturb.beta", "perturb.scale")
 
     def test_activation_no_vjp_reads_is_freed(self, bank_2x2):
         # a conv layer's output, selu_standardize(z), feeds the next
         # wavelet_mix, whose back reads its projections, not its input;
-        # the fused op's own back reads z, not its output
+        # the fused op's own back reads z, not its output, and consumes
+        # it, so it gets a copy
         n = bank_2x2.n_vertices
+        bank = ad.MixBank.of(bank_2x2, np.float64)
         rng = np.random.default_rng(32)
         z = rng.standard_normal((n, 3))
         gamma = rng.standard_normal(3) + 1.5
         beta = rng.standard_normal(3)
         thetas = [[rng.standard_normal((3, 2)) for _ in range(2)]
                   for _ in range(2)]
-        y, back_y = ad.selu_standardize(z, gamma, beta)
+        y, back_y = ad.selu_standardize(z.copy(), gamma, beta)
         alive = weakref.ref(y)
-        out, back_w = ad.wavelet_mix(y, thetas, bank_2x2)
+        out, back_w = ad.wavelet_mix(y, thetas, bank)
         del y
         assert alive() is None
         gy, _ = back_w(2 * out)
@@ -200,7 +219,7 @@ class TestTapeLifetime:
 
         def loss():
             y = ad.selu_standardize(z, gamma, beta)[0]
-            return float((ad.wavelet_mix(y, thetas, bank_2x2)[0] ** 2).sum())
+            return float((ad.wavelet_mix(y, thetas, bank)[0] ** 2).sum())
 
         for got, want in zip((gz, ggamma, gbeta),
                              finite_difference(loss, [z, gamma, beta])):
@@ -247,8 +266,9 @@ class TestSeluStandardize:
         beta = rng.standard_normal(d).astype(dtype)
         g = rng.standard_normal((n, d)).astype(dtype)
 
-        value, back = ad.selu_standardize(z, gamma, beta)
-        dz, (dgamma, dbeta) = back(g.copy())  # the back consumes its g
+        # the back consumes its z and its g
+        value, back = ad.selu_standardize(z.copy(), gamma, beta)
+        dz, (dgamma, dbeta) = back(g.copy())
         s, back_s = ad.selu(z)
         want, back_std = standardize(s, gamma, beta)
         gs, (want_dgamma, want_dbeta) = back_std(g)
@@ -259,33 +279,100 @@ class TestSeluStandardize:
                          (dbeta, want_dbeta)):
             assert same_bits(got, ref)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_scale_matches_the_unfused_ops_bit_for_bit(self, dtype):
+        # the perturbation stage's scale, folded into the op, against
+        # x = z * s fed to the unfused oracle, whose input gradient gx
+        # gives the scale's back: gx * s for z and sum(gx * z) for s
+        rng = np.random.default_rng(43)
+        n, d = 40, 7
+        z = (rng.standard_normal((n, d)) * 3).astype(dtype)
+        s = (rng.standard_normal(d) * 2).astype(dtype)
+        gamma = (rng.standard_normal(d) + 1.5).astype(dtype)
+        beta = rng.standard_normal(d).astype(dtype)
+        g = rng.standard_normal((n, d)).astype(dtype)
+
+        value, back = ad.selu_standardize(z.copy(), gamma, beta, s)
+        dz, (dgamma, dbeta, ds) = back(g.copy())
+        x = z * s
+        sx, back_s = ad.selu(x)
+        want, back_std = standardize(sx, gamma, beta)
+        gs, (want_dgamma, want_dbeta) = back_std(g)
+        gx, _ = back_s(gs)
+        for got, ref in ((value, want), (dz, gx * s), (dgamma, want_dgamma),
+                         (dbeta, want_dbeta), (ds, (gx * z).sum(axis=0))):
+            assert same_bits(got, ref)
+
     def test_back_holds_its_input_and_two_feature_vectors(self):
         # the back keeps z, which the caller made, and the D-vectors mean
         # and inverse std; keeping xhat as the unfused standardization
-        # does would hold N x D more (204.8 kB here against 1 kB)
+        # does would hold N x D more (204.8 kB here against 1 kB), and so
+        # would keeping z times the scale beside z
         n, d = 400, 64
         rng = np.random.default_rng(41)
         z = rng.standard_normal((n, d))
         gamma = rng.standard_normal(d) + 1.5
         beta = rng.standard_normal(d)
-        held, (out, back) = traced_held(
-            lambda: ad.selu_standardize(z, gamma, beta))
-        assert held - out.nbytes < 2 * d * 8 + 8192  # + the closure's objects
-        kept = [c.cell_contents for c in back.__closure__]
-        assert [a for a in kept if np.ndim(a) == 2] == [z]
+        for scale in ((), (rng.standard_normal(d),)):
+            held, (out, back) = traced_held(
+                lambda: ad.selu_standardize(z, gamma, beta, *scale))
+            # + the closure's objects
+            assert held - out.nbytes < 2 * d * 8 + 8192
+            kept = [c.cell_contents for c in back.__closure__]
+            assert [a for a in kept if np.ndim(a) == 2] == [z]
 
-    def test_back_peaks_at_three_arrays_beside_its_input_and_g(self):
-        # the back forms SELU's exponential (then its derivative), xhat and
-        # one work array, and forms g * gamma in g; a separate g * gamma
-        # would make four N x D arrays
+    def test_back_peaks_at_two_arrays_beside_its_input_and_g(self):
+        # the back forms SELU's exponential (then its derivative) and
+        # xhat, takes z as its work array once SELU's derivative is
+        # formed, and forms g * gamma in g; a work array of its own would
+        # make three N x D arrays. With a scale it forms z * s apart from
+        # z, which the scale's gradient reads last, and works in that
         n, d = 400, 64
         rng = np.random.default_rng(42)
-        z = rng.standard_normal((n, d))
-        g = rng.standard_normal((n, d))
         gamma = rng.standard_normal(d) + 1.5
-        _, back = ad.selu_standardize(z, gamma, rng.standard_normal(d))
-        peak, _ = traced_peak(lambda: back(g))
-        assert peak < 3.5 * z.nbytes
+        beta = rng.standard_normal(d)
+        for scale, arrays in (((), 2), ((rng.standard_normal(d),), 3)):
+            z = rng.standard_normal((n, d))
+            g = rng.standard_normal((n, d))
+            _, back = ad.selu_standardize(z, gamma, beta, *scale)
+            peak, _ = traced_peak(lambda: back(g))
+            assert peak < (arrays + 0.5) * z.nbytes, (arrays, peak / z.nbytes)
+
+
+class TestSeluAffine:
+    """The encoder's SELU fused with the next stage's affine, against
+    affine(selu(z))."""
+
+    def test_matches_the_unfused_ops_bit_for_bit(self):
+        rng = np.random.default_rng(44)
+        z = rng.standard_normal((30, 6)) * 3
+        z[::4, 0] = 0.0
+        w = rng.standard_normal((6, 5))
+        b = rng.standard_normal(5)
+        g = rng.standard_normal((30, 5))
+        value, back = ad.selu_affine(z, w, b)
+        dz, (dw, db) = back(g)
+        s, back_s = ad.selu(z)
+        want, back_a = ad.affine(s, w, b)
+        gs, (want_dw, want_db) = back_a(g)
+        want_dz, _ = back_s(gs)
+        for got, ref in ((value, want), (dz, want_dz), (dw, want_dw),
+                         (db, want_db)):
+            assert same_bits(got, ref)
+
+    def test_back_holds_its_input_not_the_selu_output(self):
+        # keeping SELU's output for the weight gradient, as the two ops
+        # apart do, would hold N x D more (102.4 kB here)
+        n, d = 400, 32
+        rng = np.random.default_rng(45)
+        z = rng.standard_normal((n, d))
+        w = rng.standard_normal((d, 8))
+        held, (out, back) = traced_held(
+            lambda: ad.selu_affine(z, w, rng.standard_normal(8)))
+        assert held - out.nbytes < 8192  # the closure's objects
+        kept = [id(c.cell_contents) for c in back.__closure__
+                if np.ndim(c.cell_contents) == 2]
+        assert sorted(kept) == sorted([id(w), id(z)])
 
 
 class TestWaveletMix:
@@ -295,6 +382,7 @@ class TestWaveletMix:
         rng = np.random.default_rng(6)
         x = rng.standard_normal((mesh.n_vertices, 3))
         thetas = [rng.standard_normal((3, 3)) for _ in range(4)]
+        bank = ad.MixBank.of(bank, np.float64)
 
         def mix(x, *t):
             return ad.wavelet_mix(x, [list(t[:2]), list(t[2:])], bank)
@@ -312,14 +400,17 @@ class TestWaveletMix:
         x = rng.standard_normal((n, d))
         thetas = [[rng.standard_normal((d, d)) for _ in range(4)]
                   for _ in range(2)]
+        bank = ad.MixBank.of(bank, np.float64)
         peak, _ = traced_peak(lambda: ad.wavelet_mix(x, thetas, bank))
         assert peak < 6 * n * d * 8
 
     def test_back_holds_one_projection_per_direction(self):
-        # per direction the back keeps the K x D projection C = Phi^T A x,
-        # the J x N normalizers and the J x K responses, and forms each
-        # r_j * C again when it runs; keeping the J scaled copies of C
-        # would hold J x K x D per direction (275 kB here against 91 kB)
+        # per direction the back keeps the K x D projection C = Phi^T A x
+        # and forms each r_j * C again when it runs; it reads the
+        # normalizers and responses from the MixBank the forward shares
+        # with every layer. Keeping the J scaled copies of C would hold
+        # J x K x D per direction (275 kB here against 61 kB), and copies
+        # of the J x N normalizer reciprocals 25.6 kB
         mesh = jittered_grid(19, 19, seed=13)  # 400 vertices
         n_dir, n_scale, k, d = 2, 4, 60, 64
         bank = build_bank_for(mesh, k=k, directions=n_dir, alpha=50.0,
@@ -329,9 +420,31 @@ class TestWaveletMix:
         x = rng.standard_normal((n, d))
         thetas = [[rng.standard_normal((d, d)) for _ in range(n_scale)]
                   for _ in range(n_dir)]
+        bank = ad.MixBank.of(bank, np.float64)
         held, (out, _) = traced_held(lambda: ad.wavelet_mix(x, thetas, bank))
-        kept = n_dir * (k * d + n_scale * n + n_scale * k) * 8
+        kept = n_dir * k * d * 8
         assert held - out.nbytes < kept + 8192  # + the closure's objects
+
+    def test_back_shares_one_buffer_for_its_two_n_by_d_arrays(self):
+        # with E = D the per-scale g / n_j and the direction's synthesized
+        # x-gradient take turns in one N x D buffer, beside the gradient
+        # it accumulates, the theta-gradients, K x D buffers and the copy
+        # of a passband's N x K_j slice of Phi that matmul makes (at most
+        # N x K); a buffer each would make three N x D arrays. Measured
+        # here: 354 kB, and 457 kB with a buffer each
+        mesh = jittered_grid(19, 19, seed=13)  # 400 vertices
+        bank = build_bank_for(mesh, k=20, directions=2, alpha=50.0, scales=4)
+        n, d = mesh.n_vertices, 32
+        rng = np.random.default_rng(18)
+        thetas = [[rng.standard_normal((d, d)) for _ in range(4)]
+                  for _ in range(2)]
+        _, back = ad.wavelet_mix(rng.standard_normal((n, d)), thetas,
+                                 ad.MixBank.of(bank, np.float64))
+        g = rng.standard_normal((n, d))
+        peak, (gx, theta_grads) = traced_peak(lambda: back(g))
+        phi = bank.spectra[0].eigenvectors
+        assert peak < (2.5 * gx.nbytes + sum(t.nbytes for t in theta_grads)
+                       + phi.nbytes)
 
 
 def _rel(got, want):
@@ -360,7 +473,7 @@ class TestWaveletMixExact:
         thetas = [[rng.standard_normal((d, e)) for _ in range(n_scale)]
                   for _ in range(n_dir)]
 
-        out, back = ad.wavelet_mix(x, thetas, bank)
+        out, back = ad.wavelet_mix(x, thetas, ad.MixBank.of(bank, np.float64))
         gx, theta_grads = back(w)
 
         # column v of P is filter (m, j)'s normalized wavelet at v, so the
@@ -384,7 +497,7 @@ class TestWaveletMixExact:
         thetas = [[np.eye(2) for _ in range(n_scale)] for _ in range(n_dir)]
         with pytest.raises(ValueError, match=(
                 f"{n_dir} x {n_scale} grid.*4 directions x 4 scales")):
-            ad.wavelet_mix(x, thetas, bank)
+            ad.wavelet_mix(x, thetas, ad.MixBank.of(bank, np.float64))
 
 
 class TestFusedHead:

@@ -865,6 +865,34 @@ def test_spectrum_reports_the_lanczos_run_and_an_older_solver(
                              "4.5e-15, solver arpack") for line in lines)
 
 
+def test_spectrum_warns_when_k_splits_a_repeated_eigenvalue(tmp_path,
+                                                            capsys):
+    # the open cylinder at res 2 and alpha 0 has lambda_40 = lambda_41
+    # (equal to 6e-16 by the dense oracle): K 40 cuts that eigenspace and
+    # K 39 does not. A miss warns after its "computed" line and again
+    # after its report, a hit after its report
+    mesh = tmp_path / "cylinder.off"
+    write_off(synth.cylinder(2), mesh)
+    cache = tmp_path / "cache"
+
+    def spectrum(k):
+        assert cli.main(["spectrum", "--mesh", str(mesh), "--k", str(k),
+                         "--alpha", "0", "--directions", "1", "--cache",
+                         str(cache), "--out", str(tmp_path / "s")]) == 0
+        return capsys.readouterr()
+
+    warning = ("warning: direction 0: K 40 splits a repeated eigenvalue "
+               "(n_below_mu_minus 39, n_below_mu_plus 41)")
+    for warnings in (2, 1):
+        got = spectrum(40)
+        assert "n_below_mu_minus 39, n_below_mu_plus 41" in got.out
+        assert got.err.count(warning) == warnings
+        assert "warning" not in got.out
+    got = spectrum(39)
+    assert "n_below_mu_plus 39," in got.out
+    assert "warning" not in got.err
+
+
 def test_spectrum_file_with_another_key_is_recomputed(run, tmp_path, capsys):
     mesh = run.data / "template.off"
     cache = tmp_path / "cache"
@@ -1057,9 +1085,9 @@ def geodesic_calls(monkeypatch):
     calls = []
     original = corresp.geodesic_rows
 
-    def counted(mesh, sources):
+    def counted(mesh, sources, *graph):
         calls.append(len(sources))
-        return original(mesh, sources)
+        return original(mesh, sources, *graph)
 
     monkeypatch.setattr(corresp, "geodesic_rows", counted)
     return calls

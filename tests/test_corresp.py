@@ -216,6 +216,21 @@ class TestGeodesics:
         assert len(blocks) == -(-sources.size // block)
         assert np.array_equal(np.vstack(blocks), geodesic_rows(ico1, sources))
 
+    def test_blocks_build_the_edge_graph_once(self, monkeypatch, ico1):
+        # one graph serves the connectivity check and every block
+        monkeypatch.setattr(corresp, "GEO_BLOCK", 7)
+        builds = []
+        build = corresp._edge_graph
+
+        def counted(mesh):
+            builds.append(mesh)
+            return build(mesh)
+
+        monkeypatch.setattr(corresp, "_edge_graph", counted)
+        blocks = list(geodesic_blocks(ico1, np.arange(ico1.n_vertices)))
+        assert len(blocks) == -(-ico1.n_vertices // 7) > 1
+        assert builds == [ico1]
+
     def test_disconnected_mesh(self):
         verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0],
                  [10, 10, 10], [11, 10, 10], [10, 11, 10]]

@@ -277,7 +277,7 @@ def apply_one(bank, direction, scale, x):
     thetas = [[np.eye(d) if (m, j) == (direction, scale) else np.zeros((d, d))
                for j in range(bank.n_scales)]
               for m in range(bank.n_directions)]
-    return ad.wavelet_mix(x, thetas, bank)
+    return ad.wavelet_mix(x, thetas, ad.MixBank.of(bank, x.dtype))
 
 
 class TestApplyFilter:
