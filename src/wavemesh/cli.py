@@ -23,6 +23,12 @@ under the operator, filter bank and network it was trained with. Without
 `<saved out>/cache` unless the experiment names one); without `--out` it
 writes under `<checkpoint directory>/eval`, never into the training run's
 own files.
+`train` makes float32 parameters unless the experiment sets
+{"float32": false}, and the network runs in its parameters' dtype; so
+`eval` runs a checkpoint in the dtype it was saved in, and a float64
+checkpoint of earlier versions still evaluates in float64. Spectra, filter
+banks, geodesic rows, their cache files and the matching of descriptors
+stay float64.
 Exit codes: 0 success, 1 usage, 2 validation, 3 numerical failure, 4 I/O or
 cache problems.
 
@@ -115,7 +121,7 @@ class ExperimentConfig:
     weight_decay: float = 0.0001
     seed: int = 0
     radii: tuple[float, float, float] = (0.0, 0.25, 0.0025)
-    float32: bool = False
+    float32: bool = True  # the network's precision; float64 with false
     out: str = "out"
     cache: str = None
 

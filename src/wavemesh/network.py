@@ -40,13 +40,16 @@ only after this step's bank, tape, activations and gradients are gone,
 and memory does not grow with the number of training shapes.
 
 Precision has one owner: the parameters. ``Model.initialize`` makes them
-float64 by default or float32 on request, and ``_head_input``, the one
-entry point of training steps and ``descriptors``, casts the coordinates
-and, in its ``MixBank``, one copy of the bank's eigenvectors and masses to
-their dtype, which every conv layer then shares (in float64 they are not
-copied). So float32
-keeps parameters, activations and gradients in float32; its loss curve
-is tested against float64 to 1e-4 relative.
+in the dtype it is given, float64 unless told otherwise; ``cli``'s
+``train`` asks for float32 unless the experiment sets
+``{"float32": false}``. ``_head_input``, the one entry point of training
+steps and ``descriptors``, casts the coordinates and, in its ``MixBank``,
+one copy of the bank's eigenvectors and masses to their dtype, which every
+conv layer then shares (in float64 they are not copied). So float32 keeps
+parameters, activations, tape, gradients and Adam moments in float32; its
+loss curve is tested against float64 to 1e-4 relative. The spectra, the
+filter bank and its L1 normalizers stay float64, and so does matching
+(``corresp.match_nn`` casts the descriptors).
 
 `ModelConfig` is the network's shape over POINT_DIM = 3 input coordinates.
 A checkpoint does not store it: `cli` derives it from the saved experiment
@@ -194,9 +197,9 @@ def adam_step(params, grads, state, lr=0.001, weight_decay=0.0001):
     """One Adam step with ADAM_BETA1, ADAM_BETA2 and ADAM_EPS, in place;
     weight decay is added to the gradient. `grads` holds one gradient per
     parameter: a missing or an extra name raises ValueError before any
-    parameter moves. Each parameter's step is formed in place in one scratch
-    array of its size, besides its decayed gradient and its update; `grads`
-    is only read."""
+    parameter moves. `grads` is consumed: each parameter's decayed gradient
+    and update are formed in its gradient array, beside one scratch array
+    of its size, so the gradients hold scratch values on return."""
     _check_gradients(params, grads)
     state.t += 1
     _adam_update(params, grads, state, lr, weight_decay)
@@ -204,8 +207,9 @@ def adam_step(params, grads, state, lr=0.001, weight_decay=0.0001):
 
 def _adam_update(params, grads, state, lr, weight_decay):
     """Adam's update of every parameter in `params` at step state.t, in
-    place. Each parameter's update is its own, so one step may update its
-    parameters in parts, one call each."""
+    place, consuming `grads` as `adam_step` does. Each parameter's update
+    is its own, so one step may update its parameters in parts, one call
+    each."""
     t = state.t
     for name, p in params.items():
         g = grads[name]
@@ -214,7 +218,7 @@ def _adam_update(params, grads, state, lr, weight_decay):
                 f"gradient shape {g.shape} != parameter shape {p.shape} for {name}")
         work = np.empty_like(p)
         if weight_decay:
-            g = g + np.multiply(p, weight_decay, out=work)
+            g += np.multiply(p, weight_decay, out=work)
         m = state.m.get(name)
         if m is None:
             m = np.zeros_like(p)
@@ -227,13 +231,12 @@ def _adam_update(params, grads, state, lr, weight_decay):
         np.multiply(g, 1 - ADAM_BETA2, out=work)
         work *= g
         v += work
-        del g
         # p -= lr * mhat / (sqrt(vhat) + eps), with the corrected moments
         # mhat = m / (1 - beta1^t) and vhat = v / (1 - beta2^t)
         denom = np.divide(v, 1 - ADAM_BETA2**t, out=work)
         np.sqrt(denom, out=denom)
         denom += ADAM_EPS
-        update = np.divide(m, 1 - ADAM_BETA1**t)
+        update = np.divide(m, 1 - ADAM_BETA1**t, out=g)
         update *= lr
         update /= denom
         p -= update

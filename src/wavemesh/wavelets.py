@@ -176,19 +176,26 @@ def build_filterbank(spectra, kernel):
     # diagonal: panel P = S[s:e, s:] adds its a-weighted row sums to the
     # columns s: and, right of its diagonal block, its a-weighted column
     # sums to the rows s:e. Each filter sums only over its passband; one
-    # with an empty passband keeps zero norms and fails the check below
+    # with an empty passband keeps zero norms and fails the check below.
+    # Every panel and every scaled basis is written into a contiguous
+    # prefix of one buffer each, so the pass holds one of each at a time
     bands = passbands(responses)
     normalizers = np.zeros((m, j, n))
+    panel_buf = np.empty(min(L1_BLOCK, n) * n)
+    scaled_buf = np.empty(n * k)
     for mi, spec in enumerate(spectra):
         mass = spec.mass
         for ji in range(j):
             kb = bands[mi, ji]
             phi = spec.eigenvectors[:, :kb]
-            scaled = phi * responses[mi, ji, :kb]            # (N, K_mj)
+            scaled = np.multiply(phi, responses[mi, ji, :kb],
+                                 out=scaled_buf[:n * kb].reshape(n, kb))
             norm = normalizers[mi, ji]
             for s in range(0, n, L1_BLOCK):
                 e = min(s + L1_BLOCK, n)
-                panel = phi[s:e] @ scaled[s:].T              # (e - s, N - s)
+                panel = np.matmul(                           # (e - s, N - s)
+                    phi[s:e], scaled[s:].T,
+                    out=panel_buf[:(e - s) * (n - s)].reshape(e - s, n - s))
                 np.abs(panel, out=panel)
                 norm[s:] += mass[s:e] @ panel
                 norm[s:e] += panel[:, e - s:] @ mass[e:]

@@ -392,27 +392,51 @@ def test_malformed_manifest_exits_2_and_writes_nothing(run, tmp_path, capsys,
     assert not out.exists()
 
 
+def _param_dtypes(ckpt):
+    arrays, _ = read_container(ckpt, "CKPT1")
+    return {v.dtype for k, v in arrays.items() if k.startswith("param:")}
+
+
+def _eval_descriptor_dtypes(run, out, ckpt, monkeypatch):
+    """Evaluate `ckpt` into `out`; returns the dtypes of the descriptors."""
+    described = []
+    original = network.descriptors
+
+    def recorded(*args, **kwargs):
+        result = original(*args, **kwargs)
+        described.append(result.dtype)
+        return result
+
+    monkeypatch.setattr(network, "descriptors", recorded)
+    assert _eval(run, out, checkpoint=ckpt) == 0
+    assert described
+    return set(described)
+
+
 def test_float32_training_saves_float32_params_and_evaluates(run, tmp_path,
                                                             monkeypatch):
     config = _json(tmp_path / "f32.json", {**MODEL, "float32": True})
     assert _train(run.data, run.cache, tmp_path / "train", config) == 0
     ckpt = tmp_path / "train" / "checkpoint.ckpt"
-    arrays, _ = read_container(ckpt, "CKPT1")
-    dtypes = {v.dtype for k, v in arrays.items() if k.startswith("param:")}
-    assert dtypes == {np.dtype(np.float32)}
-    described = []
-    original = network.descriptors
-
-    def recorded(*args, **kwargs):
-        out = original(*args, **kwargs)
-        described.append(out.dtype)
-        return out
-
-    monkeypatch.setattr(network, "descriptors", recorded)
-    assert _eval(run, tmp_path / "eval", checkpoint=ckpt) == 0
-    assert described and set(described) == {np.dtype(np.float32)}
+    assert _param_dtypes(ckpt) == {np.dtype(np.float32)}
+    assert (_eval_descriptor_dtypes(run, tmp_path / "eval", ckpt, monkeypatch)
+            == {np.dtype(np.float32)})
     rows = (tmp_path / "eval" / "pairs.csv").read_text().splitlines()[1:]
     assert rows and all(np.isfinite(float(r.rsplit(",", 1)[1])) for r in rows)
+
+
+def test_training_saves_float32_params_by_default_and_float64_on_request(
+        run, tmp_path, monkeypatch):
+    # the run fixture's config has no float32 key; {"float32": false}
+    # trains in float64, and its checkpoint evaluates in float64
+    assert _param_dtypes(run.train_out / "checkpoint.ckpt") == {
+        np.dtype(np.float32)}
+    config = _json(tmp_path / "f64.json", {**MODEL, "float32": False})
+    assert _train(run.data, run.cache, tmp_path / "train", config) == 0
+    ckpt = tmp_path / "train" / "checkpoint.ckpt"
+    assert _param_dtypes(ckpt) == {np.dtype(np.float64)}
+    assert (_eval_descriptor_dtypes(run, tmp_path / "eval", ckpt, monkeypatch)
+            == {np.dtype(np.float64)})
 
 
 def _dump(mesh, cache, out, config, *extra):
@@ -1052,7 +1076,8 @@ def test_training_holds_one_shape_and_matches_prebuilt_banks(tmp_path,
                               cache, path)
         items.append(network.TrainItem(coords=mesh.vertices, labels=labels,
                                        load_bank=lambda bank=bank: bank))
-    prebuilt = network.Model.initialize(model.config)
+    prebuilt = network.Model.initialize(model.config,
+                                        model.params["head.w"].dtype)
     assert network.train(prebuilt, items, epochs=2) == history
     for name, value in model.params.items():
         assert np.array_equal(prebuilt.params[name], value), name
@@ -1255,28 +1280,46 @@ def _renumbered(run, root, name):
     return data, cache, perm
 
 
-def test_renumbering_a_training_shape_leaves_training_unchanged(run,
-                                                                tmp_path):
-    # a training shape renumbered with its labels states the same
-    # correspondence, so every op before the head, the perturbation stage
-    # included, must treat its vertices alike
+def _train_renumbered(run, tmp_path, float32):
+    """Train on the run's dataset and on a copy whose training shape is
+    renumbered with its labels, in float32 or float64, and evaluate both;
+    returns the two loss curves, after checking the scores are equal."""
     manifest = json.loads((run.data / "manifest.json").read_text())
     (entry,) = manifest["training"]
     data, cache, perm = _renumbered(run, tmp_path, entry["mesh"])
     labels = synth.read_indices(data / entry["labels"])
     np.savetxt(data / entry["labels"], labels[perm], fmt="%d")
+    config = _json(tmp_path / "model.json", {**MODEL, "float32": float32})
     losses = []
     for name, dataset in (("base", run.data), ("renumbered", data)):
         out = tmp_path / name
-        assert _train(dataset, cache, out, run.model, "--perturb",
+        assert _train(dataset, cache, out, config, "--perturb",
                       "--epochs", "5") == 0
         losses.append(np.loadtxt(out / "history.csv", delimiter=",",
                                  skiprows=1)[:, 1])
         assert _eval(run, out / "eval", cache=cache,
                      checkpoint=out / "checkpoint.ckpt") == 0
-    np.testing.assert_allclose(losses[1], losses[0], rtol=1e-9, atol=0)
     assert (_outputs(tmp_path / "renumbered" / "eval")
             == _outputs(tmp_path / "base" / "eval"))
+    return losses
+
+
+def test_renumbering_a_training_shape_leaves_training_unchanged(run,
+                                                                tmp_path):
+    # a training shape renumbered with its labels states the same
+    # correspondence, so every op before the head, the perturbation stage
+    # included, must treat its vertices alike; renumbering reorders the
+    # sums over vertices, so float64 losses agree to round-off (4e-13)
+    base, renumbered = _train_renumbered(run, tmp_path, float32=False)
+    np.testing.assert_allclose(renumbered, base, rtol=1e-9, atol=0)
+
+
+def test_renumbering_a_training_shape_leaves_float32_training_unchanged(
+        run, tmp_path):
+    # as above in float32: within 1e-6, about 8 float32 epsilons
+    # (measured 8e-9)
+    base, renumbered = _train_renumbered(run, tmp_path, float32=True)
+    np.testing.assert_allclose(renumbered, base, rtol=1e-6, atol=0)
 
 
 def test_renumbering_an_eval_target_leaves_the_scores_unchanged(run,

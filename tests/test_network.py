@@ -373,6 +373,45 @@ class TestAdam:
         with pytest.raises(ValueError):
             nw.adam_step({"w": np.ones(3)}, {"w": np.ones(4)}, nw.AdamState())
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.0001])
+    def test_steps_match_the_allocating_formula_bit_for_bit(self, dtype,
+                                                            weight_decay):
+        # the formula with a fresh array per term, as numpy evaluates it
+        rng = np.random.default_rng(8)
+        p = rng.standard_normal((5, 7)).astype(dtype)
+        params = {"w": p.copy()}
+        state = nw.AdamState()
+        m = v = np.zeros_like(p)
+        b1, b2, lr = nw.ADAM_BETA1, nw.ADAM_BETA2, 0.01
+        for t in (1, 2, 3):
+            g = rng.standard_normal(p.shape).astype(dtype)
+            nw.adam_step(params, {"w": g.copy()}, state, lr=lr,
+                         weight_decay=weight_decay)
+            if weight_decay:
+                g = g + p * weight_decay
+            m = m * b1 + g * (1 - b1)
+            v = v * b2 + g * (1 - b2) * g
+            denom = np.sqrt(v / (1 - b2**t)) + nw.ADAM_EPS
+            p = p - m / (1 - b1**t) * lr / denom
+            assert params["w"].tobytes() == p.tobytes(), t
+
+    def test_step_consumes_its_gradients(self):
+        g = np.full((2, 3), 0.5)
+        nw.adam_step({"w": np.ones((2, 3))}, {"w": g}, nw.AdamState())
+        assert not np.array_equal(g, np.full((2, 3), 0.5))
+
+    def test_step_takes_one_scratch_array_of_a_parameters_size(self):
+        # step 2, so the moments exist. The gradient array holds the
+        # decayed gradient and then the update, and one scratch array the
+        # other terms; allocating each term anew peaks at 2.0 sizes
+        p = np.random.default_rng(9).standard_normal((256, 256))
+        params, state = {"w": p}, nw.AdamState()
+        nw.adam_step(params, {"w": np.ones_like(p)}, state)
+        grads = {"w": np.ones_like(p)}
+        peak, _ = traced_peak(lambda: nw.adam_step(params, grads, state))
+        assert peak < 1.25 * p.nbytes, peak / p.nbytes
+
     @pytest.mark.parametrize("grads, named", [
         ({"w": np.ones(3)}, "missing for ['b']"),
         ({"w": np.ones(3), "b": np.ones(2), "c": np.ones(1)},

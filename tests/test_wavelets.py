@@ -158,6 +158,44 @@ class TestBankConstruction:
         peak, _ = traced_peak(lambda: build_filterbank(spectra, kernel))
         assert peak < n * n * 8
 
+    @pytest.mark.parametrize("block", [7, 30])
+    def test_buffered_panels_match_allocated_panels_bit_for_bit(
+            self, aniso_bank_30, monkeypatch, block):
+        # the same GEMMs as forming each panel and scaled basis anew
+        monkeypatch.setattr(wavelets, "L1_BLOCK", block)
+        bank = build_filterbank(aniso_bank_30.spectra, aniso_bank_30.kernel)
+        bands = passbands(bank.responses)
+        for m, spec in enumerate(bank.spectra):
+            n, mass = spec.n, spec.mass
+            for j in range(bank.n_scales):
+                phi = spec.eigenvectors[:, :bands[m, j]]
+                scaled = phi * bank.responses[m, j, :bands[m, j]]
+                want = np.zeros(n)
+                for s in range(0, n, block):
+                    e = min(s + block, n)
+                    panel = np.abs(phi[s:e] @ scaled[s:].T)
+                    want[s:] += mass[s:e] @ panel
+                    want[s:e] += panel[:, e - s:] @ mass[e:]
+                assert np.array_equal(bank.l1_normalizers[m, j], want)
+
+    def test_build_holds_one_panel_and_one_scaled_basis(self, monkeypatch):
+        # consecutive panels and consecutive filters' scaled bases share a
+        # buffer each: the rise is one L1_BLOCK x N panel, one N x K basis
+        # and the M x J x N normalizers, plus vectors of length N and the
+        # two iteration buffers numpy's multiply takes for a strided basis
+        block = 16
+        monkeypatch.setattr(wavelets, "L1_BLOCK", block)
+        mesh = jittered_grid(29, 29, seed=13)  # 900 vertices
+        spectra = build_bank_for(mesh, k=60, directions=2, alpha=50.0,
+                                 scales=4).spectra
+        kernel = KernelSpec.mexican_hat(spectra[0].lambda_max, 4)
+        n, k = mesh.n_vertices, 60
+        peak, _ = traced_peak(lambda: build_filterbank(spectra, kernel))
+        # bound 794 kB; measured 745 kB, and 996 kB when each panel and
+        # basis is allocated anew, so that two of each are held at once
+        assert peak < ((block * n + n * k + 2 * 4 * n + 8 * n) * 8
+                       + 2 * np.getbufsize() * 8), peak
+
 
 class TestPassbands:
     def test_flat_response_keeps_all(self):
