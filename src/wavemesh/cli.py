@@ -26,18 +26,21 @@ own files.
 `train` makes float32 parameters unless the experiment sets
 {"float32": false}, and the network runs in its parameters' dtype; so
 `eval` runs a checkpoint in the dtype it was saved in, and a float64
-checkpoint of earlier versions still evaluates in float64. Spectra, filter
-banks, geodesic rows, their cache files and the matching of descriptors
-stay float64.
+checkpoint of earlier versions still evaluates in float64. A filter bank's
+L1 normalizers are summed in that dtype too (`wavelets.build_filterbank`),
+the experiment's in `train` and `wavelet-dump` and the checkpoint's
+parameters' in `eval`. Spectra, geodesic rows, filter banks' stored arrays,
+their cache files and the matching of descriptors stay float64.
 Exit codes: 0 success, 1 usage, 2 validation, 3 numerical failure, 4 I/O or
 cache problems.
 
 Cache layout: the cache directory holds one SPEC1 file per mesh and
-direction, one FBK1 filter bank per mesh and kernel, and one GEO1 file of
-ground-truth geodesic rows per evaluated target mesh and ground truth. Every
-command gets or builds each file it needs (so `spectrum` is an optional
-precompute) through one path, `_cached`: a key is a digest of everything
-the file was computed from, the file is named (`_cache_path`)
+direction, one FBK1 filter bank per mesh, kernel and precision of its L1
+pass, and one GEO1 file of ground-truth geodesic rows per evaluated target
+mesh and ground truth. Every command gets or builds each file it needs (so
+`spectrum` is an optional precompute) through one path, `_cached`: a key
+is a digest of everything the file was computed from, the file is named
+(`_cache_path`)
 `{mesh stem}.{key[:16]}.{spec,fbk,geo}`, and its metadata is {"key": key},
 checked again on read. A SPEC1 file also stores, under "provenance", how
 its spectrum was solved (`Spectrum.provenance`: the solver, "dense" or
@@ -52,11 +55,13 @@ warning on stderr. The keys cover, for a
 spectrum, the mesh content, alpha, theta (m*pi/M as a Python float), the
 clamped k and a constant 0.0, where earlier versions put their curvature
 radius, so that their SPEC1 files still hit; for a bank, its spectra's
-keys, the resolved lambda_max and scales; for geodesic rows, the target
-mesh content, the SHA-256 of the sorted distinct gt vertices and the
-geodesic method (`corresp.GEODESIC_METHOD`). A changed input is
-therefore a different file name, i.e. a miss; a corrupt file is a miss
-too, reported and rebuilt. Nothing is evicted; a GEO1 file holds
+keys, the resolved lambda_max and scales and the dtype of its L1 pass
+("float32" or "float64"), so that a bank is never served to a run of the
+other precision; for geodesic rows, the target mesh content, the SHA-256
+of the sorted distinct gt vertices and the geodesic method
+(`corresp.GEODESIC_METHOD`). A changed input is therefore a different
+file name, i.e. a miss; a corrupt file is a miss too, reported and
+rebuilt. Nothing is evicted; a GEO1 file holds
 |unique gt| x N_target x 8 bytes (88 MiB at N = 3402 with every vertex a
 gt vertex).
 
@@ -124,6 +129,11 @@ class ExperimentConfig:
     float32: bool = True  # the network's precision; float64 with false
     out: str = "out"
     cache: str = None
+
+    @property
+    def dtype(self):
+        """The dtype of the parameters `train` makes."""
+        return np.float32 if self.float32 else np.float64
 
     @classmethod
     def load(cls, path=None, overrides=None, base=None):
@@ -386,22 +396,23 @@ def load_spectra(mesh, cfg, cache_dir, mesh_path):
     return spectra
 
 
-def build_bank(spectra, cfg, cache_dir, mesh_path):
+def build_bank(spectra, cfg, cache_dir, mesh_path, dtype):
     """The filter bank of `spectra`, from the FBK1 cache or built and cached.
 
     The kernel scales come from cfg.kernel_lambda_max when set (training
     pins them so every mesh is filtered with the same scales); otherwise
-    from this mesh's own spectra."""
+    from this mesh's own spectra. `dtype` is the network's, in which the
+    L1 normalizers are summed; it is part of the key."""
     lambda_max = cfg.kernel_lambda_max or max(s.lambda_max for s in spectra)
     kernel = wavelets.KernelSpec.mexican_hat(lambda_max, cfg.scales)
 
     def build():
-        bank = wavelets.build_filterbank(spectra, kernel)
+        bank = wavelets.build_filterbank(spectra, kernel, dtype)
         return {name: getattr(bank, name) for name in _BANK_ARRAYS}, {}
 
     arrays = _cached(
         "FBK1", (*(s.provenance["key"] for s in spectra), float(lambda_max),
-                 cfg.scales),
+                 cfg.scales, np.dtype(dtype).name),
         cache_dir, mesh_path, build)[0]
     return wavelets.FilterBank(
         spectra=list(spectra), kernel=kernel,
@@ -409,13 +420,6 @@ def build_bank(spectra, cfg, cache_dir, mesh_path):
 
 
 # --- checkpoints ---------------------------------------------------------------
-
-
-# Saved-experiment keys of earlier versions, each with the one value this
-# version reproduces: untightened banks, last-conv-layer descriptors, 1-ring
-# curvature frames (a radius of 0, saved as 0 or 0.0).
-RETIRED_KEYS = {"tighten": False, "descriptor": "features",
-                "curvature_radius": 0.0}
 
 
 def save_checkpoint(path, model, cfg):
@@ -428,21 +432,12 @@ def load_checkpoint(path):
     """(model, saved experiment) of a CKPT1 file. The model's config is
     the saved experiment's, with as many classes as the head bias has
     entries; a missing experiment or head bias, or parameters whose names
-    and shapes that config does not imply, raise CorruptCache. A
-    `RETIRED_KEYS` key is dropped, or raises ConfigInvalid if its value
-    differs (compared as `_checked` types it: a JSON 0 passes as 0.0).
-    The `model` entry earlier versions saved is not read."""
+    and shapes that config does not imply, raise CorruptCache. The `model`
+    entry earlier versions saved is not read."""
     arrays, meta = read_container(path, "CKPT1")
     if not isinstance(meta, dict) or "experiment" not in meta:
         raise CorruptCache(f"{path}: checkpoint missing its experiment")
     experiment = meta["experiment"]
-    if isinstance(experiment, dict):
-        for key, kept in RETIRED_KEYS.items():
-            value = experiment.pop(key, kept)
-            if not (_has_type(value, type(kept)) and value == kept):
-                raise ConfigInvalid(
-                    f"{path}: saved experiment key {key!r} is {value!r}; "
-                    f"this version reproduces only {kept!r}")
     cfg = ExperimentConfig.load(base=experiment)
     params = {k[len("param:"):]: v for k, v in arrays.items()
               if k.startswith("param:")}
@@ -507,7 +502,7 @@ def run_training(cfg, manifest_path):
     def bank_loader(mesh, path):
         # reads cfg when called, so only once the kernel scales are pinned
         return lambda: build_bank(load_spectra(mesh, cfg, cache_dir, path),
-                                  cfg, cache_dir, path)
+                                  cfg, cache_dir, path, cfg.dtype)
 
     items = []
     lambda_maxes = []
@@ -528,7 +523,7 @@ def run_training(cfg, manifest_path):
         cfg.kernel_lambda_max = max(lambda_maxes)
 
     model = network.Model.initialize(cfg.model_config(template.n_vertices),
-                                     np.float32 if cfg.float32 else np.float64)
+                                     cfg.dtype)
     print(f"training on {len(items)} shapes, "
           f"{model.parameter_count} parameters, "
           f"{cfg.effective_epochs} epochs")
@@ -568,6 +563,10 @@ def run_evaluation(model, cfg, manifest_path, out_dir):
     root = Path(manifest_path).parent
     cache_dir = cfg.cache_dir()
     out_dir = Path(out_dir)
+    # the banks follow the parameters, not cfg.float32: a float64
+    # checkpoint of earlier versions saved no float32 key, so its
+    # experiment reads the default, true
+    dtype = model.params["head.w"].dtype
     meshes = {rel: load_mesh(root / rel) for rel in dict.fromkeys(
         p[end] for p in manifest["pairs"] for end in ("source", "target"))}
     gts = [_read_labels(root, p["gt"], p["source"],
@@ -579,7 +578,7 @@ def run_evaluation(model, cfg, manifest_path, out_dir):
     def describe(rel):
         mesh = meshes[rel]
         spectra = load_spectra(mesh, cfg, cache_dir, root / rel)
-        bank = build_bank(spectra, cfg, cache_dir, root / rel)
+        bank = build_bank(spectra, cfg, cache_dir, root / rel, dtype)
         return mesh, network.descriptors(model, mesh.vertices, bank)
 
     results = []
@@ -699,7 +698,7 @@ def cmd_wavelet_dump(args):
     cfg.echo(cfg.out)
     cache_dir = cfg.cache_dir()
     spectra = load_spectra(mesh, cfg, cache_dir, cfg.mesh)
-    bank = build_bank(spectra, cfg, cache_dir, cfg.mesh)
+    bank = build_bank(spectra, cfg, cache_dir, cfg.mesh, cfg.dtype)
     values = wavelets.wavelet_at(bank, args.direction, args.scale, args.vertex)
     out = Path(cfg.out) / (f"wavelet_{Path(cfg.mesh).stem}"
                            f"_v{args.vertex}_m{args.direction}_j{args.scale}.csv")

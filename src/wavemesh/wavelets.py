@@ -24,8 +24,12 @@ S = Phi diag(r) Phi^T. ``build_filterbank`` computes these normalizers
 from the upper triangle of the symmetric S, one row panel of L1_BLOCK rows
 at a time, over each filter's passband, in O(M N^2 sum_j K_mj / 2)
 multiply-adds for M directions, J scales, N vertices and K_mj <= K
-eigenpairs. They agree with the full-K column sums to about 1e-14
-relative (round-off only).
+eigenpairs. The pass runs in the network's precision (``cli.build_bank``
+passes it), and the normalizers are stored float64 either way. In float64
+they agree with the full-K column sums to about 1e-14 relative (round-off
+only); in float32 to a few float32 roundings, at most 4.5e-7 relative at
+bar res 10 and K 200, within a bound of about 2e-6 that the tests derive
+from float32's unit roundoff.
 """
 
 from dataclasses import dataclass
@@ -37,7 +41,7 @@ from .errors import SpectrumMismatch, ZeroColumnNorm
 # rows per upper-triangle panel of S for the L1 normalizers: a panel holds
 # L1_BLOCK x N floats at most, the whole pass over the passbands costs
 # O(M N^2 sum_j K_mj / 2) and matches the full-K column sums to about
-# 1e-14 relative
+# 1e-14 relative in float64 and 2e-6 in float32
 L1_BLOCK = 256
 DEFAULT_SCALE_SPREAD = 40.0  # band-pass peaks cover [lambda_max/40, lambda_max]
 DEFAULT_CUTOFF_FRACTION = 0.4
@@ -144,12 +148,17 @@ def passbands(responses):
     return np.where(above.any(axis=-1), last, 0)
 
 
-def build_filterbank(spectra, kernel):
+def build_filterbank(spectra, kernel, dtype=np.float64):
     """Compute responses, frame bounds and L1 normalizers for a direction
     set sharing one mesh: the spectra must agree in N and K and carry
     equal lumped masses (``FilterBank`` checks them), which
     ``autodiff.wavelet_mix`` applies once for all directions. Never
-    materializes an N x N operator."""
+    materializes an N x N operator.
+
+    `dtype` is the precision of the L1 pass (float64 or float32): the
+    basis, mass, panels and sums of the normalizers. The responses, frame
+    bounds and normalizers are float64 either way, and the check for a
+    zero column norm reads the float64 normalizers."""
     if not spectra:
         raise SpectrumMismatch("need at least one spectrum")
     n, k = spectra[0].n, spectra[0].k
@@ -178,27 +187,34 @@ def build_filterbank(spectra, kernel):
     # sums to the rows s:e. Each filter sums only over its passband; one
     # with an empty passband keeps zero norms and fails the check below.
     # Every panel and every scaled basis is written into a contiguous
-    # prefix of one buffer each, so the pass holds one of each at a time
+    # prefix of one buffer each, so the pass holds one of each at a time.
+    # Every multiply-add runs in `dtype`: in float32 the pass holds one
+    # direction's cast basis and mass at a time, and sums each filter's
+    # normalizers in a float32 vector that is then stored float64; in
+    # float64 it copies nothing and sums straight into the stored array
     bands = passbands(responses)
     normalizers = np.zeros((m, j, n))
-    panel_buf = np.empty(min(L1_BLOCK, n) * n)
-    scaled_buf = np.empty(n * k)
+    panel_buf = np.empty(min(L1_BLOCK, n) * n, dtype)
+    scaled_buf = np.empty(n * k, dtype)
     for mi, spec in enumerate(spectra):
-        mass = spec.mass
+        mass = spec.mass.astype(dtype, copy=False)
+        basis = spec.eigenvectors.astype(dtype, copy=False)
         for ji in range(j):
             kb = bands[mi, ji]
-            phi = spec.eigenvectors[:, :kb]
-            scaled = np.multiply(phi, responses[mi, ji, :kb],
+            resp = responses[mi, ji, :kb].astype(dtype, copy=False)
+            scaled = np.multiply(basis[:, :kb], resp,
                                  out=scaled_buf[:n * kb].reshape(n, kb))
-            norm = normalizers[mi, ji]
+            norm = normalizers[mi, ji].astype(dtype, copy=False)
             for s in range(0, n, L1_BLOCK):
                 e = min(s + L1_BLOCK, n)
                 panel = np.matmul(                           # (e - s, N - s)
-                    phi[s:e], scaled[s:].T,
+                    basis[s:e, :kb], scaled[s:].T,
                     out=panel_buf[:(e - s) * (n - s)].reshape(e - s, n - s))
                 np.abs(panel, out=panel)
                 norm[s:] += mass[s:e] @ panel
                 norm[s:e] += panel[:, e - s:] @ mass[e:]
+            normalizers[mi, ji] = norm
+        del mass, basis  # before the next direction's are cast
     # NaN compares False, so test for the good values: a kernel that
     # overflows (inf * 0) must not pass as a bank
     bad = ~(np.isfinite(normalizers) & (normalizers >= 1e-14))

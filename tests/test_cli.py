@@ -256,40 +256,24 @@ def _saved_model_entry(arrays, meta):
     meta["model"] = {**dataclasses.asdict(shape), "point_dim": 3}
 
 
-def _earlier_version(arrays, meta):
-    # earlier versions saved "descriptor": "features", "tighten": false and
-    # a --perturb model's training shuffle as perm:n, which evaluation
-    # never read
+def _saved_shuffle(arrays, meta):
+    # earlier versions saved a --perturb model's training shuffle as
+    # perm:n, which evaluation never read
     n = arrays["param:head.b"].size
     arrays[f"perm:{n}"] = np.random.default_rng(0).permutation(n)
-    meta["experiment"].update(descriptor="features", tighten=False)
 
 
 def _saving(**retired):
     return lambda arrays, meta: meta["experiment"].update(retired)
 
 
-@pytest.mark.parametrize("perturb, damage", [
-    (False, _saved_model_entry),
-    (False, lambda arrays, meta: meta.update(model=[1])),
-    # checkpoints written while filter banks could be tightened save
-    # "tighten": false for the bank that is still built
-    (False, _saving(tighten=False)),
-    (True, _earlier_version),
-    # earlier versions saved the radius of their curvature frames; 0 meant
-    # the 1-ring frames every version builds, and a JSON 0 reads as an int
-    (False, _saving(curvature_radius=0.0)),
-    (False, _saving(curvature_radius=0)),
-], ids=["model-entry", "wrong-model-entry", "tighten-false",
-        "perturb-perm-descriptor", "curvature_radius-float",
-        "curvature_radius-int"])
+@pytest.mark.parametrize("damage", [
+    _saved_model_entry, lambda arrays, meta: meta.update(model=[1]),
+    _saved_shuffle,
+], ids=["model-entry", "wrong-model-entry", "perm-array"])
 def test_checkpoint_of_an_earlier_version_evaluates_unchanged(
-        run, tmp_path, perturb, damage):
+        run, tmp_path, damage):
     checkpoint = run.train_out / "checkpoint.ckpt"
-    if perturb:
-        out = tmp_path / "train"
-        assert _train(run.data, run.cache, out, run.model, "--perturb") == 0
-        checkpoint = out / "checkpoint.ckpt"
     arrays, meta = read_container(checkpoint, "CKPT1")
     damage(arrays, meta)
     old = tmp_path / "old.ckpt"
@@ -437,6 +421,77 @@ def test_training_saves_float32_params_by_default_and_float64_on_request(
     assert _param_dtypes(ckpt) == {np.dtype(np.float64)}
     assert (_eval_descriptor_dtypes(run, tmp_path / "eval", ckpt, monkeypatch)
             == {np.dtype(np.float64)})
+
+
+def _spectra_only(run, path):
+    """A cache at `path` holding a copy of the shared cache's spectra."""
+    path.mkdir()
+    for spec in run.cache.glob("*.spec"):
+        shutil.copy2(spec, path / spec.name)
+    return path
+
+
+def _record_builds(monkeypatch):
+    """The list that each later `wavelets.build_filterbank` call appends
+    its (spectra, kernel, dtype) and its bank to."""
+    builds = []
+    original = wavelets.build_filterbank
+
+    def recorded(spectra, kernel, dtype):
+        bank = original(spectra, kernel, dtype)
+        builds.append((spectra, kernel, np.dtype(dtype), bank))
+        return bank
+
+    monkeypatch.setattr(wavelets, "build_filterbank", recorded)
+    return builds
+
+
+def test_float32_and_float64_training_keep_their_own_banks(run, tmp_path,
+                                                          monkeypatch):
+    # the FBK1 key holds the dtype of the L1 pass: a float64 train on a
+    # cache of float32 banks builds its own, and after that each precision
+    # reads only its own
+    cache = _spectra_only(run, tmp_path / "cache")
+    builds = _record_builds(monkeypatch)
+    shapes = len(json.loads((run.data / "manifest.json").read_text())[
+        "training"])
+    for i, float32 in enumerate((True, False, True, False)):
+        config = _json(tmp_path / f"{i}.json", {**MODEL, "float32": float32})
+        assert _train(run.data, cache, tmp_path / f"train{i}", config) == 0
+    assert [b[2] for b in builds] == ([np.dtype(np.float32)] * shapes
+                                      + [np.dtype(np.float64)] * shapes)
+    assert len(list(cache.glob("*.fbk"))) == 2 * shapes
+
+
+def test_float64_checkpoint_without_a_float32_key_keeps_the_float64_pass(
+        run, tmp_path, monkeypatch):
+    # a float64 checkpoint of earlier versions saved no float32 key, so its
+    # experiment reads the default, true; eval must sum its banks'
+    # normalizers in float64, as those versions did
+    config = _json(tmp_path / "f64.json", {**MODEL, "float32": False})
+    assert _train(run.data, run.cache, tmp_path / "train", config) == 0
+    checkpoint = tmp_path / "train" / "checkpoint.ckpt"
+    arrays, meta = read_container(checkpoint, "CKPT1")
+    del meta["experiment"]["float32"]
+    old = tmp_path / "old.ckpt"
+    write_container(old, "CKPT1", arrays, meta=meta)
+    cache = _spectra_only(run, tmp_path / "cache")
+    builds = _record_builds(monkeypatch)
+    assert _eval(run, tmp_path / "old", checkpoint=old, cache=cache) == 0
+    assert builds and {b[2] for b in builds} == {np.dtype(np.float64)}
+    monkeypatch.undo()
+    for spectra, kernel, _, bank in builds:
+        # build_filterbank's float64 default is the pass of those versions
+        assert np.array_equal(
+            bank.l1_normalizers,
+            wavelets.build_filterbank(spectra, kernel).l1_normalizers)
+    # the checkpoint it was made from, which saves float32 false, reads
+    # the same banks
+    files = sorted(cache.iterdir())
+    assert _eval(run, tmp_path / "new", checkpoint=checkpoint,
+                 cache=cache) == 0
+    assert sorted(cache.iterdir()) == files
+    assert _outputs(tmp_path / "old") == _outputs(tmp_path / "new")
 
 
 def _dump(mesh, cache, out, config, *extra):
@@ -724,10 +779,7 @@ def test_training_labels_of_another_length_exit_2_before_any_bank(
     entry = json.loads((data / "manifest.json").read_text())["training"][0]
     n = load_mesh(data / entry["mesh"]).n_vertices
     (data / entry["labels"]).write_text("".join(f"{i}\n" for i in range(100)))
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    for spec in run.cache.glob("*.spec"):
-        shutil.copy2(spec, cache / spec.name)
+    cache = _spectra_only(run, tmp_path / "cache")
     capsys.readouterr()
     assert _train(data, cache, tmp_path / "train", run.model) == 2
     err = capsys.readouterr().err
@@ -808,16 +860,18 @@ def _rekey(path, kind):
 def test_cache_file_names_of_a_fixed_mesh_are_pinned(tmp_path):
     # a change to what a SPEC1 or FBK1 key hashes, or to the repr of a
     # part (theta m*pi/M and alpha as Python floats, the constant 0.0 left
-    # by the retired curvature radius), renames every cached file; the
-    # kernel is pinned so that no eigenvalue enters the bank's key
+    # by the retired curvature radius, the L1 pass's dtype name), renames
+    # every cached file; the kernel is pinned so that no eigenvalue enters
+    # the bank's key
     cfg = cli.ExperimentConfig(k=10, scales=2, kernel_lambda_max=1.0)
     spectra = cli.load_spectra(synth.gen_base("bar", 1), cfg, tmp_path,
                                "bar1.off")
-    cli.build_bank(spectra, cfg, tmp_path, "bar1.off")
+    for dtype in (np.float64, np.float32):
+        cli.build_bank(spectra, cfg, tmp_path, "bar1.off", dtype)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "bar1.2e0a6400d6dc868f.spec", "bar1.568b15e6d16748a6.spec",
-        "bar1.aa9097a5b153efd3.spec", "bar1.d2cd0f561f3c5c5d.fbk",
-        "bar1.f464d8ed3ce61ad9.spec"]
+        "bar1.6956983320002876.fbk", "bar1.aa9097a5b153efd3.spec",
+        "bar1.c8447ff5591e16a1.fbk", "bar1.f464d8ed3ce61ad9.spec"]
 
 
 def test_cached_spectrum_reports_how_it_was_solved(run, tmp_path, capsys,
@@ -935,10 +989,7 @@ def test_spectrum_file_with_another_key_is_recomputed(run, tmp_path, capsys):
 def test_bank_file_with_another_key_is_rebuilt(run, tmp_path, monkeypatch):
     mesh_path = run.data / "template.off"
     cfg = cli.ExperimentConfig.load(run.model, {"k": int(K)})
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    for spec in run.cache.glob("*.spec"):
-        shutil.copy2(spec, cache / spec.name)
+    cache = _spectra_only(run, tmp_path / "cache")
     spectra = cli.load_spectra(load_mesh(mesh_path), cfg, cache, mesh_path)
     builds = []
     original = wavelets.build_filterbank
@@ -948,13 +999,13 @@ def test_bank_file_with_another_key_is_rebuilt(run, tmp_path, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(wavelets, "build_filterbank", counted)
-    first = cli.build_bank(spectra, cfg, cache, mesh_path)
+    first = cli.build_bank(spectra, cfg, cache, mesh_path, cfg.dtype)
     (fbk,) = cache.glob("*.fbk")
     assert len(builds) == 1
-    cli.build_bank(spectra, cfg, cache, mesh_path)
+    cli.build_bank(spectra, cfg, cache, mesh_path, cfg.dtype)
     assert len(builds) == 1
     meta = _rekey(fbk, "FBK1")
-    again = cli.build_bank(spectra, cfg, cache, mesh_path)
+    again = cli.build_bank(spectra, cfg, cache, mesh_path, cfg.dtype)
     assert len(builds) == 2
     arrays, stored = read_container(fbk, "FBK1")
     assert stored == meta == {"key": meta["key"]}
@@ -1073,7 +1124,7 @@ def test_training_holds_one_shape_and_matches_prebuilt_banks(tmp_path,
         mesh = load_mesh(path)
         labels = synth.read_indices(data / entry["labels"])
         bank = cli.build_bank(cli.load_spectra(mesh, cfg, cache, path), cfg,
-                              cache, path)
+                              cache, path, cfg.dtype)
         items.append(network.TrainItem(coords=mesh.vertices, labels=labels,
                                        load_bank=lambda bank=bank: bank))
     prebuilt = network.Model.initialize(model.config,
@@ -1443,7 +1494,7 @@ def test_frames_and_wavelet_csvs_match_per_row_writers(run, tmp_path):
     _dump(mesh_path, cache, tmp_path / "dump", run.model)
     cfg = cli.ExperimentConfig.load(run.model, {"k": int(K)})
     bank = cli.build_bank(cli.load_spectra(mesh, cfg, cache, mesh_path), cfg,
-                          cache, mesh_path)
+                          cache, mesh_path, cfg.dtype)
     _wavelet_csv_per_row(wavelets.wavelet_at(bank, 1, 1, 5),
                          tmp_path / "want.csv")
     (got,) = (tmp_path / "dump").glob("wavelet_*.csv")

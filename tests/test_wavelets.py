@@ -43,6 +43,15 @@ def aniso_bank_30():
     return build_bank_for(mesh, k=18, directions=4, alpha=50.0, scales=4)
 
 
+@pytest.fixture(scope="module", params=["ico3", "bar3", "open_cylinder"])
+def bank_40(request):
+    """Four directions of a closed sphere, a closed box with sharp edges
+    and an open cylinder, at K 40 and alpha 50."""
+    mesh = (wm.gen_base("bar", 3) if request.param == "bar3"
+            else request.getfixturevalue(request.param))
+    return build_bank_for(mesh, k=40, directions=4, alpha=50.0, scales=4)
+
+
 class TestKernels:
     def test_band_pass_values(self):
         assert kernel_g(0.0) == 0.0
@@ -196,6 +205,59 @@ class TestBankConstruction:
         assert peak < ((block * n + n * k + 2 * 4 * n + 8 * n) * 8
                        + 2 * np.getbufsize() * 8), peak
 
+    @pytest.mark.parametrize("block", [1, 7, 30])
+    def test_float32_normalizers_match_dense_within_rounding(
+            self, bank_40, monkeypatch, block):
+        # float32 rounds each operation by at most u = 2^-24. Column v's
+        # normalizer L_v = sum_u a(u) |S(u, v)| takes, per entry S(u, v),
+        # kb + 4 roundings (the casts of phi_u, phi_v and r, the scaled
+        # product, and the kb steps of the inner product), each of at most
+        # u a(u) T(u, v) with T = |Phi| diag|r| |Phi|^T; and N + 1 more (the
+        # cast of a(u) and the steps of the sum over u), each of at most
+        # u L_v.
+        # Independent roundings add in quadrature (Higham and Mary 2019,
+        # "A new approach to probabilistic rounding error analysis"), so
+        # the error is of the order of the root sum of squares of these
+        # bounds. Twice that is 2.1e-6 to 3.0e-6 relative on these meshes,
+        # and the measured errors reach at most 0.44 of it (one-row panels)
+        monkeypatch.setattr(wavelets, "L1_BLOCK", block)
+        bank = build_filterbank(bank_40.spectra, bank_40.kernel, np.float32)
+        assert bank.l1_normalizers.dtype == np.float64
+        u = np.finfo(np.float32).eps / 2
+        bands = passbands(bank.responses)
+        for m, spec in enumerate(bank.spectra):
+            for j in range(bank.n_scales):
+                kb = bands[m, j]
+                want = np.abs(dense_filter_matrix(bank, m, j)).sum(axis=0)
+                phi = np.abs(spec.eigenvectors[:, :kb])
+                t = (phi * np.abs(bank.responses[m, j, :kb])) @ phi.T
+                rss = u * np.sqrt((kb + 4) * (spec.mass**2 @ t**2)
+                                  + (spec.n + 1) * want**2)
+                err = np.abs(bank.l1_normalizers[m, j] - want)
+                assert (err <= 2 * rss).all(), (m, j, (err / want).max())
+        # the pass ran in float32: the float64 pass rounds 2^29 times finer
+        assert not np.array_equal(
+            bank.l1_normalizers,
+            build_filterbank(bank_40.spectra, bank_40.kernel).l1_normalizers)
+
+    def test_float32_pass_holds_no_more_than_the_float64_pass(self):
+        # test_build_holds_one_panel_and_one_scaled_basis's 900-vertex grid,
+        # at the default L1_BLOCK, where the panel dominates, and at 16,
+        # where the basis does: the float32 pass holds one cast basis
+        # besides its scaled basis, and half-size panels
+        mesh = jittered_grid(29, 29, seed=13)  # 900 vertices
+        spectra = build_bank_for(mesh, k=60, directions=2, alpha=50.0,
+                                 scales=4).spectra
+        kernel = KernelSpec.mexican_hat(spectra[0].lambda_max, 4)
+        for block in (wavelets.L1_BLOCK, 16):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(wavelets, "L1_BLOCK", block)
+                peak64, _ = traced_peak(
+                    lambda: build_filterbank(spectra, kernel, np.float64))
+                peak32, _ = traced_peak(
+                    lambda: build_filterbank(spectra, kernel, np.float32))
+            assert peak32 <= peak64, (block, peak32, peak64)
+
 
 class TestPassbands:
     def test_flat_response_keeps_all(self):
@@ -231,6 +293,12 @@ class TestPassbands:
         kernel = KernelSpec(scales=np.array([0.0, 1.0]), cutoff=1.0)
         with pytest.raises(ZeroColumnNorm, match="scale 0"):
             build_filterbank(small_bank.spectra, kernel)
+
+    def test_all_zero_filter_raises_zero_column_norm_in_float32(
+            self, small_bank):
+        kernel = KernelSpec(scales=np.array([0.0, 1.0]), cutoff=1.0)
+        with pytest.raises(ZeroColumnNorm, match="scale 0"):
+            build_filterbank(small_bank.spectra, kernel, np.float32)
 
 
 class TestLocalizedWavelets:
