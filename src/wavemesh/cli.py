@@ -23,24 +23,21 @@ under the operator, filter bank and network it was trained with. Without
 `<saved out>/cache` unless the experiment names one); without `--out` it
 writes under `<checkpoint directory>/eval`, never into the training run's
 own files.
-`train` makes float32 parameters unless the experiment sets
-{"float32": false}, and the network runs in its parameters' dtype; so
-`eval` runs a checkpoint in the dtype it was saved in, and a float64
-checkpoint of earlier versions still evaluates in float64. A filter bank's
-L1 normalizers are summed in that dtype too (`wavelets.build_filterbank`),
-the experiment's in `train` and `wavelet-dump` and the checkpoint's
-parameters' in `eval`. Spectra, geodesic rows, filter banks' stored arrays,
-their cache files and the matching of descriptors stay float64.
+`train` makes float32 parameters, and the network runs in its parameters'
+dtype, so `eval` runs a float64 checkpoint of earlier versions in float64.
+Every filter bank sums its L1 normalizers in float32
+(`wavelets.build_filterbank`), whichever network reads it; spectra,
+geodesic rows, banks' stored arrays, their cache files and the matching of
+descriptors stay float64.
 Exit codes: 0 success, 1 usage, 2 validation, 3 numerical failure, 4 I/O or
 cache problems.
 
 Cache layout: the cache directory holds one SPEC1 file per mesh and
-direction, one FBK1 filter bank per mesh, kernel and precision of its L1
-pass, and one GEO1 file of ground-truth geodesic rows per evaluated target
-mesh and ground truth. Every command gets or builds each file it needs (so
-`spectrum` is an optional precompute) through one path, `_cached`: a key
-is a digest of everything the file was computed from, the file is named
-(`_cache_path`)
+direction, one FBK1 filter bank per mesh and kernel, and one GEO1 file of
+ground-truth geodesic rows per evaluated target mesh and ground truth.
+Every command gets or builds each file it needs (so `spectrum` is an
+optional precompute) through one path, `_cached`: a key is a digest of
+everything the file was computed from, the file is named (`_cache_path`)
 `{mesh stem}.{key[:16]}.{spec,fbk,geo}`, and its metadata is {"key": key},
 checked again on read. A SPEC1 file also stores, under "provenance", how
 its spectrum was solved (`Spectrum.provenance`: the solver, "dense" or
@@ -49,21 +46,20 @@ Lanczos solve ncv, restarts, operator_applications and the inertia counts
 n_below_mu_minus and n_below_mu_plus), which `spectrum` reports with the
 file's path; one written without it, or by the ARPACK solver of earlier
 versions, still hits and reports what it holds. When n_below_mu_plus
-exceeds K, K splits a repeated eigenvalue, and the line that reports a
-solve, as the one that reports a stored spectrum, is followed by a
-warning on stderr. The keys cover, for a
-spectrum, the mesh content, alpha, theta (m*pi/M as a Python float), the
-clamped k and a constant 0.0, where earlier versions put their curvature
-radius, so that their SPEC1 files still hit; for a bank, its spectra's
-keys, the resolved lambda_max and scales and the dtype of its L1 pass
-("float32" or "float64"), so that a bank is never served to a run of the
-other precision; for geodesic rows, the target mesh content, the SHA-256
-of the sorted distinct gt vertices and the geodesic method
-(`corresp.GEODESIC_METHOD`). A changed input is therefore a different
-file name, i.e. a miss; a corrupt file is a miss too, reported and
-rebuilt. Nothing is evicted; a GEO1 file holds
-|unique gt| x N_target x 8 bytes (88 MiB at N = 3402 with every vertex a
-gt vertex).
+exceeds K, K splits a repeated eigenvalue, whose returned copies the filter
+banks drop (`Spectrum.n_whole`), and the line that reports a solve, as the
+one that reports a stored spectrum, is followed by a warning on stderr. The
+keys cover, for a spectrum, the mesh content, alpha, theta (m*pi/M as a
+Python float), the clamped k and a constant 0.0, where earlier versions put
+their curvature radius, so that their SPEC1 files still hit; for a bank,
+its spectra's keys, the resolved lambda_max and scales and `_BANK_RULE`,
+which names how banks are built, so that no bank of earlier versions is
+served; for geodesic rows, the target mesh content, the SHA-256 of the
+sorted distinct gt vertices and the geodesic method
+(`corresp.GEODESIC_METHOD`). A changed input is therefore a different file
+name, i.e. a miss; a corrupt file is a miss too, reported and rebuilt.
+Nothing is evicted; a GEO1 file holds |unique gt| x N_target x 8 bytes (88
+MiB at N = 3402 with every vertex a gt vertex).
 
 A GEO1 file is never loaded whole. On a miss its rows are computed
 `corresp.GEO_BLOCK` sources at a time and each block is written as it is
@@ -126,14 +122,8 @@ class ExperimentConfig:
     weight_decay: float = 0.0001
     seed: int = 0
     radii: tuple[float, float, float] = (0.0, 0.25, 0.0025)
-    float32: bool = True  # the network's precision; float64 with false
     out: str = "out"
     cache: str = None
-
-    @property
-    def dtype(self):
-        """The dtype of the parameters `train` makes."""
-        return np.float32 if self.float32 else np.float64
 
     @classmethod
     def load(cls, path=None, overrides=None, base=None):
@@ -262,6 +252,7 @@ def _checked(data, cls, what):
 
 _SUFFIXES = {"SPEC1": "spec", "FBK1": "fbk", "GEO1": "geo"}
 _BANK_ARRAYS = ("responses", "l1_normalizers", "frame_bounds")
+_BANK_RULE = "float32 L1 pass over whole eigenspaces"
 
 
 def _cache_key(*parts):
@@ -349,17 +340,13 @@ def _listed(provenance):
 
 def _warn_if_split(m, spectrum):
     """Warn on stderr when the spectrum's K cuts through a repeated
-    eigenvalue, i.e. more than K eigenvalues lie below mu+ (Lanczos solves
-    only count them). The filter bank is basis-invariant only for whole
-    eigenspaces, so it then depends on which basis of the cut eigenspace
-    the solver returned."""
+    eigenvalue (`Spectrum.n_whole`): the filter banks drop its copies."""
     counts = spectrum.provenance
-    if counts.get("n_below_mu_plus", 0) > spectrum.k:
+    if spectrum.n_whole < spectrum.k:
         print(f"warning: direction {m}: K {spectrum.k} splits a repeated "
               f"eigenvalue (n_below_mu_minus {counts['n_below_mu_minus']}, "
               f"n_below_mu_plus {counts['n_below_mu_plus']}); the filter "
-              f"bank depends on which basis of that eigenspace the "
-              f"solver returned", file=sys.stderr)
+              f"bank drops its returned copies", file=sys.stderr)
 
 
 def load_spectra(mesh, cfg, cache_dir, mesh_path):
@@ -396,23 +383,23 @@ def load_spectra(mesh, cfg, cache_dir, mesh_path):
     return spectra
 
 
-def build_bank(spectra, cfg, cache_dir, mesh_path, dtype):
+def build_bank(spectra, cfg, cache_dir, mesh_path):
     """The filter bank of `spectra`, from the FBK1 cache or built and cached.
 
     The kernel scales come from cfg.kernel_lambda_max when set (training
     pins them so every mesh is filtered with the same scales); otherwise
-    from this mesh's own spectra. `dtype` is the network's, in which the
-    L1 normalizers are summed; it is part of the key."""
+    from this mesh's own spectra. The L1 normalizers are summed in float32,
+    for a network of either precision."""
     lambda_max = cfg.kernel_lambda_max or max(s.lambda_max for s in spectra)
     kernel = wavelets.KernelSpec.mexican_hat(lambda_max, cfg.scales)
 
     def build():
-        bank = wavelets.build_filterbank(spectra, kernel, dtype)
+        bank = wavelets.build_filterbank(spectra, kernel, np.float32)
         return {name: getattr(bank, name) for name in _BANK_ARRAYS}, {}
 
     arrays = _cached(
         "FBK1", (*(s.provenance["key"] for s in spectra), float(lambda_max),
-                 cfg.scales, np.dtype(dtype).name),
+                 cfg.scales, _BANK_RULE),
         cache_dir, mesh_path, build)[0]
     return wavelets.FilterBank(
         spectra=list(spectra), kernel=kernel,
@@ -433,11 +420,13 @@ def load_checkpoint(path):
     the saved experiment's, with as many classes as the head bias has
     entries; a missing experiment or head bias, or parameters whose names
     and shapes that config does not imply, raise CorruptCache. The `model`
-    entry earlier versions saved is not read."""
+    entry and the `float32` key that earlier versions saved are not read."""
     arrays, meta = read_container(path, "CKPT1")
     if not isinstance(meta, dict) or "experiment" not in meta:
         raise CorruptCache(f"{path}: checkpoint missing its experiment")
     experiment = meta["experiment"]
+    if isinstance(experiment, dict):  # the parameters carry the precision
+        experiment.pop("float32", None)
     cfg = ExperimentConfig.load(base=experiment)
     params = {k[len("param:"):]: v for k, v in arrays.items()
               if k.startswith("param:")}
@@ -502,7 +491,7 @@ def run_training(cfg, manifest_path):
     def bank_loader(mesh, path):
         # reads cfg when called, so only once the kernel scales are pinned
         return lambda: build_bank(load_spectra(mesh, cfg, cache_dir, path),
-                                  cfg, cache_dir, path, cfg.dtype)
+                                  cfg, cache_dir, path)
 
     items = []
     lambda_maxes = []
@@ -523,7 +512,7 @@ def run_training(cfg, manifest_path):
         cfg.kernel_lambda_max = max(lambda_maxes)
 
     model = network.Model.initialize(cfg.model_config(template.n_vertices),
-                                     cfg.dtype)
+                                     np.float32)
     print(f"training on {len(items)} shapes, "
           f"{model.parameter_count} parameters, "
           f"{cfg.effective_epochs} epochs")
@@ -563,10 +552,6 @@ def run_evaluation(model, cfg, manifest_path, out_dir):
     root = Path(manifest_path).parent
     cache_dir = cfg.cache_dir()
     out_dir = Path(out_dir)
-    # the banks follow the parameters, not cfg.float32: a float64
-    # checkpoint of earlier versions saved no float32 key, so its
-    # experiment reads the default, true
-    dtype = model.params["head.w"].dtype
     meshes = {rel: load_mesh(root / rel) for rel in dict.fromkeys(
         p[end] for p in manifest["pairs"] for end in ("source", "target"))}
     gts = [_read_labels(root, p["gt"], p["source"],
@@ -578,7 +563,7 @@ def run_evaluation(model, cfg, manifest_path, out_dir):
     def describe(rel):
         mesh = meshes[rel]
         spectra = load_spectra(mesh, cfg, cache_dir, root / rel)
-        bank = build_bank(spectra, cfg, cache_dir, root / rel, dtype)
+        bank = build_bank(spectra, cfg, cache_dir, root / rel)
         return mesh, network.descriptors(model, mesh.vertices, bank)
 
     results = []
@@ -695,10 +680,12 @@ def cmd_eval(args):
 def cmd_wavelet_dump(args):
     cfg = _config_from_args(args, need_mesh=True)
     mesh = load_mesh(cfg.mesh)
+    wavelets.check_indices((cfg.directions, cfg.scales, mesh.n_vertices),
+                           args.direction, args.scale, args.vertex)
     cfg.echo(cfg.out)
     cache_dir = cfg.cache_dir()
     spectra = load_spectra(mesh, cfg, cache_dir, cfg.mesh)
-    bank = build_bank(spectra, cfg, cache_dir, cfg.mesh, cfg.dtype)
+    bank = build_bank(spectra, cfg, cache_dir, cfg.mesh)
     values = wavelets.wavelet_at(bank, args.direction, args.scale, args.vertex)
     out = Path(cfg.out) / (f"wavelet_{Path(cfg.mesh).stem}"
                            f"_v{args.vertex}_m{args.direction}_j{args.scale}.csv")

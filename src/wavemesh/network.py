@@ -39,17 +39,17 @@ own call, loads its shape's filter bank there through the item's
 only after this step's bank, tape, activations and gradients are gone,
 and memory does not grow with the number of training shapes.
 
-Precision has one owner: the parameters. ``Model.initialize`` makes them
-in the dtype it is given, float64 unless told otherwise; ``cli``'s
-``train`` asks for float32 unless the experiment sets
-``{"float32": false}``. ``_head_input``, the one entry point of training
-steps and ``descriptors``, casts the coordinates and, in its ``MixBank``,
-one copy of the bank's eigenvectors and masses to their dtype, which every
-conv layer then shares (in float64 they are not copied). So float32 keeps
-parameters, activations, tape, gradients and Adam moments in float32; its
-loss curve is tested against float64 to 1e-4 relative. The spectra, the
-filter bank and its L1 normalizers stay float64, and so does matching
-(``corresp.match_nn`` casts the descriptors).
+Precision has one owner: the parameters. ``Model.initialize`` makes them in
+the dtype it is given, float64 unless told otherwise; ``cli``'s ``train``
+always asks for float32, and its ``eval`` runs a float64 checkpoint of
+earlier versions in float64 on the same banks. ``_head_input``, the one
+entry point of training steps and ``descriptors``, casts the coordinates
+and, in its ``MixBank``, one copy of the bank's eigenvectors and masses to
+their dtype, which every conv layer then shares (in float64 they are not
+copied). So float32 keeps parameters, activations, tape, gradients and Adam
+moments in float32; its loss curve is tested against float64 to 1e-4
+relative. The spectra and the filter bank's stored arrays stay float64, and
+so does matching (``corresp.match_nn`` casts the descriptors).
 
 `ModelConfig` is the network's shape over POINT_DIM = 3 input coordinates.
 A checkpoint does not store it: `cli` derives it from the saved experiment

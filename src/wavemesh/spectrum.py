@@ -119,6 +119,13 @@ class Spectrum:
     def lambda_max(self):
         return float(self.eigenvalues[-1])
 
+    @property
+    def n_whole(self):
+        """How many leading eigenpairs span whole eigenspaces: fewer than
+        K when the inertia counts (Lanczos only) show K cuts a multiplet."""
+        cut = self.provenance.get("n_below_mu_plus", 0) > self.k
+        return self.provenance["n_below_mu_minus"] if cut else self.k
+
 
 def canonicalize_signs(vectors):
     """Flip each column so its largest-magnitude component is positive."""

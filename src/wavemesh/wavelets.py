@@ -24,12 +24,16 @@ S = Phi diag(r) Phi^T. ``build_filterbank`` computes these normalizers
 from the upper triangle of the symmetric S, one row panel of L1_BLOCK rows
 at a time, over each filter's passband, in O(M N^2 sum_j K_mj / 2)
 multiply-adds for M directions, J scales, N vertices and K_mj <= K
-eigenpairs. The pass runs in the network's precision (``cli.build_bank``
-passes it), and the normalizers are stored float64 either way. In float64
-they agree with the full-K column sums to about 1e-14 relative (round-off
-only); in float32 to a few float32 roundings, at most 4.5e-7 relative at
-bar res 10 and K 200, within a bound of about 2e-6 that the tests derive
-from float32's unit roundoff.
+eigenpairs, in float64 unless told otherwise: the tests' exact reference,
+within about 1e-14 of the full-K column sums. ``cli.build_bank`` runs it
+in float32 for every bank, at most 4.5e-7 relative off at bar res 10 and
+K 200, within a bound of about 2e-6 that the tests derive from float32's
+unit roundoff. The normalizers are stored float64 either way.
+
+When a spectrum's inertia counts show that K cuts a repeated eigenvalue
+(``Spectrum.n_whole``), its returned copies get a response of 0 in every
+scale, so the bank does not depend on the solver's basis of that
+eigenspace; the frame bounds still sample them.
 """
 
 from dataclasses import dataclass
@@ -179,6 +183,8 @@ def build_filterbank(spectra, kernel, dtype=np.float64):
 
     frame_fn = scaling**2 + (responses**2).sum(axis=1)      # (M, K)
     bounds = np.stack([frame_fn.min(axis=1), frame_fn.max(axis=1)], axis=1)
+    for mi, spec in enumerate(spectra):
+        responses[mi, :, spec.n_whole:] = 0.0  # the cut eigenspace's copies
 
     # S = Phi diag(r) Phi^T is symmetric, so column v's norm
     # sum_u a(u) |S(u, v)| is gathered from the panels on and above the
@@ -229,19 +235,17 @@ def build_filterbank(spectra, kernel, dtype=np.float64):
                       frame_bounds=bounds)
 
 
-def _check_indices(bank, direction, scale):
-    if not (0 <= direction < bank.n_directions):
-        raise IndexError(f"direction {direction} out of range")
-    if not (0 <= scale < bank.n_scales):
-        raise IndexError(f"scale {scale} out of range")
+def check_indices(shape, *indices):
+    """Check (direction, scale[, vertex]) against a bank's (M, J, N)."""
+    for name, i, size in zip(("direction", "scale", "vertex"), indices, shape):
+        if not 0 <= i < size:
+            raise IndexError(f"{name} {i} out of range [0, {size})")
 
 
 def wavelet_at(bank, direction, scale, vertex):
     """Explicit localized wavelet at one vertex (visualization path)."""
-    _check_indices(bank, direction, scale)
+    check_indices(bank.l1_normalizers.shape, direction, scale, vertex)
     spec = bank.spectra[direction]
-    if not (0 <= vertex < spec.n):
-        raise IndexError(f"vertex {vertex} out of range")
     phi = spec.eigenvectors
     resp = bank.responses[direction, scale]
     return spec.mass[vertex] * (phi @ (resp * phi[vertex]))
@@ -253,7 +257,7 @@ def dense_filter_matrix(bank, direction, scale, normalized=False):
     Column v is the localized wavelet at v weighted by the vertex measure:
     diag(a) Phi diag(resp) Phi^T, optionally with unit column L1 norms.
     """
-    _check_indices(bank, direction, scale)
+    check_indices(bank.l1_normalizers.shape, direction, scale)
     spec = bank.spectra[direction]
     phi = spec.eigenvectors
     psi = spec.mass[:, None] * (phi @ np.diag(bank.responses[direction, scale]) @ phi.T)

@@ -269,8 +269,8 @@ def _saving(**retired):
 
 @pytest.mark.parametrize("damage", [
     _saved_model_entry, lambda arrays, meta: meta.update(model=[1]),
-    _saved_shuffle,
-], ids=["model-entry", "wrong-model-entry", "perm-array"])
+    _saved_shuffle, _saving(float32=True),
+], ids=["model-entry", "wrong-model-entry", "perm-array", "float32-key"])
 def test_checkpoint_of_an_earlier_version_evaluates_unchanged(
         run, tmp_path, damage):
     checkpoint = run.train_out / "checkpoint.ckpt"
@@ -381,7 +381,7 @@ def _param_dtypes(ckpt):
     return {v.dtype for k, v in arrays.items() if k.startswith("param:")}
 
 
-def _eval_descriptor_dtypes(run, out, ckpt, monkeypatch):
+def _eval_descriptor_dtypes(run, out, ckpt, monkeypatch, cache=None):
     """Evaluate `ckpt` into `out`; returns the dtypes of the descriptors."""
     described = []
     original = network.descriptors
@@ -392,16 +392,14 @@ def _eval_descriptor_dtypes(run, out, ckpt, monkeypatch):
         return result
 
     monkeypatch.setattr(network, "descriptors", recorded)
-    assert _eval(run, out, checkpoint=ckpt) == 0
+    assert _eval(run, out, checkpoint=ckpt, cache=cache) == 0
     assert described
     return set(described)
 
 
 def test_float32_training_saves_float32_params_and_evaluates(run, tmp_path,
                                                             monkeypatch):
-    config = _json(tmp_path / "f32.json", {**MODEL, "float32": True})
-    assert _train(run.data, run.cache, tmp_path / "train", config) == 0
-    ckpt = tmp_path / "train" / "checkpoint.ckpt"
+    ckpt = run.train_out / "checkpoint.ckpt"
     assert _param_dtypes(ckpt) == {np.dtype(np.float32)}
     assert (_eval_descriptor_dtypes(run, tmp_path / "eval", ckpt, monkeypatch)
             == {np.dtype(np.float32)})
@@ -409,18 +407,16 @@ def test_float32_training_saves_float32_params_and_evaluates(run, tmp_path,
     assert rows and all(np.isfinite(float(r.rsplit(",", 1)[1])) for r in rows)
 
 
-def test_training_saves_float32_params_by_default_and_float64_on_request(
-        run, tmp_path, monkeypatch):
-    # the run fixture's config has no float32 key; {"float32": false}
-    # trains in float64, and its checkpoint evaluates in float64
-    assert _param_dtypes(run.train_out / "checkpoint.ckpt") == {
-        np.dtype(np.float32)}
-    config = _json(tmp_path / "f64.json", {**MODEL, "float32": False})
-    assert _train(run.data, run.cache, tmp_path / "train", config) == 0
-    ckpt = tmp_path / "train" / "checkpoint.ckpt"
-    assert _param_dtypes(ckpt) == {np.dtype(np.float64)}
-    assert (_eval_descriptor_dtypes(run, tmp_path / "eval", ckpt, monkeypatch)
-            == {np.dtype(np.float64)})
+@pytest.mark.parametrize("float32", [False, True])
+def test_config_holding_the_removed_float32_key_exits_2(run, tmp_path, capsys,
+                                                       float32):
+    # the CLI has one precision; a config that asks for either exits 2
+    # before anything is written
+    config = _json(tmp_path / "f.json", {**MODEL, "float32": float32})
+    capsys.readouterr()
+    assert _train(run.data, run.cache, tmp_path / "train", config) == 2
+    assert "'float32'" in capsys.readouterr().err
+    assert not (tmp_path / "train").exists()
 
 
 def _spectra_only(run, path):
@@ -433,65 +429,45 @@ def _spectra_only(run, path):
 
 def _record_builds(monkeypatch):
     """The list that each later `wavelets.build_filterbank` call appends
-    its (spectra, kernel, dtype) and its bank to."""
+    the dtype of its L1 pass to."""
     builds = []
     original = wavelets.build_filterbank
 
     def recorded(spectra, kernel, dtype):
-        bank = original(spectra, kernel, dtype)
-        builds.append((spectra, kernel, np.dtype(dtype), bank))
-        return bank
+        builds.append(np.dtype(dtype))
+        return original(spectra, kernel, dtype)
 
     monkeypatch.setattr(wavelets, "build_filterbank", recorded)
     return builds
 
 
-def test_float32_and_float64_training_keep_their_own_banks(run, tmp_path,
-                                                          monkeypatch):
-    # the FBK1 key holds the dtype of the L1 pass: a float64 train on a
-    # cache of float32 banks builds its own, and after that each precision
-    # reads only its own
-    cache = _spectra_only(run, tmp_path / "cache")
-    builds = _record_builds(monkeypatch)
-    shapes = len(json.loads((run.data / "manifest.json").read_text())[
-        "training"])
-    for i, float32 in enumerate((True, False, True, False)):
-        config = _json(tmp_path / f"{i}.json", {**MODEL, "float32": float32})
-        assert _train(run.data, cache, tmp_path / f"train{i}", config) == 0
-    assert [b[2] for b in builds] == ([np.dtype(np.float32)] * shapes
-                                      + [np.dtype(np.float64)] * shapes)
-    assert len(list(cache.glob("*.fbk"))) == 2 * shapes
+def _as_float64(saved):
+    """A damage that turns the shared float32 checkpoint into a float64
+    one of earlier versions, saving `saved` (a dict) in its experiment."""
+    def damage(arrays, meta):
+        for name in arrays:
+            arrays[name] = arrays[name].astype(np.float64)
+        meta["experiment"].update(saved)
+    return damage
 
 
-def test_float64_checkpoint_without_a_float32_key_keeps_the_float64_pass(
-        run, tmp_path, monkeypatch):
-    # a float64 checkpoint of earlier versions saved no float32 key, so its
-    # experiment reads the default, true; eval must sum its banks'
-    # normalizers in float64, as those versions did
-    config = _json(tmp_path / "f64.json", {**MODEL, "float32": False})
-    assert _train(run.data, run.cache, tmp_path / "train", config) == 0
-    checkpoint = tmp_path / "train" / "checkpoint.ckpt"
-    arrays, meta = read_container(checkpoint, "CKPT1")
-    del meta["experiment"]["float32"]
-    old = tmp_path / "old.ckpt"
-    write_container(old, "CKPT1", arrays, meta=meta)
+@pytest.mark.parametrize("saved", [{}, {"float32": False}],
+                         ids=["no-float32-key", "float32-false"])
+def test_float64_checkpoint_evaluates_in_float64_on_the_shared_banks(
+        run, tmp_path, monkeypatch, saved):
+    # a float64 checkpoint of earlier versions runs its network in float64
+    # on the banks a float32 run built: every bank sums its normalizers in
+    # float32, and the precision the checkpoint saved, if any, is not read
     cache = _spectra_only(run, tmp_path / "cache")
-    builds = _record_builds(monkeypatch)
-    assert _eval(run, tmp_path / "old", checkpoint=old, cache=cache) == 0
-    assert builds and {b[2] for b in builds} == {np.dtype(np.float64)}
-    monkeypatch.undo()
-    for spectra, kernel, _, bank in builds:
-        # build_filterbank's float64 default is the pass of those versions
-        assert np.array_equal(
-            bank.l1_normalizers,
-            wavelets.build_filterbank(spectra, kernel).l1_normalizers)
-    # the checkpoint it was made from, which saves float32 false, reads
-    # the same banks
+    assert _eval(run, tmp_path / "f32", cache=cache) == 0
     files = sorted(cache.iterdir())
-    assert _eval(run, tmp_path / "new", checkpoint=checkpoint,
-                 cache=cache) == 0
+    ckpt = _damaged_checkpoint(run, tmp_path / "old.ckpt", _as_float64(saved))
+    assert _param_dtypes(ckpt) == {np.dtype(np.float64)}
+    builds = _record_builds(monkeypatch)
+    assert _eval_descriptor_dtypes(run, tmp_path / "f64", ckpt, monkeypatch,
+                                   cache=cache) == {np.dtype(np.float64)}
+    assert builds == []
     assert sorted(cache.iterdir()) == files
-    assert _outputs(tmp_path / "old") == _outputs(tmp_path / "new")
 
 
 def _dump(mesh, cache, out, config, *extra):
@@ -698,6 +674,22 @@ def test_overflowing_kernel_exits_3_and_caches_no_bank(run, tmp_path):
     assert not list(tmp_path.glob("wavelet_*.csv"))
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--vertex", "100000"), ("--vertex", "-1"), ("--direction", "4"),
+    ("--scale", "4")])
+def test_wavelet_dump_of_an_index_out_of_range_exits_2_first(
+        run, tmp_path, capsys, flag, value):
+    # 4 directions and 4 scales by default; the indices are checked before
+    # the config is echoed, any spectrum solved or any bank built
+    args = {"--vertex": "5", "--direction": "0", "--scale": "0", flag: value}
+    cache, out = tmp_path / "cache", tmp_path / "out"
+    assert cli.main(["wavelet-dump", "--mesh", str(run.data / "template.off"),
+                     "--k", K, "--cache", str(cache), "--out", str(out),
+                     *(a for item in args.items() for a in item)]) == 2
+    assert f"{flag[2:]} {value} out of range" in capsys.readouterr().err
+    assert not cache.exists() and not out.exists()
+
+
 def test_unconverged_eigensolve_exits_3_and_caches_no_spectrum(
         run, tmp_path, monkeypatch, capsys):
     def stalled(residuals, theta):
@@ -860,18 +852,17 @@ def _rekey(path, kind):
 def test_cache_file_names_of_a_fixed_mesh_are_pinned(tmp_path):
     # a change to what a SPEC1 or FBK1 key hashes, or to the repr of a
     # part (theta m*pi/M and alpha as Python floats, the constant 0.0 left
-    # by the retired curvature radius, the L1 pass's dtype name), renames
+    # by the retired curvature radius, the bank's build rule), renames
     # every cached file; the kernel is pinned so that no eigenvalue enters
     # the bank's key
     cfg = cli.ExperimentConfig(k=10, scales=2, kernel_lambda_max=1.0)
     spectra = cli.load_spectra(synth.gen_base("bar", 1), cfg, tmp_path,
                                "bar1.off")
-    for dtype in (np.float64, np.float32):
-        cli.build_bank(spectra, cfg, tmp_path, "bar1.off", dtype)
+    cli.build_bank(spectra, cfg, tmp_path, "bar1.off")
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "bar1.2e0a6400d6dc868f.spec", "bar1.568b15e6d16748a6.spec",
-        "bar1.6956983320002876.fbk", "bar1.aa9097a5b153efd3.spec",
-        "bar1.c8447ff5591e16a1.fbk", "bar1.f464d8ed3ce61ad9.spec"]
+        "bar1.81946b34d964232d.fbk", "bar1.aa9097a5b153efd3.spec",
+        "bar1.f464d8ed3ce61ad9.spec"]
 
 
 def test_cached_spectrum_reports_how_it_was_solved(run, tmp_path, capsys,
@@ -960,7 +951,8 @@ def test_spectrum_warns_when_k_splits_a_repeated_eigenvalue(tmp_path,
         return capsys.readouterr()
 
     warning = ("warning: direction 0: K 40 splits a repeated eigenvalue "
-               "(n_below_mu_minus 39, n_below_mu_plus 41)")
+               "(n_below_mu_minus 39, n_below_mu_plus 41); the filter bank "
+               "drops its returned copies\n")
     for warnings in (2, 1):
         got = spectrum(40)
         assert "n_below_mu_minus 39, n_below_mu_plus 41" in got.out
@@ -999,13 +991,13 @@ def test_bank_file_with_another_key_is_rebuilt(run, tmp_path, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(wavelets, "build_filterbank", counted)
-    first = cli.build_bank(spectra, cfg, cache, mesh_path, cfg.dtype)
+    first = cli.build_bank(spectra, cfg, cache, mesh_path)
     (fbk,) = cache.glob("*.fbk")
     assert len(builds) == 1
-    cli.build_bank(spectra, cfg, cache, mesh_path, cfg.dtype)
+    cli.build_bank(spectra, cfg, cache, mesh_path)
     assert len(builds) == 1
     meta = _rekey(fbk, "FBK1")
-    again = cli.build_bank(spectra, cfg, cache, mesh_path, cfg.dtype)
+    again = cli.build_bank(spectra, cfg, cache, mesh_path)
     assert len(builds) == 2
     arrays, stored = read_container(fbk, "FBK1")
     assert stored == meta == {"key": meta["key"]}
@@ -1124,7 +1116,7 @@ def test_training_holds_one_shape_and_matches_prebuilt_banks(tmp_path,
         mesh = load_mesh(path)
         labels = synth.read_indices(data / entry["labels"])
         bank = cli.build_bank(cli.load_spectra(mesh, cfg, cache, path), cfg,
-                              cache, path, cfg.dtype)
+                              cache, path)
         items.append(network.TrainItem(coords=mesh.vertices, labels=labels,
                                        load_bank=lambda bank=bank: bank))
     prebuilt = network.Model.initialize(model.config,
@@ -1331,20 +1323,21 @@ def _renumbered(run, root, name):
     return data, cache, perm
 
 
-def _train_renumbered(run, tmp_path, float32):
-    """Train on the run's dataset and on a copy whose training shape is
-    renumbered with its labels, in float32 or float64, and evaluate both;
-    returns the two loss curves, after checking the scores are equal."""
+def test_renumbering_a_training_shape_leaves_float32_training_unchanged(
+        run, tmp_path):
+    # a training shape renumbered with its labels states the same
+    # correspondence, so training and the scores must not change; in
+    # float32 the loss curves agree within 1e-6, about 8 float32 epsilons
+    # (measured 8e-9). tests/test_network.py holds float64 training to 1e-9
     manifest = json.loads((run.data / "manifest.json").read_text())
     (entry,) = manifest["training"]
     data, cache, perm = _renumbered(run, tmp_path, entry["mesh"])
     labels = synth.read_indices(data / entry["labels"])
     np.savetxt(data / entry["labels"], labels[perm], fmt="%d")
-    config = _json(tmp_path / "model.json", {**MODEL, "float32": float32})
     losses = []
     for name, dataset in (("base", run.data), ("renumbered", data)):
         out = tmp_path / name
-        assert _train(dataset, cache, out, config, "--perturb",
+        assert _train(dataset, cache, out, run.model, "--perturb",
                       "--epochs", "5") == 0
         losses.append(np.loadtxt(out / "history.csv", delimiter=",",
                                  skiprows=1)[:, 1])
@@ -1352,25 +1345,7 @@ def _train_renumbered(run, tmp_path, float32):
                      checkpoint=out / "checkpoint.ckpt") == 0
     assert (_outputs(tmp_path / "renumbered" / "eval")
             == _outputs(tmp_path / "base" / "eval"))
-    return losses
-
-
-def test_renumbering_a_training_shape_leaves_training_unchanged(run,
-                                                                tmp_path):
-    # a training shape renumbered with its labels states the same
-    # correspondence, so every op before the head, the perturbation stage
-    # included, must treat its vertices alike; renumbering reorders the
-    # sums over vertices, so float64 losses agree to round-off (4e-13)
-    base, renumbered = _train_renumbered(run, tmp_path, float32=False)
-    np.testing.assert_allclose(renumbered, base, rtol=1e-9, atol=0)
-
-
-def test_renumbering_a_training_shape_leaves_float32_training_unchanged(
-        run, tmp_path):
-    # as above in float32: within 1e-6, about 8 float32 epsilons
-    # (measured 8e-9)
-    base, renumbered = _train_renumbered(run, tmp_path, float32=True)
-    np.testing.assert_allclose(renumbered, base, rtol=1e-6, atol=0)
+    np.testing.assert_allclose(losses[1], losses[0], rtol=1e-6, atol=0)
 
 
 def test_renumbering_an_eval_target_leaves_the_scores_unchanged(run,
@@ -1494,7 +1469,7 @@ def test_frames_and_wavelet_csvs_match_per_row_writers(run, tmp_path):
     _dump(mesh_path, cache, tmp_path / "dump", run.model)
     cfg = cli.ExperimentConfig.load(run.model, {"k": int(K)})
     bank = cli.build_bank(cli.load_spectra(mesh, cfg, cache, mesh_path), cfg,
-                          cache, mesh_path, cfg.dtype)
+                          cache, mesh_path)
     _wavelet_csv_per_row(wavelets.wavelet_at(bank, 1, 1, 5),
                          tmp_path / "want.csv")
     (got,) = (tmp_path / "dump").glob("wavelet_*.csv")

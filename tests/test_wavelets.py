@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,7 @@ from wavemesh import wavelets
 from wavemesh.errors import SpectrumMismatch, ZeroColumnNorm
 from wavemesh.mesh import TriMesh
 from wavemesh.operators import assemble_lbo
-from wavemesh.spectrum import Spectrum, solve_eigs
+from wavemesh.spectrum import solve_eigs
 from wavemesh.wavelets import (
     KernelSpec,
     build_filterbank,
@@ -135,6 +136,42 @@ class TestBankConstruction:
         # a bank read back from the FBK1 cache is checked on construction
         with pytest.raises(SpectrumMismatch, match="mass"):
             dataclasses.replace(bank, spectra=[a, b])
+
+    def test_bank_ignores_the_basis_of_a_cut_eigenspace(self):
+        # the open cylinder at res 2 and alpha 0 has lambda_40 = lambda_41,
+        # so K 40 returns one copy of that eigenspace (inertia counts 39
+        # and 41). Replacing it by another unit vector of the eigenspace,
+        # taken from the dense oracle, must leave every filter and
+        # normalizer unchanged; without the counts they moved 5%
+        mesh = wm.gen_base("cylinder", 2)
+        ops = wm.assemble_albo(mesh, wm.estimate_frames(mesh), 0.0, 0.0)
+        spec = solve_eigs(ops, 40)
+        assert spec.n_whole == 39
+        space = scipy.linalg.eigh(ops.stiffness.toarray(),
+                                  np.diag(ops.mass))[1][:, 39:41]
+        phi = spec.eigenvectors[:, 39]
+        c = space.T @ (ops.mass * phi)
+        assert np.linalg.norm(c) > 1 - 1e-9  # the copy lies in the space
+        other = space @ np.array([-c[1], c[0]])  # its mass-orthogonal mate
+        turned = spec.eigenvectors.copy()
+        turned[:, 39] = np.cos(1.0) * phi + np.sin(1.0) * other
+        kernel = KernelSpec.mexican_hat(spec.lambda_max, 4)
+
+        def banks(returned):
+            """The banks of `returned` and of its copy with 39 turned."""
+            return [build_filterbank([s], kernel) for s in (
+                returned, dataclasses.replace(returned, eigenvectors=turned))]
+
+        a, b = banks(spec)
+        assert (a.responses[0, :, 39:] == 0).all()
+        np.testing.assert_allclose(b.l1_normalizers, a.l1_normalizers,
+                                   rtol=1e-12, atol=0)
+        for j in range(4):
+            want = dense_filter_matrix(a, 0, j)
+            np.testing.assert_allclose(dense_filter_matrix(b, 0, j), want,
+                                       rtol=0, atol=1e-12 * np.abs(want).max())
+        a, b = banks(dataclasses.replace(spec, provenance={}))
+        assert np.abs(b.l1_normalizers / a.l1_normalizers - 1).max() > 0.01
 
     def test_normalizers_match_blockwise_and_dense(self, small_bank):
         for j in range(small_bank.n_scales):
@@ -355,8 +392,9 @@ class TestLocalizedWavelets:
         q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
         phi2 = spec.eigenvectors.copy()
         phi2[:, 1:4] = phi2[:, 1:4] @ q
-        remixed = Spectrum(eigenvalues=lam.copy(), eigenvectors=phi2,
-                           mass=spec.mass.copy())
+        # replace keeps the inertia counts: K 8 cuts the l=2 cluster, and
+        # both banks must drop the same copies of it
+        remixed = dataclasses.replace(spec, eigenvectors=phi2)
         from .conftest import test_kernel
         kernel = test_kernel([spec], 3)
         bank_a = build_filterbank([spec], kernel)
