@@ -41,32 +41,31 @@ everything the file was computed from, the file is named (`_cache_path`)
 `{mesh stem}.{key[:16]}.{spec,fbk,geo}`, and its metadata is {"key": key},
 checked again on read. A SPEC1 file also stores, under "provenance", how
 its spectrum was solved (`Spectrum.provenance`: the solver, "dense" or
-"lanczos", the largest residual and the orthonormality error, and for a
-Lanczos solve ncv, restarts, operator_applications and the inertia counts
-n_below_mu_minus and n_below_mu_plus), which `spectrum` reports with the
-file's path; one written without it, or by the ARPACK solver of earlier
-versions, still hits and reports what it holds. When n_below_mu_plus
-exceeds K, K splits a repeated eigenvalue, whose returned copies the filter
-banks drop (`Spectrum.n_whole`), and the line that reports a solve, as the
-one that reports a stored spectrum, is followed by a warning on stderr. The
-keys cover, for a spectrum, the mesh content, alpha, theta (m*pi/M as a
-Python float), the clamped k and a constant 0.0, where earlier versions put
-their curvature radius, so that their SPEC1 files still hit; for a bank,
-its spectra's keys, the resolved lambda_max and scales and `_BANK_RULE`,
-which names how banks are built, so that no bank of earlier versions is
-served; for geodesic rows, the target mesh content, the SHA-256 of the
-sorted distinct gt vertices and the geodesic method
-(`corresp.GEODESIC_METHOD`). A changed input is therefore a different file
-name, i.e. a miss; a corrupt file is a miss too, reported and rebuilt.
-Nothing is evicted; a GEO1 file holds |unique gt| x N_target x 8 bytes (88
-MiB at N = 3402 with every vertex a gt vertex).
+"lanczos", the largest residual, the orthonormality error and the inertia
+counts n_below_mu_minus and n_below_mu_plus, which both solvers record, and
+for a Lanczos solve ncv, restarts and operator_applications), which
+`spectrum` reports with the file's path. When n_below_mu_plus exceeds K, K
+splits a repeated eigenvalue, whose returned copies the filter banks drop
+(`Spectrum.n_whole`), and the line that reports a solve, as the one that
+reports a stored spectrum, is followed by a warning on stderr. The keys
+cover, for a spectrum, the mesh content, alpha, theta (m*pi/M as a Python
+float) and the clamped k; for a bank, its spectra's keys, the resolved
+lambda_max and scales and `_BANK_RULE`, which names how banks are built, so
+that no bank of earlier versions is served; for geodesic rows, the target
+mesh content, the SHA-256 of the sorted distinct gt vertices and the
+geodesic method (`corresp.GEODESIC_METHOD`). A changed input is therefore a
+different file name, i.e. a miss; a corrupt file is a miss too, reported
+and rebuilt. Nothing is evicted; a GEO1 file holds |unique gt| x N_target x
+8 bytes (88 MiB at N = 3402 with every vertex a gt vertex).
 
 A GEO1 file is never loaded whole. On a miss its rows are computed
 `corresp.GEO_BLOCK` sources at a time and each block is written as it is
-made; on a hit, and after that write, they are read back
-`corresp.GEO_BLOCK` rows at a time as `corresp.evaluate` consumes them.
-So `eval` holds O(GEO_BLOCK x N_target) geodesic distances, and matching
-O(MATCH_BLOCK x N_target) scores, whatever the number of gt vertices.
+made. On a hit, and after that write, `load_geodesics` reads only what
+`corresp.evaluate` scores: per source vertex, the one entry that holds the
+distance from its gt vertex to its predicted vertex. So `eval` holds
+O(len(gt)) geodesic distances on a hit and O(GEO_BLOCK x N_target) on a
+miss, and matching O(MATCH_BLOCK x N_target) scores, whatever the number of
+gt vertices.
 """
 
 import argparse
@@ -260,15 +259,16 @@ def _cache_key(*parts):
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
 
-def _read_cache(path, kind, key, block_rows=None):
+def _read_cache(path, kind, key, pick=None):
     """(arrays, metadata) of the `kind` file at `path` when it stores
     `key`, else None. A corrupt file, or one whose metadata is not a JSON
-    object, counts as a miss and is reported. With `block_rows`, arrays of
-    two or more dimensions come back as RowBlocks (see `read_container`)."""
+    object, counts as a miss and is reported. The arrays that `pick`
+    names come back as the elements it picks (see `read_container`); a
+    pick outside its array raises IndexError."""
     if not path.exists():
         return None
     try:
-        arrays, meta = read_container(path, kind, block_rows)
+        arrays, meta = read_container(path, kind, pick)
         if not isinstance(meta, dict):
             raise CorruptCache(f"{path}: metadata is not a JSON object")
     except CorruptCache as exc:
@@ -301,22 +301,22 @@ def _check_cache_dir(cache_dir):
             f"cache {cache_dir} cannot be a directory: {path} is not one")
 
 
-def _cached(kind, parts, cache_dir, mesh_path, build, block_rows=None):
+def _cached(kind, parts, cache_dir, mesh_path, build, pick=None):
     """(arrays, meta, path, hit) of the `kind` cache file keyed by `parts`.
 
     The arrays and metadata are read from the file when it holds this key;
     otherwise `build()` returns (arrays, extra metadata), and they are
     written there with meta {"key": key, **extra}. This is the only writer
-    of SPEC1, FBK1 and GEO1 files.
-    With `block_rows`, arrays of two or more dimensions are streamed: a
-    RowBlocks from `build()` is written block by block, and these arrays
-    come back as RowBlocks read from the file, after a write as on a hit."""
+    of SPEC1, FBK1 and GEO1 files; a RowBlocks from `build()` is written
+    block by block. The arrays that `pick` names come back as the elements
+    it picks (see `read_container`), read from the file after a write as
+    on a hit."""
     key = _cache_key(kind, *parts)
     path = _cache_path(kind, key, cache_dir, mesh_path)
     if kind == "SPEC1":
         found = _load_spectrum(path, key)
     else:
-        found = _read_cache(path, kind, key, block_rows)
+        found = _read_cache(path, kind, key, pick)
     hit = found is not None
     if hit:
         arrays, meta = found
@@ -326,8 +326,8 @@ def _cached(kind, parts, cache_dir, mesh_path, build, block_rows=None):
         meta = {"key": key, **extra}
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
         write_container(path, kind, arrays, meta=meta)
-        if block_rows is not None:
-            arrays = read_container(path, kind, block_rows)[0]
+        if pick is not None:
+            arrays = read_container(path, kind, pick)[0]
     return arrays, meta, path, hit
 
 
@@ -367,12 +367,11 @@ def load_spectra(mesh, cfg, cache_dir, mesh_path):
                      "eigenvectors": spec.eigenvectors, "mass": spec.mass},
                     {"provenance": spec.provenance})
 
-        # float() so that a JSON 50 and a flag's 50.0 give one key; the
-        # last part is the 0.0 of the retired curvature radius
+        # float() so that a JSON 50 and a flag's 50.0 give one key
         arrays, meta, path, hit = _cached(
-            "SPEC1", (mesh_hash, float(cfg.alpha), theta, k, 0.0),
+            "SPEC1", (mesh_hash, float(cfg.alpha), theta, k),
             cache_dir, mesh_path, build)
-        solved = meta.get("provenance", {})  # absent from older files
+        solved = meta["provenance"]
         spectra.append(Spectrum(
             eigenvalues=arrays["eigenvalues"],
             eigenvectors=arrays["eigenvectors"], mass=arrays["mass"],
@@ -521,13 +520,15 @@ def run_training(cfg, manifest_path):
     return model, history
 
 
-def load_geodesics(target, gt, cache_dir, mesh_path):
-    """Geodesic rows of np.unique(gt) on `target`, as `corresp.evaluate`
-    takes them: RowBlocks of `corresp.GEO_BLOCK` rows, read from the GEO1
-    cache. A miss is computed block by block into the cache first; a
-    target whose sources do not reach every vertex raises
-    DisconnectedMesh before any cache directory or file is made."""
-    sources = np.unique(gt).astype(np.int64)
+def load_geodesics(target, gt, corr, cache_dir, mesh_path):
+    """Per source vertex i, the geodesic distance on `target` from gt[i] to
+    corr[i], as `corresp.evaluate` takes it: its one entry of the rows of
+    np.unique(gt), picked from the GEO1 cache. A miss is computed block by
+    block into the cache first; a target whose sources do not reach every
+    vertex raises DisconnectedMesh before any cache directory or file is
+    made. A map that does not fit the target raises like `evaluate`."""
+    corr, gt = corresp.check_map(corr, gt, target.n_vertices)
+    sources, inverse = np.unique(gt, return_inverse=True)
 
     def build():
         rows = RowBlocks((sources.size, target.n_vertices), np.float64,
@@ -538,7 +539,8 @@ def load_geodesics(target, gt, cache_dir, mesh_path):
         "GEO1", (target.content_hash(),
                  hashlib.sha256(sources.tobytes()).hexdigest(),
                  corresp.GEODESIC_METHOD),
-        cache_dir, mesh_path, build, block_rows=corresp.GEO_BLOCK)[0]
+        cache_dir, mesh_path, build,
+        pick={"rows": inverse * target.n_vertices + corr})[0]
     return arrays["rows"]
 
 
@@ -575,15 +577,13 @@ def run_evaluation(model, cfg, manifest_path, out_dir):
             source_descriptors[pair["source"]] = describe(pair["source"])[1]
         target, desc_t = describe(pair["target"])
         corr = corresp.match_nn(source_descriptors[pair["source"]], desc_t)
-        # the rows are read only once the target's descriptors are freed,
-        # and freed before the next target is described: holding both at
-        # once raised the process's peak memory. The GEO1 file is never
-        # loaded whole: its rows stream GEO_BLOCK at a time, so eval holds
-        # O(GEO_BLOCK x N_target) distances
+        # the geodesics are read (on a miss, computed first) only once the
+        # target's descriptors are freed: holding a miss's row block next
+        # to them raised the process's peak memory
         del desc_t
-        rows = load_geodesics(target, gt, cache_dir, root / pair["target"])
-        result = corresp.evaluate(corr, gt, target, radii=radii, rows=rows)
-        del rows
+        dist = load_geodesics(target, gt, corr, cache_dir,
+                              root / pair["target"])
+        result = corresp.evaluate(corr, gt, target, dist, radii=radii)
         results.append((pair, result))
         pooled_errors.append(result.geodesic_errors)
         write_csv(out_dir / f"cge_pair{i}.csv", "r,fraction", *result.cge.T)

@@ -7,11 +7,10 @@ offset) entries, then the raw arrays. Metadata travels as a JSON blob
 stored under the reserved entry name "__meta__". Writes are atomic (temp
 file + rename; the temp file is removed when a write fails).
 
-An array too large to hold whole moves as `RowBlocks`: `write_container`
-writes one block of rows at a time, and `read_container(..., block_rows=b)`
-hands every array of two or more dimensions back as blocks of b rows, read
-from the file as they are iterated. Its bytes in the file are the same
-either way.
+An array too large to hold whole is written as `RowBlocks`, one block of
+rows at a time, and its bytes in the file are the same either way. A reader
+that needs only some elements of an array names them in
+`read_container(..., pick=...)`, which reads just those.
 """
 
 import json
@@ -131,19 +130,20 @@ def _bytes_of(arr):
     return arr.reshape(-1).view(np.uint8)
 
 
-def read_container(path, kind=None, block_rows=None):
+def read_container(path, kind=None, pick=None):
     """Read back (arrays, meta). Raises CorruptCache on any malformation.
 
     Each array is read straight into its own buffer, so reading holds no
-    second copy of the file. With `block_rows`, each array of two or more
-    dimensions comes back as RowBlocks of `block_rows` rows, read as they
-    are iterated through a file descriptor of their own; reading the last
-    block, or closing the blocks' generator, closes it. Every check of the
-    header and of the file's size is made before this returns."""
+    second copy of the file. `pick` maps an array name to flat (C-order)
+    element indices: that array comes back as the 1-D array of those
+    elements, each read with one `os.pread`, so the read holds only them.
+    A pick outside its array raises IndexError, not CorruptCache: the file
+    is sound. Every check of the header and of the file's size is made
+    before any array is read."""
     try:
         with open(path, "rb") as fh:
-            return _read_entries(fh, path, kind, block_rows)
-    except CorruptCache:
+            return _read_entries(fh, path, kind, pick or {})
+    except (CorruptCache, IndexError):
         raise
     except OSError as exc:
         raise CorruptCache(f"{path}: {exc}") from exc
@@ -151,7 +151,7 @@ def read_container(path, kind=None, block_rows=None):
         raise CorruptCache(f"{path}: malformed container ({exc})") from exc
 
 
-def _read_entries(fh, path, kind, block_rows):
+def _read_entries(fh, path, kind, pick):
     size = os.fstat(fh.fileno()).st_size
 
     def take(fmt):
@@ -177,17 +177,15 @@ def _read_entries(fh, path, kind, block_rows):
         code, ndim = take("<BB")
         shape = take(f"<{ndim}Q")
         (offset,) = take("<Q")
-        table.append((name, np.dtype(_DTYPES[code]), shape, offset))
+        dtype = np.dtype(_DTYPES[code])
+        if offset + int(np.prod(shape, dtype=np.int64)) * dtype.itemsize > size:
+            raise CorruptCache(f"{path}: array {name!r} runs past the end")
+        table.append((name, dtype, shape, offset))
     arrays = {}
     for name, dtype, shape, offset in table:
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        if offset + nbytes > size:
-            raise CorruptCache(f"{path}: array {name!r} runs past the end")
-        if block_rows is not None and len(shape) >= 2:
-            blocks = _stream(os.dup(fh.fileno()), path, dtype, shape,
-                             offset, block_rows)
-            next(blocks)  # started: closing it from now on closes its fd
-            arrays[name] = RowBlocks(shape, dtype, blocks)
+        if name in pick:
+            arrays[name] = _picked(fh, path, name, dtype, shape, offset,
+                                   pick[name])
             continue
         arr = np.empty(shape, dtype=dtype)
         fh.seek(offset)
@@ -199,18 +197,18 @@ def _read_entries(fh, path, kind, block_rows):
     return arrays, meta
 
 
-def _stream(fd, path, dtype, shape, offset, block_rows):
-    """Blocks of `block_rows` rows of one array, read from `fd`, which is
-    closed after the last block or when the generator is closed. Its first
-    `next` yields None and reads nothing."""
-    try:
-        yield
-        row_bytes = int(np.prod(shape[1:], dtype=np.int64)) * dtype.itemsize
-        for start in range(0, shape[0], block_rows):
-            rows = min(block_rows, shape[0] - start)
-            data = os.pread(fd, rows * row_bytes, offset + start * row_bytes)
-            if len(data) != rows * row_bytes:
-                raise CorruptCache(f"{path}: file shrank while read")
-            yield np.frombuffer(data, dtype=dtype).reshape(rows, *shape[1:])
-    finally:
-        os.close(fd)
+def _picked(fh, path, name, dtype, shape, offset, idx):
+    """The elements at flat indices `idx` of the array at `offset`, one
+    `os.pread` each."""
+    idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+    count = int(np.prod(shape, dtype=np.int64))
+    if idx.size and (idx.min() < 0 or idx.max() >= count):
+        raise IndexError(
+            f"{path}: pick outside array {name!r} of {count} elements")
+    fd, width = fh.fileno(), dtype.itemsize
+    data = bytearray()
+    for at in offset + width * idx:
+        data += os.pread(fd, width, at)
+    if len(data) != width * idx.size:
+        raise CorruptCache(f"{path}: file shrank while read")
+    return np.frombuffer(data, dtype=dtype)

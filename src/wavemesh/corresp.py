@@ -29,18 +29,17 @@ edge lengths, an upper bound on the polyhedral geodesic. The overestimate is
 not negligible: on icospheres of 162 to 2562 vertices, measured against
 great-circle distance, its median is 6.9-7.3% and its maximum 21-23%, and
 it does not shrink as the mesh is refined. Every AGE and CGE reported here
-is inflated accordingly. `evaluate` needs one row per distinct ground-truth
-vertex, and takes them as consecutive blocks of rows: `geodesic_blocks`
-builds the edge graph once, checks on it that every source reaches every
-vertex, then computes GEO_BLOCK sources per `geodesic_rows` call on that
-graph as the blocks are iterated; a caller that already holds the rows
-(the CLI caches them per target mesh and ground truth, and streams them
-back GEO_BLOCK rows at a time) passes them as `rows`. `evaluate` keeps
-the one entry per source vertex it needs from each block and drops the
-block, so it holds GEO_BLOCK x n_target distances, not |unique gt| x
-n_target. Errors are normalized by sqrt(total target area), the average
-is reported x100, and the cumulative curve gives the fraction of matches
-within each radius.
+is inflated accordingly. `evaluate` needs one distance per source vertex,
+from its ground-truth vertex to its predicted one, and takes them from its
+caller. Those come from one row per distinct ground-truth vertex:
+`geodesic_blocks` builds the edge graph once, checks on it that every
+source reaches every vertex, then computes GEO_BLOCK sources per
+`geodesic_rows` call on that graph as the blocks are iterated, so it holds
+GEO_BLOCK x n_target distances at a time, not |unique gt| x n_target (the
+CLI writes each block to its cache as it is made, then reads back only the
+one entry per source vertex). Errors are normalized by sqrt(total target
+area), the average is reported x100, and the cumulative curve gives the
+fraction of matches within each radius.
 """
 
 from dataclasses import dataclass
@@ -190,43 +189,35 @@ def geodesic_blocks(mesh, sources):
             for start in range(0, sources.size, GEO_BLOCK))
 
 
-def evaluate(corr, gt, target_mesh, radii=None, rows=None):
-    """Score a predicted map against ground truth on the target mesh.
-
-    rows: the geodesic rows of np.unique(gt) on the target mesh, as an
-    iterable of consecutive row blocks, each of shape (rows in the block,
-    target vertices); a whole (unique gt vertices, target vertices) array
-    is the one block `[rows]`. Taken from `geodesic_blocks` when None."""
+def check_map(corr, gt, n_target):
+    """(corr, gt) as int64 arrays, once they are 1-D arrays of one shape;
+    raises ValueError otherwise, and IndexError when an index lies outside
+    a target mesh of `n_target` vertices."""
     corr = np.asarray(corr, dtype=np.int64)
     gt = np.asarray(gt, dtype=np.int64)
     if corr.shape != gt.shape or corr.ndim != 1:
         raise ValueError(
             f"map shapes disagree: {corr.shape} vs {gt.shape}")
-    n_target = target_mesh.n_vertices
     for name, arr in (("corr", corr), ("gt", gt)):
         if arr.min() < 0 or arr.max() >= n_target:
             raise IndexError(f"{name} contains indices outside the target mesh")
+    return corr, gt
+
+
+def evaluate(corr, gt, target_mesh, dist, radii=None):
+    """Score a predicted map against ground truth on the target mesh.
+
+    dist: per source vertex i, the geodesic distance on the target mesh
+    from gt[i] to corr[i], of gt's shape."""
+    corr, gt = check_map(corr, gt, target_mesh.n_vertices)
+    dist = np.asarray(dist, dtype=np.float64)
+    if dist.shape != gt.shape:
+        raise ValueError(
+            f"distances of shape {dist.shape} do not fit the map's {gt.shape}")
     if radii is None:
         radii = DEFAULT_RADII
     radii = np.asarray(radii, dtype=np.float64)
 
-    uniq, inverse = np.unique(gt, return_inverse=True)
-    if rows is None:
-        rows = geodesic_blocks(target_mesh, uniq)
-    dist = np.empty(gt.shape)
-    start = 0
-    for block in rows:
-        stop = start + block.shape[0]
-        if block.ndim != 2 or block.shape[1] != n_target or stop > uniq.size:
-            raise ValueError(
-                f"a geodesic row block of shape {block.shape} after {start} "
-                f"rows does not fit rows of shape {(uniq.size, n_target)}")
-        i = np.flatnonzero((inverse >= start) & (inverse < stop))
-        dist[i] = block[inverse[i] - start, corr[i]]
-        start = stop
-    if start != uniq.size:
-        raise ValueError(
-            f"geodesic row blocks hold {start} rows, expected {uniq.size}")
     errors = dist / np.sqrt(target_mesh.total_area)
     fractions = (errors[None, :] <= radii[:, None]).mean(axis=1)
     return CorrespondenceResult(

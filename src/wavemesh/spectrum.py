@@ -57,12 +57,14 @@ perm_r equals perm_c and the negative entries of U's diagonal are the
 count. At mu-/+ = lambda_K (1 -/+ 1e-6) the count below mu- must equal
 the number of returned values below it, and the count below mu+ must
 reach K; otherwise the solve raises NotConverged. The two factors cost
-15-25 ms per solve on the res-10 bar.
+15-25 ms per solve on the res-10 bar. The dense path has every eigenvalue,
+so it counts them below the same mu-/+ directly.
 
 Provenance records the solver ("dense" or "lanczos"), the largest
-relative residual and the orthonormality error; on the sparse path also
-ncv, the restarts, the operator applications, and the two counts,
-n_below_mu_minus and n_below_mu_plus.
+relative residual, the orthonormality error and the two counts,
+n_below_mu_minus and n_below_mu_plus, which show whether K cuts a
+multiplet (`Spectrum.n_whole`); on the sparse path also ncv, the restarts
+and the operator applications.
 """
 
 import logging
@@ -93,9 +95,9 @@ class Spectrum:
     eigenvectors : (n, k), columns mass-orthonormal, sign-canonicalized
     mass : (n,) lumped mass vector of the pencil
     provenance : how it was solved ("solver", "max_residual",
-        "ortho_error"; on the sparse path also "ncv", "restarts",
-        "operator_applications", "n_below_mu_minus", "n_below_mu_plus");
-        the CLI's cached spectra carry their cache key under "key" too
+        "ortho_error", "n_below_mu_minus", "n_below_mu_plus"; on the
+        sparse path also "ncv", "restarts", "operator_applications"); the
+        CLI's cached spectra carry their cache key under "key" too
     """
 
     eigenvalues: np.ndarray
@@ -122,7 +124,7 @@ class Spectrum:
     @property
     def n_whole(self):
         """How many leading eigenpairs span whole eigenspaces: fewer than
-        K when the inertia counts (Lanczos only) show K cuts a multiplet."""
+        K when the inertia counts show K cuts a multiplet."""
         cut = self.provenance.get("n_below_mu_plus", 0) > self.k
         return self.provenance["n_below_mu_minus"] if cut else self.k
 
@@ -156,11 +158,12 @@ def solve_eigs(ops, k):
     stiffness = ops.stiffness.tocsc()
     mass = np.asarray(ops.mass, dtype=np.float64)
 
+    sigma = -1e-6 * (stiffness.diagonal().mean() / mass.mean())
     dense = n <= DENSE_CUTOFF or k > n - 2
     if dense:
-        vals, vecs, provenance = _dense_path(stiffness, mass, k)
+        every, vecs = _dense_path(stiffness, mass)
+        vals, vecs, provenance = every[:k], vecs[:, :k], {"solver": "dense"}
     else:
-        sigma = -1e-6 * (stiffness.diagonal().mean() / mass.mean())
         d = 1.0 / np.sqrt(mass)
         scaling = sparse.diags(d)
         standard = (scaling @ stiffness @ scaling).tocsc()
@@ -180,22 +183,23 @@ def solve_eigs(ops, k):
         raise NotConverged(
             f"verification failed: orthonormality {ortho_err:g}, "
             f"max residual {rel.max():g}", residuals=rel)
-    if not dense:  # the dense solve has every eigenvalue by construction
-        provenance.update(_inertia_counts(standard, sigma, vals))
+    count_below = ((lambda mu: int(np.count_nonzero(every < mu))) if dense
+                   else (lambda mu: _count_below(standard, mu)))
+    provenance.update(_inertia_counts(count_below, sigma, vals))
 
     provenance.update(max_residual=float(rel.max()), ortho_error=ortho_err)
     return Spectrum(eigenvalues=vals, eigenvectors=vecs, mass=mass.copy(),
                     provenance=provenance)
 
 
-def _dense_path(stiffness, mass, k):
+def _dense_path(stiffness, mass):
+    """Every eigenpair of the pencil, eigenvalues ascending."""
     w = stiffness.toarray()
     w = 0.5 * (w + w.T)
     try:
-        vals, vecs = eigh(w, np.diag(mass))
+        return eigh(w, np.diag(mass))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD mass
         raise FactorizationFailed(str(exc)) from exc
-    return vals[:k], vecs[:, :k], {"solver": "dense"}
 
 
 def _lanczos_path(standard, sigma, k):
@@ -296,21 +300,21 @@ def _fresh(basis, rng):
     return w / np.linalg.norm(w)
 
 
-def _inertia_counts(standard, sigma, vals):
+def _inertia_counts(count_below, sigma, vals):
     """Check that `vals`, the smallest eigenvalues of C, skip none.
 
-    By Sylvester's law of inertia the negative pivots of an LDL^T factor
-    of C - mu I count C's eigenvalues below mu. At mu- and mu+ on either
-    side of lambda_K the count below mu- must equal the returned values
-    below it, and the count below mu+ must reach K (K may cut through a
-    multiplet). A lambda_K within |sigma| of zero, the constant mode of a
-    closed mesh at k = 1, takes |sigma| as its distance instead of a
-    relative one, which would factor the singular C itself."""
+    `count_below(mu)` counts C's eigenvalues below mu: from every
+    eigenvalue of a dense solve, or by `_count_below`. At mu- and mu+ on
+    either side of lambda_K the count below mu- must equal the returned
+    values below it, and the count below mu+ must reach K (K may cut
+    through a multiplet). A lambda_K within |sigma| of zero, the constant
+    mode of a closed mesh at k = 1, takes |sigma| as its distance instead
+    of a relative one, which would factor the singular C itself."""
     lam = vals[-1]
     delta = 1e-6 * lam if lam > -sigma else -sigma
     minus, plus = lam - delta, lam + delta
-    below_minus = _count_below(standard, minus)
-    below_plus = _count_below(standard, plus)
+    below_minus = count_below(minus)
+    below_plus = count_below(plus)
     returned = int(np.count_nonzero(vals < minus))
     if below_minus != returned or below_plus < len(vals):
         raise NotConverged(
@@ -322,7 +326,8 @@ def _inertia_counts(standard, sigma, vals):
 
 def _count_below(standard, mu):
     """The number of eigenvalues of `standard` below mu, as the negative
-    pivots of its symmetric (LDL^T) SuperLU factor shifted by mu."""
+    pivots of its symmetric (LDL^T) SuperLU factor shifted by mu
+    (Sylvester's law of inertia)."""
     n = standard.shape[0]
     try:
         lu = splu((standard - mu * sparse.identity(n)).tocsc(),

@@ -5,6 +5,7 @@ import pytest
 
 import wavemesh as wm
 from wavemesh.autodiff import NORM_EPS
+from wavemesh.corresp import geodesic_rows
 from wavemesh.curvature import estimate_frames
 from wavemesh.errors import SingleVertexShape
 from wavemesh.mesh import TriMesh
@@ -34,6 +35,14 @@ def traced_held(fn):
     finally:
         tracemalloc.stop()
     return held, result
+
+
+def gt_distances(mesh, corr, gt):
+    """Per source vertex i, the geodesic distance on `mesh` from gt[i] to
+    corr[i], taken from the whole rows of the distinct gt vertices: what
+    `evaluate` scores."""
+    uniq, inverse = np.unique(gt, return_inverse=True)
+    return geodesic_rows(mesh, uniq)[inverse, corr]
 
 
 def standardize(x, gamma, beta):

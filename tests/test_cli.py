@@ -13,6 +13,7 @@ import dataclasses
 import gc
 import importlib.util
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -851,8 +852,8 @@ def _rekey(path, kind):
 
 def test_cache_file_names_of_a_fixed_mesh_are_pinned(tmp_path):
     # a change to what a SPEC1 or FBK1 key hashes, or to the repr of a
-    # part (theta m*pi/M and alpha as Python floats, the constant 0.0 left
-    # by the retired curvature radius, the bank's build rule), renames
+    # part (theta m*pi/M and alpha as Python floats, the bank's build
+    # rule), renames
     # every cached file; the kernel is pinned so that no eigenvalue enters
     # the bank's key
     cfg = cli.ExperimentConfig(k=10, scales=2, kernel_lambda_max=1.0)
@@ -860,17 +861,15 @@ def test_cache_file_names_of_a_fixed_mesh_are_pinned(tmp_path):
                                "bar1.off")
     cli.build_bank(spectra, cfg, tmp_path, "bar1.off")
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "bar1.2e0a6400d6dc868f.spec", "bar1.568b15e6d16748a6.spec",
-        "bar1.81946b34d964232d.fbk", "bar1.aa9097a5b153efd3.spec",
-        "bar1.f464d8ed3ce61ad9.spec"]
+        "bar1.186e761118441ba4.fbk", "bar1.31255090527aae6b.spec",
+        "bar1.9c9f2606fa010bd8.spec", "bar1.9d1515cf9a67913f.spec",
+        "bar1.ae3affc056ae360e.spec"]
 
 
 def test_cached_spectrum_reports_how_it_was_solved(run, tmp_path, capsys,
                                                    monkeypatch):
     # the SPEC1 metadata stores the solve's provenance next to the key, so
-    # the spectrum command reports for a hit what the miss did; a file
-    # without it (written by an earlier version) still hits, with the key
-    # alone
+    # the spectrum command reports for a hit what the miss did
     mesh_path = run.data / "template.off"
     mesh = load_mesh(mesh_path)
     cfg = cli.ExperimentConfig(k=int(K))
@@ -892,21 +891,11 @@ def test_cached_spectrum_reports_how_it_was_solved(run, tmp_path, capsys,
         assert miss.startswith(head)
         assert report == (f"direction {m}: stored ({path}), key {key}"
                           f"{miss[len(head):]}")
-    for spec in cache.glob("*.spec"):
-        arrays, meta = read_container(spec, "SPEC1")
-        write_container(spec, "SPEC1", arrays, meta={"key": meta["key"]})
-    solves = _count_solves(monkeypatch)
-    older = cli.load_spectra(mesh, cfg, cache, mesh_path)
-    assert solves == [] and capsys.readouterr().out == ""
-    assert [s.provenance for s in older] == [
-        {"key": s.provenance["key"]} for s in solved]
 
 
-def test_spectrum_reports_the_lanczos_run_and_an_older_solver(
-        run, tmp_path, capsys, monkeypatch):
+def test_spectrum_reports_the_lanczos_run(run, tmp_path, capsys):
     # a solve records its solver, basis, restarts, operator applications
-    # and both inertia counts; a SPEC1 file written by the ARPACK solver
-    # before them still hits, and `spectrum` prints what it holds
+    # and both inertia counts
     mesh_path = run.data / "template.off"
     cache = tmp_path / "cache"
     assert _spectrum(mesh_path, cache, tmp_path / "s") == 0
@@ -920,28 +909,22 @@ def test_spectrum_reports_the_lanczos_run_and_an_older_solver(
         assert meta["provenance"]["solver"] == "lanczos"
         assert meta["provenance"]["n_below_mu_plus"] >= int(K)
     assert out.count(", solver lanczos") == 2 * len(spectra)
-    older = {"solver": "arpack", "ncv": 31, "max_residual": 1.5e-15,
-             "ortho_error": 4.5e-15}
-    for spec in spectra:
-        arrays, meta = read_container(spec, "SPEC1")
-        write_container(spec, "SPEC1", arrays,
-                        meta={"key": meta["key"], "provenance": older})
-    solves = _count_solves(monkeypatch)
-    assert _spectrum(mesh_path, cache, tmp_path / "s") == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert solves == [] and len(lines) == len(spectra)
-    assert all(line.endswith(", max_residual 1.5e-15, ncv 31, ortho_error "
-                             "4.5e-15, solver arpack") for line in lines)
 
 
-def test_spectrum_warns_when_k_splits_a_repeated_eigenvalue(tmp_path,
-                                                            capsys):
-    # the open cylinder at res 2 and alpha 0 has lambda_40 = lambda_41
-    # (equal to 6e-16 by the dense oracle): K 40 cuts that eigenspace and
-    # K 39 does not. A miss warns after its "computed" line and again
-    # after its report, a hit after its report
-    mesh = tmp_path / "cylinder.off"
-    write_off(synth.cylinder(2), mesh)
+@pytest.mark.parametrize("base, cut, whole, counts", [
+    (("cylinder", 2), 40, 39, (39, 41)),
+    (("icosphere", 0), 3, 4, (1, 4)),
+], ids=["cylinder-lanczos", "icosahedron-dense"])
+def test_spectrum_warns_when_k_splits_a_repeated_eigenvalue(tmp_path, capsys,
+                                                            base, cut, whole,
+                                                            counts):
+    # at alpha 0 the open cylinder at res 2 has lambda_40 = lambda_41
+    # (equal to 6e-16 by the dense oracle), and the icosahedron, solved
+    # dense, lambda_2 = lambda_3 = lambda_4: K 40 and 3 cut those
+    # eigenspaces, K 39 and 4 do not. A miss warns after its "computed"
+    # line and again after its report, a hit after its report
+    mesh = tmp_path / "mesh.off"
+    write_off(synth.gen_base(*base), mesh)
     cache = tmp_path / "cache"
 
     def spectrum(k):
@@ -950,16 +933,16 @@ def test_spectrum_warns_when_k_splits_a_repeated_eigenvalue(tmp_path,
                          str(cache), "--out", str(tmp_path / "s")]) == 0
         return capsys.readouterr()
 
-    warning = ("warning: direction 0: K 40 splits a repeated eigenvalue "
-               "(n_below_mu_minus 39, n_below_mu_plus 41); the filter bank "
-               "drops its returned copies\n")
+    listed = "n_below_mu_minus {}, n_below_mu_plus {}".format(*counts)
+    warning = (f"warning: direction 0: K {cut} splits a repeated eigenvalue "
+               f"({listed}); the filter bank drops its returned copies\n")
     for warnings in (2, 1):
-        got = spectrum(40)
-        assert "n_below_mu_minus 39, n_below_mu_plus 41" in got.out
+        got = spectrum(cut)
+        assert listed in got.out
         assert got.err.count(warning) == warnings
         assert "warning" not in got.out
-    got = spectrum(39)
-    assert "n_below_mu_plus 39," in got.out
+    got = spectrum(whole)
+    assert f"n_below_mu_plus {whole}," in got.out
     assert "warning" not in got.err
 
 
@@ -1012,12 +995,13 @@ def test_geodesic_file_with_another_key_is_recomputed(run, tmp_path,
     path = run.data / pair["target"]
     target = load_mesh(path)
     gt = synth.read_indices(run.data / pair["gt"])
+    corr = np.roll(gt, 1)
     cache = tmp_path / "cache"
-    rows = _stacked(cli.load_geodesics(target, gt, cache, path))
+    dist = cli.load_geodesics(target, gt, corr, cache, path)
     (geo,) = cache.glob("*.geo")
     meta = _rekey(geo, "GEO1")
-    assert np.array_equal(
-        _stacked(cli.load_geodesics(target, gt, cache, path)), rows)
+    assert np.array_equal(cli.load_geodesics(target, gt, corr, cache, path),
+                          dist)
     assert sum(geodesic_calls) == 2 * np.unique(gt).size
     assert read_container(geo, "GEO1")[1] == meta
 
@@ -1137,11 +1121,6 @@ def _own_cache(run, path):
     return path
 
 
-def _stacked(rows):
-    """The whole array of the row blocks `load_geodesics` returns."""
-    return np.vstack(list(rows))
-
-
 def _gt_sources(run):
     (pair,) = json.loads((run.data / "manifest.json").read_text())["pairs"]
     return np.unique(synth.read_indices(run.data / pair["gt"])).size
@@ -1182,18 +1161,19 @@ def test_changed_gt_or_target_misses_the_geodesic_cache(run, tmp_path,
     path = run.data / pair["target"]
     target = load_mesh(path)
     gt = synth.read_indices(run.data / pair["gt"])
+    corr = np.roll(gt, 1)
     cache = tmp_path / "cache"
-    rows = _stacked(cli.load_geodesics(target, gt, cache, path))
+    dist = cli.load_geodesics(target, gt, corr, cache, path)
     # gt[0] no longer a ground-truth vertex; the same mesh, scaled
     fewer = np.where(gt == gt[0], gt[1], gt)
     scaled = TriMesh(target.vertices * 1.01, target.faces)
     for changed_target, changed_gt in ((target, fewer), (scaled, gt)):
-        _stacked(cli.load_geodesics(changed_target, changed_gt, cache, path))
+        cli.load_geodesics(changed_target, changed_gt, corr, cache, path)
     n = np.unique(gt).size
     assert sum(geodesic_calls) == n + (n - 1) + n
     assert len(list(cache.glob("*.geo"))) == 3
-    assert np.array_equal(
-        _stacked(cli.load_geodesics(target, gt, cache, path)), rows)
+    assert np.array_equal(cli.load_geodesics(target, gt, corr, cache, path),
+                          dist)
     assert sum(geodesic_calls) == 3 * n - 1
 
 
@@ -1226,7 +1206,8 @@ def test_disconnected_target_caches_no_geodesics(tmp_path):
     # gt in one component, then in both: every vertex some source misses
     for gt, unreachable in (([2, 0, 2], [3, 4, 5]), (range(6), range(6))):
         with pytest.raises(DisconnectedMesh) as info:
-            cli.load_geodesics(mesh, np.array(gt), cache, tmp_path / "two.off")
+            cli.load_geodesics(mesh, np.array(gt), np.array(gt), cache,
+                               tmp_path / "two.off")
         assert info.value.unreachable.tolist() == list(unreachable)
         assert not cache.exists()
     assert list(tmp_path.iterdir()) == []
@@ -1245,9 +1226,9 @@ def test_matching_runs_before_the_geodesic_read(run, tmp_path, monkeypatch):
         events.append("match")
         return match(*args)
 
-    def logged_read(path, kind=None, block_rows=None):
+    def logged_read(path, kind=None, pick=None):
         events.append(kind)
-        return read(path, kind, block_rows)
+        return read(path, kind, pick)
 
     monkeypatch.setattr(corresp, "match_nn", logged_match)
     monkeypatch.setattr(cli, "read_container", logged_read)
@@ -1257,27 +1238,70 @@ def test_matching_runs_before_the_geodesic_read(run, tmp_path, monkeypatch):
 
 
 def test_geodesics_stream_below_one_whole_rows_array(tmp_path, monkeypatch):
-    # compute, write, read back and score; then read and score a hit
+    # a miss computes and writes GEO_BLOCK rows at a time, then reads back
+    # one entry per source vertex; a hit only reads them, and holds less
+    # than one block of rows
     monkeypatch.setattr(corresp, "GEO_BLOCK", 16)
     mesh = jittered_grid(19, 19, seed=13)  # 400 vertices
     gt = np.arange(mesh.n_vertices)
     corr = np.roll(gt, 7)
     cache = tmp_path / "cache"
-
-    def score():
-        rows = cli.load_geodesics(mesh, gt, cache, tmp_path / "grid.off")
-        return corresp.evaluate(corr, gt, mesh, rows=rows)
-
     whole = corresp.geodesic_rows(mesh, gt)
-    want = whole[gt, corr] / np.sqrt(mesh.total_area)
-    for _ in ("miss", "hit"):
-        peak, got = traced_peak(score)
-        assert peak < whole.nbytes
-        assert np.array_equal(got.geodesic_errors, want)
+    for bound in (whole.nbytes, 16 * whole[0].nbytes):  # a miss, then a hit
+        peak, dist = traced_peak(lambda: cli.load_geodesics(
+            mesh, gt, corr, cache, tmp_path / "grid.off"))
+        assert peak < bound
+        assert np.array_equal(dist, whole[gt, corr])
     (geo,) = cache.glob("*.geo")
     write_container(tmp_path / "whole.geo", "GEO1", {"rows": whole},
                     read_container(geo, "GEO1")[1])
     assert geo.read_bytes() == (tmp_path / "whole.geo").read_bytes()
+
+
+def test_geodesics_read_one_entry_per_source_vertex(tmp_path, monkeypatch):
+    # gt repeats vertices and corr lands on both ends of the rows; after a
+    # miss's write, as on a hit, only 8 bytes per source vertex are read
+    mesh = jittered_grid(9, 9, seed=3)  # 100 vertices
+    rng = np.random.default_rng(5)
+    gt = rng.integers(0, mesh.n_vertices, 60)
+    corr = rng.integers(0, mesh.n_vertices, 60)
+    corr[:2] = 0, mesh.n_vertices - 1
+    uniq, inverse = np.unique(gt, return_inverse=True)
+    want = corresp.geodesic_rows(mesh, uniq)[inverse, corr]
+    reads = []
+    pread = os.pread
+
+    def counted(fd, n, offset):
+        reads.append(n)
+        return pread(fd, n, offset)
+
+    monkeypatch.setattr(os, "pread", counted)
+    for _ in ("miss", "hit"):
+        reads.clear()
+        dist = cli.load_geodesics(mesh, gt, corr, tmp_path / "cache",
+                                  tmp_path / "grid.off")
+        assert np.array_equal(dist, want)
+        assert 0 < sum(reads) <= 8 * gt.size
+
+
+def test_a_pick_outside_the_rows_keeps_the_geodesic_file(tmp_path, capsys):
+    # a pick outside the rows is an IndexError (exit 2), not a corrupt file
+    # to rebuild. load_geodesics checks the map first, since a corr index
+    # past the end of its row would pick a valid entry of the next row
+    mesh = jittered_grid(4, 4, seed=2)  # 25 vertices
+    gt = np.arange(mesh.n_vertices)
+    cache = tmp_path / "cache"
+    cli.load_geodesics(mesh, gt, gt, cache, tmp_path / "grid.off")
+    (geo,) = cache.glob("*.geo")
+    whole, key = geo.read_bytes(), read_container(geo, "GEO1")[1]["key"]
+    with pytest.raises(IndexError, match="outside array 'rows'"):
+        cli._read_cache(geo, "GEO1", key, {"rows": [gt.size ** 2]})
+    corr = gt.copy()
+    corr[0] = mesh.n_vertices
+    with pytest.raises(IndexError, match="corr contains indices outside"):
+        cli.load_geodesics(mesh, gt, corr, cache, tmp_path / "grid.off")
+    assert "warning" not in capsys.readouterr().err
+    assert geo.read_bytes() == whole
 
 
 def test_a_source_shared_by_pairs_is_described_once(run, tmp_path,

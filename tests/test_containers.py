@@ -1,4 +1,3 @@
-import gc
 import os
 
 import numpy as np
@@ -54,43 +53,6 @@ class TestRowBlocks:
                         meta)
         assert blocked.read_bytes() == whole.read_bytes()
 
-    @pytest.mark.parametrize("rows", [1, 7, 30, 64])
-    def test_block_read_stacks_to_the_array(self, tmp_path, rows):
-        path = tmp_path / "x.geo"
-        write_container(path, "GEO1", {"rows": self.ROWS, "ids": np.arange(3)},
-                        {"key": "k"})
-        arrays, meta = read_container(path, "GEO1", block_rows=rows)
-        assert meta == {"key": "k"}
-        assert np.array_equal(arrays["ids"], np.arange(3))  # 1-D: whole
-        got = arrays["rows"]
-        assert (got.shape, got.dtype) == (self.ROWS.shape, self.ROWS.dtype)
-        blocks = list(got)
-        assert [len(b) for b in blocks][:-1] == [rows] * (len(blocks) - 1)
-        assert np.array_equal(np.vstack(blocks), self.ROWS)
-
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
-                        reason="needs /proc/self/fd to count open files")
-    def test_blocks_close_their_file_descriptor(self, tmp_path):
-        path = tmp_path / "x.geo"
-        write_container(path, "GEO1", {"rows": self.ROWS})
-        before = len(os.listdir("/proc/self/fd"))
-        # read to the end; closed after one block; dropped before any block
-        for use in (list, lambda b: (next(iter(b)), b.blocks.close()),
-                    lambda b: None):
-            rows = read_container(path, "GEO1", block_rows=4)[0]["rows"]
-            assert len(os.listdir("/proc/self/fd")) == before + 1
-            use(rows)
-            del rows
-            gc.collect()
-            assert len(os.listdir("/proc/self/fd")) == before
-
-    def test_truncated_rows_region_raises_before_any_block(self, tmp_path):
-        path = tmp_path / "x.geo"
-        write_container(path, "GEO1", {"rows": self.ROWS})
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(CorruptCache, match="runs past the end"):
-            read_container(path, "GEO1", block_rows=4)
-
     @pytest.mark.parametrize("blocks", [
         [ROWS[:10], ROWS[10:20]],           # too few rows
         [ROWS[:20], ROWS[10:]],             # too many rows
@@ -113,6 +75,57 @@ class TestRowBlocks:
             write_container(path, "GEO1", {"rows": RowBlocks(
                 self.ROWS.shape, np.float64, blocks())})
         assert list(tmp_path.iterdir()) == []
+
+
+class TestPick:
+    ROWS = TestRowBlocks.ROWS
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_picks_are_the_flat_elements(self, tmp_path, dtype):
+        rows = (self.ROWS * 1e3).astype(dtype)
+        path = tmp_path / "x.geo"
+        write_container(path, "GEO1", {"rows": rows, "ids": np.arange(3)},
+                        {"key": "k"})
+        idx = np.random.default_rng(1).integers(0, rows.size, 50)
+        idx[:4] = 0, rows.size - 1, idx[4], idx[4]  # both ends, a duplicate
+        arrays, meta = read_container(path, "GEO1", pick={"rows": idx})
+        assert meta == {"key": "k"}
+        assert arrays["rows"].dtype == dtype
+        assert np.array_equal(arrays["rows"], rows.reshape(-1)[idx])
+        assert np.array_equal(arrays["ids"], np.arange(3))  # unpicked: whole
+
+    def test_file_cut_inside_a_picked_array_raises_before_any_pread(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "x.geo"
+        write_container(path, "GEO1", {"rows": self.ROWS})
+        path.write_bytes(path.read_bytes()[:-8])
+        reads = []
+        monkeypatch.setattr(os, "pread", lambda *args: reads.append(args))
+        with pytest.raises(CorruptCache, match="'rows' runs past the end"):
+            read_container(path, "GEO1", pick={"rows": [0]})
+        assert reads == []
+
+    def test_file_that_shrinks_while_picked_is_corrupt(self, tmp_path,
+                                                       monkeypatch):
+        path = tmp_path / "x.geo"
+        write_container(path, "GEO1", {"rows": self.ROWS})
+        pread = os.pread
+
+        def shrinking(fd, n, offset):
+            os.truncate(path, offset)  # cut at the element being read
+            return pread(fd, n, offset)
+
+        monkeypatch.setattr(os, "pread", shrinking)
+        with pytest.raises(CorruptCache, match="file shrank while read"):
+            read_container(path, "GEO1", pick={"rows": [5, 3]})
+
+    @pytest.mark.parametrize("index", [-1, 30 * 11])
+    def test_pick_outside_its_array_raises_index_error(self, tmp_path, index):
+        # the file is sound, so this is not a CorruptCache
+        path = tmp_path / "x.geo"
+        write_container(path, "GEO1", {"rows": self.ROWS})
+        with pytest.raises(IndexError, match="outside array 'rows'"):
+            read_container(path, "GEO1", pick={"rows": [0, index]})
 
 
 class TestCorruption:

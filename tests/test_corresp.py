@@ -10,7 +10,7 @@ from wavemesh.corresp import evaluate, geodesic_blocks, geodesic_rows, match_nn
 from wavemesh.errors import DisconnectedMesh, NonFiniteDescriptor, NumericalError
 from wavemesh.mesh import TriMesh
 
-from .conftest import grid_mesh, perturbed_sphere, traced_peak
+from .conftest import grid_mesh, gt_distances, perturbed_sphere, traced_peak
 
 
 def bellman_ford(mesh, source):
@@ -250,7 +250,7 @@ class TestGeodesics:
 class TestEvaluate:
     def test_exact_match_zero_error(self, ico1):
         gt = np.arange(ico1.n_vertices)
-        result = evaluate(gt, gt, ico1)
+        result = evaluate(gt, gt, ico1, gt_distances(ico1, gt, gt))
         assert result.average_geodesic_error == 0.0
         assert (result.cge[:, 1] == 1.0).all()
         assert result.cge[0, 0] == 0.0 and result.cge[0, 1] == 1.0
@@ -262,7 +262,8 @@ class TestEvaluate:
         assert abs(mesh.total_area - 1.0) < 1e-12
         corr = np.array([1, 1, 2])
         gt = np.array([0, 1, 2])
-        result = evaluate(corr, gt, mesh, radii=[0.0, 0.25, 1.0])
+        result = evaluate(corr, gt, mesh, gt_distances(mesh, corr, gt),
+                          radii=[0.0, 0.25, 1.0])
         assert np.allclose(result.geodesic_errors, [0.5, 0.0, 0.0])
         assert np.allclose(result.cge[:, 1], [2 / 3, 2 / 3, 1.0])
         assert abs(result.average_geodesic_error - 100 * 0.5 / 3) < 1e-12
@@ -271,16 +272,17 @@ class TestEvaluate:
         rng = np.random.default_rng(3)
         gt = np.arange(ico1.n_vertices)
         corr = rng.permutation(ico1.n_vertices)
-        r1 = evaluate(corr, gt, ico1)
+        r1 = evaluate(corr, gt, ico1, gt_distances(ico1, corr, gt))
         scaled = TriMesh(ico1.vertices * 7.3, ico1.faces.copy())
-        r2 = evaluate(corr, gt, scaled)
+        r2 = evaluate(corr, gt, scaled, gt_distances(scaled, corr, gt))
         assert np.abs(r1.geodesic_errors - r2.geodesic_errors).max() < 1e-9
 
     def test_fraction_at_zero_is_exact_match_rate(self, ico1):
         gt = np.arange(ico1.n_vertices)
         corr = gt.copy()
         corr[:7] = (corr[:7] + 1) % ico1.n_vertices
-        result = evaluate(corr, gt, ico1, radii=[0.0, 10.0])
+        result = evaluate(corr, gt, ico1, gt_distances(ico1, corr, gt),
+                          radii=[0.0, 10.0])
         exact = (corr == gt).mean()
         assert result.cge[0, 1] == exact
         assert result.cge[1, 1] == 1.0
@@ -289,41 +291,19 @@ class TestEvaluate:
         rng = np.random.default_rng(4)
         gt = np.arange(ico1.n_vertices)
         corr = rng.permutation(ico1.n_vertices)
-        result = evaluate(corr, gt, ico1)
+        result = evaluate(corr, gt, ico1, gt_distances(ico1, corr, gt))
         assert (np.diff(result.cge[:, 1]) >= 0).all()
 
-    def test_precomputed_rows_give_the_same_result(self, ico1):
-        rng = np.random.default_rng(11)
-        gt = rng.integers(0, ico1.n_vertices, 30)
-        corr = rng.integers(0, ico1.n_vertices, 30)
-        rows = geodesic_rows(ico1, np.unique(gt))
-        got = evaluate(corr, gt, ico1, rows=[rows])
-        want = evaluate(corr, gt, ico1)
-        assert np.array_equal(got.geodesic_errors, want.geodesic_errors)
-        assert got.average_geodesic_error == want.average_geodesic_error
-        for bad in ([rows[:-1]], [rows, rows[:1]], [rows[:, :-1]]):
-            with pytest.raises(ValueError):
-                evaluate(corr, gt, ico1, rows=bad)
-
-    @pytest.mark.parametrize("block", [1, 7, 64])
-    def test_scores_from_row_blocks_equal_the_whole_rows(self, monkeypatch,
-                                                         ico1, block):
-        rng = np.random.default_rng(13)
-        gt = rng.integers(0, ico1.n_vertices, 50)
-        corr = rng.integers(0, ico1.n_vertices, 50)
-        uniq, inverse = np.unique(gt, return_inverse=True)
-        rows = geodesic_rows(ico1, uniq)
-        want = rows[inverse, corr] / np.sqrt(ico1.total_area)
-        blocks = [rows[i:i + block] for i in range(0, uniq.size, block)]
-        got = evaluate(corr, gt, ico1, rows=blocks)
-        assert np.array_equal(got.geodesic_errors, want)
-        monkeypatch.setattr(corresp, "GEO_BLOCK", block)
-        computed = evaluate(corr, gt, ico1)
-        assert np.array_equal(computed.geodesic_errors, want)
+    @pytest.mark.parametrize("shape", [(29,), (31,), (30, 1)])
+    def test_distances_of_another_shape_than_gt_are_rejected(self, ico1,
+                                                             shape):
+        gt = np.arange(30)
+        with pytest.raises(ValueError, match="distances of shape"):
+            evaluate(gt, gt, ico1, np.zeros(shape))
 
     def test_index_out_of_range(self, ico1):
         gt = np.arange(ico1.n_vertices)
         bad = gt.copy()
         bad[0] = ico1.n_vertices
         with pytest.raises(IndexError):
-            evaluate(bad, gt, ico1)
+            evaluate(bad, gt, ico1, np.zeros(gt.shape))

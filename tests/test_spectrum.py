@@ -194,6 +194,22 @@ class TestCompleteness:
         assert spec.provenance["n_below_mu_minus"] == np.count_nonzero(
             vals < spec.eigenvalues[-1] * (1 - 1e-6))
 
+    @pytest.mark.parametrize("k, below_minus, below_plus, whole", [
+        (1, 0, 1, 1), (3, 1, 4, 1), (4, 1, 4, 4), (6, 4, 9, 4),
+        (11, 9, 12, 9)])
+    def test_dense_solve_records_the_inertia_counts(self, ico0, k,
+                                                    below_minus, below_plus,
+                                                    whole):
+        # the icosahedron's eigenvalues are 0, 2 (three copies), 4.34 (five)
+        # and 5.24 (three): K 3, 6 and 11 (clamp_k's N - 1) cut a
+        # multiplet. The dense solve counts its eigenvalues below the mu-/+
+        # that the Lanczos path factors at, |sigma| from a zero lambda_K
+        spec = solve_eigs(assemble_lbo(ico0), k)
+        assert spec.provenance["solver"] == "dense"
+        assert spec.provenance["n_below_mu_minus"] == below_minus
+        assert spec.provenance["n_below_mu_plus"] == below_plus
+        assert spec.n_whole == whole
+
     def test_breakdown_continues_from_a_fresh_direction(self):
         # three distinct eigenvalues: the Krylov space of any start vector
         # is invariant after 3 steps, so beta vanishes long before n and

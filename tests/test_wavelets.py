@@ -137,41 +137,54 @@ class TestBankConstruction:
         with pytest.raises(SpectrumMismatch, match="mass"):
             dataclasses.replace(bank, spectra=[a, b])
 
-    def test_bank_ignores_the_basis_of_a_cut_eigenspace(self):
-        # the open cylinder at res 2 and alpha 0 has lambda_40 = lambda_41,
+    @pytest.mark.parametrize("base, k, scales, solver, counts", [
+        (("cylinder", 2), 40, 4, "lanczos", (39, 41)),
+        (("icosphere", 0), 6, 1, "dense", (4, 9)),
+    ], ids=["cylinder-lanczos", "icosahedron-dense"])
+    def test_bank_ignores_the_basis_of_a_cut_eigenspace(self, base, k, scales,
+                                                        solver, counts):
+        # at alpha 0 the open cylinder at res 2 has lambda_40 = lambda_41,
         # so K 40 returns one copy of that eigenspace (inertia counts 39
-        # and 41). Replacing it by another unit vector of the eigenspace,
-        # taken from the dense oracle, must leave every filter and
-        # normalizer unchanged; without the counts they moved 5%
-        mesh = wm.gen_base("cylinder", 2)
+        # and 41); the icosahedron's lambda_5..9 are equal, so K 6 returns
+        # two copies (counts 4 and 9) from the dense solver. Replacing the
+        # copies by another orthonormal set of the eigenspace, taken from
+        # the dense oracle, must leave every filter and normalizer
+        # unchanged; without the counts the filters moved by over 1%
+        mesh = wm.gen_base(*base)
         ops = wm.assemble_albo(mesh, wm.estimate_frames(mesh), 0.0, 0.0)
-        spec = solve_eigs(ops, 40)
-        assert spec.n_whole == 39
+        spec = solve_eigs(ops, k)
+        whole, plus = counts
+        assert spec.provenance["solver"] == solver
+        assert (spec.n_whole, spec.provenance["n_below_mu_plus"]) == counts
         space = scipy.linalg.eigh(ops.stiffness.toarray(),
-                                  np.diag(ops.mass))[1][:, 39:41]
-        phi = spec.eigenvectors[:, 39]
-        c = space.T @ (ops.mass * phi)
-        assert np.linalg.norm(c) > 1 - 1e-9  # the copy lies in the space
-        other = space @ np.array([-c[1], c[0]])  # its mass-orthogonal mate
+                                  np.diag(ops.mass))[1][:, whole:plus]
+        c = space.T @ (ops.mass[:, None] * spec.eigenvectors[:, whole:])
+        # the copies lie in the space
+        np.testing.assert_allclose(np.linalg.norm(c, axis=0), 1, atol=1e-9)
+        turn = np.linalg.qr(np.random.default_rng(0).standard_normal(
+            (plus - whole,) * 2))[0]
         turned = spec.eigenvectors.copy()
-        turned[:, 39] = np.cos(1.0) * phi + np.sin(1.0) * other
-        kernel = KernelSpec.mexican_hat(spec.lambda_max, 4)
+        turned[:, whole:] = space @ (turn @ c)
+        kernel = KernelSpec.mexican_hat(spec.lambda_max, scales)
 
         def banks(returned):
-            """The banks of `returned` and of its copy with 39 turned."""
+            """The banks of `returned` and of its copy with the copies of
+            the cut eigenspace turned."""
             return [build_filterbank([s], kernel) for s in (
                 returned, dataclasses.replace(returned, eigenvectors=turned))]
 
         a, b = banks(spec)
-        assert (a.responses[0, :, 39:] == 0).all()
+        assert (a.responses[0, :, whole:] == 0).all()
         np.testing.assert_allclose(b.l1_normalizers, a.l1_normalizers,
                                    rtol=1e-12, atol=0)
-        for j in range(4):
+        for j in range(scales):
             want = dense_filter_matrix(a, 0, j)
             np.testing.assert_allclose(dense_filter_matrix(b, 0, j), want,
                                        rtol=0, atol=1e-12 * np.abs(want).max())
         a, b = banks(dataclasses.replace(spec, provenance={}))
-        assert np.abs(b.l1_normalizers / a.l1_normalizers - 1).max() > 0.01
+        want = dense_filter_matrix(a, 0, 0)
+        assert np.abs(dense_filter_matrix(b, 0, 0) - want).max() \
+            > 0.01 * np.abs(want).max()
 
     def test_normalizers_match_blockwise_and_dense(self, small_bank):
         for j in range(small_bank.n_scales):
