@@ -22,7 +22,12 @@ under the operator, filter bank and network it was trained with. Without
 `--dataset` or `--cache` it reads the training run's (its cache is
 `<saved out>/cache` unless the experiment names one); without `--out` it
 writes under `<checkpoint directory>/eval`, never into the training run's
-own files.
+own files. Its scores are three kinds of CSV file: `pairs.csv`, one row
+`source_mesh,target_mesh,age_x100` per manifest pair, whose AGE x100 is
+the mean geodesic error normalized by sqrt(target area), times 100; per
+pair i, `cge_pair{i}.csv`; and `cge_pooled.csv`, the curve over every
+pair's source vertices at once. Each curve is `r,fraction` over the radii
+of `--radii` (start:stop:step, stop included).
 `train` makes float32 parameters, and the network runs in its parameters'
 dtype, so `eval` runs a float64 checkpoint of earlier versions in float64.
 Every filter bank sums its L1 normalizers in float32
@@ -526,7 +531,8 @@ def load_geodesics(target, gt, corr, cache_dir, mesh_path):
     np.unique(gt), picked from the GEO1 cache. A miss is computed block by
     block into the cache first; a target whose sources do not reach every
     vertex raises DisconnectedMesh before any cache directory or file is
-    made. A map that does not fit the target raises like `evaluate`."""
+    made. A map that does not fit the target raises ValueError or
+    IndexError (`corresp.check_map`) before that."""
     corr, gt = corresp.check_map(corr, gt, target.n_vertices)
     sources, inverse = np.unique(gt, return_inverse=True)
 
@@ -563,44 +569,39 @@ def run_evaluation(model, cfg, manifest_path, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def describe(rel):
-        mesh = meshes[rel]
-        spectra = load_spectra(mesh, cfg, cache_dir, root / rel)
+        spectra = load_spectra(meshes[rel], cfg, cache_dir, root / rel)
         bank = build_bank(spectra, cfg, cache_dir, root / rel)
-        return mesh, network.descriptors(model, mesh.vertices, bank)
+        return network.descriptors(model, meshes[rel].vertices, bank)
 
-    results = []
+    ages = []
     pooled_errors = []
     radii = cfg.radii_array()
     source_descriptors = {}  # each distinct source is described once
     for i, (pair, gt) in enumerate(zip(manifest["pairs"], gts)):
         if pair["source"] not in source_descriptors:
-            source_descriptors[pair["source"]] = describe(pair["source"])[1]
-        target, desc_t = describe(pair["target"])
+            source_descriptors[pair["source"]] = describe(pair["source"])
+        desc_t = describe(pair["target"])
         corr = corresp.match_nn(source_descriptors[pair["source"]], desc_t)
         # the geodesics are read (on a miss, computed first) only once the
         # target's descriptors are freed: holding a miss's row block next
         # to them raised the process's peak memory
         del desc_t
+        target = meshes[pair["target"]]
         dist = load_geodesics(target, gt, corr, cache_dir,
                               root / pair["target"])
-        result = corresp.evaluate(corr, gt, target, dist, radii=radii)
-        results.append((pair, result))
+        result = corresp.evaluate(dist, target, radii)
+        ages.append(result.average_geodesic_error)
         pooled_errors.append(result.geodesic_errors)
         write_csv(out_dir / f"cge_pair{i}.csv", "r,fraction", *result.cge.T)
         print(f"pair {pair['source']} -> {pair['target']}: "
               f"AGEx100 = {result.average_geodesic_error:.4f}")
 
-    ages = np.array([r.average_geodesic_error for _, r in results])
     write_csv(out_dir / "pairs.csv", "source_mesh,target_mesh,age_x100",
-              [pair["source"] for pair, _ in results],
-              [pair["target"] for pair, _ in results], ages)
-
-    pooled = np.concatenate(pooled_errors)
-    fractions = (pooled[None, :] <= radii[:, None]).mean(axis=1)
-    write_csv(out_dir / "cge_pooled.csv", "r,fraction", radii, fractions)
-    mean_age = float(np.mean(ages))
-    print(f"mean AGEx100 over {len(results)} pairs: {mean_age:.6f}")
-    return results
+              [pair["source"] for pair in manifest["pairs"]],
+              [pair["target"] for pair in manifest["pairs"]], np.array(ages))
+    write_csv(out_dir / "cge_pooled.csv", "r,fraction",
+              *corresp.cge(np.concatenate(pooled_errors), radii).T)
+    print(f"mean AGEx100 over {len(ages)} pairs: {np.mean(ages):.6f}")
 
 
 # --- subcommands ------------------------------------------------------------------

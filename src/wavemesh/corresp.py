@@ -29,17 +29,18 @@ edge lengths, an upper bound on the polyhedral geodesic. The overestimate is
 not negligible: on icospheres of 162 to 2562 vertices, measured against
 great-circle distance, its median is 6.9-7.3% and its maximum 21-23%, and
 it does not shrink as the mesh is refined. Every AGE and CGE reported here
-is inflated accordingly. `evaluate` needs one distance per source vertex,
-from its ground-truth vertex to its predicted one, and takes them from its
-caller. Those come from one row per distinct ground-truth vertex:
-`geodesic_blocks` builds the edge graph once, checks on it that every
-source reaches every vertex, then computes GEO_BLOCK sources per
-`geodesic_rows` call on that graph as the blocks are iterated, so it holds
-GEO_BLOCK x n_target distances at a time, not |unique gt| x n_target (the
-CLI writes each block to its cache as it is made, then reads back only the
-one entry per source vertex). Errors are normalized by sqrt(total target
-area), the average is reported x100, and the cumulative curve gives the
-fraction of matches within each radius.
+is inflated accordingly. `evaluate` only scores: it takes one distance per
+source vertex, from its ground-truth vertex to its predicted one, from its
+caller, which checks the maps (`check_map`). Those come from one row per
+distinct ground-truth vertex: `geodesic_blocks` builds the edge graph once,
+checks on it that every source reaches every vertex, then computes
+GEO_BLOCK sources per `geodesic_rows` call on that graph as the blocks are
+iterated, so it holds GEO_BLOCK x n_target distances at a time, not
+|unique gt| x n_target (the CLI writes each block to its cache as it is
+made, then reads back only the one entry per source vertex). Errors are
+normalized by sqrt(total target area), the average is reported x100, and
+the cumulative curve `cge` gives the fraction of errors within each radius,
+of one pair or of many pooled.
 """
 
 from dataclasses import dataclass
@@ -50,7 +51,6 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import DisconnectedMesh, NonFiniteDescriptor
 
-DEFAULT_RADII = np.linspace(0.0, 0.25, 101)
 MATCH_BLOCK = 256
 GEO_BLOCK = 128
 GEODESIC_METHOD = "dijkstra"  # names how geodesic_rows measures, in cache keys
@@ -58,15 +58,13 @@ GEODESIC_METHOD = "dijkstra"  # names how geodesic_rows measures, in cache keys
 
 @dataclass(frozen=True)
 class CorrespondenceResult:
-    """Vertex map with its geodesic-error summary.
+    """Geodesic-error summary of one vertex map.
 
-    map : (n_source,) predicted target vertex per source vertex
     geodesic_errors : (n_source,) normalized (unitless) errors
     average_geodesic_error : mean error x 100
     cge : (n_radii, 2) columns (radius, fraction of matches <= radius)
     """
 
-    map: np.ndarray
     geodesic_errors: np.ndarray
     average_geodesic_error: float
     cge: np.ndarray
@@ -204,25 +202,18 @@ def check_map(corr, gt, n_target):
     return corr, gt
 
 
-def evaluate(corr, gt, target_mesh, dist, radii=None):
-    """Score a predicted map against ground truth on the target mesh.
-
-    dist: per source vertex i, the geodesic distance on the target mesh
-    from gt[i] to corr[i], of gt's shape."""
-    corr, gt = check_map(corr, gt, target_mesh.n_vertices)
-    dist = np.asarray(dist, dtype=np.float64)
-    if dist.shape != gt.shape:
-        raise ValueError(
-            f"distances of shape {dist.shape} do not fit the map's {gt.shape}")
-    if radii is None:
-        radii = DEFAULT_RADII
+def cge(errors, radii):
+    """The cumulative geodesic error curve of `errors`: (n_radii, 2)
+    columns (radius, fraction of errors <= radius)."""
     radii = np.asarray(radii, dtype=np.float64)
-
-    errors = dist / np.sqrt(target_mesh.total_area)
     fractions = (errors[None, :] <= radii[:, None]).mean(axis=1)
-    return CorrespondenceResult(
-        map=corr.copy(),
-        geodesic_errors=errors,
-        average_geodesic_error=float(errors.mean() * 100.0),
-        cge=np.stack([radii, fractions], axis=1),
-    )
+    return np.stack([radii, fractions], axis=1)
+
+
+def evaluate(dist, target_mesh, radii):
+    """Score one map from `dist`: per source vertex, the geodesic distance
+    on the target mesh from its ground-truth vertex to its predicted one,
+    as `cli.load_geodesics` picks them from checked maps."""
+    errors = np.asarray(dist, np.float64) / np.sqrt(target_mesh.total_area)
+    return CorrespondenceResult(errors, float(errors.mean() * 100.0),
+                                cge(errors, radii))

@@ -4,9 +4,9 @@ The mass A is lumped (diagonal), so the pencil is solved in the symmetric
 standard form of Manifold Harmonics (Vallet & Levy 2008): with
 d = 1/sqrt(A), C = diag(d) W diag(d) has the same eigenvalues, and its
 Euclidean-orthonormal eigenvectors y map to phi = d * y, whose mass Gram
-matrix phi^T A phi = y^T y is the identity at round-off. Lanczos therefore
-runs without a mass inner product: each step is one sparse LU solve and no
-B-product.
+matrix phi^T A phi = y^T y is the identity at round-off. Both paths solve
+C, formed once, and map y to phi in one place, so Lanczos runs without a
+mass inner product: each step is one sparse LU solve and no B-product.
 
 The sparse path is shift-invert Lanczos on OP = (C - sigma I)^-1 at a tiny
 negative shift sigma, whose largest eigenvalues theta = 1/(lambda - sigma)
@@ -42,7 +42,9 @@ step, restarts through Givens-rotation QR sweeps and forms its Ritz
 vectors by an unblocked Householder product. All of the dense work here
 runs in numpy's BLAS (see `_lanczos`).
 
-Small or near-full requests fall back to a dense generalized solve. Both
+Small or near-full requests (N <= DENSE_CUTOFF or K > N - 2) take numpy's
+dense `eigh` of C: shift-invert at a tiny sigma resolves the top of a full
+spectrum, OP's smallest theta, too coarsely to meet RESIDUAL_TOL. Both
 paths return eigenvalues in ascending order (LAPACK's, and theta
 descending). Every returned Spectrum is verified: eigenvalues
 non-negative, eigenvectors mass-orthonormal, relative residuals below
@@ -72,7 +74,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh
 from scipy.sparse.linalg import splu
 
 from .errors import FactorizationFailed, KTooLarge, NotConverged
@@ -125,7 +126,7 @@ class Spectrum:
     def n_whole(self):
         """How many leading eigenpairs span whole eigenspaces: fewer than
         K when the inertia counts show K cuts a multiplet."""
-        cut = self.provenance.get("n_below_mu_plus", 0) > self.k
+        cut = self.provenance["n_below_mu_plus"] > self.k
         return self.provenance["n_below_mu_minus"] if cut else self.k
 
 
@@ -158,17 +159,18 @@ def solve_eigs(ops, k):
     stiffness = ops.stiffness.tocsc()
     mass = np.asarray(ops.mass, dtype=np.float64)
 
+    d = 1.0 / np.sqrt(mass)
+    scaling = sparse.diags(d)
+    standard = (scaling @ stiffness @ scaling).tocsc()
     sigma = -1e-6 * (stiffness.diagonal().mean() / mass.mean())
     dense = n <= DENSE_CUTOFF or k > n - 2
     if dense:
-        every, vecs = _dense_path(stiffness, mass)
-        vals, vecs, provenance = every[:k], vecs[:, :k], {"solver": "dense"}
+        # numpy's LAPACK, as in `_lanczos`; eigh reads one triangle only
+        every, y = np.linalg.eigh(standard.toarray())
+        vals, y, provenance = every[:k], y[:, :k], {"solver": "dense"}
     else:
-        d = 1.0 / np.sqrt(mass)
-        scaling = sparse.diags(d)
-        standard = (scaling @ stiffness @ scaling).tocsc()
         vals, y, provenance = _lanczos_path(standard, sigma, k)
-        vecs = d[:, None] * y
+    vecs = d[:, None] * y
 
     # clamp the tiny negative eigenvalues a PSD pencil can produce in
     # floating point; anything materially negative is a solver failure
@@ -190,16 +192,6 @@ def solve_eigs(ops, k):
     provenance.update(max_residual=float(rel.max()), ortho_error=ortho_err)
     return Spectrum(eigenvalues=vals, eigenvectors=vecs, mass=mass.copy(),
                     provenance=provenance)
-
-
-def _dense_path(stiffness, mass):
-    """Every eigenpair of the pencil, eigenvalues ascending."""
-    w = stiffness.toarray()
-    w = 0.5 * (w + w.T)
-    try:
-        return eigh(w, np.diag(mass))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD mass
-        raise FactorizationFailed(str(exc)) from exc
 
 
 def _lanczos_path(standard, sigma, k):

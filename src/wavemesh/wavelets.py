@@ -226,9 +226,15 @@ def build_filterbank(spectra, kernel, dtype=np.float64):
     bad = ~(np.isfinite(normalizers) & (normalizers >= 1e-14))
     if bad.any():
         mi, ji, vi = np.argwhere(bad)[0]
+        spec = spectra[mi]
+        cause = "" if spec.n_whole == k else (
+            f"; K {k} cuts a repeated eigenvalue of direction {mi}, whose "
+            f"bank keeps only the n_whole {spec.n_whole} eigenpairs below "
+            f"it; a K of at least {spec.provenance['n_below_mu_plus']} "
+            f"(n_below_mu_plus) keeps the cut eigenspace")
         raise ZeroColumnNorm(
             f"wavelet column (direction {mi}, scale {ji}, vertex {vi}) has "
-            f"L1 norm {normalizers[mi, ji, vi]:g}")
+            f"L1 norm {normalizers[mi, ji, vi]:g}{cause}")
 
     return FilterBank(spectra=list(spectra), kernel=kernel,
                       responses=responses, l1_normalizers=normalizers,

@@ -39,8 +39,8 @@ def traced_held(fn):
 
 def gt_distances(mesh, corr, gt):
     """Per source vertex i, the geodesic distance on `mesh` from gt[i] to
-    corr[i], taken from the whole rows of the distinct gt vertices: what
-    `evaluate` scores."""
+    corr[i], taken from the whole rows of the distinct gt vertices: the
+    `dist` that `evaluate` scores, as `cli.load_geodesics` picks it."""
     uniq, inverse = np.unique(gt, return_inverse=True)
     return geodesic_rows(mesh, uniq)[inverse, corr]
 

@@ -27,8 +27,9 @@ import pytest
 from wavemesh import cli, corresp, network, spectrum, synth, wavelets
 from wavemesh.containers import read_container, write_container
 from wavemesh.curvature import estimate_frames
-from wavemesh.errors import DisconnectedMesh, ValidationError
+from wavemesh.errors import DisconnectedMesh, ValidationError, ZeroColumnNorm
 from wavemesh.mesh import TriMesh, load_mesh, write_off
+from wavemesh.operators import assemble_albo
 
 from .conftest import jittered_grid, traced_peak
 
@@ -41,11 +42,11 @@ def _json(path, data):
     return str(path)
 
 
-def _gen_data(root, deformations):
+def _gen_data(root, deformations, **extra):
     root.mkdir(parents=True, exist_ok=True)
     config = _json(root / "dataset.json", {
         "base": "bar", "resolution": 2, "deformations": deformations,
-        "holdout": 1, "split_seed": 0})
+        "holdout": 1, "split_seed": 0, **extra})
     assert cli.main(["gen-data", "--config", config,
                      "--out", str(root / "data")]) == 0
     return root / "data"
@@ -113,6 +114,29 @@ def test_eval_takes_radii_from_its_flag_and_the_rest_from_the_checkpoint(
     assert echo["encoder_hidden"] == MODEL["encoder_hidden"]
     cge = (tmp_path / "eval" / "cge_pooled.csv").read_text().splitlines()
     assert len(cge) == 1 + 3
+
+
+def test_pooled_curve_is_the_curve_of_all_pairs(run, tmp_path):
+    # the remeshed held-out pose adds a second pair; both pairs map the
+    # template's vertices, so each pooled fraction is the mean of theirs
+    data = _gen_data(tmp_path, [["bend", 0.6], ["twist", 0.3]],
+                     remesh_holdout=True)
+    out = tmp_path / "eval"
+    assert _eval(run, out, data=data,
+                 cache=_own_cache(run, tmp_path / "cache")) == 0
+
+    def curve(name):
+        return np.loadtxt(out / name, delimiter=",", skiprows=1)
+
+    pooled = curve("cge_pooled.csv")
+    pairs = [curve(f"cge_pair{i}.csv") for i in range(2)]
+    assert not (out / "cge_pair2.csv").exists()
+    assert not np.array_equal(pairs[0][:, 1], pairs[1][:, 1])
+    for pair in pairs:
+        assert np.array_equal(pair[:, 0], pooled[:, 0])
+    np.testing.assert_allclose(
+        pooled[:, 1], (pairs[0][:, 1] + pairs[1][:, 1]) / 2, rtol=0,
+        atol=1e-15)
 
 
 def test_eval_without_out_writes_beside_the_checkpoint(run, tmp_path):
@@ -659,6 +683,30 @@ def test_all_zero_wavelet_columns_exit_3(run, tmp_path):
     assert cli.main(["wavelet-dump", "--mesh", str(run.data / "template.off"),
                      "--k", K, "--config", config, "--cache", str(run.cache),
                      "--out", str(tmp_path), "--vertex", "5"]) == 3
+
+
+def test_zero_wavelet_columns_of_a_cut_spectrum_name_the_cut(tmp_path,
+                                                             capsys):
+    # the icosahedron's K 3 cuts its threefold lambda = 2 (counts 1 and 4),
+    # so its bank keeps only the constant mode, whose band-pass response
+    # g(0) is 0: every column norm is 0, and the error says why
+    ico0 = synth.gen_base("icosphere", 0)
+    cause = ("K 3 cuts a repeated eigenvalue of direction 0, whose bank "
+             "keeps only the n_whole 1 eigenpairs below it; a K of at least "
+             "4 (n_below_mu_plus) keeps the cut eigenspace")
+    spec = spectrum.solve_eigs(
+        assemble_albo(ico0, estimate_frames(ico0), 0.0, 0.0), 3)
+    with pytest.raises(ZeroColumnNorm) as info:
+        wavelets.build_filterbank([spec], wavelets.KernelSpec.mexican_hat(
+            spec.lambda_max, 1))
+    assert str(info.value).endswith("; " + cause)
+    write_off(ico0, tmp_path / "ico0.off")
+    assert cli.main(["wavelet-dump", "--mesh", str(tmp_path / "ico0.off"),
+                     "--k", "3", "--alpha", "0", "--directions", "1",
+                     "--scales", "1", "--vertex", "0",
+                     "--cache", str(tmp_path / "cache"),
+                     "--out", str(tmp_path / "out")]) == 3
+    assert cause in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",

@@ -248,9 +248,11 @@ class TestGeodesics:
 
 
 class TestEvaluate:
+    RADII = np.linspace(0.0, 0.25, 101)
+
     def test_exact_match_zero_error(self, ico1):
         gt = np.arange(ico1.n_vertices)
-        result = evaluate(gt, gt, ico1, gt_distances(ico1, gt, gt))
+        result = evaluate(gt_distances(ico1, gt, gt), ico1, self.RADII)
         assert result.average_geodesic_error == 0.0
         assert (result.cge[:, 1] == 1.0).all()
         assert result.cge[0, 0] == 0.0 and result.cge[0, 1] == 1.0
@@ -262,8 +264,7 @@ class TestEvaluate:
         assert abs(mesh.total_area - 1.0) < 1e-12
         corr = np.array([1, 1, 2])
         gt = np.array([0, 1, 2])
-        result = evaluate(corr, gt, mesh, gt_distances(mesh, corr, gt),
-                          radii=[0.0, 0.25, 1.0])
+        result = evaluate(gt_distances(mesh, corr, gt), mesh, [0.0, 0.25, 1.0])
         assert np.allclose(result.geodesic_errors, [0.5, 0.0, 0.0])
         assert np.allclose(result.cge[:, 1], [2 / 3, 2 / 3, 1.0])
         assert abs(result.average_geodesic_error - 100 * 0.5 / 3) < 1e-12
@@ -272,17 +273,16 @@ class TestEvaluate:
         rng = np.random.default_rng(3)
         gt = np.arange(ico1.n_vertices)
         corr = rng.permutation(ico1.n_vertices)
-        r1 = evaluate(corr, gt, ico1, gt_distances(ico1, corr, gt))
+        r1 = evaluate(gt_distances(ico1, corr, gt), ico1, self.RADII)
         scaled = TriMesh(ico1.vertices * 7.3, ico1.faces.copy())
-        r2 = evaluate(corr, gt, scaled, gt_distances(scaled, corr, gt))
+        r2 = evaluate(gt_distances(scaled, corr, gt), scaled, self.RADII)
         assert np.abs(r1.geodesic_errors - r2.geodesic_errors).max() < 1e-9
 
     def test_fraction_at_zero_is_exact_match_rate(self, ico1):
         gt = np.arange(ico1.n_vertices)
         corr = gt.copy()
         corr[:7] = (corr[:7] + 1) % ico1.n_vertices
-        result = evaluate(corr, gt, ico1, gt_distances(ico1, corr, gt),
-                          radii=[0.0, 10.0])
+        result = evaluate(gt_distances(ico1, corr, gt), ico1, [0.0, 10.0])
         exact = (corr == gt).mean()
         assert result.cge[0, 1] == exact
         assert result.cge[1, 1] == 1.0
@@ -291,19 +291,21 @@ class TestEvaluate:
         rng = np.random.default_rng(4)
         gt = np.arange(ico1.n_vertices)
         corr = rng.permutation(ico1.n_vertices)
-        result = evaluate(corr, gt, ico1, gt_distances(ico1, corr, gt))
+        result = evaluate(gt_distances(ico1, corr, gt), ico1, self.RADII)
         assert (np.diff(result.cge[:, 1]) >= 0).all()
 
+
+class TestCheckMap:
     @pytest.mark.parametrize("shape", [(29,), (31,), (30, 1)])
-    def test_distances_of_another_shape_than_gt_are_rejected(self, ico1,
-                                                             shape):
-        gt = np.arange(30)
-        with pytest.raises(ValueError, match="distances of shape"):
-            evaluate(gt, gt, ico1, np.zeros(shape))
+    def test_maps_of_two_shapes_are_rejected(self, shape):
+        with pytest.raises(ValueError, match="map shapes disagree"):
+            corresp.check_map(np.zeros(shape, int), np.arange(30), 42)
 
     def test_index_out_of_range(self, ico1):
         gt = np.arange(ico1.n_vertices)
         bad = gt.copy()
         bad[0] = ico1.n_vertices
-        with pytest.raises(IndexError):
-            evaluate(bad, gt, ico1, np.zeros(gt.shape))
+        with pytest.raises(IndexError, match="corr contains"):
+            corresp.check_map(bad, gt, ico1.n_vertices)
+        with pytest.raises(IndexError, match="gt contains"):
+            corresp.check_map(gt, bad, ico1.n_vertices)

@@ -172,8 +172,8 @@ class TestRemesh:
     def test_refined_mesh_valid_and_evaluates_clean(self, ico1):
         refined, gt_map = remesh(ico1)
         assert refined.is_closed
-        result = wm.evaluate(gt_map, gt_map, ico1,
-                             gt_distances(ico1, gt_map, gt_map))
+        result = wm.evaluate(gt_distances(ico1, gt_map, gt_map), ico1,
+                             [0.0])
         assert result.average_geodesic_error == 0.0
 
 

@@ -149,7 +149,8 @@ class TestBankConstruction:
         # two copies (counts 4 and 9) from the dense solver. Replacing the
         # copies by another orthonormal set of the eigenspace, taken from
         # the dense oracle, must leave every filter and normalizer
-        # unchanged; without the counts the filters moved by over 1%
+        # unchanged; under counts that miss the cut the filters moved by
+        # over 1%
         mesh = wm.gen_base(*base)
         ops = wm.assemble_albo(mesh, wm.estimate_frames(mesh), 0.0, 0.0)
         spec = solve_eigs(ops, k)
@@ -181,7 +182,8 @@ class TestBankConstruction:
             want = dense_filter_matrix(a, 0, j)
             np.testing.assert_allclose(dense_filter_matrix(b, 0, j), want,
                                        rtol=0, atol=1e-12 * np.abs(want).max())
-        a, b = banks(dataclasses.replace(spec, provenance={}))
+        a, b = banks(dataclasses.replace(
+            spec, provenance=dict(spec.provenance, n_below_mu_plus=k)))
         want = dense_filter_matrix(a, 0, 0)
         assert np.abs(dense_filter_matrix(b, 0, 0) - want).max() \
             > 0.01 * np.abs(want).max()
