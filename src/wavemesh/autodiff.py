@@ -35,7 +35,10 @@ When the arrays are freed:
   ``network._head_input`` forms once: the eigenvectors and mass (in
   float64 the bank's own arrays, in float32 one cast copy), the
   responses, the reciprocal L1 normalizers and the passbands. No tape
-  entry keeps its own copy of them.
+  entry keeps its own copy of them. ``_head_input`` takes the bank as a
+  loader and keeps only the ``MixBank``, so the loaded ``FilterBank``,
+  its spectra and, in float32, their float64 eigenvectors are freed
+  before the first ``wavelet_mix`` runs.
 - SELU and ``selu_standardize`` form their values and gradients in
   place in the arrays they make, without masked ufuncs. A tape is
   single-use, so ``selu_standardize``'s back consumes its kept input as

@@ -49,7 +49,9 @@ its spectrum was solved (`Spectrum.provenance`: the solver, "dense" or
 "lanczos", the largest residual, the orthonormality error and the inertia
 counts n_below_mu_minus and n_below_mu_plus, which both solvers record, and
 for a Lanczos solve ncv, restarts and operator_applications), which
-`spectrum` reports with the file's path. When n_below_mu_plus exceeds K, K
+`spectrum` reports with the file's path, one "stored" line per direction
+in direction order; a direction it solves gets its "computed" line just
+before its "stored" one. When n_below_mu_plus exceeds K, K
 splits a repeated eigenvalue, whose returned copies the filter banks drop
 (`Spectrum.n_whole`), and the line that reports a solve, as the one that
 reports a stored spectrum, is followed by a warning on stderr. The keys
@@ -355,13 +357,15 @@ def _warn_if_split(m, spectrum):
 
 
 def load_spectra(mesh, cfg, cache_dir, mesh_path):
-    """Per-direction spectra from the SPEC1 cache. A miss is solved, written
-    and reported in one line, followed by `_warn_if_split`'s warning when
-    K splits an eigenspace; a hit is silent."""
+    """Per-direction spectra from the SPEC1 cache, yielded one direction at
+    a time, so that a caller that reads them one at a time holds one of
+    them while the next is read or solved; `build_bank` takes them all. A
+    miss is solved, written and reported in one line, followed by
+    `_warn_if_split`'s warning when K splits an eigenspace; a hit is
+    silent."""
     k = clamp_k(cfg.k, mesh.n_vertices)
     mesh_hash = mesh.content_hash()
     frames = []  # estimated at the first miss, shared by every direction
-    spectra = []
     for m, theta in enumerate(direction_angles(cfg.directions)):
         def build():
             if not frames:
@@ -377,23 +381,25 @@ def load_spectra(mesh, cfg, cache_dir, mesh_path):
             "SPEC1", (mesh_hash, float(cfg.alpha), theta, k),
             cache_dir, mesh_path, build)
         solved = meta["provenance"]
-        spectra.append(Spectrum(
+        spectrum = Spectrum(
             eigenvalues=arrays["eigenvalues"],
             eigenvectors=arrays["eigenvectors"], mass=arrays["mass"],
-            provenance={**solved, "key": meta["key"]}))
+            provenance={**solved, "key": meta["key"]})
         if not hit:
             print(f"direction {m}: computed ({path}){_listed(solved)}")
-            _warn_if_split(m, spectra[-1])
-    return spectra
+            _warn_if_split(m, spectrum)
+        yield spectrum
 
 
 def build_bank(spectra, cfg, cache_dir, mesh_path):
-    """The filter bank of `spectra`, from the FBK1 cache or built and cached.
+    """The filter bank of `spectra` (one mesh's, in any iterable, such as
+    `load_spectra`'s), from the FBK1 cache or built and cached.
 
     The kernel scales come from cfg.kernel_lambda_max when set (training
     pins them so every mesh is filtered with the same scales); otherwise
     from this mesh's own spectra. The L1 normalizers are summed in float32,
     for a network of either precision."""
+    spectra = list(spectra)
     lambda_max = cfg.kernel_lambda_max or max(s.lambda_max for s in spectra)
     kernel = wavelets.KernelSpec.mexican_hat(lambda_max, cfg.scales)
 
@@ -406,8 +412,17 @@ def build_bank(spectra, cfg, cache_dir, mesh_path):
                  cfg.scales, _BANK_RULE),
         cache_dir, mesh_path, build)[0]
     return wavelets.FilterBank(
-        spectra=list(spectra), kernel=kernel,
+        spectra=spectra, kernel=kernel,
         **{name: arrays[name] for name in _BANK_ARRAYS})
+
+
+def _bank_loader(mesh, cfg, cache_dir, mesh_path):
+    """A zero-argument callable that loads `mesh`'s filter bank, as the
+    network's forward takes it (`network.TrainItem`). It reads cfg when
+    called, so a training shape's bank is built only once the kernel
+    scales are pinned."""
+    return lambda: build_bank(load_spectra(mesh, cfg, cache_dir, mesh_path),
+                              cfg, cache_dir, mesh_path)
 
 
 # --- checkpoints ---------------------------------------------------------------
@@ -478,11 +493,13 @@ def run_training(cfg, manifest_path):
     history).
 
     At most one training shape's spectra and filter bank are in memory at
-    a time. One pass checks every shape's labels and gets its spectra to
-    pin cfg.kernel_lambda_max (when unset). Each step then reads its
-    shape's bank through `load_spectra` and `build_bank`, which builds and
-    caches it on an FBK1 miss at the shape's first step, and drops it when
-    the step ends; a SPEC1 file removed mid-run is solved again there.
+    a time. One pass checks every shape's labels and reads its spectra one
+    direction at a time to pin cfg.kernel_lambda_max (when unset). Each
+    step then loads its shape's bank through `load_spectra` and
+    `build_bank`, which builds and caches it on an FBK1 miss at the shape's
+    first step, and drops it once the forward has cast it
+    (`network.TrainItem`); a SPEC1 file removed mid-run is solved again
+    there.
     A manifest without training shapes raises ManifestInvalid before any
     mesh or spectrum is read."""
     manifest = synth.load_manifest(manifest_path)
@@ -491,11 +508,6 @@ def run_training(cfg, manifest_path):
     root = Path(manifest_path).parent
     cache_dir = cfg.cache_dir()
     template = load_mesh(root / manifest["template"]["mesh"])
-
-    def bank_loader(mesh, path):
-        # reads cfg when called, so only once the kernel scales are pinned
-        return lambda: build_bank(load_spectra(mesh, cfg, cache_dir, path),
-                                  cfg, cache_dir, path)
 
     items = []
     lambda_maxes = []
@@ -508,7 +520,8 @@ def run_training(cfg, manifest_path):
             s.lambda_max for s in load_spectra(mesh, cfg, cache_dir, path)))
         items.append(network.TrainItem(
             coords=mesh.vertices, labels=labels,
-            load_bank=bank_loader(mesh, path), name=entry["mesh"]))
+            load_bank=_bank_loader(mesh, cfg, cache_dir, path),
+            name=entry["mesh"]))
 
     if cfg.kernel_lambda_max is None:
         # pin the wavelet scales to the training spectra so evaluation
@@ -569,9 +582,8 @@ def run_evaluation(model, cfg, manifest_path, out_dir):
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def describe(rel):
-        spectra = load_spectra(meshes[rel], cfg, cache_dir, root / rel)
-        bank = build_bank(spectra, cfg, cache_dir, root / rel)
-        return network.descriptors(model, meshes[rel].vertices, bank)
+        return network.descriptors(model, meshes[rel].vertices, _bank_loader(
+            meshes[rel], cfg, cache_dir, root / rel))
 
     ages = []
     pooled_errors = []
@@ -685,8 +697,8 @@ def cmd_wavelet_dump(args):
                            args.direction, args.scale, args.vertex)
     cfg.echo(cfg.out)
     cache_dir = cfg.cache_dir()
-    spectra = load_spectra(mesh, cfg, cache_dir, cfg.mesh)
-    bank = build_bank(spectra, cfg, cache_dir, cfg.mesh)
+    bank = build_bank(load_spectra(mesh, cfg, cache_dir, cfg.mesh), cfg,
+                      cache_dir, cfg.mesh)
     values = wavelets.wavelet_at(bank, args.direction, args.scale, args.vertex)
     out = Path(cfg.out) / (f"wavelet_{Path(cfg.mesh).stem}"
                            f"_v{args.vertex}_m{args.direction}_j{args.scale}.csv")

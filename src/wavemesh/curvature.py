@@ -8,6 +8,17 @@ eigendecomposes the resulting 2x2 form per vertex
 (Rusinkiewicz 2004). The average is one sparse vertex x face product and
 the 2x2 problems are one batched eigh, so no step loops over vertices.
 With outward normals a convex sphere gets positive curvatures.
+
+The directions are not intrinsic everywhere. A vertex whose two curvatures
+agree to UMBILIC_RTOL (relative) is umbilic, and its direction is the
+world +x projected into its tangent plane (+y where +x is normal to it,
+`_tangent_fallback`); every direction's sign is also taken from world
+coordinates (`_canonical_sign`). The test has no length scale, so a flat
+vertex, whose curvatures are exactly 0 in an axis-aligned pose, is umbilic
+there, while in a rotated pose rounding noise passes as anisotropy and
+sets its direction. So the frames, and the anisotropic operator built from
+them (`operators.assemble_albo`), depend on the mesh's orientation at
+umbilic and flat vertices.
 """
 
 from dataclasses import dataclass

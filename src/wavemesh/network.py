@@ -34,10 +34,13 @@ parameters, so they take their Adam step right after the head, and its
 weight gradient is freed before the backward runs; the other parameters
 take theirs after it, at the same step count.
 Training holds one step's tape at a time: each optimizer step runs in its
-own call, loads its shape's filter bank there through the item's
-``load_bank`` and drops it on return, so the next step's forward starts
-only after this step's bank, tape, activations and gradients are gone,
-and memory does not grow with the number of training shapes.
+own call, so the next step's forward starts only after this step's bank,
+tape, activations and gradients are gone, and memory does not grow with
+the number of training shapes. A forward takes its bank as a loader (the
+item's ``load_bank``; ``descriptors`` takes one too), calls it once and
+keeps only the ``MixBank`` cast from it, so the float64 ``FilterBank``,
+its spectra and their eigenvectors are freed before the first conv layer
+runs (in float64 the ``MixBank`` shares the eigenvectors and mass).
 
 Precision has one owner: the parameters. ``Model.initialize`` makes them in
 the dtype it is given, float64 unless told otherwise; ``cli``'s ``train``
@@ -134,13 +137,16 @@ class Model:
         return int(sum(p.size for p in self.params.values()))
 
 
-def _head_input(model, coords, bank, perturb, tape=None):
+def _head_input(model, coords, load_bank, perturb, tape=None):
     """Input of the classifier head: the last conv layer's output, passed
-    through the perturbation stage when `perturb` is set. With a `tape`
-    list, appends (back, parameter names) for each op, in forward order."""
+    through the perturbation stage when `perturb` is set. `load_bank` is a
+    zero-argument callable that returns the shape's `wavelets.FilterBank`;
+    the bank is cast into this forward's ``MixBank`` and dropped there, so
+    no reference to it outlives the cast. With a `tape` list, appends
+    (back, parameter names) for each op, in forward order."""
     cfg, p = model.config, model.params
     dtype = p["head.w"].dtype
-    bank = ad.MixBank.of(bank, dtype)
+    bank = ad.MixBank.of(load_bank(), dtype)
 
     def run(names, op, x, *args):
         x, back = op(x, *args)
@@ -169,10 +175,12 @@ def _head_input(model, coords, bank, perturb, tape=None):
     return x
 
 
-def descriptors(model, coords, bank):
+def descriptors(model, coords, load_bank):
     """Per-vertex matching descriptors: the last conv layer's output, on a
-    mesh of any vertex count."""
-    return _head_input(model, coords, bank, perturb=False)
+    mesh of any vertex count. `load_bank` returns the mesh's filter bank
+    when called, as ``TrainItem.load_bank`` does; a bank already in memory
+    is passed as ``lambda: bank``."""
+    return _head_input(model, coords, load_bank, perturb=False)
 
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
@@ -245,9 +253,10 @@ def _adam_update(params, grads, state, lr, weight_decay):
 @dataclass(frozen=True)
 class TrainItem:
     """One training shape. `load_bank` is a zero-argument callable that
-    returns the shape's `wavelets.FilterBank`; each step calls it once, so
-    no bank outlives the step that uses it. A bank already in memory is
-    passed as ``load_bank=lambda: bank``."""
+    returns the shape's `wavelets.FilterBank`; each step's forward calls it
+    once and drops the bank as soon as it is cast (``_head_input``), so no
+    bank it loads outlives the cast. A bank already in memory is passed as
+    ``load_bank=lambda: bank``, which keeps it alive."""
 
     coords: np.ndarray
     labels: np.ndarray
@@ -266,7 +275,7 @@ def _train_step(model, item, state, epoch, lr, weight_decay):
     # into a list and popped into backward, so that no name here holds it
     # and it is freed once the tape's last back has consumed it
     loss, correct, *dx, head_grads = ad.linear_softmax_cross_entropy(
-        _head_input(model, item.coords, item.load_bank(),
+        _head_input(model, item.coords, item.load_bank,
                     model.config.perturb, tape),
         head["head.w"], head["head.b"], item.labels)
     if not np.isfinite(loss):

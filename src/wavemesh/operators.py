@@ -7,6 +7,14 @@ anisotropic operator scales diffusion by 1/(1+alpha) along the rotated
 per-triangle curvature direction; alpha = 0 reduces it to the cotangent
 Laplacian exactly. A filter bank takes one anisotropic operator per angle
 of `direction_angles`.
+
+The direction of a triangle is the average of its vertices' curvature
+directions. It falls back to the world +x, projected into the triangle's
+plane (+y where +x is normal to it), in two places: at umbilic vertices,
+whose directions are that fallback already (`curvature.estimate_frames`),
+and at faces whose averaged direction vanishes (`_triangle_directions`).
+So for alpha > 0 the operator there depends on the mesh's orientation,
+not only on its shape; at alpha = 0 it does not.
 """
 
 import math

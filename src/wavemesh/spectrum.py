@@ -62,6 +62,15 @@ reach K; otherwise the solve raises NotConverged. The two factors cost
 15-25 ms per solve on the res-10 bar. The dense path has every eigenvalue,
 so it counts them below the same mu-/+ directly.
 
+Each solve holds only what its next step reads. The Lanczos holds the
+(ncv + 1) x n basis and, at its end, the k Ritz vectors as the rows of a
+k x n array; SuperLU's factor is freed when it returns. The rows are then
+scaled by d in place and copied once into the C-ordered (n, k) array that
+the residual's sparse product reads without a copy; the signs are flipped
+in place, and the check forms A phi Lambda in the mass-weighted copy it
+took the Gram matrix from and the residual in the stiffness product. So at
+most three n x k float64 arrays are alive after the Lanczos.
+
 Provenance records the solver ("dense" or "lanczos"), the largest
 relative residual, the orthonormality error and the two counts,
 n_below_mu_minus and n_below_mu_plus, which show whether K cuts a
@@ -131,19 +140,25 @@ class Spectrum:
 
 
 def canonicalize_signs(vectors):
-    """Flip each column so its largest-magnitude component is positive."""
+    """Flip each column, in place, so its largest-magnitude component is
+    positive."""
     idx = np.abs(vectors).argmax(axis=0)
     signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
-    return vectors * signs[None, :]
+    vectors *= signs[None, :]
 
 
 def _verify(stiffness, mass, vals, vecs):
+    """(orthonormality error, relative residuals) of the pencil's pairs,
+    with at most two (n, k) temporaries alive beside `vecs`."""
+    denom = np.maximum(vals, 1.0) * np.linalg.norm(vecs, axis=0)
     mvecs = mass[:, None] * vecs
     gram = vecs.T @ mvecs
     ortho_err = np.abs(gram - np.eye(gram.shape[0])).max()
-    resid = stiffness @ vecs - mvecs * vals[None, :]
-    denom = np.maximum(vals, 1.0) * np.linalg.norm(vecs, axis=0)
+    mvecs *= vals[None, :]
+    resid = stiffness @ vecs
+    resid -= mvecs
+    del mvecs
     rel = np.linalg.norm(resid, axis=0) / denom
     return float(ortho_err), rel
 
@@ -170,7 +185,11 @@ def solve_eigs(ops, k):
         vals, y, provenance = every[:k], y[:, :k], {"solver": "dense"}
     else:
         vals, y, provenance = _lanczos_path(standard, sigma, k)
-    vecs = d[:, None] * y
+    # phi = d * y, scaled in place and copied once into the C-ordered
+    # array that the residual's sparse product reads without a copy
+    y *= d[:, None]
+    vecs = np.ascontiguousarray(y)
+    del y
 
     # clamp the tiny negative eigenvalues a PSD pencil can produce in
     # floating point; anything materially negative is a solver failure
@@ -179,7 +198,7 @@ def solve_eigs(ops, k):
         raise NotConverged(f"negative eigenvalue {vals[0]:g} from a PSD pencil")
     vals = np.maximum(vals, 0.0)
 
-    vecs = canonicalize_signs(np.ascontiguousarray(vecs))
+    canonicalize_signs(vecs)
     ortho_err, rel = _verify(stiffness, mass, vals, vecs)
     if ortho_err > ORTHO_TOL or rel.max() > RESIDUAL_TOL:
         raise NotConverged(

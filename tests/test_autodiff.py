@@ -186,12 +186,12 @@ class TestTapeLifetime:
             n_classes=n, encoder_dims=(4, 4), conv_layers=1, directions=2,
             scales=2, perturb=True))
         coords = np.random.default_rng(31).standard_normal((n, 3))
-        nw.descriptors(model, coords, bank_2x2)
+        nw.descriptors(model, coords, lambda: bank_2x2)
         assert backs and all(ref() is None for ref in backs)
         # the training forward keeps each of its backs on the tape
         backs.clear()
         tape = []
-        nw._head_input(model, coords, bank_2x2, True, tape)
+        nw._head_input(model, coords, lambda: bank_2x2, True, tape)
         assert [back for back, _ in tape] == [ref() for ref in backs]
         assert [names for _, names in tape if names][-1] == (
             "perturb.gamma", "perturb.beta", "perturb.scale")

@@ -133,7 +133,7 @@ class TestAmlconvForward:
 
 def head_logits(model, coords, bank):
     """Logits of the classifier head on the perturbed head input."""
-    x = nw._head_input(model, coords, bank, perturb=True)
+    x = nw._head_input(model, coords, lambda: bank, perturb=True)
     return ad.affine(x, model.params["head.w"], model.params["head.b"])[0]
 
 
@@ -154,7 +154,7 @@ class TestModelForward:
         mesh, bank = setup
         n = mesh.n_vertices
         model = small_model(True, n)
-        feats = nw.descriptors(model, mesh.vertices, bank)
+        feats = nw.descriptors(model, mesh.vertices, lambda: bank)
         extra = norm_selu(feats, model.params["perturb.gamma"],
                           model.params["perturb.beta"])
         want = extra @ model.params["head.w"] + model.params["head.b"]
@@ -235,7 +235,8 @@ class TestPeakMemory:
 
             def forward():
                 tape = []
-                x = nw._head_input(model, mesh.vertices, bank, False, tape)
+                x = nw._head_input(model, mesh.vertices, lambda: bank, False,
+                                   tape)
                 return x, tape
 
             held.append(traced_held(forward)[0])
@@ -305,6 +306,51 @@ class TestPeakMemory:
             gc.enable()
         assert alive_at_load == [0] * 6
         assert len(alive) == 0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_loaded_bank_outlives_its_cast(self, setup, monkeypatch,
+                                              dtype):
+        # the forward casts the bank its loader returns into its MixBank
+        # and drops it: when the first wavelet_mix runs, with gc off, the
+        # loaded FilterBank and its spectra are referenced from nowhere,
+        # and in float32 neither are their float64 eigenvectors (float64
+        # shares them with the MixBank), in descriptors as in a step
+        mesh, bank = setup
+        n = mesh.n_vertices
+        loaded, dead_at_first_mix = [], []
+        mix = ad.wavelet_mix
+
+        def load_bank():
+            spectra = [dataclasses.replace(
+                s, eigenvectors=s.eigenvectors.copy()) for s in bank.spectra]
+            fresh = dataclasses.replace(bank, spectra=spectra)
+            owned = [fresh, *spectra]
+            if dtype == np.float32:
+                owned += [s.eigenvectors for s in spectra]
+            loaded.append([weakref.ref(obj) for obj in owned])
+            return fresh
+
+        def spy(*args):
+            if len(dead_at_first_mix) < len(loaded):
+                dead_at_first_mix.append(
+                    [ref() is None for ref in loaded[-1]])
+            return mix(*args)
+
+        monkeypatch.setattr(ad, "wavelet_mix", spy)
+        model = small_model(True, n)
+        model = nw.Model(model.config, {name: value.astype(dtype)
+                                        for name, value in
+                                        model.params.items()})
+        item = nw.TrainItem(coords=mesh.vertices, labels=np.arange(n),
+                            load_bank=load_bank)
+        gc.disable()
+        try:
+            nw.descriptors(model, mesh.vertices, load_bank)
+            nw._train_step(model, item, nw.AdamState(), 1, 0.001, 0.0001)
+        finally:
+            gc.enable()
+        owned = 1 + bank.n_directions * (2 if dtype == np.float32 else 1)
+        assert dead_at_first_mix == [[True] * owned] * 2
 
 
 class TestLoss:
@@ -577,7 +623,7 @@ class TestFloat32:
 
             def forward():
                 tape = []
-                x = nw._head_input(model, coords, bank, False, tape)
+                x = nw._head_input(model, coords, lambda: bank, False, tape)
                 return x, tape
 
             nbytes, (x, _) = traced_held(forward)
@@ -592,7 +638,7 @@ def training_loss(model, coords, labels, bank, tape=None):
     stage and the fused head, with the head's gradient for its input and
     its parameter gradients by name. With a `tape`, records the ops before
     the head on it."""
-    x = nw._head_input(model, coords, bank, True, tape)
+    x = nw._head_input(model, coords, lambda: bank, True, tape)
     loss, _, dx, (dw, db) = ad.linear_softmax_cross_entropy(
         x, model.params["head.w"], model.params["head.b"], labels)
     return loss, dx, {"head.w": dw, "head.b": db}

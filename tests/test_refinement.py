@@ -50,8 +50,8 @@ def test_untrained_descriptors_converge_under_refinement(kind):
     for r in (2, 4):
         kernel = KernelSpec.mexican_hat(spectra[r].lambda_max, SCALES)
         coarse, fine = (
-            network.descriptors(model, meshes[s].vertices,
-                                build_filterbank([spectra[s]], kernel))
+            network.descriptors(model, meshes[s].vertices, lambda: (
+                build_filterbank([spectra[s]], kernel)))
             for s in (r, 2 * r))
         fine = fine[_shared(meshes[r], meshes[2 * r])]
         errors.append(np.linalg.norm(coarse - fine) / np.linalg.norm(coarse))
