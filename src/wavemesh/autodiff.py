@@ -32,13 +32,16 @@ When the arrays are freed:
   its ``selu_standardize``, which keeps the unscaled input and forms
   x * s again, so the stage keeps one N x D array too.
 - Every ``wavelet_mix`` of one forward reads one ``MixBank``, which
-  ``network._head_input`` forms once: the eigenvectors and mass (in
-  float64 the bank's own arrays, in float32 one cast copy), the
-  responses, the reciprocal L1 normalizers and the passbands. No tape
-  entry keeps its own copy of them. ``_head_input`` takes the bank as a
-  loader and keeps only the ``MixBank``, so the loaded ``FilterBank``,
-  its spectra and, in float32, their float64 eigenvectors are freed
-  before the first ``wavelet_mix`` runs.
+  ``network._head_input`` forms once: the eigenvectors and mass, the
+  responses, the reciprocal L1 normalizers and the passbands. The
+  eigenvectors are the bank's (M, N, K) basis itself when it is in the
+  forward's dtype, as ``cli``'s float32 banks are for a float32 network,
+  and one cast copy otherwise. No tape entry keeps its own copy of them.
+  ``_head_input`` takes the bank as a loader and keeps only the
+  ``MixBank``, so the loaded ``FilterBank``, and a basis it had to cast,
+  are freed before the first ``wavelet_mix`` runs. A ``cli`` bank hit
+  reads that basis from its FBK1 file, so a forward on it holds one
+  float32 basis and never a float64 eigenvector.
 - SELU and ``selu_standardize`` form their values and gradients in
   place in the arrays they make, without masked ufuncs. A tape is
   single-use, so ``selu_standardize``'s back consumes its kept input as
@@ -235,7 +238,7 @@ class MixBank:
     and the passband length. ``MixBank.of`` forms them once, so every
     layer of a forward shares one copy and no tape entry keeps its own."""
 
-    eigenvectors: list          # M arrays (N, K)
+    eigenvectors: np.ndarray    # (M, N, K)
     mass: np.ndarray            # (N,), shared by the directions
     responses: np.ndarray       # (M, J, K, 1)
     inv_norms: np.ndarray       # (M, J, N, 1)
@@ -243,12 +246,12 @@ class MixBank:
 
     @classmethod
     def of(cls, bank, dtype):
-        """`bank`'s arrays in `dtype`; in the bank's own float64 the
-        eigenvectors and mass are the bank's arrays, not copies."""
+        """`bank`'s arrays in `dtype`; where the bank already holds one in
+        `dtype` (its basis, in the precision of its L1 pass), that array
+        is shared, not copied."""
         return cls(
-            eigenvectors=[s.eigenvectors.astype(dtype, copy=False)
-                          for s in bank.spectra],
-            mass=bank.spectra[0].mass.astype(dtype, copy=False),
+            eigenvectors=bank.basis.astype(dtype, copy=False),
+            mass=bank.mass.astype(dtype, copy=False),
             responses=bank.responses.astype(dtype)[..., None],
             inv_norms=(1.0 / bank.l1_normalizers).astype(
                 dtype, copy=False)[..., None],

@@ -29,10 +29,11 @@ pair i, `cge_pair{i}.csv`; and `cge_pooled.csv`, the curve over every
 pair's source vertices at once. Each curve is `r,fraction` over the radii
 of `--radii` (start:stop:step, stop included).
 `train` makes float32 parameters, and the network runs in its parameters'
-dtype, so `eval` runs a float64 checkpoint of earlier versions in float64.
-Every filter bank sums its L1 normalizers in float32
-(`wavelets.build_filterbank`), whichever network reads it; spectra,
-geodesic rows, banks' stored arrays, their cache files and the matching of
+dtype, so `eval` runs a float64 checkpoint of earlier versions in float64,
+on the float32 basis of the banks upcast. Every filter bank sums its L1
+normalizers in float32 (`wavelets.build_filterbank`) and keeps that pass's
+float32 cast of the eigenvectors as its basis, whichever network reads it;
+spectra, geodesic rows, the banks' other arrays and the matching of
 descriptors stay float64.
 Exit codes: 0 success, 1 usage, 2 validation, 3 numerical failure, 4 I/O or
 cache problems.
@@ -40,6 +41,12 @@ cache problems.
 Cache layout: the cache directory holds one SPEC1 file per mesh and
 direction, one FBK1 filter bank per mesh and kernel, and one GEO1 file of
 ground-truth geodesic rows per evaluated target mesh and ground truth.
+An FBK1 file holds all that a forward reads of its mesh (`_BANK_ARRAYS`):
+the M directions' eigenvectors, cast once to float32, as one (M, N, K)
+array, the lumped mass, the responses, the L1 normalizers and the frame
+bounds. So a training step or `eval`'s `describe` whose kernel scales are
+pinned reads one file on a hit and no SPEC1 file; on a miss the bank is
+built from the spectra one direction at a time (`build_bank`).
 Every command gets or builds each file it needs (so `spectrum` is an
 optional precompute) through one path, `_cached`: a key is a digest of
 everything the file was computed from, the file is named (`_cache_path`)
@@ -48,7 +55,10 @@ checked again on read. A SPEC1 file also stores, under "provenance", how
 its spectrum was solved (`Spectrum.provenance`: the solver, "dense" or
 "lanczos", the largest residual, the orthonormality error and the inertia
 counts n_below_mu_minus and n_below_mu_plus, which both solvers record, and
-for a Lanczos solve ncv, restarts and operator_applications), which
+for a Lanczos solve ncv, restarts and operator_applications) and where
+the mesh's operator takes the world +x (`umbilic_fraction`, the share of
+umbilic vertices, and `fallback_face_fraction`, the share of faces whose
+averaged direction vanished; see `operators`), which
 `spectrum` reports with the file's path, one "stored" line per direction
 in direction order; a direction it solves gets its "computed" line just
 before its "stored" one. When n_below_mu_plus exceeds K, K
@@ -62,8 +72,10 @@ that no bank of earlier versions is served; for geodesic rows, the target
 mesh content, the SHA-256 of the sorted distinct gt vertices and the
 geodesic method (`corresp.GEODESIC_METHOD`). A changed input is therefore a
 different file name, i.e. a miss; a corrupt file is a miss too, reported
-and rebuilt. Nothing is evicted; a GEO1 file holds |unique gt| x N_target x
-8 bytes (88 MiB at N = 3402 with every vertex a gt vertex).
+and rebuilt. Nothing is evicted; the basis adds M x N x K x 4 bytes to
+each FBK1 file (10.4 MiB at N = 3402, K = 200, M = 4) beside the SPEC1
+files it was cast from, and a GEO1 file holds |unique gt| x N_target x 8
+bytes (88 MiB at N = 3402 with every vertex a gt vertex).
 
 A GEO1 file is never loaded whole. On a miss its rows are computed
 `corresp.GEO_BLOCK` sources at a time and each block is written as it is
@@ -78,7 +90,9 @@ gt vertices.
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
+import operator
 import sys
 import typing
 from dataclasses import dataclass
@@ -98,7 +112,7 @@ from .errors import (
     ValidationError,
 )
 from .mesh import chunked_rows, load_mesh
-from .operators import assemble_albo, direction_angles
+from .operators import assemble_albo, direction_angles, fallback_faces
 from .spectrum import Spectrum, clamp_k, solve_eigs
 
 EXIT_OK = 0
@@ -257,8 +271,9 @@ def _checked(data, cls, what):
 # --- the cache of spectra, filter banks and geodesic rows ----------------------
 
 _SUFFIXES = {"SPEC1": "spec", "FBK1": "fbk", "GEO1": "geo"}
-_BANK_ARRAYS = ("responses", "l1_normalizers", "frame_bounds")
-_BANK_RULE = "float32 L1 pass over whole eigenspaces"
+_BANK_ARRAYS = ("basis", "mass", "responses", "l1_normalizers",
+                "frame_bounds")
+_BANK_RULE = "float32 L1 pass over whole eigenspaces; float32 basis stored"
 
 
 def _cache_key(*parts):
@@ -356,30 +371,58 @@ def _warn_if_split(m, spectrum):
               f"bank drops its returned copies", file=sys.stderr)
 
 
-def load_spectra(mesh, cfg, cache_dir, mesh_path):
-    """Per-direction spectra from the SPEC1 cache, yielded one direction at
-    a time, so that a caller that reads them one at a time holds one of
-    them while the next is read or solved; `build_bank` takes them all. A
+class MeshSpectra:
+    """One mesh's per-direction spectra under `cfg`, keyed before any is
+    read: `keys` holds their SPEC1 keys in direction order, which is all
+    that a bank lookup needs (`build_bank`).
+
+    Iterating reads them from the SPEC1 cache one direction at a time and
+    keeps no reference to a direction it has yielded, so a caller that
+    drops each before it asks for the next holds one spectrum at a time. A
     miss is solved, written and reported in one line, followed by
     `_warn_if_split`'s warning when K splits an eigenspace; a hit is
-    silent."""
-    k = clamp_k(cfg.k, mesh.n_vertices)
-    mesh_hash = mesh.content_hash()
-    frames = []  # estimated at the first miss, shared by every direction
-    for m, theta in enumerate(direction_angles(cfg.directions)):
+    silent. A solve's provenance also records, for the mesh's curvature
+    frames, the share of umbilic vertices (`umbilic_fraction`) and the
+    share of faces whose averaged direction fell back to the world +x
+    (`fallback_face_fraction`): where the operator depends on the mesh's
+    orientation (`operators`)."""
+
+    def __init__(self, mesh, cfg, cache_dir, mesh_path):
+        self.mesh, self.cache_dir, self.mesh_path = mesh, cache_dir, mesh_path
+        k = clamp_k(cfg.k, mesh.n_vertices)
+        mesh_hash = mesh.content_hash()
+        # float() so that a JSON 50 and a flag's 50.0 give one key
+        self._parts = [(mesh_hash, float(cfg.alpha), theta, k)
+                       for theta in direction_angles(cfg.directions)]
+        self.keys = [_cache_key("SPEC1", *parts) for parts in self._parts]
+
+    def __len__(self):
+        return len(self._parts)
+
+    def __iter__(self):
+        frames = []  # estimated at the first miss, shared by every direction
+        for m in range(len(self)):
+            yield self._read(m, frames)
+
+    def _read(self, m, frames):
+        mesh = self.mesh
+        _, alpha, theta, k = self._parts[m]
+
         def build():
             if not frames:
-                frames.append(estimate_frames(mesh))
-            spec = solve_eigs(assemble_albo(mesh, frames[0], cfg.alpha, theta),
-                              k)
+                f = estimate_frames(mesh)
+                frames.append((f, {
+                    "umbilic_fraction": float(f.umbilic.mean()),
+                    "fallback_face_fraction": float(
+                        fallback_faces(mesh, f).mean())}))
+            f, shares = frames[0]
+            spec = solve_eigs(assemble_albo(mesh, f, alpha, theta), k)
             return ({"eigenvalues": spec.eigenvalues,
                      "eigenvectors": spec.eigenvectors, "mass": spec.mass},
-                    {"provenance": spec.provenance})
+                    {"provenance": {**spec.provenance, **shares}})
 
-        # float() so that a JSON 50 and a flag's 50.0 give one key
         arrays, meta, path, hit = _cached(
-            "SPEC1", (mesh_hash, float(cfg.alpha), theta, k),
-            cache_dir, mesh_path, build)
+            "SPEC1", self._parts[m], self.cache_dir, self.mesh_path, build)
         solved = meta["provenance"]
         spectrum = Spectrum(
             eigenvalues=arrays["eigenvalues"],
@@ -388,19 +431,34 @@ def load_spectra(mesh, cfg, cache_dir, mesh_path):
         if not hit:
             print(f"direction {m}: computed ({path}){_listed(solved)}")
             _warn_if_split(m, spectrum)
-        yield spectrum
+        return spectrum
+
+
+def load_spectra(mesh, cfg, cache_dir, mesh_path):
+    """`mesh`'s spectra under `cfg`, read or solved only as they are
+    iterated (`MeshSpectra`)."""
+    return MeshSpectra(mesh, cfg, cache_dir, mesh_path)
+
+
+def _lambda_max(spectra):
+    """The largest eigenvalue over `spectra`. `map` keeps no spectrum it
+    has passed on, where a generator expression would hold each through
+    the next one's read."""
+    return max(map(operator.attrgetter("lambda_max"), spectra))
 
 
 def build_bank(spectra, cfg, cache_dir, mesh_path):
-    """The filter bank of `spectra` (one mesh's, in any iterable, such as
-    `load_spectra`'s), from the FBK1 cache or built and cached.
+    """The filter bank of `spectra` (a `MeshSpectra`), from the FBK1 cache
+    or built and cached.
 
     The kernel scales come from cfg.kernel_lambda_max when set (training
     pins them so every mesh is filtered with the same scales); otherwise
-    from this mesh's own spectra. The L1 normalizers are summed in float32,
-    for a network of either precision."""
-    spectra = list(spectra)
-    lambda_max = cfg.kernel_lambda_max or max(s.lambda_max for s in spectra)
+    from this mesh's own spectra. A bank is keyed by its spectra's keys,
+    so a hit with the scales pinned reads no spectrum: it reads one FBK1
+    file, which holds the float32 basis and the mass a forward needs. A
+    miss streams the spectra through the float32 L1 pass one direction at
+    a time and stores the pass's cast of each as the bank's basis."""
+    lambda_max = cfg.kernel_lambda_max or _lambda_max(spectra)
     kernel = wavelets.KernelSpec.mexican_hat(lambda_max, cfg.scales)
 
     def build():
@@ -408,12 +466,9 @@ def build_bank(spectra, cfg, cache_dir, mesh_path):
         return {name: getattr(bank, name) for name in _BANK_ARRAYS}, {}
 
     arrays = _cached(
-        "FBK1", (*(s.provenance["key"] for s in spectra), float(lambda_max),
-                 cfg.scales, _BANK_RULE),
+        "FBK1", (*spectra.keys, float(lambda_max), cfg.scales, _BANK_RULE),
         cache_dir, mesh_path, build)[0]
-    return wavelets.FilterBank(
-        spectra=spectra, kernel=kernel,
-        **{name: arrays[name] for name in _BANK_ARRAYS})
+    return wavelets.FilterBank(kernel=kernel, **arrays)
 
 
 def _bank_loader(mesh, cfg, cache_dir, mesh_path):
@@ -492,14 +547,14 @@ def run_training(cfg, manifest_path):
     """Train a model on the manifest's training shapes; returns (model,
     history).
 
-    At most one training shape's spectra and filter bank are in memory at
-    a time. One pass checks every shape's labels and reads its spectra one
-    direction at a time to pin cfg.kernel_lambda_max (when unset). Each
-    step then loads its shape's bank through `load_spectra` and
-    `build_bank`, which builds and caches it on an FBK1 miss at the shape's
-    first step, and drops it once the forward has cast it
+    At most one spectrum and one filter bank are in memory at a time. One
+    pass checks every shape's labels and reads its spectra one direction at
+    a time to pin cfg.kernel_lambda_max (when unset). Each step then loads
+    its shape's bank through `build_bank`, which reads only the FBK1 file
+    on a hit and builds and caches the bank from the shape's spectra on a
+    miss, at its first step, and drops it once the forward has cast it
     (`network.TrainItem`); a SPEC1 file removed mid-run is solved again
-    there.
+    on a miss.
     A manifest without training shapes raises ManifestInvalid before any
     mesh or spectrum is read."""
     manifest = synth.load_manifest(manifest_path)
@@ -516,8 +571,8 @@ def run_training(cfg, manifest_path):
         mesh = load_mesh(path)
         labels = _read_labels(root, entry["labels"], entry["mesh"],
                               mesh.n_vertices, template.n_vertices)
-        lambda_maxes.append(max(
-            s.lambda_max for s in load_spectra(mesh, cfg, cache_dir, path)))
+        lambda_maxes.append(
+            _lambda_max(load_spectra(mesh, cfg, cache_dir, path)))
         items.append(network.TrainItem(
             coords=mesh.vertices, labels=labels,
             load_bank=_bank_loader(mesh, cfg, cache_dir, path),
@@ -624,10 +679,15 @@ def cmd_spectrum(args):
     mesh = load_mesh(cfg.mesh)
     cfg.echo(cfg.out)
     cache = cfg.cache_dir()
-    for m, s in enumerate(load_spectra(mesh, cfg, cache, cfg.mesh)):
+    m = 0
+    # not enumerate: it would hold each spectrum through the next one's
+    # read or solve
+    for s in load_spectra(mesh, cfg, cache, cfg.mesh):
         path = _cache_path("SPEC1", s.provenance["key"], cache, cfg.mesh)
         print(f"direction {m}: stored ({path}){_listed(s.provenance)}")
         _warn_if_split(m, s)
+        m += 1
+        del s
     return EXIT_OK
 
 
@@ -641,6 +701,9 @@ def cmd_frames(args):
               np.arange(frames.n_vertices), frames.k_min, frames.k_max,
               *frames.dir_max.T, frames.umbilic.astype(np.int64))
     print(f"wrote {out}")
+    print(f"umbilic_fraction {frames.umbilic.mean():.3g} "
+          f"({np.count_nonzero(frames.umbilic)} of {frames.n_vertices} "
+          f"vertices)")
     return EXIT_OK
 
 
@@ -697,9 +760,13 @@ def cmd_wavelet_dump(args):
                            args.direction, args.scale, args.vertex)
     cfg.echo(cfg.out)
     cache_dir = cfg.cache_dir()
-    bank = build_bank(load_spectra(mesh, cfg, cache_dir, cfg.mesh), cfg,
-                      cache_dir, cfg.mesh)
-    values = wavelets.wavelet_at(bank, args.direction, args.scale, args.vertex)
+    spectra = load_spectra(mesh, cfg, cache_dir, cfg.mesh)
+    bank = build_bank(spectra, cfg, cache_dir, cfg.mesh)
+    # from the direction's float64 spectrum, not the bank's float32 basis
+    spectrum = next(itertools.islice(spectra, args.direction, None))
+    values = wavelets.localized_wavelet(
+        spectrum.eigenvectors, spectrum.mass,
+        bank.responses[args.direction, args.scale], args.vertex)
     out = Path(cfg.out) / (f"wavelet_{Path(cfg.mesh).stem}"
                            f"_v{args.vertex}_m{args.direction}_j{args.scale}.csv")
     write_csv(out, "vertex,value", np.arange(len(values)), values)

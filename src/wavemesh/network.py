@@ -38,21 +38,24 @@ own call, so the next step's forward starts only after this step's bank,
 tape, activations and gradients are gone, and memory does not grow with
 the number of training shapes. A forward takes its bank as a loader (the
 item's ``load_bank``; ``descriptors`` takes one too), calls it once and
-keeps only the ``MixBank`` cast from it, so the float64 ``FilterBank``,
-its spectra and their eigenvectors are freed before the first conv layer
-runs (in float64 the ``MixBank`` shares the eigenvectors and mass).
+keeps only the ``MixBank`` cast from it, so the loaded ``FilterBank`` is
+freed before the first conv layer runs. The ``MixBank`` shares the
+bank's basis when it is already in the parameters' dtype, as the float32
+basis of ``cli``'s banks is for a float32 network, and holds one cast
+copy otherwise.
 
 Precision has one owner: the parameters. ``Model.initialize`` makes them in
 the dtype it is given, float64 unless told otherwise; ``cli``'s ``train``
 always asks for float32, and its ``eval`` runs a float64 checkpoint of
-earlier versions in float64 on the same banks. ``_head_input``, the one
-entry point of training steps and ``descriptors``, casts the coordinates
-and, in its ``MixBank``, one copy of the bank's eigenvectors and masses to
-their dtype, which every conv layer then shares (in float64 they are not
-copied). So float32 keeps parameters, activations, tape, gradients and Adam
-moments in float32; its loss curve is tested against float64 to 1e-4
-relative. The spectra and the filter bank's stored arrays stay float64, and
-so does matching (``corresp.match_nn`` casts the descriptors).
+earlier versions in float64 on the same banks, whose float32 basis it
+upcasts. ``_head_input``, the one entry point of training steps and
+``descriptors``, casts the coordinates and, in its ``MixBank``, the bank's
+basis and mass to their dtype (without a copy where they already are in
+it), which every conv layer then shares. So float32 keeps parameters,
+activations, tape, gradients and Adam moments in float32; its loss curve
+is tested against float64 to 1e-4 relative. The spectra and the filter
+bank's responses and normalizers stay float64, and so does matching
+(``corresp.match_nn`` casts the descriptors).
 
 `ModelConfig` is the network's shape over POINT_DIM = 3 input coordinates.
 A checkpoint does not store it: `cli` derives it from the saved experiment

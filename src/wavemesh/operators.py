@@ -12,9 +12,10 @@ The direction of a triangle is the average of its vertices' curvature
 directions. It falls back to the world +x, projected into the triangle's
 plane (+y where +x is normal to it), in two places: at umbilic vertices,
 whose directions are that fallback already (`curvature.estimate_frames`),
-and at faces whose averaged direction vanishes (`_triangle_directions`).
+and at faces whose averaged direction vanishes (`fallback_faces`).
 So for alpha > 0 the operator there depends on the mesh's orientation,
-not only on its shape; at alpha = 0 it does not.
+not only on its shape; at alpha = 0 it does not. `cli` records the share
+of each in every solved spectrum's provenance.
 """
 
 import math
@@ -78,8 +79,10 @@ def assemble_lbo(mesh):
 
 
 def _triangle_directions(mesh, frames):
-    """Average incident dir_max vectors per triangle (sign-aligned to the
-    first), projected into the triangle plane and normalized."""
+    """(directions, fallback) per triangle: the average of its vertices'
+    dir_max vectors (sign-aligned to the first), projected into its plane
+    and normalized, and the mask of the triangles where that average
+    vanishes and the world +x projected is taken instead."""
     f = mesh.faces
     d = frames.dir_max[f]                                  # (m, 3, 3)
     d0 = d[:, 0]
@@ -93,7 +96,13 @@ def _triangle_directions(mesh, frames):
     flat = norms < 1e-8
     avg[flat] = _tangent_fallback(fn[flat])
     norms[flat] = 1.0
-    return avg / norms[:, None]
+    return avg / norms[:, None], flat
+
+
+def fallback_faces(mesh, frames):
+    """Mask of the triangles whose averaged direction vanishes, where
+    `assemble_albo` takes the world +x fallback."""
+    return _triangle_directions(mesh, frames)[1]
 
 
 def assemble_albo(mesh, frames, alpha, theta):
@@ -107,7 +116,7 @@ def assemble_albo(mesh, frames, alpha, theta):
     v, f = mesh.vertices, mesh.faces
     area = mesh.face_areas
 
-    b1 = _triangle_directions(mesh, frames)
+    b1, _ = _triangle_directions(mesh, frames)
     b2 = np.cross(mesh.face_normals, b1)
 
     # 2D coordinates of the triangle corners in the (b1, b2) basis

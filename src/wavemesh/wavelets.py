@@ -30,6 +30,11 @@ in float32 for every bank, at most 4.5e-7 relative off at bar res 10 and
 K 200, within a bound of about 2e-6 that the tests derive from float32's
 unit roundoff. The normalizers are stored float64 either way.
 
+A bank keeps no spectrum: its (M, N, K) basis is the eigenvectors as the
+L1 pass read them, in the pass's precision. ``build_filterbank`` reads its
+spectra one direction at a time, so a caller that streams them
+(``cli.load_spectra``) holds one float64 spectrum during a build.
+
 When a spectrum's inertia counts show that K cuts a repeated eigenvalue
 (``Spectrum.n_whole``), its returned copies get a response of 0 in every
 scale, so the bank does not depend on the solver's basis of that
@@ -102,26 +107,24 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class FilterBank:
-    """Factored wavelet operators for M directions x J scales.
+    """Factored wavelet operators for M directions x J scales: what the
+    network reads, and all that the FBK1 cache stores of a bank.
 
-    responses[m, j] holds g(t_j lambda_{m,k}) over the K sampled
-    eigenvalues. l1_normalizers[m, j] are the column L1 norms of the dense
-    filter matrix diag(a) Phi diag(resp) Phi^T, i.e. the L1 norms of the
-    localized, measure-weighted wavelets.
+    basis[m] holds direction m's K eigenvectors as the L1 pass that built
+    the bank cast them (``build_filterbank``'s `dtype`); mass is the
+    lumped mass the directions share, in float64. responses[m, j] holds
+    g(t_j lambda_{m,k}) over the K sampled eigenvalues. l1_normalizers[m, j]
+    are the column L1 norms of the dense filter matrix
+    diag(a) Phi diag(resp) Phi^T, i.e. the L1 norms of the localized,
+    measure-weighted wavelets.
     """
 
-    spectra: list
     kernel: KernelSpec
+    basis: np.ndarray                # (M, N, K)
+    mass: np.ndarray                 # (N,)
     responses: np.ndarray            # (M, J, K)
     l1_normalizers: np.ndarray       # (M, J, N)
     frame_bounds: np.ndarray         # (M, 2) = (B_low, B_high)
-
-    def __post_init__(self):
-        # autodiff.wavelet_mix applies spectra[0].mass to every direction;
-        # checked here so a bank read back from a cache is checked too
-        if any(not np.array_equal(s.mass, self.spectra[0].mass)
-               for s in self.spectra[1:]):
-            raise SpectrumMismatch("spectra carry different lumped masses")
 
     @property
     def n_directions(self):
@@ -133,7 +136,7 @@ class FilterBank:
 
     @property
     def n_vertices(self):
-        return self.spectra[0].n
+        return self.basis.shape[1]
 
 
 def passbands(responses):
@@ -153,38 +156,64 @@ def passbands(responses):
 
 
 def build_filterbank(spectra, kernel, dtype=np.float64):
-    """Compute responses, frame bounds and L1 normalizers for a direction
-    set sharing one mesh: the spectra must agree in N and K and carry
-    equal lumped masses (``FilterBank`` checks them), which
-    ``autodiff.wavelet_mix`` applies once for all directions. Never
-    materializes an N x N operator.
+    """The bank of `spectra`, the M direction spectra of one mesh in a
+    sized iterable (a list, or ``cli.load_spectra``'s), read once, one
+    direction at a time. They must agree in N and K and carry equal lumped
+    masses, which ``autodiff.wavelet_mix`` applies once for all
+    directions; a mismatch raises SpectrumMismatch when its direction is
+    read. Never materializes an N x N operator.
 
     `dtype` is the precision of the L1 pass (float64 or float32): the
-    basis, mass, panels and sums of the normalizers. The responses, frame
-    bounds and normalizers are float64 either way, and the check for a
-    zero column norm reads the float64 normalizers."""
-    if not spectra:
+    basis, mass, panels and sums of the normalizers. Each direction's
+    eigenvectors are cast into the bank's `basis`, which the pass then
+    reads, and the spectrum is dropped before the next is read. The
+    responses, frame bounds and normalizers are float64 either way, and
+    the check for a zero column norm reads the float64 normalizers."""
+    m, j = len(spectra), kernel.n_scales
+    if not m:
         raise SpectrumMismatch("need at least one spectrum")
-    n, k = spectra[0].n, spectra[0].k
-    for s in spectra[1:]:
-        if s.n != n or s.k != k:
+    bank = None
+    mi = 0
+    # not enumerate: it would hold each spectrum through the next one's read
+    for spec in spectra:
+        if bank is None:
+            n, k = spec.n, spec.k
+            bank = FilterBank(
+                kernel=kernel, basis=np.empty((m, n, k), dtype),
+                mass=spec.mass.copy(), responses=np.empty((m, j, k)),
+                l1_normalizers=np.zeros((m, j, n)),
+                frame_bounds=np.empty((m, 2)))
+            mass = bank.mass.astype(dtype, copy=False)
+            # every panel and every scaled basis is written into a
+            # contiguous prefix of one buffer each, so the pass holds one
+            # of each at a time
+            buffers = (np.empty(min(L1_BLOCK, n) * n, dtype),
+                       np.empty(n * k, dtype))
+        elif (spec.n, spec.k) != (n, k):
             raise SpectrumMismatch(
-                f"spectra disagree: ({s.n}, {s.k}) vs ({n}, {k})")
+                f"spectra disagree: ({spec.n}, {spec.k}) vs ({n}, {k})")
+        elif not np.array_equal(spec.mass, bank.mass):
+            raise SpectrumMismatch("spectra carry different lumped masses")
+        _add_direction(bank, mi, spec, mass, buffers)
+        mi += 1
+        del spec
+    return bank
 
-    m = len(spectra)
-    j = kernel.n_scales
-    responses = np.empty((m, j, k))
-    scaling = np.empty((m, k))
-    for mi, spec in enumerate(spectra):
-        lam = spec.eigenvalues
-        scaling[mi] = kernel_h(lam, kernel.cutoff)
-        for ji, t in enumerate(kernel.scales):
-            responses[mi, ji] = kernel_g(t * lam)
 
-    frame_fn = scaling**2 + (responses**2).sum(axis=1)      # (M, K)
-    bounds = np.stack([frame_fn.min(axis=1), frame_fn.max(axis=1)], axis=1)
-    for mi, spec in enumerate(spectra):
-        responses[mi, :, spec.n_whole:] = 0.0  # the cut eigenspace's copies
+def _add_direction(bank, mi, spec, mass, buffers):
+    """Fill direction mi of `bank` from its spectrum: responses, frame
+    bounds, the cast basis and the L1 normalizers, summed in the basis's
+    dtype over the upper triangle of S; raise ZeroColumnNorm if one is
+    not positive."""
+    lam = spec.eigenvalues
+    responses = bank.responses[mi]
+    for ji, t in enumerate(bank.kernel.scales):
+        responses[ji] = kernel_g(t * lam)
+    frame_fn = kernel_h(lam, bank.kernel.cutoff)**2 + (responses**2).sum(axis=0)
+    bank.frame_bounds[mi] = frame_fn.min(), frame_fn.max()
+    responses[:, spec.n_whole:] = 0.0  # the cut eigenspace's copies
+    basis = bank.basis[mi]
+    basis[...] = spec.eigenvectors
 
     # S = Phi diag(r) Phi^T is symmetric, so column v's norm
     # sum_u a(u) |S(u, v)| is gathered from the panels on and above the
@@ -192,41 +221,33 @@ def build_filterbank(spectra, kernel, dtype=np.float64):
     # columns s: and, right of its diagonal block, its a-weighted column
     # sums to the rows s:e. Each filter sums only over its passband; one
     # with an empty passband keeps zero norms and fails the check below.
-    # Every panel and every scaled basis is written into a contiguous
-    # prefix of one buffer each, so the pass holds one of each at a time.
-    # Every multiply-add runs in `dtype`: in float32 the pass holds one
-    # direction's cast basis and mass at a time, and sums each filter's
-    # normalizers in a float32 vector that is then stored float64; in
-    # float64 it copies nothing and sums straight into the stored array
-    bands = passbands(responses)
-    normalizers = np.zeros((m, j, n))
-    panel_buf = np.empty(min(L1_BLOCK, n) * n, dtype)
-    scaled_buf = np.empty(n * k, dtype)
-    for mi, spec in enumerate(spectra):
-        mass = spec.mass.astype(dtype, copy=False)
-        basis = spec.eigenvectors.astype(dtype, copy=False)
-        for ji in range(j):
-            kb = bands[mi, ji]
-            resp = responses[mi, ji, :kb].astype(dtype, copy=False)
-            scaled = np.multiply(basis[:, :kb], resp,
-                                 out=scaled_buf[:n * kb].reshape(n, kb))
-            norm = normalizers[mi, ji].astype(dtype, copy=False)
-            for s in range(0, n, L1_BLOCK):
-                e = min(s + L1_BLOCK, n)
-                panel = np.matmul(                           # (e - s, N - s)
-                    basis[s:e, :kb], scaled[s:].T,
-                    out=panel_buf[:(e - s) * (n - s)].reshape(e - s, n - s))
-                np.abs(panel, out=panel)
-                norm[s:] += mass[s:e] @ panel
-                norm[s:e] += panel[:, e - s:] @ mass[e:]
-            normalizers[mi, ji] = norm
-        del mass, basis  # before the next direction's are cast
+    # Every multiply-add runs in the basis's dtype: in float32 each
+    # filter's normalizers are summed in a float32 vector that is then
+    # stored float64; in float64 they are summed straight into the bank
+    n = basis.shape[0]
+    dtype = basis.dtype
+    panel_buf, scaled_buf = buffers
+    normalizers = bank.l1_normalizers[mi]
+    for ji, kb in enumerate(passbands(responses)):
+        resp = responses[ji, :kb].astype(dtype, copy=False)
+        scaled = np.multiply(basis[:, :kb], resp,
+                             out=scaled_buf[:n * kb].reshape(n, kb))
+        norm = normalizers[ji].astype(dtype, copy=False)
+        for s in range(0, n, L1_BLOCK):
+            e = min(s + L1_BLOCK, n)
+            panel = np.matmul(                               # (e - s, N - s)
+                basis[s:e, :kb], scaled[s:].T,
+                out=panel_buf[:(e - s) * (n - s)].reshape(e - s, n - s))
+            np.abs(panel, out=panel)
+            norm[s:] += mass[s:e] @ panel
+            norm[s:e] += panel[:, e - s:] @ mass[e:]
+        normalizers[ji] = norm
     # NaN compares False, so test for the good values: a kernel that
     # overflows (inf * 0) must not pass as a bank
     bad = ~(np.isfinite(normalizers) & (normalizers >= 1e-14))
     if bad.any():
-        mi, ji, vi = np.argwhere(bad)[0]
-        spec = spectra[mi]
+        ji, vi = np.argwhere(bad)[0]
+        k = spec.k
         cause = "" if spec.n_whole == k else (
             f"; K {k} cuts a repeated eigenvalue of direction {mi}, whose "
             f"bank keeps only the n_whole {spec.n_whole} eigenpairs below "
@@ -234,11 +255,7 @@ def build_filterbank(spectra, kernel, dtype=np.float64):
             f"(n_below_mu_plus) keeps the cut eigenspace")
         raise ZeroColumnNorm(
             f"wavelet column (direction {mi}, scale {ji}, vertex {vi}) has "
-            f"L1 norm {normalizers[mi, ji, vi]:g}{cause}")
-
-    return FilterBank(spectra=list(spectra), kernel=kernel,
-                      responses=responses, l1_normalizers=normalizers,
-                      frame_bounds=bounds)
+            f"L1 norm {normalizers[ji, vi]:g}{cause}")
 
 
 def check_indices(shape, *indices):
@@ -249,12 +266,17 @@ def check_indices(shape, *indices):
 
 
 def wavelet_at(bank, direction, scale, vertex):
-    """Explicit localized wavelet at one vertex (visualization path)."""
+    """Explicit localized wavelet at one vertex, from the bank's basis."""
     check_indices(bank.l1_normalizers.shape, direction, scale, vertex)
-    spec = bank.spectra[direction]
-    phi = spec.eigenvectors
-    resp = bank.responses[direction, scale]
-    return spec.mass[vertex] * (phi @ (resp * phi[vertex]))
+    return localized_wavelet(bank.basis[direction], bank.mass,
+                             bank.responses[direction, scale], vertex)
+
+
+def localized_wavelet(eigenvectors, mass, responses, vertex):
+    """a(v) Phi (r * Phi[v]), the wavelet of one filter with responses r
+    at `vertex`, for the eigenvectors Phi and lumped mass a of one
+    direction (visualization path)."""
+    return mass[vertex] * (eigenvectors @ (responses * eigenvectors[vertex]))
 
 
 def dense_filter_matrix(bank, direction, scale, normalized=False):
@@ -264,9 +286,8 @@ def dense_filter_matrix(bank, direction, scale, normalized=False):
     diag(a) Phi diag(resp) Phi^T, optionally with unit column L1 norms.
     """
     check_indices(bank.l1_normalizers.shape, direction, scale)
-    spec = bank.spectra[direction]
-    phi = spec.eigenvectors
-    psi = spec.mass[:, None] * (phi @ np.diag(bank.responses[direction, scale]) @ phi.T)
+    phi = bank.basis[direction]
+    psi = bank.mass[:, None] * (phi @ np.diag(bank.responses[direction, scale]) @ phi.T)
     if normalized:
         psi = psi / bank.l1_normalizers[direction, scale][None, :]
     return psi

@@ -127,11 +127,14 @@ def test_kernel(spectra, scales):
     return KernelSpec(scales=ts, cutoff=0.4 * lam_max)
 
 
-def build_bank_for(mesh, k, directions=1, alpha=0.0, scales=4):
+def spectra_for(mesh, k, directions=1, alpha=0.0):
     frames = estimate_frames(mesh)
-    ops = [assemble_albo(mesh, frames, alpha, t)
-           for t in wm.direction_angles(directions)]
-    spectra = [solve_eigs(o, k) for o in ops]
+    return [solve_eigs(assemble_albo(mesh, frames, alpha, t), k)
+            for t in wm.direction_angles(directions)]
+
+
+def build_bank_for(mesh, k, directions=1, alpha=0.0, scales=4):
+    spectra = spectra_for(mesh, k, directions, alpha)
     return build_filterbank(spectra, test_kernel(spectra, scales))
 
 

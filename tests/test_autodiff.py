@@ -442,7 +442,7 @@ class TestWaveletMix:
                                  ad.MixBank.of(bank, np.float64))
         g = rng.standard_normal((n, d))
         peak, (gx, theta_grads) = traced_peak(lambda: back(g))
-        phi = bank.spectra[0].eigenvectors
+        phi = bank.basis[0]
         assert peak < (2.5 * gx.nbytes + sum(t.nbytes for t in theta_grads)
                        + phi.nbytes)
 

@@ -312,21 +312,19 @@ class TestPeakMemory:
                                               dtype):
         # the forward casts the bank its loader returns into its MixBank
         # and drops it: when the first wavelet_mix runs, with gc off, the
-        # loaded FilterBank and its spectra are referenced from nowhere,
-        # and in float32 neither are their float64 eigenvectors (float64
-        # shares them with the MixBank), in descriptors as in a step
+        # loaded FilterBank is referenced from nowhere, and in float32
+        # neither is its float64 basis (float64 shares it with the
+        # MixBank), in descriptors as in a step
         mesh, bank = setup
         n = mesh.n_vertices
         loaded, dead_at_first_mix = [], []
         mix = ad.wavelet_mix
 
         def load_bank():
-            spectra = [dataclasses.replace(
-                s, eigenvectors=s.eigenvectors.copy()) for s in bank.spectra]
-            fresh = dataclasses.replace(bank, spectra=spectra)
-            owned = [fresh, *spectra]
+            fresh = dataclasses.replace(bank, basis=bank.basis.copy())
+            owned = [fresh]
             if dtype == np.float32:
-                owned += [s.eigenvectors for s in spectra]
+                owned.append(fresh.basis)
             loaded.append([weakref.ref(obj) for obj in owned])
             return fresh
 
@@ -349,7 +347,7 @@ class TestPeakMemory:
             nw._train_step(model, item, nw.AdamState(), 1, 0.001, 0.0001)
         finally:
             gc.enable()
-        owned = 1 + bank.n_directions * (2 if dtype == np.float32 else 1)
+        owned = 2 if dtype == np.float32 else 1
         assert dead_at_first_mix == [[True] * owned] * 2
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wavemesh as wm
-from wavemesh.curvature import estimate_frames
+from wavemesh.curvature import PrincipalFrames, estimate_frames
 from wavemesh.errors import FrameMeshMismatch
 from wavemesh.mesh import TriMesh
 from wavemesh.operators import (
@@ -14,6 +14,7 @@ from wavemesh.operators import (
     assemble_albo,
     assemble_lbo,
     direction_angles,
+    fallback_faces,
 )
 from wavemesh.spectrum import solve_eigs
 
@@ -206,3 +207,28 @@ def _gradient_energies(mesh, f):
         ex += area * gx * gx
         ey += area * gy * gy
     return ex, ey
+
+
+def test_faces_whose_averaged_direction_vanishes_take_world_x():
+    # on the flat grid a direction field along the normal averages to zero
+    # in every face's plane, so every face falls back to the world +x
+    # projected into it, and the operator equals that of the +x field,
+    # whose faces keep their own direction
+    mesh = grid_mesh(4, 3)
+    n = mesh.n_vertices
+
+    def frames(direction):
+        zero = np.zeros(n)
+        return PrincipalFrames(k_min=zero, k_max=zero,
+                               dir_max=np.tile(direction, (n, 1)),
+                               umbilic=np.zeros(n, dtype=bool))
+
+    normal, x = frames([0.0, 0.0, 1.0]), frames([1.0, 0.0, 0.0])
+    assert fallback_faces(mesh, normal).all()
+    assert not fallback_faces(mesh, x).any()
+    got = assemble_albo(mesh, normal, 50.0, 0.3).stiffness
+    want = assemble_albo(mesh, x, 50.0, 0.3).stiffness
+    assert np.array_equal(got.toarray(), want.toarray())
+    # the curvature frames of a rest mesh have no such face
+    for base in (wm.gen_base("bar", 2), wm.gen_base("cylinder", 3)):
+        assert not fallback_faces(base, estimate_frames(base)).any()

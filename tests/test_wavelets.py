@@ -25,7 +25,9 @@ from wavemesh.wavelets import (
     wavelet_at,
 )
 
-from .conftest import build_bank_for, grid_mesh, jittered_grid, traced_peak
+from .conftest import build_bank_for, jittered_grid, spectra_for
+from .conftest import test_kernel as kernel_for  # not collected as a test
+from .conftest import traced_peak
 
 
 @pytest.fixture(scope="module")
@@ -34,23 +36,39 @@ def small_mesh():
 
 
 @pytest.fixture(scope="module")
-def small_bank(small_mesh):
-    return build_bank_for(small_mesh, k=15, directions=1, scales=4)
+def small_spectra(small_mesh):
+    return spectra_for(small_mesh, k=15, directions=1)
 
 
 @pytest.fixture(scope="module")
-def aniso_bank_30():
+def small_bank(small_spectra):
+    return build_filterbank(small_spectra, kernel_for(small_spectra, 4))
+
+
+@pytest.fixture(scope="module")
+def aniso_spectra_30():
     mesh = jittered_grid(5, 4, seed=12)  # 30 vertices
-    return build_bank_for(mesh, k=18, directions=4, alpha=50.0, scales=4)
+    return spectra_for(mesh, k=18, directions=4, alpha=50.0)
+
+
+@pytest.fixture(scope="module")
+def aniso_bank_30(aniso_spectra_30):
+    return build_filterbank(aniso_spectra_30,
+                            kernel_for(aniso_spectra_30, 4))
 
 
 @pytest.fixture(scope="module", params=["ico3", "bar3", "open_cylinder"])
-def bank_40(request):
+def spectra_40(request):
     """Four directions of a closed sphere, a closed box with sharp edges
     and an open cylinder, at K 40 and alpha 50."""
     mesh = (wm.gen_base("bar", 3) if request.param == "bar3"
             else request.getfixturevalue(request.param))
-    return build_bank_for(mesh, k=40, directions=4, alpha=50.0, scales=4)
+    return spectra_for(mesh, k=40, directions=4, alpha=50.0)
+
+
+@pytest.fixture(scope="module")
+def bank_40(spectra_40):
+    return build_filterbank(spectra_40, kernel_for(spectra_40, 4))
 
 
 class TestKernels:
@@ -106,11 +124,12 @@ class TestBankConstruction:
         assert aniso_bank_30.n_directions == 4
         assert aniso_bank_30.n_scales == 4
 
-    def test_untight_frame_bounds_reported(self, aniso_bank_30):
+    def test_untight_frame_bounds_reported(self, aniso_bank_30,
+                                           aniso_spectra_30):
         resp = aniso_bank_30.responses
         cutoff = aniso_bank_30.kernel.cutoff
         low = np.stack([kernel_h(s.eigenvalues, cutoff)
-                        for s in aniso_bank_30.spectra])
+                        for s in aniso_spectra_30])
         frame = low**2 + (resp**2).sum(axis=1)
         assert np.allclose(aniso_bank_30.frame_bounds[:, 0], frame.min(axis=1))
         assert np.allclose(aniso_bank_30.frame_bounds[:, 1], frame.max(axis=1))
@@ -121,7 +140,9 @@ class TestBankConstruction:
     def test_spectrum_mismatch(self, small_mesh, ico1):
         a = solve_eigs(assemble_lbo(small_mesh), 10)
         b = solve_eigs(assemble_lbo(ico1), 10)
-        kernel = KernelSpec.mexican_hat(4.0, 2)
+        kernel = kernel_for([a], 2)
+        build_filterbank([a], kernel)
+        # b is read after a's direction is built, so a's must fit the kernel
         with pytest.raises(SpectrumMismatch):
             build_filterbank([a, b], kernel)
 
@@ -131,11 +152,9 @@ class TestBankConstruction:
         b = dataclasses.replace(a, mass=a.mass * (1 + 1e-12))
         kernel = KernelSpec.mexican_hat(a.lambda_max, 1)
         bank = build_filterbank([a, dataclasses.replace(a)], kernel)
+        assert np.array_equal(bank.basis[0], bank.basis[1])
         with pytest.raises(SpectrumMismatch, match="mass"):
             build_filterbank([a, b], kernel)
-        # a bank read back from the FBK1 cache is checked on construction
-        with pytest.raises(SpectrumMismatch, match="mass"):
-            dataclasses.replace(bank, spectra=[a, b])
 
     @pytest.mark.parametrize("base, k, scales, solver, counts", [
         (("cylinder", 2), 40, 4, "lanczos", (39, 41)),
@@ -196,14 +215,15 @@ class TestBankConstruction:
 
     @pytest.mark.parametrize("block", [1, 7, 30])
     def test_normalizers_match_dense_over_panels(self, aniso_bank_30,
+                                                 aniso_spectra_30,
                                                  monkeypatch, block):
         # one-row panels, a ragged last panel (30 = 4 * 7 + 2), and a single
         # panel: each must give the full column sums of the dense matrix
         monkeypatch.setattr(wavelets, "L1_BLOCK", block)
-        bank = build_filterbank(aniso_bank_30.spectra, aniso_bank_30.kernel)
+        bank = build_filterbank(aniso_spectra_30, aniso_bank_30.kernel)
         # the coarse scales are band-limited, so the dense comparison
         # covers filters summed over fewer than K eigenpairs
-        assert (passbands(bank.responses) < bank.spectra[0].k).any()
+        assert (passbands(bank.responses) < aniso_spectra_30[0].k).any()
         for m in range(bank.n_directions):
             for j in range(bank.n_scales):
                 want = np.abs(dense_filter_matrix(bank, m, j)).sum(axis=0)
@@ -221,12 +241,12 @@ class TestBankConstruction:
 
     @pytest.mark.parametrize("block", [7, 30])
     def test_buffered_panels_match_allocated_panels_bit_for_bit(
-            self, aniso_bank_30, monkeypatch, block):
+            self, aniso_bank_30, aniso_spectra_30, monkeypatch, block):
         # the same GEMMs as forming each panel and scaled basis anew
         monkeypatch.setattr(wavelets, "L1_BLOCK", block)
-        bank = build_filterbank(aniso_bank_30.spectra, aniso_bank_30.kernel)
+        bank = build_filterbank(aniso_spectra_30, aniso_bank_30.kernel)
         bands = passbands(bank.responses)
-        for m, spec in enumerate(bank.spectra):
+        for m, spec in enumerate(aniso_spectra_30):
             n, mass = spec.n, spec.mass
             for j in range(bank.n_scales):
                 phi = spec.eigenvectors[:, :bands[m, j]]
@@ -241,25 +261,25 @@ class TestBankConstruction:
 
     def test_build_holds_one_panel_and_one_scaled_basis(self, monkeypatch):
         # consecutive panels and consecutive filters' scaled bases share a
-        # buffer each: the rise is one L1_BLOCK x N panel, one N x K basis
-        # and the M x J x N normalizers, plus vectors of length N and the
-        # two iteration buffers numpy's multiply takes for a strided basis
+        # buffer each: the rise is one L1_BLOCK x N panel, one N x K basis,
+        # the bank's M x N x K basis and M x J x N normalizers, plus
+        # vectors of length N and the two iteration buffers numpy's
+        # multiply takes for a strided basis
         block = 16
         monkeypatch.setattr(wavelets, "L1_BLOCK", block)
         mesh = jittered_grid(29, 29, seed=13)  # 900 vertices
-        spectra = build_bank_for(mesh, k=60, directions=2, alpha=50.0,
-                                 scales=4).spectra
+        spectra = spectra_for(mesh, k=60, directions=2, alpha=50.0)
         kernel = KernelSpec.mexican_hat(spectra[0].lambda_max, 4)
         n, k = mesh.n_vertices, 60
         peak, _ = traced_peak(lambda: build_filterbank(spectra, kernel))
-        # bound 794 kB; measured 745 kB, and 996 kB when each panel and
-        # basis is allocated anew, so that two of each are held at once
-        assert peak < ((block * n + n * k + 2 * 4 * n + 8 * n) * 8
-                       + 2 * np.getbufsize() * 8), peak
+        # bound 1658 kB; measured 1615 kB, 1712 kB when each panel is
+        # allocated anew, and 2414 kB when each scaled basis is too
+        assert peak < ((block * n + n * k + 2 * n * k + 2 * 4 * n + 8 * n)
+                       * 8 + 2 * np.getbufsize() * 8), peak
 
     @pytest.mark.parametrize("block", [1, 7, 30])
     def test_float32_normalizers_match_dense_within_rounding(
-            self, bank_40, monkeypatch, block):
+            self, bank_40, spectra_40, monkeypatch, block):
         # float32 rounds each operation by at most u = 2^-24. Column v's
         # normalizer L_v = sum_u a(u) |S(u, v)| takes, per entry S(u, v),
         # kb + 4 roundings (the casts of phi_u, phi_v and r, the scaled
@@ -273,14 +293,17 @@ class TestBankConstruction:
         # bounds. Twice that is 2.1e-6 to 3.0e-6 relative on these meshes,
         # and the measured errors reach at most 0.44 of it (one-row panels)
         monkeypatch.setattr(wavelets, "L1_BLOCK", block)
-        bank = build_filterbank(bank_40.spectra, bank_40.kernel, np.float32)
+        bank = build_filterbank(spectra_40, bank_40.kernel, np.float32)
         assert bank.l1_normalizers.dtype == np.float64
+        # the bank stores the pass's cast of each basis
+        assert bank.basis.dtype == np.float32
+        assert np.array_equal(bank.basis, bank_40.basis.astype(np.float32))
         u = np.finfo(np.float32).eps / 2
         bands = passbands(bank.responses)
-        for m, spec in enumerate(bank.spectra):
+        for m, spec in enumerate(spectra_40):
             for j in range(bank.n_scales):
                 kb = bands[m, j]
-                want = np.abs(dense_filter_matrix(bank, m, j)).sum(axis=0)
+                want = np.abs(dense_filter_matrix(bank_40, m, j)).sum(axis=0)
                 phi = np.abs(spec.eigenvectors[:, :kb])
                 t = (phi * np.abs(bank.responses[m, j, :kb])) @ phi.T
                 rss = u * np.sqrt((kb + 4) * (spec.mass**2 @ t**2)
@@ -288,9 +311,7 @@ class TestBankConstruction:
                 err = np.abs(bank.l1_normalizers[m, j] - want)
                 assert (err <= 2 * rss).all(), (m, j, (err / want).max())
         # the pass ran in float32: the float64 pass rounds 2^29 times finer
-        assert not np.array_equal(
-            bank.l1_normalizers,
-            build_filterbank(bank_40.spectra, bank_40.kernel).l1_normalizers)
+        assert not np.array_equal(bank.l1_normalizers, bank_40.l1_normalizers)
 
     def test_float32_pass_holds_no_more_than_the_float64_pass(self):
         # test_build_holds_one_panel_and_one_scaled_basis's 900-vertex grid,
@@ -298,8 +319,7 @@ class TestBankConstruction:
         # where the basis does: the float32 pass holds one cast basis
         # besides its scaled basis, and half-size panels
         mesh = jittered_grid(29, 29, seed=13)  # 900 vertices
-        spectra = build_bank_for(mesh, k=60, directions=2, alpha=50.0,
-                                 scales=4).spectra
+        spectra = spectra_for(mesh, k=60, directions=2, alpha=50.0)
         kernel = KernelSpec.mexican_hat(spectra[0].lambda_max, 4)
         for block in (wavelets.L1_BLOCK, 16):
             with pytest.MonkeyPatch.context() as mp:
@@ -340,24 +360,24 @@ class TestPassbands:
         resp[1, 0, 2] = value
         assert passbands(resp).tolist() == [[5, 5], [0, 5]]
 
-    def test_all_zero_filter_raises_zero_column_norm(self, small_bank):
+    def test_all_zero_filter_raises_zero_column_norm(self, small_spectra):
         # t = 0 puts every eigenvalue at g(0) = 0
         kernel = KernelSpec(scales=np.array([0.0, 1.0]), cutoff=1.0)
         with pytest.raises(ZeroColumnNorm, match="scale 0"):
-            build_filterbank(small_bank.spectra, kernel)
+            build_filterbank(small_spectra, kernel)
 
     def test_all_zero_filter_raises_zero_column_norm_in_float32(
-            self, small_bank):
+            self, small_spectra):
         kernel = KernelSpec(scales=np.array([0.0, 1.0]), cutoff=1.0)
         with pytest.raises(ZeroColumnNorm, match="scale 0"):
-            build_filterbank(small_bank.spectra, kernel, np.float32)
+            build_filterbank(small_spectra, kernel, np.float32)
 
 
 class TestLocalizedWavelets:
-    def test_matches_brute_force_sum(self, small_bank):
+    def test_matches_brute_force_sum(self, small_bank, small_spectra):
         # direct summation over the spectral definition of the localized
         # wavelet: sum_k a(v) g(t lambda_k) phi_k(v) phi_k(u)
-        spec = small_bank.spectra[0]
+        spec = small_spectra[0]
         phi, lam, mass = spec.eigenvectors, spec.eigenvalues, spec.mass
         for j in (0, 2):
             resp = small_bank.responses[0, j]
@@ -368,8 +388,9 @@ class TestLocalizedWavelets:
                 got = wavelet_at(small_bank, 0, j, v)
                 assert np.abs(got - brute).max() < 1e-12
 
-    def test_response_recovery_in_mass_inner_product(self, small_bank):
-        spec = small_bank.spectra[0]
+    def test_response_recovery_in_mass_inner_product(self, small_bank,
+                                                     small_spectra):
+        spec = small_spectra[0]
         w = wavelet_at(small_bank, 0, 1, 5)
         for k in (0, 3, 9):
             got = spec.eigenvectors[:, k] @ (spec.mass * w)
@@ -382,7 +403,7 @@ class TestLocalizedWavelets:
         # area-weighted inner product) to the constant direction
         w = wavelet_at(small_bank, 0, 0, 3)
         const = np.ones(small_bank.n_vertices)
-        assert abs(const @ (small_bank.spectra[0].mass * w)) < 1e-10
+        assert abs(const @ (small_bank.mass * w)) < 1e-10
 
     def test_rigid_motion_invariance(self):
         from .conftest import perturbed_sphere
