@@ -22,7 +22,6 @@ from .wavelets import (
     kernel_g,
     kernel_h,
     select_scales,
-    wavelet_at,
 )
 
 __version__ = "0.1.0"

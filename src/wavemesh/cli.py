@@ -47,6 +47,9 @@ array, the lumped mass, the responses, the L1 normalizers and the frame
 bounds. So a training step or `eval`'s `describe` whose kernel scales are
 pinned reads one file on a hit and no SPEC1 file; on a miss the bank is
 built from the spectra one direction at a time (`build_bank`).
+Spectra are read by direction (`MeshSpectra`): `train`'s pass that pins
+the kernel scales, an unpinned bank's lambda_max and the `spectrum` report
+read eigenvalues and provenance, and no eigenvector.
 Every command gets or builds each file it needs (so `spectrum` is an
 optional precompute) through one path, `_cached`: a key is a digest of
 everything the file was computed from, the file is named (`_cache_path`)
@@ -63,7 +66,7 @@ averaged direction vanished; see `operators`), which
 in direction order; a direction it solves gets its "computed" line just
 before its "stored" one. When n_below_mu_plus exceeds K, K
 splits a repeated eigenvalue, whose returned copies the filter banks drop
-(`Spectrum.n_whole`), and the line that reports a solve, as the one that
+(`spectrum.whole_count`), and the line that reports a solve, as the one that
 reports a stored spectrum, is followed by a warning on stderr. The keys
 cover, for a spectrum, the mesh content, alpha, theta (m*pi/M as a Python
 float) and the clamped k; for a bank, its spectra's keys, the resolved
@@ -90,9 +93,7 @@ gt vertices.
 import argparse
 import dataclasses
 import hashlib
-import itertools
 import json
-import operator
 import sys
 import typing
 from dataclasses import dataclass
@@ -113,7 +114,7 @@ from .errors import (
 )
 from .mesh import chunked_rows, load_mesh
 from .operators import assemble_albo, direction_angles, fallback_faces
-from .spectrum import Spectrum, clamp_k, solve_eigs
+from .spectrum import Spectrum, clamp_k, solve_eigs, whole_count
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -299,10 +300,10 @@ def _read_cache(path, kind, key, pick=None):
     return (arrays, meta) if meta.get("key") == key else None
 
 
-def _load_spectrum(path, key):
+def _load_spectrum(path, key, pick=None):
     """`_read_cache` of a SPEC1 file, under a name of its own so that every
     spectrum lookup is one call of it (None on a miss)."""
-    return _read_cache(path, "SPEC1", key)
+    return _read_cache(path, "SPEC1", key, pick)
 
 
 def _cache_path(kind, key, cache_dir, mesh_path):
@@ -336,7 +337,7 @@ def _cached(kind, parts, cache_dir, mesh_path, build, pick=None):
     key = _cache_key(kind, *parts)
     path = _cache_path(kind, key, cache_dir, mesh_path)
     if kind == "SPEC1":
-        found = _load_spectrum(path, key)
+        found = _load_spectrum(path, key, pick)
     else:
         found = _read_cache(path, kind, key, pick)
     hit = found is not None
@@ -360,12 +361,12 @@ def _listed(provenance):
                    for name, value in sorted(provenance.items()))
 
 
-def _warn_if_split(m, spectrum):
-    """Warn on stderr when the spectrum's K cuts through a repeated
-    eigenvalue (`Spectrum.n_whole`): the filter banks drop its copies."""
-    counts = spectrum.provenance
-    if spectrum.n_whole < spectrum.k:
-        print(f"warning: direction {m}: K {spectrum.k} splits a repeated "
+def _warn_if_split(m, counts, k):
+    """Warn on stderr when K cuts through a repeated eigenvalue, as the
+    inertia counts in `counts` (a spectrum's provenance) show
+    (`whole_count`): the filter banks drop its copies."""
+    if whole_count(counts, k) < k:
+        print(f"warning: direction {m}: K {k} splits a repeated "
               f"eigenvalue (n_below_mu_minus {counts['n_below_mu_minus']}, "
               f"n_below_mu_plus {counts['n_below_mu_plus']}); the filter "
               f"bank drops its returned copies", file=sys.stderr)
@@ -376,14 +377,16 @@ class MeshSpectra:
     read: `keys` holds their SPEC1 keys in direction order, which is all
     that a bank lookup needs (`build_bank`).
 
-    Iterating reads them from the SPEC1 cache one direction at a time and
-    keeps no reference to a direction it has yielded, so a caller that
-    drops each before it asks for the next holds one spectrum at a time. A
+    A lazy sequence over the directions: `spectra[m]` reads direction m's
+    spectrum from the SPEC1 cache, and `eigenvalues(m)` only its
+    eigenvalues and provenance. Each read is one `_load_spectrum` call and
+    nothing read is kept, so a caller holds only the spectra it keeps. A
     miss is solved, written and reported in one line, followed by
     `_warn_if_split`'s warning when K splits an eigenspace; a hit is
-    silent. A solve's provenance also records, for the mesh's curvature
-    frames, the share of umbilic vertices (`umbilic_fraction`) and the
-    share of faces whose averaged direction fell back to the world +x
+    silent. The mesh's curvature frames are estimated at the first miss
+    and serve every later one. A solve's provenance also records, for
+    them, the share of umbilic vertices (`umbilic_fraction`) and the share
+    of faces whose averaged direction fell back to the world +x
     (`fallback_face_fraction`): where the operator depends on the mesh's
     orientation (`operators`)."""
 
@@ -395,56 +398,53 @@ class MeshSpectra:
         self._parts = [(mesh_hash, float(cfg.alpha), theta, k)
                        for theta in direction_angles(cfg.directions)]
         self.keys = [_cache_key("SPEC1", *parts) for parts in self._parts]
+        self._frames = None
 
     def __len__(self):
         return len(self._parts)
 
-    def __iter__(self):
-        frames = []  # estimated at the first miss, shared by every direction
-        for m in range(len(self)):
-            yield self._read(m, frames)
+    def __getitem__(self, m):
+        arrays, provenance = self._read(m)
+        return Spectrum(**arrays, provenance=provenance)
 
-    def _read(self, m, frames):
+    def eigenvalues(self, m):
+        """(eigenvalues, provenance) of direction m, read without its
+        eigenvectors and mass."""
+        arrays, provenance = self._read(m, {"eigenvectors": (), "mass": ()})
+        return arrays["eigenvalues"], provenance
+
+    def lambda_max(self):
+        """The largest eigenvalue over the directions."""
+        return max(float(self.eigenvalues(m)[0][-1])
+                   for m in range(len(self)))
+
+    def _read(self, m, pick=None):
+        """(arrays, provenance and key) of direction m; the arrays that
+        `pick` names come back as its picks (see `_cached`)."""
         mesh = self.mesh
         _, alpha, theta, k = self._parts[m]
 
         def build():
-            if not frames:
+            if self._frames is None:
                 f = estimate_frames(mesh)
-                frames.append((f, {
+                self._frames = (f, {
                     "umbilic_fraction": float(f.umbilic.mean()),
                     "fallback_face_fraction": float(
-                        fallback_faces(mesh, f).mean())}))
-            f, shares = frames[0]
+                        fallback_faces(mesh, f).mean())})
+            f, shares = self._frames
             spec = solve_eigs(assemble_albo(mesh, f, alpha, theta), k)
             return ({"eigenvalues": spec.eigenvalues,
                      "eigenvectors": spec.eigenvectors, "mass": spec.mass},
                     {"provenance": {**spec.provenance, **shares}})
 
         arrays, meta, path, hit = _cached(
-            "SPEC1", self._parts[m], self.cache_dir, self.mesh_path, build)
+            "SPEC1", self._parts[m], self.cache_dir, self.mesh_path, build,
+            pick)
         solved = meta["provenance"]
-        spectrum = Spectrum(
-            eigenvalues=arrays["eigenvalues"],
-            eigenvectors=arrays["eigenvectors"], mass=arrays["mass"],
-            provenance={**solved, "key": meta["key"]})
         if not hit:
             print(f"direction {m}: computed ({path}){_listed(solved)}")
-            _warn_if_split(m, spectrum)
-        return spectrum
-
-
-def load_spectra(mesh, cfg, cache_dir, mesh_path):
-    """`mesh`'s spectra under `cfg`, read or solved only as they are
-    iterated (`MeshSpectra`)."""
-    return MeshSpectra(mesh, cfg, cache_dir, mesh_path)
-
-
-def _lambda_max(spectra):
-    """The largest eigenvalue over `spectra`. `map` keeps no spectrum it
-    has passed on, where a generator expression would hold each through
-    the next one's read."""
-    return max(map(operator.attrgetter("lambda_max"), spectra))
+            _warn_if_split(m, solved, len(arrays["eigenvalues"]))
+        return arrays, {**solved, "key": meta["key"]}
 
 
 def build_bank(spectra, cfg, cache_dir, mesh_path):
@@ -453,12 +453,13 @@ def build_bank(spectra, cfg, cache_dir, mesh_path):
 
     The kernel scales come from cfg.kernel_lambda_max when set (training
     pins them so every mesh is filtered with the same scales); otherwise
-    from this mesh's own spectra. A bank is keyed by its spectra's keys,
+    from this mesh's own largest eigenvalue (`MeshSpectra.lambda_max`,
+    which reads no eigenvector). A bank is keyed by its spectra's keys,
     so a hit with the scales pinned reads no spectrum: it reads one FBK1
     file, which holds the float32 basis and the mass a forward needs. A
-    miss streams the spectra through the float32 L1 pass one direction at
-    a time and stores the pass's cast of each as the bank's basis."""
-    lambda_max = cfg.kernel_lambda_max or _lambda_max(spectra)
+    miss reads the spectra into the float32 L1 pass one direction at a
+    time and stores the pass's cast of each as the bank's basis."""
+    lambda_max = cfg.kernel_lambda_max or spectra.lambda_max()
     kernel = wavelets.KernelSpec.mexican_hat(lambda_max, cfg.scales)
 
     def build():
@@ -476,7 +477,7 @@ def _bank_loader(mesh, cfg, cache_dir, mesh_path):
     network's forward takes it (`network.TrainItem`). It reads cfg when
     called, so a training shape's bank is built only once the kernel
     scales are pinned."""
-    return lambda: build_bank(load_spectra(mesh, cfg, cache_dir, mesh_path),
+    return lambda: build_bank(MeshSpectra(mesh, cfg, cache_dir, mesh_path),
                               cfg, cache_dir, mesh_path)
 
 
@@ -548,8 +549,9 @@ def run_training(cfg, manifest_path):
     history).
 
     At most one spectrum and one filter bank are in memory at a time. One
-    pass checks every shape's labels and reads its spectra one direction at
-    a time to pin cfg.kernel_lambda_max (when unset). Each step then loads
+    pass checks every shape's labels and reads the eigenvalues of its
+    spectra, without their eigenvectors (`MeshSpectra.lambda_max`), to pin
+    cfg.kernel_lambda_max (when unset). Each step then loads
     its shape's bank through `build_bank`, which reads only the FBK1 file
     on a hit and builds and caches the bank from the shape's spectra on a
     miss, at its first step, and drops it once the forward has cast it
@@ -572,7 +574,7 @@ def run_training(cfg, manifest_path):
         labels = _read_labels(root, entry["labels"], entry["mesh"],
                               mesh.n_vertices, template.n_vertices)
         lambda_maxes.append(
-            _lambda_max(load_spectra(mesh, cfg, cache_dir, path)))
+            MeshSpectra(mesh, cfg, cache_dir, path).lambda_max())
         items.append(network.TrainItem(
             coords=mesh.vertices, labels=labels,
             load_bank=_bank_loader(mesh, cfg, cache_dir, path),
@@ -679,15 +681,12 @@ def cmd_spectrum(args):
     mesh = load_mesh(cfg.mesh)
     cfg.echo(cfg.out)
     cache = cfg.cache_dir()
-    m = 0
-    # not enumerate: it would hold each spectrum through the next one's
-    # read or solve
-    for s in load_spectra(mesh, cfg, cache, cfg.mesh):
-        path = _cache_path("SPEC1", s.provenance["key"], cache, cfg.mesh)
-        print(f"direction {m}: stored ({path}){_listed(s.provenance)}")
-        _warn_if_split(m, s)
-        m += 1
-        del s
+    spectra = MeshSpectra(mesh, cfg, cache, cfg.mesh)
+    for m in range(len(spectra)):
+        eigenvalues, provenance = spectra.eigenvalues(m)
+        path = _cache_path("SPEC1", provenance["key"], cache, cfg.mesh)
+        print(f"direction {m}: stored ({path}){_listed(provenance)}")
+        _warn_if_split(m, provenance, len(eigenvalues))
     return EXIT_OK
 
 
@@ -760,10 +759,10 @@ def cmd_wavelet_dump(args):
                            args.direction, args.scale, args.vertex)
     cfg.echo(cfg.out)
     cache_dir = cfg.cache_dir()
-    spectra = load_spectra(mesh, cfg, cache_dir, cfg.mesh)
+    spectra = MeshSpectra(mesh, cfg, cache_dir, cfg.mesh)
     bank = build_bank(spectra, cfg, cache_dir, cfg.mesh)
     # from the direction's float64 spectrum, not the bank's float32 basis
-    spectrum = next(itertools.islice(spectra, args.direction, None))
+    spectrum = spectra[args.direction]
     values = wavelets.localized_wavelet(
         spectrum.eigenvectors, spectrum.mass,
         bank.responses[args.direction, args.scale], args.vertex)

@@ -74,7 +74,7 @@ most three n x k float64 arrays are alive after the Lanczos.
 Provenance records the solver ("dense" or "lanczos"), the largest
 relative residual, the orthonormality error and the two counts,
 n_below_mu_minus and n_below_mu_plus, which show whether K cuts a
-multiplet (`Spectrum.n_whole`); on the sparse path also ncv, the restarts
+multiplet (`whole_count`); on the sparse path also ncv, the restarts
 and the operator applications.
 """
 
@@ -133,10 +133,16 @@ class Spectrum:
 
     @property
     def n_whole(self):
-        """How many leading eigenpairs span whole eigenspaces: fewer than
-        K when the inertia counts show K cuts a multiplet."""
-        cut = self.provenance["n_below_mu_plus"] > self.k
-        return self.provenance["n_below_mu_minus"] if cut else self.k
+        """`whole_count` of this spectrum's inertia counts and K."""
+        return whole_count(self.provenance, self.k)
+
+
+def whole_count(counts, k):
+    """How many of K leading eigenpairs span whole eigenspaces, from the
+    inertia counts n_below_mu_minus and n_below_mu_plus in `counts` (a
+    provenance): fewer than K when they show K cuts a multiplet."""
+    cut = counts["n_below_mu_plus"] > k
+    return counts["n_below_mu_minus"] if cut else k
 
 
 def canonicalize_signs(vectors):

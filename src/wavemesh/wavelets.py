@@ -32,8 +32,9 @@ unit roundoff. The normalizers are stored float64 either way.
 
 A bank keeps no spectrum: its (M, N, K) basis is the eigenvectors as the
 L1 pass read them, in the pass's precision. ``build_filterbank`` reads its
-spectra one direction at a time, so a caller that streams them
-(``cli.load_spectra``) holds one float64 spectrum during a build.
+spectra one direction at a time, so a caller whose sequence reads each as
+it is indexed (``cli.MeshSpectra``) holds one float64 spectrum during a
+build.
 
 When a spectrum's inertia counts show that K cuts a repeated eigenvalue
 (``Spectrum.n_whole``), its returned copies get a response of 0 in every
@@ -157,8 +158,8 @@ def passbands(responses):
 
 def build_filterbank(spectra, kernel, dtype=np.float64):
     """The bank of `spectra`, the M direction spectra of one mesh in a
-    sized iterable (a list, or ``cli.load_spectra``'s), read once, one
-    direction at a time. They must agree in N and K and carry equal lumped
+    sequence (a list, or a ``cli.MeshSpectra``), each indexed once, in
+    direction order. They must agree in N and K and carry equal lumped
     masses, which ``autodiff.wavelet_mix`` applies once for all
     directions; a mismatch raises SpectrumMismatch when its direction is
     read. Never materializes an N x N operator.
@@ -173,9 +174,8 @@ def build_filterbank(spectra, kernel, dtype=np.float64):
     if not m:
         raise SpectrumMismatch("need at least one spectrum")
     bank = None
-    mi = 0
-    # not enumerate: it would hold each spectrum through the next one's read
-    for spec in spectra:
+    for mi in range(m):
+        spec = spectra[mi]
         if bank is None:
             n, k = spec.n, spec.k
             bank = FilterBank(
@@ -195,8 +195,7 @@ def build_filterbank(spectra, kernel, dtype=np.float64):
         elif not np.array_equal(spec.mass, bank.mass):
             raise SpectrumMismatch("spectra carry different lumped masses")
         _add_direction(bank, mi, spec, mass, buffers)
-        mi += 1
-        del spec
+        del spec  # else it is held through the next direction's read
     return bank
 
 
@@ -263,13 +262,6 @@ def check_indices(shape, *indices):
     for name, i, size in zip(("direction", "scale", "vertex"), indices, shape):
         if not 0 <= i < size:
             raise IndexError(f"{name} {i} out of range [0, {size})")
-
-
-def wavelet_at(bank, direction, scale, vertex):
-    """Explicit localized wavelet at one vertex, from the bank's basis."""
-    check_indices(bank.l1_normalizers.shape, direction, scale, vertex)
-    return localized_wavelet(bank.basis[direction], bank.mass,
-                             bank.responses[direction, scale], vertex)
 
 
 def localized_wavelet(eigenvectors, mass, responses, vertex):

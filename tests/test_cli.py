@@ -905,8 +905,8 @@ def test_cache_file_names_of_a_fixed_mesh_are_pinned(tmp_path):
     # every cached file; the kernel is pinned so that no eigenvalue enters
     # the bank's key
     cfg = cli.ExperimentConfig(k=10, scales=2, kernel_lambda_max=1.0)
-    spectra = cli.load_spectra(synth.gen_base("bar", 1), cfg, tmp_path,
-                               "bar1.off")
+    spectra = cli.MeshSpectra(synth.gen_base("bar", 1), cfg, tmp_path,
+                              "bar1.off")
     cli.build_bank(spectra, cfg, tmp_path, "bar1.off")
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "bar1.31255090527aae6b.spec", "bar1.3dbb20abd86800fb.fbk",
@@ -922,9 +922,9 @@ def test_cached_spectrum_reports_how_it_was_solved(run, tmp_path, capsys,
     mesh = load_mesh(mesh_path)
     cfg = cli.ExperimentConfig(k=int(K))
     cache = tmp_path / "cache"
-    solved = list(cli.load_spectra(mesh, cfg, cache, mesh_path))
+    solved = list(cli.MeshSpectra(mesh, cfg, cache, mesh_path))
     missed = capsys.readouterr().out.splitlines()
-    cached = list(cli.load_spectra(mesh, cfg, cache, mesh_path))
+    cached = list(cli.MeshSpectra(mesh, cfg, cache, mesh_path))
     assert capsys.readouterr().out == ""  # a hit is silent
     assert [s.provenance for s in cached] == [s.provenance for s in solved]
     assert all({"solver", "max_residual", "ortho_error", "key"}
@@ -1027,13 +1027,13 @@ def test_frames_and_spectrum_report_the_orientation_dependence(
 
 
 def test_spectrum_command_holds_one_direction_at_a_time(tmp_path, capsys):
-    # load_spectra keeps no direction it has yielded, and the command drops
-    # each once it is reported, so a solve runs beside no other spectrum:
-    # the live peak over 4 directions exceeds the peak over 1 by at most a
-    # few kB. Measured at N 546, K 80: by -2 kB after a warm-up run
-    # (-43 kB without one); by 0.88 to 1.0 spectra when the command and
-    # the generator held the previous direction through the next solve,
-    # and by 2.91 when load_spectra returned a list of all four
+    # MeshSpectra keeps no direction it has read, and the command reads
+    # each direction's eigenvalues alone, so a solve runs beside no other
+    # spectrum: the live peak over 4 directions exceeds the peak over 1 by
+    # at most a few kB. Measured at N 546, K 80: by -2 kB after a warm-up
+    # run (-43 kB without one); by 0.88 to 1.0 spectra when the command
+    # held the previous direction through the next solve, and by 2.91
+    # when it read all four into a list
     mesh = synth.gen_base("bar", 4)
     write_off(mesh, tmp_path / "bar.off")
     k = 80
@@ -1070,7 +1070,7 @@ def test_bank_file_with_another_key_is_rebuilt(run, tmp_path, monkeypatch):
     mesh_path = run.data / "template.off"
     cfg = cli.ExperimentConfig.load(run.model, {"k": int(K)})
     cache = _spectra_only(run, tmp_path / "cache")
-    spectra = cli.load_spectra(load_mesh(mesh_path), cfg, cache, mesh_path)
+    spectra = cli.MeshSpectra(load_mesh(mesh_path), cfg, cache, mesh_path)
     builds = []
     original = wavelets.build_filterbank
 
@@ -1126,6 +1126,64 @@ def test_warm_forwards_read_no_spectrum(run, tmp_path, monkeypatch):
     assert reads == []
 
 
+def _warm_dump(run, cache, out):
+    return cli.main(["wavelet-dump", "--mesh", str(run.data / "template.off"),
+                     "--config", run.model, "--k", K, "--cache", str(cache),
+                     "--out", str(out), "--vertex", "5", "--direction", "3",
+                     "--scale", "1"])
+
+
+# each command as (run, cache, out) -> exit code; eval reads the checkpoint
+# that train writes to run.train_out
+WARM_COMMANDS = {
+    "spectrum": lambda run, cache, out: _spectrum(run.data / "template.off",
+                                                  cache, out),
+    "train": lambda run, cache, out: _train(run.data, cache, out, run.model),
+    "eval": lambda run, cache, out: _eval(run, out, cache=cache),
+    "wavelet-dump": _warm_dump,
+}
+
+
+@pytest.fixture(scope="module")
+def warm(tmp_path_factory):
+    """A dataset of 2 training shapes and a cache that each command of
+    WARM_COMMANDS has run on once, train first into `train_out`."""
+    root = tmp_path_factory.mktemp("warm")
+    run = SimpleNamespace(
+        data=_gen_data(root, [["bend", 0.6], ["twist", 0.3], ["bend", -0.4]]),
+        model=_json(root / "model.json", MODEL), cache=root / "cache",
+        train_out=root / "train")
+    for command, start in WARM_COMMANDS.items():
+        assert start(run, run.cache, root / command) == 0
+    return run
+
+
+@pytest.mark.parametrize("command, lookups, with_eigenvectors", [
+    ("spectrum", 4, 0), ("train", 8, 0), ("eval", 0, 0),
+    ("wavelet-dump", 5, 1),
+])
+def test_warm_commands_read_eigenvectors_only_to_draw_a_wavelet(
+        warm, tmp_path, monkeypatch, command, lookups, with_eigenvectors):
+    # on a warm cache the kernel scales and the spectrum report come from
+    # eigenvalues read without the eigenvectors beside them, the banks are
+    # FBK1 hits, and wavelet-dump reads only the direction it draws: 4
+    # directions of the template, or of each of the 2 training shapes
+    cache = shutil.copytree(warm.cache, tmp_path / "cache")
+    found = []
+    load_spectrum = cli._load_spectrum
+
+    def counted(*args):
+        result = load_spectrum(*args)
+        found.append(None if result is None
+                     else result[0]["eigenvectors"].size > 0)
+        return result
+
+    monkeypatch.setattr(cli, "_load_spectrum", counted)
+    assert WARM_COMMANDS[command](warm, cache, tmp_path / "out") == 0
+    assert None not in found  # every lookup hit
+    assert (len(found), found.count(True)) == (lookups, with_eigenvectors)
+
+
 def test_bank_describes_alike_built_and_read(run, tmp_path):
     # the FBK1 file stores the L1 pass's float32 cast of the basis, so a
     # bank built on a miss, the same bank read on a hit and the float32
@@ -1135,7 +1193,7 @@ def test_bank_describes_alike_built_and_read(run, tmp_path):
     cfg = cli.ExperimentConfig.load(
         run.model, {"k": int(K), "kernel_lambda_max": run.lambda_max})
     cache = _spectra_only(run, tmp_path / "cache")
-    spectra = cli.load_spectra(mesh, cfg, cache, mesh_path)
+    spectra = cli.MeshSpectra(mesh, cfg, cache, mesh_path)
     built = cli.build_bank(spectra, cfg, cache, mesh_path)
     (fbk,) = cache.glob("*.fbk")
     read = cli.build_bank(spectra, cfg, cache, mesh_path)
@@ -1170,7 +1228,7 @@ def test_bank_miss_holds_one_float64_direction(tmp_path, capsys):
     assert _spectrum(mesh_path, cache, tmp_path / "s", "--k", "80") == 0
     capsys.readouterr()
     peak, bank = traced_peak(lambda: cli.build_bank(
-        cli.load_spectra(mesh, cfg, cache, mesh_path), cfg, cache,
+        cli.MeshSpectra(mesh, cfg, cache, mesh_path), cfg, cache,
         mesh_path))
     assert not capsys.readouterr().out  # the spectra were read, not solved
     n, k = mesh.n_vertices, cfg.k
@@ -1256,20 +1314,22 @@ def test_training_holds_one_shape_and_matches_prebuilt_banks(tmp_path,
         _json(tmp_path / "model.json", MODEL),
         {"k": int(K), "epochs": 2, "perturb": True, "cache": str(cache)})
 
-    # with gc off, a spectrum or bank still alive when the next spectrum
-    # is read is referenced from somewhere; both classes are unhashable,
-    # so they are weak dict values. The spy counts what is alive as each
-    # direction's read starts
+    # with gc off, eigenvectors or a bank still alive when the next
+    # direction is read are referenced from somewhere; neither is
+    # hashable, so they are weak dict values. The spy counts what is alive
+    # as each direction's read starts, of its spectrum or of its
+    # eigenvalues alone
     alive = weakref.WeakValueDictionary()
     alive_at_read = []
     build_bank = cli.build_bank
 
     class Spied(cli.MeshSpectra):
-        def _read(self, m, frames):
+        def _read(self, m, pick=None):
             alive_at_read.append(len(alive))
-            s = super()._read(m, frames)
-            alive[id(s)] = s
-            return s
+            arrays, provenance = super()._read(m, pick)
+            vectors = arrays["eigenvectors"]
+            alive[id(vectors)] = vectors
+            return arrays, provenance
 
     def read_bank(*args):
         bank = build_bank(*args)
@@ -1297,7 +1357,7 @@ def test_training_holds_one_shape_and_matches_prebuilt_banks(tmp_path,
         path = data / entry["mesh"]
         mesh = load_mesh(path)
         labels = synth.read_indices(data / entry["labels"])
-        bank = cli.build_bank(cli.load_spectra(mesh, cfg, cache, path), cfg,
+        bank = cli.build_bank(cli.MeshSpectra(mesh, cfg, cache, path), cfg,
                               cache, path)
         items.append(network.TrainItem(coords=mesh.vertices, labels=labels,
                                        load_bank=lambda bank=bank: bank))
@@ -1690,7 +1750,7 @@ def test_frames_and_wavelet_csvs_match_per_row_writers(run, tmp_path):
     cache = _own_cache(run, tmp_path / "cache")
     _dump(mesh_path, cache, tmp_path / "dump", run.model)
     cfg = cli.ExperimentConfig.load(run.model, {"k": int(K)})
-    spectra = cli.load_spectra(mesh, cfg, cache, mesh_path)
+    spectra = cli.MeshSpectra(mesh, cfg, cache, mesh_path)
     bank = cli.build_bank(spectra, cfg, cache, mesh_path)
     # the dump synthesizes from the float64 spectrum, not the float32 basis
     spec = list(spectra)[1]

@@ -20,9 +20,9 @@ from wavemesh.wavelets import (
     dense_filter_matrix,
     kernel_g,
     kernel_h,
+    localized_wavelet,
     passbands,
     select_scales,
-    wavelet_at,
 )
 
 from .conftest import build_bank_for, jittered_grid, spectra_for
@@ -385,13 +385,15 @@ class TestLocalizedWavelets:
                 brute = np.zeros(spec.n)
                 for k in range(spec.k):
                     brute += mass[v] * resp[k] * phi[v, k] * phi[:, k]
-                got = wavelet_at(small_bank, 0, j, v)
+                got = localized_wavelet(small_bank.basis[0], small_bank.mass,
+                                        small_bank.responses[0, j], v)
                 assert np.abs(got - brute).max() < 1e-12
 
     def test_response_recovery_in_mass_inner_product(self, small_bank,
                                                      small_spectra):
         spec = small_spectra[0]
-        w = wavelet_at(small_bank, 0, 1, 5)
+        w = localized_wavelet(small_bank.basis[0], small_bank.mass,
+                              small_bank.responses[0, 1], 5)
         for k in (0, 3, 9):
             got = spec.eigenvectors[:, k] @ (spec.mass * w)
             want = spec.mass[5] * small_bank.responses[0, 1][k] \
@@ -401,7 +403,8 @@ class TestLocalizedWavelets:
     def test_no_constant_component(self, small_bank):
         # g vanishes at lambda=0, so wavelets are orthogonal (in the
         # area-weighted inner product) to the constant direction
-        w = wavelet_at(small_bank, 0, 0, 3)
+        w = localized_wavelet(small_bank.basis[0], small_bank.mass,
+                              small_bank.responses[0, 0], 3)
         const = np.ones(small_bank.n_vertices)
         assert abs(const @ (small_bank.mass * w)) < 1e-10
 
@@ -414,8 +417,10 @@ class TestLocalizedWavelets:
         moved = TriMesh(base.vertices @ r.T + 2.0, base.faces.copy())
         bank_b = build_bank_for(moved, k=12, directions=1, scales=3)
         for v in (0, 17):
-            wa = wavelet_at(bank_a, 0, 1, v)
-            wb = wavelet_at(bank_b, 0, 1, v)
+            wa = localized_wavelet(bank_a.basis[0], bank_a.mass,
+                                   bank_a.responses[0, 1], v)
+            wb = localized_wavelet(bank_b.basis[0], bank_b.mass,
+                                   bank_b.responses[0, 1], v)
             assert np.abs(wa - wb).max() < 1e-6
 
     def test_eigenvalue_cluster_invariance(self, ico1):
@@ -436,17 +441,20 @@ class TestLocalizedWavelets:
         bank_a = build_filterbank([spec], kernel)
         bank_b = build_filterbank([remixed], kernel)
         for v in (2, 30):
-            wa = wavelet_at(bank_a, 0, 0, v)
-            wb = wavelet_at(bank_b, 0, 0, v)
+            wa = localized_wavelet(bank_a.basis[0], bank_a.mass,
+                                   bank_a.responses[0, 0], v)
+            wb = localized_wavelet(bank_b.basis[0], bank_b.mass,
+                                   bank_b.responses[0, 0], v)
             assert np.abs(wa - wb).max() < 1e-8
 
     def test_index_errors(self, small_bank):
+        shape = small_bank.l1_normalizers.shape
         with pytest.raises(IndexError):
-            wavelet_at(small_bank, 5, 0, 0)
+            wavelets.check_indices(shape, 5, 0, 0)
         with pytest.raises(IndexError):
-            wavelet_at(small_bank, 0, 9, 0)
+            wavelets.check_indices(shape, 0, 9, 0)
         with pytest.raises(IndexError):
-            wavelet_at(small_bank, 0, 0, 10**6)
+            wavelets.check_indices(shape, 0, 0, 10**6)
 
 
 def apply_one(bank, direction, scale, x):
