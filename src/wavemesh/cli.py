@@ -51,34 +51,34 @@ Spectra are read by direction (`MeshSpectra`): `train`'s pass that pins
 the kernel scales, an unpinned bank's lambda_max and the `spectrum` report
 read eigenvalues and provenance, and no eigenvector.
 Every command gets or builds each file it needs (so `spectrum` is an
-optional precompute) through one path, `_cached`: a key is a digest of
-everything the file was computed from, the file is named (`_cache_path`)
-`{mesh stem}.{key[:16]}.{spec,fbk,geo}`, and its metadata is {"key": key},
-checked again on read. A SPEC1 file also stores, under "provenance", how
-its spectrum was solved (`Spectrum.provenance`: the solver, "dense" or
-"lanczos", the largest residual, the orthonormality error and the inertia
-counts n_below_mu_minus and n_below_mu_plus, which both solvers record, and
-for a Lanczos solve ncv, restarts and operator_applications) and where
-the mesh's operator takes the world +x (`umbilic_fraction`, the share of
-umbilic vertices, and `fallback_face_fraction`, the share of faces whose
-averaged direction vanished; see `operators`), which
-`spectrum` reports with the file's path, one "stored" line per direction
-in direction order; a direction it solves gets its "computed" line just
-before its "stored" one. When n_below_mu_plus exceeds K, K
-splits a repeated eigenvalue, whose returned copies the filter banks drop
-(`spectrum.whole_count`), and the line that reports a solve, as the one that
-reports a stored spectrum, is followed by a warning on stderr. The keys
-cover, for a spectrum, the mesh content, alpha, theta (m*pi/M as a Python
-float) and the clamped k; for a bank, its spectra's keys, the resolved
-lambda_max and scales and `_BANK_RULE`, which names how banks are built, so
-that no bank of earlier versions is served; for geodesic rows, the target
-mesh content, the SHA-256 of the sorted distinct gt vertices and the
-geodesic method (`corresp.GEODESIC_METHOD`). A changed input is therefore a
-different file name, i.e. a miss; a corrupt file is a miss too, reported
-and rebuilt. Nothing is evicted; the basis adds M x N x K x 4 bytes to
-each FBK1 file (10.4 MiB at N = 3402, K = 200, M = 4) beside the SPEC1
-files it was cast from, and a GEO1 file holds |unique gt| x N_target x 8
-bytes (88 MiB at N = 3402 with every vertex a gt vertex).
+optional precompute) through one path, `_cached`. Every key follows one
+rule (`_cache_key`): the SHA-256 of the package digest, `_SOURCE_DIGEST`
+(taken at import over the name and bytes of every module of this package),
+and the file's inputs: for a spectrum, the mesh content, alpha, theta
+(m*pi/M as a Python float) and the clamped k; for a bank, its spectra's
+keys and the resolved lambda_max and scales; for geodesic rows, the target
+mesh content and the SHA-256 of the sorted distinct gt vertices. The file
+is named (`_cache_path`) `{mesh stem}.{key[:16]}.{spec,fbk,geo}`, and its
+metadata is {"key": key}, checked again on read. A SPEC1 file also
+stores, under "provenance", how its spectrum was solved
+(`Spectrum.provenance`: the solver, "dense" or "lanczos", the largest
+residual, the orthonormality error and the inertia counts n_below_mu_minus
+and n_below_mu_plus, which both solvers record, and for a Lanczos solve
+ncv, restarts and operator_applications) and where the mesh's operator
+takes the world +x (`umbilic_fraction`, the share of umbilic vertices, and
+`fallback_face_fraction`, the share of faces whose averaged direction
+vanished; see `operators`), which `spectrum` reports with the file's path,
+one "stored" line per direction in direction order; a direction it solves
+gets its "computed" line just before its "stored" one. When n_below_mu_plus
+exceeds K, K splits a repeated eigenvalue, whose returned copies the filter
+banks drop (`spectrum.whole_count`), and the line that reports a solve, as
+the one that reports a stored spectrum, is followed by a warning on stderr.
+An edit to any module, even to a comment, or a changed input is therefore a
+different file name, i.e. a miss; a corrupt file is a miss too, reported and
+rebuilt. Nothing is evicted; the basis adds M x N x K x 4 bytes to each FBK1
+file (10.4 MiB at N = 3402, K = 200, M = 4) beside the SPEC1 files it was
+cast from, and a GEO1 file holds |unique gt| x N_target x 8 bytes (88 MiB at
+N = 3402 with every vertex a gt vertex).
 
 A GEO1 file is never loaded whole. On a miss its rows are computed
 `corresp.GEO_BLOCK` sources at a time and each block is written as it is
@@ -274,12 +274,23 @@ def _checked(data, cls, what):
 _SUFFIXES = {"SPEC1": "spec", "FBK1": "fbk", "GEO1": "geo"}
 _BANK_ARRAYS = ("basis", "mass", "responses", "l1_normalizers",
                 "frame_bounds")
-_BANK_RULE = "float32 L1 pass over whole eigenspaces; float32 basis stored"
+
+
+def _source_digest(package_dir):
+    """SHA-256 hex digest of each module in `package_dir`, in name order:
+    its file name, then its bytes."""
+    h = hashlib.sha256()
+    for path in sorted(package_dir.glob("*.py")):
+        h.update(path.name.encode() + path.read_bytes())
+    return h.hexdigest()
+
+
+_SOURCE_DIGEST = _source_digest(Path(__file__).parent)
 
 
 def _cache_key(*parts):
-    """SHA-256 hex digest of the parts' reprs; every cache key comes from here."""
-    return hashlib.sha256(repr(parts).encode()).hexdigest()
+    """SHA-256 of the package digest and the parts: every key's one rule."""
+    return hashlib.sha256(repr((_SOURCE_DIGEST, *parts)).encode()).hexdigest()
 
 
 def _read_cache(path, kind, key, pick=None):
@@ -467,7 +478,7 @@ def build_bank(spectra, cfg, cache_dir, mesh_path):
         return {name: getattr(bank, name) for name in _BANK_ARRAYS}, {}
 
     arrays = _cached(
-        "FBK1", (*spectra.keys, float(lambda_max), cfg.scales, _BANK_RULE),
+        "FBK1", (*spectra.keys, float(lambda_max), cfg.scales),
         cache_dir, mesh_path, build)[0]
     return wavelets.FilterBank(kernel=kernel, **arrays)
 
@@ -613,8 +624,7 @@ def load_geodesics(target, gt, corr, cache_dir, mesh_path):
 
     arrays = _cached(
         "GEO1", (target.content_hash(),
-                 hashlib.sha256(sources.tobytes()).hexdigest(),
-                 corresp.GEODESIC_METHOD),
+                 hashlib.sha256(sources.tobytes()).hexdigest()),
         cache_dir, mesh_path, build,
         pick={"rows": inverse * target.n_vertices + corr})[0]
     return arrays["rows"]

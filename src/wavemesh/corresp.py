@@ -26,9 +26,9 @@ whose scores overflow re-scores every target.
 
 Geodesic distances are shortest paths over the edge graph with Euclidean
 edge lengths, an upper bound on the polyhedral geodesic. The overestimate is
-not negligible: on icospheres of 162 to 2562 vertices, measured against
-great-circle distance, its median is 6.9-7.3% and its maximum 21-23%, and
-it does not shrink as the mesh is refined. Every AGE and CGE reported here
+not negligible: on icospheres of 162, 642 and 2562 vertices, against great
+circles over all vertex pairs, its median is 5.93%, 6.55% and 6.63%, its
+maximum 21.1-23.4%, rising with refinement. Every AGE and CGE reported here
 is inflated accordingly. `evaluate` only scores: it takes one distance per
 source vertex, from its ground-truth vertex to its predicted one, from its
 caller, which checks the maps (`check_map`). Those come from one row per
@@ -53,7 +53,6 @@ from .errors import DisconnectedMesh, NonFiniteDescriptor
 
 MATCH_BLOCK = 256
 GEO_BLOCK = 128
-GEODESIC_METHOD = "dijkstra"  # names how geodesic_rows measures, in cache keys
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,18 @@
 """Synthetic shapes with ground-truth correspondence.
 
-Base generators (icosphere, bar, open or capped cylinder) produce
-deterministic vertex orderings. Deformations (bend, twist) keep the
-connectivity, so the ground-truth map is the identity; midpoint
-subdivision produces a remeshed variant whose new vertices map to the
-nearer (smaller-index) endpoint of their edge.
+Base generators (icosphere, bar, open cylinder) produce deterministic
+vertex orderings. Deformations (bend, twist) keep the connectivity, so the
+ground-truth map is the identity; midpoint subdivision produces a remeshed
+variant whose new vertices map to the nearer (smaller-index) endpoint of
+their edge.
 
 Every base mesh is built from two NumPy primitives, not per-element loops.
 The lattice quad split `_quad_split` triangulates the six sides of the bar
-and the ring lattice of the cylinder, whose caps are two fans. The 1-to-4
-split `remesh` numbers the midpoint of edge i (a row of `TriMesh.edges`)
-as n + i and finds it by a binary search of the edge key lo * n + hi; the
-icosphere is the icosahedron refined by `remesh` and projected onto the
-sphere, so its midpoints are numbered the same way.
+and the ring lattice of the cylinder. The 1-to-4 split `remesh` numbers
+the midpoint of edge i (a row of `TriMesh.edges`) as n + i and finds it by
+a binary search of the edge key lo * n + hi; the icosphere is the
+icosahedron refined by `remesh` and projected onto the sphere, so its
+midpoints are numbered the same way.
 """
 
 import json
@@ -147,12 +147,11 @@ def _quad_split(idx):
     return np.stack([a, b, c, a, c, d], axis=-1)
 
 
-def cylinder(resolution, caps=False):
-    """Cylinder of CYLINDER_RADIUS and CYLINDER_HEIGHT along z, centered at
-    the origin; open (boundary rings) unless caps is set. Ring j
-    holds vertices j * n_theta + i at angle 2 pi i / n_theta; the side is
-    the quad split of the ring lattice, whose last column wraps to angle 0,
-    and each cap is a fan from a centre vertex appended after the rings."""
+def cylinder(resolution):
+    """Open cylinder (two boundary rings) of CYLINDER_RADIUS and
+    CYLINDER_HEIGHT along z, centered at the origin. Ring j holds vertices
+    j * n_theta + i at angle 2 pi i / n_theta; the side is the quad split
+    of the ring lattice, whose last column wraps to angle 0."""
     if resolution < 1:
         raise ResolutionTooSmall("cylinder resolution must be >= 1")
     n_theta = 8 * resolution
@@ -167,14 +166,6 @@ def cylinder(resolution, caps=False):
     idx = ((np.arange(n_theta + 1) % n_theta)[:, None]
            + n_theta * np.arange(n_z + 1))
     faces = _quad_split(idx).swapaxes(0, 1).reshape(-1, 3)
-    if caps:
-        bottom, top = len(verts), len(verts) + 1
-        verts = np.concatenate([verts, [(0.0, 0.0, -CYLINDER_HEIGHT / 2.0),
-                                        (0.0, 0.0, CYLINDER_HEIGHT / 2.0)]])
-        low, high = idx[:, 0], idx[:, -1]
-        fans = np.stack([np.full(n_theta, bottom), low[1:], low[:-1],
-                         np.full(n_theta, top), high[:-1], high[1:]], axis=1)
-        faces = np.concatenate([faces, fans.reshape(-1, 3)])
     return TriMesh(verts, faces)
 
 

@@ -100,7 +100,7 @@ def icosphere(subdivisions):
     return TriMesh(np.asarray(verts), faces)
 
 
-def cylinder(resolution, caps=False, radius=1.0, height=4.0):
+def cylinder(resolution, radius=1.0, height=4.0):
     """Cylinder built vertex by vertex and face by face in nested loops."""
     n_theta = 8 * resolution
     n_z = 4 * resolution
@@ -118,15 +118,6 @@ def cylinder(resolution, caps=False, radius=1.0, height=4.0):
             c = (j + 1) * n_theta + (i + 1) % n_theta
             d = (j + 1) * n_theta + i
             faces += [(a, b, c), (a, c, d)]
-    if caps:
-        bottom = len(verts)
-        verts.append((0.0, 0.0, -height / 2.0))
-        top = len(verts)
-        verts.append((0.0, 0.0, height / 2.0))
-        for i in range(n_theta):
-            nxt = (i + 1) % n_theta
-            faces.append((bottom, nxt, i))
-            faces.append((top, n_z * n_theta + i, n_z * n_theta + nxt))
     return TriMesh(np.asarray(verts, dtype=np.float64),
                    np.asarray(faces, dtype=np.int64))
 

@@ -898,20 +898,32 @@ def _rekey(path, kind):
     return meta
 
 
-def test_cache_file_names_of_a_fixed_mesh_are_pinned(tmp_path):
-    # a change to what a SPEC1 or FBK1 key hashes, or to the repr of a
-    # part (theta m*pi/M and alpha as Python floats, the bank's build
-    # rule), renames
-    # every cached file; the kernel is pinned so that no eigenvalue enters
-    # the bank's key
+def test_cache_file_names_of_a_fixed_mesh_are_pinned(tmp_path, monkeypatch):
+    # under a fixed package digest, a change to what a SPEC1 or FBK1 key
+    # hashes, or to the repr of a part (theta m*pi/M and alpha as Python
+    # floats), renames every cached file; the kernel is pinned so that no
+    # eigenvalue enters the bank's key
+    monkeypatch.setattr(cli, "_SOURCE_DIGEST", "0" * 64)
     cfg = cli.ExperimentConfig(k=10, scales=2, kernel_lambda_max=1.0)
     spectra = cli.MeshSpectra(synth.gen_base("bar", 1), cfg, tmp_path,
                               "bar1.off")
     cli.build_bank(spectra, cfg, tmp_path, "bar1.off")
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "bar1.31255090527aae6b.spec", "bar1.3dbb20abd86800fb.fbk",
-        "bar1.9c9f2606fa010bd8.spec", "bar1.9d1515cf9a67913f.spec",
-        "bar1.ae3affc056ae360e.spec"]
+        "bar1.243f0c31427dd4fd.spec", "bar1.98321895d4f91fc6.fbk",
+        "bar1.a34b44fc8282b616.spec", "bar1.cefd64983bed9e92.spec",
+        "bar1.f60b308930c01c5a.spec"]
+
+
+def test_package_digest_covers_every_module(tmp_path):
+    # an unchanged copy of the package has the imported package's digest,
+    # and a comment appended to one module changes it
+    copy = tmp_path / "wavemesh"
+    shutil.copytree(Path(cli.__file__).parent, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    assert cli._source_digest(copy) == cli._SOURCE_DIGEST
+    with open(copy / "mesh.py", "a") as fh:
+        fh.write("# a comment\n")
+    assert cli._source_digest(copy) != cli._SOURCE_DIGEST
 
 
 def test_cached_spectrum_reports_how_it_was_solved(run, tmp_path, capsys,
@@ -1401,6 +1413,40 @@ def geodesic_calls(monkeypatch):
 def _outputs(out):
     return {p.name: p.read_bytes()
             for p in [out / "pairs.csv", *sorted(out.glob("cge_*.csv"))]}
+
+
+def test_a_changed_package_digest_misses_every_cache_kind(
+        run, tmp_path, capsys, monkeypatch, geodesic_calls):
+    # as after an edit to any module: spectrum solves every direction
+    # again, train builds every bank again and eval computes its geodesic
+    # rows again; with the digest restored, the original files hit
+    cache = _own_cache(run, tmp_path / "cache")
+    assert _eval(run, tmp_path / "warm", cache=cache) == 0
+    manifest = json.loads((run.data / "manifest.json").read_text())
+    builds = _record_builds(monkeypatch)
+
+    def misses(name):
+        """(spectra solved, banks built by train, geodesic sources)."""
+        del builds[:], geodesic_calls[:]
+        capsys.readouterr()
+        assert _spectrum(run.data / "template.off", cache,
+                         tmp_path / f"spectrum-{name}") == 0
+        solved = capsys.readouterr().out.count(": computed (")
+        assert _train(run.data, cache, tmp_path / f"train-{name}",
+                      run.model) == 0
+        built = len(builds)
+        assert _eval(run, tmp_path / f"eval-{name}", cache=cache) == 0
+        return solved, built, sum(geodesic_calls)
+
+    digest = cli._SOURCE_DIGEST
+    monkeypatch.setattr(cli, "_SOURCE_DIGEST", "0" * 64)
+    directions = cli.ExperimentConfig().directions
+    assert misses("edited") == (directions, len(manifest["training"]),
+                                _gt_sources(run))
+    monkeypatch.setattr(cli, "_SOURCE_DIGEST", digest)
+    assert misses("restored") == (0, 0, 0)
+    assert (_outputs(tmp_path / "eval-edited")
+            == _outputs(tmp_path / "eval-restored"))
 
 
 def test_second_eval_reads_the_geodesic_cache(run, tmp_path, geodesic_calls):

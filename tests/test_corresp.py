@@ -195,6 +195,19 @@ class TestGeodesics:
             dac = rows[lookup[a], c]
             assert dac <= dab + dbc + 1e-12
 
+    @pytest.mark.parametrize("subdivisions", [2, 3])
+    def test_overestimate_of_great_circles(self, subdivisions):
+        # the edge-graph bias that the module docstring states, over every
+        # pair of distinct vertices of the unit icosphere
+        mesh = wm.gen_base("icosphere", subdivisions)
+        v = mesh.vertices
+        great = np.arccos(np.clip(v @ v.T, -1.0, 1.0))
+        rows = geodesic_rows(mesh, np.arange(mesh.n_vertices))
+        pairs = ~np.eye(mesh.n_vertices, dtype=bool)
+        bias = rows[pairs] / great[pairs] - 1.0
+        assert 0.05 <= np.median(bias) <= 0.07
+        assert bias.max() < 0.25
+
     def test_both_edge_directions_give_the_undirected_rows(self):
         # the graph stores each edge both ways and is searched as directed;
         # the reference stores each edge once and is searched undirected

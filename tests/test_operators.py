@@ -180,14 +180,18 @@ class TestAnisotropicAssembly:
             energies.append(f @ (ops.stiffness @ f))
         assert all(b < a for a, b in zip(energies, energies[1:]))
 
-    def test_rigid_motion_invariance(self, open_cylinder):
-        frames = estimate_frames(open_cylinder)
-        base = assemble_albo(open_cylinder, frames, 50.0,
+    # invariance holds where no world +x fallback decides the operator: on
+    # the open cylinder, which has no umbilic vertex, at any alpha, and on
+    # any mesh at alpha 0, where the operator is the isotropic one
+    @pytest.mark.parametrize("kind, res, alpha", [
+        ("cylinder", 3, 50.0), ("bar", 3, 0.0), ("icosphere", 2, 0.0)])
+    def test_rigid_motion_invariance(self, kind, res, alpha):
+        mesh = wm.gen_base(kind, res)
+        base = assemble_albo(mesh, estimate_frames(mesh), alpha,
                              math.pi / 4).stiffness.toarray()
         r = rotation_matrix([0.3, 1.0, 0.2], 0.8)
-        moved = TriMesh(open_cylinder.vertices @ r.T + 5.0,
-                        open_cylinder.faces.copy())
-        moved_ops = assemble_albo(moved, estimate_frames(moved), 50.0,
+        moved = TriMesh(mesh.vertices @ r.T + 5.0, mesh.faces.copy())
+        moved_ops = assemble_albo(moved, estimate_frames(moved), alpha,
                                   math.pi / 4)
         diff = np.abs(moved_ops.stiffness.toarray() - base)
         scale = np.abs(base).max()

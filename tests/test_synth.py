@@ -52,7 +52,6 @@ class TestBases:
     def test_cylinder_open_by_default(self):
         mesh = gen_base("cylinder", 2)
         assert not mesh.is_closed
-        assert cylinder(2, caps=True).is_closed
 
     def test_resolution_too_small(self):
         with pytest.raises(ResolutionTooSmall):
@@ -65,7 +64,8 @@ class TestBases:
             gen_base("torus", 2)
 
     def test_keyword_arguments_rejected(self):
-        # a bar has no caps; the keyword must not be dropped silently
+        # a base generator takes no keyword arguments; one must not be
+        # dropped silently
         with pytest.raises(TypeError):
             gen_base("bar", 2, caps=True)
 
@@ -78,26 +78,17 @@ class TestBases:
                                np.cross(tri[:, 1], tri[:, 2])).sum() / 6.0
             assert volume > 0
 
-    @pytest.mark.parametrize("caps, euler", [(False, 0), (True, 2)])
-    def test_cylinder_orientation_and_topology(self, caps, euler):
+    def test_cylinder_orientation_and_topology(self):
         # resolution 2: 16 vertices around each of 9 rings
-        mesh = cylinder(2, caps=caps)
-        rings = 16 * 9
-        side = mesh.faces.max(axis=1) < rings   # caps touch a centre vertex
-        assert side.sum() == 2 * 16 * 8
-        centroid = mesh.vertices[mesh.faces[side]].mean(axis=1)
-        outward = np.einsum("ij,ij->i", mesh.face_normals[side, :2],
+        mesh = cylinder(2)
+        assert mesh.n_vertices == 16 * 9
+        assert mesh.n_faces == 2 * 16 * 8
+        centroid = mesh.vertices[mesh.faces].mean(axis=1)
+        outward = np.einsum("ij,ij->i", mesh.face_normals[:, :2],
                             centroid[:, :2])
         assert (outward > 0).all()
-        assert mesh.n_vertices - mesh.n_edges + mesh.n_faces == euler
-        assert mesh.is_closed == caps
-        if caps:
-            # a prism of height 4 over the regular 16-gon of circumradius 1
-            tri = mesh.vertices[mesh.faces]
-            volume = np.einsum("ij,ij->i", tri[:, 0],
-                               np.cross(tri[:, 1], tri[:, 2])).sum() / 6.0
-            assert volume == pytest.approx(4 * 8 * math.sin(math.pi / 8),
-                                           rel=1e-12)
+        assert mesh.n_vertices - mesh.n_edges + mesh.n_faces == 0
+        assert not mesh.is_closed
 
 
 class TestDeform:
@@ -284,11 +275,10 @@ class TestVectorizedGenerators:
         assert same_bits(got.vertices, want.vertices)
         assert same_bits(got.faces, want.faces)
 
-    @pytest.mark.parametrize("caps", [False, True])
     @pytest.mark.parametrize("res", [1, 2, 3, 5])
-    def test_cylinder_matches_nested_loops(self, res, caps):
-        got = cylinder(res, caps=caps)
-        want = ref.cylinder(res, caps=caps)
+    def test_cylinder_matches_nested_loops(self, res):
+        got = cylinder(res)
+        want = ref.cylinder(res)
         assert same_bits(got.vertices, want.vertices)
         assert same_bits(got.faces, want.faces)
 
