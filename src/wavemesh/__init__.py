@@ -7,7 +7,6 @@ from .curvature import PrincipalFrames, estimate_frames
 from .mesh import TriMesh, load_mesh, vertex_mass, write_off
 from .network import Model, ModelConfig, TrainItem, train
 from .operators import (
-    OperatorPair,
     anisotropy_tensor,
     assemble_albo,
     assemble_lbo,

@@ -36,7 +36,8 @@ When the arrays are freed:
   responses, the reciprocal L1 normalizers and the passbands. The
   eigenvectors are the bank's (M, N, K) basis itself when it is in the
   forward's dtype, as ``cli``'s float32 banks are for a float32 network,
-  and one cast copy otherwise. No tape entry keeps its own copy of them.
+  and one cast copy otherwise, as is the mass (in float64 the mesh's own
+  ``TriMesh.mass``). No tape entry keeps its own copy of them.
   ``_head_input`` takes the bank as a loader and keeps only the
   ``MixBank``, so the loaded ``FilterBank``, and a basis it had to cast,
   are freed before the first ``wavelet_mix`` runs. A ``cli`` bank hit

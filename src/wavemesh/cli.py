@@ -41,12 +41,14 @@ cache problems.
 Cache layout: the cache directory holds one SPEC1 file per mesh and
 direction, one FBK1 filter bank per mesh and kernel, and one GEO1 file of
 ground-truth geodesic rows per evaluated target mesh and ground truth.
-An FBK1 file holds all that a forward reads of its mesh (`_BANK_ARRAYS`):
-the M directions' eigenvectors, cast once to float32, as one (M, N, K)
-array, the lumped mass, the responses, the L1 normalizers and the frame
-bounds. So a training step or `eval`'s `describe` whose kernel scales are
-pinned reads one file on a hit and no SPEC1 file; on a miss the bank is
-built from the spectra one direction at a time (`build_bank`).
+An FBK1 file holds, with its mesh, all that a forward reads
+(`_BANK_ARRAYS`): the M directions' eigenvectors, cast once to float32, as
+one (M, N, K) array, the responses, the L1 normalizers and the frame
+bounds. No file stores the lumped mass: `MeshSpectra` and `build_bank`
+attach the mesh's `TriMesh.mass` to every spectrum and bank. So a
+training step or `eval`'s `describe` whose kernel scales are pinned reads
+one file on a hit and no SPEC1 file; on a miss the bank is built from the
+spectra one direction at a time (`build_bank`).
 Spectra are read by direction (`MeshSpectra`): `train`'s pass that pins
 the kernel scales, an unpinned bank's lambda_max and the `spectrum` report
 read eigenvalues and provenance, and no eigenvector.
@@ -272,8 +274,7 @@ def _checked(data, cls, what):
 # --- the cache of spectra, filter banks and geodesic rows ----------------------
 
 _SUFFIXES = {"SPEC1": "spec", "FBK1": "fbk", "GEO1": "geo"}
-_BANK_ARRAYS = ("basis", "mass", "responses", "l1_normalizers",
-                "frame_bounds")
+_BANK_ARRAYS = ("basis", "responses", "l1_normalizers", "frame_bounds")
 
 
 def _source_digest(package_dir):
@@ -389,9 +390,10 @@ class MeshSpectra:
     that a bank lookup needs (`build_bank`).
 
     A lazy sequence over the directions: `spectra[m]` reads direction m's
-    spectrum from the SPEC1 cache, and `eigenvalues(m)` only its
-    eigenvalues and provenance. Each read is one `_load_spectrum` call and
-    nothing read is kept, so a caller holds only the spectra it keeps. A
+    spectrum from the SPEC1 cache, with the mesh's own `mass` array, and
+    `eigenvalues(m)` only its eigenvalues and provenance. Each read is one
+    `_load_spectrum` call and nothing read is kept, so a caller holds only
+    the spectra it keeps. A
     miss is solved, written and reported in one line, followed by
     `_warn_if_split`'s warning when K splits an eigenspace; a hit is
     silent. The mesh's curvature frames are estimated at the first miss
@@ -416,12 +418,12 @@ class MeshSpectra:
 
     def __getitem__(self, m):
         arrays, provenance = self._read(m)
-        return Spectrum(**arrays, provenance=provenance)
+        return Spectrum(**arrays, mass=self.mesh.mass, provenance=provenance)
 
     def eigenvalues(self, m):
         """(eigenvalues, provenance) of direction m, read without its
-        eigenvectors and mass."""
-        arrays, provenance = self._read(m, {"eigenvectors": (), "mass": ()})
+        eigenvectors."""
+        arrays, provenance = self._read(m, {"eigenvectors": ()})
         return arrays["eigenvalues"], provenance
 
     def lambda_max(self):
@@ -443,9 +445,10 @@ class MeshSpectra:
                     "fallback_face_fraction": float(
                         fallback_faces(mesh, f).mean())})
             f, shares = self._frames
-            spec = solve_eigs(assemble_albo(mesh, f, alpha, theta), k)
+            spec = solve_eigs(assemble_albo(mesh, f, alpha, theta),
+                              mesh.mass, k)
             return ({"eigenvalues": spec.eigenvalues,
-                     "eigenvectors": spec.eigenvectors, "mass": spec.mass},
+                     "eigenvectors": spec.eigenvectors},
                     {"provenance": {**spec.provenance, **shares}})
 
         arrays, meta, path, hit = _cached(
@@ -467,9 +470,10 @@ def build_bank(spectra, cfg, cache_dir, mesh_path):
     from this mesh's own largest eigenvalue (`MeshSpectra.lambda_max`,
     which reads no eigenvector). A bank is keyed by its spectra's keys,
     so a hit with the scales pinned reads no spectrum: it reads one FBK1
-    file, which holds the float32 basis and the mass a forward needs. A
-    miss reads the spectra into the float32 L1 pass one direction at a
-    time and stores the pass's cast of each as the bank's basis."""
+    file, which holds the float32 basis a forward needs; the mass is
+    `spectra.mesh.mass`. A miss reads the spectra into the float32 L1 pass
+    one direction at a time and stores the pass's cast of each as the
+    bank's basis."""
     lambda_max = cfg.kernel_lambda_max or spectra.lambda_max()
     kernel = wavelets.KernelSpec.mexican_hat(lambda_max, cfg.scales)
 
@@ -480,7 +484,7 @@ def build_bank(spectra, cfg, cache_dir, mesh_path):
     arrays = _cached(
         "FBK1", (*spectra.keys, float(lambda_max), cfg.scales),
         cache_dir, mesh_path, build)[0]
-    return wavelets.FilterBank(kernel=kernel, **arrays)
+    return wavelets.FilterBank(kernel=kernel, mass=spectra.mesh.mass, **arrays)
 
 
 def _bank_loader(mesh, cfg, cache_dir, mesh_path):

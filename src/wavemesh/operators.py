@@ -1,8 +1,8 @@
-"""Sparse stiffness/mass assembly for the isotropic and anisotropic
+"""Sparse stiffness assembly for the isotropic and anisotropic
 Laplace-Beltrami operators.
 
-Both assemblies produce the positive semi-definite stiffness convention
-(eigenvalues >= 0) paired with the lumped Voronoi mass vector. The
+Both assemblies return only the positive semi-definite CSR stiffness
+(eigenvalues >= 0); the pencil's lumped mass is `TriMesh.mass`. The
 anisotropic operator scales diffusion by 1/(1+alpha) along the rotated
 per-triangle curvature direction; alpha = 0 reduces it to the cotangent
 Laplacian exactly. A filter bank takes one anisotropic operator per angle
@@ -19,7 +19,6 @@ of each in every solved spectrum's provenance.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -36,18 +35,6 @@ def direction_angles(directions):
     return [m * math.pi / directions for m in range(directions)]
 
 
-@dataclass(frozen=True)
-class OperatorPair:
-    """Stiffness matrix + lumped mass vector for one (alpha, theta)."""
-
-    stiffness: sparse.csr_matrix
-    mass: np.ndarray
-
-    @property
-    def n(self):
-        return self.stiffness.shape[0]
-
-
 def anisotropy_tensor(alpha, theta):
     """2x2 conductivity tensor R_theta diag(1/(1+alpha), 1) R_theta^T."""
     if alpha < 0:
@@ -58,7 +45,7 @@ def anisotropy_tensor(alpha, theta):
 
 
 def assemble_lbo(mesh):
-    """Cotangent stiffness matrix with the Voronoi mass vector."""
+    """Cotangent stiffness matrix."""
     f = mesh.faces
     cot = corner_cotangents(mesh)
 
@@ -75,7 +62,7 @@ def assemble_lbo(mesh):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n)).tocsr()
     stiff.sum_duplicates()
-    return OperatorPair(stiffness=stiff, mass=mesh.mass.copy())
+    return stiff
 
 
 def _triangle_directions(mesh, frames):
@@ -147,4 +134,4 @@ def assemble_albo(mesh, frames, alpha, theta):
     n = mesh.n_vertices
     stiff = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     stiff.sum_duplicates()
-    return OperatorPair(stiffness=stiff, mass=mesh.mass.copy())
+    return stiff

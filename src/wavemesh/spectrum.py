@@ -1,4 +1,6 @@
-"""Smallest-K eigenpairs of the generalized problem W phi = lambda A phi.
+"""Smallest-K eigenpairs of the generalized problem W phi = lambda A phi,
+for the stiffness W of `operators` and a mesh's lumped mass A
+(`TriMesh.mass`), which the returned Spectrum keeps itself, not a copy.
 
 The mass A is lumped (diagonal), so the pencil is solved in the symmetric
 standard form of Manifold Harmonics (Vallet & Levy 2008): with
@@ -103,7 +105,7 @@ class Spectrum:
 
     eigenvalues : (k,) ascending, >= 0
     eigenvectors : (n, k), columns mass-orthonormal, sign-canonicalized
-    mass : (n,) lumped mass vector of the pencil
+    mass : (n,) lumped mass vector of the pencil, the array it was solved with
     provenance : how it was solved ("solver", "max_residual",
         "ortho_error", "n_below_mu_minus", "n_below_mu_plus"; on the
         sparse path also "ncv", "restarts", "operator_applications"); the
@@ -169,16 +171,17 @@ def _verify(stiffness, mass, vals, vecs):
     return float(ortho_err), rel
 
 
-def solve_eigs(ops, k):
-    """Smallest-k eigenpairs of ops.stiffness x = lambda diag(ops.mass) x."""
-    n = ops.n
+def solve_eigs(stiffness, mass, k):
+    """Smallest-k eigenpairs of stiffness x = lambda diag(mass) x; the
+    Spectrum keeps `mass` itself (read-only), cast if it is not float64."""
+    n = stiffness.shape[0]
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > n:
         raise KTooLarge(f"k={k} exceeds vertex count {n}")
 
-    stiffness = ops.stiffness.tocsc()
-    mass = np.asarray(ops.mass, dtype=np.float64)
+    stiffness = stiffness.tocsc()
+    mass = np.asarray(mass, dtype=np.float64)
 
     d = 1.0 / np.sqrt(mass)
     scaling = sparse.diags(d)
@@ -215,7 +218,7 @@ def solve_eigs(ops, k):
     provenance.update(_inertia_counts(count_below, sigma, vals))
 
     provenance.update(max_residual=float(rel.max()), ortho_error=ortho_err)
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs, mass=mass.copy(),
+    return Spectrum(eigenvalues=vals, eigenvectors=vecs, mass=mass,
                     provenance=provenance)
 
 

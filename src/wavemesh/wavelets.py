@@ -31,10 +31,10 @@ K 200, within a bound of about 2e-6 that the tests derive from float32's
 unit roundoff. The normalizers are stored float64 either way.
 
 A bank keeps no spectrum: its (M, N, K) basis is the eigenvectors as the
-L1 pass read them, in the pass's precision. ``build_filterbank`` reads its
-spectra one direction at a time, so a caller whose sequence reads each as
-it is indexed (``cli.MeshSpectra``) holds one float64 spectrum during a
-build.
+L1 pass read them, in the pass's precision, and its mass is the spectra's
+own array. ``build_filterbank`` reads its spectra one direction at a time,
+so a caller whose sequence reads each as it is indexed
+(``cli.MeshSpectra``) holds one float64 spectrum during a build.
 
 When a spectrum's inertia counts show that K cuts a repeated eigenvalue
 (``Spectrum.n_whole``), its returned copies get a response of 0 in every
@@ -109,11 +109,12 @@ class KernelSpec:
 @dataclass(frozen=True)
 class FilterBank:
     """Factored wavelet operators for M directions x J scales: what the
-    network reads, and all that the FBK1 cache stores of a bank.
+    network reads. The FBK1 cache stores every array but the mass.
 
     basis[m] holds direction m's K eigenvectors as the L1 pass that built
     the bank cast them (``build_filterbank``'s `dtype`); mass is the
-    lumped mass the directions share, in float64. responses[m, j] holds
+    lumped mass the directions share, in float64: the spectra's own array
+    (in ``cli``, the mesh's ``TriMesh.mass``). responses[m, j] holds
     g(t_j lambda_{m,k}) over the K sampled eigenvalues. l1_normalizers[m, j]
     are the column L1 norms of the dense filter matrix
     diag(a) Phi diag(resp) Phi^T, i.e. the L1 norms of the localized,
@@ -162,7 +163,8 @@ def build_filterbank(spectra, kernel, dtype=np.float64):
     direction order. They must agree in N and K and carry equal lumped
     masses, which ``autodiff.wavelet_mix`` applies once for all
     directions; a mismatch raises SpectrumMismatch when its direction is
-    read. Never materializes an N x N operator.
+    read; the bank keeps the first one's array. Never materializes an
+    N x N operator.
 
     `dtype` is the precision of the L1 pass (float64 or float32): the
     basis, mass, panels and sums of the normalizers. Each direction's
@@ -180,7 +182,7 @@ def build_filterbank(spectra, kernel, dtype=np.float64):
             n, k = spec.n, spec.k
             bank = FilterBank(
                 kernel=kernel, basis=np.empty((m, n, k), dtype),
-                mass=spec.mass.copy(), responses=np.empty((m, j, k)),
+                mass=spec.mass, responses=np.empty((m, j, k)),
                 l1_normalizers=np.zeros((m, j, n)),
                 frame_bounds=np.empty((m, 2)))
             mass = bank.mass.astype(dtype, copy=False)

@@ -9,7 +9,7 @@ from wavemesh.corresp import geodesic_rows
 from wavemesh.curvature import estimate_frames
 from wavemesh.errors import SingleVertexShape
 from wavemesh.mesh import TriMesh
-from wavemesh.operators import assemble_albo
+from wavemesh.operators import assemble_albo, assemble_lbo
 from wavemesh.spectrum import solve_eigs
 from wavemesh.wavelets import KernelSpec, build_filterbank
 
@@ -127,9 +127,14 @@ def test_kernel(spectra, scales):
     return KernelSpec(scales=ts, cutoff=0.4 * lam_max)
 
 
+def solve_lbo(mesh, k):
+    """The first k eigenpairs of `mesh`'s cotangent Laplacian."""
+    return solve_eigs(assemble_lbo(mesh), mesh.mass, k)
+
+
 def spectra_for(mesh, k, directions=1, alpha=0.0):
     frames = estimate_frames(mesh)
-    return [solve_eigs(assemble_albo(mesh, frames, alpha, t), k)
+    return [solve_eigs(assemble_albo(mesh, frames, alpha, t), mesh.mass, k)
             for t in wm.direction_angles(directions)]
 
 

@@ -382,14 +382,16 @@ def test_train_on_a_manifest_without_training_shapes_exits_2_and_writes_nothing(
     lambda m: m.update(training=5),
     lambda m: m["training"][0].update(mesh=5),
     lambda m: m["pairs"][0].update(gt=None),
+    lambda m: [m],
+    lambda m: m["pairs"][0].update(gt="absent.txt"),
 ], ids=["training-entry-int", "pair-int", "training-int", "mesh-int",
-        "gt-null"])
+        "gt-null", "list", "missing-file"])
 def test_malformed_manifest_exits_2_and_writes_nothing(run, tmp_path, capsys,
                                                        damage, command):
     data = tmp_path / "data"
     shutil.copytree(run.data, data)
     manifest = json.loads((data / "manifest.json").read_text())
-    damage(manifest)
+    manifest = damage(manifest) or manifest  # a damage may replace it
     (data / "manifest.json").write_text(json.dumps(manifest))
     out = tmp_path / "out"
     capsys.readouterr()
@@ -695,7 +697,7 @@ def test_zero_wavelet_columns_of_a_cut_spectrum_name_the_cut(tmp_path,
              "keeps only the n_whole 1 eigenpairs below it; a K of at least "
              "4 (n_below_mu_plus) keeps the cut eigenspace")
     spec = spectrum.solve_eigs(
-        assemble_albo(ico0, estimate_frames(ico0), 0.0, 0.0), 3)
+        assemble_albo(ico0, estimate_frames(ico0), 0.0, 0.0), ico0.mass, 3)
     with pytest.raises(ZeroColumnNorm) as info:
         wavelets.build_filterbank([spec], wavelets.KernelSpec.mexican_hat(
             spec.lambda_max, 1))
@@ -811,6 +813,35 @@ def test_config_that_is_not_an_object_exits_2(run, tmp_path):
     config = _json(tmp_path / "list.json", [1])
     assert _spectrum(run.data / "template.off", tmp_path / "cache",
                      tmp_path / "s", "--config", config) == 2
+
+
+@pytest.mark.parametrize("command, message", [
+    ("gen-data", "gen-data requires --config with a dataset spec"),
+    ("eval", "eval requires --checkpoint"),
+    ("spectrum", "this command requires --mesh (or config key)"),
+    ("train", "this command requires --dataset (or config key)"),
+])
+def test_command_without_its_input_exits_2_and_writes_nothing(
+        tmp_path, capsys, monkeypatch, command, message):
+    monkeypatch.chdir(tmp_path)  # where the default `out` would be written
+    assert cli.main([command]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_malformed_radii_flag_exits_2(run, tmp_path, capsys):
+    assert _eval(run, tmp_path / "eval", "--radii", "1:2") == 2
+    assert ("error: radii must be start:stop:step, got '1:2'"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "eval").exists()
+
+
+def test_config_whose_radii_step_is_zero_exits_2(run, tmp_path, capsys):
+    config = _json(tmp_path / "radii.json", {"radii": [0, 1, 0]})
+    assert _spectrum(run.data / "template.off", tmp_path / "cache",
+                     tmp_path / "s", "--config", config) == 2
+    assert "error: bad radii spec [0, 1, 0]" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_training_labels_of_another_length_exit_2_before_any_bank(
@@ -955,6 +986,27 @@ def test_cached_spectrum_reports_how_it_was_solved(run, tmp_path, capsys,
                                     *sorted([*fields, f"key {key}"])])
 
 
+def test_default_k_on_a_36_vertex_mesh_is_clamped_and_solved_dense(
+        tmp_path, capsys, caplog):
+    # the default K 200 on bar res 1 (N 36) is clamped to N - 1 = 35,
+    # which the size rule (K > N - 2) sends to the dense solver; a second
+    # run reads the same four SPEC1 files
+    path = tmp_path / "bar1.off"
+    write_off(synth.gen_base("bar", 1), path)
+    argv = ["spectrum", "--mesh", str(path), "--cache",
+            str(tmp_path / "cache"), "--out", str(tmp_path / "s")]
+    assert cli.main(argv) == 0
+    assert ("requested 200 eigenpairs on a 36-vertex mesh; using 35"
+            in caplog.text)
+    stored = [line for line in capsys.readouterr().out.splitlines()
+              if ": stored (" in line]
+    assert len(stored) == 4
+    assert all(", solver dense," in line for line in stored)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == stored
+    assert len(list((tmp_path / "cache").glob("*.spec"))) == 4
+
+
 def test_spectrum_reports_the_lanczos_run(run, tmp_path, capsys):
     # a solve records its solver, basis, restarts, operator applications
     # and both inertia counts
@@ -1059,7 +1111,7 @@ def test_spectrum_command_holds_one_direction_at_a_time(tmp_path, capsys):
         assert code == 0
         peaks.append(peak)
     assert capsys.readouterr().out.count(": stored (") == 1 + 4
-    one_spectrum = (mesh.n_vertices * (k + 1) + k) * 8
+    one_spectrum = (mesh.n_vertices * k + k) * 8
     assert peaks[1] - peaks[0] <= 4096, (peaks[1] - peaks[0]) / one_spectrum
 
 
@@ -1218,10 +1270,38 @@ def test_bank_describes_alike_built_and_read(run, tmp_path):
     for bank in (built, read):
         assert np.array_equal(
             network.descriptors(model, mesh.vertices, lambda: bank), want)
-    # the file holds every array the network reads
+    # the file holds every array the network reads but the mass, which is
+    # the mesh's
     arrays = read_container(fbk, "FBK1")[0]
     assert arrays["basis"].shape == (cfg.directions, mesh.n_vertices, int(K))
-    assert np.array_equal(arrays["mass"], mesh.mass)
+    assert set(arrays) == set(cli._BANK_ARRAYS)
+
+
+def test_cache_files_hold_no_mass_and_readers_get_the_meshs(tmp_path,
+                                                             capsys):
+    # the lumped mass is the mesh's alone: no SPEC1 or FBK1 file stores
+    # it, and every spectrum and bank the cache returns, on a miss and on
+    # a hit, carries the mesh's own array
+    mesh = synth.gen_base("bar", 1)
+    mesh_path = tmp_path / "bar1.off"
+    write_off(mesh, mesh_path)
+    assert cli.main(["wavelet-dump", "--mesh", str(mesh_path), "--k", "10",
+                     "--vertex", "0", "--cache", str(tmp_path / "dumped"),
+                     "--out", str(tmp_path / "dump")]) == 0
+    files = {kind: sorted((tmp_path / "dumped").glob(f"*.{suffix}"))
+             for kind, suffix in (("SPEC1", "spec"), ("FBK1", "fbk"))}
+    assert (len(files["SPEC1"]), len(files["FBK1"])) == (4, 1)
+    for kind, paths in files.items():
+        for path in paths:
+            assert "mass" not in read_container(path, kind)[0]
+    cfg = cli.ExperimentConfig(k=10)
+    cache = tmp_path / "cache"
+    for hit in (False, True):
+        spectra = cli.MeshSpectra(mesh, cfg, cache, mesh_path)
+        assert all(spectra[m].mass is mesh.mass for m in range(len(spectra)))
+        assert cli.build_bank(spectra, cfg, cache, mesh_path).mass \
+            is mesh.mass
+        assert bool(capsys.readouterr().out) is not hit  # a miss reports
 
 
 def test_bank_miss_holds_one_float64_direction(tmp_path, capsys):
@@ -1244,7 +1324,7 @@ def test_bank_miss_holds_one_float64_direction(tmp_path, capsys):
         mesh_path))
     assert not capsys.readouterr().out  # the spectra were read, not solved
     n, k = mesh.n_vertices, cfg.k
-    float64_spectrum = (n * (k + 1) + k) * 8
+    float64_spectrum = (n * k + k) * 8
     l1_buffers = (min(wavelets.L1_BLOCK, n) * n + n * k) * 4
     kept = bank.basis.nbytes + bank.l1_normalizers.nbytes
     assert peak <= (kept + l1_buffers + float64_spectrum

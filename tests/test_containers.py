@@ -149,6 +149,16 @@ class TestCorruption:
         with pytest.raises(CorruptCache):
             read_container(path)
 
+    def test_unsupported_version(self, tmp_path):
+        # the u32 version follows the 8-byte magic
+        path = tmp_path / "x.spec"
+        write_container(path, "SPEC1", {"a": np.zeros(2)})
+        blob = bytearray(path.read_bytes())
+        blob[8:12] = (2).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptCache, match="unsupported version 2"):
+            read_container(path, "SPEC1")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorruptCache):
             read_container(tmp_path / "absent.spec")

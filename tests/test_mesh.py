@@ -99,6 +99,14 @@ class TestLoading:
         assert cli.main(["mesh-info", "--mesh", str(path)]) == 2
         assert str(path) in capsys.readouterr().err
 
+    def test_unknown_suffix_rejected(self, tmp_path, capsys):
+        path = write(tmp_path, "tet.ply", "ply\n")
+        with pytest.raises(ParseError, match="cannot infer format"):
+            load_mesh(path)
+        assert cli.main(["mesh-info", "--mesh", str(path)]) == 2
+        assert f"cannot infer format from {str(path)!r}" in \
+            capsys.readouterr().err
+
     def test_unit_icosahedron_area(self, tmp_path, ico0):
         # closed form: 20 equilateral faces of edge s = 4/sqrt(10+2*sqrt(5))
         # for unit circumradius, total 5*sqrt(3)*s^2

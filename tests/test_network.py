@@ -537,7 +537,8 @@ class TestTraining:
         for shape, labels in ((mesh, np.arange(n)), (renumbered, perm)):
             frames = wm.estimate_frames(shape)
             spectra = [wm.solve_eigs(wm.assemble_albo(shape, frames, 50.0, t),
-                                     20) for t in wm.direction_angles(4)]
+                                     shape.mass, 20)
+                       for t in wm.direction_angles(4)]
             kernel = kernel or KernelSpec.mexican_hat(
                 max(s.lambda_max for s in spectra), 2)
             bank = build_filterbank(spectra, kernel)

@@ -23,7 +23,8 @@ SCALES = 4
 
 def _spectrum(mesh):
     # alpha = 0: the isotropic operator, whose frames do not matter
-    return solve_eigs(assemble_albo(mesh, estimate_frames(mesh), 0.0, 0.0), K)
+    return solve_eigs(assemble_albo(mesh, estimate_frames(mesh), 0.0, 0.0),
+                      mesh.mass, K)
 
 
 def _shared(coarse, fine):

@@ -12,7 +12,6 @@ from wavemesh import autodiff as ad
 from wavemesh import wavelets
 from wavemesh.errors import SpectrumMismatch, ZeroColumnNorm
 from wavemesh.mesh import TriMesh
-from wavemesh.operators import assemble_lbo
 from wavemesh.spectrum import solve_eigs
 from wavemesh.wavelets import (
     KernelSpec,
@@ -25,7 +24,7 @@ from wavemesh.wavelets import (
     select_scales,
 )
 
-from .conftest import build_bank_for, jittered_grid, spectra_for
+from .conftest import build_bank_for, jittered_grid, solve_lbo, spectra_for
 from .conftest import test_kernel as kernel_for  # not collected as a test
 from .conftest import traced_peak
 
@@ -138,8 +137,8 @@ class TestBankConstruction:
         assert (aniso_bank_30.l1_normalizers > 0).all()
 
     def test_spectrum_mismatch(self, small_mesh, ico1):
-        a = solve_eigs(assemble_lbo(small_mesh), 10)
-        b = solve_eigs(assemble_lbo(ico1), 10)
+        a = solve_lbo(small_mesh, 10)
+        b = solve_lbo(ico1, 10)
         kernel = kernel_for([a], 2)
         build_filterbank([a], kernel)
         # b is read after a's direction is built, so a's must fit the kernel
@@ -148,7 +147,7 @@ class TestBankConstruction:
 
     def test_spectra_with_different_masses_mismatch(self, small_mesh):
         # same N and K, so only the mass check can tell them apart
-        a = solve_eigs(assemble_lbo(small_mesh), 10)
+        a = solve_lbo(small_mesh, 10)
         b = dataclasses.replace(a, mass=a.mass * (1 + 1e-12))
         kernel = KernelSpec.mexican_hat(a.lambda_max, 1)
         bank = build_filterbank([a, dataclasses.replace(a)], kernel)
@@ -171,14 +170,14 @@ class TestBankConstruction:
         # unchanged; under counts that miss the cut the filters moved by
         # over 1%
         mesh = wm.gen_base(*base)
-        ops = wm.assemble_albo(mesh, wm.estimate_frames(mesh), 0.0, 0.0)
-        spec = solve_eigs(ops, k)
+        stiff = wm.assemble_albo(mesh, wm.estimate_frames(mesh), 0.0, 0.0)
+        spec = solve_eigs(stiff, mesh.mass, k)
         whole, plus = counts
         assert spec.provenance["solver"] == solver
         assert (spec.n_whole, spec.provenance["n_below_mu_plus"]) == counts
-        space = scipy.linalg.eigh(ops.stiffness.toarray(),
-                                  np.diag(ops.mass))[1][:, whole:plus]
-        c = space.T @ (ops.mass[:, None] * spec.eigenvectors[:, whole:])
+        space = scipy.linalg.eigh(stiff.toarray(),
+                                  np.diag(mesh.mass))[1][:, whole:plus]
+        c = space.T @ (mesh.mass[:, None] * spec.eigenvectors[:, whole:])
         # the copies lie in the space
         np.testing.assert_allclose(np.linalg.norm(c, axis=0), 1, atol=1e-9)
         turn = np.linalg.qr(np.random.default_rng(0).standard_normal(
@@ -233,7 +232,7 @@ class TestBankConstruction:
     def test_peak_memory_below_one_dense_filter(self, monkeypatch):
         monkeypatch.setattr(wavelets, "L1_BLOCK", 16)
         mesh = jittered_grid(19, 19, seed=13)  # 400 vertices
-        spectra = [solve_eigs(assemble_lbo(mesh), 20)]
+        spectra = [solve_lbo(mesh, 20)]
         kernel = KernelSpec.mexican_hat(spectra[0].lambda_max, 4)
         n = mesh.n_vertices
         peak, _ = traced_peak(lambda: build_filterbank(spectra, kernel))
@@ -426,7 +425,7 @@ class TestLocalizedWavelets:
     def test_eigenvalue_cluster_invariance(self, ico1):
         # remixing eigenvectors of a degenerate cluster with an orthogonal
         # matrix leaves the filter (a function of lambda alone) unchanged
-        spec = solve_eigs(assemble_lbo(ico1), 8)
+        spec = solve_lbo(ico1, 8)
         lam = spec.eigenvalues
         assert np.ptp(lam[1:4]) < 1e-6 * lam[3]  # sphere l=1 cluster
         rng = np.random.default_rng(5)
